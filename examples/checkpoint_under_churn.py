@@ -42,7 +42,7 @@ def main() -> None:
     cluster = Cluster(8, cost="old-cluster", seed=21)
     entities = workloads.instantiate(cluster, spec)
     eids = [e.entity_id for e in entities]
-    with ConCORD.from_config(cluster) as concord:
+    with ConCORD(cluster) as concord:
         concord.initial_scan()
         print(f"tracking {len(entities)} processes on {cluster.n_nodes} "
               f"nodes; {concord.total_tracked_hashes} hashes in the DHT")

@@ -72,7 +72,7 @@ def main() -> None:
     cluster = Cluster(8, cost="new-cluster", seed=41)
     entities = workloads.instantiate(cluster, workloads.moldy(8, 2048, seed=41))
     eids = [e.entity_id for e in entities]
-    with ConCORD.from_config(cluster) as concord:
+    with ConCORD(cluster) as concord:
         concord.initial_scan()
 
         # Blacklist a few content IDs that actually occur (one from the

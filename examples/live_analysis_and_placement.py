@@ -59,7 +59,7 @@ def main() -> None:
         make_family_vm(cluster, 3, image_b, 6, rng),
     ]
     eids = [vm.entity_id for vm in vms]
-    with ConCORD.from_config(cluster) as concord:
+    with ConCORD(cluster) as concord:
         concord.initial_scan()
         print(f"6 VMs ({fmt_bytes(sum(vm.memory_bytes for vm in vms))}) on 4 "
               f"nodes; two guest images, interleaved placement")

@@ -35,7 +35,7 @@ def main() -> None:
     cluster = Cluster(6, cost="new-cluster", seed=77)
     ents = workloads.instantiate(cluster, workloads.moldy(4, 1024, seed=77))
     eids = [e.entity_id for e in ents]
-    with ConCORD.from_config(cluster) as concord:
+    with ConCORD(cluster) as concord:
         stores = make_replica_stores(cluster, [4, 5], capacity_pages=4096,
                                      concord=concord)
         concord.initial_scan()

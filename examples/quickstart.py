@@ -38,7 +38,7 @@ def main() -> None:
           f"{len(entities)} processes, {fmt_bytes(total)} of memory")
 
     # -- 2. bring up the platform service (context manager = clean teardown) --
-    with ConCORD.from_config(cluster) as concord:
+    with ConCORD(cluster) as concord:
         n_updates = concord.initial_scan()
         print(f"initial scan: {n_updates} updates, "
               f"{concord.total_tracked_hashes} distinct hashes tracked")
@@ -89,7 +89,7 @@ def main() -> None:
     A, B, C, E = 0xA0, 0xB0, 0xC0, 0xE0
     se1 = Entity.create(c2, 0, np.array([A, E, 0x100, B], dtype=np.uint64))
     se2 = Entity.create(c2, 1, np.array([B, C, E, 0x200], dtype=np.uint64))
-    with ConCORD.from_config(c2) as k2:
+    with ConCORD(c2) as k2:
         k2.initial_scan()
         # Content written after the scan is unknown to ConCORD (paper's X).
         se1.write_page(2, 0x101)

@@ -56,7 +56,7 @@ def main() -> None:
     gang = [make_vm(cluster, i, os_pages, 512, tag=i + 1, rng=rng)
             for i in range(3)]
     resident = make_vm(cluster, 6, os_pages, 512, tag=9, rng=rng)
-    with ConCORD.from_config(cluster) as concord:
+    with ConCORD(cluster) as concord:
         concord.initial_scan()
 
         gang_ids = [vm.entity_id for vm in gang]

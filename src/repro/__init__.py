@@ -12,7 +12,7 @@ Quickstart::
 
     cluster = Cluster(n_nodes=4, cost="new-cluster")
     entities = workloads.instantiate(cluster, workloads.moldy(4, 2048))
-    with ConCORD.from_config(cluster) as concord:
+    with ConCORD(cluster) as concord:
         concord.initial_scan()
 
         print(concord.sharing([e.entity_id for e in entities]).value)

@@ -188,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "joining nodes under load up to N total "
                          "(docs/ELASTICITY.md)")
     sv.add_argument("--placement", default="mod",
-                    choices=["mod", "consistent", "hd"],
-                    help="hash->node placement policy; consistent/hd "
-                         "minimize entries moved per join (default: mod)")
+                    choices=["mod", "hd"],
+                    help="hash->node placement policy; hd minimizes "
+                         "entries moved per join (default: mod)")
     sv.add_argument("--expect-join", action="store_true",
                     help="exit 1 unless at least one live join completed "
                          "(CI smoke assertion; implies load thresholds "
@@ -271,7 +271,7 @@ def _cmd_demo(out) -> int:
     cluster = Cluster(4, cost="new-cluster", seed=1)
     ents = workloads.instantiate(cluster, workloads.moldy(4, 1024, seed=1))
     eids = [e.entity_id for e in ents]
-    with ConCORD.from_config(cluster, ConCORDConfig()) as concord:
+    with ConCORD(cluster, ConCORDConfig()) as concord:
         concord.initial_scan()
         print(f"4-node cluster, {len(ents)} processes, "
               f"{fmt_bytes(sum(e.memory_bytes for e in ents))} traced; "
@@ -344,6 +344,7 @@ def _parse_budget(text: str) -> float:
 
 
 def _cmd_bench(args, out) -> int:
+    from repro.core.config import ConCORDConfig
     from repro.harness.benchsuite import build_default_runner
     from repro.obs import ProfileSession
     from repro.obs.bench import (BaselineError, append_records, compare,
@@ -380,11 +381,10 @@ def _cmd_bench(args, out) -> int:
     runner = build_default_runner(workers=args.workers)
     # The workers the exec.* specs actually fanned out over: part of the
     # environment, so trajectory points are comparable only like-for-like.
+    defaults = ConCORDConfig()
     env_extra = {"workers": args.workers or (os.cpu_count() or 1),
-                 "storage": args.storage
-                 or os.environ.get("CONCORD_STORAGE", "memory"),
-                 "chunking": args.chunking
-                 or os.environ.get("CONCORD_CHUNKING", "fixed")}
+                 "storage": args.storage or defaults.storage.backend,
+                 "chunking": args.chunking or defaults.chunking}
     if args.list_specs:
         names = runner.names("figure") if args.filter == "figure" \
             else runner.names()
@@ -502,7 +502,7 @@ def _cmd_serve(args, out) -> int:
     cluster = Cluster(n_nodes=args.nodes, cost=cost, seed=args.seed)
     instantiate(cluster, moldy(args.nodes, args.pages, seed=args.seed))
     status = 0
-    with ConCORD.from_config(
+    with ConCORD(
             cluster, ConCORDConfig(use_network=False, serve=cfg,
                                    storage=storage,
                                    placement=args.placement,

@@ -8,18 +8,15 @@ content-aware collective command controller (§4) — plus the fault
 interface (fail/restart/detect/repair, docs/FAULTS.md).
 
 Configuration lives in one :class:`~repro.core.config.ConCORDConfig`
-value — the pre-PR 2 per-knob keyword arguments finished their
-deprecation cycle and now raise :class:`TypeError` naming the config
-field to use instead.
+value.
 
-Instances are context managers: ``with ConCORD.from_config(cluster,
-cfg) as concord: ...`` releases the parallel backend's shared-memory
+Instances are context managers: ``with ConCORD(cluster, cfg) as
+concord: ...`` releases the parallel backend's shared-memory
 segments and the shard storage handles on exit (docs/STORAGE.md).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from typing import TYPE_CHECKING, Any
 
@@ -48,10 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ConCORD"]
 
-# ConCORDConfig field names, used to give the removed per-kwarg calling
-# convention an actionable error (docs/ARCHITECTURE.md has the table).
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ConCORDConfig))
-
 
 class ConCORD:
     """The memory content-tracking platform service, brought up on a cluster.
@@ -60,25 +53,11 @@ class ConCORD:
 
         concord = ConCORD(cluster, ConCORDConfig(use_network=True))
 
-    or equivalently ``ConCORD.from_config(cluster, cfg)``.  Per-knob
-    keyword arguments were removed after their PR 2 deprecation cycle;
-    passing one raises ``TypeError`` pointing at the config field.
+    (defaults apply when ``config`` is omitted).
     """
 
     def __init__(self, cluster: Cluster,
-                 config: ConCORDConfig | None = None, **legacy: Any) -> None:
-        if legacy:
-            known = sorted(set(legacy) & _CONFIG_FIELDS)
-            if known:
-                raise TypeError(
-                    "ConCORD no longer accepts configuration keyword "
-                    f"arguments ({', '.join(known)}); build a ConCORDConfig "
-                    f"(e.g. ConCORDConfig({known[0]}=...)) and pass it as "
-                    "`config` — the kwarg form was deprecated in PR 2 and "
-                    "has been removed")
-            raise TypeError(
-                f"unknown ConCORD argument(s) {sorted(legacy)}; "
-                f"valid ConCORDConfig fields: {sorted(_CONFIG_FIELDS)}")
+                 config: ConCORDConfig | None = None) -> None:
         self.config = config or ConCORDConfig()
         self._closed = False
         cfg = self.config
@@ -140,13 +119,6 @@ class ConCORD:
             self.attach_entity(entity)
         if cap is not None:
             cap.add(self.obs)
-
-    @classmethod
-    def from_config(cls, cluster: Cluster,
-                    config: ConCORDConfig | None = None) -> ConCORD:
-        """Explicit constructor taking only a config value (defaults apply
-        when ``config`` is omitted)."""
-        return cls(cluster, config)
 
     # -- entity lifecycle ------------------------------------------------------------
 
@@ -480,7 +452,7 @@ class ConCORD:
         garbage-collected instance cleans up on its own.  Prefer the
         context-manager form, which cannot forget::
 
-            with ConCORD.from_config(cluster, cfg) as concord:
+            with ConCORD(cluster, cfg) as concord:
                 ...
         """
         if self._closed:

@@ -6,49 +6,37 @@ re-plumb into the tracing engine).  A config value is immutable, hashable,
 and comparable, so experiments can sweep variations with
 :func:`dataclasses.replace` and log the exact configuration they ran.
 
-The facade accepts configuration *only* this way: the pre-PR 2 per-knob
-keyword arguments (``ConCORD(cluster, use_network=True)``) completed
-their deprecation cycle and now raise ``TypeError`` naming the field to
-set here instead (docs/ARCHITECTURE.md has the mapping table).
+The facade accepts configuration *only* this way
+(``ConCORD(cluster, ConCORDConfig(use_network=True))``;
+docs/ARCHITECTURE.md has the field table).  Fields that default from a
+``CONCORD_*`` env var reject an invalid value with ``ValueError``
+(:func:`repro.util.env.env_default`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 from repro.dht.storage import StorageConfig
 from repro.memory.monitor import MonitorMode
 from repro.obs import ObsConfig
 from repro.serve.config import ServeConfig
+from repro.util.env import env_default
 
 __all__ = ["ConCORDConfig"]
 
 
 def _default_workers() -> int:
-    """Default worker count: the ``CONCORD_WORKERS`` env var, else 1.
-
-    The env override lets CI (and users) run an entire existing test or
-    serve workload under the parallel backend without touching call
-    sites; an unset/invalid value keeps today's single-core behavior.
-    """
-    raw = os.environ.get("CONCORD_WORKERS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+    """Default worker count: the ``CONCORD_WORKERS`` env var, else 1 —
+    single-core, every shard operation inline."""
+    return env_default("CONCORD_WORKERS", 1)
 
 
 def _default_chunking() -> str:
-    """Default chunking scheme: the ``CONCORD_CHUNKING`` env var, else fixed.
-
-    Same pattern as ``CONCORD_WORKERS``/``CONCORD_STORAGE``: CI can run an
-    entire existing suite under content-defined chunking without touching
-    call sites; unset keeps fixed page blocks.
-    """
-    raw = os.environ.get("CONCORD_CHUNKING", "").strip().lower()
-    return raw if raw in ("fixed", "cdc") else "fixed"
+    """Default chunking scheme: the ``CONCORD_CHUNKING`` env var, else
+    fixed page blocks."""
+    return env_default("CONCORD_CHUNKING", "fixed", ("fixed", "cdc"))
 
 
 @dataclass(frozen=True)
@@ -109,10 +97,10 @@ class ConCORDConfig:
     placement:
         Hash→node placement policy of the DHT partition
         (:data:`~repro.dht.partition.PLACEMENT_POLICIES`): ``mod``
-        (default; the original fixed-membership map), ``consistent``
-        (token-ring consistent hashing), or ``hd`` (hyperdimensional-
-        style similarity placement).  The latter two minimize entries
-        moved per ``add_node()`` resize — see docs/ELASTICITY.md.
+        (default; the original fixed-membership map) or ``hd``
+        (hyperdimensional-style similarity placement), which minimizes
+        entries moved per ``add_node()`` resize — see
+        docs/ELASTICITY.md.
     """
 
     use_network: bool = False

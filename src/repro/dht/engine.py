@@ -105,14 +105,18 @@ class TracingStats:
 class RepairReport:
     """What one anti-entropy repair pass rebuilt, and what it cost.
 
-    ``copies_removed`` is only nonzero for delta/recon repairs (stale
-    believed copies reconciled away); a purge-and-replay pass reports 0.
+    ``hashes_restored`` counts distinct hashes the inserts brought back
+    that no shard row held once the removes were applied — never
+    negative, the same meaning in every mode.  ``copies_removed`` is
+    only nonzero for delta/recon repairs (stale believed copies
+    reconciled away); a replay purges first, so it reports 0.
     ``bytes_wire``/``rounds`` account the repair traffic: modeled
-    :class:`UpdateBatch` framing for replay and delta (one round), real
-    per-message costs of the :class:`~repro.recon.session.ReconSession`
-    protocol for ``mode="recon"``.  ``node_ops`` lists, per shard that
-    needed changes, ``(node, copies_inserted, copies_removed)`` — how
-    the lab triage names the divergent node.
+    :class:`UpdateBatch` framing for a locally discovered diff (one
+    round), real per-message costs of the
+    :class:`~repro.recon.session.ReconSession` protocol for
+    ``mode="recon"``.  ``node_ops`` lists, per shard that needed
+    changes, ``(node, copies_inserted, copies_removed)`` — how the lab
+    triage names the divergent node.
     """
 
     ranges_repaired: int
@@ -204,21 +208,22 @@ def _pairs_where(shard: LocalDHT, sel: np.ndarray | None = None) \
             np.empty(0, dtype=np.int64))
 
 
-def _pairs_in_ranges(shard: LocalDHT, partition: Partition,
-                     targets: np.ndarray) \
-        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One shard's believed copies inside the target primary ranges —
-    the "have" side of the delta-repair reconcile."""
-    hashes, _lo, _wide = shard.items_arrays()
-    sel = (np.isin(partition.primary_nodes(hashes), targets)
-           if len(hashes) else None)
-    return _pairs_where(shard, sel)
+def _expand(h: np.ndarray, e: np.ndarray, c: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """A (hash, entity, count) multiset as the (hash, entity) stream a
+    replay would send: each pair repeated ``count`` times."""
+    return np.repeat(h, c), np.repeat(e, c)
 
 
-# The canonical diff moved to :mod:`repro.recon.diff` so the recon
-# protocol, the join cutover and delta repair share one definition of
-# "differ"; the alias keeps the engine-internal name stable.
-_pair_multiset_diff = pair_multiset_diff
+def _stream_where(shard: LocalDHT, sel: np.ndarray | None = None) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """The selected rows of :func:`_pairs_where`, expanded to a stream."""
+    return _expand(*_pairs_where(shard, sel))
+
+
+def _concat(parts, dtype) -> np.ndarray:
+    return np.concatenate(parts) if len(parts) else np.empty(0, dtype=dtype)
+
 
 # One DHT update on the wire (UpdateBatch): hash + entity + op flag.
 _UPDATE_BYTES = HASH_BYTES + ENTITY_ID_BYTES + 1
@@ -262,8 +267,8 @@ class ContentTracingEngine:
 
         ``placement`` selects the hash→node map
         (:data:`~repro.dht.partition.PLACEMENT_POLICIES`); the default
-        ``mod`` is the original fixed-membership map, ``consistent``/
-        ``hd`` minimize remapping under :meth:`add_node`.
+        ``mod`` is the original fixed-membership map, ``hd`` minimizes
+        remapping under :meth:`add_node`.
         """
         if transport not in ("udp", "rdma"):
             raise ValueError(f"unknown transport {transport!r}")
@@ -555,8 +560,7 @@ class ContentTracingEngine:
             sel = pending.home_nodes(hashes) == node
             if not sel.any():
                 continue
-            ph, pe, pc = _pairs_where(s, sel)
-            shard.bulk_insert(np.repeat(ph, pc), np.repeat(pe, pc))
+            shard.bulk_insert(*_stream_where(s, sel))
             precopied += int(sel.sum())
         self._pending_join = (node, pending, precopied)
         self._c_precopied.inc(precopied)
@@ -610,9 +614,7 @@ class ContentTracingEngine:
         # pair multisets before mutating anything, so masks stay aligned.
         moved = 0
         keep: dict[int, np.ndarray] = {}
-        want_new_h: list[np.ndarray] = []
-        want_new_e: list[np.ndarray] = []
-        plain: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        arriving: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
         for src in range(old_n + 1):
             if src < old_n and not self.partition.is_alive(src):
                 continue
@@ -629,42 +631,21 @@ class ContentTracingEngine:
             if src_id != node:
                 moved += int(moving.sum())
             for dst in np.unique(homes[moving]).tolist():
-                dst = int(dst)
-                ph, pe, pc = _pairs_where(s, homes == dst)
-                rh, re = np.repeat(ph, pc), np.repeat(pe, pc)
-                if dst == node:
-                    want_new_h.append(rh)
-                    want_new_e.append(re)
-                else:
-                    plain.setdefault(dst, ([], []))
-                    plain[dst][0].append(rh)
-                    plain[dst][1].append(re)
+                rh, re = _stream_where(s, homes == dst)
+                hs, es = arriving.setdefault(int(dst), ([], []))
+                hs.append(rh)
+                es.append(re)
         # Phase 2: evict movers from their sources (masks pre-computed).
         for src_id, mask in keep.items():
             self.shards[src_id].retain(mask)
-        # Phase 3: the joining node reconciles pre-copied content against
+        # Phase 3: the joining node converges its pre-copied content onto
         # the current truth — the incremental part of the handoff.
-        new_shard = self.shards[node]
-        have_h, have_e, have_c = _pairs_where(new_shard)
-        wh = (np.concatenate(want_new_h) if want_new_h
-              else np.empty(0, dtype=_U64))
-        we = (np.concatenate(want_new_e) if want_new_e
-              else np.empty(0, dtype=np.int64))
-        ins, rem = _pair_multiset_diff(have_h, have_e, have_c, wh, we)
-        rem_h, rem_e, rem_c = rem
-        if len(rem_h):
-            new_shard.bulk_remove(np.repeat(rem_h, rem_c),
-                                  np.repeat(rem_e, rem_c))
-        ins_h, ins_e, ins_c = ins
-        if len(ins_h):
-            new_shard.bulk_insert(np.repeat(ins_h, ins_c),
-                                  np.repeat(ins_e, ins_c))
-        delta_ins = int(ins_c.sum())
-        delta_rem = int(rem_c.sum())
+        delta_ins, delta_rem, *_ = self._converge([node], arriving)
         # Phase 4: wholesale moves between pre-existing nodes.
-        for dst in sorted(plain):
-            self.shards[dst].bulk_insert(np.concatenate(plain[dst][0]),
-                                         np.concatenate(plain[dst][1]))
+        for dst in sorted(arriving.keys() - {node}):
+            hs, es = arriving[dst]
+            self.shards[dst].bulk_insert(np.concatenate(hs),
+                                         np.concatenate(es))
         # Phase 5: swap the routed map and invalidate every cached answer.
         # Intactness is conservative: holes under the old map land in
         # unknown places under the new one, so any hole voids everything
@@ -724,7 +705,8 @@ class ContentTracingEngine:
                 try:
                     self.cluster.engine.run()
                 except DeliveryError:
-                    pass
+                    # The timeout is the failure signal; count it.
+                    self._delivery_error("detect")
                 if not acked:
                     self.node_failed(node)
                     detected.append(node)
@@ -745,31 +727,31 @@ class ContentTracingEngine:
 
     def repair(self, full: bool = False, delta: bool = False,
                mode: str | None = None) -> RepairReport:
-        """Rebuild non-intact ranges from the monitors' ground truth.
+        """Converge non-intact ranges onto the monitors' ground truth.
 
         Each alive node re-routes its NSM's last-scanned view — restricted
-        to the ranges under repair — to the ranges' current homes; the
-        paper's observation that "the DHT can always be rebuilt from the
-        node-local content" made operational.  ``full=True`` rebuilds every
-        range (a complete anti-entropy pass), which also heals holes left
-        by lost update datagrams, not just failover damage.
+        to the ranges under repair — to the ranges' current homes, and
+        every home shard converges onto what was routed to it
+        (:meth:`_converge`); the paper's observation that "the DHT can
+        always be rebuilt from the node-local content" made operational.
+        ``full=True`` covers every range (a complete anti-entropy pass),
+        which also heals holes left by lost update datagrams, not just
+        failover damage.
 
-        ``delta=True`` reconciles instead of purge-and-replaying: the
-        shards' believed (hash, entity) multiset for the target ranges is
-        diffed against the routed ground truth and only the difference is
+        The default is a *replay*: the target ranges are purged first,
+        so the converge step re-inserts every truth copy and the report
+        carries the full rebuild cost.  ``delta=True`` skips the purge:
+        only the difference between the believed rows and the truth is
         applied, so *local* cost scales with divergence rather than
-        content size.  Because the packed representation is canonical
-        after compaction, every mode lands on byte-identical shards —
-        delta is what makes a warm restart cheap (docs/STORAGE.md).
-
-        ``mode="recon"`` runs a full anti-entropy pass through the
-        digest-tree set-reconciliation protocol
-        (:class:`~repro.recon.session.ReconSession`): each shard compares
-        hierarchical range digests against the routed truth and ships
-        only mismatched subtrees, so *wire* cost also scales with
-        divergence — docs/RECONCILIATION.md.  Replay/delta instead
-        account the full :class:`UpdateBatch` framing of every applied
-        record in ``bytes_wire``.
+        content size — what makes a warm restart cheap
+        (docs/STORAGE.md).  ``mode="recon"`` also skips the purge and
+        discovers the difference through the digest-tree
+        set-reconciliation protocol
+        (:class:`~repro.recon.session.ReconSession`) over every range,
+        so *wire* cost scales with divergence too
+        (docs/RECONCILIATION.md); it takes no ``delta``.  Because the
+        packed representation is canonical after compaction, all three
+        land on byte-identical shards.
 
         Entities hosted on dead nodes contribute nothing (their memory is
         gone), so their entries do not reappear in repaired ranges.
@@ -778,6 +760,10 @@ class ContentTracingEngine:
             raise ValueError(f"unknown repair mode {mode!r}; "
                              f"expected None or 'recon'")
         recon = mode == "recon"
+        if recon and delta:
+            raise ValueError("repair(delta=True, mode='recon'): recon "
+                             "already applies only the difference; pass "
+                             "one or the other")
         self.refresh_failed()
         # Targets are primary ranges of the routed ring; the NSM scan
         # below walks every cluster node (a mid-join node hosts no
@@ -789,19 +775,17 @@ class ContentTracingEngine:
                    else np.flatnonzero(~self._intact[:n]).astype(np.int64))
         if not len(targets):
             return RepairReport(0, 0, 0, 0)
-        target_set = set(targets.tolist())
+        alive = self.partition.alive_nodes().tolist()
         if not delta and not recon:
-            for owner in self.partition.alive_nodes().tolist():
-                self._purge_ranges_at(int(owner), target_set)
-        before_hashes = self.total_hashes
-        copies = 0
-        removed = 0
+            target_set = set(targets.tolist())
+            for owner in alive:
+                self._purge_ranges_at(owner, target_set)
         nodes_scanned = 0
         net = self.cluster.network
         # Routing (select hashes in repaired ranges, group by current
         # home) is pure and fans out through the pool — one task per
-        # (node, entity), gathered in collection order; the bulk_insert
-        # replay below runs on the coordinator in that same order, so
+        # (node, entity), gathered in collection order; the converge
+        # step runs on the coordinator in (hash, entity) order, so
         # repaired shards are byte-identical at any worker count.
         tasks: list[tuple[np.ndarray, Partition, np.ndarray]] = []
         task_eids: list[int] = []
@@ -821,29 +805,16 @@ class ContentTracingEngine:
                 task_eids.append(entity.entity_id)
                 work += len(hashes)
         routed = self.pool.run_tasks(_ops.repair_route, tasks, work=work)
-        node_ops: list[tuple[int, int, int]] = []
-        if recon:
-            copies, removed, bytes_wire, rounds, node_ops = \
-                self._recon_repair(task_eids, routed)
-        elif delta:
-            copies, removed, node_ops = \
-                self._reconcile(targets, task_eids, routed)
-            bytes_wire = _modeled_replay_bytes(
-                copies + removed, self.n_represented, self.batch_size)
-            rounds = 1 if copies + removed else 0
-        else:
-            per_dst: dict[int, int] = {}
-            for eid, groups in zip(task_eids, routed):
-                if not groups:
-                    continue
-                for dst, hs in groups.items():
-                    self.shards[dst].bulk_insert(hs, eid)
-                    copies += len(hs)
-                    per_dst[dst] = per_dst.get(dst, 0) + len(hs)
-            node_ops = [(d, c, 0) for d, c in sorted(per_dst.items())]
-            bytes_wire = _modeled_replay_bytes(
-                copies, self.n_represented, self.batch_size)
-            rounds = 1 if copies else 0
+        truth: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        for eid, groups in zip(task_eids, routed):
+            for dst, hs in (groups or {}).items():
+                want_h, want_e = truth.setdefault(dst, ([], []))
+                want_h.append(hs)
+                want_e.append(np.full(len(hs), eid, dtype=np.int64))
+        copies, removed, restored, bytes_wire, rounds, node_ops = \
+            self._converge(alive, truth,
+                           targets=None if len(targets) == n else targets,
+                           recon=recon)
         self._c_repair_bytes.inc(bytes_wire)
         self._c_repair_rounds.inc(rounds)
         self._intact[targets] = True
@@ -856,124 +827,98 @@ class ContentTracingEngine:
                        nodes_scanned=nodes_scanned, bytes_wire=bytes_wire,
                        mode=mode or ("delta" if delta else "replay"))
         return RepairReport(ranges_repaired=len(targets),
-                            hashes_restored=self.total_hashes - before_hashes,
+                            hashes_restored=restored,
                             copies_restored=copies,
                             nodes_scanned=nodes_scanned,
                             copies_removed=removed,
                             bytes_wire=bytes_wire, rounds=rounds,
                             node_ops=tuple(node_ops))
 
-    def _want_by_dst(self, task_eids: list[int], routed: list) \
-            -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-        """Group routed ground-truth hashes into per-destination
-        (hash, entity) replay streams."""
-        n = self.partition.n_nodes
-        want_h: list[list[np.ndarray]] = [[] for _ in range(n)]
-        want_e: list[list[np.ndarray]] = [[] for _ in range(n)]
-        for eid, groups in zip(task_eids, routed):
-            if not groups:
-                continue
-            for dst, hs in groups.items():
-                want_h[dst].append(hs)
-                want_e[dst].append(np.full(len(hs), eid, dtype=np.int64))
-        return want_h, want_e
+    def _converge(self, shards: list[int],
+                  truth: dict[int, tuple[list[np.ndarray],
+                                         list[np.ndarray]]],
+                  targets: np.ndarray | None = None, recon: bool = False) \
+            -> tuple[int, int, int, int, int, list[tuple[int, int, int]]]:
+        """Converge each listed shard's believed rows onto the truth
+        routed to it — the one place a diff is discovered and applied;
+        repair, warm restart and join catch-up all end here.
 
-    def _reconcile(self, targets: np.ndarray, task_eids: list[int],
-                   routed: list) -> tuple[int, int,
-                                          list[tuple[int, int, int]]]:
-        """Delta-repair apply: per destination shard, diff believed
-        copies against routed ground truth and apply removes-then-inserts
-        in (hash, entity) order.  Returns (copies inserted, removed,
-        per-node op list)."""
-        want_h, want_e = self._want_by_dst(task_eids, routed)
-        inserted = removed = 0
-        node_ops: list[tuple[int, int, int]] = []
-        for dst in self.partition.alive_nodes().tolist():
-            dst = int(dst)
-            shard = self.shards[dst]
-            hh, he, hc = _pairs_in_ranges(shard, self.partition, targets)
-            wh = (np.concatenate(want_h[dst]) if want_h[dst]
-                  else np.empty(0, dtype=_U64))
-            we = (np.concatenate(want_e[dst]) if want_e[dst]
-                  else np.empty(0, dtype=np.int64))
-            ins, rem = _pair_multiset_diff(hh, he, hc, wh, we)
-            d_ins = d_rem = 0
-            rem_h, rem_e, rem_c = rem
-            if len(rem_h):
-                shard.bulk_remove(np.repeat(rem_h, rem_c),
-                                  np.repeat(rem_e, rem_c))
-                d_rem = int(rem_c.sum())
-            ins_h, ins_e, ins_c = ins
-            if len(ins_h):
-                shard.bulk_insert(np.repeat(ins_h, ins_c),
-                                  np.repeat(ins_e, ins_c))
-                d_ins = int(ins_c.sum())
-            inserted += d_ins
-            removed += d_rem
-            if d_ins or d_rem:
-                node_ops.append((dst, d_ins, d_rem))
-        return inserted, removed, node_ops
+        ``truth[dst]`` holds the (hash, entity) replay stream destined to
+        shard ``dst`` as lists of parallel array parts (absent = the
+        shard should hold nothing); believed rows are restricted to the
+        primary ranges in ``targets`` (None = every row).  The
+        difference is discovered locally by the pair-multiset diff, or —
+        ``recon=True``, all rows only — by one
+        :class:`~repro.recon.session.ReconSession` per shard against a
+        coordinator (``shards[0]``) holding the aggregated truth digest
+        (counts sum and 64-bit mixed digests combine across contributing
+        nodes without shipping rows), so what crosses the wire is digest
+        rounds plus the mismatched leaf rows.  Either way it is applied
+        removes-then-inserts in (hash, entity) order.
 
-    def _recon_repair(self, task_eids: list[int], routed: list) \
-            -> tuple[int, int, int, int, list[tuple[int, int, int]]]:
-        """Set-reconciliation apply: one :class:`ReconSession` per alive
-        shard converges its believed rows onto the routed truth.
-
-        The truth side is aggregated at a coordinator (counts sum and
-        64-bit mixed digests combine across contributing nodes without
-        shipping rows — an XOR/sum tree reduction like the collective
-        queries'), so what crosses the wire is digest rounds plus the
-        mismatched leaf rows, per session.  Returns (copies inserted,
-        removed, wire bytes, protocol rounds, per-node op list).
+        Returns ``(copies inserted, copies removed, hashes restored,
+        wire bytes, protocol rounds, per-node op list)``; a locally
+        discovered diff is charged as one round of :class:`UpdateBatch`
+        framing over every applied record.
         """
-        want_h, want_e = self._want_by_dst(task_eids, routed)
-        net = self.cluster.network
-        alive = [int(x) for x in self.partition.alive_nodes().tolist()]
-        coord = alive[0]
         emit = None
-        if self.use_network:
+        if recon and self.use_network:
+            net = self.cluster.network
+
             def emit(msg):
                 if msg.src_node != msg.dst_node:
                     net.send_reliable(msg, on_deliver=lambda _m: None)
-        inserted = removed = bytes_wire = rounds = 0
+        inserted = removed = restored = bytes_wire = rounds = 0
         node_ops: list[tuple[int, int, int]] = []
-        for dst in alive:
+        for dst in shards:
             shard = self.shards[dst]
-            believed = self._digests.get(
-                dst, self.shard_epoch(dst),
-                lambda s=shard: PairSetDigest(
-                    *canonical_pairs(*_pairs_where(s))))
-            wh = (np.concatenate(want_h[dst]) if want_h[dst]
-                  else np.empty(0, dtype=_U64))
-            we = (np.concatenate(want_e[dst]) if want_e[dst]
-                  else np.empty(0, dtype=np.int64))
-            truth = PairSetDigest(*canonical_pairs(wh, we))
-            session = ReconSession(believed, truth, src_node=dst,
-                                   dst_node=coord, emit=emit)
-            report = session.run()
-            d_ins = d_rem = 0
-            rem_h, rem_e, rem_c = report.rem
-            if len(rem_h):
-                shard.bulk_remove(np.repeat(rem_h, rem_c),
-                                  np.repeat(rem_e, rem_c))
-                d_rem = int(rem_c.sum())
-            ins_h, ins_e, ins_c = report.ins
-            if len(ins_h):
-                shard.bulk_insert(np.repeat(ins_h, ins_c),
-                                  np.repeat(ins_e, ins_c))
-                d_ins = int(ins_c.sum())
+            sel = None
+            if targets is not None:
+                hashes = shard.items_arrays()[0]
+                if len(hashes):
+                    sel = np.isin(self.partition.primary_nodes(hashes),
+                                  targets)
+            want_h, want_e = truth.get(dst, ((), ()))
+            wh, we = _concat(want_h, _U64), _concat(want_e, np.int64)
+            if recon:
+                believed = self._digests.get(
+                    dst, self.shard_epoch(dst),
+                    lambda: PairSetDigest(
+                        *canonical_pairs(*_pairs_where(shard, sel))))
+                report = ReconSession(
+                    believed, PairSetDigest(*canonical_pairs(wh, we)),
+                    src_node=dst, dst_node=shards[0], emit=emit).run()
+                ins, rem = report.ins, report.rem
+                bytes_wire += report.bytes_wire
+                rounds = max(rounds, report.rounds)
+            else:
+                ins, rem = pair_multiset_diff(*_pairs_where(shard, sel),
+                                              wh, we)
+            if len(rem[0]):
+                shard.bulk_remove(*_expand(*rem))
+            after_removes = shard.n_hashes
+            if len(ins[0]):
+                shard.bulk_insert(*_expand(*ins))
+            restored += shard.n_hashes - after_removes
+            d_ins, d_rem = int(ins[2].sum()), int(rem[2].sum())
             inserted += d_ins
             removed += d_rem
-            bytes_wire += report.bytes_wire
-            rounds = max(rounds, report.rounds)
             if d_ins or d_rem:
                 node_ops.append((dst, d_ins, d_rem))
-        if self.use_network:
+        if emit is not None:
             try:
                 self.cluster.engine.run()
             except DeliveryError:
-                pass
-        return inserted, removed, bytes_wire, rounds, node_ops
+                self._delivery_error("recon")
+        if not recon:
+            bytes_wire = _modeled_replay_bytes(
+                inserted + removed, self.n_represented, self.batch_size)
+            rounds = 1 if inserted + removed else 0
+        return inserted, removed, restored, bytes_wire, rounds, node_ops
+
+    def _delivery_error(self, site: str) -> None:
+        """Count a reliable send that exhausted its retransmissions."""
+        self.obs.registry.counter("dht.delivery_errors", site=site).inc()
 
     # -- degraded-mode introspection ---------------------------------------------------
 

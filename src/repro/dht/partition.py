@@ -24,11 +24,6 @@ knob chosen at construction:
     ``mix64(h ^ salt) % n`` — the original map.  O(1) per key and
     perfectly balanced, but growing n → n+1 remaps ~(n-1)/n of all
     keys: nearly everything moves on every resize.
-``consistent``
-    Classic consistent hashing on a token ring with ``_VNODES``
-    virtual nodes per physical node.  Growing n → n+m only remaps the
-    arcs the new tokens capture, ~m/(n+m) of keys in expectation (with
-    vnode-count variance).
 ``hd``
     A hyperdimensional-hashing-style similarity map (PAPERS.md
     "Hyperdimensional Hashing"): each node gets a pseudo-random
@@ -37,9 +32,9 @@ knob chosen at construction:
     i.e. rendezvous-style highest-random-weight as a 64-bit stand-in
     for the paper's hypervector similarity).  Growing n → n+m remaps
     exactly the keys the new nodes win: m/(n+m) in expectation, the
-    information-theoretic minimum, with no vnode variance.
+    information-theoretic minimum.
 
-Every policy derives per-node state (tokens, signatures) from the node
+Every policy derives per-node state (signatures) from the node
 ID alone, so a partition *grown* from n to n' is byte-identical to a
 partition *constructed* at n' — the invariant the elastic-membership
 property tests pin system answers against.
@@ -58,16 +53,11 @@ __all__ = ["NoAliveNodeError", "NodeRing", "Partition",
 # each shard would hold a contiguous hash range and per-shard iteration
 # order would correlate with content.
 _ROUTE_SALT = np.uint64(0xC2B2AE3D27D4EB4F)
-# Per-node identity salt (signatures, token seeds) — distinct from the
-# routing salt so node state never collides with key state.
+# Per-node identity salt (signatures) — distinct from the routing salt so
+# node state never collides with key state.
 _NODE_SALT = np.uint64(0x9E3779B97F4A7C15)
-# Second-level salt for the consistent-hash virtual-node tokens.
-_TOKEN_SALT = np.uint64(0xD6E8FEB86659FD93)
 
-#: Virtual nodes per physical node for the ``consistent`` policy.
-_VNODES = 64
-
-PLACEMENT_POLICIES = ("mod", "consistent", "hd")
+PLACEMENT_POLICIES = ("mod", "hd")
 
 
 class NoAliveNodeError(RuntimeError):
@@ -101,39 +91,6 @@ class _ModPlacer:
         return _ModPlacer(self.n_nodes + extra)
 
 
-class _ConsistentPlacer:
-    """Token-ring consistent hashing with ``_VNODES`` vnodes per node."""
-
-    name = "consistent"
-
-    def __init__(self, n_nodes: int) -> None:
-        self.n_nodes = n_nodes
-        v = np.arange(1, _VNODES + 1, dtype=np.uint64) * _TOKEN_SALT
-        sigs = _node_sigs(n_nodes)
-        # token[node, vnode] = mix of the node signature and vnode index;
-        # a function of the node ID only, so grown == fresh.
-        tokens = mix64(sigs[:, None] ^ mix64(v)[None, :]).ravel()
-        owners = np.repeat(np.arange(n_nodes, dtype=np.int64), _VNODES)
-        order = np.argsort(tokens, kind="stable")
-        self._tokens = tokens[order]
-        self._owners = owners[order]
-
-    def _keys(self, h: np.ndarray) -> np.ndarray:
-        return mix64(h ^ _ROUTE_SALT)
-
-    def primary(self, content_hash: int) -> int:
-        return int(self.primaries(
-            np.array([content_hash], dtype=np.uint64))[0])
-
-    def primaries(self, h: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._tokens, self._keys(h), side="left")
-        idx %= len(self._tokens)          # wrap past the last token
-        return self._owners[idx]
-
-    def grown(self, extra: int = 1) -> _ConsistentPlacer:
-        return _ConsistentPlacer(self.n_nodes + extra)
-
-
 class _HDPlacer:
     """Hyperdimensional-style similarity placement (HRW score argmax)."""
 
@@ -163,8 +120,7 @@ class _HDPlacer:
         return _HDPlacer(self.n_nodes + extra)
 
 
-_PLACERS = {"mod": _ModPlacer, "consistent": _ConsistentPlacer,
-            "hd": _HDPlacer}
+_PLACERS = {"mod": _ModPlacer, "hd": _HDPlacer}
 
 
 def entries_moved_fraction(policy: str, n_from: int, n_to: int, *,

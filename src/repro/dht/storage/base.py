@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.env import env_default
+
 __all__ = ["ShardStorage", "StorageState", "StorageConfig", "BACKENDS"]
 
 #: Valid values of ``StorageConfig.backend`` / ``$CONCORD_STORAGE``.
@@ -45,15 +47,8 @@ BACKENDS = ("memory", "mmap", "sqlite")
 
 
 def _default_backend() -> str:
-    """Default backend: the ``CONCORD_STORAGE`` env var, else memory.
-
-    Mirrors ``CONCORD_WORKERS``: CI (and users) can run an entire
-    existing test or serve workload against a persistent backend without
-    touching call sites.  An unset or unknown value keeps today's
-    RAM-only behavior.
-    """
-    raw = os.environ.get("CONCORD_STORAGE", "").strip().lower()
-    return raw if raw in BACKENDS else "memory"
+    """Default backend: the ``CONCORD_STORAGE`` env var, else memory."""
+    return env_default("CONCORD_STORAGE", "memory", BACKENDS)
 
 
 def _default_root() -> str | None:

@@ -11,7 +11,7 @@ This module is an import leaf (NumPy and stdlib only) so workers can
 unpickle these functions by reference without dragging the engine, the
 sim, or the query layer into the child process, and so every layer above
 can import it without cycles.  :class:`SharingBreakdown` lives here for
-the same reason; :mod:`repro.queries.collective` re-exports it.
+the same reason.
 """
 
 from __future__ import annotations

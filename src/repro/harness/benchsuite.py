@@ -13,10 +13,10 @@ Three tiers (see docs/BENCHMARKS.md):
   suite executes these through the same runner, so figure regeneration
   and perf tracking share one record schema.
 
-The hot-path micro-benchmarks (seed-shape per-item scans vs the columnar
-``LocalDHT``) live here too — they were ``benchmarks/bench_hotpaths.py``'s
-private machinery and are now importable so both the CLI suite and the
-pytest port use one implementation.
+PR 1's seed-shape-vs-columnar scan and insert ratios are frozen in
+docs/BENCHMARKS.md; columnar scan/insert rates are measured by the repo
+benchmark (``bench/``), and scan equivalence is pinned by
+``tests/properties/test_props_columnar.py``.
 """
 
 from __future__ import annotations
@@ -45,103 +45,22 @@ from repro.sim.costmodel import BIG_CLUSTER, NEW_CLUSTER
 from repro import workloads
 
 __all__ = [
-    "SeedDHT",
-    "build_tables",
-    "seed_collective_scan",
-    "columnar_collective_scan",
-    "seed_query_scan",
-    "columnar_query_scan",
     "build_default_runner",
     "FIGURE_SPECS",
     "figure_runner",
 ]
 
-_M64 = (1 << 64) - 1
-
 
 # ---------------------------------------------------------------------------
-# Hot-path micro-benchmarks (seed shape vs columnar; PR 1's speedup claim)
+# Hot-path micro-benchmark: single-op latency (Fig 5's shape)
 # ---------------------------------------------------------------------------
 
-
-class SeedDHT:
-    """Replica of the seed's storage: one dict of hash -> Python-int mask.
-
-    This is exactly what the pre-columnar ``LocalDHT`` iterated in
-    ``items()``, so scanning it is the honest "before" measurement."""
-
-    def __init__(self) -> None:
-        self._map: dict[int, int] = {}
-
-    def insert(self, content_hash: int, entity_id: int) -> None:
-        h = int(content_hash)
-        self._map[h] = self._map.get(h, 0) | (1 << entity_id)
-
-    def items(self):
-        return self._map.items()
-
-
-def build_tables(size: int, n_entities: int = 8,
-                 seed: int = 0) -> tuple[LocalDHT, SeedDHT]:
-    rng = np.random.default_rng(seed)
-    keys = rng.integers(0, 2**63, size=size, dtype=np.uint64)
-    eids = rng.integers(0, n_entities, size=size, dtype=np.int64)
-    dht = LocalDHT()
-    dht.bulk_insert(keys, eids)
-    dht.items_arrays()  # force compaction out of the timed region
-    old = SeedDHT()
-    for h, e in zip(keys.tolist(), eids.tolist()):
-        old.insert(h, e)
-    return dht, old
-
-
-def seed_collective_scan(dht: SeedDHT, se_mask: int, scope_mask: int):
-    """Seed ``_collective_phase`` discovery: per-item loop over items()."""
-    believed = 0
-    cand_bits = 0
-    for _h, mask in dht.items():
-        if not (mask & se_mask):
-            continue
-        believed += 1
-        cand_bits += (mask & scope_mask).bit_count()
-    return believed, cand_bits
-
-
-def columnar_collective_scan(dht: LocalDHT, se_mask: int, scope_mask: int):
-    hashes, lo, _wide = dht.se_scan(se_mask)
-    cand = lo & np.uint64(scope_mask & _M64)
-    return len(hashes), int(np.bitwise_count(cand).sum())
-
-
-def seed_query_scan(dht: SeedDHT, s_mask: int):
-    """Seed collective-query breakdown: per-item loop with popcounts."""
-    distinct = 0
-    copies = 0
-    for _h, mask in dht.items():
-        in_s = mask & s_mask
-        if not in_s:
-            continue
-        distinct += 1
-        copies += in_s.bit_count()
-    return distinct, copies
-
-
-def columnar_query_scan(dht: LocalDHT, s_mask: int):
-    hashes, lo, _wide = dht.se_scan(s_mask)
-    in_s = lo & np.uint64(s_mask & _M64)
-    return len(hashes), int(np.bitwise_count(in_s).sum())
-
-
-_SE_MASK = 0b0110      # entities 1,2 are SEs
 _SCOPE_MASK = 0b1111   # entities 0..3 in scope
 
 
 def _best_of(fn, *args, repeat: int = 3) -> tuple[float, object]:
-    """Best-of-N with all reps of one path consecutive.
-
-    Interleaving the two paths would evict each other's working set from
-    cache every rep and understate the columnar speedup vs the committed
-    history (the original ``bench_hotpaths.py`` measured per-path too)."""
+    """Best-of-N with all reps of one path consecutive (interleaving two
+    compared paths would evict each other's working set every rep)."""
     best = float("inf")
     out = None
     for _ in range(repeat):
@@ -149,55 +68,6 @@ def _best_of(fn, *args, repeat: int = 3) -> tuple[float, object]:
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def _hotpath_setup(params: dict):
-    return build_tables(params["size"])
-
-
-def _hotpath_collective(ctx: BenchContext, state) -> None:
-    dht, old = state
-    size = ctx.params["size"]
-    t_seed, out_seed = _best_of(seed_collective_scan, old, _SE_MASK,
-                                _SCOPE_MASK)
-    t_col, out_col = _best_of(columnar_collective_scan, dht, _SE_MASK,
-                              _SCOPE_MASK)
-    assert out_seed == out_col, "scan paths disagree"
-    ctx.count("rows_believed", out_col[0])
-    ctx.wall("seed_entries_per_s", size / t_seed, unit="1/s",
-             higher_is_better=True)
-    ctx.wall("columnar_entries_per_s", size / t_col, unit="1/s",
-             higher_is_better=True)
-    ctx.wall("speedup", t_seed / t_col, unit="x", higher_is_better=True)
-
-
-def _hotpath_query(ctx: BenchContext, state) -> None:
-    dht, old = state
-    size = ctx.params["size"]
-    mask = _SE_MASK | _SCOPE_MASK
-    t_seed, out_seed = _best_of(seed_query_scan, old, mask)
-    t_col, out_col = _best_of(columnar_query_scan, dht, mask)
-    assert out_seed == out_col, "query paths disagree"
-    ctx.count("rows_distinct", out_col[0])
-    ctx.wall("seed_entries_per_s", size / t_seed, unit="1/s",
-             higher_is_better=True)
-    ctx.wall("columnar_entries_per_s", size / t_col, unit="1/s",
-             higher_is_better=True)
-    ctx.wall("speedup", t_seed / t_col, unit="x", higher_is_better=True)
-
-
-def _hotpath_insert(ctx: BenchContext, _state) -> None:
-    size = ctx.params["size"]
-    rng = np.random.default_rng(99)
-    keys = rng.integers(0, 2**63, size=size, dtype=np.uint64)
-    t_seed, _ = _best_of(lambda: [SeedDHT().insert(k, 0)
-                                  for k in keys.tolist()], repeat=1)
-    t_bulk, _ = _best_of(lambda: LocalDHT().bulk_insert(keys, 0), repeat=1)
-    ctx.wall("seed_inserts_per_s", size / t_seed, unit="1/s",
-             higher_is_better=True)
-    ctx.wall("bulk_inserts_per_s", size / t_bulk, unit="1/s",
-             higher_is_better=True)
-    ctx.wall("speedup", t_seed / t_bulk, unit="x", higher_is_better=True)
 
 
 def _hotpath_single_op(ctx: BenchContext, _state) -> None:
@@ -346,7 +216,7 @@ def _bring_up(n_nodes: int, sim_pages: int, R: int, seed: int,
     cluster = Cluster(n_nodes, cost=testbed, seed=seed)
     make = workloads.moldy if kind == "moldy" else workloads.nasty
     ents = workloads.instantiate(cluster, make(n_nodes, sim_pages, seed=seed))
-    concord = ConCORD.from_config(cluster, ConCORDConfig(n_represented=R))
+    concord = ConCORD(cluster, ConCORDConfig(n_represented=R))
     concord.initial_scan()
     return cluster, ents, concord, [e.entity_id for e in ents]
 
@@ -403,7 +273,7 @@ def _bench_monitor(ctx: BenchContext, _state) -> None:
     p = ctx.params
     cluster = Cluster(2, cost=NEW_CLUSTER, seed=9)
     workloads.instantiate(cluster, workloads.moldy(2, p["sim_pages"], seed=9))
-    with ConCORD.from_config(
+    with ConCORD(
             cluster, ConCORDConfig(hash_algo=p["hash_algo"])) as concord:
         concord.initial_scan()
         mon = concord.monitors[0]
@@ -425,7 +295,7 @@ def _bench_update_network(ctx: BenchContext, _state) -> None:
     cluster = Cluster(p["n_nodes"], cost=BIG_CLUSTER, seed=1)
     workloads.instantiate(cluster, workloads.nasty(p["n_nodes"],
                                                    p["sim_pages"], seed=1))
-    with ConCORD.from_config(
+    with ConCORD(
             cluster, ConCORDConfig(use_network=True,
                                    n_represented=p["R"],
                                    update_batch_size=1)) as concord:
@@ -445,7 +315,7 @@ def _bench_serve_throughput(ctx: BenchContext, _state) -> None:
     cluster = Cluster(p["n_nodes"], cost="new-cluster", seed=3)
     workloads.instantiate(cluster, workloads.moldy(p["n_nodes"],
                                                    p["sim_pages"], seed=3))
-    with ConCORD.from_config(
+    with ConCORD(
             cluster, ConCORDConfig(use_network=False,
                                    serve=ServeConfig())) as concord:
         concord.initial_scan()
@@ -476,7 +346,7 @@ def _bench_serve_cached_qps(ctx: BenchContext, _state) -> None:
                                                        seed=3))
         cfg = ServeConfig(cache=cache, interactive_window_s=5e-6,
                           batch_window_s=5e-6)
-        with ConCORD.from_config(
+        with ConCORD(
                 cluster, ConCORDConfig(use_network=False,
                                        serve=cfg)) as concord:
             concord.initial_scan()
@@ -556,8 +426,7 @@ def _bench_storage_restart(ctx: BenchContext, _state) -> None:
     try:
         scfg = StorageConfig(backend=p["backend"], root=root)
         cluster, _ents = fresh()
-        with ConCORD.from_config(cluster,
-                                 ConCORDConfig(storage=scfg)) as c:
+        with ConCORD(cluster, ConCORDConfig(storage=scfg)) as c:
             c.initial_scan()
             total_copies = c.tracing.total_copies
 
@@ -565,8 +434,7 @@ def _bench_storage_restart(ctx: BenchContext, _state) -> None:
         cluster2, ents2 = fresh()
         mutate(ents2)
         t0 = time.perf_counter()
-        with ConCORD.from_config(cluster2,
-                                 ConCORDConfig(storage=scfg)) as c2:
+        with ConCORD(cluster2, ConCORDConfig(storage=scfg)) as c2:
             assert c2.storage_recovered, "nothing recovered from storage"
             rep_warm = c2.warm_restart()
             t_warm = time.perf_counter() - t0
@@ -575,7 +443,7 @@ def _bench_storage_restart(ctx: BenchContext, _state) -> None:
         cluster3, ents3 = fresh()
         mutate(ents3)
         t0 = time.perf_counter()
-        with ConCORD.from_config(cluster3, ConCORDConfig()) as c3:
+        with ConCORD(cluster3, ConCORDConfig()) as c3:
             c3.initial_scan()
             rep_cold = c3.repair(full=True)
             t_cold = time.perf_counter() - t0
@@ -649,7 +517,7 @@ def _bench_serve_flash_crowd(ctx: BenchContext, _state) -> None:
     workloads.instantiate(cluster, workloads.moldy(p["n_nodes"],
                                                    p["sim_pages"], seed=3))
     cfg = ServeConfig(verify_cache=True)
-    with ConCORD.from_config(
+    with ConCORD(
             cluster, ConCORDConfig(use_network=False, serve=cfg,
                                    placement=p["placement"])) as concord:
         concord.initial_scan()
@@ -692,9 +560,9 @@ def _bench_repair_divergence(ctx: BenchContext, _state) -> None:
         cluster = Cluster(p["n_nodes"], cost="new-cluster", seed=13)
         workloads.instantiate(
             cluster, workloads.moldy(p["n_nodes"], p["sim_pages"], seed=13))
-        concord = ConCORD.from_config(cluster, ConCORDConfig())
+        concord = ConCORD(cluster, ConCORDConfig())
         concord.initial_scan()
-        bound = np.uint64(int(d * 2**64))
+        bound = np.uint64(min(int(d * 2**64), 2**64 - 1))
         for shard in concord.tracing.shards:
             hs, _lo, _wide = shard.items_arrays()
             if len(hs):
@@ -741,7 +609,7 @@ def _bench_chunking_sharing(ctx: BenchContext, _state) -> None:
         cluster = Cluster(2, cost="new-cluster", seed=17)
         a = Entity.from_bytes(cluster, 0, base)
         b = Entity.from_bytes(cluster, 1, prefix + base)
-        concord = ConCORD.from_config(cluster, ConCORDConfig(chunking=mode))
+        concord = ConCORD(cluster, ConCORDConfig(chunking=mode))
         concord.initial_scan()
         sharing[mode] = concord.sharing([a.entity_id, b.entity_id]).value
     assert sharing["cdc"] > sharing["fixed"], (
@@ -825,21 +693,6 @@ def build_default_runner(workers: int | None = None) -> BenchRunner:
     workers = max(1, int(workers))
     r = BenchRunner()
 
-    # Hot paths, quick (250k) and full (1M) sizes.
-    for size, tier in ((250_000, "quick"), (1_000_000, "full")):
-        tag = f"{size // 1000}k" if size < 1_000_000 else f"{size // 1_000_000}m"
-        r.register(BenchSpec(
-            f"hotpaths.collective_scan.{tag}", _hotpath_collective,
-            params={"size": size}, setup=_hotpath_setup, tier=tier,
-            doc="collective-phase discovery scan, seed shape vs columnar"))
-        r.register(BenchSpec(
-            f"hotpaths.query_scan.{tag}", _hotpath_query,
-            params={"size": size}, setup=_hotpath_setup, tier=tier,
-            doc="collective-query breakdown scan, seed shape vs columnar"))
-        r.register(BenchSpec(
-            f"hotpaths.bulk_insert.{tag}", _hotpath_insert,
-            params={"size": size}, tier=tier,
-            doc="update path: per-item inserts vs bulk_insert"))
     r.register(BenchSpec(
         "hotpaths.single_op.100k", _hotpath_single_op,
         params={"size": 100_000, "reps": 20_000}, repeats=3, tier="quick",
@@ -919,7 +772,7 @@ def build_default_runner(workers: int | None = None) -> BenchRunner:
     r.register(BenchSpec(
         "repair.bytes_vs_divergence", _bench_repair_divergence,
         params={"n_nodes": 4, "sim_pages": 3000,
-                "divergences": (0.01, 0.05, 0.2)}, tier="quick",
+                "divergences": (0.01, 0.05, 0.2, 0.5, 1.0)}, tier="quick",
         doc="recon repair wire bytes vs the linear full-rebuild replay "
             "at clustered divergence (recon < 25% of replay at 5%)"))
     r.register(BenchSpec(
@@ -934,7 +787,7 @@ def build_default_runner(workers: int | None = None) -> BenchRunner:
         params={"n_nodes": 8, "sample": 50_000, "rows": 20_000},
         tier="quick",
         doc="entries moved per add_node resize, per placement policy "
-            "(hd/consistent <= 2x theoretical minimum; mod ~ n/(n+1))"))
+            "(hd <= 2x theoretical minimum; mod ~ n/(n+1))"))
     r.register(BenchSpec(
         "serve.flash_crowd", _bench_serve_flash_crowd,
         params={"n_nodes": 4, "target": 8, "sim_pages": 256, "clients": 16,

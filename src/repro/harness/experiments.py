@@ -62,7 +62,7 @@ def _build(n_nodes: int, testbed, spec, n_represented: int = 1, seed: int = 0,
            use_network: bool = False):
     cluster = Cluster(n_nodes, cost=testbed, seed=seed)
     entities = workloads.instantiate(cluster, spec)
-    concord = ConCORD.from_config(
+    concord = ConCORD(
         cluster, ConCORDConfig(use_network=use_network,
                                n_represented=n_represented))
     concord.initial_scan()
@@ -184,7 +184,7 @@ def run_fig07(node_counts=(1, 2, 4, 8, 16, 32, 64, 128),
     for n in node_counts:
         cluster = Cluster(n, cost=BIG_CLUSTER, seed=1)
         workloads.instantiate(cluster, workloads.nasty(n, sim_pages, seed=1))
-        with ConCORD.from_config(
+        with ConCORD(
                 cluster, ConCORDConfig(use_network=True,
                                        n_represented=R,
                                        update_batch_size=1)) as concord:
@@ -477,7 +477,7 @@ def run_monitor_overhead(periods=(2.0, 5.0), mem_mb: int = 64) -> Table:
             cluster = Cluster(2, cost=OLD_CLUSTER, seed=9)
             workloads.instantiate(cluster, workloads.moldy(2, sim_pages,
                                                            seed=9))
-            with ConCORD.from_config(
+            with ConCORD(
                     cluster, ConCORDConfig(hash_algo=algo)) as concord:
                 concord.initial_scan()
                 mon = concord.monitors[0]
@@ -596,7 +596,7 @@ def run_ablation_throttle(rates=(None, 1_000, 500, 100),
         cluster = Cluster(2, cost=NEW_CLUSTER, seed=15)
         ents = workloads.instantiate(cluster,
                                      workloads.nasty(2, sim_pages, seed=15))
-        with ConCORD.from_config(
+        with ConCORD(
                 cluster,
                 ConCORDConfig(throttle_updates_per_s=rate)) as concord:
             for mon in concord.monitors:
@@ -629,7 +629,7 @@ def run_ablation_rdma(node_counts=(8, 32, 128), gb_per_entity: float = 4.0,
             cluster = Cluster(n, cost=BIG_CLUSTER, seed=1)
             workloads.instantiate(cluster,
                                   workloads.nasty(n, sim_pages, seed=1))
-            with ConCORD.from_config(cluster, ConCORDConfig(
+            with ConCORD(cluster, ConCORDConfig(
                     use_network=True, n_represented=R, update_batch_size=1,
                     update_transport=transport)) as concord:
                 concord.initial_scan()
@@ -708,8 +708,7 @@ def run_faults(n_nodes: int = 8, pages_per_entity: int = 512,
     eids = [e.entity_id for e in ents]
     victims = (n_nodes - 2, n_nodes - 1)
 
-    with ConCORD.from_config(cluster,
-                             ConCORDConfig(use_network=True)) as concord:
+    with ConCORD(cluster, ConCORDConfig(use_network=True)) as concord:
         plan = FaultPlan().set_loss(0.0, loss).kill(0.05, *victims)
         concord.inject_faults(plan)
         concord.initial_scan(run_network=False)
@@ -772,8 +771,7 @@ def run_chunking(shifts=(0, 3, 17, 128), kb: int = 256,
             cluster = Cluster(2, cost=NEW_CLUSTER, seed=seed)
             a = Entity.from_bytes(cluster, 0, base, page_size=PAGE)
             b = Entity.from_bytes(cluster, 1, prefix + base, page_size=PAGE)
-            concord = ConCORD.from_config(cluster,
-                                          ConCORDConfig(chunking=mode))
+            concord = ConCORD(cluster, ConCORDConfig(chunking=mode))
             concord.initial_scan()
             ans = concord.sharing([a.entity_id, b.entity_id])
             series[mode].append(ans.value)

@@ -44,7 +44,7 @@ def run_traced_null(n_nodes: int = 4, pages_per_entity: int = 2048,
     cluster = Cluster(n_nodes, cost=NEW_CLUSTER, seed=seed)
     entities = workloads.instantiate(
         cluster, workloads.moldy(n_nodes, pages_per_entity, seed=seed))
-    with ConCORD.from_config(cluster, ConCORDConfig(
+    with ConCORD(cluster, ConCORDConfig(
             n_represented=n_represented,
             obs=obs_config or ObsConfig(trace=True))) as concord:
         concord.initial_scan()

@@ -210,7 +210,7 @@ def _build(cell: LabCell, serve_cfg, trace: bool):
         storage=StorageConfig(backend=cell.storage),
         placement=cell.placement,
         obs=ObsConfig(trace=trace))
-    concord = ConCORD.from_config(cluster, cfg)
+    concord = ConCORD(cluster, cfg)
     return concord, ents
 
 

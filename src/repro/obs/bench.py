@@ -79,15 +79,18 @@ class BaselineError(ValueError):
 def environment_fingerprint(extra: dict | None = None) -> dict:
     """Where a record was produced: interpreter, numpy, machine, cpu
     count, git sha — plus the platform knobs that change what a record
-    *means* (``workers``, ``storage``, ``placement``, resolved from the
-    same env vars :class:`~repro.core.config.ConCORDConfig` defaults
-    from) — plus caller-supplied keys overriding any of the above, so
+    *means* (``workers``, ``storage``, ``placement``: the defaults of
+    :class:`~repro.core.config.ConCORDConfig`, env vars included) —
+    plus caller-supplied keys overriding any of the above, so
     trajectory points from differently provisioned hosts or differently
     configured systems never get compared as like-for-like."""
     import os
 
     import numpy as np
 
+    from repro.core.config import ConCORDConfig
+
+    cfg = ConCORDConfig()
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -95,19 +98,15 @@ def environment_fingerprint(extra: dict | None = None) -> dict:
             cwd=Path(__file__).resolve().parent).stdout.strip() or "unknown"
     except (OSError, subprocess.SubprocessError):
         sha = "unknown"
-    try:
-        workers = max(1, int(os.environ.get("CONCORD_WORKERS", "") or 1))
-    except ValueError:
-        workers = 1
     fp = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpus": os.cpu_count() or 1,
         "git_sha": sha,
-        "workers": workers,
-        "storage": os.environ.get("CONCORD_STORAGE", "") or "memory",
-        "placement": "mod",
+        "workers": cfg.workers,
+        "storage": cfg.storage.backend,
+        "placement": cfg.placement,
     }
     if extra:
         fp.update(extra)

@@ -44,14 +44,11 @@ from repro.core.command import ExecMode
 from repro.dht.engine import ContentTracingEngine
 from repro.exec import ops as _ops
 from repro.exec.pool import ShardPool
-# Re-exported for compatibility: SharingBreakdown moved to repro.exec.ops
-# (an import leaf) so worker processes can unpickle it without importing
-# the query layer.
 from repro.exec.ops import SharingBreakdown
 from repro.sim.cluster import Cluster
 from repro.sim.costmodel import CostModel
 
-__all__ = ["CollectiveAnswer", "CollectiveQueryEngine", "SharingBreakdown"]
+__all__ = ["CollectiveAnswer", "CollectiveQueryEngine"]
 
 _U64 = np.uint64
 _M64 = (1 << 64) - 1

@@ -1,5 +1,6 @@
 """Tests for the ConCORDConfig value and the facade's construction
-contract (the pre-PR 2 kwarg shim is gone: kwargs are hard errors)."""
+contract (configuration only through a config value: kwargs are
+``TypeError``)."""
 
 import dataclasses
 
@@ -52,32 +53,14 @@ class TestFacadeConstruction:
         assert concord.tracing.use_network is True
         assert concord.tracing.batch_size == 16
 
-    def test_from_config_equivalent(self):
-        cfg = ConCORDConfig(n_represented=3)
-        concord = ConCORD.from_config(small_cluster(), cfg)
-        assert concord.config == cfg
-        assert concord.n_represented == 3
-
     def test_default_config_when_omitted(self):
         concord = ConCORD(small_cluster())
         assert concord.config == ConCORDConfig()
 
-    def test_legacy_kwargs_are_hard_errors(self):
-        # The error must name the offending kwarg AND point at the
-        # replacement so the fix is copy-pasteable.
-        with pytest.raises(TypeError, match=r"use_network"):
-            ConCORD(small_cluster(), use_network=True)
-        with pytest.raises(TypeError, match=r"ConCORDConfig\(use_network"):
-            ConCORD(small_cluster(), use_network=True)
-
-    def test_legacy_kwargs_error_even_with_explicit_config(self):
-        base = ConCORDConfig(n_represented=2)
-        with pytest.raises(TypeError, match="hash_algo"):
-            ConCORD(small_cluster(), base, hash_algo="blake2b")
-
-    def test_unknown_kwarg_raises_type_error(self):
-        with pytest.raises(TypeError, match="use_netwrk"):
-            ConCORD(small_cluster(), use_netwrk=True)
+    @pytest.mark.parametrize("kwarg", ["use_network", "use_netwrk"])
+    def test_config_kwargs_raise_type_error(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            ConCORD(small_cluster(), ConCORDConfig(), **{kwarg: True})
 
     def test_no_warning_for_plain_config(self, recwarn):
         ConCORD(small_cluster(), ConCORDConfig(use_network=True))

@@ -36,7 +36,7 @@ def assert_all_homed(eng):
 
 
 class TestAtomicJoin:
-    @pytest.mark.parametrize("placement", ["mod", "consistent", "hd"])
+    @pytest.mark.parametrize("placement", ["mod", "hd"])
     def test_rows_rehome_and_nothing_lost(self, placement):
         c, eng = make(placement=placement)
         load(eng)

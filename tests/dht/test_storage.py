@@ -77,7 +77,11 @@ class TestStorageConfig:
         monkeypatch.setenv("CONCORD_STORAGE", "sqlite")
         assert StorageConfig().backend == "sqlite"
         monkeypatch.setenv("CONCORD_STORAGE", "nonsense")
-        assert StorageConfig().backend == "memory"
+        with pytest.raises(ValueError,
+                           match="CONCORD_STORAGE.*memory, mmap, sqlite"):
+            StorageConfig()
+        monkeypatch.setenv("CONCORD_STORAGE", " MMAP ")
+        assert StorageConfig().backend == "mmap"
         monkeypatch.setenv("CONCORD_STORAGE_DIR", "/tmp/somewhere")
         assert StorageConfig().root == "/tmp/somewhere"
 

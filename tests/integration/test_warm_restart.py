@@ -51,7 +51,7 @@ def cold_reference(mutation=0.0):
     cluster, ents = make_cluster()
     if mutation:
         mutate(ents, mutation)
-    with ConCORD.from_config(cluster, ConCORDConfig()) as concord:
+    with ConCORD(cluster, ConCORDConfig()) as concord:
         concord.initial_scan()
         return shard_states(concord)
 
@@ -62,7 +62,7 @@ class TestWarmRestart:
         cluster, _ents = make_cluster()
         cfg = ConCORDConfig(storage=StorageConfig(backend=backend,
                                                   root=str(root)))
-        with ConCORD.from_config(cluster, cfg) as concord:
+        with ConCORD(cluster, cfg) as concord:
             concord.initial_scan()
             assert concord.storage_recovered is False
             return shard_states(concord)
@@ -74,7 +74,7 @@ class TestWarmRestart:
         cluster, _ents = make_cluster()
         cfg = ConCORDConfig(storage=StorageConfig(backend=backend,
                                                   root=str(tmp_path)))
-        with ConCORD.from_config(cluster, cfg) as concord:
+        with ConCORD(cluster, cfg) as concord:
             assert concord.storage_recovered is True
             report = concord.warm_restart()
             # Nothing changed while the service was down: zero delta ops.
@@ -89,7 +89,7 @@ class TestWarmRestart:
         mutate(ents, 0.10)               # memory moved while service was down
         cfg = ConCORDConfig(storage=StorageConfig(backend=backend,
                                                   root=str(tmp_path)))
-        with ConCORD.from_config(cluster, cfg) as concord:
+        with ConCORD(cluster, cfg) as concord:
             assert concord.storage_recovered is True
             report = concord.warm_restart()
             applied = report.copies_restored + report.copies_removed
@@ -106,7 +106,7 @@ class TestWarmRestart:
             mutate(ents, fraction)
             cfg = ConCORDConfig(storage=StorageConfig(backend=backend,
                                                       root=str(root)))
-            with ConCORD.from_config(cluster, cfg) as concord:
+            with ConCORD(cluster, cfg) as concord:
                 report = concord.warm_restart()
                 applied.append(report.copies_restored +
                                report.copies_removed)
@@ -119,12 +119,12 @@ class TestWarmRestart:
         eids = [e.entity_id for e in ents]
         cfg = ConCORDConfig(storage=StorageConfig(backend=backend,
                                                   root=str(tmp_path)))
-        with ConCORD.from_config(cluster, cfg) as warm:
+        with ConCORD(cluster, cfg) as warm:
             warm.warm_restart()
             warm_sharing = warm.sharing(eids).value
         cluster2, ents2 = make_cluster()
         mutate(ents2, 0.10)
-        with ConCORD.from_config(cluster2, ConCORDConfig()) as cold:
+        with ConCORD(cluster2, ConCORDConfig()) as cold:
             cold.initial_scan()
             assert warm_sharing == pytest.approx(cold.sharing(eids).value)
 
@@ -139,7 +139,7 @@ class TestInRunWarmRejoin:
             cluster, ents = make_cluster()
             cfg = ConCORDConfig(storage=StorageConfig(
                 backend=backend, root=str(tmp_path / ("w" if warm else "c"))))
-            with ConCORD.from_config(cluster, cfg) as concord:
+            with ConCORD(cluster, cfg) as concord:
                 concord.initial_scan()
                 concord.tracing.flush_storage()
                 concord.fail_node(2)
@@ -157,7 +157,7 @@ class TestInRunWarmRejoin:
         cluster, ents = make_cluster()
         cfg = ConCORDConfig(storage=StorageConfig(backend=backend,
                                                   root=str(tmp_path)))
-        with ConCORD.from_config(cluster, cfg) as concord:
+        with ConCORD(cluster, cfg) as concord:
             concord.initial_scan()
             concord.tracing.flush_storage()
             victim_copies = concord.tracing.shards[2].n_copies

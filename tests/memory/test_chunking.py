@@ -149,3 +149,10 @@ class TestEntityChunking:
         cluster = Cluster(2, seed=11)
         with pytest.raises(ValueError):
             ConCORD(cluster, ConCORDConfig(chunking="lz4"))
+
+    def test_invalid_chunking_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("CONCORD_CHUNKING", "cdc")
+        assert ConCORDConfig().chunking == "cdc"
+        monkeypatch.setenv("CONCORD_CHUNKING", "lz4")
+        with pytest.raises(ValueError, match="CONCORD_CHUNKING.*fixed, cdc"):
+            ConCORDConfig()

@@ -135,6 +135,9 @@ class TestRunner:
         env = environment_fingerprint()
         assert env["workers"] == 4
         assert env["storage"] == "mmap"
+        monkeypatch.setenv("CONCORD_WORKERS", "four")
+        with pytest.raises(ValueError, match="CONCORD_WORKERS"):
+            environment_fingerprint()
 
 
 class TestTrajectory:

@@ -174,7 +174,7 @@ class TestConcordSamplerIntegration:
 
         cluster = Cluster(n_nodes=4, cost="new-cluster", seed=7)
         instantiate(cluster, moldy(4, 64, seed=7))
-        with ConCORD.from_config(
+        with ConCORD(
                 cluster, ConCORDConfig(use_network=False)) as concord:
             concord.initial_scan()
             spec = TrafficSpec(n_clients=4, duration_s=0.02,
@@ -202,7 +202,7 @@ class TestConcordSamplerIntegration:
         def once() -> str:
             cluster = Cluster(n_nodes=3, cost="new-cluster", seed=5)
             instantiate(cluster, moldy(3, 32, seed=5))
-            with ConCORD.from_config(
+            with ConCORD(
                     cluster, ConCORDConfig(use_network=False)) as concord:
                 concord.initial_scan()
                 spec = TrafficSpec(n_clients=2, duration_s=0.01,

@@ -148,8 +148,10 @@ class TestPoolPlumbing:
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("CONCORD_WORKERS", "3")
         assert ConCORDConfig().workers == 3
-        monkeypatch.setenv("CONCORD_WORKERS", "bogus")
-        assert ConCORDConfig().workers == 1
+        for bad in ("bogus", "0", "-2"):
+            monkeypatch.setenv("CONCORD_WORKERS", bad)
+            with pytest.raises(ValueError, match="CONCORD_WORKERS.*>= 1"):
+                ConCORDConfig()
         monkeypatch.delenv("CONCORD_WORKERS")
         assert ConCORDConfig().workers == 1
 

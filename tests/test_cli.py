@@ -97,7 +97,7 @@ class TestBench:
         code, out = run_cli("bench", "--list")
         assert code == 0
         assert "cmd.null" in out and "[quick]" in out
-        assert "hotpaths.collective_scan.1m" in out and "[full]" in out
+        assert "cmd.null.big" in out and "[full]" in out
 
     def test_selftest_trips_gate_and_exits_1(self):
         code, out = run_cli("bench", "--selftest")
