@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="token-bucket admission limit, total qps "
                          "(default: off)")
     sv.add_argument("--no-cache", action="store_true",
-                    help="disable the update-epoch result cache")
+                    help="disable the update-epoch result cache "
+                         "(cache capacity 0)")
     sv.add_argument("--verify-cache", action="store_true",
                     help="shadow-execute every cache hit; exit 1 on any "
                          "correctness violation")
@@ -459,10 +460,11 @@ def _cmd_serve(args, out) -> int:
     from repro.workloads import TrafficSpec, instantiate, moldy
 
     try:
+        # Capacity 0 is the cache's true bypass: nothing stored, no hits.
+        cache_kw = {"cache_capacity": 0} if args.no_cache else {}
         cfg = ServeConfig(queue_limit=args.queue_limit,
                           rate_limit_qps=args.rate_limit,
-                          cache=not args.no_cache,
-                          verify_cache=args.verify_cache)
+                          verify_cache=args.verify_cache, **cache_kw)
         spec = TrafficSpec(
             n_clients=args.clients, duration_s=args.duration,
             arrival="closed" if args.closed else "poisson",

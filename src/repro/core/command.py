@@ -64,27 +64,12 @@ class ExecMode(enum.Enum):
     SINGLE = "single"
 
     @classmethod
-    def coerce(cls, value: ExecMode | str,
-               param: str = "exec_mode") -> ExecMode:
-        """Validate an ``ExecMode`` value.
-
-        The pre-PR 2 mode *strings* finished their deprecation cycle:
-        a string naming a member now raises ``TypeError`` telling the
-        caller which enum member to pass; an unknown string raises
-        ``ValueError``; other types ``TypeError``.
-        """
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            try:
-                member = cls(value)
-            except ValueError:
-                raise ValueError(f"unknown {param} {value!r}") from None
+    def check(cls, value: ExecMode, param: str = "exec_mode") -> ExecMode:
+        """``value`` if it is an ``ExecMode``, else ``TypeError``."""
+        if not isinstance(value, cls):
             raise TypeError(
-                f"{param} no longer accepts strings; pass "
-                f"ExecMode.{member.name} instead of {value!r} — the string "
-                "form was deprecated in PR 2 and has been removed")
-        raise TypeError(f"{param} must be an ExecMode, not {type(value).__name__}")
+                f"{param} must be an ExecMode, not {type(value).__name__}")
+        return value
 
 
 @dataclass(frozen=True)

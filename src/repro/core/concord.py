@@ -415,7 +415,7 @@ class ConCORD:
     # -- command controller (Fig 1) ------------------------------------------------------------
 
     def execute_command(self, service: ServiceCallbacks, scope: ServiceScope,
-                        mode: ExecMode | str = ExecMode.INTERACTIVE,
+                        mode: ExecMode = ExecMode.INTERACTIVE,
                         config: Any = None, seed: int = 0,
                         tracer=None) -> CommandResult:
         """Run a content-aware service command to completion.

@@ -255,10 +255,10 @@ class ServiceCommandExecutor:
     # -- main entry point -------------------------------------------------------------
 
     def execute(self, service: ServiceCallbacks, scope: ServiceScope,
-                mode: ExecMode | str = ExecMode.INTERACTIVE, config: Any = None,
+                mode: ExecMode = ExecMode.INTERACTIVE, config: Any = None,
                 seed: int = 0, sample_cap: int = 1024,
                 tracer: CommandTracer | None = None) -> CommandResult:
-        mode = ExecMode.coerce(mode, param="mode")
+        mode = ExecMode.check(mode, param="mode")
         if mode not in (ExecMode.INTERACTIVE, ExecMode.BATCH):
             raise ValueError(
                 f"mode {mode} is a query mode, not a command mode "

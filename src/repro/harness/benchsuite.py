@@ -339,13 +339,13 @@ def _bench_serve_cached_qps(ctx: BenchContext, _state) -> None:
 
     p = ctx.params
 
-    def run(cache: bool):
+    def run(**serve_kw):
         cluster = Cluster(p["n_nodes"], cost="new-cluster", seed=3)
         workloads.instantiate(cluster, workloads.moldy(p["n_nodes"],
                                                        p["sim_pages"],
                                                        seed=3))
-        cfg = ServeConfig(cache=cache, interactive_window_s=5e-6,
-                          batch_window_s=5e-6)
+        cfg = ServeConfig(interactive_window_s=5e-6, batch_window_s=5e-6,
+                          **serve_kw)
         with ConCORD(
                 cluster, ConCORDConfig(use_network=False,
                                        serve=cfg)) as concord:
@@ -355,8 +355,8 @@ def _bench_serve_cached_qps(ctx: BenchContext, _state) -> None:
                 arrival="closed", zipf_s=1.5, population=64,
                 nodewise_frac=0.8, seed=7))
 
-    off = run(False)
-    on = run(True)
+    off = run(cache_capacity=0)
+    on = run()
     ctx.sim("uncached_qps", off.qps, unit="qps", higher_is_better=True)
     ctx.sim("cached_qps", on.qps, unit="qps", higher_is_better=True)
     ctx.sim("speedup", on.qps / off.qps if off.qps else 0.0, unit="x",

@@ -31,7 +31,7 @@ _PHASES = ("init", "collective", "local", "teardown")
 
 def run_traced_null(n_nodes: int = 4, pages_per_entity: int = 2048,
                     n_represented: int = 64, seed: int = 3,
-                    mode: ExecMode | str = ExecMode.INTERACTIVE,
+                    mode: ExecMode = ExecMode.INTERACTIVE,
                     obs_config: ObsConfig | None = None):
     """One traced null command.
 

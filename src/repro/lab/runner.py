@@ -159,10 +159,7 @@ def _schedule_violation(concord, t0: float, duration_s: float) -> None:
     on a poisoned key returns the wrong answer; verify mode shadow-
     executes and records ``serve.cache.violations``."""
     def poison() -> None:
-        cached = concord.frontend().cached
-        if cached is None:
-            return
-        cmap = cached.cache._map
+        cmap = concord.frontend().cached.cache._map
         for key, (token, result) in list(cmap.items()):
             if isinstance(result.value, (int, float)):
                 cmap[key] = (token, dataclasses.replace(
@@ -296,12 +293,12 @@ def run_cell(cell: LabCell, inject_violation: bool = False,
 
 
 def _reference_match(cell: LabCell, responses) -> float:
-    """Rerun the identical stream with the cache off; 1.0 iff the
-    answer streams digest identically."""
+    """Rerun the identical stream with the cache off (capacity 0); 1.0
+    iff the answer streams digest identically."""
     from repro.serve.config import ServeConfig
 
     ref_concord, _rep = _serve_once(
-        cell, ServeConfig(cache=False), trace=False,
+        cell, ServeConfig(cache_capacity=0), trace=False,
         keep_responses=True, sample=False)
     try:
         ref_digest = _answers_digest(ref_concord._last_traffic.responses)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 
+from repro.queries.interface import OPS
 from repro.serve.config import ServeConfig
-from repro.serve.request import (ALL_OPS, QoSClass, Rejected, RejectReason,
-                                 Request)
+from repro.serve.request import QoSClass, Rejected, RejectReason, Request
 
 __all__ = ["TokenBucket", "AdmissionController"]
 
@@ -101,10 +101,15 @@ class AdmissionController:
               now: float) -> Rejected | None:
         """``None`` admits; otherwise the typed shed answer.
 
-        Queue capacity is checked before the rate limit so a full queue
-        does not consume tokens it cannot use.
+        A request the op table cannot execute — unknown op, wrong arity,
+        ``k`` not a positive int — is refused here, so it never reaches a
+        batch it would abort.  Queue capacity is checked before the rate
+        limit so a full queue does not consume tokens it cannot use.
         """
-        if req.op not in ALL_OPS:
+        spec = OPS.get(req.op)
+        if spec is None or len(req.args) != 1 + spec.takes_k or (
+                spec.takes_k and not (isinstance(req.args[1], int)
+                                      and req.args[1] >= 1)):
             return Rejected(RejectReason.BAD_REQUEST)
         if queue_depth >= self.cfg.queue_limit:
             # Earliest useful retry: one batching window from now, when

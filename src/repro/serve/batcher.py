@@ -9,11 +9,12 @@ hot path).
 
 Answer fidelity: the bulk value arrays are observationally equivalent to
 per-item lookups (pinned by the PR 1 property suite), and the per-request
-latency/coverage/degraded fields are synthesized with exactly the formulas
-of :mod:`repro.queries.nodewise` — so a batched answer is byte-identical
-to the answer an individual ``QueryInterface`` call would have produced at
-the same instant (pinned by ``tests/serve/test_batcher.py``).  That is
-what lets batch-filled results go straight into the epoch cache.
+latency/compute fields come from the same
+:func:`~repro.queries.interface.nodewise_result` the individual queries
+use — so a batched answer is byte-identical to the answer an individual
+``QueryInterface`` call would have produced at the same instant (pinned by
+``tests/serve/test_batcher.py``).  That is what lets batch-filled results
+go straight into the epoch cache.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dht.engine import ContentTracingEngine
-from repro.queries.interface import QueryResult
-from repro.queries.nodewise import answer_latency
+from repro.queries.interface import QueryResult, nodewise_result
+from repro.serve.request import NODEWISE_OPS
 from repro.sim.costmodel import CostModel
 
 __all__ = ["bulk_answers"]
@@ -46,7 +47,7 @@ def bulk_answers(engine: ContentTracingEngine, cost: CostModel, op: str,
     to the individual query's.  ``op`` is ``"num_copies"`` or
     ``"entities"``.
     """
-    if op not in ("num_copies", "entities"):
+    if op not in NODEWISE_OPS:
         raise ValueError(f"op {op!r} is not a batchable node-wise query")
     if not pairs:
         return []
@@ -78,15 +79,6 @@ def bulk_answers(engine: ContentTracingEngine, cost: CostModel, op: str,
     out: list[QueryResult] = []
     for h, issuing in pairs:
         h = int(h)
-        value = values[h]
-        if op == "num_copies":
-            compute = cost.query_compute_base
-            resp_bytes = 8
-        else:
-            compute = cost.query_compute_base * 1.6
-            resp_bytes = 4 * len(value) + 8
-        out.append(QueryResult(
-            value, answer_latency(cost, compute, issuing, homes[h],
-                                  resp_bytes),
-            compute, coverage=coverage, degraded=not intact[h]))
+        out.append(nodewise_result(cost, op, values[h], issuing, homes[h],
+                                   coverage, not intact[h]))
     return out

@@ -29,10 +29,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.command import ExecMode
 from repro.obs import Observability
-from repro.queries.interface import QueryInterface, QueryResult
-from repro.serve.request import COLLECTIVE_OPS, NODEWISE_OPS
+from repro.queries.interface import OPS, QueryInterface, QueryResult
 
 __all__ = ["EpochCache", "CachedQueries", "CacheViolation"]
 
@@ -127,10 +125,12 @@ class EpochCache:
 
 class CachedQueries:
     """A :class:`~repro.queries.interface.QueryInterface` with the epoch
-    cache in front.  Every op returns ``(QueryResult, cache_hit)``; with
-    ``verify=True`` each hit is shadow-executed and compared, recording
-    ``serve.cache.violations`` (and the mismatch detail in
-    :attr:`violations`) — the CI smoke job asserts this stays zero.
+    cache in front.  :meth:`query` answers one op by name; the frontend's
+    batched node-wise path uses the same :meth:`lookup` / :meth:`store`
+    pair around its bulk fill.  With ``verify=True`` each hit is
+    shadow-executed and compared, recording ``serve.cache.violations``
+    (and the mismatch detail in :attr:`violations`) — the CI smoke job
+    asserts this stays zero.
     """
 
     def __init__(self, queries: QueryInterface, capacity: int = 65536,
@@ -159,87 +159,64 @@ class CachedQueries:
         self.engine.refresh_failed()
         return (self.engine.global_epoch,)
 
-    # -- the cached execution core -----------------------------------------------
+    def _key_token(self, op: str, args: tuple,
+                   issuing_node: int) -> tuple[tuple, tuple]:
+        """Cache key and *current* epoch token of one query."""
+        spec = OPS.get(op)
+        if spec is None:
+            raise ValueError(f"unknown query op {op!r}")
+        if spec.nodewise:
+            h = int(args[0])
+            return (op, h, issuing_node), self.nodewise_token(h)
+        return ((op, tuple(int(e) for e in args[0]), *args[1:]),
+                self.collective_token())
 
-    def _serve(self, key: tuple, token: tuple,
-               execute) -> tuple[QueryResult, bool]:
-        cached = self.cache.get(key, token)
-        if cached is None:
-            result = execute()
-            self.cache.put(key, token, result)
-            return result, False
-        if self.verify:
-            fresh = execute()
-            if fresh != cached:
-                self._c_violations.inc()
-                self.violations.append(CacheViolation(key, cached, fresh))
-                self.cache.put(key, token, fresh)
-                return fresh, False
-        return cached, True
+    # -- the one lookup / verify / store path ------------------------------------
 
-    # -- node-wise ops -----------------------------------------------------------
-
-    def num_copies(self, content_hash: int,
-                   issuing_node: int = 0) -> tuple[QueryResult, bool]:
-        h = int(content_hash)
-        return self._serve(
-            ("num_copies", h, issuing_node), self.nodewise_token(h),
-            lambda: self.queries.num_copies(h, issuing_node))
-
-    def entities(self, content_hash: int,
-                 issuing_node: int = 0) -> tuple[QueryResult, bool]:
-        h = int(content_hash)
-        return self._serve(
-            ("entities", h, issuing_node), self.nodewise_token(h),
-            lambda: self.queries.entities(h, issuing_node))
-
-    # -- collective ops ----------------------------------------------------------
-
-    def _collective(self, op: str, entity_ids, exec_mode,
-                    k: int | None = None) -> tuple[QueryResult, bool]:
-        eids = tuple(int(e) for e in entity_ids)
-        mode = ExecMode.coerce(exec_mode)
+    def _execute(self, key: tuple) -> QueryResult:
+        """Run the query a cache key names — the key is the normalised
+        call: ``(op, hash, issuing_node)`` or ``(op, entity_ids[, k])``."""
+        op, first, *rest = key
         fn = getattr(self.queries, op)
-        if k is None:
-            key = (op, eids, mode)
-            execute = lambda: fn(list(eids), exec_mode=mode)  # noqa: E731
-        else:
-            key = (op, eids, int(k), mode)
-            execute = lambda: fn(list(eids), k, exec_mode=mode)  # noqa: E731
-        return self._serve(key, self.collective_token(), execute)
+        return fn(first, *rest) if OPS[op].nodewise else fn(list(first), *rest)
 
-    def sharing(self, entity_ids, exec_mode=ExecMode.DISTRIBUTED):
-        return self._collective("sharing", entity_ids, exec_mode)
+    def _hit(self, key: tuple, token: tuple) -> QueryResult | None:
+        cached = self.cache.get(key, token)
+        if cached is None or not self.verify:
+            return cached
+        fresh = self._execute(key)
+        if fresh != cached:
+            self._c_violations.inc()
+            self.violations.append(CacheViolation(key, cached, fresh))
+            self.cache.put(key, token, fresh)
+        return fresh
 
-    def intra_sharing(self, entity_ids, exec_mode=ExecMode.DISTRIBUTED):
-        return self._collective("intra_sharing", entity_ids, exec_mode)
+    def lookup(self, op: str, args: tuple,
+               issuing_node: int = 0) -> QueryResult | None:
+        """The answer to serve from cache, or ``None`` on a miss.  In
+        verify mode a hit is shadow-executed; a mismatch is recorded and
+        the fresh answer replaces the entry and is served (self-healing).
+        """
+        return self._hit(*self._key_token(op, args, issuing_node))
 
-    def inter_sharing(self, entity_ids, exec_mode=ExecMode.DISTRIBUTED):
-        return self._collective("inter_sharing", entity_ids, exec_mode)
-
-    def degree_of_sharing(self, entity_ids, exec_mode=ExecMode.DISTRIBUTED):
-        return self._collective("degree_of_sharing", entity_ids, exec_mode)
-
-    def num_shared_content(self, entity_ids, k: int,
-                           exec_mode=ExecMode.DISTRIBUTED):
-        return self._collective("num_shared_content", entity_ids, exec_mode,
-                                k=k)
-
-    def shared_content(self, entity_ids, k: int,
-                       exec_mode=ExecMode.DISTRIBUTED):
-        return self._collective("shared_content", entity_ids, exec_mode, k=k)
-
-    # -- generic dispatch (the frontend's entry point) ---------------------------
+    def store(self, op: str, args: tuple, issuing_node: int,
+              result: QueryResult) -> None:
+        """Cache an answer executed outside (the frontend's bulk fill)
+        under the token as it stands *after* execution — executing ran the
+        lazy failure detection, so home and epochs are settled."""
+        key, token = self._key_token(op, args, issuing_node)
+        self.cache.put(key, token, result)
 
     def query(self, op: str, args: tuple,
               issuing_node: int = 0) -> tuple[QueryResult, bool]:
-        """Dispatch by op name with the frontend's args convention:
-        node-wise ``(hash,)``; collective ``(entity_ids,)`` or
-        ``(entity_ids, k)``, always ``ExecMode.DISTRIBUTED``."""
-        if op in NODEWISE_OPS:
-            return getattr(self, op)(args[0], issuing_node)
-        if op in COLLECTIVE_OPS:
-            if op in ("num_shared_content", "shared_content"):
-                return getattr(self, op)(args[0], args[1])
-            return getattr(self, op)(args[0])
-        raise ValueError(f"unknown query op {op!r}")
+        """``(answer, cache_hit)`` for one op by name, with the frontend's
+        args convention: node-wise ``(hash,)``; collective
+        ``(entity_ids,)`` or ``(entity_ids, k)``, always
+        ``ExecMode.DISTRIBUTED``."""
+        key, token = self._key_token(op, args, issuing_node)
+        result = self._hit(key, token)
+        if result is not None:
+            return result, True
+        result = self._execute(key)
+        self.cache.put(key, token, result)
+        return result, False

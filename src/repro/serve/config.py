@@ -37,12 +37,12 @@ class ServeConfig:
     max_batch:
         Requests drained per batch, after which a fresh drain is scheduled
         immediately (prevents unbounded batches under overload).
-    cache / cache_capacity:
+    cache_capacity:
         The update-epoch result cache (docs/SERVING.md): answers keyed on
         ``(query, args, shard-epoch)`` and invalidated precisely when a
         covering shard's epoch advances.  Capacity is entries, evicted
-        LRU; capacity 0 is a true bypass (nothing stored, every lookup
-        misses, no evictions counted).
+        LRU; capacity 0 turns the cache off — a true bypass (nothing
+        stored, every lookup misses, no evictions counted).
     cache_hit_cost_s:
         Modelled service time of answering from cache (a dict hit plus
         serialization) — the denominator of the cached-throughput win.
@@ -59,7 +59,6 @@ class ServeConfig:
     interactive_window_s: float = 100e-6
     batch_window_s: float = 2e-3
     max_batch: int = 128
-    cache: bool = True
     cache_capacity: int = 65536
     cache_hit_cost_s: float = 2e-6
     verify_cache: bool = False

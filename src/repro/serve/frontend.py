@@ -32,13 +32,13 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 from repro.obs import Observability
-from repro.queries.interface import QueryInterface, QueryResult
+from repro.queries.interface import OPS, QueryInterface, QueryResult
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import bulk_answers
-from repro.serve.cache import CachedQueries, CacheViolation
+from repro.serve.cache import CachedQueries
 from repro.serve.config import ServeConfig
-from repro.serve.request import (COLLECTIVE_OPS, NODEWISE_OPS, QoSClass,
-                                 Rejected, RejectReason, Request, Response)
+from repro.serve.request import (NODEWISE_OPS, QoSClass, RejectReason,
+                                 Request, Response)
 from repro.sim.engine import Resource
 from repro.util.stats import Table
 
@@ -131,10 +131,9 @@ class QueryFrontend:
             clock=lambda: cluster.engine.now)
         self.admission = AdmissionController(self.cfg)
         self.cpu = Resource()
-        self.cached: CachedQueries | None = (
-            CachedQueries(queries, self.cfg.cache_capacity,
-                          verify=self.cfg.verify_cache, obs=self.obs)
-            if self.cfg.cache else None)
+        self.cached = CachedQueries(queries, self.cfg.cache_capacity,
+                                    verify=self.cfg.verify_cache,
+                                    obs=self.obs)
         self._queues: dict[QoSClass, deque[Request]] = {
             q: deque() for q in QoSClass}
         self._drain_pending: dict[QoSClass, bool] = {
@@ -159,9 +158,6 @@ class QueryFrontend:
             q: reg.histogram("serve.latency_s", bounds=LATENCY_BOUNDS,
                              qos=q.value)
             for q in QoSClass}
-        # Violations counter shared with CachedQueries/EpochCache (same
-        # name in the same registry resolves to the same counter).
-        self._c_violations = reg.counter("serve.cache.violations")
 
     # -- submission ----------------------------------------------------------------
 
@@ -232,119 +228,72 @@ class QueryFrontend:
             phase="serve", qos=qos.value, n=len(batch),
             coalesced=coalesced, executions=n_exec)
         responses = []
-        for key, reqs in groups.items():
-            ans = answers[key]
+        for reqs in groups.values():
             for i, req in enumerate(reqs):
-                result, hit = ans[id(req)] if isinstance(ans, dict) else ans
+                result, hit = answers[id(req)]
                 responses.append(Response(
                     req, result, t_done=done, latency_s=done - req.t_submit,
                     cache_hit=hit, coalesced=i > 0, batch_size=len(batch)))
         self.sim.after(done - now, self._complete, responses)
 
     def _answer_groups(self, groups):
-        """Answer each key group; returns (answers, service_time, n_exec).
+        """Answer each key group; returns (answers, service_time, n_exec),
+        ``answers`` mapping ``id(request)`` to its ``(QueryResult, hit)``.
 
-        ``answers[key]`` is either one ``(QueryResult, hit)`` shared by the
-        whole group (collective ops) or a ``{id(request): (result, hit)}``
-        map (node-wise ops, whose latency field depends on the issuing
-        node).
+        The one place a drained batch meets the cache: one lookup per
+        collective key and per distinct node-wise ``(op, hash,
+        issuing_node)`` — the latency field depends on the issuing node,
+        and same-key requests from the same node ride along free — then
+        one ``bulk_answers`` fill per node-wise op over its misses.
         """
-        answers: dict[tuple, object] = {}
+        answers: dict[int, tuple[QueryResult, bool]] = {}
         n_hits = 0          # cache lookups that hit (one per cache key)
         n_exec = 0
         nodewise_max = 0.0  # node-wise executions fan out in parallel
         collective_sum = 0.0  # collective executions run serially
-        # Node-wise misses accumulate here and execute in one bulk pass
-        # per op: (op, hash, issuing) -> list of waiting requests.
-        misses: OrderedDict[tuple, list[Request]] = OrderedDict()
+        # Node-wise misses, per op: (args, issuing node, waiting requests).
+        misses: dict[str, list[tuple[tuple, int, list[Request]]]] = {
+            op: [] for op in NODEWISE_OPS}
 
-        for key, reqs in groups.items():
-            op, args = key
-            if op in NODEWISE_OPS:
-                h = int(args[0])
-                per_req: dict[int, tuple[QueryResult, bool]] = {}
-                answers[key] = per_req
-                # One cache lookup per distinct (op, hash, issuing_node);
-                # same-key requests from the same node ride along free.
+        for (op, args), reqs in groups.items():
+            if OPS[op].nodewise:
                 by_node: OrderedDict[int, list[Request]] = OrderedDict()
                 for r in reqs:
                     by_node.setdefault(r.issuing_node, []).append(r)
                 for node, node_reqs in by_node.items():
-                    hit_result = None
-                    if self.cached is not None:
-                        token = self.cached.nodewise_token(h)
-                        hit_result = self.cached.cache.get(
-                            (op, h, node), token)
-                    if hit_result is not None:
-                        hit_result = self._verify_nodewise(
-                            op, h, node, hit_result, token)
-                        n_hits += 1
-                        for r in node_reqs:
-                            per_req[id(r)] = (hit_result, True)
-                    else:
-                        misses.setdefault((op, h, node), []).extend(node_reqs)
-            elif op in COLLECTIVE_OPS:
-                if self.cached is not None:
-                    result, hit = self.cached.query(op, args)
-                    if hit:
-                        n_hits += 1
-                    else:
-                        n_exec += 1
-                        collective_sum += result.latency
+                    result = self.cached.lookup(op, args, node)
+                    if result is None:
+                        misses[op].append((args, node, node_reqs))
+                        continue
+                    n_hits += 1
+                    for r in node_reqs:
+                        answers[id(r)] = (result, True)
+            else:
+                result, hit = self.cached.query(op, args)
+                if hit:
+                    n_hits += 1
                 else:
-                    result = self._execute_collective(op, args)
-                    hit = False
                     n_exec += 1
                     collective_sum += result.latency
-                answers[key] = (result, hit)
-            else:  # pragma: no cover - admission rejects unknown ops
-                raise ValueError(f"unknown query op {op!r}")
+                for r in reqs:
+                    answers[id(r)] = (result, hit)
 
-        # Execute all node-wise misses through the bulk shard APIs.
-        for op in NODEWISE_OPS:
-            entries = [(k, v) for k, v in misses.items() if k[0] == op]
-            if not entries:
+        for op, waiting in misses.items():
+            if not waiting:
                 continue
-            pairs = [(h, node) for (_op, h, node), _ in entries]
-            results = bulk_answers(self.engine, self.cost, op, pairs)
+            results = bulk_answers(
+                self.engine, self.cost, op,
+                [(args[0], node) for args, node, _reqs in waiting])
             n_exec += len(results)
-            for ((_op, h, node), waiting), result in zip(entries, results):
+            for (args, node, node_reqs), result in zip(waiting, results):
                 nodewise_max = max(nodewise_max, result.latency)
-                if self.cached is not None:
-                    # Token after execution: bulk_answers already ran the
-                    # lazy detection, so home/epoch are settled.
-                    home = self.engine.home_node(h)
-                    self.cached.cache.put(
-                        (op, h, node),
-                        (home, self.engine.shard_epoch(home)), result)
-                per_req = answers[(op, waiting[0].args)]
-                for r in waiting:
-                    per_req[id(r)] = (result, False)
+                self.cached.store(op, args, node, result)
+                for r in node_reqs:
+                    answers[id(r)] = (result, False)
 
         svc = (n_hits * self.cfg.cache_hit_cost_s + nodewise_max
                + collective_sum)
         return answers, svc, n_exec
-
-    def _verify_nodewise(self, op: str, h: int, node: int,
-                         cached: QueryResult, token: tuple) -> QueryResult:
-        """Shadow-execute a node-wise cache hit in verify mode; returns the
-        answer to serve (the fresh one on mismatch, self-healing)."""
-        if self.cached is None or not self.cached.verify:
-            return cached
-        fresh = getattr(self.queries, op)(h, node)
-        if fresh != cached:
-            self._c_violations.inc()
-            self.cached.violations.append(
-                CacheViolation((op, h, node), cached, fresh))
-            self.cached.cache.put((op, h, node), token, fresh)
-            return fresh
-        return cached
-
-    def _execute_collective(self, op: str, args: tuple) -> QueryResult:
-        fn = getattr(self.queries, op)
-        if op in ("num_shared_content", "shared_content"):
-            return fn(list(args[0]), args[1])
-        return fn(list(args[0]))
 
     # -- completion ----------------------------------------------------------------
 
@@ -403,7 +352,7 @@ class QueryFrontend:
             cache_hits=int(reg.value("serve.cache.hits")),
             cache_misses=int(reg.value("serve.cache.misses")),
             cache_invalidations=int(reg.value("serve.cache.invalidations")),
-            cache_violations=int(self._c_violations.value),
+            cache_violations=int(reg.value("serve.cache.violations")),
             qps=qps,
             mean_latency_s=mean_lat,
             p95_latency_s=p95_lat,

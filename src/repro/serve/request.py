@@ -14,19 +14,18 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.queries.interface import QueryResult
+from repro.queries.interface import OPS, QueryResult
 
 __all__ = ["QoSClass", "RejectReason", "Rejected", "Request", "Response",
            "NODEWISE_OPS", "COLLECTIVE_OPS", "ALL_OPS"]
 
 #: Node-wise ops (single content hash argument; batchable/coalescable).
-NODEWISE_OPS = ("num_copies", "entities")
+NODEWISE_OPS = tuple(op for op, spec in OPS.items() if spec.nodewise)
 
 #: Collective ops (entity-set argument; cached on the global epoch).
-COLLECTIVE_OPS = ("sharing", "intra_sharing", "inter_sharing",
-                  "degree_of_sharing", "num_shared_content", "shared_content")
+COLLECTIVE_OPS = tuple(op for op, spec in OPS.items() if not spec.nodewise)
 
-ALL_OPS = NODEWISE_OPS + COLLECTIVE_OPS
+ALL_OPS = tuple(OPS)
 
 
 class QoSClass(enum.Enum):
@@ -57,7 +56,7 @@ class Request:
     """One client query as submitted to the frontend."""
 
     op: str                         # one of ALL_OPS
-    args: tuple                     # op-specific, hashable (see frontend)
+    args: tuple                     # hashable: (hash,) | (entity_ids[, k])
     qos: QoSClass = QoSClass.INTERACTIVE
     issuing_node: int = 0
     client_id: int = 0

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.queries.interface import OPS
 from repro.serve.frontend import QueryFrontend, ServeReport
 from repro.serve.request import QoSClass, Response
 
@@ -177,7 +178,7 @@ class TrafficDriver:
             return op, (key,), qos
         op = _COLLECTIVE_MIX[int(r.integers(len(_COLLECTIVE_MIX)))]
         group = self._groups[int(r.integers(len(self._groups)))]
-        if op == "num_shared_content":
+        if OPS[op].takes_k:
             return op, (group, self.spec.collective_k), qos
         return op, (group,), qos
 

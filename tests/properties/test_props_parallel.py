@@ -135,7 +135,7 @@ class TestPoolPlumbing:
         try:
             assert concord.pool.workers == 4
             assert concord.tracing.pool is concord.pool
-            assert concord.queries._collective.pool is concord.pool
+            assert concord.queries.pool is concord.pool
         finally:
             concord.close()
 

@@ -127,23 +127,16 @@ class TestExecutionModes:
         assert concord.sharing(eids, exec_mode=ExecMode.DISTRIBUTED).latency < \
             concord.sharing(eids, exec_mode=ExecMode.SINGLE).latency
 
-    def test_unknown_mode_rejected(self, concord4, cluster4):
-        with pytest.raises(ValueError):
-            concord4.sharing(cluster4.all_entity_ids(), exec_mode="magic")
-
     def test_command_mode_rejected_for_queries(self, concord4, cluster4):
         with pytest.raises(ValueError):
             concord4.sharing(cluster4.all_entity_ids(),
                              exec_mode=ExecMode.INTERACTIVE)
 
-    def test_string_mode_is_hard_error_naming_member(self, concord4,
-                                                     cluster4):
-        # The PR 2 string shim finished its deprecation cycle: a member
-        # string now raises TypeError telling the caller which enum
-        # member to pass instead.
-        eids = cluster4.all_entity_ids()
-        with pytest.raises(TypeError, match=r"ExecMode\.SINGLE"):
-            concord4.sharing(eids, exec_mode="single")
+    @pytest.mark.parametrize("not_a_mode", ["single", "magic", 1, None])
+    def test_non_execmode_is_a_type_error(self, concord4, cluster4,
+                                          not_a_mode):
+        with pytest.raises(TypeError, match="must be an ExecMode"):
+            concord4.sharing(cluster4.all_entity_ids(), exec_mode=not_a_mode)
 
 
 class TestStalenessBestEffort:

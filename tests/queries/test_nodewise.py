@@ -74,51 +74,3 @@ class TestLatency:
         issuing = (home + 1) % cluster4.n_nodes
         assert (concord4.entities(h, issuing_node=issuing).latency
                 > concord4.num_copies(h, issuing_node=issuing).latency)
-
-
-class TestBatchQueries:
-    """num_copies_batch / entities_batch must agree with the scalar
-    queries, hash by hash, over the columnar bulk lookups."""
-
-    def _probes(self, cluster4):
-        hashes = []
-        for eid in cluster4.all_entity_ids():
-            hashes.extend(cluster4.entity(eid).content_hashes()[:20].tolist())
-        hashes.extend([0xDEAD, 0xBEEF])  # unknown hashes -> 0 / empty
-        return np.asarray(hashes, dtype=np.uint64)
-
-    def test_num_copies_batch_matches_scalar(self, concord4, cluster4):
-        from repro.queries.nodewise import num_copies, num_copies_batch
-
-        probes = self._probes(cluster4)
-        ans = num_copies_batch(concord4.tracing, cluster4.cost, probes)
-        assert len(ans.value) == len(probes)
-        for i, h in enumerate(probes.tolist()):
-            assert int(ans.value[i]) == \
-                num_copies(concord4.tracing, cluster4.cost, h).value
-        assert ans.latency > 0
-        assert ans.compute_time > 0
-
-    def test_entities_batch_matches_scalar(self, concord4, cluster4):
-        from repro.queries.nodewise import entities, entities_batch
-
-        probes = self._probes(cluster4)
-        ans = entities_batch(concord4.tracing, cluster4.cost, probes)
-        assert len(ans.value) == len(probes)
-        for i, h in enumerate(probes.tolist()):
-            assert ans.value[i] == \
-                entities(concord4.tracing, cluster4.cost, h).value
-
-    def test_batch_latency_single_rtt_shape(self, concord4, cluster4):
-        """A batch is one request per home shard in parallel: its latency
-        must be far below the sum of per-hash round trips."""
-        from repro.queries.nodewise import num_copies, num_copies_batch
-
-        probes = self._probes(cluster4)
-        ans = num_copies_batch(concord4.tracing, cluster4.cost, probes,
-                               issuing_node=1)
-        scalar_total = sum(
-            num_copies(concord4.tracing, cluster4.cost, h,
-                       issuing_node=1).latency
-            for h in probes.tolist())
-        assert ans.latency < scalar_total / 4

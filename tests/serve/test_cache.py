@@ -79,46 +79,46 @@ class TestCachedQueries:
         self.eids = sorted(self.cluster.all_entity_ids())
 
     def test_repeat_nodewise_hits_and_matches(self):
-        r1, hit1 = self.cq.num_copies(self.h, 1)
-        r2, hit2 = self.cq.num_copies(self.h, 1)
+        r1, hit1 = self.cq.query("num_copies", (self.h,), 1)
+        r2, hit2 = self.cq.query("num_copies", (self.h,), 1)
         assert (hit1, hit2) == (False, True)
         assert r1 == r2 == self.queries.num_copies(self.h, 1)
 
     def test_issuing_node_is_part_of_the_key(self):
-        self.cq.num_copies(self.h, 0)
-        _r, hit = self.cq.num_copies(self.h, 1)
+        self.cq.query("num_copies", (self.h,), 0)
+        _r, hit = self.cq.query("num_copies", (self.h,), 1)
         assert not hit  # different issuing node => different latency
 
     def test_update_to_home_shard_invalidates(self):
-        self.cq.num_copies(self.h, 0)
+        self.cq.query("num_copies", (self.h,), 0)
         self.engine.route_updates(0, inserts=[(self.h, 5)], removes=[])
-        r, hit = self.cq.num_copies(self.h, 0)
+        r, hit = self.cq.query("num_copies", (self.h,), 0)
         assert not hit
         assert r == self.queries.num_copies(self.h, 0)
 
     def test_update_to_other_shard_keeps_entry_hot(self):
         home = self.engine.home_node(self.h)
-        self.cq.num_copies(self.h, 0)
+        self.cq.query("num_copies", (self.h,), 0)
         # Manufacture a hash homed elsewhere and insert it.
         other = next(x for x in range(1, 10_000)
                      if self.engine.home_node(x) != home)
         self.engine.route_updates(0, inserts=[(other, 5)], removes=[])
-        _r, hit = self.cq.num_copies(self.h, 0)
+        _r, hit = self.cq.query("num_copies", (self.h,), 0)
         assert hit  # precise per-shard invalidation, not global
 
     def test_collective_hits_and_any_update_invalidates(self):
-        r1, hit1 = self.cq.sharing(self.eids)
-        r2, hit2 = self.cq.sharing(self.eids)
+        r1, hit1 = self.cq.query("sharing", (self.eids,))
+        r2, hit2 = self.cq.query("sharing", (self.eids,))
         assert (hit1, hit2) == (False, True)
         assert r1 == r2
         self.engine.route_updates(0, inserts=[(12345, 2)], removes=[])
-        _r3, hit3 = self.cq.sharing(self.eids)
+        _r3, hit3 = self.cq.query("sharing", (self.eids,))
         assert not hit3  # collective answers cover every shard
 
     def test_failover_invalidates_nodewise(self):
-        self.cq.num_copies(self.h, 0)
+        self.cq.query("num_copies", (self.h,), 0)
         self.concord.fail_node(self.engine.home_node(self.h))
-        r, hit = self.cq.num_copies(self.h, 0)
+        r, hit = self.cq.query("num_copies", (self.h,), 0)
         assert not hit
         assert r == self.queries.num_copies(self.h, 0)
 
@@ -141,24 +141,26 @@ class TestCachedQueries:
     def test_verify_mode_counts_no_violations_when_honest(self):
         cq = CachedQueries(self.queries, verify=True)
         for _ in range(3):
-            cq.num_copies(self.h, 0)
-            cq.sharing(self.eids)
+            cq.query("num_copies", (self.h,), 0)
+            cq.query("sharing", (self.eids,))
         assert cq.violations == []
         assert cq.obs.registry.value("serve.cache.violations") == 0
 
     def test_verify_mode_flags_forged_entry(self):
         cq = CachedQueries(self.queries, verify=True)
-        r, _ = cq.num_copies(self.h, 0)
+        r, _ = cq.query("num_copies", (self.h,), 0)
         key = ("num_copies", self.h, 0)
         token = cq.nodewise_token(self.h)
         forged = QueryResult(r.value + 99, r.latency, r.compute_time,
                              r.coverage, r.degraded)
         cq.cache.put(key, token, forged)
-        fresh, hit = cq.num_copies(self.h, 0)
-        assert not hit                      # served the fresh answer
+        fresh, hit = cq.query("num_copies", (self.h,), 0)
+        assert hit                          # a hit, but not the forged one:
         assert fresh.value == r.value       # self-healed
         assert len(cq.violations) == 1
         assert cq.obs.registry.value("serve.cache.violations") == 1
+        assert cq.query("num_copies", (self.h,), 0) == (fresh, True)
+        assert len(cq.violations) == 1      # the entry was replaced
 
 
 class TestCapacityZeroBypass:
@@ -172,10 +174,10 @@ class TestCapacityZeroBypass:
 
     def test_never_hits_but_answers_match_uncached(self):
         for _ in range(2):
-            r, hit = self.cq.num_copies(self.h, 0)
+            r, hit = self.cq.query("num_copies", (self.h,), 0)
             assert not hit
             assert r == self.queries.num_copies(self.h, 0)
-            r, hit = self.cq.sharing(self.eids)
+            r, hit = self.cq.query("sharing", (self.eids,))
             assert not hit
             assert r == self.queries.sharing(self.eids)
         assert len(self.cq.cache) == 0
@@ -194,8 +196,8 @@ class TestCacheIsolation:
         q = QueryInterface(_cl, concord.tracing)
         h = int(next(iter(concord.tracing.shards[0].hashes())))
         a, b = CachedQueries(q), CachedQueries(q)
-        a.num_copies(h, 0)
-        _r, hit = b.num_copies(h, 0)
+        a.query("num_copies", (h,), 0)
+        _r, hit = b.query("num_copies", (h,), 0)
         assert not hit
 
     def test_absent_hash_is_cacheable(self):
@@ -203,6 +205,6 @@ class TestCacheIsolation:
         q = QueryInterface(_cl, concord.tracing)
         absent = 0xDEAD_BEEF
         cq = CachedQueries(q)
-        r1, _ = cq.num_copies(absent, 0)
-        r2, hit = cq.num_copies(absent, 0)
+        r1, _ = cq.query("num_copies", (absent,), 0)
+        r2, hit = cq.query("num_copies", (absent,), 0)
         assert hit and r1.value == 0 and r1 == r2

@@ -55,8 +55,8 @@ class TestServing:
         assert got[0].latency_s == pytest.approx(
             fe.cfg.interactive_window_s + fe.cfg.cache_hit_cost_s)
 
-    def test_cache_disabled_never_hits(self):
-        cluster, _c, _q, fe, h = build(ServeConfig(cache=False))
+    def test_capacity_zero_never_hits(self):
+        cluster, _c, _q, fe, h = build(ServeConfig(cache_capacity=0))
         drain(cluster, fe, [("num_copies", (h,), {})])
         got = drain(cluster, fe, [("num_copies", (h,), {})])
         assert not got[0].cache_hit
@@ -95,6 +95,31 @@ class TestServing:
         assert len(got) == 1  # before the engine even runs
         assert got[0].rejected
         assert got[0].answer.reason is RejectReason.BAD_REQUEST
+
+    def test_malformed_args_rejected_without_hurting_the_batch(self):
+        # Admission must refuse these: raising from the batch drain inside
+        # engine.run() would take every request drained with them along.
+        cluster, _c, q, fe, h = build()
+        eids = tuple(sorted(cluster.all_entity_ids()))
+        good, bad = [], []
+        fe.submit("num_copies", (h,), on_done=good.append)
+        for op, args in [("num_shared_content", (eids, 0)),
+                         ("num_shared_content", (eids,)),
+                         ("shared_content", (eids, "2")),
+                         ("sharing", (eids, 2)),
+                         ("num_copies", ()),
+                         ("entities", (h, 1))]:
+            fe.submit(op, args, on_done=bad.append)
+        assert len(bad) == 6  # answered synchronously
+        assert all(r.rejected and r.answer.reason is RejectReason.BAD_REQUEST
+                   for r in bad)
+        fe.submit("num_shared_content", (eids, 2), on_done=good.append)
+        cluster.engine.run()
+        assert [r.answer for r in good] == [
+            q.num_copies(h, 0), q.num_shared_content(list(eids), 2)]
+        assert fe.pending == 0
+        assert fe.obs.registry.value("serve.rejected",
+                                     reason="bad_request") == 6
 
     def test_queue_full_sheds(self):
         cluster, _c, _q, fe, h = build(ServeConfig(queue_limit=3))

@@ -136,13 +136,13 @@ class TestClosedLoop:
         assert drv.n_rejected == rep.rejected
 
     def test_cache_speedup_on_repeated_queries(self):
-        def run(cache):
-            cfg = ServeConfig(cache=cache, interactive_window_s=5e-6,
-                              batch_window_s=5e-6)
+        def run(**serve_kw):
+            cfg = ServeConfig(interactive_window_s=5e-6, batch_window_s=5e-6,
+                              **serve_kw)
             fe, _c = build_frontend(cfg)
             spec = TrafficSpec(n_clients=8, duration_s=0.05,
                                arrival="closed", zipf_s=1.5, population=32,
                                nodewise_frac=0.8, seed=7)
             return TrafficDriver(fe, spec).run()
-        off, on = run(False), run(True)
+        off, on = run(cache_capacity=0), run()
         assert on.qps > 2.0 * off.qps
