@@ -60,7 +60,8 @@ class ConCORDConfig:
     update_batch_size:
         Hash updates per wire message (None = engine default).
     update_transport:
-        ``"udp"`` (best-effort, paper default) or ``"reliable"``.
+        ``"udp"`` (best-effort datagrams, paper default) or ``"rdma"``
+        (one-sided writes: no receive-side per-packet cost, §3.4).
     workers:
         Worker processes of the parallel execution backend
         (docs/PARALLEL.md).  1 (the default, or any unset

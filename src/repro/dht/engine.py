@@ -47,6 +47,8 @@ __all__ = ["ContentTracingEngine", "TracingStats", "RepairReport",
 
 # Updates per datagram: 64 updates x 13 B + headers fits one MTU.
 DEFAULT_UPDATE_BATCH = 64
+# Update transports (``ConCORDConfig.update_transport``).
+TRANSPORTS = ("udp", "rdma")
 
 
 class TracingStats:
@@ -270,8 +272,9 @@ class ContentTracingEngine:
         ``mod`` is the original fixed-membership map, ``hd`` minimizes
         remapping under :meth:`add_node`.
         """
-        if transport not in ("udp", "rdma"):
-            raise ValueError(f"unknown transport {transport!r}")
+        if transport not in TRANSPORTS:
+            raise ValueError(f"unknown transport {transport!r}; "
+                             f"expected one of {', '.join(TRANSPORTS)}")
         self.cluster = cluster
         self.partition = Partition(cluster.n_nodes, policy=placement)
         self.storage: StorageSet = open_storage(storage, cluster.n_nodes)
@@ -364,25 +367,45 @@ class ContentTracingEngine:
 
     # -- update path -------------------------------------------------------------
 
-    def route_updates(self, src_node: int,
-                      inserts: list[tuple[int, int]],
-                      removes: list[tuple[int, int]],
+    def route_updates(self, src_node: int, inserts, removes,
                       duration: float = 0.0) -> None:
         """Route (hash, entity) updates to their home shards.
 
         This is the sink handed to each node's memory update monitor.
-        ``duration`` is the wall time over which the monitor produced these
-        updates (the scan time); sends are paced uniformly over it, as a
-        real monitor emits updates while it scans rather than in one burst.
+        ``inserts`` and ``removes`` are ``(n, 2)`` ``uint64`` arrays of
+        ``(hash, entity)`` rows (any array-like of that shape, e.g. a
+        list of pairs, is converted once here).  ``duration`` is the wall
+        time over which the monitor produced these updates (the scan
+        time); sends are paced uniformly over it, as a real monitor emits
+        updates while it scans rather than in one burst.
+
+        Rows are grouped by home shard once per op — inserts before
+        removes, homes ascending, rows of one home in arrival order — and
+        every group ends in :meth:`_apply`: directly when the engine runs
+        networkless, else cut into ``batch_size``-row :class:`UpdateBatch`
+        datagrams whose delivery calls it.
         """
-        self._c_routed.inc(len(inserts) + len(removes))
+        ops = [(op, np.asarray(updates, dtype=np.uint64).reshape(-1, 2))
+               for op, updates in (("i", inserts), ("r", removes))]
+        self._c_routed.inc(sum(len(rows) for _op, rows in ops))
+        groups = [(dst, op, rows[idxs])
+                  for op, rows in ops if len(rows)
+                  for dst, idxs in
+                  self.partition.group_by_home(rows[:, 0]).items()]
         if not self.use_network:
-            self._apply_grouped(inserts, op="i")
-            self._apply_grouped(removes, op="r")
-            self._c_applied.inc(len(inserts) + len(removes))
+            for dst, op, rows in groups:
+                self._apply(dst, op, rows)
             return
-        batches = (self._make_batches(src_node, inserts, "i")
-                   + self._make_batches(src_node, removes, "r"))
+        batches = []
+        for dst, op, rows in groups:
+            for lo in range(0, len(rows), self.batch_size):
+                chunk = rows[lo:lo + self.batch_size]
+                batches.append(UpdateBatch(
+                    kind=MsgKind.UPDATE, src_node=src_node, dst_node=dst,
+                    one_sided=(self.transport == "rdma"),
+                    inserts=chunk if op == "i" else (),
+                    removes=chunk if op == "r" else (),
+                    n_represented=self.n_represented))
         # Interleave by source order and pace over the production window.
         self.cluster.rng.shuffle(batches)
         engine = self.cluster.engine
@@ -393,65 +416,21 @@ class ContentTracingEngine:
             engine.after(delay, self.cluster.network.send, batch,
                          self._apply_batch)
 
-    def _make_batches(self, src_node: int, updates: list[tuple[int, int]],
-                      op: str) -> list[UpdateBatch]:
-        if not updates:
-            return []
-        hashes = np.fromiter((u[0] for u in updates), dtype=np.uint64,
-                             count=len(updates))
-        groups = self.partition.group_by_home(hashes)
-        out = []
-        for dst, idxs in groups.items():
-            for lo in range(0, len(idxs), self.batch_size):
-                chunk = [updates[i]
-                         for i in idxs[lo:lo + self.batch_size].tolist()]
-                out.append(UpdateBatch(
-                    kind=MsgKind.UPDATE, src_node=src_node, dst_node=dst,
-                    one_sided=(self.transport == "rdma"),
-                    inserts=chunk if op == "i" else [],
-                    removes=chunk if op == "r" else [],
-                    n_represented=self.n_represented))
-        return out
-
-    def _apply_grouped(self, updates: list[tuple[int, int]], op: str) -> None:
-        """Apply (hash, entity) updates to their home shards via the bulk
-        APIs (synchronous, lossless path)."""
-        if not updates:
-            return
-        n = len(updates)
-        hashes = np.fromiter((u[0] for u in updates), dtype=np.uint64,
-                             count=n)
-        eids = np.fromiter((u[1] for u in updates), dtype=np.int64, count=n)
-        if self.partition.n_nodes == 1:
-            groups = {0: slice(None)}
-        else:
-            groups = self.partition.group_by_home(hashes)
-        for dst, idxs in groups.items():
-            shard = self.shards[dst]
-            if op == "i":
-                shard.bulk_insert(hashes[idxs], eids[idxs])
-            else:
-                shard.bulk_remove(hashes[idxs], eids[idxs])
-            self.bump_epoch(dst)
-
     def _apply_batch(self, batch: UpdateBatch) -> None:
-        shard = self.shards[batch.dst_node]
-        if batch.inserts:
-            n = len(batch.inserts)
-            shard.bulk_insert(
-                np.fromiter((u[0] for u in batch.inserts), dtype=np.uint64,
-                            count=n),
-                np.fromiter((u[1] for u in batch.inserts), dtype=np.int64,
-                            count=n))
-        if batch.removes:
-            n = len(batch.removes)
-            shard.bulk_remove(
-                np.fromiter((u[0] for u in batch.removes), dtype=np.uint64,
-                            count=n),
-                np.fromiter((u[1] for u in batch.removes), dtype=np.int64,
-                            count=n))
-        self._c_applied.inc(len(batch.inserts) + len(batch.removes))
-        self.bump_epoch(batch.dst_node)
+        """Delivery callback of one update datagram."""
+        for op, rows in (("i", batch.inserts), ("r", batch.removes)):
+            if len(rows):
+                self._apply(batch.dst_node, op, rows)
+
+    def _apply(self, dst: int, op: str, rows: np.ndarray) -> None:
+        """Apply one op's ``(hash, entity)`` rows to their home shard and
+        record the mutation — where the update path ends, with and
+        without the network."""
+        shard = self.shards[dst]
+        bulk = shard.bulk_insert if op == "i" else shard.bulk_remove
+        bulk(rows[:, 0], rows[:, 1])
+        self._c_applied.inc(len(rows))
+        self.bump_epoch(dst)
 
     # -- failure detection / failover (docs/FAULTS.md) ---------------------------------
 

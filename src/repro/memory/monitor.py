@@ -13,14 +13,18 @@ changes" (paper §3.1).  Three modes are modelled, as in the paper:
 
 A monitor can be *throttled* to a maximum update rate, trading DHT
 precision/staleness for node and network load, exactly as §3.1 describes.
-Updates are multiset deltas of (content hash, entity) pairs; the monitor
-hands them to a sink (the distributed content tracing engine).
+Updates are multiset deltas of (content hash, entity) pairs.  From the
+moment :func:`multiset_diff` returns they travel as ``(n, 2)`` ``uint64``
+arrays of ``(hash, entity)`` rows: every discovery path queues its rows
+through :meth:`MemoryUpdateMonitor._enqueue` (also the one place the
+monitor's statistics advance), and :meth:`MemoryUpdateMonitor.flush`
+hands the sink (the distributed content tracing engine) one array of
+insert rows and one of remove rows.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable
 
@@ -33,9 +37,9 @@ from repro.sim.costmodel import CostModel
 
 __all__ = ["MemoryUpdateMonitor", "MonitorMode", "multiset_diff", "MonitorStats"]
 
-# Sink signature: (node_id, inserts, removes, duration) where each update
-# is (content_hash, entity_id) and duration is the production window the
-# sink may pace transmission over.
+# Sink signature: (node_id, inserts, removes, duration) where inserts and
+# removes are (n, 2) uint64 arrays of (content_hash, entity_id) rows and
+# duration is the production window the sink may pace transmission over.
 UpdateSink = Callable[..., None]
 
 
@@ -110,7 +114,10 @@ class MemoryUpdateMonitor:
         self._c_flushes = reg.counter("monitor.flushes")
         self._h_scan = reg.histogram("monitor.scan_s")
         self.stats = MonitorStats()
-        self._pending: deque[tuple[str, int, int]] = deque()  # (op, hash, eid)
+        # Queued updates in production order: (is_insert flag per row,
+        # (n, 2) rows) chunks, one per _enqueue call that produced any.
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._n_pending = 0
         self._last_scan_time = 0.0  # production window for the next flush
         # Dirty-bit PTE walk cost per page (cheap compared to hashing).
         self._pte_scan_cost = 20e-9 * (cost.hash_page_sfh / 3.0e-6)
@@ -146,6 +153,7 @@ class MemoryUpdateMonitor:
         for entity in self.nsm.entities():
             self._scan_entity(entity, full=True)
         self._pending.clear()
+        self._n_pending = 0
         self._last_scan_time = 0.0
         return self.stats.pages_hashed - before
 
@@ -187,19 +195,13 @@ class MemoryUpdateMonitor:
                 ins, rem = multiset_diff(old, new)
             else:
                 ins, rem = multiset_diff(old[dirty], new[dirty])
-        self.stats.cpu_time += scan_time
-        self._last_scan_time += scan_time
-
         self.stats.scans += 1
-        self.stats.pages_hashed += n_hashed
-        self.nsm.record_scan(entity, new)
-
-        n_updates = len(ins) + len(rem)
-        self.stats.updates_produced += n_updates
         self._c_scans.inc()
-        self._c_pages.inc(n_hashed)
-        self._c_produced.inc(n_updates)
         self._h_scan.observe(scan_time)
+        self.nsm.record_scan(entity, new)
+        n_updates = self._enqueue(
+            eid, n_hashed, scan_time, np.concatenate([ins, rem]),
+            np.repeat([True, False], [len(ins), len(rem)]))
         tr = self.obs.tracer
         if tr.enabled:
             # The scan's modelled cost as a span at the current sim time.
@@ -207,13 +209,32 @@ class MemoryUpdateMonitor:
             tr.add_span("monitor.scan", now, now + scan_time,
                         node=self.nsm.node_id, entity=eid,
                         pages=n_hashed, updates=n_updates)
-        for h in ins.tolist():
-            self._pending.append(("i", int(h), eid))
-        for h in rem.tolist():
-            self._pending.append(("r", int(h), eid))
-        self.stats.updates_deferred_peak = max(
-            self.stats.updates_deferred_peak, len(self._pending))
         return n_updates
+
+    def _enqueue(self, eid: int, n_hashed: int, cost: float,
+                 hashes: np.ndarray, is_insert: np.ndarray) -> int:
+        """Queue one discovery step's updates for entity ``eid`` and
+        account for the step; returns the number of updates queued.
+
+        ``hashes`` and the parallel boolean ``is_insert`` are in
+        production order, which :meth:`flush` preserves.  Scans and both
+        write-fault paths end here, so :class:`MonitorStats` and the
+        ``monitor.*`` registry counters advance together or not at all.
+        """
+        n = len(hashes)
+        self.stats.cpu_time += cost
+        self._last_scan_time += cost
+        self.stats.pages_hashed += n_hashed
+        self.stats.updates_produced += n
+        self._c_pages.inc(n_hashed)
+        self._c_produced.inc(n)
+        if n:
+            rows = np.column_stack([hashes, np.full_like(hashes, eid)])
+            self._pending.append((is_insert, rows))
+            self._n_pending += n
+        self.stats.updates_deferred_peak = max(
+            self.stats.updates_deferred_peak, self._n_pending)
+        return n
 
     # -- write-fault (true CoW) operation ------------------------------------------
 
@@ -260,43 +281,27 @@ class MemoryUpdateMonitor:
                     * self.cost.cdc_per_byte
                     + entity.n_blocks * self.n_represented
                     * self.cost.hash_page_cost(self.hash_algo))
-            self.stats.cpu_time += cost
-            self._last_scan_time += cost
-            self.stats.pages_hashed += entity.n_blocks
-            n_ops = len(ins) + len(rem)
-            if n_ops:
-                for h in rem.tolist():
-                    self._pending.append(("r", int(h), eid))
-                for h in ins.tolist():
-                    self._pending.append(("i", int(h), eid))
-                self.stats.updates_produced += n_ops
+            if self._enqueue(
+                    eid, entity.n_blocks, cost, np.concatenate([rem, ins]),
+                    np.repeat([False, True], [len(rem), len(ins)])):
                 self.nsm.record_scan(entity, new)
             entity.dirty[idxs] = False
-            self.stats.updates_deferred_peak = max(
-                self.stats.updates_deferred_peak, len(self._pending))
             return
         new_h = page_hashes(entity.pages[idxs])
         old_h = old[idxs]
         changed = new_h != old_h
-        n_changed = int(changed.sum())
         # Fault + rehash costs for every faulting write (even no-ops fault).
         cost = len(idxs) * self.n_represented * (
             1e-6 + self.cost.hash_page_cost(self.hash_algo))
-        self.stats.cpu_time += cost
-        self._last_scan_time += cost
-        self.stats.pages_hashed += len(idxs)
-        if n_changed:
-            for oh, nh in zip(old_h[changed].tolist(),
-                              new_h[changed].tolist()):
-                self._pending.append(("r", int(oh), eid))
-                self._pending.append(("i", int(nh), eid))
-            self.stats.updates_produced += 2 * n_changed
+        # Per changed page, in page order: remove the old hash, insert
+        # the new one.
+        old_new = np.column_stack([old_h[changed], new_h[changed]]).ravel()
+        if self._enqueue(eid, len(idxs), cost, old_new,
+                         np.tile([False, True], len(old_new) // 2)):
             self.nsm.update_blocks(entity, idxs[changed], new_h[changed])
         # These pages are fully accounted for; clear their dirty bits so a
         # later scan() pass does not reprocess them.
         entity.dirty[idxs] = False
-        self.stats.updates_deferred_peak = max(
-            self.stats.updates_deferred_peak, len(self._pending))
 
     # -- update emission (with throttling) -------------------------------------------
 
@@ -307,21 +312,23 @@ class MemoryUpdateMonitor:
         of R updates/s at most ``R * interval`` updates are sent and the
         remainder stays pending (precision loss, not data loss: the diff
         base only advances for sent updates' source scan, and the pending
-        queue preserves ordering).
+        queue preserves ordering).  The sink receives the first ``budget``
+        queued updates, split into insert rows and remove rows, each in
+        production order.
         """
-        budget = len(self._pending)
+        sent = self._n_pending
         if self.throttle is not None and interval is not None:
-            budget = min(budget, int(self.throttle * interval))
-        inserts: list[tuple[int, int]] = []
-        removes: list[tuple[int, int]] = []
-        for _ in range(budget):
-            op, h, eid = self._pending.popleft()
-            (inserts if op == "i" else removes).append((h, eid))
-        if inserts or removes:
-            self.sink(self.nsm.node_id, inserts, removes,
+            sent = min(sent, int(self.throttle * interval))
+        if sent:
+            is_insert = np.concatenate([f for f, _rows in self._pending])
+            rows = np.concatenate([r for _f, r in self._pending])
+            self._n_pending -= sent
+            self._pending = ([(is_insert[sent:], rows[sent:])]
+                             if self._n_pending else [])
+            is_insert, rows = is_insert[:sent], rows[:sent]
+            self.sink(self.nsm.node_id, rows[is_insert], rows[~is_insert],
                       duration=self._last_scan_time)
         self._last_scan_time = 0.0
-        sent = len(inserts) + len(removes)
         self.stats.updates_sent += sent
         self._c_flushes.inc()
         self._c_sent.inc(sent)
@@ -329,7 +336,7 @@ class MemoryUpdateMonitor:
 
     @property
     def pending_updates(self) -> int:
-        return len(self._pending)
+        return self._n_pending
 
     # -- simulated periodic operation ---------------------------------------------------
 

@@ -2,17 +2,21 @@
 
 Paper §3.2: the NSM handles a particular kind of entity on a node.  It hosts
 the memory update monitor, provides the environment in which service-command
-callbacks execute, and — critically — "is responsible for maintaining a
-mapping from content hash to the addresses and sizes of memory blocks in the
-entities it tracks locally", produced as a side effect of monitoring.
+callbacks execute, and "is responsible for maintaining a mapping from
+content hash to the addresses and sizes of memory blocks in the entities it
+tracks locally".
 
 Two views coexist and may disagree:
 
-* the *scanned* view (``local_map``): hash -> blocks as of the last monitor
-  pass — this is what feeds the DHT and may be stale;
+* the *scanned* view (``last_scanned``): each entity's hash array as of
+  its last monitor pass — the diff base of the next pass and what repair
+  replays; it is what fed the DHT and may be stale;
 * the *ground truth*: the entities' current memory, consulted when a
   ``collective_command`` arrives, so stale DHT information is detected
-  exactly as in the real system.
+  exactly as in the real system.  The paper's hash -> block mapping is
+  modelled here, by ``Entity.hash_index()`` behind :meth:`resolve_block`:
+  a block is resolved against what the entity holds *now*, never against
+  the scanned view.
 """
 
 from __future__ import annotations
@@ -45,14 +49,12 @@ class BlockRef:
 
 
 class NodeSpecificModule:
-    """Per-node entity handling: local hash->block map and memory access."""
+    """Per-node entity handling: the scanned view and memory access."""
 
     def __init__(self, cluster: Cluster, node_id: int) -> None:
         self.cluster = cluster
         self.node_id = node_id
         self.entity_ids: list[int] = []
-        # hash -> list of (entity_id, page_idx), as of each entity's last scan
-        self.local_map: dict[int, list[tuple[int, int]]] = {}
         # entity -> hash array at last scan (diff base for the monitor)
         self.last_scanned: dict[int, np.ndarray] = {}
 
@@ -74,22 +76,9 @@ class NodeSpecificModule:
 
     def record_scan(self, entity: Entity, hashes: np.ndarray) -> None:
         """Replace the scanned view of ``entity`` with ``hashes``."""
-        eid = entity.entity_id
-        old = self.last_scanned.get(eid)
-        if old is not None:
-            self._unmap_entity(eid)
-        self.last_scanned[eid] = hashes.copy()
-        for idx, h in enumerate(hashes.tolist()):
-            self.local_map.setdefault(int(h), []).append((eid, idx))
-
-    def _unmap_entity(self, eid: int) -> None:
-        dead = []
-        for h, blocks in self.local_map.items():
-            blocks[:] = [b for b in blocks if b[0] != eid]
-            if not blocks:
-                dead.append(h)
-        for h in dead:
-            del self.local_map[h]
+        # A copy: the caller's array is the entity's hash cache, and
+        # update_blocks writes into the stored one.
+        self.last_scanned[entity.entity_id] = hashes.copy()
 
     def update_blocks(self, entity: Entity, page_idxs: np.ndarray,
                       new_hashes: np.ndarray) -> None:
@@ -103,20 +92,8 @@ class NodeSpecificModule:
         if old is None:
             raise ValueError(
                 f"entity {eid} has no scan base; run a full scan first")
-        for idx, new_h in zip(np.asarray(page_idxs, dtype=np.int64).tolist(),
-                              np.asarray(new_hashes,
-                                         dtype=np.uint64).tolist()):
-            old_h = int(old[idx])
-            blocks = self.local_map.get(old_h)
-            if blocks is not None:
-                try:
-                    blocks.remove((eid, idx))
-                except ValueError:
-                    pass
-                if not blocks:
-                    del self.local_map[old_h]
-            self.local_map.setdefault(int(new_h), []).append((eid, idx))
-            old[idx] = np.uint64(new_h)
+        old[np.asarray(page_idxs, dtype=np.int64)] = np.asarray(
+            new_hashes, dtype=np.uint64)
 
     def detach_entity(self, eid: int) -> None:
         """Entity left the node (migration, termination)."""
@@ -124,13 +101,8 @@ class NodeSpecificModule:
             self.entity_ids.remove(eid)
         if eid in self.last_scanned:
             del self.last_scanned[eid]
-        self._unmap_entity(eid)
 
     # -- block lookup --------------------------------------------------------------
-
-    def lookup_scanned(self, content_hash: int) -> list[tuple[int, int]]:
-        """Blocks believed (as of last scan) to hold this hash."""
-        return list(self.local_map.get(int(content_hash), ()))
 
     def resolve_block(self, entity_id: int, content_hash: int) -> BlockRef | None:
         """Ground-truth resolution: does the entity hold this hash *now*?
@@ -152,10 +124,6 @@ class NodeSpecificModule:
         return self.cluster.entity(ref.entity_id).read_block_id(ref.page_idx)
 
     # -- introspection -----------------------------------------------------------
-
-    @property
-    def n_mapped_hashes(self) -> int:
-        return len(self.local_map)
 
     def scanned_hashes_of(self, eid: int) -> np.ndarray | None:
         return self.last_scanned.get(eid)

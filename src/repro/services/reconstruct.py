@@ -76,7 +76,8 @@ def register_image(concord: ConCORD, target: Entity,
     entity, which is exactly what drives the collective phase.  Returns the
     number of inserts.
     """
-    inserts = [(int(h), target.entity_id) for h in descriptor.hashes.tolist()]
+    hashes = np.asarray(descriptor.hashes, dtype=np.uint64)
+    inserts = np.column_stack([hashes, np.full_like(hashes, target.entity_id)])
     concord.tracing.route_updates(target.node_id, inserts, [])
     concord.cluster.engine.run()
     return len(inserts)

@@ -14,19 +14,15 @@ hashes, 4-byte entity/node IDs, small fixed headers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
     "MsgKind",
     "Message",
     "UpdateBatch",
-    "QueryRequest",
-    "QueryResponse",
     "ControlMessage",
-    "CommandInvoke",
-    "CommandResult",
-    "HandledExchange",
     "UDP_HEADER_BYTES",
     "HASH_BYTES",
     "ENTITY_ID_BYTES",
@@ -40,11 +36,7 @@ MSG_HEADER_BYTES = 16  # ConCORD message header: type, seq, len, src
 
 class MsgKind(enum.Enum):
     UPDATE = "update"
-    QUERY_REQ = "query_req"
-    QUERY_RESP = "query_resp"
     CONTROL = "control"
-    CMD_INVOKE = "cmd_invoke"
-    CMD_RESULT = "cmd_result"
     HASH_EXCHANGE = "hash_exchange"
     ACK = "ack"
 
@@ -78,10 +70,14 @@ class UpdateBatch(Message):
     Monitors batch updates destined for the same home node into one
     datagram; ``n_represented`` scales counts when one simulated block
     stands for R real blocks (see DESIGN.md coarse-graining).
+
+    ``inserts``/``removes`` hold ``(hash, entity)`` rows — the tracing
+    engine stores slices of its ``(n, 2)`` ``uint64`` update arrays; size
+    accounting only takes their ``len()``.
     """
 
-    inserts: list[tuple[int, int]] = field(default_factory=list)  # (hash, entity)
-    removes: list[tuple[int, int]] = field(default_factory=list)
+    inserts: Sequence = ()
+    removes: Sequence = ()
     n_represented: int = 1
 
     def n_updates(self) -> int:
@@ -90,24 +86,6 @@ class UpdateBatch(Message):
     def payload_bytes(self) -> int:
         per = HASH_BYTES + ENTITY_ID_BYTES + 1  # hash, entity, op flag
         return per * self.n_updates()
-
-
-@dataclass
-class QueryRequest(Message):
-    query: str = ""
-    args: tuple = ()
-
-    def payload_bytes(self) -> int:
-        return 32
-
-
-@dataclass
-class QueryResponse(Message):
-    result: Any = None
-    result_bytes: int = 16
-
-    def payload_bytes(self) -> int:
-        return self.result_bytes
 
 
 @dataclass
@@ -120,45 +98,3 @@ class ControlMessage(Message):
 
     def payload_bytes(self) -> int:
         return self.body_bytes
-
-
-@dataclass
-class CommandInvoke(Message):
-    """collective_command() invocation sent to a selected replica's node."""
-
-    content_hash: int = 0
-    entity_id: int = 0
-    n_represented: int = 1
-
-    def payload_bytes(self) -> int:
-        return (HASH_BYTES + ENTITY_ID_BYTES + 4) * self.n_represented
-
-
-@dataclass
-class CommandResult(Message):
-    """Success/failure of a collective_command(), with private data."""
-
-    content_hash: int = 0
-    entity_id: int = 0
-    ok: bool = True
-    private: Any = None
-    n_represented: int = 1
-
-    def payload_bytes(self) -> int:
-        return (HASH_BYTES + 12) * self.n_represented
-
-
-@dataclass
-class HandledExchange(Message):
-    """Batch of (hash, private-data) pairs handled in the collective phase.
-
-    Disseminated from DHT shards to SE-hosting nodes so the local phase can
-    recognise collectively-handled content (paper §4.3: local_command sees
-    the set of hashes handled by prior collective_command calls).
-    """
-
-    entries: list[tuple[int, Any]] = field(default_factory=list)
-    n_represented: int = 1
-
-    def payload_bytes(self) -> int:
-        return (HASH_BYTES + 12) * len(self.entries) * self.n_represented

@@ -3,11 +3,18 @@ contract (configuration only through a config value: kwargs are
 ``TypeError``)."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from repro import Cluster, ConCORD, ConCORDConfig, Entity, MonitorMode
+
+
+# The quoted values in the ``update_transport`` entry of the docstring.
+_DOCUMENTED_TRANSPORTS = re.findall(
+    r'``"(\w+)"``',
+    ConCORDConfig.__doc__.split("update_transport:")[1].split("workers:")[0])
 
 
 def small_cluster():
@@ -66,6 +73,19 @@ class TestFacadeConstruction:
         ConCORD(small_cluster(), ConCORDConfig(use_network=True))
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
+
+    @pytest.mark.parametrize("value", [*_DOCUMENTED_TRANSPORTS, "reliable"])
+    def test_update_transport_accepts_what_the_docstring_lists(self, value):
+        cfg = ConCORDConfig(update_transport=value)
+        if value in _DOCUMENTED_TRANSPORTS:
+            concord = ConCORD(small_cluster(), cfg)
+            assert concord.tracing.transport == value
+        else:
+            # The error names the valid values, the documented ones.
+            assert _DOCUMENTED_TRANSPORTS
+            with pytest.raises(ValueError,
+                               match=", ".join(_DOCUMENTED_TRANSPORTS)):
+                ConCORD(small_cluster(), cfg)
 
     def test_context_manager_closes(self):
         with ConCORD(small_cluster()) as concord:

@@ -1,7 +1,9 @@
 """Unit tests for memory update monitors."""
 
 import numpy as np
+import pytest
 
+from repro import ConCORD, ConCORDConfig
 from repro.memory.entity import Entity
 from repro.memory.monitor import MemoryUpdateMonitor, MonitorMode, multiset_diff
 from repro.memory.nsm import NodeSpecificModule
@@ -10,6 +12,9 @@ from repro.sim.costmodel import NEW_CLUSTER
 
 
 class CollectingSink:
+    """Checks the one update format — (n, 2) uint64 rows of (hash, entity)
+    — and keeps the rows as int tuples for the assertions below."""
+
     def __init__(self):
         self.inserts = []
         self.removes = []
@@ -18,8 +23,10 @@ class CollectingSink:
 
     def __call__(self, node_id, inserts, removes, duration=0.0):
         self.calls += 1
-        self.inserts.extend(inserts)
-        self.removes.extend(removes)
+        for rows in (inserts, removes):
+            assert rows.dtype == np.uint64 and rows.shape[1:] == (2,)
+        self.inserts.extend(map(tuple, inserts.tolist()))
+        self.removes.extend(map(tuple, removes.tolist()))
         self.durations.append(duration)
 
 
@@ -72,7 +79,9 @@ class TestInitialScan:
     def test_populates_nsm_map(self):
         _c, e, nsm, _sink, mon = make()
         mon.initial_scan()
-        assert nsm.n_mapped_hashes == 3  # pages (1,2,3,2) -> 3 distinct
+        scanned = nsm.scanned_hashes_of(e.entity_id)
+        assert (scanned == e.content_hashes()).all()
+        assert len(np.unique(scanned)) == 3  # pages (1,2,3,2) -> 3 distinct
 
     def test_charges_cpu(self):
         _c, _e, _nsm, _sink, mon = make()
@@ -169,6 +178,73 @@ class TestThrottling:
         _c, _e, _nsm, _sink, mon = make(pages=tuple(range(50)), throttle=1.0)
         mon.initial_scan()
         assert mon.stats.updates_deferred_peak == 50
+
+    def test_throttled_flushes_hand_over_production_order(self):
+        """Each throttled flush hands the sink exactly the first ``budget``
+        queued updates — across entity and insert/remove boundaries — and
+        the flushes together emit what one unthrottled flush would."""
+        c = Cluster(1)
+        ents = [Entity.create(c, 0, np.arange(8, dtype=np.uint64) + 100 * i)
+                for i in range(2)]
+        nsm = NodeSpecificModule(c, 0)
+        for e in ents:
+            nsm.attach_entity(e)
+        sink = CollectingSink()
+        mon = MemoryUpdateMonitor(nsm, sink, NEW_CLUSTER,
+                                  throttle_updates_per_s=4.0)
+        mon.initial_scan()
+        mon.flush()  # no interval: unthrottled
+        before = [e.content_hashes().copy() for e in ents]
+        for i, e in enumerate(ents):
+            e.write_pages(np.arange(3),
+                          np.arange(3, dtype=np.uint64) + 900 + 10 * i)
+        # A scan queues, per entity in turn, its inserts then its removes.
+        queued = []
+        for e, old in zip(ents, before):
+            ins, rem = multiset_diff(old, e.content_hashes())
+            queued += [("i", h, e.entity_id) for h in ins.tolist()]
+            queued += [("r", h, e.entity_id) for h in rem.tolist()]
+        assert mon.scan() == len(queued) == 12
+        sink.inserts.clear()
+        for k in range(3):
+            n_i, n_r = len(sink.inserts), len(sink.removes)
+            assert mon.flush(interval=1.0) == 4
+            want = queued[4 * k:4 * k + 4]
+            assert sink.inserts[n_i:] == [u[1:] for u in want if u[0] == "i"]
+            assert sink.removes[n_r:] == [u[1:] for u in want if u[0] == "r"]
+        assert mon.pending_updates == 0
+        assert sink.inserts == [u[1:] for u in queued if u[0] == "i"]
+        assert sink.removes == [u[1:] for u in queued if u[0] == "r"]
+
+
+class TestRegistryAccounting:
+    @pytest.mark.parametrize("mode", list(MonitorMode))
+    def test_registry_counters_match_monitor_stats(self, mode):
+        """The platform-wide ``monitor.*`` counters and the per-node
+        ``MonitorStats`` advance together on every discovery path — scans
+        and, for CoW, write faults."""
+        cluster = Cluster(2, seed=1)
+        ents = [Entity.create(cluster, i % 2,
+                              np.arange(16, dtype=np.uint64) + 100 * i)
+                for i in range(3)]
+        concord = ConCORD(cluster, ConCORDConfig(monitor_mode=mode))
+        concord.initial_scan()
+        if mode is MonitorMode.COW:
+            for mon in concord.monitors:
+                mon.enable_write_faults()
+        for i, e in enumerate(ents):
+            e.write_pages(np.arange(4),
+                          np.arange(4, dtype=np.uint64) + 5000 + 10 * i)
+        concord.sync()  # scan + unthrottled flush on every node
+        reg = concord.obs.registry
+        stats = concord.monitor_stats()
+        produced = sum(s.updates_produced for s in stats)
+        assert produced == 3 * 16 + 3 * 8
+        assert sum(s.updates_sent for s in stats) == produced
+        assert reg.value("monitor.updates_produced") == produced
+        assert reg.value("monitor.updates_sent") == produced
+        assert reg.value("monitor.pages_hashed") == sum(
+            s.pages_hashed for s in stats)
 
 
 class TestPeriodicOperation:

@@ -43,32 +43,50 @@ class TestAttachment:
 class TestScannedView:
     def test_record_scan_builds_map(self):
         _c, e, nsm = make()
+        assert nsm.scanned_hashes_of(e.entity_id) is None
         nsm.record_scan(e, e.content_hashes())
-        assert nsm.n_mapped_hashes == 3
-        h = int(e.content_hashes()[1])
-        assert nsm.lookup_scanned(h) == [(e.entity_id, 1)]
+        scanned = nsm.scanned_hashes_of(e.entity_id)
+        assert scanned.dtype == np.uint64
+        assert (scanned == e.content_hashes()).all()
 
     def test_rescan_replaces(self):
         _c, e, nsm = make()
         old_h = int(e.content_hashes()[0])
         nsm.record_scan(e, e.content_hashes())
         e.write_page(0, 99)
+        # The recorded view is a snapshot: it does not follow the write...
+        assert int(nsm.scanned_hashes_of(e.entity_id)[0]) == old_h
         nsm.record_scan(e, e.content_hashes())
-        assert nsm.lookup_scanned(old_h) == []
-        assert nsm.n_mapped_hashes == 3
+        # ...until the next scan replaces it.
+        scanned = nsm.scanned_hashes_of(e.entity_id)
+        assert old_h not in scanned.tolist()
+        assert (scanned == e.content_hashes()).all()
 
     def test_duplicate_content_lists_both_blocks(self):
         _c, e, nsm = make(pages=(5, 5, 7))
         nsm.record_scan(e, e.content_hashes())
         h = int(e.content_hashes()[0])
-        assert sorted(nsm.lookup_scanned(h)) == [(e.entity_id, 0),
-                                                 (e.entity_id, 1)]
+        scanned = nsm.scanned_hashes_of(e.entity_id)
+        assert np.flatnonzero(scanned == h).tolist() == [0, 1]
+
+    def test_update_blocks_assigns_pages(self):
+        _c, e, nsm = make()
+        nsm.record_scan(e, e.content_hashes())
+        e.write_page(1, 77)
+        new_h = e.content_hashes()[[1]]
+        nsm.update_blocks(e, np.array([1]), new_h)
+        assert (nsm.scanned_hashes_of(e.entity_id)
+                == e.content_hashes()).all()
+
+    def test_update_blocks_needs_a_scan_base(self):
+        _c, e, nsm = make()
+        with pytest.raises(ValueError):
+            nsm.update_blocks(e, np.array([0]), e.content_hashes()[[0]])
 
     def test_detach_purges(self):
         _c, e, nsm = make()
         nsm.record_scan(e, e.content_hashes())
         nsm.detach_entity(e.entity_id)
-        assert nsm.n_mapped_hashes == 0
         assert nsm.entity_ids == []
         assert nsm.scanned_hashes_of(e.entity_id) is None
 
@@ -89,7 +107,8 @@ class TestGroundTruth:
         h = int(e.content_hashes()[0])
         nsm.record_scan(e, e.content_hashes())
         e.write_page(0, 999)
-        assert nsm.lookup_scanned(h)  # scanned view is stale
+        # The scanned view is stale: it still lists the old hash.
+        assert h in nsm.scanned_hashes_of(e.entity_id).tolist()
         assert nsm.resolve_block(e.entity_id, h) is None  # truth wins
 
     def test_resolve_new_content_without_scan(self):

@@ -132,7 +132,7 @@ class TestWriteFaultMonitoring:
         _c, e, _concord, mon = self.make_cow_system()
         e.write_page(3, 555)
         new_h = int(e.content_hashes()[3])
-        assert mon.nsm.lookup_scanned(new_h) == [(e.entity_id, 3)]
+        assert int(mon.nsm.scanned_hashes_of(e.entity_id)[3]) == new_h
         # Ground-truth resolution still agrees.
         assert mon.nsm.resolve_block(e.entity_id, new_h) is not None
 

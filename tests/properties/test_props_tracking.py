@@ -12,6 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster, ConCORD, ConCORDConfig, Entity, MonitorMode
+from repro.dht.engine import ContentTracingEngine
+from repro.dht.table import LocalDHT
+from repro.sim.costmodel import NEW_CLUSTER
 
 SLOW = settings(max_examples=20, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -122,3 +125,69 @@ class TestConvergence:
             for h in e.content_hashes().tolist():
                 want[int(h)] += 1
         assert dht_multiset(concord) == want
+
+
+# One route_updates call per step, a single op each (datagrams of one call
+# are delivered in shuffled order, so an insert and a remove of the same
+# pair in one call would race).  A tiny hash universe in both halves of the
+# uint64 range forces duplicate pairs (the extra-copy table); entity ids
+# beyond 63 exercise the wide spill.
+_route_hashes = st.one_of(st.integers(0, 24),
+                          st.integers(2**63, 2**63 + 24))
+_route_steps = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.tuples(_route_hashes, st.integers(0, 130)),
+                       max_size=40)),
+    min_size=1, max_size=6)
+_BATCH = 4
+
+
+def _shard_bytes(shard: LocalDHT):
+    hashes, lo, wide = shard.items_arrays()
+    return (hashes.tobytes(), lo.tobytes(), dict(wide),
+            {h: dict(ex) for h, ex in shard.extra_items() if ex},
+            shard.n_hashes, shard.n_copies)
+
+
+class TestRouteUpdatesOnePath:
+    @SLOW
+    @given(_route_steps, st.booleans(), st.booleans())
+    def test_matches_scalar_reference_on_every_transport(
+            self, steps, as_array, use_network):
+        """A list of pairs and an (n, 2) array, with and without the
+        (lossless) network, land exactly what looping the scalar
+        insert/remove on per-home tables lands — and advance each home's
+        epoch once per applied group / delivered datagram."""
+        n_nodes = 3
+        cluster = Cluster(n_nodes, seed=5,
+                          cost=NEW_CLUSTER.scaled(rx_queue_delay=1e9))
+        eng = ContentTracingEngine(cluster, use_network=use_network,
+                                   batch_size=_BATCH)
+        ref = [LocalDHT() for _ in range(n_nodes)]
+        epochs = [0] * n_nodes
+        for is_insert, pairs in steps:
+            per_home = Counter()
+            for h, e in pairs:
+                home = eng.partition.home_node(h)
+                per_home[home] += 1
+                if is_insert:
+                    ref[home].insert(h, e)
+                else:
+                    ref[home].remove(h, e)
+            for home, n in per_home.items():
+                epochs[home] += -(-n // _BATCH) if use_network else 1
+            updates = (np.array(pairs, dtype=np.uint64).reshape(-1, 2)
+                       if as_array else pairs)
+            if is_insert:
+                eng.route_updates(0, inserts=updates, removes=[])
+            else:
+                eng.route_updates(0, inserts=[], removes=updates)
+            cluster.engine.run()
+        assert cluster.network.stats.updates_lost == 0
+        n_updates = sum(len(pairs) for _op, pairs in steps)
+        assert eng.stats.updates_routed == n_updates
+        assert eng.stats.updates_applied == n_updates
+        assert [eng.shard_epoch(i) for i in range(n_nodes)] == epochs
+        assert eng.global_epoch == sum(epochs)
+        for shard, want in zip(eng.shards, ref):
+            assert _shard_bytes(shard) == _shard_bytes(want)

@@ -1,14 +1,9 @@
 """Unit tests for wire records and size accounting."""
 
 from repro.util.records import (
-    CommandInvoke,
-    CommandResult,
     ControlMessage,
-    HandledExchange,
     Message,
     MsgKind,
-    QueryRequest,
-    QueryResponse,
     UpdateBatch,
     UDP_HEADER_BYTES,
 )
@@ -36,28 +31,6 @@ def test_update_batch_representation_factor():
     assert b.payload_bytes() == 13 * 64
 
 
-def test_query_messages_have_fixed_small_sizes():
-    req = QueryRequest(MsgKind.QUERY_REQ, 0, 1, query="num_copies", args=(5,))
-    resp = QueryResponse(MsgKind.QUERY_RESP, 1, 0, result=3)
-    assert req.payload_bytes() == 32
-    assert resp.payload_bytes() == 16
-
-
 def test_control_message_body_bytes():
     m = ControlMessage(MsgKind.CONTROL, 0, 3, op="start", body_bytes=256)
     assert m.payload_bytes() == 256
-
-
-def test_invoke_and_result_scale_with_representation():
-    inv = CommandInvoke(MsgKind.CMD_INVOKE, 0, 1, content_hash=9,
-                        entity_id=2, n_represented=4)
-    res = CommandResult(MsgKind.CMD_RESULT, 1, 0, content_hash=9,
-                        entity_id=2, n_represented=4)
-    assert inv.payload_bytes() == 16 * 4
-    assert res.payload_bytes() == 20 * 4
-
-
-def test_handled_exchange_scales_with_entries():
-    ex = HandledExchange(MsgKind.HASH_EXCHANGE, 0, 1,
-                         entries=[(1, None)] * 10, n_represented=2)
-    assert ex.payload_bytes() == 20 * 10 * 2
