@@ -5,24 +5,31 @@ A developer creates an application service by subclassing
 callbacks; the parametrized service command *is* the application service
 implementation.  The execution engine invokes them in four phases:
 
-1. **Service initialization** — ``service_init`` once per node holding a
-   service or participating entity; the node's private service state is
-   whatever the service stores on ``ctx``.
+1. **Service initialization** — ``service_init`` once per live node
+   holding a service or participating entity; the node's private service
+   state is whatever the service stores on ``ctx``.
 2. **Collective phase** — ``collective_start`` per entity (with a partial,
    advisory hash set from the local DHT shard); then, for every distinct
    hash ConCORD believes exists in the SEs, replica selection (optionally
    via ``collective_select``) and one successful ``collective_command`` on
    the node of the selected replica; then ``collective_finalize`` per
    entity (a synchronization point).
-3. **Local phase** — ``local_start`` per SE; ``local_command`` per memory
-   block of each SE, told whether (and with what private data) its hash was
-   already handled collectively; ``local_finalize`` per SE.
+3. **Local phase** — ``local_start`` per SE; then the SE's memory blocks,
+   each told whether (and with what private data) its hash was already
+   handled collectively; then ``local_finalize`` per SE.  The engine
+   enters the blocks through one call per SE, ``local_command_batch``,
+   whose default body is the paper's per-block loop over
+   ``local_command``: override ``local_command``, or
+   ``local_command_batch`` for large entities — never both.
 4. **Teardown** — ``service_deinit`` per node; returns service success.
 
 Callbacks run "node-locally": they may touch the node's entities through
 ``ctx`` and charge modelled CPU/IO cost, but they never see other nodes'
 state except through what the engine disseminates — the same constraint
-the real system's C callbacks live under.
+the real system's C callbacks live under.  It follows that a scope
+entity whose node is down gets no callbacks at all: a dead *PE* host
+simply contributes no replicas, while a dead *SE* host makes the command
+impossible and ``execute`` refuses it.
 """
 
 from __future__ import annotations
@@ -156,6 +163,10 @@ class ServiceCallbacks:
     ``collective_select`` is optional in the paper's interface; leave it as
     None (the class default) to get random replica selection, or assign a
     method to take control.
+
+    Override :meth:`local_command`, or :meth:`local_command_batch` for
+    large entities — never both: the engine calls only the latter, so a
+    service that replaces it leaves its ``local_command`` unreachable.
     """
 
     name = "service"
@@ -204,6 +215,26 @@ class ServiceCallbacks:
         of" (paper §4.3).
         """
 
+    def local_command_batch(self, ctx: NodeContext, entity: Entity,
+                            hashes: np.ndarray, covered: np.ndarray,
+                            handled_map: dict[int, Any]) -> None:
+        """Handle every memory block of an SE: the engine's one entry into
+        the local phase, called once per SE between ``local_start`` and
+        ``local_finalize``.
+
+        ``hashes`` is ``entity.content_hashes()`` (one per block, in block
+        order), ``covered[i]`` is ``hashes[i] in handled_map``, and
+        ``handled_map`` maps each hash the collective phase handled *and
+        this node was told about* to its private data.  The default runs
+        :meth:`local_command` per block, in block order; override this
+        method instead to handle the arrays in bulk.
+        """
+        eid = entity.entity_id
+        resolve = ctx.nsm.resolve_block
+        for idx, h in enumerate(hashes.tolist()):
+            self.local_command(ctx, entity, idx, h, resolve(eid, h),
+                               handled_map.get(h))
+
     def local_finalize(self, ctx: NodeContext, entity: Entity) -> None:
         """Complete the local phase for one SE; also a barrier."""
 
@@ -212,15 +243,3 @@ class ServiceCallbacks:
     def service_deinit(self, ctx: NodeContext) -> bool:
         """Interpret final private state; return service success."""
         return True
-
-    # -- optional vectorized fast path ---------------------------------------------------
-    #
-    # Services operating on large entities may additionally implement
-    #
-    #   local_command_batch(ctx, entity, hashes, blocks_covered, handled_map)
-    #
-    # where ``hashes`` is the entity's per-page hash array and
-    # ``blocks_covered`` a boolean array marking collectively-handled pages.
-    # The engine uses it instead of per-page local_command calls when
-    # present.  Semantics must match the scalar path; the test suite
-    # cross-checks the two for the bundled services.

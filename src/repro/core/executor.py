@@ -40,6 +40,7 @@ from repro.core.command import (
 from repro.core.events import CommandTracer, EventKind
 from repro.core.scope import ServiceScope
 from repro.dht.engine import ContentTracingEngine
+from repro.dht.table import mask_bits
 from repro.exec import ops as _ops
 from repro.exec.pool import ShardPool
 from repro.obs import Observability, Span
@@ -49,7 +50,6 @@ from repro.util.records import ENTITY_ID_BYTES, HASH_BYTES, UDP_HEADER_BYTES
 __all__ = ["ServiceCommandExecutor", "CommandResult", "CommandStats", "PhaseBreakdown"]
 
 _U64 = np.uint64
-_ONE = np.uint64(1)
 _M64 = (1 << 64) - 1
 
 _MSG_OVERHEAD = UDP_HEADER_BYTES + 16
@@ -199,8 +199,7 @@ class ServiceCommandExecutor:
             self._tracer.emit(kind, *data)
 
     def _set_phase(self, phase: str) -> None:
-        if getattr(self, "_tracer", None) is not None and hasattr(self, "_phase"):
-            self._tracer.emit(EventKind.PHASE_END, self._phase)
+        self._emit(EventKind.PHASE_END, self._phase)
         self._phase = phase
         self._emit(EventKind.PHASE_BEGIN, phase)
 
@@ -277,7 +276,8 @@ class ServiceCommandExecutor:
         # The local phase walks every SE's blocks on its host node; a dead
         # host means those blocks are gone and the command cannot be
         # correct, so refuse up front.  Dead *PE* hosts are fine — their
-        # replicas just fail over in the collective phase.
+        # replicas just fail over in the collective phase — but callbacks
+        # run node-locally, so an entity on a dead host gets none.
         node_up = cluster.network.node_up
         for eid in scope.service_entities:
             if not node_up[cluster.node_of(eid)]:
@@ -285,8 +285,9 @@ class ServiceCommandExecutor:
                     f"service entity {eid} lives on failed node "
                     f"{cluster.node_of(eid)}; restart it before commanding")
 
-        scope_nodes = sorted(cluster.nodes_hosting(scope.all_entities()))
-        scope_nodes = [n for n in scope_nodes if node_up[n]]
+        live_entities = [eid for eid in scope.all_entities()
+                         if node_up[cluster.node_of(eid)]]
+        scope_nodes = sorted(cluster.nodes_hosting(live_entities))
         contexts: dict[int, NodeContext] = {}
         for node in range(cluster.n_nodes):
             nsm = cluster.nodes[node].nsm
@@ -319,8 +320,8 @@ class ServiceCommandExecutor:
 
             # collective_start per scope entity, with advisory hash samples
             # from the entity's node-local DHT shard slice.
-            samples = self._hash_samples(scope, sample_cap)
-            for eid in scope.all_entities():
+            samples = self._hash_samples(live_entities, sample_cap)
+            for eid in live_entities:
                 entity = cluster.entity(eid)
                 node = entity.node_id
                 role = scope.role_of(eid)
@@ -344,7 +345,7 @@ class ServiceCommandExecutor:
             # ~15 MB/node).
             handled_by_node = self._disseminate_handled(handled)
 
-            for eid in scope.all_entities():
+            for eid in live_entities:
                 entity = cluster.entity(eid)
                 service.collective_finalize(contexts[entity.node_id],
                                             scope.role_of(eid), entity)
@@ -393,7 +394,7 @@ class ServiceCommandExecutor:
         if tr.enabled:
             tr.add_span("cmd", t_start, t_start + wall,
                         service=type(service).__name__,
-                        mode=getattr(mode, "name", str(mode)),
+                        mode=mode.name,
                         handled=stats.handled, coverage=stats.coverage)
         return CommandResult(success=success, wall_time=wall, phases=phases,
                              stats=stats, mode=mode,
@@ -401,7 +402,7 @@ class ServiceCommandExecutor:
 
     # -- helpers -----------------------------------------------------------------------
 
-    def _hash_samples(self, scope: ServiceScope,
+    def _hash_samples(self, entity_ids: list[int],
                       sample_cap: int) -> dict[int, np.ndarray]:
         """Advisory per-entity hash samples from each entity's local shard.
 
@@ -413,7 +414,7 @@ class ServiceCommandExecutor:
         cluster = self.cluster
         tracing = self.tracing
         by_node: dict[int, list[int]] = defaultdict(list)
-        for eid in scope.all_entities():
+        for eid in entity_ids:
             by_node[cluster.node_of(eid)].append(eid)
         nodes = list(by_node)
         shards = [tracing.shards[n] for n in nodes]
@@ -450,12 +451,8 @@ class ServiceCommandExecutor:
         handled: dict[int, tuple[Any, int, frozenset]] = {}
         invoke_cost = (cost.cmd_invoke_overhead if mode is ExecMode.INTERACTIVE
                        else cost.cmd_invoke_overhead * 0.6 + cost.cmd_plan_append)
-        # SE-holder nodes as a uint64 node bitmask per row when the cluster
-        # fits in 64 bits; memoized mask -> frozenset either way, since the
-        # distinct holder sets are few even at millions of hashes.
-        small_nodes = cluster.n_nodes <= 64
-        se_small = [eid for eid in scope.service_entities if eid < 64]
-        node_memo: dict[int, frozenset] = {}
+        # SE-holder mask -> nodes hosting those SEs, memoized: the distinct
+        # holder sets are few even at millions of hashes.
         se_memo: dict[int, frozenset] = {}
         node_up = cluster.network.node_up
 
@@ -475,34 +472,22 @@ class ServiceCommandExecutor:
             # The shard scans its slice for hashes believed in the SEs.
             self._charge(shard_node,
                          shard.n_hashes * cost.query_scan_per_entry * R)
-            nrow = len(hashes)
-            if nrow == 0:
+            if not len(hashes):
                 continue
-            # Candidate discovery, SE-mask filtering, and SE-holder-node
-            # masks for every believed row in one shot.
+            # Candidate discovery and SE-mask filtering for every believed
+            # row in one shot.
             cand_col = (lo & scope_lo).tolist()
             se_col = (lo & se_lo).tolist()
-            if small_nodes:
-                sebits = lo & se_lo
-                node_arr = np.zeros(nrow, dtype=_U64)
-                for seid in se_small:
-                    nb = _U64(1 << cluster.node_of(seid))
-                    node_arr |= ((sebits >> _U64(seid)) & _ONE) * nb
-                node_col = node_arr.tolist()
-            else:
-                node_col = None
             for i, h in enumerate(hashes.tolist()):
                 if wide and h in wide:
                     full = wide[h]
                     cand_mask = full & scope_mask
                     se_part = full & se_mask
-                    node_key = None
                 else:
                     cand_mask = cand_col[i]
                     se_part = se_col[i]
-                    node_key = node_col[i] if node_col is not None else None
                 stats.believed_hashes += 1
-                candidates = self._mask_bits(cand_mask)
+                candidates = mask_bits(cand_mask)
                 if not candidates:
                     continue
                 self._charge(shard_node, cost.cmd_select_overhead * R)
@@ -546,19 +531,10 @@ class ServiceCommandExecutor:
                     ok = True
                     break
                 if ok:
-                    if node_key is not None:
-                        se_holder_nodes = node_memo.get(node_key)
-                        if se_holder_nodes is None:
-                            se_holder_nodes = frozenset(
-                                self._mask_bits(node_key))
-                            node_memo[node_key] = se_holder_nodes
-                    else:
-                        se_holder_nodes = se_memo.get(se_part)
-                        if se_holder_nodes is None:
-                            se_holder_nodes = frozenset(
-                                cluster.node_of(e)
-                                for e in self._mask_bits(se_part))
-                            se_memo[se_part] = se_holder_nodes
+                    se_holder_nodes = se_memo.get(se_part)
+                    if se_holder_nodes is None:
+                        se_holder_nodes = se_memo[se_part] = frozenset(
+                            cluster.node_of(e) for e in mask_bits(se_part))
                     handled[h] = (private, shard_node, se_holder_nodes)
                     stats.handled += 1
                     self._emit(EventKind.HANDLED, h, eid)
@@ -585,15 +561,6 @@ class ServiceCommandExecutor:
                 order.remove(pick)
                 order.insert(0, pick)
         return order
-
-    @staticmethod
-    def _mask_bits(mask: int) -> list[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
 
     def _disseminate_handled(
             self, handled: dict[int, tuple[Any, int, frozenset]],
@@ -638,23 +605,12 @@ class ServiceCommandExecutor:
             self._charge(node, n * per_block * R)
             stats.local_blocks += n
 
-            batch = getattr(service, "local_command_batch", None)
-            if batch is not None:
-                covered = np.fromiter(
-                    (int(h) in handled_private for h in hashes.tolist()),
-                    dtype=bool, count=n)
-                batch(ctx, entity, hashes, covered, handled_private)
-                n_cov = int(covered.sum())
-            else:
-                n_cov = 0
-                hlist = hashes.tolist()
-                for idx in range(n):
-                    h = int(hlist[idx])
-                    priv = handled_private.get(h)
-                    if priv is not None:
-                        n_cov += 1
-                    block = ctx.nsm.resolve_block(eid, h)
-                    service.local_command(ctx, entity, idx, h, block, priv)
+            covered = np.fromiter(
+                (h in handled_private for h in hashes.tolist()),
+                dtype=bool, count=n)
+            service.local_command_batch(ctx, entity, hashes, covered,
+                                        handled_private)
+            n_cov = int(covered.sum())
             stats.covered_blocks += n_cov
             stats.uncovered_blocks += n - n_cov
             self._emit(EventKind.LOCAL_ENTITY, eid, n, n_cov)

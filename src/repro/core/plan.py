@@ -9,15 +9,13 @@ developer a chance to refine or reorder it first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable, Iterator
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["PlanOp", "ExecutionPlan"]
 
 
-@dataclass(frozen=True)
-class PlanOp:
+class PlanOp(NamedTuple):
     """One deferred operation: an opcode and its arguments."""
 
     op: str

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.dht.partition import Partition
 from repro.dht.storage import StorageConfig, StorageSet, open_storage
-from repro.dht.table import LocalDHT
+from repro.dht.table import LocalDHT, mask_bits
 from repro.exec import ops as _ops
 from repro.exec.pool import ShardPool
 from repro.obs import Observability
@@ -188,14 +188,10 @@ def _pairs_where(shard: LocalDHT, sel: np.ndarray | None = None) \
     for h, hi in wide.items():          # holders >= entity 64 (sparse)
         if not _contains_sorted(hs, h):
             continue
-        m = hi
-        while m:
-            low = m & -m
+        for bit in mask_bits(hi):
             out_h.append(np.array([h], dtype=_U64))
-            out_e.append(np.array([64 + low.bit_length() - 1],
-                                  dtype=np.int64))
+            out_e.append(np.array([64 + bit], dtype=np.int64))
             out_c.append(np.ones(1, dtype=np.int64))
-            m ^= low
     for h, ex in shard.extra_items():   # extra copies beyond the first
         if not _contains_sorted(hs, h):
             continue

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.dht.storage.base import ShardStorage, StorageState
 
-__all__ = ["LocalDHT", "ShardColumns"]
+__all__ = ["LocalDHT", "ShardColumns", "mask_bits"]
 
 _U64 = np.uint64
 _M64 = (1 << 64) - 1
@@ -63,6 +63,17 @@ _COMPACT_SHIFT = 3
 # Below this many updates the per-pair NumPy machinery costs more than the
 # scalar path; batches this small fall back to per-item insert/remove.
 _BULK_MIN = 8
+
+
+def mask_bits(mask: int) -> list[int]:
+    """Positions of the set bits of an entity (or node) mask, ascending —
+    the one decode of the mask format, whatever its width."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -623,13 +634,7 @@ class LocalDHT:
 
     def entity_ids(self, content_hash: int) -> list[int]:
         """Distinct holder entity IDs, ascending."""
-        mask = self._mask_of(int(content_hash))
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return mask_bits(self._mask_of(int(content_hash)))
 
     def num_entities(self, content_hash: int) -> int:
         return self._mask_of(int(content_hash)).bit_count()

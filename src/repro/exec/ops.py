@@ -7,11 +7,12 @@ attachment on the parallel path) plus plain-data arguments, and returns a
 plain picklable result.  No function mutates shard state or touches the
 sim clock — all state mutation and clock advance stay on the coordinator.
 
-This module is an import leaf (NumPy and stdlib only) so workers can
-unpickle these functions by reference without dragging the engine, the
-sim, or the query layer into the child process, and so every layer above
-can import it without cycles.  :class:`SharingBreakdown` lives here for
-the same reason.
+This module is an import leaf (NumPy, stdlib, and the mask decode of
+:mod:`repro.dht.table`, which a worker loads anyway to attach its shard)
+so workers can unpickle these functions by reference without dragging the
+engine, the sim, or the query layer into the child process, and so every
+layer above can import it without cycles.  :class:`SharingBreakdown`
+lives here for the same reason.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from repro.dht.table import mask_bits
 
 __all__ = [
     "SharingBreakdown", "se_scan", "bulk_masks", "bulk_num_copies",
@@ -218,12 +221,6 @@ def pairwise_shared(table, s_mask: int) -> dict[tuple[int, int], int]:
         in_s = (wide[h] & s_mask) if h in wide else lo_in[i]
         if in_s.bit_count() < 2:
             continue
-        members = []
-        m = in_s
-        while m:
-            low = m & -m
-            members.append(low.bit_length() - 1)
-            m ^= low
-        for a, b in combinations(members, 2):
+        for a, b in combinations(mask_bits(in_s), 2):
             shared[(a, b)] = shared.get((a, b), 0) + 1
     return shared

@@ -22,20 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dht.engine import ContentTracingEngine
+from repro.dht.table import mask_bits
 from repro.queries.interface import QueryResult, nodewise_result
 from repro.serve.request import NODEWISE_OPS
 from repro.sim.costmodel import CostModel
 
 __all__ = ["bulk_answers"]
-
-
-def _decode_mask(mask: int) -> set[int]:
-    ids: set[int] = set()
-    while mask:
-        low = mask & -mask
-        ids.add(low.bit_length() - 1)
-        mask ^= low
-    return ids
 
 
 def bulk_answers(engine: ContentTracingEngine, cost: CostModel, op: str,
@@ -72,7 +64,7 @@ def bulk_answers(engine: ContentTracingEngine, cost: CostModel, op: str,
             sub = q[np.asarray(idxs, dtype=np.int64)]
             masks_lo, wide = engine.shards[home].bulk_masks(sub)
             for row, h in enumerate(sub.tolist()):
-                values[h] = _decode_mask(wide.get(h, int(masks_lo[row])))
+                values[h] = set(mask_bits(wide.get(h, int(masks_lo[row]))))
 
     coverage = engine.coverage
     intact = {h: bool(f) for h, f in zip(uniq, engine.hashes_intact(q))}

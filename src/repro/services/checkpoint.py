@@ -443,26 +443,22 @@ def blocks_to_pages(block_ids: np.ndarray, page_size: int,
 
 @dataclass
 class _CkptNodeState:
-    """Per-node private service state for the checkpoint service."""
+    """Per-node private service state: what this node wrote.  The
+    ``ckpt.*`` registry counters are these tallies, pushed once per node
+    at teardown."""
 
-    # Interactive: node-local hash -> offset table built during the
-    # collective phase ("stored in a node-local hash table that maps from
-    # content hash to offset", §6.1).
-    offsets: dict[int, int] = field(default_factory=dict)
     shared_appends: int = 0
     pointer_records: int = 0
     data_records: int = 0
-    # Batch mode: deferred operations.
-    shared_plan: list[tuple[int, int]] = field(default_factory=list)
-    local_plan: list[tuple] = field(default_factory=list)
-    shared_plan_done: bool = False
-    local_plan_done: bool = False
-    failed: bool = False
 
 
 class CollectiveCheckpoint(ServiceCallbacks):
     """The collective checkpointing service command (~230 lines of C in the
     paper; the same callback structure here).
+
+    Batch mode records ``shared`` / ``ptr`` / ``data`` ops into the node's
+    ``ctx.plan`` and runs them in bulk: the shared-file ops at
+    ``collective_finalize``, the rest at the node's first ``local_finalize``.
 
     ``pfs``: write the shared content file through a
     :class:`repro.storage.ParallelFileSystem` instead of a node-local RAM
@@ -501,166 +497,120 @@ class CollectiveCheckpoint(ServiceCallbacks):
     # -- collective phase: write each distinct block to the shared file ----------------
 
     def _charge_block_append(self, ctx: NodeContext, amortize: float = 1.0,
-                             shared: bool = False) -> None:
+                             n_blocks: int = 1) -> None:
+        """Whole-block file appends; bulk appends amortize the base cost."""
         c = ctx.cost
         ctx.charge_per_block(c.file_append_base * amortize
                              + self.store.page_size
-                             * (c.file_append_per_byte + c.memcpy_per_byte))
-        if shared and self.pfs is not None:
+                             * (c.file_append_per_byte + c.memcpy_per_byte),
+                             n_blocks)
+
+    def _append_shared(self, ctx: NodeContext, content_hash: int,
+                       content_id: int, amortize: float) -> int:
+        """Append one distinct block to the shared content file."""
+        offset = self.store.shared.append(content_hash, content_id)
+        self._charge_block_append(ctx, amortize)
+        if self.pfs is not None:
             _client, server = self.pfs.append_costs(self.store.page_size)
             ctx.charge_shared(server * ctx.n_represented)
+        ctx.state.shared_appends += 1
+        return offset
 
     def collective_command(self, ctx: NodeContext, entity: Entity,
                            content_hash: int, block: BlockRef) -> Any:
         content_id = ctx.read_block(block)
-        st: _CkptNodeState = ctx.state
         if ctx.mode is ExecMode.BATCH:
-            st.shared_plan.append((int(content_hash), content_id))
+            ctx.plan.record("shared", int(content_hash), content_id)
             return True
-        offset = self.store.shared.append(content_hash, content_id)
-        self._charge_block_append(ctx, shared=True)
-        st.offsets[int(content_hash)] = offset
-        st.shared_appends += 1
-        ctx.count("ckpt.shared_appends")
-        return offset
+        return self._append_shared(ctx, content_hash, content_id, 1.0)
 
     def collective_finalize(self, ctx: NodeContext, role: EntityRole,
                             entity: Entity) -> None:
-        st: _CkptNodeState = ctx.state
-        if ctx.mode is ExecMode.BATCH and not st.shared_plan_done:
-            # Execute the shared-file part of the plan as one bulk append.
-            for h, cid in st.shared_plan:
-                offset = self.store.shared.append(h, cid)
-                st.offsets[h] = offset
-                st.shared_appends += 1
-                self._charge_block_append(ctx, amortize=1.0 / 16, shared=True)
-            ctx.count("ckpt.shared_appends", len(st.shared_plan))
-            st.shared_plan_done = True
+        if ctx.mode is ExecMode.BATCH and len(ctx.plan):
+            # Execute the shared-file part of the plan as one bulk append;
+            # the node's other entities then find the plan empty.
+            ctx.plan.execute({"shared": lambda h, cid: self._append_shared(
+                ctx, h, cid, 1.0 / 16)})
+            ctx.plan.clear()
 
     # -- local phase: per-SE checkpoint files ---------------------------------------------
 
-    def local_command(self, ctx: NodeContext, entity: Entity, page_idx: int,
-                      content_hash: int, block: BlockRef,
-                      handled_private: Any | None) -> None:
-        st: _CkptNodeState = ctx.state
-        if ctx.mode is ExecMode.BATCH:
-            if handled_private is not None:
-                st.local_plan.append(("ptr", entity.entity_id, page_idx,
-                                      int(content_hash)))
-            else:
-                st.local_plan.append(("data", entity.entity_id, page_idx,
-                                      int(content_hash),
-                                      entity.read_block_id(page_idx)))
-            return
-        f = self.store.se_file(entity.entity_id)
-        if handled_private is not None:
-            f.add_pointer(page_idx, content_hash, int(handled_private))
-            st.pointer_records += 1
-            ctx.count("ckpt.pointer_records")
-            ctx.charge_per_block(ctx.cost.file_append_base / 8
-                                 + _PTR_RECORD_BYTES
-                                 * ctx.cost.file_append_per_byte)
-        else:
-            f.add_data(page_idx, content_hash,
-                       entity.read_block_id(page_idx))
-            st.data_records += 1
-            ctx.count("ckpt.data_records")
-            self._charge_block_append(ctx)
+    def _covered_record(self, page_idx: int, content_hash: int,
+                        private: Any) -> tuple:
+        """The SE-file record of a block ``collective_command`` stored."""
+        return ("ptr", page_idx, content_hash, int(private))
 
     def local_command_batch(self, ctx: NodeContext, entity: Entity,
                             hashes: np.ndarray, covered: np.ndarray,
                             handled_map: dict[int, Any]) -> None:
-        """Vectorized local phase (same semantics as local_command)."""
-        st: _CkptNodeState = ctx.state
-        n = len(hashes)
-        n_cov = int(covered.sum())
-        c = ctx.cost
+        eid = entity.entity_id
+        blocks = enumerate(zip(hashes.tolist(), covered.tolist()))
         if ctx.mode is ExecMode.BATCH:
-            hlist = hashes.tolist()
-            for idx in range(n):
-                h = int(hlist[idx])
-                if covered[idx]:
-                    st.local_plan.append(("ptr", entity.entity_id, idx, h))
+            for idx, (h, is_covered) in blocks:
+                if is_covered:
+                    ctx.plan.record("ptr", eid, idx, h)
                 else:
-                    st.local_plan.append(("data", entity.entity_id, idx, h,
-                                          entity.read_block_id(idx)))
+                    ctx.plan.record("data", eid, idx, h,
+                                    entity.read_block_id(idx))
             return
-        f = self.store.se_file(entity.entity_id)
-        hlist = hashes.tolist()
-        for idx in range(n):
-            h = int(hlist[idx])
-            if covered[idx]:
-                f.add_pointer(idx, h, int(handled_map[h]))
+        f = self.store.se_file(eid)
+        for idx, (h, is_covered) in blocks:
+            if is_covered:
+                f.records.append(self._covered_record(idx, h, handled_map[h]))
             else:
                 f.add_data(idx, h, entity.read_block_id(idx))
-        st.pointer_records += n_cov
-        st.data_records += n - n_cov
-        ctx.count("ckpt.pointer_records", n_cov)
-        ctx.count("ckpt.data_records", n - n_cov)
-        ctx.charge_per_block(c.file_append_base / 8
-                             + _PTR_RECORD_BYTES * c.file_append_per_byte, n_cov)
-        ctx.charge_per_block(c.file_append_base + self.store.page_size
-                             * (c.file_append_per_byte + c.memcpy_per_byte),
-                             n - n_cov)
-
-    def local_finalize(self, ctx: NodeContext, entity: Entity) -> None:
-        st: _CkptNodeState = ctx.state
-        if ctx.mode is ExecMode.BATCH and not st.local_plan_done:
-            self._execute_local_plan(ctx)
-
-    def _execute_local_plan(self, ctx: NodeContext) -> None:
         st: _CkptNodeState = ctx.state
         c = ctx.cost
+        n_cov = int(covered.sum())
+        n_data = len(hashes) - n_cov
+        st.pointer_records += n_cov
+        st.data_records += n_data
+        ctx.charge_per_block(c.file_append_base / 8
+                             + _PTR_RECORD_BYTES * c.file_append_per_byte, n_cov)
+        self._charge_block_append(ctx, n_blocks=n_data)
+
+    def local_finalize(self, ctx: NodeContext, entity: Entity) -> None:
+        if ctx.mode is not ExecMode.BATCH or ctx.plan.executed:
+            return
+        st: _CkptNodeState = ctx.state
+        c = ctx.cost
+        store = self.store
         amortize = 1.0 / 16
         if self.refine_plan:
             # Plan refinement: sequential per-file write order -> deeper
             # append coalescing.
-            st.local_plan.sort(key=lambda op: (op[1], op[2]))
+            ctx.plan.reorder(key=lambda op: op.args[:2])  # (entity, page)
             amortize = 1.0 / 64
-        for op in st.local_plan:
-            if op[0] == "ptr":
-                _kind, eid, idx, h = op
-                offset = self.store.shared.offset_of(h)
-                if offset is None:
-                    # Plan said covered but the shared block never landed;
-                    # fall back to literal content (correctness first).
-                    cid = ctx.cluster.entity(eid).read_block_id(idx)
-                    self.store.se_file(eid).add_data(idx, h, cid)
-                    st.data_records += 1
-                    ctx.count("ckpt.data_records")
-                    self._charge_block_append(ctx, amortize=1.0 / 16)
-                    continue
-                self.store.se_file(eid).add_pointer(idx, h, offset)
-                st.pointer_records += 1
-                ctx.count("ckpt.pointer_records")
-                ctx.charge_per_block(c.file_append_base * amortize / 4
-                                     + _PTR_RECORD_BYTES * c.file_append_per_byte)
-            else:
-                _kind, eid, idx, h, cid = op
-                self.store.se_file(eid).add_data(idx, h, cid)
-                st.data_records += 1
-                ctx.count("ckpt.data_records")
-                self._charge_block_append(ctx, amortize=amortize)
-        st.local_plan_done = True
+
+        def data(eid: int, idx: int, h: int, cid: int,
+                 amortize: float = amortize) -> None:
+            store.se_file(eid).add_data(idx, h, cid)
+            st.data_records += 1
+            self._charge_block_append(ctx, amortize)
+
+        def ptr(eid: int, idx: int, h: int) -> None:
+            offset = store.shared.offset_of(h)
+            if offset is None:
+                # Plan said covered but the shared block never landed;
+                # fall back to literal content (correctness first).
+                data(eid, idx, h, ctx.cluster.entity(eid).read_block_id(idx),
+                     1.0 / 16)
+                return
+            store.se_file(eid).add_pointer(idx, h, offset)
+            st.pointer_records += 1
+            ctx.charge_per_block(c.file_append_base * amortize / 4
+                                 + _PTR_RECORD_BYTES * c.file_append_per_byte)
+
+        ctx.plan.execute({"ptr": ptr, "data": data})
 
     # -- teardown -------------------------------------------------------------------------
 
     def service_deinit(self, ctx: NodeContext) -> bool:
         st: _CkptNodeState = ctx.state
-        if ctx.mode is ExecMode.BATCH:
-            # PE-only nodes execute their shared plan here if no SE ever
-            # triggered collective_finalize on them (it always does, since
-            # collective_finalize runs for PEs too — this is a safety net).
-            if not st.shared_plan_done and st.shared_plan:
-                for h, cid in st.shared_plan:
-                    st.offsets[h] = self.store.shared.append(h, cid)
-                    st.shared_appends += 1
-                    self._charge_block_append(ctx, amortize=1.0 / 16,
-                                              shared=True)
-                st.shared_plan_done = True
-            if not st.local_plan_done and st.local_plan:
-                self._execute_local_plan(ctx)
-        return not st.failed
+        ctx.count("ckpt.shared_appends", st.shared_appends)
+        ctx.count("ckpt.pointer_records", st.pointer_records)
+        ctx.count("ckpt.data_records", st.data_records)
+        return True
 
 
 class RawCheckpoint:

@@ -7,8 +7,10 @@ content already stored in the base is recorded as a pointer into the
 base's shared content file rather than stored again.
 
 The service demonstrates the architecture's composability: it is the
-collective checkpoint with one extra node-local lookup — zero changes to
-the engine.  Each SE file now holds three record kinds:
+collective checkpoint with one extra node-local lookup in
+``collective_command`` and one extra record kind in the local phase —
+zero changes to the engine, and no local-phase callback of its own.  Each
+SE file now holds three record kinds:
 
 * base pointer  — content unchanged since the base checkpoint;
 * new pointer   — content new to this checkpoint but deduplicated into
@@ -28,11 +30,7 @@ import numpy as np
 from repro.core.command import ExecMode, NodeContext
 from repro.memory.entity import Entity
 from repro.memory.nsm import BlockRef
-from repro.services.checkpoint import (
-    CheckpointStore,
-    CollectiveCheckpoint,
-    _PTR_RECORD_BYTES,
-)
+from repro.services.checkpoint import CheckpointStore, CollectiveCheckpoint
 
 __all__ = ["IncrementalCheckpoint", "restore_incremental_entity",
            "CheckpointChain"]
@@ -71,38 +69,19 @@ class IncrementalCheckpoint(CollectiveCheckpoint):
         if base_off is not None:
             # Already stored by the base checkpoint: just remember where.
             ctx.charge_per_block(ctx.cost.query_compute_base)
-            ctx.state.offsets[int(content_hash)] = (_BASE_TAG, base_off)
             return (_BASE_TAG, base_off)
         return super().collective_command(ctx, entity, content_hash, block)
 
-    # -- local phase: three record kinds ---------------------------------------------------
+    # -- local phase: a third record kind ---------------------------------------------------
 
-    def local_command(self, ctx: NodeContext, entity: Entity, page_idx: int,
-                      content_hash: int, block: BlockRef,
-                      handled_private: Any | None) -> None:
-        if (isinstance(handled_private, tuple)
-                and handled_private[0] == _BASE_TAG):
-            f = self.store.se_file(entity.entity_id)
+    def _covered_record(self, page_idx: int, content_hash: int,
+                        private: Any) -> tuple:
+        if isinstance(private, tuple) and private[0] == _BASE_TAG:
             # The offset may be an int (single base) or a tagged tuple
-            # (chain view); stored verbatim either way.
-            f.records.append(("bptr", page_idx, int(content_hash),
-                              handled_private[1]))
-            ctx.state.pointer_records += 1
-            ctx.charge_per_block(ctx.cost.file_append_base / 8
-                                 + _PTR_RECORD_BYTES
-                                 * ctx.cost.file_append_per_byte)
-            return
-        super().local_command(ctx, entity, page_idx, content_hash, block,
-                              handled_private)
-
-    def local_command_batch(self, ctx: NodeContext, entity: Entity,
-                            hashes: np.ndarray, covered: np.ndarray,
-                            handled_map: dict[int, Any]) -> None:
-        # The scalar path already dispatches per record kind; reuse it.
-        for idx in range(len(hashes)):
-            h = int(hashes[idx])
-            self.local_command(ctx, entity, idx, h, None,
-                               handled_map.get(h))
+            # (chain view); stored verbatim either way.  A base pointer
+            # costs and counts as a pointer record.
+            return ("bptr", page_idx, content_hash, private[1])
+        return super()._covered_record(page_idx, content_hash, private)
 
 
 def restore_incremental_entity(store: CheckpointStore,

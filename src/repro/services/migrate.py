@@ -62,7 +62,7 @@ class CollectiveMigration(ServiceCallbacks):
 
     name = "collective-migration"
 
-    def __init__(self, plan: MigrationPlan, cluster_ref=None) -> None:
+    def __init__(self, plan: MigrationPlan) -> None:
         self.plan = plan
         self._page_size = 4096
 
@@ -107,21 +107,6 @@ class CollectiveMigration(ServiceCallbacks):
         st.bytes_sent += nbytes * ctx.n_represented
         return content_id
 
-    def local_command(self, ctx: NodeContext, entity: Entity, page_idx: int,
-                      content_hash: int, block: BlockRef,
-                      handled_private: Any | None) -> None:
-        st: _MigNodeState = ctx.state
-        if handled_private is not None:
-            st.blocks_dedup_source += 1
-            return
-        # ConCORD missed this block: ship it directly (correctness).
-        dest = self.plan.destinations[entity.entity_id]
-        nbytes = entity.page_size
-        ctx.send_bytes(dest, nbytes)
-        ctx.charge_per_block(ctx.cost.memcpy_per_byte * nbytes)
-        st.fallback_blocks += 1
-        st.bytes_sent += nbytes * ctx.n_represented
-
     def local_command_batch(self, ctx: NodeContext, entity: Entity,
                             hashes: np.ndarray, covered: np.ndarray,
                             handled_map: dict[int, Any]) -> None:
@@ -131,6 +116,7 @@ class CollectiveMigration(ServiceCallbacks):
         n_miss = n - n_cov
         st.blocks_dedup_source += n_cov
         if n_miss:
+            # ConCORD missed these blocks: ship them directly (correctness).
             dest = self.plan.destinations[entity.entity_id]
             nbytes = entity.page_size * n_miss
             ctx.send_bytes(dest, nbytes)
@@ -138,9 +124,6 @@ class CollectiveMigration(ServiceCallbacks):
                                  n_miss)
             st.fallback_blocks += n_miss
             st.bytes_sent += nbytes * ctx.n_represented
-
-    def service_deinit(self, ctx: NodeContext) -> bool:
-        return True
 
     # -- post-command relocation -----------------------------------------------------------
 

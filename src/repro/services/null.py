@@ -58,22 +58,10 @@ class NullService(ServiceCallbacks):
         ctx.state.collective_blocks += 1
         return True
 
-    def local_command(self, ctx: NodeContext, entity: Entity, page_idx: int,
-                      content_hash: int, block: BlockRef,
-                      handled_private: Any | None) -> None:
-        if ctx.mode is ExecMode.BATCH:
-            ctx.plan.record("touch", entity.entity_id, page_idx)
-        else:
-            entity.read_block_id(page_idx)
-            ctx.charge_per_block(ctx.cost.page_touch)
-        ctx.state.local_blocks += 1
-        if handled_private is not None:
-            ctx.state.covered_blocks += 1
-
     def local_command_batch(self, ctx: NodeContext, entity: Entity,
                             hashes: np.ndarray, covered: np.ndarray,
                             handled_map: dict[int, Any]) -> None:
-        """Vectorized local phase: one charge for all blocks."""
+        """The whole local phase of one SE: one charge for all blocks."""
         n = len(hashes)
         if ctx.mode is ExecMode.BATCH:
             ctx.plan.record("touch_all", entity.entity_id, n)
@@ -82,29 +70,24 @@ class NullService(ServiceCallbacks):
         ctx.state.local_blocks += n
         ctx.state.covered_blocks += int(covered.sum())
 
+    @staticmethod
+    def _run_plan(ctx: NodeContext) -> None:
+        """Batch mode's final step: touch everything the plan recorded."""
+        touch = ctx.cost.page_touch
+        ctx.plan.execute({
+            "touch": lambda _eid, _idx: ctx.charge_per_block(touch),
+            "touch_all": lambda _eid, n: ctx.charge_per_block(touch, n)})
+
     def local_finalize(self, ctx: NodeContext, entity: Entity) -> None:
         ctx.state.finalized_entities += 1
         if ctx.mode is ExecMode.BATCH and not ctx.plan.executed:
-            # Execute the recorded plan: touch everything now.
-            def touch(eid: int, _idx: int) -> None:
-                ctx.charge_per_block(ctx.cost.page_touch)
-
-            def touch_all(eid: int, n: int) -> None:
-                ctx.charge_per_block(ctx.cost.page_touch, n)
-
-            ctx.plan.execute({"touch": touch, "touch_all": touch_all})
+            self._run_plan(ctx)
 
     def service_deinit(self, ctx: NodeContext) -> bool:
         if (ctx.mode is ExecMode.BATCH and len(ctx.plan)
                 and not ctx.plan.executed):
             # A node holding only PEs never sees local_finalize; run its
             # collective-phase plan here.
-            def touch(eid: int, _idx: int) -> None:
-                ctx.charge_per_block(ctx.cost.page_touch)
-
-            def touch_all(eid: int, n: int) -> None:
-                ctx.charge_per_block(ctx.cost.page_touch, n)
-
-            ctx.plan.execute({"touch": touch, "touch_all": touch_all})
+            self._run_plan(ctx)
         ctx.state.deinit_called = True
         return True

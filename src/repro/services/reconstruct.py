@@ -15,7 +15,10 @@ tracking ConCORD did while the VM was alive.  The service command then:
   the engine's handled-set dissemination delivers to the SE's node);
 * local phase: fills every descriptor page — from the shipped content when
   available, else from the backing store (the checkpoint), charging the
-  slower storage-read cost.
+  slower storage-read cost.  The target's own pages are blank, so what a
+  page needs is keyed by the *descriptor's* hash, not the block's: the
+  service implements the whole-entity ``local_command_batch``, which is
+  handed the node's full handled map.
 
 The result is always a complete image; the win is the fraction sourced
 from cheap live memory instead of storage.
@@ -123,55 +126,40 @@ class CollectiveReconstruction(ServiceCallbacks):
         ctx.state.from_network += 1
         return content_id
 
-    def local_command(self, ctx: NodeContext, entity: Entity, page_idx: int,
-                      content_hash: int, block: BlockRef,
-                      handled_private: Any | None) -> None:
-        """Runs on the destination node: fill one target page."""
-        if entity.entity_id != self.descriptor.entity_id:
-            return
-        want_hash = int(self.descriptor.hashes[page_idx])
-        if handled_private is not None and int(content_hash) == want_hash:
-            # The blank page already matched?  Only possible if the blank
-            # content coincides with the target; nothing to do.
-            ctx.state.pages_filled += 1
-            return
-        shipped = self._shipped(ctx, want_hash)
-        if shipped is not None:
-            entity.write_page(page_idx, shipped)
-            ctx.charge_per_block(
-                ctx.cost.memcpy_per_byte * self.descriptor.page_size)
-        else:
-            cid = self._read_backing(want_hash, page_idx)
-            entity.write_page(page_idx, cid)
-            ctx.charge_per_block(
-                _STORAGE_READ_BASE
-                + _STORAGE_READ_PER_BYTE * self.descriptor.page_size)
-            ctx.state.from_storage += 1
-        ctx.state.pages_filled += 1
-
     def local_command_batch(self, ctx: NodeContext, entity: Entity,
                             hashes: np.ndarray, covered: np.ndarray,
                             handled_map: dict[int, Any]) -> None:
-        # The engine prefers this entry point, which (unlike the scalar
-        # callback) sees the full handled map — reconstruction needs it
-        # keyed by *descriptor* hashes, not by the blank pages' hashes.
-        self._handled_map = handled_map
-        for idx in range(len(hashes)):
-            self.local_command(ctx, entity, idx, int(hashes[idx]), None,
-                               handled_map.get(int(hashes[idx])))
+        """Runs on the destination node: fill every target page.
 
-    # -- helpers ----------------------------------------------------------------------
-
-    _handled_map: dict[int, Any] = {}
-
-    def _shipped(self, ctx: NodeContext, want_hash: int) -> int | None:
-        """Content delivered by the collective phase for a hash, if any."""
-        priv = self._handled_map.get(want_hash)
-        # bool is an int subclass; True is the engine's "handled, no data"
-        # marker and must not be mistaken for a content ID.
-        if isinstance(priv, bool) or not isinstance(priv, int):
-            return None
-        return priv
+        ``hashes`` are the *blank* target's; what a page needs is named by
+        the descriptor, so shipped content is looked up in ``handled_map``
+        under the descriptor's hash — which is why this service takes the
+        whole-entity form of the local phase.
+        """
+        if entity.entity_id != self.descriptor.entity_id:
+            return
+        st: _ReconNodeState = ctx.state
+        page_size = self.descriptor.page_size
+        wanted = self.descriptor.hashes.tolist()
+        for idx, (h, is_covered) in enumerate(zip(hashes.tolist(),
+                                                  covered.tolist())):
+            st.pages_filled += 1
+            want_hash = wanted[idx]
+            if is_covered and h == want_hash:
+                # The blank page already matched?  Only possible if the
+                # blank content coincides with the target; nothing to do.
+                continue
+            shipped = handled_map.get(want_hash)
+            # bool is an int subclass; True is the engine's "handled, no
+            # data" marker and must not be mistaken for a content ID.
+            if isinstance(shipped, int) and not isinstance(shipped, bool):
+                entity.write_page(idx, shipped)
+                ctx.charge_per_block(ctx.cost.memcpy_per_byte * page_size)
+            else:
+                entity.write_page(idx, self._read_backing(want_hash, idx))
+                ctx.charge_per_block(_STORAGE_READ_BASE
+                                     + _STORAGE_READ_PER_BYTE * page_size)
+                st.from_storage += 1
 
     def _read_backing(self, want_hash: int, page_idx: int) -> int:
         offset = self.backing.shared.offset_of(want_hash)
@@ -184,7 +172,3 @@ class CollectiveReconstruction(ServiceCallbacks):
                     return (self.backing.shared.read(payload)
                             if kind == "ptr" else payload)
         raise KeyError(f"hash {want_hash:#x} in neither live memory nor store")
-
-    def attach_handled(self, handled_map: dict[int, Any]) -> None:
-        """Called by the runner after the command to expose shipped blocks."""
-        self._handled_map = handled_map

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Cluster, ConCORD, ConCORDConfig, workloads
+
+
+def load_tool(name: str):
+    """Import ``tools/<name>.py`` (not a package) as a module, once."""
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 @pytest.fixture

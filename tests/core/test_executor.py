@@ -5,13 +5,17 @@ of paper §4.3: phase ordering, roles, replica retry on stale content,
 collective_select, handled-set dissemination, and accounting.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.command import CommandFailed, ExecMode, ServiceCallbacks
+from repro.core.events import CommandTracer, EventKind
 from repro.core.scope import EntityRole, ServiceScope
+from repro.dht.table import mask_bits
 from repro.services.null import NullService
-from repro import workloads
+from repro import Cluster, ConCORD, ConCORDConfig, workloads
 from tests.conftest import make_system
 
 
@@ -22,6 +26,8 @@ class ProbeService(ServiceCallbacks):
 
     def __init__(self):
         self.trace = []
+        self.blocks = []        # (entity, idx, hash, covered, private)
+        self.block_refs = []    # the BlockRef local_command got, per block
         self.fail_hashes = set()
 
     def service_init(self, ctx, config):
@@ -47,6 +53,9 @@ class ProbeService(ServiceCallbacks):
                       handled_private):
         self.trace.append(("lcmd", entity.entity_id, page_idx,
                            handled_private is not None))
+        self.blocks.append((entity.entity_id, page_idx, content_hash,
+                            handled_private is not None, handled_private))
+        self.block_refs.append(block)
 
     def local_finalize(self, ctx, entity):
         self.trace.append(("lfin", entity.entity_id))
@@ -120,6 +129,77 @@ class TestProtocolOrdering:
         assert result.stats.stale_unhandled == 0
 
 
+class ArrayProbeService(ProbeService):
+    """ProbeService's array-form twin: takes the local phase as one
+    ``local_command_batch`` call per SE instead of one call per block."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def local_command(self, *args):
+        raise AssertionError("the engine enters the local phase through "
+                             "local_command_batch only")
+
+    def local_command_batch(self, ctx, entity, hashes, covered, handled_map):
+        self.batches.append((entity, hashes, covered, handled_map))
+        for idx, (h, is_covered) in enumerate(zip(hashes.tolist(),
+                                                  covered.tolist())):
+            self.trace.append(("lcmd", entity.entity_id, idx, is_covered))
+            self.blocks.append((entity.entity_id, idx, h, is_covered,
+                                handled_map.get(h)))
+
+
+class TestLocalPhaseEntry:
+    """One entry into the local phase: the default ``local_command_batch``
+    is the per-block loop, an override sees the same blocks as arrays."""
+
+    @staticmethod
+    def stale_run(probe, mode=ExecMode.INTERACTIVE):
+        cluster, ents, concord = make_system(
+            n_nodes=2, spec=workloads.moldy(3, 48, seed=8))
+        ents[0].write_pages(np.arange(8), np.arange(8, dtype=np.uint64)
+                            + 10**9)    # stale: these fall back to local
+        scope = ServiceScope.of([e.entity_id for e in ents[:2]],
+                                [ents[2].entity_id])
+        result = concord.execute_command(probe, scope, mode=mode, seed=3)
+        return ents, probe, result
+
+    @pytest.mark.parametrize("mode", [ExecMode.INTERACTIVE, ExecMode.BATCH])
+    def test_default_loop_and_array_override_see_the_same_blocks(self, mode):
+        _e, scalar, r_scalar = self.stale_run(ProbeService(), mode)
+        _e, array, r_array = self.stale_run(ArrayProbeService(), mode)
+        assert scalar.blocks == array.blocks
+        assert scalar.trace == array.trace
+        assert r_scalar.stats == r_array.stats
+        assert r_scalar.wall_time == r_array.wall_time
+        kinds = {(covered, private is not None)
+                 for _e, _i, _h, covered, private in scalar.blocks}
+        assert kinds == {(True, True), (False, False)}
+
+    def test_default_loop_resolves_each_block_against_ground_truth(self):
+        ents, probe, _r = self.stale_run(ProbeService())
+        by_id = {e.entity_id: e for e in ents}
+        assert len(probe.block_refs) == len(probe.blocks) > 0
+        for (eid, _idx, h, _c, _p), ref in zip(probe.blocks,
+                                               probe.block_refs):
+            assert ref.entity_id == eid
+            assert int(by_id[eid].content_hashes()[ref.page_idx]) == h
+
+    def test_arrays_are_the_entitys_hashes_and_handled_membership(self):
+        ents, probe, result = self.stale_run(ArrayProbeService())
+        assert [b[0] for b in probe.batches] == ents[:2]   # SEs only, in order
+        for entity, hashes, covered, handled_map in probe.batches:
+            assert (hashes == entity.content_hashes()).all()
+            assert covered.dtype == bool and len(covered) == len(hashes)
+            assert covered.tolist() == [h in handled_map
+                                        for h in hashes.tolist()]
+            assert handled_map.items() <= result.handled_private.items()
+        n_cov = sum(int(b[2].sum()) for b in probe.batches)
+        assert 0 < n_cov == result.stats.covered_blocks
+        assert result.stats.uncovered_blocks >= 8
+
+
 class TestStalenessAndRetry:
     def test_mutation_after_scan_triggers_retry_and_local_fallback(self):
         spec = workloads.nasty(2, 64, seed=2)
@@ -167,6 +247,40 @@ class TestStalenessAndRetry:
         # Every shared hash is still handled via entity 1.
         for h in shared.tolist():
             assert int(h) in result.handled_private
+
+
+class TestWideScope:
+    """More than 64 nodes and entity IDs past 63: masks spill out of the
+    uint64 column, and holder decode must still reach every SE's node."""
+
+    def test_exchange_and_handled_set_follow_the_dht_masks(self):
+        cluster = Cluster(n_nodes=66, cost="big-cluster", seed=9)
+        ents = workloads.instantiate(cluster, workloads.moldy(70, 16, seed=9))
+        concord = ConCORD(cluster, ConCORDConfig())
+        concord.initial_scan()
+        scope = ServiceScope.of([e.entity_id for e in ents])
+        tracer = CommandTracer()
+        result = concord.execute_command(ProbeService(), scope, tracer=tracer)
+
+        tracing = concord.tracing
+        believed = {int(h) for e in ents for h in e.content_hashes().tolist()}
+        assert set(result.handled_private) == believed
+        expected = Counter()
+        wide_holders = 0
+        for h in believed:
+            home = tracing.home_node(h)
+            holders = mask_bits(tracing.shards[home].entities_mask(h)
+                                & scope.se_mask)
+            wide_holders += sum(1 for e in holders if e >= 64)
+            for dst in {cluster.node_of(e) for e in holders}:
+                expected[(home, dst)] += 1
+        assert wide_holders > 0
+        exchanged = {(src, dst): n for src, dst, n in
+                     (e.data for e in tracer.of_kind(EventKind.EXCHANGE))}
+        assert exchanged == dict(expected)
+        assert len(exchanged) == tracer.count(EventKind.EXCHANGE)
+        # Every node was told about every hash its SEs hold.
+        assert result.stats.coverage == 1.0
 
 
 class TestSelection:

@@ -4,18 +4,16 @@ the workload and the value once anything the modelled cluster decides
 differs, 2 for files it cannot compare."""
 
 import copy
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from tests.conftest import load_tool
+
 pytest.importorskip("bench.metrics")
 
-_TOOL = Path(__file__).resolve().parents[2] / "tools" / "bench_sim_diff.py"
-_spec = importlib.util.spec_from_file_location("bench_sim_diff", _TOOL)
-tool = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tool)
+tool = load_tool("bench_sim_diff")
 
 RECORD = {
     "workload": "pipeline", "trace": 0, "repeats": 2, "digest": "abc",
