@@ -160,9 +160,13 @@ _U64 = np.uint64
 _ONE = np.uint64(1)
 
 
-def _contains_sorted(sorted_hashes: np.ndarray, h: int) -> bool:
-    i = int(np.searchsorted(sorted_hashes, _U64(h)))
-    return i < len(sorted_hashes) and int(sorted_hashes[i]) == h
+def _in_sorted(sorted_hashes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in ``sorted_hashes`` (boolean, per key)."""
+    if not len(sorted_hashes):
+        return np.zeros(len(keys), dtype=bool)
+    i = np.minimum(np.searchsorted(sorted_hashes, keys),
+                   len(sorted_hashes) - 1)
+    return sorted_hashes[i] == keys
 
 
 def _pairs_where(shard: LocalDHT, sel: np.ndarray | None = None) \
@@ -185,20 +189,19 @@ def _pairs_where(shard: LocalDHT, sel: np.ndarray | None = None) \
             out_h.append(rows)
             out_e.append(np.full(len(rows), eid, dtype=np.int64))
             out_c.append(np.ones(len(rows), dtype=np.int64))
-    for h, hi in wide.items():          # holders >= entity 64 (sparse)
-        if not _contains_sorted(hs, h):
-            continue
-        for bit in mask_bits(hi):
-            out_h.append(np.array([h], dtype=_U64))
-            out_e.append(np.array([64 + bit], dtype=np.int64))
-            out_c.append(np.ones(1, dtype=np.int64))
-    for h, ex in shard.extra_items():   # extra copies beyond the first
-        if not _contains_sorted(hs, h):
-            continue
-        for e, c in ex.items():
-            out_h.append(np.array([h], dtype=_U64))
-            out_e.append(np.array([e], dtype=np.int64))
-            out_c.append(np.array([c], dtype=np.int64))
+    if wide:                            # holders >= entity 64 (sparse)
+        wh = np.fromiter(wide, dtype=_U64, count=len(wide))
+        for h in wh[_in_sorted(hs, wh)].tolist():
+            bits = mask_bits(wide[h])
+            out_h.append(np.full(len(bits), h, dtype=_U64))
+            out_e.append(np.asarray(bits, dtype=np.int64) + 64)
+            out_c.append(np.ones(len(bits), dtype=np.int64))
+    xh, xe, xc = shard.extra_arrays()   # extra copies beyond the first
+    if len(xh):
+        keep = _in_sorted(hs, xh)
+        out_h.append(xh[keep])
+        out_e.append(xe[keep])
+        out_c.append(xc[keep])
     if out_h:
         return (np.concatenate(out_h), np.concatenate(out_e),
                 np.concatenate(out_c))

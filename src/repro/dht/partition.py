@@ -53,6 +53,7 @@ __all__ = ["NoAliveNodeError", "NodeRing", "Partition",
 # each shard would hold a contiguous hash range and per-shard iteration
 # order would correlate with content.
 _ROUTE_SALT = np.uint64(0xC2B2AE3D27D4EB4F)
+_ROUTE_SALT_INT = int(_ROUTE_SALT)      # scalar routing stays on Python ints
 # Per-node identity salt (signatures) — distinct from the routing salt so
 # node state never collides with key state.
 _NODE_SALT = np.uint64(0x9E3779B97F4A7C15)
@@ -82,7 +83,7 @@ class _ModPlacer:
         self.n_nodes = n_nodes
 
     def primary(self, content_hash: int) -> int:
-        return int(mix64(np.uint64(content_hash) ^ _ROUTE_SALT)) % self.n_nodes
+        return int(mix64(int(content_hash) ^ _ROUTE_SALT_INT)) % self.n_nodes
 
     def primaries(self, h: np.ndarray) -> np.ndarray:
         return (mix64(h ^ _ROUTE_SALT) % np.uint64(self.n_nodes)).astype(np.int64)
@@ -104,7 +105,7 @@ class _HDPlacer:
         self._sigs = _node_sigs(n_nodes)
 
     def primary(self, content_hash: int) -> int:
-        key = mix64(np.uint64(content_hash) ^ _ROUTE_SALT)
+        key = mix64(int(content_hash) ^ _ROUTE_SALT_INT)
         return int(np.argmax(mix64(key ^ self._sigs)))
 
     def primaries(self, h: np.ndarray) -> np.ndarray:

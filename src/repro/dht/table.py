@@ -18,15 +18,23 @@ while every scan-shaped consumer gets contiguous arrays to vectorize over.
 
 Entities holding *multiple* copies of the same block (the reason
 ``num_copies`` can exceed the entity count) are tracked in a sparse
-per-hash overflow table (``_extra``), mirroring
-:class:`repro.util.bitmap.EntityBitmap` semantics without paying an object
-per entry.
+overflow: copies beyond an entity's first.  It has a write side and a read
+side.  The write side is a dict of dicts (``_extra``: hash -> {entity:
+extra copies}), which point updates and the storage/``ShardColumns``
+formats want, and which only :meth:`LocalDHT._extra_add`,
+:meth:`LocalDHT._extra_take` and :meth:`LocalDHT._set_state` ever mutate.
+The read side is :meth:`LocalDHT.extra_arrays`: the same entries as three
+columns sorted by (hash, entity), built on first use and kept until one of
+those three writers runs, each of which drops it — so a scan pays one
+vector ``searchsorted`` for the whole overflow instead of a Python step
+per entry, and a view can never outlive the dict it was built from.
 
 Bulk APIs (:meth:`bulk_insert`, :meth:`bulk_remove`, :meth:`se_scan`,
-:meth:`items_arrays`, :meth:`bulk_masks`, :meth:`bulk_num_copies`) are
-observationally equivalent to looping the per-item operations; the
-property suite in ``tests/properties/test_props_columnar.py`` checks this
-for interleaved sequences including the wide-mask spill path.
+:meth:`items_arrays`, :meth:`bulk_masks`, :meth:`bulk_num_copies`,
+:meth:`extra_arrays`) are observationally equivalent to looping the
+per-item operations; the property suite in
+``tests/properties/test_props_columnar.py`` checks this for interleaved
+sequences of every mutator, including the wide-mask spill path.
 
 Storage (docs/STORAGE.md): a shard may be backed by a
 :class:`~repro.dht.storage.base.ShardStorage`.  Every packed-column
@@ -119,17 +127,14 @@ class ShardColumns:
         """
         t = LocalDHT(node_id=self.node_id)
         n = self.n_rows
+        ph, pm = t._ph, t._pm    # empty
         if self.path is not None and n:
             buf = np.memmap(self.path, dtype=_U64, mode="r", shape=(2 * n,))
-            t._ph = buf[:n]
-            t._pm = buf[n:]
+            ph, pm = buf[:n], buf[n:]
         elif self.hashes is not None:
-            t._ph = self.hashes
-            t._pm = self.masks
-        t._pw = dict(self.wide)
-        t._extra = {h: dict(ex) for h, ex in self.extra.items()}
-        t._n_hashes = self.n_hashes
-        t._total_copies = self.n_copies
+            ph, pm = self.hashes, self.masks
+        t._set_state(ph, pm, self.wide, self.extra,
+                     self.n_hashes, self.n_copies)
         return t
 
 
@@ -146,8 +151,10 @@ class LocalDHT:
         self._pm = np.empty(0, dtype=_U64)   # packed masks, bits 0..63
         self._pw: dict[int, int] = {}        # hash -> mask >> 64 (wide spill)
         self._delta: dict[int, int] = {}     # hash -> full mask (0 = deleted)
-        # hash -> {entity_id: extra copies beyond the first}
+        # hash -> {entity_id: extra copies beyond the first}; written only
+        # by _extra_add / _extra_take / _set_state, which drop _view
         self._extra: dict[int, dict[int, int]] = {}
+        self._view = None                    # cached extra_arrays()
         self._total_copies = 0
         self._n_hashes = 0
         if storage is not None and storage.persistent:
@@ -158,15 +165,23 @@ class LocalDHT:
 
     # -- storage backend (docs/STORAGE.md) ---------------------------------------------
 
+    def _set_state(self, ph: np.ndarray, pm: np.ndarray, wide: dict,
+                   extra: dict, n_hashes: int, n_copies: int) -> None:
+        """Replace the whole live state (side tables are copied, the
+        overlay starts empty).  The one place ``_extra`` is assigned."""
+        self._ph = ph
+        self._pm = pm
+        self._pw = dict(wide)
+        self._delta = {}
+        self._extra = {h: dict(ex) for h, ex in extra.items()}
+        self._view = None
+        self._n_hashes = n_hashes
+        self._total_copies = n_copies
+
     def _adopt(self, state: StorageState) -> None:
         """Replace the live state with a loaded/committed snapshot."""
-        self._ph = state.ph
-        self._pm = state.pm
-        self._pw = dict(state.wide)
-        self._delta = {}
-        self._extra = {h: dict(ex) for h, ex in state.extra.items()}
-        self._n_hashes = state.n_hashes
-        self._total_copies = state.n_copies
+        self._set_state(state.ph, state.pm, state.wide, state.extra,
+                        state.n_hashes, state.n_copies)
         self.epoch = state.epoch
 
     def _persist(self) -> None:
@@ -201,13 +216,8 @@ class LocalDHT:
         """Simulated node crash: all RAM state (including the un-flushed
         delta overlay) is lost; a persistent backend keeps its last
         commit.  Contrast :meth:`clear`, the logical wipe."""
-        self._ph = np.empty(0, dtype=_U64)
-        self._pm = np.empty(0, dtype=_U64)
-        self._pw = {}
-        self._delta = {}
-        self._extra = {}
-        self._total_copies = 0
-        self._n_hashes = 0
+        empty = np.empty(0, dtype=_U64)
+        self._set_state(empty, empty, {}, {}, 0, 0)
 
     def recover(self) -> bool:
         """Reload the last committed state (warm rejoin); False when
@@ -294,6 +304,38 @@ class LocalDHT:
             pm = np.insert(pm, ins, nv)
         self._ph, self._pm = ph, pm
 
+    # -- overflow writes: with _set_state, the only code that mutates _extra ----------
+
+    def _extra_add(self, h: int, entity_id: int, n: int) -> None:
+        """Record ``n`` more copies beyond the first for (hash, entity)."""
+        ex = self._extra.setdefault(h, {})
+        ex[entity_id] = ex.get(entity_id, 0) + n
+        self._view = None
+
+    def _extra_take(self, h: int, entity_id: int | None = None,
+                    n: int | None = None) -> int:
+        """Forget up to ``n`` extra copies of (hash, entity) — all of them
+        when ``n`` is None, every entity's when ``entity_id`` is None.
+        Returns how many went (0: there were none, nothing changed)."""
+        ex = self._extra.get(h)
+        if ex is None:
+            return 0
+        if entity_id is None:
+            took = sum(self._extra.pop(h).values())
+        else:
+            have = ex.get(entity_id)
+            if have is None:
+                return 0
+            took = have if n is None else min(n, have)
+            if took < have:
+                ex[entity_id] = have - took
+            else:
+                del ex[entity_id]
+                if not ex:
+                    del self._extra[h]
+        self._view = None
+        return took
+
     # -- updates (paper Fig 3: insert/remove) ------------------------------------------
 
     def insert(self, content_hash: int, entity_id: int) -> None:
@@ -302,8 +344,7 @@ class LocalDHT:
         bit = 1 << entity_id
         mask = self._mask_of(h)
         if mask & bit:
-            extra = self._extra.setdefault(h, {})
-            extra[entity_id] = extra.get(entity_id, 0) + 1
+            self._extra_add(h, entity_id, 1)
         else:
             if mask == 0:
                 self._n_hashes += 1
@@ -318,20 +359,12 @@ class LocalDHT:
         mask = self._mask_of(h)
         if not mask & bit:
             return False
-        extra = self._extra.get(h)
-        if extra and entity_id in extra:
-            if extra[entity_id] == 1:
-                del extra[entity_id]
-                if not extra:
-                    del self._extra[h]
-            else:
-                extra[entity_id] -= 1
-        else:
+        if not self._extra_take(h, entity_id, 1):   # extras go first
             mask &= ~bit
             self._delta[h] = mask
             if mask == 0:
                 self._n_hashes -= 1
-                self._extra.pop(h, None)
+                self._extra_take(h)
             self._maybe_compact()
         self._total_copies -= 1
         return True
@@ -428,9 +461,7 @@ class LocalDHT:
         # of which (c - 1 + already_held) land in the overflow table.
         extra_add = counts - 1 + held
         for j in np.flatnonzero(extra_add > 0).tolist():
-            hh, ee = int(ph[j]), int(pe[j])
-            ex = self._extra.setdefault(hh, {})
-            ex[ee] = ex.get(ee, 0) + int(extra_add[j])
+            self._extra_add(int(ph[j]), int(pe[j]), int(extra_add[j]))
         or_mask = np.bitwise_or.reduceat(bits, hstarts)
         was_zero = cur_lo == 0
         if cur_hi:
@@ -473,24 +504,15 @@ class LocalDHT:
         clear = held.copy()
         applied_arr = held.astype(np.int64)
         if self._extra:
-            ex_tab = self._extra
+            extra = self._extra
             for j in np.flatnonzero(held).tolist():
                 hh = int(ph[j])
-                ex = ex_tab.get(hh)
-                if ex is None:
-                    continue
-                ee = int(pe[j])
-                have = ex.get(ee)
-                if have is None:
+                if hh not in extra:
                     continue
                 c = int(counts[j])
-                peel = min(c, have)
-                if have > peel:
-                    ex[ee] = have - peel
-                else:
-                    del ex[ee]
-                    if not ex:
-                        del ex_tab[hh]
+                peel = self._extra_take(hh, int(pe[j]), c)
+                if not peel:
+                    continue
                 if c > peel:
                     applied_arr[j] = peel + 1        # extras, then the bit
                 else:
@@ -507,7 +529,7 @@ class LocalDHT:
         n_died = int(died.sum())
         if n_died and self._extra:
             for i in np.flatnonzero(died).tolist():
-                self._extra.pop(int(uh[i]), None)
+                self._extra_take(int(uh[i]))
         self._n_hashes -= n_died
         batch_applied = int(applied_arr.sum())
         self._total_copies -= batch_applied
@@ -556,13 +578,13 @@ class LocalDHT:
         if not len(drop_idx):
             return 0
         copies = int(np.bitwise_count(self._pm[drop_idx]).sum())
+        extra = self._extra
         for h in self._ph[drop_idx].tolist():
             hi = self._pw.pop(h, None)
             if hi is not None:
                 copies += hi.bit_count()
-            ex = self._extra.pop(h, None)
-            if ex:
-                copies += sum(ex.values())
+            if h in extra:
+                copies += self._extra_take(h)
         self._ph = self._ph[keep]
         self._pm = self._pm[keep]
         self._n_hashes -= len(drop_idx)
@@ -587,10 +609,7 @@ class LocalDHT:
                 for h in [h for h, ex in self._extra.items()
                           if entity_id in ex]:
                     if self._mask_of(h) & (1 << entity_id):
-                        ex = self._extra[h]
-                        removed += ex.pop(entity_id)
-                        if not ex:
-                            del self._extra[h]
+                        removed += self._extra_take(h, entity_id)
             new_pm = self._pm & ~bit
             dead = sel & (new_pm == 0)
             if self._pw:
@@ -600,7 +619,7 @@ class LocalDHT:
             self._pm = new_pm
             if dead.any():
                 for h in self._ph[dead].tolist():
-                    self._extra.pop(h, None)
+                    self._extra_take(h)
                 self._n_hashes -= int(dead.sum())
                 keep = ~dead
                 self._ph, self._pm = self._ph[keep], self._pm[keep]
@@ -608,15 +627,12 @@ class LocalDHT:
             hi_bit = 1 << (entity_id - 64)
             affected = [h for h, hi in self._pw.items() if hi & hi_bit]
             for h in affected:
-                removed += 1
-                removed += self._extra.get(h, {}).pop(entity_id, 0)
-                if not self._extra.get(h, True):
-                    del self._extra[h]
+                removed += 1 + self._extra_take(h, entity_id)
                 mask = self._mask_of(h) & ~(1 << entity_id)
                 self._delta[h] = mask
                 if mask == 0:
                     self._n_hashes -= 1
-                    self._extra.pop(h, None)
+                    self._extra_take(h)
             self._compact()
         self._total_copies -= removed
         if removed:
@@ -652,8 +668,33 @@ class LocalDHT:
         return self._extra.get(int(content_hash), {})
 
     def extra_items(self) -> Iterable[tuple[int, dict[int, int]]]:
-        """All (hash, overflow dict) entries; sparse, usually tiny."""
+        """All (hash, overflow dict) entries — the write side, entry by
+        entry.  Bulk readers use :meth:`extra_arrays`."""
         return self._extra.items()
+
+    def extra_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The overflow as columns: ``(hashes, entities, counts)``, one
+        row per (hash, entity) entry of :meth:`extra_items`, sorted by
+        (hash, entity) — how scans read extra copies in bulk.
+
+        Built on first use and cached until the next overflow write; the
+        arrays are shared and read-only.
+        """
+        view = self._view
+        if view is None:
+            extra = self._extra
+            n = sum(map(len, extra.values()))
+            h = np.fromiter((h for h, ex in extra.items() for _ in ex),
+                            dtype=_U64, count=n)
+            e = np.fromiter((e for ex in extra.values() for e in ex),
+                            dtype=np.int64, count=n)
+            c = np.fromiter((c for ex in extra.values() for c in ex.values()),
+                            dtype=np.int64, count=n)
+            order = np.lexsort((e, h))
+            view = self._view = (h[order], e[order], c[order])
+            for col in view:
+                col.setflags(write=False)
+        return view
 
     def copies_of(self, content_hash: int, entity_id: int) -> int:
         h = int(content_hash)
@@ -773,17 +814,12 @@ class LocalDHT:
             for i, hh in enumerate(q.tolist()):
                 if hh in wide:
                     counts[i] = wide[hh].bit_count()
-        if self._extra:
-            qset = {}
+        extra = self._extra
+        if extra:
             for i, hh in enumerate(q.tolist()):
-                qset.setdefault(hh, []).append(i)
-            for h, ex in self._extra.items():
-                rows = qset.get(h)
-                if rows:
-                    add = sum(ex.values())
-                    for i in rows:
-                        if counts[i]:
-                            counts[i] += add
+                ex = extra.get(hh)
+                if ex is not None and counts[i]:
+                    counts[i] += sum(ex.values())
         return counts
 
     # -- iteration / stats -----------------------------------------------------------

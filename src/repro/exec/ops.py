@@ -79,6 +79,14 @@ def shard_in_s_copies(table, s_mask: int) \
     intersecting S, their low-64 in-S holder bits, the exact per-hash
     copy count inside S (extras and wide holders folded in), and the
     full-mask dict for wide rows.
+
+    Extra copies come from the shard's columnar overflow view
+    (:meth:`~repro.dht.table.LocalDHT.extra_arrays`): one vector
+    ``searchsorted`` of its hashes into the scanned rows, a vector test
+    that the entry's entity holds the row inside S, one scatter-add —
+    the cost does not grow a Python step per overflow entry.  Only
+    entries of entities >= 64 are visited one by one, since their
+    holder bit lives in the ``wide`` full mask.
     """
     hashes, lo, wide = table.se_scan(s_mask)
     n = len(hashes)
@@ -90,13 +98,17 @@ def shard_in_s_copies(table, s_mask: int) \
         for h, full in wide.items():
             i = int(np.searchsorted(hashes, _U64(h)))
             copies[i] = (full & s_mask).bit_count()
-    for h, ex in table.extra_items():
-        i = int(np.searchsorted(hashes, _U64(h)))
-        if i >= n or int(hashes[i]) != h:
-            continue
-        in_s = (wide[h] if h in wide else int(in_s_lo[i])) & s_mask
-        copies[i] += sum(c for eid, c in ex.items()
-                         if in_s & (1 << eid))
+    xh, xe, xc = table.extra_arrays()
+    if len(xh):
+        row = np.minimum(np.searchsorted(hashes, xh), n - 1)
+        scanned = hashes[row] == xh
+        narrow = xe < 64
+        bit = (xe & 63).astype(_U64)    # in range; wide rows are masked out
+        held = scanned & narrow & (((in_s_lo[row] >> bit) & _ONE) != 0)
+        np.add.at(copies, row[held], xc[held])
+        for j in np.flatnonzero(scanned & ~narrow).tolist():
+            if wide.get(int(xh[j]), 0) & s_mask & (1 << int(xe[j])):
+                copies[row[j]] += xc[j]
     return hashes, in_s_lo, copies, wide
 
 

@@ -11,12 +11,33 @@ fine-grain data services need at scale).
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
+
+import numpy as np
 
 from repro.queries.interface import OPS
 from repro.serve.config import ServeConfig
 from repro.serve.request import QoSClass, Rejected, RejectReason, Request
 
 __all__ = ["TokenBucket", "AdmissionController"]
+
+_INTEGER = (int, np.integer)
+_HASH_MAX = (1 << 64) - 1
+
+
+def _entity_ids_ok(ids) -> bool:
+    """A hashable collection of non-negative integer entity ids?  (The
+    coalescing key hashes it; the cache key iterates it again.)"""
+    try:
+        hash(ids)
+    except TypeError:
+        return False
+    if not isinstance(ids, Collection):
+        return False
+    for e in ids:
+        if not isinstance(e, _INTEGER) or e < 0:
+            return False
+    return True
 
 
 class TokenBucket:
@@ -101,15 +122,25 @@ class AdmissionController:
               now: float) -> Rejected | None:
         """``None`` admits; otherwise the typed shed answer.
 
-        A request the op table cannot execute — unknown op, wrong arity,
-        ``k`` not a positive int — is refused here, so it never reaches a
-        batch it would abort.  Queue capacity is checked before the rate
-        limit so a full queue does not consume tokens it cannot use.
+        A request the op table cannot execute is refused here, so it
+        never reaches a batch it would abort: unknown op, wrong arity, a
+        node-wise hash that is not an integer in ``[0, 2**64)``, an
+        entity set that is not a hashable collection of non-negative
+        integers, ``k`` not a positive int.  Queue capacity is checked
+        before the rate limit so a full queue does not consume tokens it
+        cannot use.
         """
         spec = OPS.get(req.op)
-        if spec is None or len(req.args) != 1 + spec.takes_k or (
-                spec.takes_k and not (isinstance(req.args[1], int)
-                                      and req.args[1] >= 1)):
+        args = req.args
+        if spec is None or len(args) != 1 + spec.takes_k:
+            return Rejected(RejectReason.BAD_REQUEST)
+        first = args[0]
+        if spec.nodewise:
+            ok = isinstance(first, _INTEGER) and 0 <= first <= _HASH_MAX
+        else:
+            ok = _entity_ids_ok(first) and (not spec.takes_k or (
+                isinstance(args[1], int) and args[1] >= 1))
+        if not ok:
             return Rejected(RejectReason.BAD_REQUEST)
         if queue_depth >= self.cfg.queue_limit:
             # Earliest useful retry: one batching window from now, when

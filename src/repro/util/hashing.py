@@ -39,10 +39,12 @@ __all__ = [
 ]
 
 _U64 = np.uint64
+_M64 = (1 << 64) - 1
 
 # splitmix64 finalizer constants (Steele et al., "Fast splittable PRNGs").
 _M1 = _U64(0xBF58476D1CE4E5B9)
 _M2 = _U64(0x94D049BB133111EB)
+_M1_INT, _M2_INT = int(_M1), int(_M2)
 # Inverses of _M1/_M2 modulo 2**64, for unmix64.
 _M1_INV = _U64(pow(0xBF58476D1CE4E5B9, -1, 2**64))
 _M2_INV = _U64(pow(0x94D049BB133111EB, -1, 2**64))
@@ -62,8 +64,19 @@ class HashAlgo(enum.Enum):
 def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     """splitmix64 finalizer: a fast, invertible 64-bit mixing function.
 
-    Accepts a scalar or a ``uint64`` array; returns the same shape.
+    Accepts a scalar or a ``uint64`` array; returns the same shape.  An
+    integer scalar (the per-request routing call) is mixed on Python
+    ints — the same function bit for bit, without building a 0-d array.
     """
+    if isinstance(x, (int, np.integer)):
+        z = int(x)
+        if z >> 64:     # negative, or 2**64 and up
+            raise OverflowError(f"{z} does not fit an unsigned 64-bit word")
+        z ^= z >> 30
+        z = (z * _M1_INT) & _M64
+        z ^= z >> 27
+        z = (z * _M2_INT) & _M64
+        return _U64(z ^ (z >> 31))
     with np.errstate(over="ignore"):
         z = np.asarray(x, dtype=_U64)
         z = z ^ (z >> _U64(30))

@@ -110,9 +110,15 @@ class TestPlacementPolicies:
     def test_scalar_matches_vector(self, policy):
         p = Partition(9, policy=policy)
         hs = np.random.default_rng(0).integers(0, 2**63, 300, dtype=np.uint64)
+        # The scalar path routes on Python ints: the ends of the 64-bit
+        # range and the salts themselves are where a dropped mask shows.
+        hs = np.append(hs, np.array([0, 1, 2**63, 2**64 - 1,
+                                     0xC2B2AE3D27D4EB4F, 0x9E3779B97F4A7C15],
+                                    dtype=np.uint64))
         homes = p.home_nodes(hs)
         for h, home in zip(hs.tolist(), homes.tolist()):
             assert p.home_node(int(h)) == home
+            assert p.home_node(np.uint64(h)) == home
 
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
     def test_balance(self, policy):

@@ -1,7 +1,10 @@
 """Unit tests for the local DHT shard."""
 
+import numpy as np
 
+from repro.dht.engine import _pairs_where
 from repro.dht.table import LocalDHT
+from repro.exec.ops import shard_in_s_copies
 
 
 class TestInsertRemove:
@@ -141,3 +144,73 @@ class TestReferenceSemantics:
             assert t.entity_ids(h) == want_entities
             assert t.num_copies(h) == want_copies
         assert t.n_copies == sum(model.values())
+
+
+class TestOverflowReadCost:
+    """The bulk readers of the multi-copy overflow cost what they ask for:
+    a fixed number of vector steps, however many entries it holds."""
+
+    N_ROWS = 2000
+
+    def shard(self, n_overflow):
+        """N_ROWS hashes held by entities 0 and 1; the first
+        ``n_overflow`` of them hold extra copies (two entries each)."""
+        t = LocalDHT()
+        h = np.arange(1, self.N_ROWS + 1, dtype=np.uint64) * np.uint64(7919)
+        for eid in (0, 1):
+            t.bulk_insert(h, eid)
+        twice = h[:n_overflow // 2]
+        t.bulk_insert(np.concatenate([twice, twice]),
+                      np.repeat([0, 1], len(twice)))
+        assert len(t.extra_arrays()[0]) == n_overflow
+        return t
+
+    @staticmethod
+    def searchsorted_calls(monkeypatch, fn):
+        calls = []
+        real = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "searchsorted", counted)
+            fn()
+        return len(calls)
+
+    def test_shard_in_s_copies_steps_do_not_grow_with_the_overflow(
+            self, monkeypatch):
+        small, large = self.shard(10), self.shard(1000)
+        for t, n in ((small, 10), (large, 1000)):
+            copies = shard_in_s_copies(t, 0b01)[2]
+            assert copies.sum() == self.N_ROWS + n // 2
+        assert (self.searchsorted_calls(
+                    monkeypatch, lambda: shard_in_s_copies(small, 0b11))
+                == self.searchsorted_calls(
+                    monkeypatch, lambda: shard_in_s_copies(large, 0b11)))
+
+    def test_pairs_where_steps_do_not_grow_with_the_overflow(
+            self, monkeypatch):
+        small, large = self.shard(10), self.shard(1000)
+        sel = np.arange(self.N_ROWS) < self.N_ROWS // 2   # has the overflow
+        for t, n in ((small, 10), (large, 1000)):
+            assert _pairs_where(t)[2].sum() == 2 * self.N_ROWS + n
+            assert _pairs_where(t, sel)[2].sum() == self.N_ROWS + n
+            assert _pairs_where(t, ~sel)[2].sum() == self.N_ROWS
+        assert (self.searchsorted_calls(
+                    monkeypatch, lambda: _pairs_where(small, sel))
+                == self.searchsorted_calls(
+                    monkeypatch, lambda: _pairs_where(large, sel)))
+
+    def test_view_is_built_once_per_mutation(self):
+        t = self.shard(10)
+        view = t.extra_arrays()
+        shard_in_s_copies(t, 0b11)
+        _pairs_where(t)
+        t.bulk_num_copies(view[0])
+        assert t.extra_arrays() is view         # reads never rebuild it
+        t.insert(int(view[0][0]), 0)            # any overflow write does
+        assert t.extra_arrays() is not view
+        assert t.extra_arrays()[2][0] == view[2][0] + 1
+        assert t.extra_arrays() is t.extra_arrays()

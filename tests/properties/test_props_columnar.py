@@ -1,12 +1,20 @@
 """Property tests: the columnar LocalDHT bulk/scan APIs are observationally
 equivalent to the per-item insert/remove/items() semantics, including the
->64-entity wide-mask spill path and interleaved insert/remove sequences."""
+>64-entity wide-mask spill path and interleaved insert/remove sequences —
+and the columnar overflow view (``extra_arrays``) and its three bulk
+readers agree with the per-item accessors after every kind of mutation."""
+
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dht.engine import _pairs_where
+from repro.dht.storage import StorageConfig, open_storage
 from repro.dht.table import LocalDHT
+from repro.exec.ops import shard_in_s_copies
 
 # A tiny hash universe forces heavy collisions (multicopy + extras paths);
 # entity ids beyond 63 exercise the wide-mask spill.
@@ -113,3 +121,104 @@ class TestScanEquivalence:
             full = wide[hh] if hh in wide else int(masks_lo[i])
             assert full == dht.entities_mask(hh)
             assert int(counts[i]) == dht.num_copies(hh)
+
+
+# -- the overflow view: every mutator, reads in between ----------------------------
+
+# Few hashes and few entities (both sides of the 64-bit spill, up to 130),
+# so the same (hash, entity) pair recurs and the overflow actually fills.
+x_hashes = st.integers(min_value=0, max_value=9)
+x_eids = st.sampled_from([0, 1, 2, 63, 64, 65, 130])
+x_pair = st.tuples(x_hashes, x_eids)
+x_pairs = st.lists(x_pair, max_size=40)
+# (name, argument) steps covering every method that writes the overflow.
+mutations = st.one_of(
+    st.tuples(st.just("insert"), x_pair),
+    st.tuples(st.just("remove"), x_pair),
+    st.tuples(st.just("bulk_insert"), x_pairs),
+    st.tuples(st.just("bulk_remove"), x_pairs),
+    st.tuples(st.just("retain"), st.sets(x_hashes, max_size=4)),
+    st.tuples(st.just("remove_entity"), x_eids),
+    st.tuples(st.just("crash_recover"), st.booleans()),   # flush first?
+)
+# Each step says whether the readers run after it: a view built by a read
+# and left stale by the next write shows at the read after that.
+steps = st.lists(st.tuples(mutations, st.booleans()), min_size=1,
+                 max_size=14)
+
+
+def _mutate(dht, name, arg):
+    if name in ("insert", "remove"):
+        getattr(dht, name)(*arg)
+    elif name in ("bulk_insert", "bulk_remove"):
+        getattr(dht, name)(*_as_arrays(arg))
+    elif name == "retain":
+        dht.retain(~np.isin(dht.items_arrays()[0],
+                            np.fromiter(arg, dtype=np.uint64,
+                                        count=len(arg))))
+    elif name == "remove_entity":
+        dht.remove_entity(arg)
+    else:
+        if arg:
+            dht.flush()
+        dht.crash()
+        _check_overflow_readers(dht, (), frozenset(), frozenset())
+        dht.recover()
+
+
+def _check_overflow_readers(dht, queries, s_eids, unselected):
+    """The view and its three bulk readers against the per-item oracle."""
+    xh, xe, xc = dht.extra_arrays()
+    flat = sorted((h, e, c) for h, ex in dht.extra_items()
+                  for e, c in ex.items())
+    assert list(zip(xh.tolist(), xe.tolist(), xc.tolist())) == flat
+    assert (xh.dtype, xe.dtype, xc.dtype) == (np.uint64, np.int64, np.int64)
+
+    q = np.asarray(queries, dtype=np.uint64)
+    assert dht.bulk_num_copies(q).tolist() == [dht.num_copies(h)
+                                               for h in queries]
+
+    s_mask = sum(1 << e for e in s_eids)
+    got_h, _lo, copies, _wide = shard_in_s_copies(dht, s_mask)
+    assert got_h.tolist() == [h for h, m in dht.items() if m & s_mask]
+    assert copies.tolist() == [sum(dht.copies_of(h, e) for e in s_eids)
+                               for h in got_h.tolist()]
+
+    rows = dht.items_arrays()[0]
+    for sel in (None, ~np.isin(rows, np.fromiter(unselected, dtype=np.uint64,
+                                                 count=len(unselected)))):
+        chosen = rows if sel is None else rows[sel]
+        want = Counter({(h, e): dht.copies_of(h, e)
+                        for h in chosen.tolist() for e in dht.entity_ids(h)})
+        got = Counter()
+        for h, e, c in zip(*(col.tolist() for col in _pairs_where(dht, sel))):
+            got[(h, e)] += c
+        assert got == want
+
+
+class TestOverflowView:
+    @pytest.mark.parametrize("backend", ["memory", "mmap", "sqlite"])
+    @given(st.lists(x_pair, min_size=12, max_size=40), steps,
+           st.lists(st.integers(min_value=0, max_value=12),
+                    max_size=12),     # absent and repeated hashes
+           st.sets(x_eids, max_size=4), st.sets(x_hashes, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_view_and_readers_match_per_item_after_every_mutator(
+            self, backend, start, seq, queries, s_eids, unselected):
+        store = open_storage(StorageConfig(backend=backend), 1)
+        try:
+            dht = LocalDHT(storage=store.shards[0])
+            dht.bulk_insert(*_as_arrays(start))
+            dht.flush()
+            _check_overflow_readers(dht, queries, s_eids, unselected)
+            for (name, arg), read_after in seq:
+                _mutate(dht, name, arg)
+                if read_after:
+                    _check_overflow_readers(dht, queries, s_eids, unselected)
+                    # What a pool worker sees: an attachment builds its
+                    # own view from the exported overflow.
+                    _check_overflow_readers(dht.export_columns().attach(),
+                                            queries, s_eids, unselected)
+            _check_overflow_readers(dht, queries, s_eids, unselected)
+        finally:
+            store.close()

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dht.partition import Partition
+from repro.dht.partition import PLACEMENT_POLICIES, Partition
 from repro.dht.table import LocalDHT
 from repro.memory.monitor import multiset_diff
 from repro.util.bitmap import EntityBitmap
@@ -18,6 +18,18 @@ class TestHashingProps:
     @given(ids)
     def test_mix64_bijective(self, x):
         assert int(unmix64(mix64(x))) == x
+
+    @given(ids)
+    def test_mix64_scalar_matches_vector(self, x):
+        want = mix64(np.array([x], dtype=np.uint64))[0]
+        assert mix64(x) == want and mix64(np.uint64(x)) == want
+
+    @given(ids, st.sampled_from(PLACEMENT_POLICIES),
+           st.integers(min_value=1, max_value=12))
+    def test_scalar_routing_matches_vector(self, x, policy, n_nodes):
+        p = Partition(n_nodes, policy=policy)
+        want = int(p.home_nodes(np.array([x], dtype=np.uint64))[0])
+        assert p.home_node(x) == p.home_node(np.uint64(x)) == want
 
     @given(st.lists(ids, min_size=1, max_size=200))
     def test_page_hashes_respect_equality_structure(self, xs):

@@ -1,5 +1,6 @@
 """End-to-end tests of the query-serving frontend."""
 
+import numpy as np
 import pytest
 
 from repro.obs import ObsConfig, Observability
@@ -120,6 +121,47 @@ class TestServing:
         assert fe.pending == 0
         assert fe.obs.registry.value("serve.rejected",
                                      reason="bad_request") == 6
+
+    def test_malformed_first_argument_rejected_without_hurting_the_batch(
+            self):
+        # A hash or entity set the cache key cannot normalise used to be
+        # admitted, raise inside the drain, and take engine.run() and the
+        # well-formed requests of the same window down with it.
+        cluster, _c, q, fe, h = build()
+        eids = tuple(sorted(cluster.all_entity_ids()))
+        good, bad = [], []
+        fe.submit("num_copies", (h,), on_done=good.append)
+        malformed = [("num_copies", ("abc",)),
+                     ("num_copies", (1 << 64,)),
+                     ("entities", (-1,)),
+                     ("entities", (float(h),)),
+                     ("sharing", (7,)),
+                     ("sharing", ((0, "x"),)),
+                     ("sharing", ((0, -1),)),
+                     ("sharing", (list(eids),)),       # unhashable key
+                     ("num_shared_content", ("01", 2))]
+        for op, args in malformed:
+            fe.submit(op, args, on_done=bad.append)
+        assert len(bad) == len(malformed)  # answered synchronously
+        assert all(r.rejected and r.answer.reason is RejectReason.BAD_REQUEST
+                   for r in bad)
+        fe.submit("sharing", (eids,), on_done=good.append)
+        cluster.engine.run()
+        assert [r.answer for r in good] == [
+            q.num_copies(h, 0), q.sharing(list(eids))]
+        assert fe.pending == 0
+
+    def test_integer_typed_arguments_of_any_width_are_admitted(self):
+        cluster, _c, q, fe, h = build()
+        eids = sorted(cluster.all_entity_ids())
+        got = drain(cluster, fe, [
+            ("num_copies", (np.uint64(h),), {}),
+            ("num_copies", ((1 << 64) - 1,), {}),
+            ("sharing", (tuple(np.int64(e) for e in eids),), {}),
+            ("sharing", (frozenset(eids),), {})])
+        assert [r.rejected for r in got] == [False] * 4
+        assert got[0].answer == q.num_copies(h, 0)
+        assert got[2].value == q.sharing(eids).value
 
     def test_queue_full_sheds(self):
         cluster, _c, _q, fe, h = build(ServeConfig(queue_limit=3))

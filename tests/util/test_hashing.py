@@ -38,6 +38,23 @@ class TestMix64:
         for x, y in zip(xs.tolist(), ys.tolist()):
             assert int(mix64(int(x))) == y
 
+    # 0, 1, the sign bit, all ones, and the routing / page salts (the
+    # values the scalar routing path XORs in before mixing).
+    EDGES = [0, 1, 2**63, 2**64 - 1, 0xC2B2AE3D27D4EB4F, 0x9E3779B97F4A7C15]
+
+    @pytest.mark.parametrize("x", EDGES)
+    def test_integer_scalar_is_the_vector_function(self, x):
+        want = mix64(np.array([x], dtype=np.uint64))[0]
+        for scalar in (x, np.uint64(x), np.asarray(x, dtype=np.uint64)):
+            got = mix64(scalar)
+            assert type(got) is np.uint64 and got == want
+        assert int(unmix64(mix64(x))) == x
+
+    @pytest.mark.parametrize("x", [-1, 2**64, -2**70])
+    def test_integer_scalar_out_of_range_raises(self, x):
+        with pytest.raises(OverflowError):
+            mix64(x)
+
     def test_avalanche(self):
         """Flipping one input bit flips ~half the output bits."""
         a = int(mix64(0x1234567890ABCDEF))
