@@ -1,58 +1,47 @@
-"""Benchmark support: run figure specs through the shared BenchRunner.
+"""Figure regeneration support: run one experiment, archive its table.
 
-Every file here exercises one :data:`repro.harness.benchsuite.
-FIGURE_SPECS` entry via the ``figure`` fixture, which
-
-* runs the spec once under pytest-benchmark (timing in its own table),
-* prints the regenerated paper table (visible with ``-s``) and archives
-  it under ``benchmarks/results/<name>.txt`` for EXPERIMENTS.md,
-* and, when ``BENCH_TRAJECTORY`` names a file, appends the run's
-  schema-versioned record there — the same time series ``repro bench``
-  writes (docs/BENCHMARKS.md).
+Every file here requests one :data:`repro.harness.ALL_EXPERIMENTS` runner
+via the ``figure`` fixture — the same call ``repro run <name>`` makes —
+which prints the regenerated paper table (visible with ``-s``), archives
+it under ``benchmarks/results/<name>.txt`` for EXPERIMENTS.md, and hands
+the table back for the shape assertions that pin each paper claim.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/
+
+Nothing is timed here: sim-time figures are deterministic, and Figs 5/8
+measure host nanoseconds inside their own runners.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
-from repro.harness.benchsuite import FIGURE_SPECS
-from repro.obs.bench import BenchRunner, append_records
+from repro.harness import ALL_EXPERIMENTS
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-_RUNNER = BenchRunner()
-
 
 @pytest.fixture
-def figure(benchmark):
-    """Run one figure spec; archive + print its Table and return it.
+def figure():
+    """Run one experiment; archive + print its Table and return it.
 
-    ``figure("fig05", sizes=(...), reps=...)`` runs ``FIGURE_SPECS
-    ["fig05"]`` with those param overrides.  ``out`` renames the archived
-    file when it differs from the spec key (e.g. ``monitor`` ->
-    ``monitor_overhead.txt``).
+    ``figure("fig05", sizes=(...), reps=...)`` calls
+    ``ALL_EXPERIMENTS["fig05"]`` with those keyword arguments.  ``out``
+    renames the archived file when it differs from the experiment id
+    (e.g. ``monitor`` -> ``monitor_overhead.txt``).
     """
 
     def _run(name: str, out: str | None = None, **params):
-        spec = FIGURE_SPECS[name]
-        record, table = benchmark.pedantic(
-            lambda: _RUNNER.run_spec(spec, **params),
-            iterations=1, rounds=1)
+        table = ALL_EXPERIMENTS[name](**params)
         RESULTS_DIR.mkdir(exist_ok=True)
         text = table.render()
         (RESULTS_DIR / f"{out or name}.txt").write_text(text + "\n")
         print()
         print(text)
-        trajectory = os.environ.get("BENCH_TRAJECTORY")
-        if trajectory:
-            append_records(trajectory, [record])
         return table
 
     return _run

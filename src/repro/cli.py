@@ -19,8 +19,8 @@ Usage::
     python -m repro lab --grid full --filter moldy,churn --list
 
 ``bench`` appends one schema-versioned record per spec to
-``BENCH_trajectory.json`` and, with ``--compare``, exits 1 when a gated
-metric regresses past the budget (docs/BENCHMARKS.md).
+``BENCH_trajectory.json`` and, with ``--compare``, exits 1 when a metric
+regresses past the budget or is dropped (docs/BENCHMARKS.md).
 
 Exit status is non-zero on unknown experiment names, so the CLI is usable
 from shell scripts and CI.
@@ -81,19 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--list", action="store_true", dest="list_specs",
                     help="list registered benchmark specs and exit")
     be.add_argument("--filter", default=None, metavar="SUBSTR",
-                    help="only run specs whose name contains SUBSTR")
+                    help="only run (or list) specs whose name contains "
+                         "SUBSTR")
     be.add_argument("--compare", type=Path, default=None, metavar="BASELINE",
                     help="compare against a baseline file; exit 1 on any "
-                         "gated metric past the budget")
+                         "metric past the budget or dropped")
     be.add_argument("--budget", default="10%",
                     help="allowed regression, e.g. '25%%' or '0.25' "
                          "(default: 10%%)")
-    be.add_argument("--profile", action="store_true",
-                    help="profile each spec (one cProfile phase per spec) "
-                         "and export hotspot tables to --out")
-    be.add_argument("--out", type=Path, default=Path("bench-artifacts"),
-                    help="directory for hotspot/folded artifacts "
-                         "(default: bench-artifacts/)")
     be.add_argument("--trajectory", type=Path,
                     default=Path("BENCH_trajectory.json"),
                     help="time-series file records are appended to "
@@ -107,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--selftest", action="store_true",
                     help="inject a synthetic 2x slowdown and verify the "
                          "gate trips (exits 1 when it does — armed)")
-    be.add_argument("--workers", type=int, default=None,
-                    help="ShardPool size for the exec.* specs (default: "
-                         "host CPU count; recorded in the env fingerprint)")
     be.add_argument("--storage", default=None,
                     choices=["memory", "mmap", "sqlite"],
                     help="shard storage backend the benchmark systems use "
@@ -347,7 +339,6 @@ def _parse_budget(text: str) -> float:
 def _cmd_bench(args, out) -> int:
     from repro.core.config import ConCORDConfig
     from repro.harness.benchsuite import build_default_runner
-    from repro.obs import ProfileSession
     from repro.obs.bench import (BaselineError, append_records, compare,
                                  diff_table, gate_selftest, load_baseline,
                                  write_baseline)
@@ -364,9 +355,16 @@ def _cmd_bench(args, out) -> int:
               "not trip the gate", file=sys.stderr)
         return 2
 
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
+    runner = build_default_runner()
+    if args.list_specs:
+        names = [n for n in runner.names()
+                 if args.filter is None or args.filter in n]
+        width = max(map(len, names), default=0)
+        for name in names:
+            spec = runner.specs[name]
+            print(f"{name:<{width}}  [{spec.tier}] {spec.doc}", file=out)
+        return 0
+
     # The storage flags flow through the env so every system a spec
     # builds with a default StorageConfig picks the backend up; saved
     # here and restored after the run so one invocation cannot leak its
@@ -379,21 +377,9 @@ def _cmd_bench(args, out) -> int:
     if args.chunking is not None:
         env_override["CONCORD_CHUNKING"] = args.chunking
     env_saved = {k: os.environ.get(k) for k in env_override}
-    runner = build_default_runner(workers=args.workers)
-    # The workers the exec.* specs actually fanned out over: part of the
-    # environment, so trajectory points are comparable only like-for-like.
     defaults = ConCORDConfig()
-    env_extra = {"workers": args.workers or (os.cpu_count() or 1),
-                 "storage": args.storage or defaults.storage.backend,
+    env_extra = {"storage": args.storage or defaults.storage.backend,
                  "chunking": args.chunking or defaults.chunking}
-    if args.list_specs:
-        names = runner.names("figure") if args.filter == "figure" \
-            else runner.names()
-        width = max(len(n) for n in names)
-        for name in names:
-            spec = runner.specs[name]
-            print(f"{name:<{width}}  [{spec.tier}] {spec.doc}", file=out)
-        return 0
 
     baseline = None
     if args.compare is not None:
@@ -404,13 +390,11 @@ def _cmd_bench(args, out) -> int:
             return 2
 
     tier = "full" if args.full else "quick"
-    profiler = ProfileSession() if args.profile else None
     t0 = time.perf_counter()
     os.environ.update(env_override)
     try:
         records = runner.run(
-            tier=tier, filter_substr=args.filter, profiler=profiler,
-            env_extra=env_extra,
+            tier=tier, filter_substr=args.filter, env_extra=env_extra,
             progress=lambda n, rec: print(
                 f"[{n}: {rec['runtime_s']:.3f}s, "
                 f"{len(rec['metrics'])} metrics]", file=out))
@@ -431,9 +415,6 @@ def _cmd_bench(args, out) -> int:
         doc = append_records(args.trajectory, records)
         print(f"[trajectory: {args.trajectory} now holds "
               f"{len(doc['records'])} record(s)]", file=out)
-    if profiler is not None:
-        for p in profiler.write(args.out, f"bench-{tier}"):
-            print(f"[profile -> {p}]", file=out)
     if args.write_baseline is not None:
         p = write_baseline(args.write_baseline, records)
         print(f"[baseline written: {p}]", file=out)
@@ -443,10 +424,11 @@ def _cmd_bench(args, out) -> int:
         print(diff_table(diffs, budget).render(), file=out)
         failures = [d for d in diffs if d.regressed]
         if failures:
-            print(f"error: {len(failures)} metric(s) regressed past the "
-                  f"{budget:.0%} budget (see table above)", file=sys.stderr)
+            print(f"error: {len(failures)} metric(s) dropped or regressed "
+                  f"past the {budget:.0%} budget (see table above)",
+                  file=sys.stderr)
             return 1
-        print(f"[gate: OK, no gated metric worse than {budget:.0%} "
+        print(f"[gate: OK, no metric dropped or worse than {budget:.0%} "
               f"of {args.compare}]", file=out)
     return 0
 

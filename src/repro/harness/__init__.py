@@ -29,14 +29,13 @@ from repro.harness.experiments import (
     run_faults,
     ALL_EXPERIMENTS,
 )
-from repro.harness.benchsuite import FIGURE_SPECS, build_default_runner
+from repro.harness.benchsuite import build_default_runner
 from repro.harness.trace import run_traced_experiment, run_traced_null
 
 __all__ = [
     "run_traced_experiment",
     "run_traced_null",
     "build_default_runner",
-    "FIGURE_SPECS",
     "run_fig05",
     "run_fig06",
     "run_fig07",

@@ -1,30 +1,25 @@
-"""The benchmark suite: every perf-sensitive path as a registered BenchSpec.
+"""The benchmark suite: every gated number as a registered BenchSpec.
 
-Three tiers (see docs/BENCHMARKS.md):
+Two tiers (see docs/BENCHMARKS.md):
 
 * ``quick`` — seconds-scale, run per-PR in CI against the committed
-  ``baselines/ci.json``.  Their *sim*/*count* metrics are deterministic
-  functions of the seed, so the regression gate is machine-independent;
-  wall metrics ride along ungated as trajectory data.
+  ``baselines/ci.json``.
 * ``full`` — the quick tier plus minutes-scale sweeps (1 M-hash scans,
   big-cluster points); run by the weekly scheduled CI job.
-* ``figure`` — one spec per paper figure/ablation, wrapping the
-  :mod:`repro.harness.experiments` runners.  The ``benchmarks/`` pytest
-  suite executes these through the same runner, so figure regeneration
-  and perf tracking share one record schema.
 
-PR 1's seed-shape-vs-columnar scan and insert ratios are frozen in
-docs/BENCHMARKS.md; columnar scan/insert rates are measured by the repo
-benchmark (``bench/``), and scan equivalence is pinned by
-``tests/properties/test_props_columnar.py``.
+Every metric is a *sim* or *count* value — a deterministic function of
+the seed — so the regression gate is machine-independent.  Host time is
+not measured here: scan/insert rates, pool dispatch, storage commit and
+repair host seconds are per-layer metrics of the repo benchmark
+(``bench/``, ``BENCHMARK.json``).  Paper figures run through
+:data:`repro.harness.experiments.ALL_EXPERIMENTS` (``repro run``,
+``pytest benchmarks/``), not through this suite.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
-import time
 
 import numpy as np
 
@@ -33,10 +28,7 @@ from repro.core.concord import ConCORD
 from repro.core.config import ConCORDConfig
 from repro.core.scope import ServiceScope
 from repro.dht.engine import ContentTracingEngine
-from repro.dht.storage import BACKENDS, StorageConfig, open_storage
-from repro.dht.table import LocalDHT
-from repro.exec import ShardPool
-from repro.exec import ops as _ops
+from repro.dht.storage import StorageConfig
 from repro.obs.bench import BenchContext, BenchRunner, BenchSpec
 from repro.services.checkpoint import CheckpointStore, CollectiveCheckpoint
 from repro.services.null import NullService
@@ -44,165 +36,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.costmodel import BIG_CLUSTER, NEW_CLUSTER
 from repro import workloads
 
-__all__ = [
-    "build_default_runner",
-    "FIGURE_SPECS",
-    "figure_runner",
-]
-
-
-# ---------------------------------------------------------------------------
-# Hot-path micro-benchmark: single-op latency (Fig 5's shape)
-# ---------------------------------------------------------------------------
-
-_SCOPE_MASK = 0b1111   # entities 0..3 in scope
-
-
-def _best_of(fn, *args, repeat: int = 3) -> tuple[float, object]:
-    """Best-of-N with all reps of one path consecutive (interleaving two
-    compared paths would evict each other's working set every rep)."""
-    best = float("inf")
-    out = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, out
-
-
-def _hotpath_single_op(ctx: BenchContext, _state) -> None:
-    """Fig 5's micro shape: single insert/remove ns at a given table size."""
-    size = ctx.params["size"]
-    reps = ctx.params["reps"]
-    rng = np.random.default_rng(0)
-    dht = LocalDHT()
-    dht.bulk_insert(rng.integers(0, 2**63, size=size, dtype=np.uint64), 0)
-    probe = rng.integers(2**63, 2**64 - 1, size=reps, dtype=np.uint64).tolist()
-    it = iter(probe)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        dht.insert(next(it), 1)
-    t_ins = (time.perf_counter() - t0) / reps
-    it = iter(probe)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        dht.remove(next(it), 1)
-    t_rm = (time.perf_counter() - t0) / reps
-    ctx.wall("insert_hash_ns", t_ins * 1e9, unit="ns")
-    ctx.wall("delete_hash_ns", t_rm * 1e9, unit="ns")
-
-
-# ---------------------------------------------------------------------------
-# Parallel execution backend (docs/PARALLEL.md): ShardPool fan-out vs serial
-# ---------------------------------------------------------------------------
-
-_EXEC_N_ENTITIES = 8
-
-
-def _exec_setup(params: dict) -> list[LocalDHT]:
-    """``n_shards`` independent shard tables, ``size`` rows each, compacted
-    (publish/scan work, not build work, is what these specs time)."""
-    rng = np.random.default_rng(params.get("seed", 0))
-    shards = []
-    for node in range(params["n_shards"]):
-        keys = rng.integers(0, 2**63, size=params["size"], dtype=np.uint64)
-        eids = rng.integers(0, _EXEC_N_ENTITIES, size=params["size"],
-                            dtype=np.int64)
-        t = LocalDHT(node_id=node)
-        t.bulk_insert(keys, eids)
-        t.items_arrays()  # force compaction out of the timed region
-        shards.append(t)
-    return shards
-
-
-def _scan_results_equal(a: list, b: list) -> bool:
-    """Byte-identity of two per-shard se_scan result lists."""
-    return len(a) == len(b) and all(
-        np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
-        and x[2] == y[2] for x, y in zip(a, b))
-
-
-def _merge_breakdown(a, b):
-    a.merge(b)
-    return a
-
-
-def _exec_node_masks(n_shards: int) -> dict[int, int]:
-    """Synthetic placement: entity ``e`` lives on node ``e % n_shards``."""
-    masks: dict[int, int] = {}
-    for e in range(_EXEC_N_ENTITIES):
-        node = e % n_shards
-        masks[node] = masks.get(node, 0) | (1 << e)
-    return masks
-
-
-def _exec_scan(ctx: BenchContext, shards) -> None:
-    """se_scan fan-out: the collective-phase discovery scan through a
-    multi-worker ShardPool vs the inline serial path, byte-checked."""
-    p = ctx.params
-    rows = sum(s.n_hashes for s in shards)
-    versions = [0] * len(shards)  # static tables: publish once, reuse
-    serial = ShardPool(1)
-    para = ShardPool(p["workers"], min_rows=0)
-    try:
-        out_s = serial.map_shards(shards, _ops.se_scan, (_SCOPE_MASK,))
-        # Warm the parallel pool (process spawn + segment publish) so the
-        # timed region measures scan throughput, not one-time setup.
-        out_p = para.map_shards(shards, _ops.se_scan, (_SCOPE_MASK,),
-                                versions=versions)
-        assert _scan_results_equal(out_s, out_p), \
-            "parallel se_scan diverged from serial"
-        t_ser, _ = _best_of(
-            lambda: serial.map_shards(shards, _ops.se_scan, (_SCOPE_MASK,)))
-        t_par, _ = _best_of(
-            lambda: para.map_shards(shards, _ops.se_scan, (_SCOPE_MASK,),
-                                    versions=versions))
-        ctx.count("rows", rows)
-        ctx.count("deterministic", 1)
-        ctx.wall("serial_entries_per_s", rows / t_ser, unit="1/s",
-                 higher_is_better=True)
-        ctx.wall("parallel_entries_per_s", rows / t_par, unit="1/s",
-                 higher_is_better=True)
-        ctx.wall("speedup", t_ser / t_par, unit="x", higher_is_better=True)
-    finally:
-        serial.close()
-        para.close()
-
-
-def _exec_collective(ctx: BenchContext, shards) -> None:
-    """Collective-phase reduction fan-out: per-shard sharing breakdowns
-    merged in shard order, parallel vs serial, byte-checked."""
-    p = ctx.params
-    rows = sum(s.n_hashes for s in shards)
-    versions = [0] * len(shards)
-    s_mask = (1 << _EXEC_N_ENTITIES) - 1
-    node_masks = _exec_node_masks(len(shards))
-    serial = ShardPool(1)
-    para = ShardPool(p["workers"], min_rows=0)
-
-    def run(pool, v):
-        return pool.map_shards(
-            shards, _ops.shard_breakdown, (s_mask, node_masks), versions=v,
-            reduce_fn=_merge_breakdown, initial=_ops.SharingBreakdown())
-
-    try:
-        out_s = run(serial, None)
-        out_p = run(para, versions)  # also warms spawn + publish
-        assert out_s == out_p, \
-            "parallel breakdown reduction diverged from serial"
-        t_ser, _ = _best_of(lambda: run(serial, None))
-        t_par, _ = _best_of(lambda: run(para, versions))
-        ctx.count("rows", rows)
-        ctx.count("distinct", out_s.distinct)
-        ctx.count("deterministic", 1)
-        ctx.wall("serial_entries_per_s", rows / t_ser, unit="1/s",
-                 higher_is_better=True)
-        ctx.wall("parallel_entries_per_s", rows / t_par, unit="1/s",
-                 higher_is_better=True)
-        ctx.wall("speedup", t_ser / t_par, unit="x", higher_is_better=True)
-    finally:
-        serial.close()
-        para.close()
+__all__ = ["build_default_runner"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +55,7 @@ def _bring_up(n_nodes: int, sim_pages: int, R: int, seed: int,
     return cluster, ents, concord, [e.entity_id for e in ents]
 
 
-def _bench_null(ctx: BenchContext, _state) -> None:
+def _bench_null(ctx: BenchContext) -> None:
     p = ctx.params
     _cl, _e, concord, eids = _bring_up(p["n_nodes"], p["sim_pages"], p["R"],
                                        seed=3,
@@ -240,7 +74,7 @@ def _bench_null(ctx: BenchContext, _state) -> None:
     ctx.count("total_bytes", r_i.stats.total_bytes, unit="B")
 
 
-def _bench_ckpt(ctx: BenchContext, _state) -> None:
+def _bench_ckpt(ctx: BenchContext) -> None:
     p = ctx.params
     _cl, _e, concord, eids = _bring_up(p["n_nodes"], p["sim_pages"], p["R"],
                                        seed=5, testbed=p.get("testbed",
@@ -254,7 +88,7 @@ def _bench_ckpt(ctx: BenchContext, _state) -> None:
     ctx.count("handled", r.stats.handled)
 
 
-def _bench_query(ctx: BenchContext, _state) -> None:
+def _bench_query(ctx: BenchContext) -> None:
     p = ctx.params
     _cl, _e, concord, eids = _bring_up(p["n_nodes"], p["sim_pages"], p["R"],
                                        seed=2)
@@ -269,7 +103,7 @@ def _bench_query(ctx: BenchContext, _state) -> None:
     ctx.sim("sharing_value", sh.value, unit="frac")
 
 
-def _bench_monitor(ctx: BenchContext, _state) -> None:
+def _bench_monitor(ctx: BenchContext) -> None:
     p = ctx.params
     cluster = Cluster(2, cost=NEW_CLUSTER, seed=9)
     workloads.instantiate(cluster, workloads.moldy(2, p["sim_pages"], seed=9))
@@ -289,7 +123,7 @@ def _bench_monitor(ctx: BenchContext, _state) -> None:
         ctx.count("updates", updates)
 
 
-def _bench_update_network(ctx: BenchContext, _state) -> None:
+def _bench_update_network(ctx: BenchContext) -> None:
     """Fig 7's shape at one size: full scan over the simulated network."""
     p = ctx.params
     cluster = Cluster(p["n_nodes"], cost=BIG_CLUSTER, seed=1)
@@ -306,7 +140,7 @@ def _bench_update_network(ctx: BenchContext, _state) -> None:
     ctx.sim("sim_elapsed_s", cluster.engine.now)
 
 
-def _bench_serve_throughput(ctx: BenchContext, _state) -> None:
+def _bench_serve_throughput(ctx: BenchContext) -> None:
     """Open-loop traffic through the serving frontend (docs/SERVING.md)."""
     from repro.serve.config import ServeConfig
     from repro.workloads import TrafficSpec
@@ -331,7 +165,7 @@ def _bench_serve_throughput(ctx: BenchContext, _state) -> None:
     ctx.sim("p95_interactive_s", rep.p95_latency_s.get("interactive", 0.0))
 
 
-def _bench_serve_cached_qps(ctx: BenchContext, _state) -> None:
+def _bench_serve_cached_qps(ctx: BenchContext) -> None:
     """Closed-loop Zipfian traffic, cache off vs. on — the epoch cache's
     simulated-throughput win (the PR 5 >= 5x acceptance claim)."""
     from repro.serve.config import ServeConfig
@@ -367,47 +201,16 @@ def _bench_serve_cached_qps(ctx: BenchContext, _state) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shard storage backends (docs/STORAGE.md): scan throughput + warm restart
+# Shard storage backends (docs/STORAGE.md): warm restart vs cold rebuild
 # ---------------------------------------------------------------------------
 
 
-def _bench_storage_scan(ctx: BenchContext, _state) -> None:
-    """Per-backend shard scan throughput.
-
-    For persistent backends the table is crashed and recovered first, so
-    the scanned columns are what a warm-restarted node actually reads
-    (read-only memmap of the committed segment for mmap; buffers loaded
-    from the WAL database for sqlite) rather than the build-time arrays.
-    """
-    p = ctx.params
-    size = p["size"]
-    rng = np.random.default_rng(11)
-    keys = rng.integers(0, 2**63, size=size, dtype=np.uint64)
-    eids = rng.integers(0, _EXEC_N_ENTITIES, size=size, dtype=np.int64)
-    sset = open_storage(StorageConfig(backend=p["backend"]), 1)
-    try:
-        dht = LocalDHT(node_id=0, storage=sset.shards[0])
-        dht.bulk_insert(keys, eids)
-        dht.flush()
-        if sset.persistent:
-            dht.crash()
-            assert dht.recover(), "recover failed on committed state"
-        t, out = _best_of(lambda: dht.se_scan(_SCOPE_MASK))
-        ctx.count("rows_scanned", len(out[0]))
-        ctx.count("rows_total", dht.n_hashes)
-        ctx.wall("scan_entries_per_s", size / t, unit="1/s",
-                 higher_is_better=True)
-    finally:
-        sset.close()
-
-
-def _bench_storage_restart(ctx: BenchContext, _state) -> None:
+def _bench_storage_restart(ctx: BenchContext) -> None:
     """Cold full-rebuild repair vs warm delta catch-up after a restart.
 
-    The deterministic count metrics pin the headline property: the warm
-    path's applied operations scale with the divergence accumulated
-    while the node was down, not with total content; the wall metrics
-    track the end-to-end restart latency of both paths.
+    The count metrics pin the headline property: the warm path's
+    applied operations scale with the divergence accumulated while the
+    node was down, not with total content.
     """
     p = ctx.params
 
@@ -433,20 +236,16 @@ def _bench_storage_restart(ctx: BenchContext, _state) -> None:
         # Warm: recover segments, rebase monitors, delta-reconcile.
         cluster2, ents2 = fresh()
         mutate(ents2)
-        t0 = time.perf_counter()
         with ConCORD(cluster2, ConCORDConfig(storage=scfg)) as c2:
             assert c2.storage_recovered, "nothing recovered from storage"
             rep_warm = c2.warm_restart()
-            t_warm = time.perf_counter() - t0
 
         # Cold: same divergent memory, full NSM rebuild from scratch.
         cluster3, ents3 = fresh()
         mutate(ents3)
-        t0 = time.perf_counter()
         with ConCORD(cluster3, ConCORDConfig()) as c3:
             c3.initial_scan()
             rep_cold = c3.repair(full=True)
-            t_cold = time.perf_counter() - t0
 
         warm_applied = rep_warm.copies_restored + rep_warm.copies_removed
         cold_applied = rep_cold.copies_restored + rep_cold.copies_removed
@@ -456,8 +255,6 @@ def _bench_storage_restart(ctx: BenchContext, _state) -> None:
         ctx.count("cold_applied", cold_applied)
         ctx.count("warm_applied", warm_applied)
         ctx.count("deterministic", 1)
-        ctx.wall("cold_restart_s", t_cold)
-        ctx.wall("warm_restart_s", t_warm)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -467,7 +264,7 @@ def _bench_storage_restart(ctx: BenchContext, _state) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bench_ring_resize(ctx: BenchContext, _state) -> None:
+def _bench_ring_resize(ctx: BenchContext) -> None:
     """Entries moved per ``add_node()`` resize, per placement policy.
 
     The deterministic fractions pin the acceptance claim: the remap-
@@ -493,9 +290,7 @@ def _bench_ring_resize(ctx: BenchContext, _state) -> None:
         hashes = rng.integers(1, 2**63, size=p["rows"], dtype=np.uint64)
         eng.route_updates(0, inserts=[(int(h), int(h) % 8 + 1)
                                       for h in hashes], removes=[])
-        t0 = time.perf_counter()
         rep = eng.add_node()
-        ctx.wall(f"join_s.{policy}", time.perf_counter() - t0)
         ctx.count(f"entries_moved.{policy}", rep.entries_moved)
         ctx.count(f"entries_total.{policy}", rep.entries_total)
     assert entries_moved_fraction("hd", n, n + 1,
@@ -505,7 +300,7 @@ def _bench_ring_resize(ctx: BenchContext, _state) -> None:
     ctx.count("deterministic", 1)
 
 
-def _bench_serve_flash_crowd(ctx: BenchContext, _state) -> None:
+def _bench_serve_flash_crowd(ctx: BenchContext) -> None:
     """Flash crowd under the autoscaler: open-loop overload on a small
     ring, live-joining to the target while serving, cache verified."""
     from repro.serve.autoscaler import AutoscalerConfig
@@ -544,7 +339,7 @@ def _bench_serve_flash_crowd(ctx: BenchContext, _state) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bench_repair_divergence(ctx: BenchContext, _state) -> None:
+def _bench_repair_divergence(ctx: BenchContext) -> None:
     """Recon repair wire bytes scale with divergence, not total content.
 
     Every shard loses a contiguous hash range (the clustered shape real
@@ -590,7 +385,7 @@ def _bench_repair_divergence(ctx: BenchContext, _state) -> None:
     ctx.count("deterministic", 1)
 
 
-def _bench_chunking_sharing(ctx: BenchContext, _state) -> None:
+def _bench_chunking_sharing(ctx: BenchContext) -> None:
     """CDC detects the sharing that fixed paging hides under byte shift.
 
     Two replicas of one stream, the second shifted by a few junk bytes:
@@ -622,97 +417,15 @@ def _bench_chunking_sharing(ctx: BenchContext, _state) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Figure specs: the paper's evaluation through the same runner
-# ---------------------------------------------------------------------------
-
-#: Experiments whose series are real host measurements, not modelled time.
-_WALL_FIGURES = frozenset({"fig05", "fig08"})
-
-
-class _FigureRunner:
-    """``fn(ctx, state)`` wrapping one ALL_EXPERIMENTS runner: records one
-    ``<series>.mean`` metric per table series and returns the Table.
-
-    A module-level class rather than a closure so the ``BenchSpec``
-    instances built from it pickle cleanly (spawn-method worker pools,
-    round-trip tests) — a nested ``fn`` would fail with
-    ``AttributeError: Can't pickle local object``."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.kind = "wall" if name in _WALL_FIGURES else "sim"
-        self.__name__ = f"figure_{name}"
-
-    def __call__(self, ctx: BenchContext, _state):
-        from repro.harness.experiments import ALL_EXPERIMENTS
-
-        table = ALL_EXPERIMENTS[self.name](**ctx.params)
-        for s in table.series:
-            if s.values:
-                ctx.record(f"{s.name}.mean", float(np.mean(s.values)),
-                           kind=self.kind)
-        return table
-
-
-def figure_runner(name: str) -> _FigureRunner:
-    """Build the (picklable) runner for one registered experiment."""
-    return _FigureRunner(name)
-
-
-def _figure_specs() -> dict[str, BenchSpec]:
-    from repro.harness.experiments import ALL_EXPERIMENTS
-
-    specs = {}
-    for name, runner in ALL_EXPERIMENTS.items():
-        doc = (runner.__doc__ or "").strip().splitlines()
-        specs[name] = BenchSpec(
-            name=f"figure.{name}", fn=figure_runner(name), tier="figure",
-            doc=doc[0] if doc else "")
-    return specs
-
-
-#: Experiment id -> figure-tier BenchSpec (used by benchmarks/conftest.py).
-FIGURE_SPECS = _figure_specs()
-
-
-# ---------------------------------------------------------------------------
 # The default runner
 # ---------------------------------------------------------------------------
 
 
-def build_default_runner(workers: int | None = None) -> BenchRunner:
-    """Every registered benchmark: quick + full + figure tiers.
-
-    ``workers`` sizes the ShardPool the ``exec.*`` specs fan out over
-    (default: the host's CPU count — record it in the trajectory env
-    fingerprint via ``environment_fingerprint({"workers": ...})`` so
-    points from different hosts are never read as like-for-like).
-    """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
+def build_default_runner() -> BenchRunner:
+    """Every registered benchmark: the quick and full tiers."""
     r = BenchRunner()
 
-    r.register(BenchSpec(
-        "hotpaths.single_op.100k", _hotpath_single_op,
-        params={"size": 100_000, "reps": 20_000}, repeats=3, tier="quick",
-        doc="single insert/remove latency at 100k-hash table (Fig 5 shape)"))
-
-    # Parallel execution backend (docs/PARALLEL.md).  Wall-only speedups —
-    # they scale with the host's cores, so the gate never pins them; the
-    # count metrics (rows, byte-identity) stay deterministic.
-    r.register(BenchSpec(
-        "exec.scan", _exec_scan,
-        params={"size": 120_000, "n_shards": 8, "workers": workers},
-        setup=_exec_setup, tier="quick",
-        doc="se_scan fan-out over the ShardPool vs inline serial"))
-    r.register(BenchSpec(
-        "exec.collective_phase", _exec_collective,
-        params={"size": 120_000, "n_shards": 8, "workers": workers},
-        setup=_exec_setup, tier="quick",
-        doc="collective-phase breakdown reduction, parallel vs serial"))
-
-    # Macro sim benchmarks (deterministic; these are what the gate pins).
+    # Macro sim benchmarks.
     r.register(BenchSpec(
         "cmd.null", _bench_null,
         params={"n_nodes": 8, "sim_pages": 1024, "R": 256}, tier="quick",
@@ -756,11 +469,6 @@ def build_default_runner(workers: int | None = None) -> BenchRunner:
             "(cache off vs on)"))
 
     # Shard storage backends (docs/STORAGE.md).
-    for backend in BACKENDS:
-        r.register(BenchSpec(
-            f"storage.scan.{backend}", _bench_storage_scan,
-            params={"backend": backend, "size": 200_000}, tier="quick",
-            doc=f"shard se_scan throughput on the {backend} backend"))
     r.register(BenchSpec(
         "storage.restart.cold_vs_warm", _bench_storage_restart,
         params={"backend": "mmap", "n_nodes": 4, "sim_pages": 1024,
@@ -794,7 +502,4 @@ def build_default_runner(workers: int | None = None) -> BenchRunner:
                 "duration_s": 0.1, "rate": 4000.0, "placement": "hd"},
         tier="quick",
         doc="autoscaled flash crowd 4->8 while serving, cache verified"))
-
-    for spec in FIGURE_SPECS.values():
-        r.register(spec)
     return r

@@ -2,11 +2,12 @@
 
 Every perf claim in this repo used to live in a hand-rolled script with
 its own JSON shape (``BENCH_hotpaths.json``); nothing compared runs
-against each other.  This module is the common substrate:
+against each other.  This module is the common substrate for every
+number that repeats exactly (the modelled clock and event counts):
 
-* :class:`BenchSpec` — one benchmark: a name, fixed params, an optional
-  ``setup``/``teardown`` pair, and a ``run(ctx)`` function that records
-  named metrics through its :class:`BenchContext`.
+* :class:`BenchSpec` — one benchmark: a name, fixed params, and a
+  ``fn(ctx)`` function that records named metrics through its
+  :class:`BenchContext`.
 * :class:`BenchRunner` — a registry of specs.  Running a spec yields a
   schema-versioned **record** (metrics + environment fingerprint:
   python/numpy/machine/git sha) ready for the trajectory file.
@@ -25,20 +26,20 @@ Metric kinds
 
 ``sim``
     Simulated seconds/values — a deterministic function of the seed, so
-    identical on every machine.  Gated by default: any drift is a real
-    behaviour change.
+    identical on every machine: any drift is a real behaviour change.
 ``count``
-    Event counts (rows scanned, updates sent).  Deterministic; gated.
-``wall``
-    Host wall-clock measurements (entries/second, ns/op).  They vary
-    across machines, so they are recorded in the trajectory but **not**
-    gated by default — set ``gated=True`` explicitly to pin one on a
-    dedicated machine.
+    Event counts (rows scanned, updates sent).  Deterministic too.
+
+Every recorded metric is gated.  Host time is not a metric here: it does
+not repeat, so it is measured only by the repo benchmark (``bench/``,
+``BENCHMARK.json``), which owns the statistics that takes.  A record's
+``runtime_s`` is a progress-line timing and is never compared.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 import subprocess
 import time
@@ -67,9 +68,11 @@ __all__ = [
 
 #: Version of the record/trajectory/baseline schema.  Bump when the
 #: record shape changes; loaders reject other versions with a clear error.
+#: Readers ignore keys and metric kinds they do not know (trajectory
+#: records from before 2026-10 carry a ``gated`` flag and ``wall`` metrics).
 SCHEMA_VERSION = 1
 
-_KINDS = ("sim", "count", "wall")
+_KINDS = ("sim", "count")
 
 
 class BaselineError(ValueError):
@@ -121,17 +124,13 @@ class BenchContext:
         self.metrics: dict[str, dict] = {}
 
     def record(self, name: str, value: float, unit: str = "",
-               kind: str = "sim", higher_is_better: bool = False,
-               gated: bool | None = None) -> None:
-        """Record one metric.  ``gated`` defaults by kind: sim/count
-        metrics gate, wall metrics are informational (see module doc)."""
+               kind: str = "sim", higher_is_better: bool = False) -> None:
+        """Record one metric (see the module doc for the kinds)."""
         if kind not in _KINDS:
             raise ValueError(f"unknown metric kind {kind!r}; one of {_KINDS}")
-        if gated is None:
-            gated = kind != "wall"
         self.metrics[name] = {
             "value": float(value), "unit": unit, "kind": kind,
-            "higher_is_better": bool(higher_is_better), "gated": bool(gated),
+            "higher_is_better": bool(higher_is_better),
         }
 
     # Shorthands keep spec bodies readable.
@@ -141,59 +140,22 @@ class BenchContext:
     def count(self, name: str, value: float, unit: str = "", **kw) -> None:
         self.record(name, value, unit=unit, kind="count", **kw)
 
-    def wall(self, name: str, value: float, unit: str = "s",
-             higher_is_better: bool = False, **kw) -> None:
-        self.record(name, value, unit=unit, kind="wall",
-                    higher_is_better=higher_is_better, **kw)
-
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """One registered benchmark.
-
-    ``fn(ctx, state)`` records metrics on the :class:`BenchContext`; its
-    return value is the run's payload (a Table for figure specs) and is
-    not serialized.  ``setup()`` builds state outside the timed region;
-    ``teardown(state)`` releases it.  ``repeats`` re-runs ``fn`` and
-    keeps the *best* value of each wall metric (max if
-    ``higher_is_better``) while sim/count metrics must not vary;
-    ``warmup`` runs are discarded entirely.
-    """
+    """One registered benchmark: ``fn(ctx)`` records metrics on the
+    :class:`BenchContext` it is handed."""
 
     name: str
-    fn: Callable[[BenchContext, object], object]
+    fn: Callable[[BenchContext], None]
     params: dict = field(default_factory=dict)
-    setup: Callable[[dict], object] | None = None
-    teardown: Callable[[object], None] | None = None
-    warmup: int = 0
-    repeats: int = 1
-    tier: str = "full"          # "quick" | "full" | "figure"
+    tier: str = "full"          # "quick" | "full"
     doc: str = ""
 
     def with_params(self, **overrides) -> BenchSpec:
         from dataclasses import replace
 
         return replace(self, params={**self.params, **overrides})
-
-
-def _merge_repeat(best: dict[str, dict], cur: dict[str, dict],
-                  spec_name: str) -> dict[str, dict]:
-    """Fold one repeat's metrics into the running best."""
-    for name, m in cur.items():
-        prev = best.get(name)
-        if prev is None:
-            best[name] = m
-        elif m["kind"] == "wall":
-            better = (m["value"] > prev["value"] if m["higher_is_better"]
-                      else m["value"] < prev["value"])
-            if better:
-                best[name] = m
-        elif m["value"] != prev["value"]:
-            raise RuntimeError(
-                f"benchmark {spec_name!r}: {m['kind']} metric {name!r} "
-                f"varied across repeats ({prev['value']} != {m['value']}); "
-                "deterministic metrics must not depend on the repeat")
-    return best
 
 
 class BenchRunner:
@@ -210,61 +172,33 @@ class BenchRunner:
 
     def names(self, tier: str | None = None) -> list[str]:
         """Spec names, optionally restricted to a tier.  ``full`` is a
-        superset of ``quick``; ``figure`` specs only run when asked."""
-        out = []
-        for name, spec in sorted(self.specs.items()):
-            if tier is None:
-                out.append(name)
-            elif tier == "quick" and spec.tier == "quick":
-                out.append(name)
-            elif tier == "full" and spec.tier in ("quick", "full"):
-                out.append(name)
-            elif tier == spec.tier:
-                out.append(name)
-        return out
+        superset of ``quick``."""
+        return [name for name, spec in sorted(self.specs.items())
+                if tier is None or spec.tier == tier
+                or (tier == "full" and spec.tier == "quick")]
 
-    def run_spec(self, spec: BenchSpec, profiler=None,
-                 env_extra: dict | None = None,
-                 **param_overrides) -> tuple[dict, object]:
-        """Run one spec; returns ``(record, payload)``."""
+    def run_spec(self, spec: BenchSpec, env_extra: dict | None = None,
+                 **param_overrides) -> dict:
+        """Run one spec once and return its record."""
         if param_overrides:
             spec = spec.with_params(**param_overrides)
-        state = spec.setup(spec.params) if spec.setup is not None else None
-        payload = None
-        metrics: dict[str, dict] = {}
-        t_best = float("inf")
-        try:
-            for _ in range(spec.warmup):
-                spec.fn(BenchContext(spec.params), state)
-            for _ in range(max(1, spec.repeats)):
-                ctx = BenchContext(spec.params)
-                t0 = time.perf_counter()
-                if profiler is not None:
-                    profiler.begin_phase(spec.name)
-                try:
-                    payload = spec.fn(ctx, state)
-                finally:
-                    if profiler is not None:
-                        profiler.end()
-                t_best = min(t_best, time.perf_counter() - t0)
-                metrics = _merge_repeat(metrics, ctx.metrics, spec.name)
-        finally:
-            if spec.teardown is not None and state is not None:
-                spec.teardown(state)
-        record = {
+        ctx = BenchContext(spec.params)
+        t0 = time.perf_counter()
+        spec.fn(ctx)
+        runtime_s = time.perf_counter() - t0
+        return {
             "schema": SCHEMA_VERSION,
             "name": spec.name,
             "tier": spec.tier,
             "params": dict(spec.params),
-            "metrics": metrics,
-            "runtime_s": round(t_best, 6),
+            "metrics": ctx.metrics,
+            "runtime_s": round(runtime_s, 6),
             "unix_time": round(time.time(), 3),
             "env": environment_fingerprint(env_extra),
         }
-        return record, payload
 
     def run(self, names: Iterable[str] | None = None, tier: str | None = None,
-            filter_substr: str | None = None, profiler=None,
+            filter_substr: str | None = None,
             env_extra: dict | None = None,
             progress: Callable[[str, dict], None] | None = None) -> list[dict]:
         """Run a selection of specs and return their records."""
@@ -277,8 +211,7 @@ class BenchRunner:
             if spec is None:
                 raise KeyError(f"unknown benchmark {name!r}; "
                                f"choose from {self.names()}")
-            record, _payload = self.run_spec(spec, profiler=profiler,
-                                             env_extra=env_extra)
+            record = self.run_spec(spec, env_extra=env_extra)
             records.append(record)
             if progress is not None:
                 progress(name, record)
@@ -371,32 +304,38 @@ def load_baseline(path: str | Path) -> dict[str, dict]:
 
 @dataclass(frozen=True)
 class MetricDiff:
-    """One metric compared against its baseline value."""
+    """One metric compared against its baseline value.  ``base`` is NaN
+    for a metric the baseline lacks, ``current`` NaN for one the run
+    dropped."""
 
     spec: str
     metric: str
     base: float
     current: float
     delta_pct: float     # signed change toward "worse" (+ = worse)
-    gated: bool
     regressed: bool
 
 
 def _worse_pct(base: float, cur: float, higher_is_better: bool) -> float:
-    """Signed percent change in the 'worse' direction (+N means N% worse)."""
+    """Signed percent change in the 'worse' direction (+N means N% worse);
+    from a zero baseline any move is infinite, signed the same way."""
+    delta = base - cur if higher_is_better else cur - base
     if base == 0.0:
-        return 0.0 if cur == 0.0 else float("inf")
-    pct = (cur - base) / abs(base) * 100.0
-    return -pct if higher_is_better else pct
+        return 0.0 if delta == 0.0 else math.copysign(math.inf, delta)
+    return delta / abs(base) * 100.0
 
 
 def compare(records: Sequence[dict], baseline: dict[str, dict],
             budget: float) -> list[MetricDiff]:
     """Diff fresh records against a baseline with a fractional budget.
 
-    A gated metric regresses when it is worse than the baseline by more
-    than ``budget`` (e.g. ``0.25`` = 25%).  Metrics or specs absent from
-    the baseline are reported as non-regressions (``base`` = NaN).
+    A metric regresses when it is worse than the baseline by more than
+    ``budget`` (e.g. ``0.25`` = 25%), or when the baseline record of a
+    spec that ran holds it and the run does not (*dropped*, ``current``
+    = NaN) — so a stale baseline cannot compare clean.  Metrics or specs
+    absent from the baseline are reported as non-regressions (``base`` =
+    NaN); baseline specs that did not run, and the ``wall`` entries old
+    trajectory records carry, are ignored.
     """
     diffs: list[MetricDiff] = []
     for rec in records:
@@ -405,15 +344,18 @@ def compare(records: Sequence[dict], baseline: dict[str, dict],
         for mname, m in sorted(rec["metrics"].items()):
             bm = base_metrics.get(mname)
             if bm is None:
-                diffs.append(MetricDiff(rec["name"], mname, float("nan"),
-                                        m["value"], 0.0, m["gated"], False))
+                diffs.append(MetricDiff(rec["name"], mname, math.nan,
+                                        m["value"], 0.0, False))
                 continue
             worse = _worse_pct(bm["value"], m["value"],
                                m.get("higher_is_better", False))
-            regressed = bool(m["gated"]) and worse > budget * 100.0
             diffs.append(MetricDiff(rec["name"], mname, bm["value"],
-                                    m["value"], worse, bool(m["gated"]),
-                                    regressed))
+                                    m["value"], worse,
+                                    worse > budget * 100.0))
+        for mname, bm in sorted(base_metrics.items()):
+            if mname not in rec["metrics"] and bm.get("kind") in _KINDS:
+                diffs.append(MetricDiff(rec["name"], mname, bm["value"],
+                                        math.nan, math.nan, True))
     return diffs
 
 
@@ -421,53 +363,54 @@ def diff_table(diffs: Sequence[MetricDiff], budget: float,
                title: str = "benchmark regression gate") -> Table:
     """Fixed-width diff rendering (reuses :class:`repro.util.stats.Table`).
 
-    ``worse_pct`` is the signed change in the bad direction; ``gated``
-    and ``fail`` are 0/1 flags.  Regressions are repeated in the notes so
-    they survive a skim.
+    ``worse_pct`` is the signed change in the bad direction; ``fail`` is
+    a 0/1 flag.  Failures are repeated in the notes so they survive a
+    skim.
     """
     t = Table(title, "spec.metric")
     s_base = t.add_series("baseline")
     s_cur = t.add_series("current")
     s_pct = t.add_series("worse_pct")
-    s_gated = t.add_series("gated")
     s_fail = t.add_series("fail")
-    n_new = 0
     for d in diffs:
         t.x_values.append(f"{d.spec}.{d.metric}")
         s_base.append(d.base)
         s_cur.append(d.current)
         s_pct.append(d.delta_pct)
-        s_gated.append(1.0 if d.gated else 0.0)
         s_fail.append(1.0 if d.regressed else 0.0)
-        if d.base != d.base:  # NaN — not in baseline
-            n_new += 1
+    n_new = sum(math.isnan(d.base) for d in diffs)
+    n_dropped = sum(math.isnan(d.current) for d in diffs)
     failures = [d for d in diffs if d.regressed]
     t.note(f"budget {budget:.0%}; {len(diffs)} metrics compared, "
-           f"{n_new} new, {len(failures)} regression(s)")
+           f"{n_new} new, {n_dropped} dropped, "
+           f"{len(failures)} regression(s)")
     for d in failures:
-        t.note(f"REGRESSION {d.spec}.{d.metric}: {d.base:.6g} -> "
-               f"{d.current:.6g} ({d.delta_pct:+.1f}% worse, "
-               f"budget {budget:.0%})")
+        if math.isnan(d.current):
+            t.note(f"DROPPED {d.spec}.{d.metric}: baseline {d.base:.6g}, "
+                   "not recorded by this run")
+        else:
+            t.note(f"REGRESSION {d.spec}.{d.metric}: {d.base:.6g} -> "
+                   f"{d.current:.6g} ({d.delta_pct:+.1f}% worse, "
+                   f"budget {budget:.0%})")
     return t
 
 
 def gate_selftest(budget: float = 0.25) -> tuple[bool, Table]:
     """Prove the gate trips: inject a synthetic 2x slowdown and compare.
 
-    Runs a tiny spec through the real :class:`BenchRunner`, doubles its
-    gated metric to fabricate the "current" run, and compares against the
+    Runs a tiny spec through the real :class:`BenchRunner`, doubles one
+    metric to fabricate the "current" run, and compares against the
     honest record as baseline.  Returns ``(tripped, table)`` — CI asserts
     ``tripped`` so a broken gate cannot pass silently.
     """
-    def _fn(ctx: BenchContext, _state) -> None:
+    def _fn(ctx: BenchContext) -> None:
         ctx.sim("wall_s", 0.125)
         ctx.count("rows", 1000)
-        ctx.wall("throughput", 1e6, unit="ops/s", higher_is_better=True)
 
     runner = BenchRunner()
     spec = runner.register(BenchSpec("selftest.synthetic", _fn, tier="quick",
                                      doc="synthetic gate self-test"))
-    honest, _ = runner.run_spec(spec)
+    honest = runner.run_spec(spec)
     slowed = json.loads(json.dumps(honest))  # deep copy
     slowed["metrics"]["wall_s"]["value"] *= 2.0
     baseline = {honest["name"]: honest}

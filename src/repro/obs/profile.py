@@ -23,9 +23,9 @@ no-ops, so instrumentation stays inline on the executor's phase
 transitions; the tier-1 suite pins the disabled-path overhead on the
 null command at <5%.
 
-Only one ``cProfile`` can be active per interpreter: do not combine
-``repro bench --profile`` (profiles each spec as one phase) with
-``ObsConfig(profile=True)`` (profiles executor phases) in one process.
+Only one ``cProfile`` can be active per interpreter: do not run
+``python -m cProfile`` over a process that also sets
+``ObsConfig(profile=True)`` (which profiles executor phases).
 """
 
 from __future__ import annotations

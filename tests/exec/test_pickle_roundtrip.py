@@ -14,7 +14,7 @@ from repro.core.config import ConCORDConfig
 from repro.dht.partition import Partition
 from repro.dht.table import ShardColumns
 from repro.exec import ops
-from repro.harness.benchsuite import build_default_runner, figure_runner
+from repro.harness.benchsuite import build_default_runner
 from repro.serve.config import ServeConfig
 from tests.exec.test_shardpool import make_table
 
@@ -73,11 +73,7 @@ class TestKernelsPickle:
 
 class TestBenchSpecsPickle:
     def test_every_registered_spec_pickles(self):
-        runner = build_default_runner(workers=2)
+        runner = build_default_runner()
         for name, spec in runner.specs.items():
             got = roundtrip(spec)
             assert got.name == name and got.params == spec.params
-
-    def test_figure_runner_is_picklable(self):
-        fn = roundtrip(figure_runner("fig09"))
-        assert fn.name == "fig09" and fn.__name__ == "figure_fig09"

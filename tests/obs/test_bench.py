@@ -1,6 +1,7 @@
 """Unit tests for the benchmark runner, trajectory, and regression gate."""
 
 import json
+import math
 
 import pytest
 
@@ -21,16 +22,16 @@ from repro.obs.bench import (
 
 
 def _spec(name="t.spec", **kw):
-    def fn(ctx, _state):
+    def fn(ctx):
         ctx.sim("wall_s", 0.5)
         ctx.count("rows", 100)
-        ctx.wall("throughput", 1e6, unit="ops/s", higher_is_better=True)
+        ctx.sim("qps", 1e6, unit="qps", higher_is_better=True)
 
     return BenchSpec(name, fn, **kw)
 
 
 def _run(spec=None):
-    return BenchRunner().run_spec(spec or _spec())[0]
+    return BenchRunner().run_spec(spec or _spec())
 
 
 class TestRunner:
@@ -41,64 +42,42 @@ class TestRunner:
         assert rec["runtime_s"] >= 0
         for key in ("python", "numpy", "machine", "git_sha"):
             assert key in rec["env"]
-        m = rec["metrics"]["wall_s"]
-        assert m == {"value": 0.5, "unit": "s", "kind": "sim",
-                     "higher_is_better": False, "gated": True}
-        # Host-timing metrics are recorded but not gated by default.
-        assert rec["metrics"]["throughput"]["gated"] is False
+        assert rec["metrics"] == {
+            "wall_s": {"value": 0.5, "unit": "s", "kind": "sim",
+                       "higher_is_better": False},
+            "rows": {"value": 100.0, "unit": "", "kind": "count",
+                     "higher_is_better": False},
+            "qps": {"value": 1e6, "unit": "qps", "kind": "sim",
+                    "higher_is_better": True},
+        }
+
+    def test_host_time_is_not_a_metric_kind(self):
+        def fn(ctx):
+            ctx.record("elapsed_s", 1.0, kind="wall")
+
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            BenchRunner().run_spec(BenchSpec("w", fn))
 
     def test_param_overrides_do_not_mutate_spec(self):
         captured = {}
 
-        def fn(ctx, _state):
+        def fn(ctx):
             captured.update(ctx.params)
             ctx.count("n", ctx.params["n"])
 
         spec = BenchSpec("p", fn, params={"n": 1, "m": 2})
-        rec, _ = BenchRunner().run_spec(spec, n=7)
+        rec = BenchRunner().run_spec(spec, n=7)
         assert captured == {"n": 7, "m": 2}
         assert rec["params"] == {"n": 7, "m": 2}
         assert spec.params == {"n": 1, "m": 2}
-
-    def test_setup_teardown_and_payload(self):
-        events = []
-        spec = BenchSpec(
-            "s", lambda ctx, state: events.append(("run", state)) or "payload",
-            setup=lambda params: "state",
-            teardown=lambda state: events.append(("down", state)))
-        record, payload = BenchRunner().run_spec(spec)
-        assert payload == "payload"
-        assert events == [("run", "state"), ("down", "state")]
-
-    def test_repeats_keep_best_wall_and_stable_sim(self):
-        ticks = iter([3.0, 1.0, 2.0])
-
-        def fn(ctx, _state):
-            ctx.sim("model_s", 0.25)
-            ctx.wall("elapsed_s", next(ticks))
-
-        rec, _ = BenchRunner().run_spec(BenchSpec("r", fn, repeats=3))
-        assert rec["metrics"]["elapsed_s"]["value"] == 1.0  # best of 3
-        assert rec["metrics"]["model_s"]["value"] == 0.25
-
-    def test_sim_metric_varying_across_repeats_is_an_error(self):
-        ticks = iter([1.0, 2.0])
-
-        def fn(ctx, _state):
-            ctx.sim("model_s", next(ticks))
-
-        with pytest.raises(RuntimeError, match="deterministic"):
-            BenchRunner().run_spec(BenchSpec("bad", fn, repeats=2))
 
     def test_tiers_nest(self):
         r = BenchRunner()
         r.register(_spec("a.quick", tier="quick"))
         r.register(_spec("b.full", tier="full"))
-        r.register(_spec("c.figure", tier="figure"))
         assert r.names("quick") == ["a.quick"]
         assert r.names("full") == ["a.quick", "b.full"]
-        assert r.names("figure") == ["c.figure"]
-        assert r.names() == ["a.quick", "b.full", "c.figure"]
+        assert r.names() == ["a.quick", "b.full"]
 
     def test_run_filters_and_unknown_name(self):
         r = BenchRunner()
@@ -220,17 +199,55 @@ class TestGate:
 
     def test_higher_is_better_direction(self):
         rec, base = self._baseline()
-        # Throughput *dropping* is the bad direction — but it is a wall
-        # metric, ungated by default, so it must never trip the gate.
-        rec["metrics"]["throughput"]["value"] /= 10
+        # Throughput *dropping* is the bad direction, and it trips.
+        rec["metrics"]["qps"]["value"] /= 10
         diffs = compare([rec], base, 0.10)
-        tp = next(d for d in diffs if d.metric == "throughput")
+        tp = next(d for d in diffs if d.metric == "qps")
         assert tp.delta_pct == pytest.approx(90.0)
-        assert not tp.regressed
-        # Gate it, and the same drop trips.
-        rec["metrics"]["throughput"]["gated"] = True
+        assert tp.regressed
+        # Rising by any amount is an improvement, never a regression.
+        rec["metrics"]["qps"]["value"] *= 100
         diffs = compare([rec], base, 0.10)
-        assert next(d for d in diffs if d.metric == "throughput").regressed
+        tp = next(d for d in diffs if d.metric == "qps")
+        assert tp.delta_pct == pytest.approx(-900.0)
+        assert not tp.regressed
+
+    @pytest.mark.parametrize("metric, better, worse",
+                             [("qps", 0.5, -0.5), ("wall_s", -0.5, 0.5)])
+    def test_zero_baseline_is_direction_aware(self, metric, better, worse):
+        rec, base = self._baseline()
+        base["t.spec"]["metrics"][metric]["value"] = 0.0
+        for value, pct, regressed in ((better, -math.inf, False),
+                                      (worse, math.inf, True),
+                                      (0.0, 0.0, False)):
+            rec["metrics"][metric]["value"] = value
+            d = next(d for d in compare([rec], base, 0.10)
+                     if d.metric == metric)
+            assert (d.delta_pct, d.regressed) == (pct, regressed)
+
+    def test_dropped_metric_trips(self):
+        rec, base = self._baseline()
+        del rec["metrics"]["rows"]
+        diffs = compare([rec], base, 0.10)
+        (d,) = [d for d in diffs if d.regressed]
+        assert (d.spec, d.metric, d.base) == ("t.spec", "rows", 100.0)
+        assert math.isnan(d.current)
+        text = diff_table(diffs, 0.10).render()
+        assert "DROPPED t.spec.rows" in text
+        assert "3 metrics compared, 0 new, 1 dropped, 1 regression(s)" in text
+
+    def test_legacy_wall_entry_and_unrun_spec_are_not_dropped(self):
+        rec, base = self._baseline()
+        # What an old trajectory file holds: an ungated host timing ...
+        base["t.spec"]["metrics"]["elapsed_s"] = {
+            "value": 1.0, "unit": "s", "kind": "wall",
+            "higher_is_better": False, "gated": False}
+        # ... and records of specs this run filtered out.
+        base["t.other"] = json.loads(json.dumps(base["t.spec"]))
+        diffs = compare([rec], base, 0.0)
+        assert len(diffs) == 3 and not any(d.regressed for d in diffs)
+        assert "0 new, 0 dropped, 0 regression(s)" \
+            in diff_table(diffs, 0.0).render()
 
     def test_new_spec_and_metric_are_not_regressions(self):
         rec, _ = self._baseline()
