@@ -9,18 +9,16 @@ Usage::
     python -m repro info                     # testbeds and calibration
     python -m repro trace --out traces/      # traced null command + artifacts
     python -m repro trace fig10 --out t/     # trace any experiment's runs
-    python -m repro bench --quick            # seconds-scale benchmark tier
-    python -m repro bench --quick --compare baselines/ci.json --budget 25%
-    python -m repro bench --selftest         # prove the regression gate trips
+    python -m repro bench --compare baselines/ci.json   # exact golden diff
+    python -m repro bench --filter cmd. --write-baseline baselines/ci.json
     python -m repro serve --clients 16 --duration 0.5   # serving frontend
     python -m repro serve --closed --verify-cache --expect-coalescing
     python -m repro serve --sample-period 0.005 --timeseries ts.jsonl
     python -m repro lab --grid quick --report lab-out/   # scenario lab
     python -m repro lab --grid full --filter moldy,churn --list
 
-``bench`` appends one schema-versioned record per spec to
-``BENCH_trajectory.json`` and, with ``--compare``, exits 1 when a metric
-regresses past the budget or is dropped (docs/BENCHMARKS.md).
+``bench --compare`` exits 1 when any metric differs from the golden file
+in either direction or exists on one side only (docs/BENCHMARKS.md).
 
 Exit status is non-zero on unknown experiment names, so the CLI is usable
 from shell scripts and CI.
@@ -29,7 +27,6 @@ from shell scripts and CI.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -72,49 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
                          "hotspot + folded-stack artifacts")
 
     be = sub.add_parser(
-        "bench", help="run the benchmark suite, track and gate regressions")
-    tier = be.add_mutually_exclusive_group()
-    tier.add_argument("--quick", action="store_true",
-                      help="seconds-scale tier (the per-PR CI tier)")
-    tier.add_argument("--full", action="store_true",
-                      help="quick tier plus the minutes-scale sweeps")
+        "bench", help="run the benchmark suite, diff it against the "
+                      "golden file")
     be.add_argument("--list", action="store_true", dest="list_specs",
                     help="list registered benchmark specs and exit")
     be.add_argument("--filter", default=None, metavar="SUBSTR",
                     help="only run (or list) specs whose name contains "
                          "SUBSTR")
-    be.add_argument("--compare", type=Path, default=None, metavar="BASELINE",
-                    help="compare against a baseline file; exit 1 on any "
-                         "metric past the budget or dropped")
-    be.add_argument("--budget", default="10%",
-                    help="allowed regression, e.g. '25%%' or '0.25' "
-                         "(default: 10%%)")
-    be.add_argument("--trajectory", type=Path,
-                    default=Path("BENCH_trajectory.json"),
-                    help="time-series file records are appended to "
-                         "(default: ./BENCH_trajectory.json)")
-    be.add_argument("--no-trajectory", action="store_true",
-                    help="do not append this run to the trajectory file")
+    be.add_argument("--compare", type=Path, default=None, metavar="GOLDEN",
+                    help="diff the run against a golden file; exit 1 on "
+                         "any metric that differs or is on one side only")
     be.add_argument("--write-baseline", type=Path, default=None,
                     metavar="PATH",
-                    help="write this run as a baseline file (one record "
-                         "per spec)")
-    be.add_argument("--selftest", action="store_true",
-                    help="inject a synthetic 2x slowdown and verify the "
-                         "gate trips (exits 1 when it does — armed)")
-    be.add_argument("--storage", default=None,
-                    choices=["memory", "mmap", "sqlite"],
-                    help="shard storage backend the benchmark systems use "
-                         "(default: $CONCORD_STORAGE or memory; recorded "
-                         "in the env fingerprint)")
-    be.add_argument("--storage-dir", type=Path, default=None,
-                    help="root directory for durable shard files "
-                         "(default: $CONCORD_STORAGE_DIR or a temp dir)")
-    be.add_argument("--chunking", default=None,
-                    choices=["fixed", "cdc"],
-                    help="block chunking scheme for byte-backed entities "
-                         "(default: $CONCORD_CHUNKING or fixed; recorded "
-                         "in the env fingerprint)")
+                    help="record this run in a golden file (entries of "
+                         "specs --filter left out are kept)")
 
     sv = sub.add_parser(
         "serve", help="drive simulated client traffic through the "
@@ -321,115 +289,59 @@ def _cmd_trace(experiment: str | None, out_dir: Path, profile: bool,
     return 0
 
 
-def _parse_budget(text: str) -> float:
-    """'25%' or '0.25' -> 0.25 (bare numbers above 1 are percentages)."""
-    s = text.strip().rstrip("%")
-    try:
-        val = float(s)
-    except ValueError:
-        raise SystemExit(f"error: invalid --budget {text!r}; "
-                         "use e.g. '25%' or '0.25'") from None
-    if text.strip().endswith("%") or val > 1.0:
-        val /= 100.0
-    if val < 0:
-        raise SystemExit(f"error: --budget must be non-negative, got {text!r}")
-    return val
-
-
 def _cmd_bench(args, out) -> int:
-    from repro.core.config import ConCORDConfig
     from repro.harness.benchsuite import build_default_runner
-    from repro.obs.bench import (BaselineError, append_records, compare,
-                                 diff_table, gate_selftest, load_baseline,
+    from repro.obs.bench import (BaselineError, compare, load_baseline,
                                  write_baseline)
 
-    budget = _parse_budget(args.budget)
-    if args.selftest:
-        tripped, table = gate_selftest(budget)
-        print(table.render(), file=out)
-        if tripped:
-            print("[gate self-test: the injected 2x slowdown tripped the "
-                  "gate — exiting 1 to prove it is armed]", file=out)
-            return 1
-        print("error: gate self-test FAILED — the injected slowdown did "
-              "not trip the gate", file=sys.stderr)
-        return 2
-
     runner = build_default_runner()
-    if args.list_specs:
-        names = [n for n in runner.names()
-                 if args.filter is None or args.filter in n]
-        width = max(map(len, names), default=0)
-        for name in names:
-            spec = runner.specs[name]
-            print(f"{name:<{width}}  [{spec.tier}] {spec.doc}", file=out)
-        return 0
-
-    # The storage flags flow through the env so every system a spec
-    # builds with a default StorageConfig picks the backend up; saved
-    # here and restored after the run so one invocation cannot leak its
-    # backend choice into the next caller in the same process.
-    env_override = {}
-    if args.storage is not None:
-        env_override["CONCORD_STORAGE"] = args.storage
-    if args.storage_dir is not None:
-        env_override["CONCORD_STORAGE_DIR"] = str(args.storage_dir)
-    if args.chunking is not None:
-        env_override["CONCORD_CHUNKING"] = args.chunking
-    env_saved = {k: os.environ.get(k) for k in env_override}
-    defaults = ConCORDConfig()
-    env_extra = {"storage": args.storage or defaults.storage.backend,
-                 "chunking": args.chunking or defaults.chunking}
-
-    baseline = None
-    if args.compare is not None:
-        try:                     # fail fast, before any benchmark runs
-            baseline = load_baseline(args.compare)
-        except BaselineError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-
-    tier = "full" if args.full else "quick"
-    t0 = time.perf_counter()
-    os.environ.update(env_override)
-    try:
-        records = runner.run(
-            tier=tier, filter_substr=args.filter, env_extra=env_extra,
-            progress=lambda n, rec: print(
-                f"[{n}: {rec['runtime_s']:.3f}s, "
-                f"{len(rec['metrics'])} metrics]", file=out))
-    finally:
-        for k, v in env_saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-    if not records:
+    names = [n for n in runner.names()
+             if args.filter is None or args.filter in n]
+    if not names:
         print(f"error: no benchmarks match --filter {args.filter!r}",
               file=sys.stderr)
         return 2
-    print(f"[{len(records)} benchmark(s) in "
-          f"{time.perf_counter() - t0:.1f}s, tier={tier}]", file=out)
+    if args.list_specs:
+        width = max(map(len, names))
+        for name in names:
+            print(f"{name:<{width}}  {runner.specs[name].doc}", file=out)
+        return 0
 
-    if not args.no_trajectory:
-        doc = append_records(args.trajectory, records)
-        print(f"[trajectory: {args.trajectory} now holds "
-              f"{len(doc['records'])} record(s)]", file=out)
+    # Specs --filter left out: their golden entries are neither compared
+    # nor rewritten.  An entry no registered spec owns is never skipped —
+    # it compares as DROPPED, and an unfiltered write is what drops it.
+    skipped = set(runner.specs) - set(names)
+    golden, previous = None, {}
+    try:                         # fail fast, before any benchmark runs
+        if args.compare is not None:
+            golden = load_baseline(args.compare)
+        if (skipped and args.write_baseline is not None
+                and args.write_baseline.exists()):
+            previous = load_baseline(args.write_baseline)
+    except BaselineError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+    results = runner.run(names, progress=lambda n, metrics: print(
+        f"[{n}: {len(metrics)} metrics]", file=out))
+    n_metrics = sum(map(len, results.values()))
     if args.write_baseline is not None:
-        p = write_baseline(args.write_baseline, records)
+        p = write_baseline(args.write_baseline, {**previous, **results})
         print(f"[baseline written: {p}]", file=out)
-
-    if baseline is not None:
-        diffs = compare(records, baseline, budget)
-        print(diff_table(diffs, budget).render(), file=out)
-        failures = [d for d in diffs if d.regressed]
-        if failures:
-            print(f"error: {len(failures)} metric(s) dropped or regressed "
-                  f"past the {budget:.0%} budget (see table above)",
-                  file=sys.stderr)
-            return 1
-        print(f"[gate: OK, no metric dropped or worse than {budget:.0%} "
-              f"of {args.compare}]", file=out)
+    if golden is None:
+        print(f"[{len(results)} specs / {n_metrics} metrics]", file=out)
+        return 0
+    diffs = compare(results, {s: m for s, m in golden.items()
+                              if s not in skipped})
+    for d in diffs:
+        print(d, file=out)
+    print(f"[{len(results)} specs / {n_metrics} metrics against "
+          f"{args.compare}: {len(diffs)} difference(s)]", file=out)
+    if diffs:
+        print(f"error: {len(diffs)} metric(s) differ from {args.compare} "
+              "(rows above); an intended change re-records them with "
+              "--write-baseline", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -308,7 +308,7 @@ class ServiceCommandExecutor:
 
         # Host-CPU profiling (docs/BENCHMARKS.md): route cProfile samples
         # to the current phase.  Disabled this is a no-op attribute call
-        # per transition (<5% on the null command, pinned by a test).
+        # per transition.
         prof = self.obs.profiler
         prof.begin_phase("init")
         try:

@@ -66,7 +66,7 @@ class StorageConfig:
     backend:
         ``"memory"`` (default), ``"mmap"``, or ``"sqlite"``; the
         ``CONCORD_STORAGE`` env var overrides the default, and
-        ``--storage`` on ``repro bench``/``repro serve`` overrides both.
+        ``--storage`` on ``repro serve`` overrides both.
     root:
         Directory holding the segment/database files.  None (the
         default, or unset ``CONCORD_STORAGE_DIR``) gives each engine a

@@ -1,19 +1,14 @@
-"""The benchmark suite: every gated number as a registered BenchSpec.
+"""The benchmark suite: every pinned number as a registered BenchSpec.
 
-Two tiers (see docs/BENCHMARKS.md):
-
-* ``quick`` — seconds-scale, run per-PR in CI against the committed
-  ``baselines/ci.json``.
-* ``full`` — the quick tier plus minutes-scale sweeps (1 M-hash scans,
-  big-cluster points); run by the weekly scheduled CI job.
-
-Every metric is a *sim* or *count* value — a deterministic function of
-the seed — so the regression gate is machine-independent.  Host time is
-not measured here: scan/insert rates, pool dispatch, storage commit and
-repair host seconds are per-layer metrics of the repo benchmark
-(``bench/``, ``BENCHMARK.json``).  Paper figures run through
-:data:`repro.harness.experiments.ALL_EXPERIMENTS` (``repro run``,
-``pytest benchmarks/``), not through this suite.
+Every metric is a value of the modelled machine (simulated seconds,
+event counts, ratios of them) — a deterministic function of the seed —
+so the whole suite is compared by equality against the golden file
+``baselines/ci.json`` (docs/BENCHMARKS.md): twelve of the specs in tier-1,
+all fourteen in CI.  Host time is not measured here: scan/insert rates,
+pool dispatch, storage commit and repair host seconds are per-layer
+metrics of the repo benchmark (``bench/``, ``BENCHMARK.json``).  Paper
+figures run through :data:`repro.harness.experiments.ALL_EXPERIMENTS`
+(``repro run``, ``pytest benchmarks/``), not through this suite.
 """
 
 from __future__ import annotations
@@ -66,12 +61,12 @@ def _bench_null(ctx: BenchContext) -> None:
                                       mode=ExecMode.INTERACTIVE)
         r_b = concord.execute_command(NullService(), ServiceScope.of(eids),
                                       mode=ExecMode.BATCH)
-    ctx.sim("interactive_wall_s", r_i.wall_time)
-    ctx.sim("batch_wall_s", r_b.wall_time)
-    ctx.sim("collective_wall_s", r_i.phases["collective"].wall)
-    ctx.sim("local_wall_s", r_i.phases["local"].wall)
-    ctx.count("handled", r_i.stats.handled)
-    ctx.count("total_bytes", r_i.stats.total_bytes, unit="B")
+    ctx.record("interactive_wall_s", r_i.wall_time)
+    ctx.record("batch_wall_s", r_b.wall_time)
+    ctx.record("collective_wall_s", r_i.phases["collective"].wall)
+    ctx.record("local_wall_s", r_i.phases["local"].wall)
+    ctx.record("handled", r_i.stats.handled)
+    ctx.record("total_bytes", r_i.stats.total_bytes)
 
 
 def _bench_ckpt(ctx: BenchContext) -> None:
@@ -83,9 +78,9 @@ def _bench_ckpt(ctx: BenchContext) -> None:
     with concord:
         r = concord.execute_command(CollectiveCheckpoint(store),
                                     ServiceScope.of(eids))
-    ctx.sim("wall_s", r.wall_time)
-    ctx.sim("compression_ratio", store.compression_ratio, unit="frac")
-    ctx.count("handled", r.stats.handled)
+    ctx.record("wall_s", r.wall_time)
+    ctx.record("compression_ratio", store.compression_ratio)
+    ctx.record("handled", r.stats.handled)
 
 
 def _bench_query(ctx: BenchContext) -> None:
@@ -97,10 +92,10 @@ def _bench_query(ctx: BenchContext) -> None:
         ns = concord.num_shared_content(eids, 2,
                                         exec_mode=ExecMode.DISTRIBUTED)
         single = concord.sharing(eids, exec_mode=ExecMode.SINGLE)
-    ctx.sim("sharing_distributed_s", sh.latency)
-    ctx.sim("num_shared_distributed_s", ns.latency)
-    ctx.sim("sharing_single_s", single.latency)
-    ctx.sim("sharing_value", sh.value, unit="frac")
+    ctx.record("sharing_distributed_s", sh.latency)
+    ctx.record("num_shared_distributed_s", ns.latency)
+    ctx.record("sharing_single_s", single.latency)
+    ctx.record("sharing_value", sh.value)
 
 
 def _bench_monitor(ctx: BenchContext) -> None:
@@ -119,8 +114,8 @@ def _bench_monitor(ctx: BenchContext) -> None:
                 e.mutate_random(0.25, rng)
             mon.scan()
             updates += mon.flush()
-        ctx.sim("scan_cpu_s", mon.stats.cpu_time - base)
-        ctx.count("updates", updates)
+        ctx.record("scan_cpu_s", mon.stats.cpu_time - base)
+        ctx.record("updates", updates)
 
 
 def _bench_update_network(ctx: BenchContext) -> None:
@@ -135,9 +130,9 @@ def _bench_update_network(ctx: BenchContext) -> None:
                                    update_batch_size=1)) as concord:
         concord.initial_scan()
     st = cluster.network.stats
-    ctx.count("updates_sent", st.updates_sent)
-    ctx.sim("loss_rate", st.update_loss_rate, unit="frac")
-    ctx.sim("sim_elapsed_s", cluster.engine.now)
+    ctx.record("updates_sent", st.updates_sent)
+    ctx.record("loss_rate", st.update_loss_rate)
+    ctx.record("sim_elapsed_s", cluster.engine.now)
 
 
 def _bench_serve_throughput(ctx: BenchContext) -> None:
@@ -157,12 +152,11 @@ def _bench_serve_throughput(ctx: BenchContext) -> None:
             n_clients=p["clients"], duration_s=p["duration_s"],
             arrival="poisson", rate_per_client=p["rate"], zipf_s=1.2,
             population=128, seed=7))
-    ctx.sim("qps", rep.qps, unit="qps", higher_is_better=True)
-    ctx.count("completed", rep.completed)
-    ctx.count("coalesced", rep.coalesced)
-    ctx.sim("cache_hit_rate", rep.hit_rate, unit="frac",
-            higher_is_better=True)
-    ctx.sim("p95_interactive_s", rep.p95_latency_s.get("interactive", 0.0))
+    ctx.record("qps", rep.qps)
+    ctx.record("completed", rep.completed)
+    ctx.record("coalesced", rep.coalesced)
+    ctx.record("cache_hit_rate", rep.hit_rate)
+    ctx.record("p95_interactive_s", rep.p95_latency_s.get("interactive", 0.0))
 
 
 def _bench_serve_cached_qps(ctx: BenchContext) -> None:
@@ -191,13 +185,11 @@ def _bench_serve_cached_qps(ctx: BenchContext) -> None:
 
     off = run(cache_capacity=0)
     on = run()
-    ctx.sim("uncached_qps", off.qps, unit="qps", higher_is_better=True)
-    ctx.sim("cached_qps", on.qps, unit="qps", higher_is_better=True)
-    ctx.sim("speedup", on.qps / off.qps if off.qps else 0.0, unit="x",
-            higher_is_better=True)
-    ctx.sim("cache_hit_rate", on.hit_rate, unit="frac",
-            higher_is_better=True)
-    ctx.count("coalesced", on.coalesced)
+    ctx.record("uncached_qps", off.qps)
+    ctx.record("cached_qps", on.qps)
+    ctx.record("speedup", on.qps / off.qps if off.qps else 0.0)
+    ctx.record("cache_hit_rate", on.hit_rate)
+    ctx.record("coalesced", on.coalesced)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +243,10 @@ def _bench_storage_restart(ctx: BenchContext) -> None:
         cold_applied = rep_cold.copies_restored + rep_cold.copies_removed
         assert warm_applied < cold_applied, \
             "warm repair applied no fewer ops than a cold rebuild"
-        ctx.count("total_copies", total_copies)
-        ctx.count("cold_applied", cold_applied)
-        ctx.count("warm_applied", warm_applied)
-        ctx.count("deterministic", 1)
+        ctx.record("total_copies", total_copies)
+        ctx.record("cold_applied", cold_applied)
+        ctx.record("warm_applied", warm_applied)
+        ctx.record("deterministic", 1)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -282,7 +274,7 @@ def _bench_ring_resize(ctx: BenchContext) -> None:
     for policy in PLACEMENT_POLICIES:
         frac = entries_moved_fraction(policy, n, n + 1,
                                       sample=p["sample"], seed=0)
-        ctx.sim(f"map_fraction.{policy}", frac, unit="frac")
+        ctx.record(f"map_fraction.{policy}", frac)
         cluster = Cluster(n, cost="old-cluster", seed=5)
         eng = ContentTracingEngine(cluster, use_network=False,
                                    placement=policy)
@@ -291,13 +283,13 @@ def _bench_ring_resize(ctx: BenchContext) -> None:
         eng.route_updates(0, inserts=[(int(h), int(h) % 8 + 1)
                                       for h in hashes], removes=[])
         rep = eng.add_node()
-        ctx.count(f"entries_moved.{policy}", rep.entries_moved)
-        ctx.count(f"entries_total.{policy}", rep.entries_total)
+        ctx.record(f"entries_moved.{policy}", rep.entries_moved)
+        ctx.record(f"entries_total.{policy}", rep.entries_total)
     assert entries_moved_fraction("hd", n, n + 1,
                                   sample=p["sample"]) <= 2 * minimum, \
         "hd placement moved more than 2x the theoretical minimum"
-    ctx.sim("theoretical_minimum", minimum, unit="frac")
-    ctx.count("deterministic", 1)
+    ctx.record("theoretical_minimum", minimum)
+    ctx.record("deterministic", 1)
 
 
 def _bench_serve_flash_crowd(ctx: BenchContext) -> None:
@@ -327,11 +319,11 @@ def _bench_serve_flash_crowd(ctx: BenchContext) -> None:
     assert rep.cache_violations == 0, \
         f"{rep.cache_violations} cache violation(s) during autoscale"
     assert concord.cluster.n_nodes == p["target"], "did not reach target"
-    ctx.sim("qps", rep.qps, unit="qps", higher_is_better=True)
-    ctx.count("joins", len(joins))
-    ctx.count("entries_moved", sum(r.entries_moved for r in joins))
-    ctx.count("cache_violations", rep.cache_violations)
-    ctx.sim("p95_interactive_s", rep.p95_latency_s.get("interactive", 0.0))
+    ctx.record("qps", rep.qps)
+    ctx.record("joins", len(joins))
+    ctx.record("entries_moved", sum(r.entries_moved for r in joins))
+    ctx.record("cache_violations", rep.cache_violations)
+    ctx.record("p95_interactive_s", rep.p95_latency_s.get("interactive", 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +365,16 @@ def _bench_repair_divergence(ctx: BenchContext) -> None:
         assert rep_replay.bytes_wire > 0, "replay repair moved no bytes"
         ratio = rep_recon.bytes_wire / rep_replay.bytes_wire
         ratio_at[d] = ratio
-        ctx.count(f"recon_bytes.{pct}", rep_recon.bytes_wire)
-        ctx.count(f"replay_bytes.{pct}", rep_replay.bytes_wire)
-        ctx.count(f"recon_rounds.{pct}", rep_recon.rounds)
-        ctx.sim(f"bytes_ratio.{pct}", ratio, unit="frac")
+        ctx.record(f"recon_bytes.{pct}", rep_recon.bytes_wire)
+        ctx.record(f"replay_bytes.{pct}", rep_replay.bytes_wire)
+        ctx.record(f"recon_rounds.{pct}", rep_recon.rounds)
+        ctx.record(f"bytes_ratio.{pct}", ratio)
     gate = ratio_at.get(0.05)
     if gate is not None:
         assert gate < 0.25, (
             f"recon repair moved {gate:.1%} of replay bytes at 5% "
             "divergence (acceptance bar: < 25%)")
-    ctx.count("deterministic", 1)
+    ctx.record("deterministic", 1)
 
 
 def _bench_chunking_sharing(ctx: BenchContext) -> None:
@@ -410,10 +402,9 @@ def _bench_chunking_sharing(ctx: BenchContext) -> None:
     assert sharing["cdc"] > sharing["fixed"], (
         f"cdc detected no more sharing than fixed on a {p['shift']}-byte "
         f"shift: {sharing['cdc']:.4f} <= {sharing['fixed']:.4f}")
-    ctx.sim("sharing_fixed", sharing["fixed"], unit="frac")
-    ctx.sim("sharing_cdc", sharing["cdc"], unit="frac",
-            higher_is_better=True)
-    ctx.count("deterministic", 1)
+    ctx.record("sharing_fixed", sharing["fixed"])
+    ctx.record("sharing_cdc", sharing["cdc"])
+    ctx.record("deterministic", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -422,49 +413,49 @@ def _bench_chunking_sharing(ctx: BenchContext) -> None:
 
 
 def build_default_runner() -> BenchRunner:
-    """Every registered benchmark: the quick and full tiers."""
+    """Every registered benchmark."""
     r = BenchRunner()
 
     # Macro sim benchmarks.
     r.register(BenchSpec(
         "cmd.null", _bench_null,
-        params={"n_nodes": 8, "sim_pages": 1024, "R": 256}, tier="quick",
+        params={"n_nodes": 8, "sim_pages": 1024, "R": 256},
         doc="null service command, interactive+batch (Fig 10 point)"))
     r.register(BenchSpec(
         "cmd.null.big", _bench_null,
         params={"n_nodes": 32, "sim_pages": 1024, "R": 256,
-                "testbed": "big-cluster"}, tier="full",
+                "testbed": "big-cluster"},
         doc="null service command at 32 nodes (Fig 12 point)"))
     r.register(BenchSpec(
         "ckpt.collective", _bench_ckpt,
-        params={"n_nodes": 4, "sim_pages": 2048, "R": 64}, tier="quick",
+        params={"n_nodes": 4, "sim_pages": 2048, "R": 64},
         doc="collective checkpoint wall + compression (Fig 14/15 point)"))
     r.register(BenchSpec(
         "ckpt.collective.big", _bench_ckpt,
         params={"n_nodes": 16, "sim_pages": 2048, "R": 256,
-                "testbed": "big-cluster"}, tier="full",
+                "testbed": "big-cluster"},
         doc="collective checkpoint at 16 Big-cluster nodes (Fig 17 point)"))
     r.register(BenchSpec(
         "query.collective", _bench_query,
-        params={"n_nodes": 4, "sim_pages": 4096, "R": 64}, tier="quick",
+        params={"n_nodes": 4, "sim_pages": 4096, "R": 64},
         doc="collective sharing/num_shared latency, distributed vs single"))
     r.register(BenchSpec(
         "monitor.scan", _bench_monitor,
-        params={"sim_pages": 4096, "hash_algo": "sfh"}, tier="quick",
+        params={"sim_pages": 4096, "hash_algo": "sfh"},
         doc="memory update monitor steady-state scan cost (Sec 5.2 shape)"))
     r.register(BenchSpec(
         "net.update_scan", _bench_update_network,
-        params={"n_nodes": 16, "sim_pages": 1024, "R": 1024}, tier="full",
+        params={"n_nodes": 16, "sim_pages": 1024, "R": 1024},
         doc="initial full scan over the simulated network (Fig 7 point)"))
     r.register(BenchSpec(
         "serve.throughput", _bench_serve_throughput,
         params={"n_nodes": 4, "sim_pages": 256, "clients": 16,
-                "duration_s": 0.2, "rate": 2000.0}, tier="quick",
+                "duration_s": 0.2, "rate": 2000.0},
         doc="open-loop client traffic through the serving frontend"))
     r.register(BenchSpec(
         "serve.cached_qps", _bench_serve_cached_qps,
         params={"n_nodes": 4, "sim_pages": 256, "clients": 16,
-                "duration_s": 0.2}, tier="quick",
+                "duration_s": 0.2},
         doc="epoch-cache throughput win, closed-loop Zipfian "
             "(cache off vs on)"))
 
@@ -472,7 +463,7 @@ def build_default_runner() -> BenchRunner:
     r.register(BenchSpec(
         "storage.restart.cold_vs_warm", _bench_storage_restart,
         params={"backend": "mmap", "n_nodes": 4, "sim_pages": 1024,
-                "mutate": 0.05}, tier="quick",
+                "mutate": 0.05},
         doc="warm restart delta catch-up vs cold full-NSM rebuild"))
 
     # Set reconciliation + content-defined chunking
@@ -480,12 +471,12 @@ def build_default_runner() -> BenchRunner:
     r.register(BenchSpec(
         "repair.bytes_vs_divergence", _bench_repair_divergence,
         params={"n_nodes": 4, "sim_pages": 3000,
-                "divergences": (0.01, 0.05, 0.2, 0.5, 1.0)}, tier="quick",
+                "divergences": (0.01, 0.05, 0.2, 0.5, 1.0)},
         doc="recon repair wire bytes vs the linear full-rebuild replay "
             "at clustered divergence (recon < 25% of replay at 5%)"))
     r.register(BenchSpec(
         "chunking.sharing_detected", _bench_chunking_sharing,
-        params={"kb": 64, "shift": 7}, tier="quick",
+        params={"kb": 64, "shift": 7},
         doc="sharing detected on a byte-shifted replica: cdc must beat "
             "fixed page chunking"))
 
@@ -493,13 +484,11 @@ def build_default_runner() -> BenchRunner:
     r.register(BenchSpec(
         "ring.resize.entries_moved", _bench_ring_resize,
         params={"n_nodes": 8, "sample": 50_000, "rows": 20_000},
-        tier="quick",
         doc="entries moved per add_node resize, per placement policy "
             "(hd <= 2x theoretical minimum; mod ~ n/(n+1))"))
     r.register(BenchSpec(
         "serve.flash_crowd", _bench_serve_flash_crowd,
         params={"n_nodes": 4, "target": 8, "sim_pages": 256, "clients": 16,
                 "duration_s": 0.1, "rate": 4000.0, "placement": "hd"},
-        tier="quick",
         doc="autoscaled flash crowd 4->8 while serving, cache verified"))
     return r

@@ -71,8 +71,7 @@ class ObsConfig:
         Attach a :class:`~repro.obs.profile.ProfileSession` (cProfile) to
         the executor's phases, attributing host CPU to
         init/collective/local/teardown.  Off by default; disabled it
-        costs one no-op attribute call per phase transition (<5% on the
-        null command, pinned by a test).
+        costs one no-op attribute call per phase transition.
     profile_top_n:
         Rows per phase in the hotspot table export.
     """

@@ -1,6 +1,5 @@
-"""Shared low-level utilities: hashing, bitmaps, wire records, reporting."""
+"""Shared low-level utilities: hashing, wire records, reporting."""
 
-from repro.util.bitmap import EntityBitmap
 from repro.util.hashing import (
     mix64,
     unmix64,
@@ -15,7 +14,6 @@ from repro.util.hashing import (
 from repro.util.stats import Series, Table
 
 __all__ = [
-    "EntityBitmap",
     "mix64",
     "unmix64",
     "page_hashes",

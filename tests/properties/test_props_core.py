@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from repro.dht.partition import PLACEMENT_POLICIES, Partition
 from repro.dht.table import LocalDHT
 from repro.memory.monitor import multiset_diff
-from repro.util.bitmap import EntityBitmap
 from repro.util.hashing import mix64, page_hashes, unmix64
 
 ids = st.integers(min_value=0, max_value=2**64 - 1)
-entity_ids = st.integers(min_value=0, max_value=300)
 
 
 class TestHashingProps:
@@ -39,35 +37,6 @@ class TestHashingProps:
         for i in range(len(xs)):
             for j in range(i + 1, min(i + 5, len(xs))):
                 assert (xs[i] == xs[j]) == (hs[i] == hs[j])
-
-
-class TestBitmapProps:
-    @given(st.lists(st.tuples(st.booleans(), entity_ids), max_size=150))
-    def test_matches_multiset_model(self, ops):
-        from collections import Counter
-
-        b = EntityBitmap()
-        model = Counter()
-        for add, eid in ops:
-            if add:
-                b.add(eid)
-                model[eid] += 1
-            else:
-                ok = b.discard(eid)
-                assert ok == (model[eid] > 0)
-                if ok:
-                    model[eid] -= 1
-        assert b.num_copies == sum(model.values())
-        assert b.to_set() == {e for e, c in model.items() if c > 0}
-        for eid, c in model.items():
-            assert b.copies(eid) == c
-
-    @given(st.lists(entity_ids, max_size=60), st.lists(entity_ids, max_size=60))
-    def test_set_algebra(self, xs, ys):
-        a, b = EntityBitmap(xs), EntityBitmap(ys)
-        assert a.intersection_count(b) == len(set(xs) & set(ys))
-        assert a.union_count(b) == len(set(xs) | set(ys))
-        assert a.intersects(b) == bool(set(xs) & set(ys))
 
 
 class TestLocalDHTProps:

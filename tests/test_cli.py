@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
+import re
 
 import pytest
 
-from repro.cli import _parse_budget, build_parser, main
+from repro.cli import build_parser, main
 from repro.harness import ALL_EXPERIMENTS
 
 
@@ -84,20 +86,45 @@ class TestTrace:
 
 
 class TestBench:
-    """CLI surface of the benchmark harness and regression gate."""
+    """CLI surface of the benchmark suite and its golden file."""
 
-    # The cheapest quick-tier spec (~0.1s); everything run-based below
-    # filters down to it so the CLI tests stay fast.
+    # The cheapest real spec (~0.1s); run-based tests of the real suite
+    # filter down to it so the CLI tests stay fast.
     SPEC = "monitor.scan"
 
-    def _bench(self, *argv):
-        return run_cli("bench", "--no-trajectory", *argv)
+    @pytest.fixture
+    def tiny(self, monkeypatch):
+        """Swap the suite for two instant specs; ``calls`` lists the runs."""
+        from repro.harness import benchsuite
+        from repro.obs.bench import BenchRunner, BenchSpec
 
-    def test_list_names_specs_with_tier(self):
+        calls = []
+
+        def fn(ctx):
+            calls.append(ctx.params["name"])
+            ctx.record("wall_s", 0.1 + 0.2)
+            ctx.record("rows", 100)
+
+        runner = BenchRunner()
+        for name in ("t.one", "t.two"):
+            runner.register(BenchSpec(name, fn, params={"name": name}))
+        monkeypatch.setattr(benchsuite, "build_default_runner",
+                            lambda: runner)
+        return calls
+
+    GOLDEN = {name: {"wall_s": 0.1 + 0.2, "rows": 100.0}
+              for name in ("t.one", "t.two")}
+
+    def _golden(self, tmp_path, doc=None):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(self.GOLDEN if doc is None else doc))
+        return path
+
+    def test_list_names_specs_with_doc(self):
         code, out = run_cli("bench", "--list")
         assert code == 0
-        assert "cmd.null" in out and "[quick]" in out
-        assert "cmd.null.big" in out and "[full]" in out
+        assert "cmd.null " in out and "cmd.null.big " in out
+        assert "(Fig 10 point)" in out
 
     def test_list_applies_the_run_path_filter(self):
         code, out = run_cli("bench", "--list", "--filter", "cmd.")
@@ -105,82 +132,123 @@ class TestBench:
         assert [line.split()[0] for line in out.splitlines()] \
             == ["cmd.null", "cmd.null.big"]
 
-    @pytest.mark.parametrize("flag", (("--workers", "2"), ("--profile",)))
+    def test_help_lists_exactly_four_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("bench", "--help")
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) \
+            == {"--help", "--list", "--filter", "--compare",
+                "--write-baseline"}
+
+    @pytest.mark.parametrize("flag", (
+        ("--workers", "2"), ("--profile",), ("--budget", "0%"),
+        ("--selftest",), ("--quick",), ("--full",),
+        ("--trajectory", "t.json"), ("--no-trajectory",),
+        ("--storage", "sqlite"), ("--storage-dir", "d"),
+        ("--chunking", "cdc")))
     def test_host_clock_flags_are_gone(self, flag):
         with pytest.raises(SystemExit):
             run_cli("bench", "--list", *flag)
 
-    def test_selftest_trips_gate_and_exits_1(self):
-        code, out = run_cli("bench", "--selftest")
-        assert code == 1
-        assert "REGRESSION" in out
-
     def test_filter_without_match_exits_2(self):
-        code, _out = self._bench("--quick", "--filter", "zzz-no-such")
+        assert run_cli("bench", "--filter", "zzz-no-such")[0] == 2
+        assert run_cli("bench", "--list", "--filter", "zzz-no-such")[0] == 2
+
+    def test_plain_run_reports_counts(self, tiny):
+        code, out = run_cli("bench")
+        assert code == 0 and tiny == ["t.one", "t.two"]
+        assert "[2 specs / 4 metrics]" in out
+
+    def test_compare_missing_baseline_fails_fast(self, tiny, tmp_path):
+        code, _out = run_cli("bench", "--compare", str(tmp_path / "nope.json"))
         assert code == 2
+        assert tiny == []            # failed before running anything
 
-    def test_quick_run_appends_schema_valid_trajectory(self, tmp_path):
-        traj = tmp_path / "traj.json"
-        code, out = run_cli("bench", "--quick", "--filter", self.SPEC,
-                            "--trajectory", str(traj))
-        assert code == 0
-        assert self.SPEC in out
-        doc = json.loads(traj.read_text())
-        assert doc["schema"] == 1
-        (rec,) = doc["records"]
-        assert rec["name"] == self.SPEC
-        assert rec["metrics"]
-        for key in ("python", "numpy", "machine", "git_sha"):
-            assert key in rec["env"]
-        # The fingerprint names the worker count the systems ran with,
-        # not the host's CPU count.
-        from repro.core.config import ConCORDConfig
-        assert rec["env"]["workers"] == ConCORDConfig().workers
-
-    def test_compare_missing_baseline_fails_fast(self, tmp_path):
-        code, out = self._bench("--quick", "--compare",
-                                str(tmp_path / "nope.json"))
-        assert code == 2
-        assert "benchmark(s)" not in out  # failed before running anything
-
-    def test_compare_malformed_baseline_exits_2(self, tmp_path):
+    def test_compare_malformed_baseline_exits_2(self, tiny, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _out = self._bench("--quick", "--compare", str(bad))
-        assert code == 2
+        for text in ("{not json", "[1, 2]", '{"t.one": {"rows": "100"}}'):
+            bad.write_text(text)
+            assert run_cli("bench", "--compare", str(bad))[0] == 2
+        assert tiny == []
 
-    def test_compare_old_schema_baseline_exits_2(self, tmp_path):
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps({"schema": 0, "records": []}))
-        code, _out = self._bench("--quick", "--compare", str(old))
-        assert code == 2
+    def test_compare_old_schema_baseline_exits_2(self, tiny, tmp_path):
+        old = self._golden(tmp_path, {"schema": 1, "records": []})
+        assert run_cli("bench", "--compare", str(old))[0] == 2
+        assert tiny == []
 
     def test_write_baseline_then_compare_passes(self, tmp_path):
         base = tmp_path / "base.json"
-        code, _out = self._bench("--quick", "--filter", self.SPEC,
-                                 "--write-baseline", str(base))
+        code, _out = run_cli("bench", "--filter", self.SPEC,
+                             "--write-baseline", str(base))
         assert code == 0
-        code, out = self._bench("--quick", "--filter", self.SPEC,
-                                "--compare", str(base))
+        assert list(json.loads(base.read_text())) == [self.SPEC]
+        code, out = run_cli("bench", "--filter", self.SPEC,
+                            "--compare", str(base))
         assert code == 0
-        assert "[gate: OK" in out
+        assert f"[1 specs / 2 metrics against {base}: 0 difference(s)]" in out
 
-    def test_doctored_baseline_trips_gate(self, tmp_path):
-        base = tmp_path / "base.json"
-        code, _out = self._bench("--quick", "--filter", self.SPEC,
-                                 "--write-baseline", str(base))
+    def test_compare_clean_and_filtered(self, tiny, tmp_path):
+        path = self._golden(tmp_path)
+        code, out = run_cli("bench", "--compare", str(path))
         assert code == 0
-        # Doctor every metric so the fresh run looks 2x worse.
-        doc = json.loads(base.read_text())
-        for rec in doc["records"]:
-            for m in rec["metrics"].values():
-                m["value"] = (m["value"] * 2 if m["higher_is_better"]
-                              else m["value"] / 2)
-        base.write_text(json.dumps(doc))
-        code, out = self._bench("--quick", "--filter", self.SPEC,
-                                "--compare", str(base), "--budget", "25%")
+        assert f"[2 specs / 4 metrics against {path}: 0 difference(s)]" in out
+        # A filtered run ignores the golden entries of specs it skipped.
+        code, out = run_cli("bench", "--filter", "one", "--compare", str(path))
+        assert code == 0 and "[1 specs / 2 metrics" in out
+
+    def test_doctored_baseline_trips_gate(self, tiny, tmp_path):
+        for toward in (math.inf, -math.inf):     # one ulp, either direction
+            doc = json.loads(json.dumps(self.GOLDEN))
+            doc["t.two"]["wall_s"] = math.nextafter(0.1 + 0.2, toward)
+            code, out = run_cli("bench", "--compare",
+                                str(self._golden(tmp_path, doc)))
+            assert code == 1
+            assert f"DIFF t.two.wall_s: golden {doc['t.two']['wall_s']!r} " \
+                   "-> 0.30000000000000004" in out
+            assert "1 difference(s)" in out
+
+    def test_one_sided_entries_trip_gate(self, tiny, tmp_path):
+        doc = json.loads(json.dumps(self.GOLDEN))
+        del doc["t.one"]["rows"]           # run records it, file lacks it
+        doc["t.one"]["ghost"] = 1.0        # file holds it, run does not
+        del doc["t.two"]                   # a spec with no golden entry
+        doc["t.bogus"] = {"rows": 1.0}     # an entry no spec owns
+        path = self._golden(tmp_path, doc)
+        code, out = run_cli("bench", "--compare", str(path))
         assert code == 1
-        assert "REGRESSION" in out
+        for row in ("NEW t.one.rows", "DROPPED t.one.ghost",
+                    "NEW t.two.rows", "NEW t.two.wall_s",
+                    "DROPPED t.bogus.rows"):
+            assert row in out
+        assert "5 difference(s)" in out
+        # The orphan entry trips a filtered run too: no spec skipped it.
+        code, out = run_cli("bench", "--filter", "one", "--compare", str(path))
+        assert code == 1 and "DROPPED t.bogus.rows" in out
+        assert "t.two" not in out
+
+    def test_filtered_write_keeps_the_other_entries(self, tiny, tmp_path):
+        doc = {"t.one": {"stale": 1.0}, "t.two": {"rows": 7.0},
+               "t.retired": {"rows": 1.0}}
+        path = self._golden(tmp_path, doc)
+        code, _out = run_cli("bench", "--filter", "one",
+                             "--write-baseline", str(path))
+        assert code == 0 and tiny == ["t.one"]
+        assert json.loads(path.read_text()) == {
+            **doc, "t.one": self.GOLDEN["t.one"]}
+        assert list(json.loads(path.read_text())) \
+            == ["t.one", "t.retired", "t.two"]
+
+    def test_unfiltered_write_drops_retired_specs(self, tiny, tmp_path):
+        path = self._golden(tmp_path, {"t.retired": {"rows": 1.0}})
+        assert run_cli("bench", "--write-baseline", str(path))[0] == 0
+        assert json.loads(path.read_text()) == self.GOLDEN
+        assert run_cli("bench", "--compare", str(path))[0] == 0
+
+    def test_filtered_write_into_malformed_file_exits_2(self, tiny, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert run_cli("bench", "--filter", "one",
+                       "--write-baseline", str(bad))[0] == 2
+        assert tiny == [] and bad.read_text() == "{not json"
 
 
 class TestServe:
@@ -248,19 +316,6 @@ class TestStorageFlags:
         assert code == 0
         assert "storage.restart.cold_vs_warm" in out
 
-    def test_bench_storage_flag_does_not_leak_env(self, tmp_path):
-        # --storage must not leak into the process env (tier-2 CI runs
-        # with CONCORD_STORAGE already set: assert unchanged, not unset).
-        import os
-        before = {k: os.environ.get(k)
-                  for k in ("CONCORD_STORAGE", "CONCORD_STORAGE_DIR")}
-        code, _out = run_cli("bench", "--no-trajectory", "--quick",
-                             "--filter", "monitor.scan",
-                             "--storage", "sqlite",
-                             "--storage-dir", str(tmp_path))
-        assert code == 0
-        assert {k: os.environ.get(k) for k in before} == before
-
     def test_serve_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             run_cli(*self.SERVE, "--storage", "bogus")
@@ -301,14 +356,3 @@ class TestParser:
     def test_run_requires_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
-
-    def test_budget_formats(self):
-        assert _parse_budget("25%") == pytest.approx(0.25)
-        assert _parse_budget("0.25") == pytest.approx(0.25)
-        assert _parse_budget("30") == pytest.approx(0.30)
-
-    def test_budget_invalid(self):
-        with pytest.raises(SystemExit):
-            _parse_budget("abc")
-        with pytest.raises(SystemExit):
-            _parse_budget("-5%")
