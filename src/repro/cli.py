@@ -64,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", type=Path, default=Path("traces"),
                     help="directory for .trace.json / .jsonl / metrics "
                          "artifacts (default: traces/)")
-    tr.add_argument("--profile", action="store_true",
-                    help="also attach the phase profiler and export "
-                         "hotspot + folded-stack artifacts")
 
     be = sub.add_parser(
         "bench", help="run the benchmark suite, diff it against the "
@@ -258,20 +255,14 @@ def _dump_obs(obs, out_dir: Path, stem: str, out) -> None:
         obs.registry.report(stem).render() + "\n")
     print(f"[{stem}: {len(obs.tracer)} spans, {n_events} chrome events "
           f"-> {chrome}, {jsonl}]", file=out)
-    if obs.profiler.enabled and obs.profiler.phases:
-        for p in obs.profiler.write(out_dir, stem):
-            print(f"[{stem}: profile -> {p}]", file=out)
 
 
-def _cmd_trace(experiment: str | None, out_dir: Path, profile: bool,
-               out) -> int:
+def _cmd_trace(experiment: str | None, out_dir: Path, out) -> int:
     from repro.harness.trace import run_traced_experiment, run_traced_null
-    from repro.obs import ObsConfig
 
-    obs_cfg = ObsConfig(trace=True, profile=profile)
     out_dir.mkdir(parents=True, exist_ok=True)
     if experiment is None:
-        table, _result, obs = run_traced_null(obs_config=obs_cfg)
+        table, _result, obs = run_traced_null()
         print(table.render(), file=out)
         _dump_obs(obs, out_dir, "null", out)
         return 0
@@ -279,7 +270,7 @@ def _cmd_trace(experiment: str | None, out_dir: Path, profile: bool,
         print(f"error: unknown experiment {experiment!r}; "
               f"try 'repro list'", file=sys.stderr)
         return 2
-    table, cap = run_traced_experiment(experiment, obs_config=obs_cfg)
+    table, cap = run_traced_experiment(experiment)
     print(table.render(), file=out)
     for i, obs in enumerate(cap.runs):
         _dump_obs(obs, out_dir, f"{experiment}.run{i:03d}", out)
@@ -531,7 +522,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if args.command == "info":
             return _cmd_info(out)
         if args.command == "trace":
-            return _cmd_trace(args.experiment, args.out, args.profile, out)
+            return _cmd_trace(args.experiment, args.out, out)
         if args.command == "bench":
             return _cmd_bench(args, out)
         if args.command == "serve":

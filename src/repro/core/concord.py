@@ -61,9 +61,6 @@ class ConCORD:
         self.config = config or ConCORDConfig()
         self._closed = False
         cfg = self.config
-        if cfg.chunking not in ("fixed", "cdc"):
-            raise ValueError(f"unknown chunking scheme {cfg.chunking!r}; "
-                             f"expected 'fixed' or 'cdc'")
         # One ContentChunker per page size, shared by every byte-backed
         # entity attached under chunking="cdc" (docs/RECONCILIATION.md).
         self._chunkers: dict[int, ContentChunker] = {}
@@ -101,11 +98,7 @@ class ConCORD:
             nsm = NodeSpecificModule(cluster, node.node_id)
             node.nsm = nsm
             self.nsms.append(nsm)
-            self.monitors.append(MemoryUpdateMonitor(
-                nsm, self.tracing.route_updates, cluster.cost,
-                mode=cfg.monitor_mode, hash_algo=cfg.hash_algo,
-                throttle_updates_per_s=cfg.throttle_updates_per_s,
-                n_represented=cfg.n_represented, obs=self.obs))
+            self.monitors.append(self._new_monitor(nsm))
         self.queries = QueryInterface(cluster, self.tracing, cfg.n_represented,
                                       pool=self.pool)
         self.executor = ServiceCommandExecutor(cluster, self.tracing,
@@ -119,6 +112,14 @@ class ConCORD:
             self.attach_entity(entity)
         if cap is not None:
             cap.add(self.obs)
+
+    def _new_monitor(self, nsm: NodeSpecificModule) -> MemoryUpdateMonitor:
+        cfg = self.config
+        return MemoryUpdateMonitor(
+            nsm, self.tracing.route_updates, self.cluster.cost,
+            mode=cfg.monitor_mode, hash_algo=cfg.hash_algo,
+            throttle_updates_per_s=cfg.throttle_updates_per_s,
+            n_represented=cfg.n_represented, obs=self.obs)
 
     # -- entity lifecycle ------------------------------------------------------------
 
@@ -288,15 +289,10 @@ class ConCORD:
         incrementally at cutover.
         """
         node = self.tracing.begin_join()
-        cfg = self.config
         nsm = NodeSpecificModule(self.cluster, node)
         self.cluster.nodes[node].nsm = nsm
         self.nsms.append(nsm)
-        self.monitors.append(MemoryUpdateMonitor(
-            nsm, self.tracing.route_updates, self.cluster.cost,
-            mode=cfg.monitor_mode, hash_algo=cfg.hash_algo,
-            throttle_updates_per_s=cfg.throttle_updates_per_s,
-            n_represented=cfg.n_represented, obs=self.obs))
+        self.monitors.append(self._new_monitor(nsm))
         return node
 
     def complete_join(self) -> JoinReport:
@@ -558,16 +554,3 @@ class ConCORD:
                     else tracer.to_jsonl())
         raise ValueError(f"unknown trace format {fmt!r} "
                          "(expected 'chrome' or 'jsonl')")
-
-    def profile_report(self, top_n: int | None = None) -> Table:
-        """Hotspot table from the attached phase profiler.
-
-        Requires ``ObsConfig(profile=True)``; raises ``RuntimeError``
-        otherwise (the null profiler records nothing, so a silent empty
-        table would be misleading).
-        """
-        prof = self.obs.profiler
-        if not prof.enabled:
-            raise RuntimeError("profiling is off; build with "
-                               "ConCORDConfig(obs=ObsConfig(profile=True))")
-        return prof.hotspots(top_n=top_n)

@@ -10,7 +10,8 @@ The facade accepts configuration *only* this way
 (``ConCORD(cluster, ConCORDConfig(use_network=True))``;
 docs/ARCHITECTURE.md has the field table).  Fields that default from a
 ``CONCORD_*`` env var reject an invalid value with ``ValueError``
-(:func:`repro.util.env.env_default`).
+(:func:`repro.util.env.env_default`), and so does construction for any
+field value that could not work (``__post_init__``).
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.dht.engine import TRANSPORTS
+from repro.dht.partition import PLACEMENT_POLICIES
 from repro.dht.storage import StorageConfig
 from repro.memory.monitor import MonitorMode
 from repro.obs import ObsConfig
 from repro.serve.config import ServeConfig
+from repro.sim.costmodel import HASH_ALGOS
 from repro.util.env import env_default
 
 __all__ = ["ConCORDConfig"]
@@ -33,10 +37,13 @@ def _default_workers() -> int:
     return env_default("CONCORD_WORKERS", 1)
 
 
+_CHUNKING_SCHEMES = ("fixed", "cdc")
+
+
 def _default_chunking() -> str:
     """Default chunking scheme: the ``CONCORD_CHUNKING`` env var, else
     fixed page blocks."""
-    return env_default("CONCORD_CHUNKING", "fixed", ("fixed", "cdc"))
+    return env_default("CONCORD_CHUNKING", "fixed", _CHUNKING_SCHEMES)
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,29 @@ class ConCORDConfig:
     storage: StorageConfig = field(default_factory=StorageConfig)
     placement: str = "mod"
     chunking: str = field(default_factory=_default_chunking)
+
+    def __post_init__(self) -> None:
+        """Reject an invalid value here, by field name, not at first use."""
+        def check(name: str, ok: bool, expected: str) -> None:
+            if not ok:
+                raise ValueError(
+                    f"ConCORDConfig.{name}={getattr(self, name)!r} is not "
+                    f"valid: expected {expected}")
+
+        def one_of(name: str, choices: tuple[str, ...]) -> None:
+            check(name, getattr(self, name) in choices,
+                  "one of " + ", ".join(choices))
+
+        check("n_represented", self.n_represented >= 1, ">= 1")
+        check("update_batch_size", self.update_batch_size is None
+              or self.update_batch_size >= 1, "None or >= 1")
+        check("throttle_updates_per_s", self.throttle_updates_per_s is None
+              or self.throttle_updates_per_s > 0, "None or > 0")
+        check("workers", self.workers >= 1, ">= 1")
+        one_of("hash_algo", HASH_ALGOS)
+        one_of("update_transport", TRANSPORTS)
+        one_of("placement", PLACEMENT_POLICIES)
+        one_of("chunking", _CHUNKING_SCHEMES)
 
     def replace(self, **changes) -> ConCORDConfig:
         """Functional update (`dataclasses.replace` as a method)."""

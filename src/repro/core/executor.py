@@ -306,76 +306,63 @@ class ServiceCommandExecutor:
 
         phases: dict[str, PhaseBreakdown] = {}
 
-        # Host-CPU profiling (docs/BENCHMARKS.md): route cProfile samples
-        # to the current phase.  Disabled this is a no-op attribute call
-        # per transition.
-        prof = self.obs.profiler
-        prof.begin_phase("init")
-        try:
-            # ---- phase 0: service initialization ---------------------------------
-            self._emit(EventKind.PHASE_BEGIN, "init")
-            bcast_wall = cost.reliable_bcast_time(len(scope_nodes), 256)
-            for node in scope_nodes:
-                service.service_init(contexts[node], config)
+        # ---- phase 0: service initialization ---------------------------------
+        self._emit(EventKind.PHASE_BEGIN, "init")
+        bcast_wall = cost.reliable_bcast_time(len(scope_nodes), 256)
+        for node in scope_nodes:
+            service.service_init(contexts[node], config)
 
-            # collective_start per scope entity, with advisory hash samples
-            # from the entity's node-local DHT shard slice.
-            samples = self._hash_samples(live_entities, sample_cap)
-            for eid in live_entities:
-                entity = cluster.entity(eid)
-                node = entity.node_id
-                role = scope.role_of(eid)
-                service.collective_start(contexts[node], role, entity,
-                                         samples.get(eid,
-                                                     np.empty(0, np.uint64)))
-            phases["init"] = self._phase_breakdown("init",
-                                                   extra_wall=bcast_wall)
+        # collective_start per scope entity, with advisory hash samples
+        # from the entity's node-local DHT shard slice.
+        samples = self._hash_samples(live_entities, sample_cap)
+        for eid in live_entities:
+            entity = cluster.entity(eid)
+            node = entity.node_id
+            role = scope.role_of(eid)
+            service.collective_start(contexts[node], role, entity,
+                                     samples.get(eid, np.empty(0, np.uint64)))
+        phases["init"] = self._phase_breakdown("init", extra_wall=bcast_wall)
 
-            # ---- phase 1: collective -----------------------------------------------
-            self._set_phase("collective")
-            prof.begin_phase("collective")
-            handled = self._collective_phase(service, scope, contexts, rng,
-                                             stats, mode)
+        # ---- phase 1: collective -----------------------------------------------
+        self._set_phase("collective")
+        handled = self._collective_phase(service, scope, contexts, rng, stats,
+                                         mode)
 
-            # Dissemination: each shard pushes its handled (hash, private)
-            # entries to the nodes whose SEs it believes hold that hash, so
-            # local_command can see the handled set (paper §4.3).  Per-node
-            # traffic is therefore bounded by the node's own content, which
-            # is what keeps it constant as the system scales (§5.4's
-            # ~15 MB/node).
-            handled_by_node = self._disseminate_handled(handled)
+        # Dissemination: each shard pushes its handled (hash, private)
+        # entries to the nodes whose SEs it believes hold that hash, so
+        # local_command can see the handled set (paper §4.3).  Per-node
+        # traffic is therefore bounded by the node's own content, which
+        # is what keeps it constant as the system scales (§5.4's
+        # ~15 MB/node).
+        handled_by_node = self._disseminate_handled(handled)
 
-            for eid in live_entities:
-                entity = cluster.entity(eid)
-                service.collective_finalize(contexts[entity.node_id],
-                                            scope.role_of(eid), entity)
-            phases["collective"] = self._phase_breakdown("collective")
+        for eid in live_entities:
+            entity = cluster.entity(eid)
+            service.collective_finalize(contexts[entity.node_id],
+                                        scope.role_of(eid), entity)
+        phases["collective"] = self._phase_breakdown("collective")
 
-            # ---- phase 2: local ------------------------------------------------------
-            self._set_phase("local")
-            prof.begin_phase("local")
-            handled_private = {h: priv for h, (priv, _n, _d) in handled.items()}
-            self._local_phase(service, scope, contexts, handled_by_node, stats,
-                              mode)
-            for eid in scope.service_entities:
-                entity = cluster.entity(eid)
-                service.local_finalize(contexts[entity.node_id], entity)
-            phases["local"] = self._phase_breakdown("local")
+        # ---- phase 2: local ------------------------------------------------------
+        self._set_phase("local")
+        handled_private = {h: priv for h, (priv, _n, _d) in handled.items()}
+        self._local_phase(service, scope, contexts, handled_by_node, stats,
+                          mode)
+        for eid in scope.service_entities:
+            entity = cluster.entity(eid)
+            service.local_finalize(contexts[entity.node_id], entity)
+        phases["local"] = self._phase_breakdown("local")
 
-            # ---- phase 3: teardown ------------------------------------------------------
-            self._set_phase("teardown")
-            prof.begin_phase("teardown")
-            success = True
-            for node in scope_nodes:
-                ok = service.service_deinit(contexts[node])
-                self._emit(EventKind.DEINIT, node, bool(ok))
-                self._msg(node, scope_nodes[0], 64)  # result gather at controller
-                success = success and bool(ok)
-            phases["teardown"] = self._phase_breakdown(
-                "teardown", extra_wall=cost.rtt())
-            self._emit(EventKind.PHASE_END, "teardown")
-        finally:
-            prof.end()
+        # ---- phase 3: teardown ------------------------------------------------------
+        self._set_phase("teardown")
+        success = True
+        for node in scope_nodes:
+            ok = service.service_deinit(contexts[node])
+            self._emit(EventKind.DEINIT, node, bool(ok))
+            self._msg(node, scope_nodes[0], 64)  # result gather at controller
+            success = success and bool(ok)
+        phases["teardown"] = self._phase_breakdown(
+            "teardown", extra_wall=cost.rtt())
+        self._emit(EventKind.PHASE_END, "teardown")
 
         for (node, _ph), b in self._tx.items():
             stats.tx_bytes_per_node[node] = stats.tx_bytes_per_node.get(node, 0) + b

@@ -40,7 +40,8 @@ import numpy as np
 
 from repro.util.env import env_default
 
-__all__ = ["ShardStorage", "StorageState", "StorageConfig", "BACKENDS"]
+__all__ = ["ShardStorage", "StorageState", "StorageConfig", "BACKENDS",
+           "side_tables_to_json", "state_from_json"]
 
 #: Valid values of ``StorageConfig.backend`` / ``$CONCORD_STORAGE``.
 BACKENDS = ("memory", "mmap", "sqlite")
@@ -109,6 +110,31 @@ class StorageState:
     n_hashes: int
     n_copies: int
     epoch: int = 0
+
+
+def side_tables_to_json(state: StorageState) -> dict:
+    """The JSON-ready form of everything in ``state`` but the columns —
+    the one metadata encoding the persistent backends share."""
+    return {
+        "wide": [[int(h), int(m)] for h, m in state.wide.items()],
+        "extra": [[int(h), [[int(e), int(c)] for e, c in ex.items()]]
+                  for h, ex in state.extra.items()],
+        "n_hashes": int(state.n_hashes),
+        "n_copies": int(state.n_copies),
+        "epoch": int(state.epoch),
+    }
+
+
+def state_from_json(ph: np.ndarray, pm: np.ndarray,
+                    meta: dict) -> StorageState:
+    """Inverse of :func:`side_tables_to_json` around loaded columns."""
+    return StorageState(
+        ph=ph, pm=pm,
+        wide={int(h): int(m) for h, m in meta["wide"]},
+        extra={int(h): {int(e): int(c) for e, c in ex}
+               for h, ex in meta["extra"]},
+        n_hashes=int(meta["n_hashes"]), n_copies=int(meta["n_copies"]),
+        epoch=int(meta.get("epoch", 0)))
 
 
 class ShardStorage(abc.ABC):

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dht.storage.base import ShardStorage, StorageState
+from repro.dht.storage.base import (ShardStorage, StorageState,
+                                    side_tables_to_json, state_from_json)
 
 __all__ = ["MmapSegmentStorage"]
 
@@ -74,13 +75,7 @@ class MmapSegmentStorage(ShardStorage):
             self._seg = None
             ph = np.empty(0, dtype=_U64)
             pm = np.empty(0, dtype=_U64)
-        return StorageState(
-            ph=ph, pm=pm,
-            wide={int(h): int(m) for h, m in meta["wide"]},
-            extra={int(h): {int(e): int(c) for e, c in ex}
-                   for h, ex in meta["extra"]},
-            n_hashes=int(meta["n_hashes"]), n_copies=int(meta["n_copies"]),
-            epoch=int(meta.get("epoch", 0)))
+        return state_from_json(ph, pm, meta)
 
     def commit(self, state: StorageState) -> tuple[np.ndarray, np.ndarray]:
         n = len(state.ph)
@@ -97,12 +92,7 @@ class MmapSegmentStorage(ShardStorage):
         meta = {
             "gen": self._gen, "n_rows": n,
             "seg": seg.name if seg is not None else None,
-            "wide": [[int(h), int(m)] for h, m in state.wide.items()],
-            "extra": [[int(h), [[int(e), int(c)] for e, c in ex.items()]]
-                      for h, ex in state.extra.items()],
-            "n_hashes": int(state.n_hashes),
-            "n_copies": int(state.n_copies),
-            "epoch": int(state.epoch),
+            **side_tables_to_json(state),
         }
         _fsync_write(self._meta_path,
                      json.dumps(meta, separators=(",", ":")).encode())

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dht.storage.base import ShardStorage, StorageState
+from repro.dht.storage.base import (ShardStorage, StorageState,
+                                    side_tables_to_json, state_from_json)
 
 __all__ = ["SqliteWalStorage"]
 
@@ -41,8 +42,8 @@ class _Database:
     """One shared connection per database file, refcounted across the
     per-shard storage handles that use it."""
 
-    def __init__(self, path: Path) -> None:
-        self.path = path
+    def __init__(self, path: Path, key: str) -> None:
+        self.key = key      # this object's slot in _DATABASES
         self.conn = sqlite3.connect(path)
         self.conn.execute("PRAGMA journal_mode=WAL")
         self.conn.execute("PRAGMA synchronous=NORMAL")
@@ -55,7 +56,7 @@ class _Database:
         self.refs -= 1
         if self.refs <= 0:
             self.conn.close()
-            _DATABASES.pop(str(self.path), None)
+            _DATABASES.pop(self.key, None)
 
 
 _DATABASES: dict[str, _Database] = {}
@@ -65,7 +66,7 @@ def _open_database(path: Path) -> _Database:
     key = str(path.resolve())
     db = _DATABASES.get(key)
     if db is None or db.refs <= 0:
-        db = _Database(path)
+        db = _Database(path, key)
         _DATABASES[key] = db
     db.refs += 1
     return db
@@ -99,23 +100,10 @@ class SqliteWalStorage(ShardStorage):
         # frombuffer views are read-only; the table copy-on-writes them.
         ph = np.frombuffer(ph_blob, dtype=_U64)
         pm = np.frombuffer(pm_blob, dtype=_U64)
-        return StorageState(
-            ph=ph, pm=pm,
-            wide={int(h): int(m) for h, m in meta["wide"]},
-            extra={int(h): {int(e): int(c) for e, c in ex}
-                   for h, ex in meta["extra"]},
-            n_hashes=int(meta["n_hashes"]), n_copies=int(meta["n_copies"]),
-            epoch=int(meta.get("epoch", 0)))
+        return state_from_json(ph, pm, meta)
 
     def commit(self, state: StorageState) -> tuple[np.ndarray, np.ndarray]:
-        meta = json.dumps({
-            "wide": [[int(h), int(m)] for h, m in state.wide.items()],
-            "extra": [[int(h), [[int(e), int(c)] for e, c in ex.items()]]
-                      for h, ex in state.extra.items()],
-            "n_hashes": int(state.n_hashes),
-            "n_copies": int(state.n_copies),
-            "epoch": int(state.epoch),
-        }, separators=(",", ":"))
+        meta = json.dumps(side_tables_to_json(state), separators=(",", ":"))
         conn = self._conn()
         with conn:
             conn.execute(

@@ -31,22 +31,19 @@ _PHASES = ("init", "collective", "local", "teardown")
 
 def run_traced_null(n_nodes: int = 4, pages_per_entity: int = 2048,
                     n_represented: int = 64, seed: int = 3,
-                    mode: ExecMode = ExecMode.INTERACTIVE,
-                    obs_config: ObsConfig | None = None):
+                    mode: ExecMode = ExecMode.INTERACTIVE):
     """One traced null command.
 
     Returns ``(table, result, obs)``: the per-phase span-vs-bookkeeping
     table, the :class:`~repro.core.executor.CommandResult`, and the
     :class:`~repro.obs.Observability` whose tracer holds the trace.
-    Pass ``obs_config`` to also profile (``ObsConfig(trace=True,
-    profile=True)``); the default only traces.
     """
     cluster = Cluster(n_nodes, cost=NEW_CLUSTER, seed=seed)
     entities = workloads.instantiate(
         cluster, workloads.moldy(n_nodes, pages_per_entity, seed=seed))
     with ConCORD(cluster, ConCORDConfig(
             n_represented=n_represented,
-            obs=obs_config or ObsConfig(trace=True))) as concord:
+            obs=ObsConfig(trace=True))) as concord:
         concord.initial_scan()
         eids = [e.entity_id for e in entities]
         result = concord.execute_command(NullService(), ServiceScope.of(eids),
@@ -65,8 +62,7 @@ def run_traced_null(n_nodes: int = 4, pages_per_entity: int = 2048,
     return t, result, concord.obs
 
 
-def run_traced_experiment(name: str, obs_config: ObsConfig | None = None,
-                          **kw):
+def run_traced_experiment(name: str, **kw):
     """Run one named experiment with every ConCORD it builds tracing.
 
     Returns ``(table, capture)``: the experiment's usual result table and
@@ -77,6 +73,6 @@ def run_traced_experiment(name: str, obs_config: ObsConfig | None = None,
     if runner is None:
         raise KeyError(f"unknown experiment {name!r}; "
                        f"choose from {sorted(ALL_EXPERIMENTS)}")
-    with capture_traces(obs_config or ObsConfig(trace=True)) as cap:
+    with capture_traces() as cap:
         table = runner(**kw)
     return table, cap

@@ -26,7 +26,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from repro.obs.profile import NULL_PROFILE, NullProfile, ProfileSession
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sampler import MetricsSampler, SampleSeries, Window
 from repro.obs.tracer import Span, SpanTracer, validate_chrome_trace
@@ -43,9 +42,6 @@ __all__ = [
     "Histogram",
     "Span",
     "SpanTracer",
-    "ProfileSession",
-    "NullProfile",
-    "NULL_PROFILE",
     "validate_chrome_trace",
     "capture_traces",
     "active_capture",
@@ -57,7 +53,7 @@ class ObsConfig:
     """The ``obs`` section of :class:`~repro.core.config.ConCORDConfig`.
 
     The metrics registry is always on (it backs the stats views); this
-    config governs span *tracing* and phase *profiling*:
+    config governs span *tracing*:
 
     trace:
         Record sim-time spans (command phases, per-node cpu/comm, monitor
@@ -67,23 +63,14 @@ class ObsConfig:
         Safety cap on recorded spans; once hit, further spans are counted
         in ``tracer.dropped`` (surfaced as the ``obs.trace.dropped``
         counter) instead of stored.
-    profile:
-        Attach a :class:`~repro.obs.profile.ProfileSession` (cProfile) to
-        the executor's phases, attributing host CPU to
-        init/collective/local/teardown.  Off by default; disabled it
-        costs one no-op attribute call per phase transition.
-    profile_top_n:
-        Rows per phase in the hotspot table export.
     """
 
     trace: bool = False
     trace_limit: int = 1_000_000
-    profile: bool = False
-    profile_top_n: int = 25
 
 
 class Observability:
-    """A metrics registry, span tracer, and profiler sharing one sim clock."""
+    """A metrics registry and span tracer sharing one sim clock."""
 
     def __init__(self, clock: Callable[[], float] | None = None,
                  config: ObsConfig | None = None) -> None:
@@ -95,8 +82,6 @@ class Observability:
         # Dropped spans surface as a counter so a truncated trace is
         # visible in the metrics report, not just on the tracer object.
         self.tracer.drop_counter = self.registry.counter("obs.trace.dropped")
-        self.profiler = (ProfileSession(top_n=self.config.profile_top_n)
-                         if self.config.profile else NULL_PROFILE)
 
     def now(self) -> float:
         return self.clock()
@@ -104,10 +89,6 @@ class Observability:
     @property
     def tracing(self) -> bool:
         return self.tracer.enabled
-
-    @property
-    def profiling(self) -> bool:
-        return self.profiler.enabled
 
 
 # -- capture sessions (harness / CLI trace artifacts) ---------------------------

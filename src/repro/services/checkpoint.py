@@ -23,6 +23,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
@@ -32,8 +33,8 @@ from repro.core.command import ExecMode, NodeContext, ServiceCallbacks
 from repro.core.scope import EntityRole
 from repro.memory.entity import Entity
 from repro.memory.nsm import BlockRef
-from repro.memory.pagedata import (intern_chunk, is_interned_id,
-                                   materialize_page, register_chunk)
+from repro.memory.pagedata import (is_interned_id, materialize_page,
+                                   register_chunk)
 from repro.sim.cluster import Cluster
 from repro.util.hashing import page_hash
 
@@ -44,7 +45,6 @@ __all__ = [
     "CollectiveCheckpoint",
     "RawCheckpoint",
     "restore_entity",
-    "blocks_to_pages",
 ]
 
 _PTR_RECORD_BYTES = 4 + 8 + 8        # page idx, hash, shared-file offset
@@ -131,36 +131,6 @@ class CheckpointStore:
         self.compress_fraction = compress_fraction
         self.shared = SharedContentFile(page_size)
         self.se_files: dict[int, SECheckpointFile] = {}
-        # Backing directory when the store was opened persistent; None
-        # for a purely in-memory store (see open_dir / save).
-        self.dir: Path | None = None
-
-    @classmethod
-    def open_dir(cls, path: str | Path, page_size: int = 4096,
-                 compress_fraction: float = 0.5) -> CheckpointStore:
-        """Open a directory-backed store: load the checkpoint already
-        there (if any), else start empty; either way :meth:`save` writes
-        back to the same place.  The persistence entry point the serve
-        path uses alongside durable shard storage (docs/STORAGE.md)."""
-        d = Path(path)
-        if (d / "shared.bin").exists():
-            store = cls.load_from_dir(d, compress_fraction)
-        else:
-            store = cls(page_size, compress_fraction)
-        store.dir = d
-        return store
-
-    def save(self, canonical: bool = False) -> Path:
-        """Write the store back to its backing directory (see
-        :meth:`open_dir`); returns the directory.  Raises
-        ``RuntimeError`` for an in-memory store."""
-        if self.dir is None:
-            raise RuntimeError(
-                "this CheckpointStore has no backing directory; open it "
-                "with CheckpointStore.open_dir(path) or use "
-                "write_to_dir(path) explicitly")
-        self.write_to_dir(self.dir, canonical=canonical)
-        return self.dir
 
     def se_file(self, entity_id: int) -> SECheckpointFile:
         f = self.se_files.get(entity_id)
@@ -236,17 +206,13 @@ class CheckpointStore:
         return raw_gzip, concord_gzip
 
     # -- on-disk serialization (byte mode) ----------------------------------------------------
-    # v1 (CCSH/CCSE): fixed page_size blocks, content ID recovered from
-    # the page header — byte-identical to the pre-chunking format and
-    # used whenever no interned (content-defined chunk) ID appears.
-    # v2 (CCS2/CCE2): length-prefixed blocks with an explicit content ID,
-    # required because interned chunks are variable-sized and carry no
-    # embedded ID (docs/RECONCILIATION.md).
+    # One container: length-prefixed blocks with an explicit content ID,
+    # because interned (content-defined) chunks are variable-sized and
+    # carry no embedded ID (docs/RECONCILIATION.md).  load_from_dir also
+    # reads the fixed-page format earlier versions wrote.
 
-    _SHARED_MAGIC = b"CCSH"
-    _SHARED_MAGIC_V2 = b"CCS2"
-    _SE_MAGIC = b"CCSE"
-    _SE_MAGIC_V2 = b"CCE2"
+    _SHARED_MAGIC = b"CCS2"
+    _SE_MAGIC = b"CCE2"
 
     def _record_cid(self, kind: str, payload: int) -> int:
         if kind == "ptr":
@@ -257,103 +223,85 @@ class CheckpointStore:
             f"record kind {kind!r} (incremental checkpoints"
             " serialize with their chain, not standalone)")
 
-    def _canonical_blocks(self) -> list[tuple[int, int]]:
-        """(hash, content id) of every block any record references, sorted
-        by hash.  Blocks appended collectively but never referenced by a
-        record (stale handled hashes) are garbage-collected."""
+    def _canonical(self) -> CheckpointStore:
+        """This checkpoint's *logical* content as a store whose shape does
+        not depend on how it was produced: the shared file holds every
+        referenced distinct block exactly once in hash order (blocks
+        appended collectively but never referenced — stale handled
+        hashes — are garbage-collected), and every SE record is a pointer
+        into it, in page order."""
         by_hash: dict[int, int] = {}
         for f in self.se_files.values():
             for kind, _idx, h, payload in f.records:
-                if h not in by_hash:
-                    by_hash[h] = self._record_cid(kind, payload)
-        return sorted(by_hash.items())
+                by_hash.setdefault(h, self._record_cid(kind, payload))
+        out = CheckpointStore(self.page_size, self.compress_fraction)
+        for h in sorted(by_hash):
+            out.shared.append(h, by_hash[h])
+        for eid in sorted(self.se_files):
+            f = out.se_file(eid)
+            for _kind, idx, h, _payload in sorted(self.se_files[eid].records,
+                                                  key=lambda r: r[1]):
+                f.add_pointer(idx, h, out.shared.offset_of(h))
+        return out
 
     def write_to_dir(self, path: str | Path, canonical: bool = False) -> None:
         """Materialize real bytes and write the checkpoint to a directory.
 
         With ``canonical=True`` the bytes depend only on the *logical*
-        checkpoint — each SE's page contents — not on how it was produced:
-        the shared file holds every referenced distinct block exactly once
-        in hash order, and every SE record becomes a pointer into it,
-        ordered by page index.  Two runs of the same workload therefore
+        checkpoint — each SE's page contents — not on how it was produced
+        (:meth:`_canonical`).  Two runs of the same workload therefore
         serialize byte-identically even if one ran degraded (dead shards,
         datagram loss) and covered fewer blocks collectively — the
         fault-tolerance guarantee the integration tests pin down.  The
         default mode writes records as produced (pointers and literal
         data blocks), which round-trips the store exactly.
         """
+        if canonical:
+            self._canonical().write_to_dir(path)
+            return
         d = Path(path)
         d.mkdir(parents=True, exist_ok=True)
-        if canonical:
-            blocks = self._canonical_blocks()
-            offset_of = {h: i for i, (h, _cid) in enumerate(blocks)}
-            self._write_shared(d / "shared.bin",
-                               [cid for _h, cid in blocks])
-            for eid in sorted(self.se_files):
-                f = self.se_files[eid]
-                with open(d / f"entity_{eid}.ckpt", "wb") as fh:
-                    fh.write(self._SE_MAGIC)
-                    fh.write(struct.pack("<IIQ", eid, self.page_size,
-                                         len(f.records)))
-                    for kind, idx, h, payload in sorted(
-                            f.records, key=lambda r: r[1]):
-                        self._record_cid(kind, payload)  # validate kind
-                        fh.write(struct.pack("<BIQQ", 0, idx, h,
-                                             offset_of[h]))
-            return
-        self._write_shared(d / "shared.bin", self.shared.blocks)
+        with open(d / "shared.bin", "wb") as fh:
+            fh.write(self._SHARED_MAGIC)
+            fh.write(struct.pack("<IQ", self.page_size, self.shared.n_blocks))
+            for cid in self.shared.blocks:
+                page = materialize_page(cid, self.page_size,
+                                        self.compress_fraction)
+                fh.write(struct.pack("<QI", cid, len(page)))
+                fh.write(page)
         for eid, f in self.se_files.items():
-            v2 = any(kind == "data" and is_interned_id(payload)
-                     for kind, _idx, _h, payload in f.records)
             with open(d / f"entity_{eid}.ckpt", "wb") as fh:
-                fh.write(self._SE_MAGIC_V2 if v2 else self._SE_MAGIC)
+                fh.write(self._SE_MAGIC)
                 fh.write(struct.pack("<IIQ", eid, self.page_size,
                                      len(f.records)))
                 for kind, idx, h, payload in f.records:
                     if kind == "ptr":
                         fh.write(struct.pack("<BIQQ", 0, idx, h, payload))
-                    elif kind == "data":
-                        page = materialize_page(payload, self.page_size,
-                                                self.compress_fraction)
-                        if v2:
-                            fh.write(struct.pack("<BIQQI", 1, idx, h,
-                                                 int(payload), len(page)))
-                        else:
-                            fh.write(struct.pack("<BIQI", 1, idx, h,
-                                                 len(page)))
-                        fh.write(page)
                     else:
-                        raise ValueError(
-                            f"record kind {kind!r} (incremental checkpoints"
-                            " serialize with their chain, not standalone)")
-
-    def _write_shared(self, path: Path, cids: list[int]) -> None:
-        v2 = any(is_interned_id(c) for c in cids)
-        with open(path, "wb") as fh:
-            fh.write(self._SHARED_MAGIC_V2 if v2 else self._SHARED_MAGIC)
-            fh.write(struct.pack("<IQ", self.page_size, len(cids)))
-            for cid in cids:
-                page = materialize_page(cid, self.page_size,
-                                        self.compress_fraction)
-                if v2:
-                    fh.write(struct.pack("<QI", int(cid), len(page)))
-                fh.write(page)
+                        cid = self._record_cid(kind, payload)
+                        page = materialize_page(cid, self.page_size,
+                                                self.compress_fraction)
+                        fh.write(struct.pack("<BIQQI", 1, idx, h, cid,
+                                             len(page)))
+                        fh.write(page)
 
     @classmethod
     def load_from_dir(cls, path: str | Path,
                       compress_fraction: float = 0.5) -> CheckpointStore:
         """Read a checkpoint back.
 
-        v1 files recover each block's content ID from its page header;
-        v2 files carry the ID explicitly and re-register interned chunk
-        bytes so :func:`materialize_page` renders them again.
+        Files carry each block's content ID explicitly, and interned chunk
+        bytes are re-registered so :func:`materialize_page` renders them
+        again.  The v1 container (``CCSH``/``CCSE``: fixed ``page_size``
+        blocks, content ID recovered from the page header), which no
+        writer produces any more, still loads.
         """
         d = Path(path)
         with open(d / "shared.bin", "rb") as fh:
             magic = fh.read(4)
-            if magic not in (cls._SHARED_MAGIC, cls._SHARED_MAGIC_V2):
+            if magic not in (cls._SHARED_MAGIC, b"CCSH"):
                 raise ValueError("bad shared content file magic")
-            v2 = magic == cls._SHARED_MAGIC_V2
+            v2 = magic == cls._SHARED_MAGIC
             page_size, n_blocks = struct.unpack("<IQ", fh.read(12))
             store = cls(page_size, compress_fraction)
             for _ in range(n_blocks):
@@ -369,9 +317,9 @@ class CheckpointStore:
         for ckpt in sorted(d.glob("entity_*.ckpt")):
             with open(ckpt, "rb") as fh:
                 magic = fh.read(4)
-                if magic not in (cls._SE_MAGIC, cls._SE_MAGIC_V2):
+                if magic not in (cls._SE_MAGIC, b"CCSE"):
                     raise ValueError(f"bad SE file magic in {ckpt}")
-                se_v2 = magic == cls._SE_MAGIC_V2
+                se_v2 = magic == cls._SE_MAGIC
                 eid, psize, n_records = struct.unpack("<IIQ", fh.read(16))
                 if psize != page_size:
                     raise ValueError("page size mismatch between files")
@@ -395,12 +343,15 @@ class CheckpointStore:
         return store
 
 
-def restore_entity(store: CheckpointStore, entity_id: int) -> np.ndarray:
-    """Rebuild an SE's memory (content IDs per page) from the checkpoint.
+def _restore_records(store: CheckpointStore, entity_id: int,
+                     read_bptr: Callable[[Any], int] | None = None
+                     ) -> np.ndarray:
+    """The one walk of an SE's checkpoint file: content IDs per page.
 
-    "To restore an SE's memory from the checkpoint, we need only walk the
-    SE's checkpoint file, referencing pointers to the shared content file
-    as needed" (paper §6.1).
+    ``ptr`` payloads resolve in ``store``'s own shared file, ``data``
+    payloads are the content; ``read_bptr`` resolves an increment's base
+    pointers (:mod:`repro.services.incremental`) and is what the public
+    restore entry points differ in.
     """
     f = store.se_files.get(entity_id)
     if f is None:
@@ -413,7 +364,15 @@ def restore_entity(store: CheckpointStore, entity_id: int) -> np.ndarray:
     for kind, idx, _h, payload in f.records:
         if seen[idx]:
             raise ValueError(f"duplicate record for page {idx}")
-        pages[idx] = store.shared.read(payload) if kind == "ptr" else payload
+        if kind == "ptr":
+            payload = store.shared.read(payload)
+        elif kind == "bptr":
+            if read_bptr is None:
+                raise ValueError(
+                    f"page {idx} is a base pointer: restore an incremental "
+                    "checkpoint with its base or chain")
+            payload = read_bptr(payload)
+        pages[idx] = payload
         seen[idx] = True
     if not seen.all():
         missing = np.flatnonzero(~seen)[:5].tolist()
@@ -421,24 +380,14 @@ def restore_entity(store: CheckpointStore, entity_id: int) -> np.ndarray:
     return pages
 
 
-def blocks_to_pages(block_ids: np.ndarray, page_size: int,
-                    compress_fraction: float = 0.5) -> np.ndarray:
-    """Re-page restored blocks: the inverse of :meth:`Entity.from_bytes`.
+def restore_entity(store: CheckpointStore, entity_id: int) -> np.ndarray:
+    """Rebuild an SE's memory (content IDs per page) from the checkpoint.
 
-    A checkpoint of a chunked entity stores variable-sized chunk blocks;
-    callers that want fixed ``page_size`` pages back (e.g. to rebuild a
-    non-chunked replica) concatenate the materialized bytes and re-intern
-    each ``page_size`` slice.  Fixed-chunking entities round-trip
-    unchanged since each block already renders exactly one page.
+    "To restore an SE's memory from the checkpoint, we need only walk the
+    SE's checkpoint file, referencing pointers to the shared content file
+    as needed" (paper §6.1).
     """
-    blocks = np.asarray(block_ids, dtype=np.uint64)
-    if not any(is_interned_id(int(c)) for c in blocks.tolist()):
-        return blocks.copy()
-    buf = b"".join(materialize_page(int(c), page_size, compress_fraction)
-                   for c in blocks.tolist())
-    ids = [intern_chunk(buf[o:o + page_size])
-           for o in range(0, len(buf), page_size)]
-    return np.asarray(ids, dtype=np.uint64)
+    return _restore_records(store, entity_id)
 
 
 @dataclass

@@ -30,7 +30,8 @@ import numpy as np
 from repro.core.command import ExecMode, NodeContext
 from repro.memory.entity import Entity
 from repro.memory.nsm import BlockRef
-from repro.services.checkpoint import CheckpointStore, CollectiveCheckpoint
+from repro.services.checkpoint import (CheckpointStore, CollectiveCheckpoint,
+                                       _restore_records)
 
 __all__ = ["IncrementalCheckpoint", "restore_incremental_entity",
            "CheckpointChain"]
@@ -88,28 +89,7 @@ def restore_incremental_entity(store: CheckpointStore,
                                base: CheckpointStore,
                                entity_id: int) -> np.ndarray:
     """Rebuild an SE from an incremental checkpoint plus its base."""
-    f = store.se_files.get(entity_id)
-    if f is None:
-        raise KeyError(f"no checkpoint file for entity {entity_id}")
-    if not f.records:
-        return np.empty(0, dtype=np.uint64)
-    n_pages = max(r[1] for r in f.records) + 1
-    pages = np.zeros(n_pages, dtype=np.uint64)
-    seen = np.zeros(n_pages, dtype=bool)
-    for kind, idx, _h, payload in f.records:
-        if seen[idx]:
-            raise ValueError(f"duplicate record for page {idx}")
-        if kind == "bptr":
-            pages[idx] = base.shared.read(payload)
-        elif kind == "ptr":
-            pages[idx] = store.shared.read(payload)
-        else:
-            pages[idx] = payload
-        seen[idx] = True
-    if not seen.all():
-        missing = np.flatnonzero(~seen)[:5].tolist()
-        raise ValueError(f"checkpoint incomplete: pages {missing} missing")
-    return pages
+    return _restore_records(store, entity_id, base.shared.read)
 
 
 class _ChainShared:
@@ -178,36 +158,13 @@ class CheckpointChain:
         return inc
 
     def restore(self, entity_id: int) -> np.ndarray:
-        """Restore from the newest member holding the entity's file."""
-        for i in range(len(self.stores) - 1, -1, -1):
-            f = self.stores[i].se_files.get(entity_id)
-            if f is not None:
-                return self._restore_from(i, entity_id)
+        """Restore from the newest member holding the entity's file,
+        resolving base pointers across the whole chain."""
+        for store in reversed(self.stores):
+            if entity_id in store.se_files:
+                return _restore_records(store, entity_id,
+                                        _ChainShared(self.stores).read)
         raise KeyError(f"entity {entity_id} not in any chain member")
-
-    def _restore_from(self, member: int, entity_id: int) -> np.ndarray:
-        store = self.stores[member]
-        f = store.se_files[entity_id]
-        if not f.records:
-            return np.empty(0, dtype=np.uint64)
-        view = _ChainShared(self.stores)
-        n_pages = max(r[1] for r in f.records) + 1
-        pages = np.zeros(n_pages, dtype=np.uint64)
-        seen = np.zeros(n_pages, dtype=bool)
-        for kind, idx, _h, payload in f.records:
-            if seen[idx]:
-                raise ValueError(f"duplicate record for page {idx}")
-            if kind == "bptr":
-                pages[idx] = view.read(payload)
-            elif kind == "ptr":
-                pages[idx] = store.shared.read(payload)
-            else:
-                pages[idx] = payload
-            seen[idx] = True
-        if not seen.all():
-            missing = np.flatnonzero(~seen)[:5].tolist()
-            raise ValueError(f"checkpoint incomplete: pages {missing} missing")
-        return pages
 
     @property
     def total_bytes(self) -> int:

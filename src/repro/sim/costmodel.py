@@ -34,6 +34,7 @@ __all__ = [
     "NEW_CLUSTER",
     "BIG_CLUSTER",
     "TESTBEDS",
+    "HASH_ALGOS",
 ]
 
 NS = 1e-9
@@ -42,6 +43,10 @@ MS = 1e-3
 KB = 1024
 MB = 1024 * 1024
 GB = 1024 * 1024 * 1024
+
+# Page-hash algorithms with a calibrated ``hash_page_<algo>`` cost
+# (``ConCORDConfig.hash_algo``).
+HASH_ALGOS = ("sfh", "md5")
 
 
 @dataclass(frozen=True)
@@ -91,11 +96,9 @@ class CostModel:
     # -- derived helpers -------------------------------------------------------
 
     def hash_page_cost(self, algo: str = "sfh") -> float:
-        if algo == "md5":
-            return self.hash_page_md5
-        if algo == "sfh":
-            return self.hash_page_sfh
-        raise ValueError(f"unknown hash algo {algo!r}")
+        if algo not in HASH_ALGOS:
+            raise ValueError(f"unknown hash algo {algo!r}")
+        return getattr(self, f"hash_page_{algo}")
 
     def tx_time(self, nbytes: float) -> float:
         """Serialization time for nbytes on the NIC."""

@@ -17,32 +17,16 @@ import itertools
 from collections.abc import Callable
 from typing import Any
 
-__all__ = ["SimEngine", "Resource", "CancelledError"]
-
-
-class CancelledError(Exception):
-    """Raised when waiting on an event that was cancelled."""
-
-
-class _Event:
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def __lt__(self, other: _Event) -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+__all__ = ["SimEngine", "Resource"]
 
 
 class SimEngine:
     """Event-heap scheduler with deterministic tie-breaking."""
 
     def __init__(self) -> None:
-        self._heap: list[_Event] = []
+        # (time, seq, fn, args): seq is unique, so the heap orders by the
+        # first two fields and never compares fn.
+        self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_run = 0
@@ -57,23 +41,17 @@ class SimEngine:
     def events_run(self) -> int:
         return self._events_run
 
-    def at(self, time: float, fn: Callable, *args: Any) -> _Event:
+    def at(self, time: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        ev = _Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, ev)
-        return ev
+        heapq.heappush(self._heap, (time, next(self._seq), fn, args))
 
-    def after(self, delay: float, fn: Callable, *args: Any) -> _Event:
+    def after(self, delay: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self.at(self._now + delay, fn, *args)
-
-    def cancel(self, ev: _Event) -> None:
-        """Cancel a pending event (lazy removal)."""
-        ev.cancelled = True
+        self.at(self._now + delay, fn, *args)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Run events until the heap drains, ``until`` is reached, or
@@ -95,15 +73,13 @@ class SimEngine:
     def _run(self, until: float | None, max_events: int | None) -> float:
         fired = 0
         while self._heap:
-            ev = self._heap[0]
-            if until is not None and ev.time > until:
+            time, _seq, fn, args = self._heap[0]
+            if until is not None and time > until:
                 self._now = until
                 return self._now
             heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self._now = ev.time
-            ev.fn(*ev.args)
+            self._now = time
+            fn(*args)
             self._events_run += 1
             fired += 1
             if max_events is not None and fired >= max_events:
@@ -113,8 +89,8 @@ class SimEngine:
         return self._now
 
     def pending(self) -> int:
-        """Number of scheduled, non-cancelled events."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        """Number of scheduled events."""
+        return len(self._heap)
 
 
 class Resource:

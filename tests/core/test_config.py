@@ -51,6 +51,30 @@ class TestConfigValue:
         assert len({ConCORDConfig(), ConCORDConfig()}) == 1
         assert ConCORDConfig(use_network=True) != ConCORDConfig()
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_represented", 0),
+        ("update_batch_size", 0),
+        ("throttle_updates_per_s", -1.0),
+        ("throttle_updates_per_s", 0.0),
+        ("workers", 0),
+        ("hash_algo", "sha1"),
+        ("update_transport", "tcp"),
+        ("placement", "ring"),
+        ("chunking", "lz4"),
+    ])
+    def test_invalid_value_rejected_at_construction(self, field, value):
+        """A bad value fails where it is written, naming its field — not
+        at the first scan, or silently as a zero cost."""
+        with pytest.raises(ValueError, match=rf"ConCORDConfig\.{field}="):
+            ConCORDConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"ConCORDConfig\.{field}="):
+            ConCORDConfig().replace(**{field: value})
+
+    def test_every_valid_choice_accepted(self):
+        ConCORDConfig(hash_algo="md5", update_transport="rdma",
+                      placement="hd", chunking="cdc", workers=2,
+                      update_batch_size=1, throttle_updates_per_s=0.5)
+
 
 class TestFacadeConstruction:
     def test_config_is_stored(self):
@@ -76,8 +100,8 @@ class TestFacadeConstruction:
 
     @pytest.mark.parametrize("value", [*_DOCUMENTED_TRANSPORTS, "reliable"])
     def test_update_transport_accepts_what_the_docstring_lists(self, value):
-        cfg = ConCORDConfig(update_transport=value)
         if value in _DOCUMENTED_TRANSPORTS:
+            cfg = ConCORDConfig(update_transport=value)
             concord = ConCORD(small_cluster(), cfg)
             assert concord.tracing.transport == value
         else:
@@ -85,7 +109,7 @@ class TestFacadeConstruction:
             assert _DOCUMENTED_TRANSPORTS
             with pytest.raises(ValueError,
                                match=", ".join(_DOCUMENTED_TRANSPORTS)):
-                ConCORD(small_cluster(), cfg)
+                ConCORDConfig(update_transport=value)
 
     def test_context_manager_closes(self):
         with ConCORD(small_cluster()) as concord:

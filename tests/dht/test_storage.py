@@ -186,6 +186,39 @@ class TestBackendContract:
         b.close()
 
 
+    def test_sqlite_database_leaves_the_registry_on_last_close(
+            self, tmp_path, monkeypatch):
+        """The registry is keyed on the resolved path; a relative (or
+        symlinked) root must be released under that same key."""
+        from repro.dht.storage.sqlitewal import _DATABASES
+
+        monkeypatch.chdir(tmp_path)
+        before = set(_DATABASES)
+        a = SqliteWalStorage("rel", 0)
+        b = SqliteWalStorage("rel", 1)
+        (key,) = set(_DATABASES) - before
+        a.close()
+        assert key in _DATABASES            # b still holds it
+        b.close()
+        assert set(_DATABASES) == before
+
+    def test_side_table_metadata_bytes_are_pinned(self, tmp_path):
+        """Both persistent backends write the one shared encoding; files
+        committed by earlier versions must keep loading, so the text is
+        pinned, key order included."""
+        side = ('"wide":[[9,5]],"extra":[[20,[[0,2]]]],'
+                '"n_hashes":4,"n_copies":11,"epoch":7}')
+        mm = MmapSegmentStorage(tmp_path, 0)
+        mm.commit(sample_state())
+        assert (tmp_path / "shard0.meta.json").read_text() == (
+            '{"gen":1,"n_rows":4,"seg":"shard0.1.seg",' + side)
+        sq = SqliteWalStorage(tmp_path, 0)
+        sq.commit(sample_state())
+        (meta,) = sq._conn().execute("SELECT meta FROM shards").fetchone()
+        sq.close()
+        assert meta == "{" + side
+
+
 class TestLocalDHTOnBackends:
     """Table-level semantics: flush/crash/recover/clear, per backend."""
 

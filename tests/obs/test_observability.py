@@ -62,6 +62,11 @@ class TestThreading:
         with pytest.raises(ValueError):
             concord.trace_dump(fmt="protobuf")
 
+    def test_obs_config_governs_tracing_only(self):
+        import dataclasses
+        assert [f.name for f in dataclasses.fields(ObsConfig)] \
+            == ["trace", "trace_limit"]
+
     def test_tracing_off_by_default(self):
         cluster = Cluster(2, cost="new-cluster", seed=0)
         workloads.instantiate(cluster, workloads.moldy(2, 64, seed=0))

@@ -1,10 +1,14 @@
 """Unit tests for collective checkpointing (paper §6)."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from repro import Cluster, ConCORD, ConCORDConfig, Entity
 from repro.core.command import ExecMode
 from repro.core.scope import ServiceScope
+from repro.memory.pagedata import intern_chunk
 from repro.queries.reference import ReferenceModel
 from repro.services.checkpoint import (
     CheckpointStore,
@@ -12,6 +16,9 @@ from repro.services.checkpoint import (
     RawCheckpoint,
     restore_entity,
 )
+from repro.services.incremental import (CheckpointChain,
+                                        restore_incremental_entity)
+from repro.util.hashing import page_hash
 from repro import workloads
 from tests.conftest import make_system
 
@@ -152,6 +159,67 @@ class TestOnDiskFormat:
         with pytest.raises(ValueError):
             CheckpointStore.load_from_dir(d)
 
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("chunking", ["fixed", "cdc"])
+    def test_writer_emits_one_container(self, tmp_path, chunking, canonical):
+        """Every file is CCS2/CCE2 whatever the entities and the mode;
+        stale entities put literal data records in the plain form."""
+        cluster = Cluster(2, seed=21)
+        rng = np.random.default_rng(21)
+        if chunking == "cdc":       # byte-backed: variable-sized chunks
+            blob = rng.integers(0, 256, 8 * 4096, dtype=np.uint8).tobytes()
+            ents = [Entity.from_bytes(cluster, n, blob + bytes([n]) * 4096)
+                    for n in range(2)]
+            fresh = intern_chunk(b"\x5a" * 4096)
+        else:                       # ID-backed pages, v1 before this writer
+            ents = [Entity.create(cluster, n,
+                                  rng.integers(0, 40, 32).astype(np.uint64))
+                    for n in range(2)]
+            fresh = 10**6
+        concord = ConCORD(cluster, ConCORDConfig(chunking=chunking))
+        concord.initial_scan()
+        ents[1].write_page(0, fresh)        # unscanned: a literal record
+        store, _ = checkpoint(concord, ents)
+        assert any(f.n_data_records for f in store.se_files.values())
+        store.write_to_dir(tmp_path / "d", canonical=canonical)
+        magics = {p.name: p.read_bytes()[:4]
+                  for p in (tmp_path / "d").iterdir()}
+        assert magics.pop("shared.bin") == b"CCS2"
+        assert len(magics) == 2 and set(magics.values()) == {b"CCE2"}
+        loaded = CheckpointStore.load_from_dir(tmp_path / "d")
+        for e in ents:
+            assert (restore_entity(loaded, e.entity_id)
+                    == e.block_ids()).all()
+
+    def test_v1_container_still_loads(self, tmp_path):
+        """No writer produces CCSH/CCSE any more, so these hand-packed
+        bytes are what keeps the reader's v1 branch honest: fixed-size
+        blocks, content ID in the first 8 bytes of each page."""
+        page_size = 64
+
+        def page(cid):
+            return cid.to_bytes(8, "little") + bytes(page_size - 8)
+
+        d = tmp_path / "v1"
+        d.mkdir()
+        (d / "shared.bin").write_bytes(
+            b"CCSH" + struct.pack("<IQ", page_size, 2)
+            + page(101) + page(102))
+        (d / "entity_4.ckpt").write_bytes(
+            b"CCSE" + struct.pack("<IIQ", 4, page_size, 3)
+            + struct.pack("<BIQQ", 0, 2, page_hash(102), 1)
+            + struct.pack("<BIQI", 1, 1, page_hash(303), page_size)
+            + page(303)
+            + struct.pack("<BIQQ", 0, 0, page_hash(101), 0))
+        loaded = CheckpointStore.load_from_dir(d)
+        assert loaded.page_size == page_size
+        assert loaded.shared.blocks == [101, 102]
+        assert loaded.se_files[4].records == [
+            ("ptr", 2, page_hash(102), 1),
+            ("data", 1, page_hash(303), 303),
+            ("ptr", 0, page_hash(101), 0)]
+        assert restore_entity(loaded, 4).tolist() == [101, 303, 102]
+
 
 def dir_bytes(path):
     return {p.name: p.read_bytes() for p in path.iterdir()}
@@ -270,6 +338,68 @@ class TestSharedContentFile:
         f.add_data(3, 1, 11)  # pages 0-2 missing
         with pytest.raises(ValueError):
             restore_entity(store, 0)
+
+
+def _restore_plain(store, base):
+    return restore_entity(store, 0)
+
+
+def _restore_incremental(store, base):
+    return restore_incremental_entity(store, base, 0)
+
+
+def _restore_chain(store, base):
+    chain = CheckpointChain(base)
+    chain.stores.append(store)
+    return chain.restore(0)
+
+
+class TestRestoreWalk:
+    """The three public restore entry points are one record walk; they
+    differ only in how (and whether) a base pointer resolves."""
+
+    # name -> (entry point, payload of a base pointer to base offset 0)
+    ENTRIES = {"plain": (_restore_plain, 0),
+               "incremental": (_restore_incremental, 0),
+               "chain": (_restore_chain, (0, 0))}
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("case, expect", [
+        pytest.param("ok", [50, 11], id="ok"),
+        pytest.param("duplicate", "duplicate record for page 0",
+                     id="duplicate"),
+        pytest.param("missing", r"pages \[0, 1, 2\] missing", id="missing"),
+        pytest.param("bptr", [70, 50], id="bptr"),
+    ])
+    def test_same_records_same_outcome(self, entry, case, expect):
+        restore, base_ptr = self.ENTRIES[entry]
+        base = CheckpointStore()
+        base.shared.append(7, 70)
+        store = CheckpointStore()
+        store.shared.append(5, 50)
+        store.se_file(0).records.extend({
+            "ok": [("data", 1, 1, 11), ("ptr", 0, 5, 0)],
+            "duplicate": [("data", 0, 1, 11), ("ptr", 0, 5, 0)],
+            "missing": [("data", 3, 1, 11)],
+            "bptr": [("ptr", 1, 5, 0), ("bptr", 0, 7, base_ptr)],
+        }[case])
+        if (entry, case) == ("plain", "bptr"):
+            expect = "base pointer"        # nothing to resolve it against
+        if isinstance(expect, str):
+            with pytest.raises(ValueError, match=expect):
+                restore(store, base)
+        else:
+            pages = restore(store, base)
+            assert pages.dtype == np.uint64 and pages.tolist() == expect
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_empty_file_and_unknown_entity(self, entry):
+        restore, _ = self.ENTRIES[entry]
+        store = CheckpointStore()
+        with pytest.raises(KeyError):
+            restore(store, CheckpointStore())
+        store.se_file(0)
+        assert restore(store, CheckpointStore()).tolist() == []
 
 
 class TestPlanRefinement:

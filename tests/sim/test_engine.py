@@ -23,6 +23,16 @@ class TestScheduling:
         eng.run()
         assert fired == ["a", "b", "c"]
 
+    def test_tied_events_never_compare_their_callbacks(self):
+        """Heap entries are (time, seq, fn, args) tuples: the unique seq
+        must settle every tie before an unorderable fn or args is reached."""
+        eng = SimEngine()
+        fired = []
+        for tag in "abc":
+            eng.at(1.0, lambda t, _d: fired.append(t), tag, {})
+        eng.run()
+        assert fired == ["a", "b", "c"]
+
     def test_after_relative(self):
         eng = SimEngine()
         times = []
@@ -63,16 +73,9 @@ class TestScheduling:
         eng.run(until=5.0)
         assert fired == [1]
         assert eng.now == 5.0
+        assert eng.pending() == 1
         eng.run()
         assert fired == [1, 2]
-
-    def test_cancel(self):
-        eng = SimEngine()
-        fired = []
-        ev = eng.at(1.0, fired.append, "x")
-        eng.cancel(ev)
-        eng.run()
-        assert fired == []
         assert eng.pending() == 0
 
     def test_max_events(self):

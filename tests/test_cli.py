@@ -84,6 +84,12 @@ class TestTrace:
         code, _out = run_cli("trace", "fig99", "--out", str(tmp_path))
         assert code == 2
 
+    def test_profile_flag_is_gone(self):
+        """Function-level host time is `python -m cProfile -m repro ...`."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("trace", "--profile")
+        assert exc.value.code == 2
+
 
 class TestBench:
     """CLI surface of the benchmark suite and its golden file."""
