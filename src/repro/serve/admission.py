@@ -21,8 +21,15 @@ from repro.serve.request import QoSClass, Rejected, RejectReason, Request
 
 __all__ = ["TokenBucket", "AdmissionController"]
 
-_INTEGER = (int, np.integer)
 _HASH_MAX = (1 << 64) - 1
+
+
+def _is_integer(x) -> bool:
+    """The one integer rule of admission, for a content hash, an entity id
+    and ``k`` alike: an ``int`` or NumPy integer of any width, never a
+    ``bool`` (``True`` is not content hash 1)."""
+    return type(x) is int or (isinstance(x, (int, np.integer))
+                              and not isinstance(x, bool))
 
 
 def _entity_ids_ok(ids) -> bool:
@@ -35,7 +42,7 @@ def _entity_ids_ok(ids) -> bool:
     if not isinstance(ids, Collection):
         return False
     for e in ids:
-        if not isinstance(e, _INTEGER) or e < 0:
+        if not _is_integer(e) or e < 0:
             return False
     return True
 
@@ -126,20 +133,24 @@ class AdmissionController:
         never reaches a batch it would abort: unknown op, wrong arity, a
         node-wise hash that is not an integer in ``[0, 2**64)``, an
         entity set that is not a hashable collection of non-negative
-        integers, ``k`` not a positive int.  Queue capacity is checked
-        before the rate limit so a full queue does not consume tokens it
-        cannot use.
+        integers, ``k`` not a positive integer (:func:`_is_integer`
+        decides "integer" in all three positions).  Queue capacity is
+        checked before the rate limit so a full queue does not consume
+        tokens it cannot use; a disabled bucket is not consulted at all.
         """
         spec = OPS.get(req.op)
         args = req.args
-        if spec is None or len(args) != 1 + spec.takes_k:
+        if spec is None:
+            return Rejected(RejectReason.BAD_REQUEST)
+        nodewise, takes_k = spec
+        if len(args) != 1 + takes_k:
             return Rejected(RejectReason.BAD_REQUEST)
         first = args[0]
-        if spec.nodewise:
-            ok = isinstance(first, _INTEGER) and 0 <= first <= _HASH_MAX
+        if nodewise:
+            ok = _is_integer(first) and 0 <= first <= _HASH_MAX
         else:
-            ok = _entity_ids_ok(first) and (not spec.takes_k or (
-                isinstance(args[1], int) and args[1] >= 1))
+            ok = _entity_ids_ok(first) and (not takes_k or (
+                _is_integer(args[1]) and args[1] >= 1))
         if not ok:
             return Rejected(RejectReason.BAD_REQUEST)
         if queue_depth >= self.cfg.queue_limit:
@@ -149,7 +160,8 @@ class AdmissionController:
                       if req.qos is QoSClass.INTERACTIVE
                       else self.cfg.batch_window_s)
             return Rejected(RejectReason.QUEUE_FULL, retry_after_s=window)
-        if not self.bucket.try_take(now):
+        bucket = self.bucket
+        if bucket.rate is not None and not bucket.try_take(now):
             return Rejected(RejectReason.RATE_LIMITED,
-                            retry_after_s=self.bucket.time_to_token(now))
+                            retry_after_s=bucket.time_to_token(now))
         return None

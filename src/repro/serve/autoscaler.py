@@ -102,7 +102,7 @@ class Autoscaler:
     def overloaded(self) -> bool:
         """Any serve signal over threshold in the last check window."""
         f = self.frontend
-        depth = sum(g.value for g in f._g_depth.values())
+        depth = sum(lane.g_depth.value for lane in f._lanes)
         if depth > self.cfg.queue_depth_high:
             return True
         submitted = int(f._c_submitted.value)
@@ -112,7 +112,7 @@ class Autoscaler:
         self._last_submitted, self._last_rejected = submitted, rejected
         if d_sub > 0 and d_rej / d_sub > self.cfg.reject_rate_high:
             return True
-        h = f._h_latency[QoSClass.INTERACTIVE]
+        h = f._lane(QoSClass.INTERACTIVE).h_latency
         return h.count > 0 and h.quantile(0.95) > self.cfg.p95_high_s
 
     # -- the policy loop ----------------------------------------------------------

@@ -17,11 +17,14 @@ interleavings of memory updates, node kills/repairs, and queries, a
 cache-enabled answer is byte-identical to the uncached answer at the same
 instant.  To keep that exact, each cached op performs the *same* lazy
 failure detection its uncached path performs (``home_node`` for node-wise,
-``refresh_failed`` for collective) before consulting the cache — detection
-bumps epochs, so a fault observed by the uncached path forces a miss on
-the cached one.  Fault-path integration falls out: failover and repair
-bump epochs, so degraded answers are never served as fresh (nor fresh ones
-as degraded).
+``refresh_failed`` for collective) before serving from the cache —
+detection bumps epochs, so a fault observed by the uncached path forces a
+miss on the cached one.  A node-wise entry whose stored home is up and
+whose stored epoch still stands is the one case where that detection
+provably finds nothing and the token provably has not changed, so
+:meth:`CachedQueries.lookup` serves it without routing the hash at all.
+Fault-path integration falls out: failover and repair bump epochs, so
+degraded answers are never served as fresh (nor fresh ones as degraded).
 """
 
 from __future__ import annotations
@@ -91,6 +94,15 @@ class EpochCache:
     def evictions(self) -> int:
         return self._c_evictions.value
 
+    def peek(self, key: tuple) -> tuple[tuple, QueryResult] | None:
+        """The stored ``(token, result)``, no accounting, no LRU move."""
+        return self._map.get(key)
+
+    def touch(self, key: tuple) -> None:
+        """Account a hit on an entry the caller found valid."""
+        self._map.move_to_end(key)
+        self._c_hits.inc()
+
     def get(self, key: tuple, token: tuple) -> QueryResult | None:
         entry = self._map.get(key)
         if entry is None:
@@ -104,8 +116,7 @@ class EpochCache:
             self._c_invalidations.inc()
             self._c_misses.inc()
             return None
-        self._map.move_to_end(key)
-        self._c_hits.inc()
+        self.touch(key)
         return result
 
     def put(self, key: tuple, token: tuple, result: QueryResult) -> None:
@@ -144,6 +155,7 @@ class CachedQueries:
         self._c_violations = self.obs.registry.counter(
             "serve.cache.violations")
         self.violations: list[CacheViolation] = []
+        self._network = self.engine.cluster.network
 
     # -- epoch tokens ------------------------------------------------------------
 
@@ -159,18 +171,6 @@ class CachedQueries:
         self.engine.refresh_failed()
         return (self.engine.global_epoch,)
 
-    def _key_token(self, op: str, args: tuple,
-                   issuing_node: int) -> tuple[tuple, tuple]:
-        """Cache key and *current* epoch token of one query."""
-        spec = OPS.get(op)
-        if spec is None:
-            raise ValueError(f"unknown query op {op!r}")
-        if spec.nodewise:
-            h = int(args[0])
-            return (op, h, issuing_node), self.nodewise_token(h)
-        return ((op, tuple(int(e) for e in args[0]), *args[1:]),
-                self.collective_token())
-
     # -- the one lookup / verify / store path ------------------------------------
 
     def _execute(self, key: tuple) -> QueryResult:
@@ -180,10 +180,11 @@ class CachedQueries:
         fn = getattr(self.queries, op)
         return fn(first, *rest) if OPS[op].nodewise else fn(list(first), *rest)
 
-    def _hit(self, key: tuple, token: tuple) -> QueryResult | None:
-        cached = self.cache.get(key, token)
-        if cached is None or not self.verify:
-            return cached
+    def _shadow(self, key: tuple, token: tuple,
+                cached: QueryResult) -> QueryResult:
+        """Verify mode: execute the query a hit answered and compare; a
+        mismatch is recorded and the fresh answer replaces the entry and
+        is served (self-healing)."""
         fresh = self._execute(key)
         if fresh != cached:
             self._c_violations.inc()
@@ -191,21 +192,48 @@ class CachedQueries:
             self.cache.put(key, token, fresh)
         return fresh
 
+    def _get(self, key: tuple, token: tuple) -> QueryResult | None:
+        cached = self.cache.get(key, token)
+        if cached is None or not self.verify:
+            return cached
+        return self._shadow(key, token, cached)
+
     def lookup(self, op: str, args: tuple,
                issuing_node: int = 0) -> QueryResult | None:
-        """The answer to serve from cache, or ``None`` on a miss.  In
-        verify mode a hit is shadow-executed; a mismatch is recorded and
-        the fresh answer replaces the entry and is served (self-healing).
+        """The cached answer to a node-wise query, or ``None`` on a miss.
+
+        An entry validates itself.  Its token is ``(home, epoch)`` as of
+        the store; every change of membership or of the alive view bumps
+        every shard epoch, and epochs only grow.  So while the stored home
+        is up and its epoch stands where it stood, the home of the hash
+        has not moved, ``home_node`` would detect nothing, and
+        :meth:`nodewise_token` would return the stored token: a hit, for
+        one dict probe and no routing.  Anything else — no entry, home
+        down, epoch advanced — takes the token path: ``home_node`` runs
+        the lazy failure detection the uncached query would, and
+        ``EpochCache.get`` counts the miss or the invalidation.
         """
-        return self._hit(*self._key_token(op, args, issuing_node))
+        h = int(args[0])
+        key = (op, h, issuing_node)
+        cache = self.cache
+        entry = cache.peek(key)
+        if entry is not None:
+            token, cached = entry
+            home, epoch = token
+            if (self._network.node_up[home]
+                    and self.engine.shards[home].epoch == epoch):
+                cache.touch(key)
+                return (self._shadow(key, token, cached) if self.verify
+                        else cached)
+        return self._get(key, self.nodewise_token(h))
 
     def store(self, op: str, args: tuple, issuing_node: int,
               result: QueryResult) -> None:
-        """Cache an answer executed outside (the frontend's bulk fill)
-        under the token as it stands *after* execution — executing ran the
-        lazy failure detection, so home and epochs are settled."""
-        key, token = self._key_token(op, args, issuing_node)
-        self.cache.put(key, token, result)
+        """Cache a node-wise answer executed outside (the frontend's bulk
+        fill) under the token as it stands *after* execution — executing
+        ran the lazy failure detection, so home and epochs are settled."""
+        h = int(args[0])
+        self.cache.put((op, h, issuing_node), self.nodewise_token(h), result)
 
     def query(self, op: str, args: tuple,
               issuing_node: int = 0) -> tuple[QueryResult, bool]:
@@ -213,8 +241,19 @@ class CachedQueries:
         args convention: node-wise ``(hash,)``; collective
         ``(entity_ids,)`` or ``(entity_ids, k)``, always
         ``ExecMode.DISTRIBUTED``."""
-        key, token = self._key_token(op, args, issuing_node)
-        result = self._hit(key, token)
+        spec = OPS.get(op)
+        if spec is None:
+            raise ValueError(f"unknown query op {op!r}")
+        if spec.nodewise:
+            result = self.lookup(op, args, issuing_node)
+            if result is not None:
+                return result, True
+            result = self._execute((op, int(args[0]), issuing_node))
+            self.store(op, args, issuing_node, result)
+            return result, False
+        key = (op, tuple(int(e) for e in args[0]), *args[1:])
+        token = self.collective_token()
+        result = self._get(key, token)
         if result is not None:
             return result, True
         result = self._execute(key)

@@ -28,7 +28,7 @@ network latency.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 
 from repro.obs import Observability
@@ -114,6 +114,26 @@ class ServeReport:
         return t
 
 
+class _Lane:
+    """Everything the frontend keeps per QoS class, in one record: the
+    drain event carries its lane, so the hot path reaches queue, window
+    and metrics by attribute instead of hashing the enum member."""
+
+    __slots__ = ("qos", "window", "queue", "drain_pending", "c_admitted",
+                 "c_completed", "g_depth", "h_latency")
+
+    def __init__(self, qos: QoSClass, window: float, reg) -> None:
+        self.qos = qos
+        self.window = window
+        self.queue: deque[Request] = deque()
+        self.drain_pending = False
+        self.c_admitted = reg.counter("serve.admitted", qos=qos.value)
+        self.c_completed = reg.counter("serve.completed", qos=qos.value)
+        self.g_depth = reg.gauge("serve.queue_depth", qos=qos.value)
+        self.h_latency = reg.histogram("serve.latency_s",
+                                       bounds=LATENCY_BOUNDS, qos=qos.value)
+
+
 class QueryFrontend:
     """Admission control + batching/coalescing + epoch cache, in front of
     a :class:`QueryInterface`, on the cluster's sim clock."""
@@ -134,36 +154,29 @@ class QueryFrontend:
         self.cached = CachedQueries(queries, self.cfg.cache_capacity,
                                     verify=self.cfg.verify_cache,
                                     obs=self.obs)
-        self._queues: dict[QoSClass, deque[Request]] = {
-            q: deque() for q in QoSClass}
-        self._drain_pending: dict[QoSClass, bool] = {
-            q: False for q in QoSClass}
         self.t_first_submit: float | None = None
         self.t_last_done = 0.0
         # Metrics, resolved once (the registry is the single bookkeeper).
         reg = self.obs.registry
+        self._lanes = tuple(
+            _Lane(q, self.cfg.interactive_window_s
+                  if q is QoSClass.INTERACTIVE else self.cfg.batch_window_s,
+                  reg)
+            for q in QoSClass)
         self._c_submitted = reg.counter("serve.submitted")
-        self._c_admitted = {q: reg.counter("serve.admitted", qos=q.value)
-                            for q in QoSClass}
         self._c_rejected = {r: reg.counter("serve.rejected", reason=r.value)
                             for r in RejectReason}
-        self._c_completed = {q: reg.counter("serve.completed", qos=q.value)
-                             for q in QoSClass}
         self._c_coalesced = reg.counter("serve.coalesced")
         self._c_batches = reg.counter("serve.batches")
         self._c_executions = reg.counter("serve.executions")
-        self._g_depth = {q: reg.gauge("serve.queue_depth", qos=q.value)
-                         for q in QoSClass}
-        self._h_latency = {
-            q: reg.histogram("serve.latency_s", bounds=LATENCY_BOUNDS,
-                             qos=q.value)
-            for q in QoSClass}
 
     # -- submission ----------------------------------------------------------------
 
-    def _window(self, qos: QoSClass) -> float:
-        return (self.cfg.interactive_window_s if qos is QoSClass.INTERACTIVE
-                else self.cfg.batch_window_s)
+    def _lane(self, qos: QoSClass) -> _Lane:
+        for lane in self._lanes:
+            if lane.qos is qos:
+                return lane
+        raise ValueError(f"unknown QoS class {qos!r}")
 
     def submit(self, op: str, args: tuple, *,
                qos: QoSClass = QoSClass.INTERACTIVE, issuing_node: int = 0,
@@ -174,160 +187,184 @@ class QueryFrontend:
         ``submit`` returns, with a :class:`Rejected` answer); admitted
         requests complete via the event loop when their batch drains.
         """
+        lane = self._lane(qos)
         now = self.sim.now
         if self.t_first_submit is None:
             self.t_first_submit = now
-        req = Request(op, tuple(args), qos=qos, issuing_node=issuing_node,
-                      client_id=client_id, t_submit=now, on_done=on_done)
+        req = Request(op, tuple(args), qos, issuing_node, client_id, now,
+                      on_done)
         self._c_submitted.inc()
-        verdict = self.admission.admit(req, len(self._queues[qos]), now)
+        queue = lane.queue
+        verdict = self.admission.admit(req, len(queue), now)
         if verdict is not None:
             self._c_rejected[verdict.reason].inc()
-            self._deliver(Response(req, verdict, t_done=now, latency_s=0.0))
+            if on_done is not None:
+                on_done(Response(req, verdict, now))
             return req
-        self._c_admitted[qos].inc()
-        queue = self._queues[qos]
+        lane.c_admitted.inc()
         queue.append(req)
-        self._g_depth[qos].set(len(queue))
-        if not self._drain_pending[qos]:
-            self._drain_pending[qos] = True
-            self.sim.after(self._window(qos), self._drain, qos)
+        lane.g_depth.set(len(queue))
+        if not lane.drain_pending:
+            lane.drain_pending = True
+            self.sim.after(lane.window, self._drain, lane)
         return req
 
     # -- batch drain ---------------------------------------------------------------
 
-    def _drain(self, qos: QoSClass) -> None:
-        self._drain_pending[qos] = False
-        queue = self._queues[qos]
+    def _drain(self, lane: _Lane) -> None:
+        lane.drain_pending = False
+        queue = lane.queue
         if not queue:
             return
         now = self.sim.now
-        n_take = min(len(queue), self.cfg.max_batch)
-        batch = [queue.popleft() for _ in range(n_take)]
-        self._g_depth[qos].set(len(queue))
-        if queue:
+        max_batch = self.cfg.max_batch
+        if len(queue) <= max_batch:
+            batch = list(queue)
+            queue.clear()
+        else:
             # Overload: more than max_batch waiting — drain again after a
             # fresh window rather than growing this batch unboundedly.
-            self._drain_pending[qos] = True
-            self.sim.after(self._window(qos), self._drain, qos)
+            batch = [queue.popleft() for _ in range(max_batch)]
+            lane.drain_pending = True
+            self.sim.after(lane.window, self._drain, lane)
+        lane.g_depth.set(len(queue))
         self._c_batches.inc()
 
-        # Coalesce: requests with equal keys share one execution.
-        groups: OrderedDict[tuple, list[Request]] = OrderedDict()
+        # Coalesce: requests with equal (op, args) share one execution.
+        groups: dict[tuple, list[Request]] = {}
         for req in batch:
-            groups.setdefault(req.key, []).append(req)
-        coalesced = len(batch) - len(groups)
+            key = (req.op, req.args)
+            reqs = groups.get(key)
+            if reqs is None:
+                groups[key] = [req]
+            else:
+                reqs.append(req)
+        n = len(batch)
+        coalesced = n - len(groups)
         if coalesced:
             self._c_coalesced.inc(coalesced)
 
-        answers, svc, n_exec = self._answer_groups(groups)
+        slots, svc, n_exec = self._answer_groups(groups)
         self._c_executions.inc(n_exec)
         done = self.cpu.submit(now, svc)
-        self.obs.tracer.add_span(
-            "serve.batch", now, done, node=self.cfg.frontend_node,
-            phase="serve", qos=qos.value, n=len(batch),
-            coalesced=coalesced, executions=n_exec)
-        responses = []
-        for reqs in groups.values():
-            for i, req in enumerate(reqs):
-                result, hit = answers[id(req)]
-                responses.append(Response(
-                    req, result, t_done=done, latency_s=done - req.t_submit,
-                    cache_hit=hit, coalesced=i > 0, batch_size=len(batch)))
-        self.sim.after(done - now, self._complete, responses)
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.add_span(
+                "serve.batch", now, done, node=self.cfg.frontend_node,
+                phase="serve", qos=lane.qos.value, n=n,
+                coalesced=coalesced, executions=n_exec)
+        responses = [
+            Response(req, result, done, done - req.t_submit, hit, follower, n)
+            for req, result, hit, follower in slots]
+        self.sim.after(done - now, self._complete, lane, done, responses)
 
     def _answer_groups(self, groups):
-        """Answer each key group; returns (answers, service_time, n_exec),
-        ``answers`` mapping ``id(request)`` to its ``(QueryResult, hit)``.
+        """Answer each key group; returns (slots, service_time, n_exec),
+        ``slots`` holding one ``[request, QueryResult, hit, follower]`` per
+        request in completion order: groups as first seen, arrival order
+        within a group, ``follower`` true for all but a group's first.
 
         The one place a drained batch meets the cache: one lookup per
         collective key and per distinct node-wise ``(op, hash,
         issuing_node)`` — the latency field depends on the issuing node,
         and same-key requests from the same node ride along free — then
-        one ``bulk_answers`` fill per node-wise op over its misses.
+        one ``bulk_answers`` fill per node-wise op over its misses, which
+        writes the answers into the slots left open for them.
         """
-        answers: dict[int, tuple[QueryResult, bool]] = {}
+        slots: list[list] = []
         n_hits = 0          # cache lookups that hit (one per cache key)
         n_exec = 0
         nodewise_max = 0.0  # node-wise executions fan out in parallel
         collective_sum = 0.0  # collective executions run serially
-        # Node-wise misses, per op: (args, issuing node, waiting requests).
-        misses: dict[str, list[tuple[tuple, int, list[Request]]]] = {
+        # Node-wise misses, per op: (args, issuing node, waiting slots).
+        misses: dict[str, list[tuple[tuple, int, list[list]]]] = {
             op: [] for op in NODEWISE_OPS}
+        lookup = self.cached.lookup
 
         for (op, args), reqs in groups.items():
-            if OPS[op].nodewise:
-                by_node: OrderedDict[int, list[Request]] = OrderedDict()
-                for r in reqs:
-                    by_node.setdefault(r.issuing_node, []).append(r)
-                for node, node_reqs in by_node.items():
-                    result = self.cached.lookup(op, args, node)
-                    if result is None:
-                        misses[op].append((args, node, node_reqs))
-                        continue
-                    n_hits += 1
-                    for r in node_reqs:
-                        answers[id(r)] = (result, True)
-            else:
+            if not OPS[op].nodewise:
                 result, hit = self.cached.query(op, args)
                 if hit:
                     n_hits += 1
                 else:
                     n_exec += 1
                     collective_sum += result.latency
+                follower = False
                 for r in reqs:
-                    answers[id(r)] = (result, hit)
+                    slots.append([r, result, hit, follower])
+                    follower = True
+                continue
+            # One lookup per distinct issuing node, at its first request:
+            # node -> (cached answer, None) or (None, slots its miss fills).
+            by_node: dict[int, tuple] = {}
+            follower = False
+            for r in reqs:
+                node = r.issuing_node
+                cell = by_node.get(node)
+                if cell is None:
+                    result = lookup(op, args, node)
+                    if result is None:
+                        cell = by_node[node] = (None, [])
+                        misses[op].append((args, node, cell[1]))
+                    else:
+                        n_hits += 1
+                        cell = by_node[node] = (result, None)
+                result, waiting = cell
+                slot = [r, result, waiting is None, follower]
+                if waiting is not None:
+                    waiting.append(slot)
+                slots.append(slot)
+                follower = True
 
         for op, waiting in misses.items():
             if not waiting:
                 continue
             results = bulk_answers(
                 self.engine, self.cost, op,
-                [(args[0], node) for args, node, _reqs in waiting])
+                [(args[0], node) for args, node, _slots in waiting])
             n_exec += len(results)
-            for (args, node, node_reqs), result in zip(waiting, results):
+            for (args, node, open_slots), result in zip(waiting, results):
                 nodewise_max = max(nodewise_max, result.latency)
                 self.cached.store(op, args, node, result)
-                for r in node_reqs:
-                    answers[id(r)] = (result, False)
+                for slot in open_slots:
+                    slot[1] = result
 
         svc = (n_hits * self.cfg.cache_hit_cost_s + nodewise_max
                + collective_sum)
-        return answers, svc, n_exec
+        return slots, svc, n_exec
 
     # -- completion ----------------------------------------------------------------
 
-    def _complete(self, responses: list[Response]) -> None:
+    def _complete(self, lane: _Lane, done: float,
+                  responses: list[Response]) -> None:
+        lane.c_completed.inc(len(responses))
+        if done > self.t_last_done:
+            self.t_last_done = done
+        observe = lane.h_latency.observe
         for resp in responses:
-            qos = resp.request.qos
-            self._c_completed[qos].inc()
-            self._h_latency[qos].observe(resp.latency_s)
-            self.t_last_done = max(self.t_last_done, resp.t_done)
-            self._deliver(resp)
-
-    def _deliver(self, resp: Response) -> None:
-        cb = resp.request.on_done
-        if cb is not None:
-            cb(resp)
+            observe(resp.latency_s)
+        for resp in responses:
+            on_done = resp.request.on_done
+            if on_done is not None:
+                on_done(resp)
 
     # -- reporting -----------------------------------------------------------------
 
     @property
     def pending(self) -> int:
         """Requests admitted but not yet completed (queued or in flight)."""
-        admitted = sum(c.value for c in self._c_admitted.values())
-        completed = sum(c.value for c in self._c_completed.values())
-        return int(admitted - completed)
+        return int(sum(lane.c_admitted.value - lane.c_completed.value
+                       for lane in self._lanes))
 
     def report(self, duration_s: float | None = None) -> ServeReport:
         """Summarize the run; ``duration_s`` defaults to the span from the
         first submit to the last completion."""
         reg = self.obs.registry
-        admitted = int(sum(c.value for c in self._c_admitted.values()))
+        admitted = int(sum(lane.c_admitted.value for lane in self._lanes))
         rejected_by = {r.value: int(c.value)
                        for r, c in self._c_rejected.items() if c.value}
         rejected = int(sum(c.value for c in self._c_rejected.values()))
-        completed = int(sum(c.value for c in self._c_completed.values()))
+        completed = int(sum(lane.c_completed.value for lane in self._lanes))
         if duration_s is None:
             t0 = self.t_first_submit if self.t_first_submit is not None \
                 else 0.0
@@ -335,10 +372,11 @@ class QueryFrontend:
         qps = completed / duration_s if duration_s > 0 else 0.0
         mean_lat: dict[str, float] = {}
         p95_lat: dict[str, float] = {}
-        for q, h in self._h_latency.items():
+        for lane in self._lanes:
+            h = lane.h_latency
             if h.count:
-                mean_lat[q.value] = h.mean
-                p95_lat[q.value] = h.quantile(0.95)
+                mean_lat[lane.qos.value] = h.mean
+                p95_lat[lane.qos.value] = h.quantile(0.95)
         return ServeReport(
             duration_s=duration_s,
             submitted=int(self._c_submitted.value),

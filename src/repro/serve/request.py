@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from repro.queries.interface import OPS, QueryResult
 
@@ -51,9 +51,12 @@ class Rejected:
     retry_after_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
-    """One client query as submitted to the frontend."""
+    """One client query as submitted to the frontend.  Requests with equal
+    ``(op, args)`` coalesce onto one execution; the issuing node is not
+    part of that identity — it changes only the modelled response
+    latency, which is synthesized per request."""
 
     op: str                         # one of ALL_OPS
     args: tuple                     # hashable: (hash,) | (entity_ids[, k])
@@ -63,19 +66,12 @@ class Request:
     t_submit: float = 0.0           # stamped by the frontend (sim time)
     on_done: Callable[[Response], None] | None = None
 
-    @property
-    def key(self) -> tuple:
-        """Coalescing identity: requests with equal keys are satisfied by
-        one execution.  The issuing node is excluded — it changes only the
-        modelled response latency, which is synthesized per request."""
-        return (self.op, self.args)
 
+class Response(NamedTuple):
+    """The frontend's answer to one request (immutable; one per request
+    per batch, so it is a plain tuple underneath)."""
 
-@dataclass(frozen=True)
-class Response:
-    """The frontend's answer to one request."""
-
-    request: Request = field(repr=False)
+    request: Request
     answer: QueryResult | Rejected
     t_done: float = 0.0             # sim time the answer left the frontend
     latency_s: float = 0.0          # t_done - t_submit (frontend-observed)

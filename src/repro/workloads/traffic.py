@@ -127,7 +127,8 @@ class TrafficDriver:
         self.clients = [_Client(i, i % n_nodes)
                         for i in range(spec.n_clients)]
         self._keys = self._hot_keys()
-        self._key_p = self._zipf_weights(len(self._keys), spec.zipf_s)
+        cdf = self._zipf_weights(len(self._keys), spec.zipf_s).cumsum()
+        self._key_cdf = cdf / cdf[-1]
         self._groups = self._entity_groups()
 
     # -- populations -------------------------------------------------------------
@@ -167,6 +168,14 @@ class TrafficDriver:
 
     # -- request synthesis -------------------------------------------------------
 
+    def _draw_key(self) -> int:
+        """One Zipf-popular hot key, by inverse-CDF lookup.  This is what
+        ``Generator.choice(n, p=)`` does with its one ``random()`` per
+        draw — after re-validating ``p`` in O(population) on every call —
+        so the request stream is the same, bit for bit."""
+        u = self.rng.random()
+        return self._keys[int(self._key_cdf.searchsorted(u, side="right"))]
+
     def _draw_request(self) -> tuple[str, tuple, QoSClass]:
         r = self.rng
         qos = (QoSClass.BATCH if r.random() < self.spec.batch_frac
@@ -174,8 +183,7 @@ class TrafficDriver:
         if r.random() < self.spec.nodewise_frac:
             op = ("entities" if r.random() < self.spec.entities_frac
                   else "num_copies")
-            key = self._keys[int(r.choice(len(self._keys), p=self._key_p))]
-            return op, (key,), qos
+            return op, (self._draw_key(),), qos
         op = _COLLECTIVE_MIX[int(r.integers(len(_COLLECTIVE_MIX)))]
         group = self._groups[int(r.integers(len(self._groups)))]
         if OPS[op].takes_k:

@@ -14,13 +14,14 @@ coalescing, per-issuing-node lookups and the bulk fill are all exercised.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster, ConCORD, ConCORDConfig, Entity
 from repro.obs import Observability
 from repro.queries import OPS
-from repro.serve import QueryFrontend, ServeConfig
+from repro.dht.storage import StorageConfig
+from repro.serve import CachedQueries, QueryFrontend, ServeConfig
 from repro.util import page_hash
 
 SLOW = settings(max_examples=25, deadline=None,
@@ -158,3 +159,203 @@ class TestCacheEquivalence:
             rep = fe.report()
             assert rep.completed == n_queries, name
             assert rep.cache_violations == 0, name
+
+
+# -- the invariant the self-validating hit rests on ---------------------------------
+#
+# A cached node-wise entry is served while its stored home is up and that
+# shard's epoch stands where it stood at the store (serve/cache.py
+# ``CachedQueries.lookup``).  That is exact only if every engine operation
+# that can move ``home(h)`` or coverage advances *every* shard epoch.
+
+# (kind, argument): membership, repair by each mode, wholesale removals,
+# and content updates (which advance one shard only and are not checked).
+engine_op_strategy = st.one_of(
+    st.tuples(st.just("fail"), st.sampled_from(FAULTY_NODES)),
+    st.tuples(st.just("restart_cold"), st.sampled_from(FAULTY_NODES)),
+    st.tuples(st.just("restart_warm"), st.sampled_from(FAULTY_NODES)),
+    st.tuples(st.just("begin_join"), st.just(0)),
+    st.tuples(st.just("complete_join"), st.just(0)),
+    st.tuples(st.just("repair"),
+              st.sampled_from(["replay", "full", "delta", "recon"])),
+    st.tuples(st.just("clear"), st.just(0)),
+    st.tuples(st.just("remove_entity"), st.integers(0, 1)),
+    st.tuples(st.just("flush"), st.just(0)),
+    st.tuples(st.just("write"), st.integers(0, 200)),
+)
+
+REPAIR_KW = {"replay": {}, "full": {"full": True}, "delta": {"delta": True},
+             "recon": {"mode": "recon"}}
+MAX_NODES = N_NODES + 2
+
+
+class TestEpochInvariant:
+    @SLOW
+    @given(st.lists(engine_op_strategy, min_size=1, max_size=16),
+           st.sampled_from(["memory", "sqlite"]))
+    # Every operation at least once, the warm restart with a commit to
+    # recover and the repairs with damage to repair.
+    @example(ops=[("flush", 0), ("write", 7), ("fail", 2),
+                  ("repair", "replay"), ("restart_warm", 2),
+                  ("repair", "delta"), ("fail", 3), ("begin_join", 0),
+                  ("write", 9), ("complete_join", 0), ("restart_cold", 3),
+                  ("repair", "recon"), ("repair", "full"),
+                  ("remove_entity", 1), ("clear", 0)],
+             backend="sqlite")
+    def test_routing_and_coverage_changes_advance_every_shard_epoch(
+            self, ops, backend):
+        cluster = Cluster(N_NODES, seed=1)
+        rng = np.random.default_rng(1)
+        ents = [Entity.create(
+            cluster, node,
+            rng.integers(0, OLD_IDS, size=N_PAGES).astype(np.uint64))
+            for node in ENTITY_NODES]
+        cfg = ConCORDConfig(use_network=False,
+                            storage=StorageConfig(backend=backend))
+        with ConCORD(cluster, cfg) as concord:
+            concord.initial_scan()
+            engine, net = concord.tracing, cluster.network
+            for kind, arg in ops:
+                before = [s.epoch for s in engine.shards]
+                must_advance = True
+                if kind == "fail":
+                    must_advance = engine.partition.is_alive(arg)
+                    net.set_node_up(arg, False)
+                    engine.node_failed(arg)
+                elif kind in ("restart_cold", "restart_warm"):
+                    must_advance = not engine.partition.is_alive(arg)
+                    net.set_node_up(arg, True)
+                    engine.node_restarted(arg,
+                                          recover=kind == "restart_warm")
+                elif kind == "begin_join":
+                    if (engine._pending_join is not None
+                            or cluster.n_nodes >= MAX_NODES):
+                        continue
+                    concord.begin_join()
+                elif kind == "complete_join":
+                    if engine._pending_join is None:
+                        continue
+                    concord.complete_join()
+                elif kind == "repair":
+                    # With every range intact, a replay or delta repair
+                    # has no target: nothing changes, nothing bumps.
+                    report = engine.repair(**REPAIR_KW[arg])
+                    must_advance = report.ranges_repaired > 0
+                elif kind == "clear":
+                    engine.clear()
+                elif kind == "remove_entity":
+                    engine.remove_entity(ents[arg].entity_id)
+                elif kind == "flush":
+                    # Gives a later warm restart a commit to recover.
+                    engine.flush_storage()
+                    must_advance = False
+                elif kind == "write":
+                    ents[arg % len(ents)].write_pages(
+                        np.array([arg % N_PAGES]),
+                        np.array([OLD_IDS + arg % (ALL_IDS - OLD_IDS)],
+                                 dtype=np.uint64))
+                    concord.sync()
+                    must_advance = False
+                after = [s.epoch for s in engine.shards]
+                # The attribute the hit check reads is the engine's vector.
+                assert after == engine.epoch_vector().tolist(), (kind, arg)
+                if must_advance:
+                    assert all(a > b for a, b in zip(after, before)), \
+                        (kind, arg, before, after)
+                else:
+                    assert all(a >= b for a, b in zip(after, before)), \
+                        (kind, arg, before, after)
+
+    def test_undetected_dead_home_takes_the_detection_path(self):
+        # The home dies between store and lookup and nobody has noticed:
+        # its epoch has not moved, only ``node_up[home]`` is false.  The
+        # cached query must detect the failure exactly as the uncached one
+        # does — same answer, same counters, same epochs.
+        def system():
+            cluster, _ents, concord = build(2)
+            return cluster, concord.tracing, concord.queries
+
+        cluster, engine, queries = system()
+        ref_cluster, ref_engine, ref_queries = system()
+        h = next(page_hash(i) for i in range(OLD_IDS)
+                 if engine.home_node(page_hash(i)) in FAULTY_NODES)
+        home = engine.home_node(h)
+        obs = Observability()
+        cached = CachedQueries(queries, obs=obs)
+        first, hit = cached.query("num_copies", (h,), 0)
+        assert not hit and first == ref_queries.num_copies(h, 0)
+        assert cached.query("num_copies", (h,), 0) == (first, True)
+
+        for c, e in ((cluster, engine), (ref_cluster, ref_engine)):
+            c.network.set_node_up(home, False)     # no node_failed()
+            e.shards[home].crash()
+        token, _result = cached.cache.peek(("num_copies", h, 0))
+        assert token == (home, engine.shard_epoch(home))   # epoch unmoved
+        assert engine.partition.is_alive(home)             # undetected
+
+        answer, hit = cached.query("num_copies", (h,), 0)
+        assert not hit
+        assert answer == ref_queries.num_copies(h, 0)
+        assert answer != first and answer.degraded
+        assert not engine.partition.is_alive(home)         # detected now
+        assert engine.stats.failovers == ref_engine.stats.failovers == 1
+        assert engine.epoch_vector().tolist() == \
+            ref_engine.epoch_vector().tolist()
+        reg = obs.registry
+        assert (reg.value("serve.cache.hits"),
+                reg.value("serve.cache.misses"),
+                reg.value("serve.cache.invalidations")) == (1, 2, 1)
+        # And the re-homed answer is cached under its new home.
+        assert cached.query("num_copies", (h,), 0) == (answer, True)
+
+    def test_undetected_dead_home_through_the_frontends(self):
+        # One twin system per frontend configuration: sharing one engine
+        # would let the first frontend's drain do the detecting for the
+        # other two, mid-comparison.
+        twins = {}
+        for name, cfg in CONFIGS.items():
+            cluster, _ents, concord = build(2)
+            fe = QueryFrontend(
+                cluster, concord.queries, cfg,
+                obs=Observability(clock=lambda c=cluster: c.engine.now))
+            twins[name] = (cluster, concord.tracing, fe)
+        victim = FAULTY_NODES[0]
+        # Only content homed on the victim: a hit on a live shard before
+        # the batch reaches the dead one is answered as of *its* instant
+        # (full coverage), where the uncached bulk fill resolves every
+        # home first — a difference of instants, not of paths.
+        home_of = twins["cached"][1].home_node
+        hashes = [h for h in map(page_hash, range(ALL_IDS))
+                  if home_of(h) == victim]
+        assert len(hashes) > 3
+
+        def sweep():
+            streams = {}
+            for name, (cluster, _engine, fe) in twins.items():
+                got = []
+                for i, h in enumerate(hashes):
+                    fe.submit("num_copies", (h,), issuing_node=i % N_NODES,
+                              on_done=got.append)
+                cluster.engine.run()
+                streams[name] = got
+            answers = {name: [r.answer for r in got]
+                       for name, got in streams.items()}
+            assert answers["cached"] == answers["bypass"] == answers["verify"]
+            return streams["cached"]
+
+        sweep()
+        assert all(r.cache_hit for r in sweep())
+        for cluster, engine, _fe in twins.values():
+            cluster.network.set_node_up(victim, False)   # no node_failed()
+            engine.shards[victim].crash()
+        after = sweep()
+        assert not any(r.cache_hit for r in after)
+        assert all(r.answer.degraded for r in after)
+        engines = [engine for _c, engine, _fe in twins.values()]
+        for engine in engines:
+            assert not engine.partition.is_alive(victim)
+            assert engine.stats.failovers == 1
+            assert engine.epoch_vector().tolist() == \
+                engines[0].epoch_vector().tolist()
+        for name, (_c, _e, fe) in twins.items():
+            assert fe.report().cache_violations == 0, name

@@ -1,9 +1,13 @@
 """Unit tests for admission control (token bucket + bounded queues)."""
 
+import numpy as np
 import pytest
 
-from repro.serve import (AdmissionController, QoSClass, Rejected,
-                         RejectReason, Request, ServeConfig, TokenBucket)
+from repro.queries.interface import QueryInterface
+from repro.serve import (AdmissionController, QoSClass, QueryFrontend,
+                         Rejected, RejectReason, Request, ServeConfig,
+                         TokenBucket)
+from tests.conftest import make_system
 
 
 def req(op="num_copies", qos=QoSClass.INTERACTIVE):
@@ -121,3 +125,48 @@ class TestAdmissionController:
         verdict = ac.admit(req(), queue_depth=0, now=0.0)
         assert verdict.reason is RejectReason.RATE_LIMITED
         assert verdict.retry_after_s == pytest.approx(0.1)
+
+
+class TestOneIntegerRule:
+    """A content hash, an entity id and ``k`` are integers by one rule:
+    ``int`` or a NumPy integer of any width, never a ``bool`` or a float."""
+
+    POSITIONS = {
+        "hash": lambda v: ("num_copies", (v,)),
+        "entity_id": lambda v: ("sharing", ((0, v),)),
+        "k": lambda v: ("num_shared_content", ((0, 1), v)),
+    }
+
+    @staticmethod
+    def verdict(op, args):
+        ac = AdmissionController(ServeConfig())
+        return ac.admit(Request(op, args), queue_depth=0, now=0.0)
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    @pytest.mark.parametrize("value", [1, np.int64(2), np.uint64(3),
+                                       np.int8(1), np.uint16(2)])
+    def test_python_and_numpy_integers_are_admitted(self, position, value):
+        assert self.verdict(*self.POSITIONS[position](value)) is None
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 1.0,
+                                       np.float64(2.0)])
+    def test_bools_and_floats_are_bad_requests(self, position, value):
+        verdict = self.verdict(*self.POSITIONS[position](value))
+        assert verdict is not None
+        assert verdict.reason is RejectReason.BAD_REQUEST
+
+    def test_numpy_k_is_answered_like_the_python_int(self):
+        cluster, _e, concord = make_system(seed=3)
+        q = QueryInterface(cluster, concord.tracing)
+        fe = QueryFrontend(cluster, q, ServeConfig(), obs=concord.obs)
+        eids = tuple(sorted(cluster.all_entity_ids()))
+        got = []
+        fe.submit("num_shared_content", (eids, np.int64(2)),
+                  on_done=got.append)
+        fe.submit("num_shared_content", (eids, 2), on_done=got.append)
+        cluster.engine.run()
+        assert [r.rejected for r in got] == [False, False]
+        assert got[0].answer == got[1].answer == \
+            q.num_shared_content(list(eids), 2)
+        assert got[1].coalesced     # np.int64(2) and 2 are one key

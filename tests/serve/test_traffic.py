@@ -1,5 +1,6 @@
 """Tests for the traffic workload driver (workloads/traffic.py)."""
 
+import numpy as np
 import pytest
 
 from repro.queries.interface import QueryInterface
@@ -70,6 +71,23 @@ class TestOpenLoop:
         rep = TrafficDriver(fe, spec).run()
         assert rep.hit_rate > 0.5
         assert rep.cache_violations == 0
+
+    @pytest.mark.parametrize("population,zipf_s", [(64, 1.5), (512, 1.2),
+                                                   (16, 0.0)])
+    def test_key_draws_equal_generator_choice(self, population, zipf_s):
+        # The CDF lookup must consume the generator exactly as
+        # ``rng.choice(n, p=)`` did: same keys, same stream afterwards.
+        fe, _c = build_frontend()
+        driver = TrafficDriver(fe, TrafficSpec(population=population,
+                                               zipf_s=zipf_s, seed=5))
+        keys = driver._keys
+        p = TrafficDriver._zipf_weights(len(keys), zipf_s)
+        driver.rng = np.random.default_rng(99)
+        ref = np.random.default_rng(99)
+        drawn = [driver._draw_key() for _ in range(10_000)]
+        assert drawn == [keys[int(ref.choice(len(keys), p=p))]
+                         for _ in range(10_000)]
+        assert driver.rng.random() == ref.random()
 
     def test_churn_replaces_clients(self):
         fe, _c = build_frontend()
