@@ -316,6 +316,13 @@ class ContentTracingEngine:
         # Per-primary-range data availability: range r (hashes whose
         # primary node is r) is intact while a live shard holds its data.
         self._intact = np.ones(cluster.n_nodes, dtype=bool)
+        # What the query paths read of it, refreshed by _summarize_intact
+        # wherever _intact is written or the routed ring changes size.
+        #: Fraction of the hash space whose data is intact (served by a
+        #: live shard that was never holed by failover).
+        self.coverage = 1.0
+        #: Whether every primary range is intact (``coverage == 1``).
+        self.all_intact = True
         # Update epochs (docs/SERVING.md): one per shard, bumped on every
         # mutation of that shard's content, plus a global epoch bumped on
         # every mutation anywhere.  Routing/coverage changes (failover,
@@ -451,6 +458,7 @@ class ContentTracingEngine:
             return
         lost = self.partition.range_homes() == node
         self._intact[:len(lost)][lost] = False
+        self._summarize_intact()
         self.shards[node].crash()
         self.partition.set_alive(node, False)
         self.bump_all_epochs()
@@ -484,6 +492,7 @@ class ContentTracingEngine:
         for owner in np.unique(old_homes[moved]).tolist():
             self._purge_ranges_at(int(owner), moved_ranges)
         self._intact[:len(moved)][moved] = False
+        self._summarize_intact()
         if recover and self.shards[node].recover():
             # The recovered segments may hold ranges that re-homed to
             # other owners while the node was down; keep only rows this
@@ -525,6 +534,7 @@ class ContentTracingEngine:
         self.shards.append(shard)
         self.cluster.nodes[node].dht = shard
         self._intact = np.append(self._intact, True)
+        self._summarize_intact()
         self._epochs = np.append(self._epochs, 0)
         pending = self.partition.grown()
         precopied = 0
@@ -631,6 +641,7 @@ class ContentTracingEngine:
         all_intact = bool(self._intact[:old_n].all())
         self._intact[:] = all_intact
         self.partition = pending
+        self._summarize_intact()
         self.bump_all_epochs()
         tr = self.obs.tracer
         if tr.enabled:
@@ -796,6 +807,7 @@ class ContentTracingEngine:
         self._c_repair_bytes.inc(bytes_wire)
         self._c_repair_rounds.inc(rounds)
         self._intact[targets] = True
+        self._summarize_intact()
         self.bump_all_epochs()
         self._c_repairs.inc()
         tr = self.obs.tracer
@@ -900,11 +912,20 @@ class ContentTracingEngine:
 
     # -- degraded-mode introspection ---------------------------------------------------
 
-    @property
-    def coverage(self) -> float:
-        """Fraction of the hash space whose data is intact (served by a
-        live shard that was never holed by failover)."""
-        return float(self._intact[:self.partition.n_nodes].mean())
+    def _summarize_intact(self) -> None:
+        """Recompute :attr:`coverage` and :attr:`all_intact` over the
+        routed ring's ranges, so a query reads two fields instead of
+        reducing ``_intact`` per call."""
+        ranges = self._intact[:self.partition.n_nodes]
+        self.coverage = float(ranges.mean())
+        self.all_intact = bool(ranges.all())
+
+    def is_degraded(self, content_hash: int) -> bool:
+        """Whether a node-wise answer for this hash may undercount: its
+        primary range is holed.  The one definition the scalar queries and
+        the serving fill share; with every range intact nothing is routed.
+        """
+        return not (self.all_intact or self.range_intact(content_hash))
 
     def range_intact(self, content_hash: int) -> bool:
         return bool(self._intact[self.partition.primary_node(content_hash)])

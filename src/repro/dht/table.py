@@ -72,6 +72,12 @@ _COMPACT_SHIFT = 3
 # scalar path; batches this small fall back to per-item insert/remove.
 _BULK_MIN = 8
 
+# Likewise for point lookups: bulk_masks / bulk_num_copies answer a probe
+# of fewer hashes than this with one scalar searchsorted each, a wider one
+# with the vector pass.  Chosen from the fill-cost-by-width table in
+# docs/BENCHMARKS.md (PR 24); the probe's length is all that selects.
+_VECTOR_MIN = 5
+
 
 def mask_bits(mask: int) -> list[int]:
     """Positions of the set bits of an entity (or node) mask, ascending —
@@ -239,9 +245,9 @@ class LocalDHT:
         if m is not None:
             return m
         ph = self._ph
-        i = int(np.searchsorted(ph, _U64(h)))
-        if i < len(ph) and int(ph[i]) == h:
-            lo = int(self._pm[i])
+        i = int(ph.searchsorted(_U64(h)))
+        if i < len(ph) and ph.item(i) == h:
+            lo = self._pm.item(i)
             hi = self._pw.get(h)
             return lo if hi is None else lo | (hi << 64)
         return 0
@@ -786,18 +792,29 @@ class LocalDHT:
         return self._ph.take(idx), self._pm.take(idx), wide_out
 
     def bulk_masks(self, hashes) -> tuple[np.ndarray, dict[int, int]]:
-        """Vectorized point lookup: low-64 masks for an array of hashes
-        (0 for unknown hashes) plus the full-mask dict for wide rows."""
+        """Vectorized point lookup: low-64 masks for an array (or list)
+        of hashes (0 for unknown hashes) plus the full-mask dict for wide
+        rows.  A probe narrower than :data:`_VECTOR_MIN` walks the scalar
+        :meth:`_mask_of`; the result is the same either way."""
         self._compact()
-        q = np.ascontiguousarray(hashes, dtype=_U64)
-        pos = np.searchsorted(self._ph, q)
-        in_range = pos < len(self._ph)
-        out = np.zeros(len(q), dtype=_U64)
-        if in_range.any():
-            hit = np.zeros(len(q), dtype=bool)
-            hit[in_range] = self._ph[pos[in_range]] == q[in_range]
-            out[hit] = self._pm[pos[hit]]
         wide_out: dict[int, int] = {}
+        if len(hashes) < _VECTOR_MIN:
+            lo = []
+            for hh in hashes:
+                hh = int(hh)
+                m = self._mask_of(hh)
+                if m > _M64:
+                    wide_out[hh] = m
+                    m &= _M64
+                lo.append(m)
+            return np.array(lo, dtype=_U64), wide_out
+        q = np.ascontiguousarray(hashes, dtype=_U64)
+        ph = self._ph
+        if len(ph):
+            pos = np.minimum(np.searchsorted(ph, q), len(ph) - 1)
+            out = np.where(ph[pos] == q, self._pm[pos], _U64(0))
+        else:
+            out = np.zeros(len(q), dtype=_U64)
         if self._pw:
             for i, hh in enumerate(q.tolist()):
                 hi = self._pw.get(hh)
@@ -806,10 +823,16 @@ class LocalDHT:
         return out, wide_out
 
     def bulk_num_copies(self, hashes) -> np.ndarray:
-        """Vectorized ``num_copies`` over an array of hashes."""
-        masks, wide = self.bulk_masks(hashes)
+        """Vectorized ``num_copies`` over an array (or list) of hashes;
+        narrower than :data:`_VECTOR_MIN` it is :meth:`num_copies` per
+        hash, after the same compaction."""
+        if len(hashes) < _VECTOR_MIN:
+            self._compact()
+            return np.array([self.num_copies(hh) for hh in hashes],
+                            dtype=np.int64)
+        q = np.ascontiguousarray(hashes, dtype=_U64)
+        masks, wide = self.bulk_masks(q)
         counts = np.bitwise_count(masks).astype(np.int64)
-        q = np.asarray(hashes, dtype=_U64)
         if wide:
             for i, hh in enumerate(q.tolist()):
                 if hh in wide:

@@ -160,7 +160,7 @@ class QueryInterface:
         return nodewise_result(
             self.cost, "num_copies",
             engine.shards[home].num_copies(content_hash), issuing_node, home,
-            engine.coverage, not engine.range_intact(content_hash))
+            engine.coverage, engine.is_degraded(content_hash))
 
     def entities(self, content_hash: int, issuing_node: int = 0) -> QueryResult:
         """Which entities currently have copies (per the best-effort view)."""
@@ -169,7 +169,7 @@ class QueryInterface:
         return nodewise_result(
             self.cost, "entities",
             set(engine.shards[home].entity_ids(content_hash)), issuing_node,
-            home, engine.coverage, not engine.range_intact(content_hash))
+            home, engine.coverage, engine.is_degraded(content_hash))
 
     # -- collective helpers --------------------------------------------------------
 

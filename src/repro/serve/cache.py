@@ -138,7 +138,8 @@ class CachedQueries:
     """A :class:`~repro.queries.interface.QueryInterface` with the epoch
     cache in front.  :meth:`query` answers one op by name; the frontend's
     batched node-wise path uses the same :meth:`lookup` / :meth:`store`
-    pair around its bulk fill.  With ``verify=True`` each hit is
+    pair around its bulk fill, handing each miss's token from the one to
+    the other.  With ``verify=True`` each hit is
     shadow-executed and compared, recording ``serve.cache.violations``
     (and the mismatch detail in :attr:`violations`) — the CI smoke job
     asserts this stays zero.
@@ -198,9 +199,11 @@ class CachedQueries:
             return cached
         return self._shadow(key, token, cached)
 
-    def lookup(self, op: str, args: tuple,
-               issuing_node: int = 0) -> QueryResult | None:
-        """The cached answer to a node-wise query, or ``None`` on a miss.
+    def lookup(self, op: str, args: tuple, issuing_node: int = 0,
+               ) -> tuple[tuple, QueryResult | None]:
+        """``(token, answer)`` for a node-wise query: the cached answer, or
+        ``None`` on a miss, and the epoch token it was checked against —
+        which :meth:`store` takes back after the caller executes the miss.
 
         An entry validates itself.  Its token is ``(home, epoch)`` as of
         the store; every change of membership or of the alive view bumps
@@ -223,17 +226,33 @@ class CachedQueries:
             if (self._network.node_up[home]
                     and self.engine.shards[home].epoch == epoch):
                 cache.touch(key)
-                return (self._shadow(key, token, cached) if self.verify
-                        else cached)
-        return self._get(key, self.nodewise_token(h))
+                if self.verify:
+                    return token, self._shadow(key, token, cached)
+                return entry
+        token = self.nodewise_token(h)
+        return token, self._get(key, token)
 
     def store(self, op: str, args: tuple, issuing_node: int,
-              result: QueryResult) -> None:
+              result: QueryResult, token: tuple | None = None,
+              as_of: int = -1) -> None:
         """Cache a node-wise answer executed outside (the frontend's bulk
         fill) under the token as it stands *after* execution — executing
-        ran the lazy failure detection, so home and epochs are settled."""
+        ran the lazy failure detection, so home and epochs are settled.
+
+        ``token`` is the one :meth:`lookup` returned for this miss and
+        ``as_of`` the ``engine.global_epoch`` read before that lookup, in
+        the same sim instant.  While the global epoch still stands there
+        nothing was mutated and nothing was detected in between, so the
+        settled token *is* that token and the hash is not routed again;
+        once it has moved (a later lookup or the fill detected a dead
+        home, which bumps every epoch) the token is re-derived.
+        """
+        if not self.cache.capacity:
+            return  # bypass: nothing is stored, so nothing to key it on
         h = int(args[0])
-        self.cache.put((op, h, issuing_node), self.nodewise_token(h), result)
+        if token is None or as_of != self.engine.global_epoch:
+            token = self.nodewise_token(h)
+        self.cache.put((op, h, issuing_node), token, result)
 
     def query(self, op: str, args: tuple,
               issuing_node: int = 0) -> tuple[QueryResult, bool]:
@@ -245,11 +264,12 @@ class CachedQueries:
         if spec is None:
             raise ValueError(f"unknown query op {op!r}")
         if spec.nodewise:
-            result = self.lookup(op, args, issuing_node)
+            as_of = self.engine.global_epoch
+            token, result = self.lookup(op, args, issuing_node)
             if result is not None:
                 return result, True
             result = self._execute((op, int(args[0]), issuing_node))
-            self.store(op, args, issuing_node, result)
+            self.store(op, args, issuing_node, result, token, as_of)
             return result, False
         key = (op, tuple(int(e) for e in args[0]), *args[1:])
         token = self.collective_token()

@@ -276,10 +276,13 @@ class QueryFrontend:
         n_exec = 0
         nodewise_max = 0.0  # node-wise executions fan out in parallel
         collective_sum = 0.0  # collective executions run serially
-        # Node-wise misses, per op: (args, issuing node, waiting slots).
-        misses: dict[str, list[tuple[tuple, int, list[list]]]] = {
+        # Node-wise misses, per op: (args, issuing node, the token the
+        # lookup missed on, waiting slots).
+        misses: dict[str, list[tuple[tuple, int, tuple, list[list]]]] = {
             op: [] for op in NODEWISE_OPS}
         lookup = self.cached.lookup
+        # Those tokens stay good while this stands still (CachedQueries.store).
+        as_of = self.engine.global_epoch
 
         for (op, args), reqs in groups.items():
             if not OPS[op].nodewise:
@@ -302,10 +305,10 @@ class QueryFrontend:
                 node = r.issuing_node
                 cell = by_node.get(node)
                 if cell is None:
-                    result = lookup(op, args, node)
+                    token, result = lookup(op, args, node)
                     if result is None:
                         cell = by_node[node] = (None, [])
-                        misses[op].append((args, node, cell[1]))
+                        misses[op].append((args, node, token, cell[1]))
                     else:
                         n_hits += 1
                         cell = by_node[node] = (result, None)
@@ -321,11 +324,12 @@ class QueryFrontend:
                 continue
             results = bulk_answers(
                 self.engine, self.cost, op,
-                [(args[0], node) for args, node, _slots in waiting])
+                [(args[0], node) for args, node, _token, _slots in waiting])
             n_exec += len(results)
-            for (args, node, open_slots), result in zip(waiting, results):
+            for (args, node, token, open_slots), result in zip(waiting,
+                                                               results):
                 nodewise_max = max(nodewise_max, result.latency)
-                self.cached.store(op, args, node, result)
+                self.cached.store(op, args, node, result, token, as_of)
                 for slot in open_slots:
                     slot[1] = result
 

@@ -42,6 +42,32 @@ class TestFailover:
         prim = eng.partition.primary_nodes(hs)
         assert (intact == (prim != 2)).all()
 
+    def test_is_degraded_is_the_holed_range_and_routes_only_when_holed(
+            self, monkeypatch):
+        _cluster, ents, concord = make_tracked()
+        eng = concord.tracing
+        hs = all_hashes(ents).tolist()
+        routed = []
+        primary = eng.partition.primary_node
+        monkeypatch.setattr(eng.partition, "primary_node",
+                            lambda h: routed.append(h) or primary(h))
+        # Every range intact: false outright, nothing hashed.
+        assert eng.all_intact
+        assert not any(eng.is_degraded(h) for h in hs)
+        assert not routed
+        concord.fail_node(2)
+        assert not eng.all_intact
+        assert [eng.is_degraded(h) for h in hs] == \
+            [not ok for ok in eng.hashes_intact(hs).tolist()] == \
+            [not eng.range_intact(h) for h in hs]
+        assert any(eng.is_degraded(h) for h in hs)
+        # One definition: the scalar queries report exactly it.
+        for h in hs[:16]:
+            assert concord.queries.num_copies(h).degraded == \
+                concord.queries.entities(h).degraded == eng.is_degraded(h)
+        concord.repair()
+        assert eng.all_intact and not eng.is_degraded(hs[0])
+
     def test_fail_node_idempotent(self):
         _cluster, _ents, concord = make_tracked()
         concord.fail_node(1)

@@ -194,12 +194,14 @@ class TestEpochInvariant:
     @given(st.lists(engine_op_strategy, min_size=1, max_size=16),
            st.sampled_from(["memory", "sqlite"]))
     # Every operation at least once, the warm restart with a commit to
-    # recover and the repairs with damage to repair.
+    # recover, the repairs with damage to repair, and a join cut over
+    # with a holed range and with none.
     @example(ops=[("flush", 0), ("write", 7), ("fail", 2),
                   ("repair", "replay"), ("restart_warm", 2),
                   ("repair", "delta"), ("fail", 3), ("begin_join", 0),
                   ("write", 9), ("complete_join", 0), ("restart_cold", 3),
                   ("repair", "recon"), ("repair", "full"),
+                  ("begin_join", 0), ("complete_join", 0),
                   ("remove_entity", 1), ("clear", 0)],
              backend="sqlite")
     def test_routing_and_coverage_changes_advance_every_shard_epoch(
@@ -259,6 +261,11 @@ class TestEpochInvariant:
                 after = [s.epoch for s in engine.shards]
                 # The attribute the hit check reads is the engine's vector.
                 assert after == engine.epoch_vector().tolist(), (kind, arg)
+                # And the two fields the queries read are the vector's
+                # summary over the routed ring, whatever just wrote it.
+                ranges = engine._intact[:engine.partition.n_nodes]
+                assert engine.coverage == float(ranges.mean()), (kind, arg)
+                assert engine.all_intact == bool(ranges.all()), (kind, arg)
                 if must_advance:
                     assert all(a > b for a, b in zip(after, before)), \
                         (kind, arg, before, after)

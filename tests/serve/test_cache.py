@@ -122,6 +122,37 @@ class TestCachedQueries:
         assert not hit
         assert r == self.queries.num_copies(self.h, 0)
 
+    def test_store_takes_the_lookups_token_while_the_epoch_stands(
+            self, monkeypatch):
+        as_of = self.engine.global_epoch
+        token, miss = self.cq.lookup("num_copies", (self.h,), 0)
+        assert miss is None
+        assert token == self.cq.nodewise_token(self.h)
+        answer = self.queries.num_copies(self.h, 0)
+        routes = []
+        home_node = self.engine.home_node
+        monkeypatch.setattr(self.engine, "home_node",
+                            lambda h: routes.append(h) or home_node(h))
+        self.cq.store("num_copies", (self.h,), 0, answer, token, as_of)
+        assert not routes                       # not routed again
+        assert self.cq.lookup("num_copies", (self.h,), 0) == (token, answer)
+        assert not routes                       # nor by the hit
+
+    def test_store_rederives_a_token_the_epoch_has_left_behind(self):
+        as_of = self.engine.global_epoch
+        token, _miss = self.cq.lookup("num_copies", (self.h,), 0)
+        other = next(n for n in range(self.cluster.n_nodes)
+                     if n != token[0])
+        self.concord.fail_node(other)           # bumps every epoch
+        answer = self.queries.num_copies(self.h, 0)
+        self.cq.store("num_copies", (self.h,), 0, answer, token, as_of)
+        fresh = self.cq.nodewise_token(self.h)
+        assert fresh != token
+        assert self.cq.cache.peek(("num_copies", self.h, 0)) == (fresh,
+                                                                   answer)
+        assert self.cq.query("num_copies", (self.h,), 0) == (answer, True)
+        assert self.cq.cache.invalidations == 0
+
     def test_generic_dispatch_all_ops(self):
         for op, args in [("num_copies", (self.h,)),
                          ("entities", (self.h,)),
@@ -182,6 +213,20 @@ class TestCapacityZeroBypass:
             assert r == self.queries.sharing(self.eids)
         assert len(self.cq.cache) == 0
         assert self.cq.cache.evictions == 0
+
+    def test_store_on_a_bypass_routes_nothing(self, monkeypatch):
+        # Nothing is stored, so there is nothing to key: no home_node, no
+        # shard epoch, with or without a handed-down token.
+        engine = self.concord.tracing
+        answer = self.queries.num_copies(self.h, 0)
+
+        def routed(_h):
+            raise AssertionError("store routed a hash on a bypass cache")
+        monkeypatch.setattr(engine, "home_node", routed)
+        self.cq.store("num_copies", (self.h,), 0, answer)
+        self.cq.store("num_copies", (self.h,), 0, answer, (0, 0),
+                      engine.global_epoch)
+        assert len(self.cq.cache) == 0
 
     def test_serve_config_accepts_zero(self):
         from repro.serve.config import ServeConfig

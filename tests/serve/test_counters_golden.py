@@ -6,6 +6,12 @@ answers invalidated by an update and by a failover, and overflows
 ``serve.*`` series must equal ``counters_golden.json``, recorded with this
 same scenario at the commit before the batching change (9629a03).
 
+A second, small scenario (``stale_token``) pins the one case where the
+token a miss's lookup computed must *not* be the token it is stored under:
+two node-wise misses in one batch, the second lookup detecting a dead home
+and so advancing every epoch after the first token was read.  Recorded at
+e709c2f, where ``store`` always re-derived its token.
+
 Re-record (only for a change that *means* to move a number):
 ``PYTHONPATH=src:. python tests/serve/test_counters_golden.py > \\
 tests/serve/counters_golden.json``.
@@ -81,10 +87,43 @@ def run_scenario() -> dict:
     sim.after(9e-4, concord.fail_node, 2)
     sim.run()
     assert fe.pending == 0 and not any(left)
+    return report_and_registry(fe, concord)
+
+
+def report_and_registry(fe, concord) -> dict:
     registry = {name: series
                 for name, series in concord.obs.registry.snapshot().items()
                 if name.startswith("serve.")}
     return {"report": dataclasses.asdict(fe.report()), "registry": registry}
+
+
+def run_stale_token_scenario() -> dict:
+    cluster, _ents, concord = make_system(seed=11)
+    engine, sim = concord.tracing, cluster.engine
+    fe = QueryFrontend(cluster, QueryInterface(cluster, engine),
+                       ServeConfig(), obs=concord.obs)
+    victim = 2
+    hashes = sorted(int(h) for s in engine.shards for h in s.hashes())
+    survivor_homed = next(h for h in hashes if engine.home_node(h) != victim)
+    victim_homed = next(h for h in hashes if engine.home_node(h) == victim)
+    done = []
+
+    def batch():
+        # One window, lookups in this order: the first token is read
+        # before the second lookup's detection bumps every epoch.
+        for h in (survivor_homed, victim_homed):
+            fe.submit("num_copies", (h,), on_done=done.append)
+
+    # Dead but undetected: no node_failed(), the epochs stand still.
+    cluster.network.set_node_up(victim, False)
+    engine.shards[victim].crash()
+    sim.after(0.0, batch)
+    sim.after(1e-3, batch)
+    sim.run()
+    assert fe.pending == 0 and engine.stats.failovers == 1
+    return {**report_and_registry(fe, concord),
+            "answers": [[r.cache_hit, dataclasses.asdict(r.answer)]
+                        for r in done]}
 
 
 def test_report_and_registry_equal_the_per_request_counters():
@@ -100,5 +139,18 @@ def test_report_and_registry_equal_the_per_request_counters():
     assert rep["batches"] * 4 >= rep["admitted"] > rep["batches"]
 
 
+def test_a_token_read_before_a_detection_is_not_stored():
+    got = json.loads(json.dumps(run_stale_token_scenario()))
+    assert got == json.loads(GOLDEN.read_text())["stale_token"]
+    # Both first-batch entries must still be there for the second batch:
+    # stored under the pre-detection token, the first would invalidate.
+    assert [hit for hit, _answer in got["answers"]] == [False, False,
+                                                        True, True]
+    assert got["report"]["cache_invalidations"] == 0
+    assert got["answers"][1][1]["degraded"]
+
+
 if __name__ == "__main__":
-    print(json.dumps(run_scenario(), indent=1, sort_keys=True))
+    print(json.dumps({**run_scenario(),
+                      "stale_token": run_stale_token_scenario()},
+                     indent=1, sort_keys=True))
