@@ -122,25 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "(CI smoke assertion)")
     sv.add_argument("--seed", type=int, default=0,
                     help="workload and traffic seed (default: 0)")
-    sv.add_argument("--workers", type=int, default=None,
-                    help="ShardPool worker processes for query execution "
-                         "(default: $CONCORD_WORKERS or 1 — serial)")
-    sv.add_argument("--storage", default=None,
-                    choices=["memory", "mmap", "sqlite"],
-                    help="shard storage backend (default: $CONCORD_STORAGE "
-                         "or memory)")
-    sv.add_argument("--storage-dir", type=Path, default=None,
-                    help="root directory for durable shard files; a second "
-                         "serve run on the same directory warm-restarts "
-                         "from it (default: $CONCORD_STORAGE_DIR or a "
-                         "temp dir)")
-    sv.add_argument("--chunking", default=None,
-                    choices=["fixed", "cdc"],
-                    help="block chunking scheme for byte-backed entities "
-                         "(default: $CONCORD_CHUNKING or fixed)")
     sv.add_argument("--expect-warm", action="store_true",
                     help="exit 1 unless the instance warm-restarted from "
-                         "persistent storage (CI smoke assertion)")
+                         "persistent storage (CI smoke assertion; set "
+                         "CONCORD_STORAGE=mmap and CONCORD_STORAGE_DIR)")
     sv.add_argument("--autoscale", type=int, default=None, metavar="N",
                     help="run the autoscaler during the stream, live-"
                          "joining nodes under load up to N total "
@@ -339,7 +324,6 @@ def _cmd_bench(args, out) -> int:
 def _cmd_serve(args, out) -> int:
     from repro.core.concord import ConCORD
     from repro.core.config import ConCORDConfig
-    from repro.dht.storage import StorageConfig
     from repro.serve.config import ServeConfig
     from repro.sim.cluster import Cluster
     from repro.workloads import TrafficSpec, instantiate, moldy
@@ -356,21 +340,16 @@ def _cmd_serve(args, out) -> int:
             rate_per_client=args.rate, think_time_s=args.think,
             zipf_s=args.zipf, population=args.population,
             churn_rate=args.churn, seed=args.seed)
-        storage_kw = {}
-        if args.storage is not None:
-            storage_kw["backend"] = args.storage
-        if args.storage_dir is not None:
-            storage_kw["root"] = str(args.storage_dir)
-        storage = StorageConfig(**storage_kw)
         if args.nodes < 2:
             raise ValueError("--nodes must be >= 2")
         if args.pages < 1:
             raise ValueError("--pages must be >= 1")
-        if args.workers is not None and args.workers < 1:
-            raise ValueError("--workers must be >= 1")
-        if args.expect_warm and not storage.persistent:
-            raise ValueError("--expect-warm requires a persistent "
-                             "--storage backend (mmap or sqlite)")
+        # Workers, storage and chunking come from the CONCORD_* env vars.
+        core = ConCORDConfig(use_network=False, serve=cfg,
+                             placement=args.placement)
+        if args.expect_warm and not core.storage.persistent:
+            raise ValueError("--expect-warm requires a persistent backend "
+                             "(CONCORD_STORAGE=mmap)")
         if args.autoscale is not None and args.autoscale <= args.nodes:
             raise ValueError("--autoscale target must exceed --nodes")
         if args.expect_join and args.autoscale is None:
@@ -379,24 +358,16 @@ def _cmd_serve(args, out) -> int:
         print(f"error: {e}", file=out)
         return 2
 
-    # None = keep the config default ($CONCORD_WORKERS or 1).
-    core_kw = {} if args.workers is None else {"workers": args.workers}
-    if args.chunking is not None:
-        core_kw["chunking"] = args.chunking
     # The big-cluster testbed is the only one with headroom past 8 nodes.
     target = args.autoscale if args.autoscale is not None else args.nodes
     cost = "big-cluster" if target > 8 else "new-cluster"
     cluster = Cluster(n_nodes=args.nodes, cost=cost, seed=args.seed)
     instantiate(cluster, moldy(args.nodes, args.pages, seed=args.seed))
     status = 0
-    with ConCORD(
-            cluster, ConCORDConfig(use_network=False, serve=cfg,
-                                   storage=storage,
-                                   placement=args.placement,
-                                   **core_kw)) as concord:
+    with ConCORD(cluster, core) as concord:
         if concord.storage_recovered:
             rep = concord.warm_restart()
-            print(f"[warm restart from {storage.backend} storage: "
+            print(f"[warm restart from {core.storage.backend} storage: "
                   f"{rep.copies_restored + rep.copies_removed} delta op(s) "
                   f"reconciled]", file=out)
         else:

@@ -12,7 +12,7 @@ value.
 
 Instances are context managers: ``with ConCORD(cluster, cfg) as
 concord: ...`` releases the parallel backend's shared-memory
-segments and the shard storage handles on exit (docs/STORAGE.md).
+segments and an ephemeral shard storage root on exit (docs/STORAGE.md).
 """
 
 from __future__ import annotations
@@ -187,7 +187,9 @@ class ConCORD:
         monitor stopped — and let the tracing engine fail it over.
         A persistent backend keeps the shard's last committed state on
         disk (a crash loses RAM, not storage); :meth:`restart_node` with
-        ``warm=True`` can rejoin from it."""
+        ``warm=True`` can rejoin from it.  The last alive ring member is
+        refused with ``ValueError`` before anything is touched."""
+        self.tracing.check_failover(node)
         self.cluster.network.set_node_up(node, False)
         self.tracing.shards[node].crash()
         self.tracing.node_failed(node)
@@ -441,7 +443,7 @@ class ConCORD:
     def close(self) -> None:
         """Tear the instance down: flush durable shard storage, release
         the parallel backend (workers + shared ``/dev/shm`` segments),
-        and close the storage handles.
+        and remove an ephemeral storage root.
 
         Idempotent — calling twice is a no-op — and safe to skip at
         workers=1 with a memory backend (nothing was ever spawned); a
@@ -456,7 +458,7 @@ class ConCORD:
         self._closed = True
         # Flush only when the files outlive us: an ephemeral root is
         # deleted two lines down, so committing to it is wasted I/O.
-        if self.tracing.persistent and not self.tracing.storage.ephemeral:
+        if self.tracing.storage.durable:
             self.tracing.flush_storage()
         self.pool.close()
         self.tracing.close()

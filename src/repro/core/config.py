@@ -86,12 +86,12 @@ class ConCORDConfig:
         cache used by ``ConCORD.frontend()`` (see docs/SERVING.md).
     storage:
         Shard storage section (:class:`~repro.dht.storage.StorageConfig`):
-        which :class:`~repro.dht.storage.base.ShardStorage` backend the
-        DHT shards persist through (``memory``/``mmap``/``sqlite``,
-        defaulting from ``$CONCORD_STORAGE``) and the root directory for
-        durable files (``$CONCORD_STORAGE_DIR``; None = a private temp
-        dir per instance).  A persistent backend plus a named root is
-        what enables warm restart (docs/STORAGE.md).
+        whether the DHT shards are RAM-only (``memory``) or persist
+        through mmap segment files (``mmap``), defaulting from
+        ``$CONCORD_STORAGE``, and the root directory for those files
+        (``$CONCORD_STORAGE_DIR``; None = a private temp dir per
+        instance).  ``mmap`` plus a named root is what enables warm
+        restart (docs/STORAGE.md).
     chunking:
         Block-boundary scheme for *byte-backed* entities
         (``Entity.from_bytes``): ``"fixed"`` (default, or any unset

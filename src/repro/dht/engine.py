@@ -440,6 +440,17 @@ class ContentTracingEngine:
 
     # -- failure detection / failover (docs/FAULTS.md) ---------------------------------
 
+    def check_failover(self, node: int) -> bool:
+        """Whether :meth:`node_failed` has work to do for ``node`` — a
+        ring member believed alive (a mid-join node is not one yet).
+        Raises ``ValueError`` for the last alive member, whose ranges
+        would have nowhere to go; callers ask before mutating anything."""
+        if node >= self.partition.n_nodes or not self.partition.is_alive(node):
+            return False
+        if self.partition.n_alive == 1:
+            raise ValueError("cannot mark the last alive node dead")
+        return True
+
     def node_failed(self, node: int) -> None:
         """Process a detected node failure: re-home its hash ranges.
 
@@ -452,9 +463,7 @@ class ContentTracingEngine:
         The crash loses the shard's *RAM*; a persistent storage backend
         keeps its last commit, which a warm rejoin can recover.
         """
-        if node >= self.partition.n_nodes:
-            return  # a mid-join node is not a ring member yet
-        if not self.partition.is_alive(node):
+        if not self.check_failover(node):
             return
         lost = self.partition.range_homes() == node
         self._intact[:len(lost)][lost] = False
@@ -991,16 +1000,12 @@ class ContentTracingEngine:
 
     # -- storage lifecycle (docs/STORAGE.md) -------------------------------------------
 
-    @property
-    def persistent(self) -> bool:
-        """Whether shards are backed by a durable storage backend."""
-        return self.storage.persistent
-
     def flush_storage(self) -> None:
         """Durability barrier: force-commit every shard (overlay included)."""
         for shard in self.shards:
             shard.flush()
 
     def close(self) -> None:
-        """Release storage handles; idempotent.  The facade calls this."""
+        """Remove an ephemeral storage root; idempotent.  The facade
+        calls this."""
         self.storage.close()

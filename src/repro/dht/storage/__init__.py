@@ -1,9 +1,10 @@
-"""Pluggable shard storage (docs/STORAGE.md).
+"""Shard storage (docs/STORAGE.md).
 
 ``open_storage(StorageConfig(...), n_nodes)`` resolves the configured
-backend into one :class:`~repro.dht.storage.base.ShardStorage` per
-shard, bundled in a :class:`StorageSet` the engine owns for lifecycle
-(close, wholesale wipe, the ephemeral-root cleanup).
+backend into one :class:`~repro.dht.storage.mmapseg.MmapSegmentStorage`
+per shard — or None per shard on the RAM-only ``memory`` backend —
+bundled in a :class:`StorageSet` the engine owns for lifecycle (growth
+on join, the ephemeral-root cleanup).
 """
 
 from __future__ import annotations
@@ -12,15 +13,11 @@ import shutil
 import tempfile
 import weakref
 
-from repro.dht.storage.base import (BACKENDS, ShardStorage, StorageConfig,
-                                    StorageState)
-from repro.dht.storage.memory import MemoryStorage
+from repro.dht.storage.base import BACKENDS, StorageConfig, StorageState
 from repro.dht.storage.mmapseg import MmapSegmentStorage
-from repro.dht.storage.sqlitewal import SqliteWalStorage
 
 __all__ = [
-    "BACKENDS", "ShardStorage", "StorageConfig", "StorageState",
-    "MemoryStorage", "MmapSegmentStorage", "SqliteWalStorage",
+    "BACKENDS", "StorageConfig", "StorageState", "MmapSegmentStorage",
     "StorageSet", "open_storage",
 ]
 
@@ -34,62 +31,46 @@ def _cleanup_root(state: dict) -> None:
 class StorageSet:
     """The per-shard storages of one engine, opened from one config.
 
-    ``ephemeral`` is True when the config named no root: the backend
-    machinery is real but the files live in a private temp dir removed
-    at close — which is what e.g. running a whole test suite under
-    ``CONCORD_STORAGE=sqlite`` wants.  A named root is durable: close
-    leaves it behind for the next process to warm-restart from.
+    ``root`` is None on the ``memory`` backend, whose shards have no
+    storage at all.  ``ephemeral`` is True when an ``mmap`` config named
+    no root: the segment files are real but live in a private temp dir
+    removed at close — which is what e.g. running a whole test suite
+    under ``CONCORD_STORAGE=mmap`` wants.  A named root is durable:
+    close leaves it behind for the next process to warm-restart from.
     """
 
     def __init__(self, cfg: StorageConfig, n_nodes: int) -> None:
         self.cfg = cfg
         self.ephemeral = cfg.persistent and cfg.root is None
         self._state: dict = {}
-        if not cfg.persistent:
-            self.root = None
-            self.shards: list[ShardStorage] = [
-                MemoryStorage(i) for i in range(n_nodes)]
-        else:
-            if self.ephemeral:
-                self.root = tempfile.mkdtemp(prefix="concord-store-")
-                self._state["ephemeral_root"] = self.root
-            else:
-                self.root = cfg.root
-            cls = (MmapSegmentStorage if cfg.backend == "mmap"
-                   else SqliteWalStorage)
-            self.shards = [cls(self.root, i) for i in range(n_nodes)]
+        self.root = cfg.root if cfg.persistent else None
+        if self.ephemeral:
+            self.root = tempfile.mkdtemp(prefix="concord-store-")
+            self._state["ephemeral_root"] = self.root
+        self.shards: list[MmapSegmentStorage | None] = []
+        for _ in range(n_nodes):
+            self.add_shard()
         self._finalizer = weakref.finalize(self, _cleanup_root, self._state)
 
     @property
-    def persistent(self) -> bool:
-        return self.cfg.persistent
+    def durable(self) -> bool:
+        """Whether commits outlive this process (a named ``mmap`` root)."""
+        return self.root is not None and not self.ephemeral
 
-    def add_shard(self) -> ShardStorage:
+    def add_shard(self) -> MmapSegmentStorage | None:
         """Open storage for one more shard (live node join) and return it.
 
         The new shard follows the set's backend and root, so a later
         warm restart at the grown membership finds every shard where
         ``open_storage(cfg, new_n_nodes)`` would look for it.
         """
-        i = len(self.shards)
-        if not self.cfg.persistent:
-            shard: ShardStorage = MemoryStorage(i)
-        else:
-            cls = (MmapSegmentStorage if self.cfg.backend == "mmap"
-                   else SqliteWalStorage)
-            shard = cls(self.root, i)
+        shard = (None if self.root is None
+                 else MmapSegmentStorage(self.root, len(self.shards)))
         self.shards.append(shard)
         return shard
 
-    def wipe(self) -> None:
-        """Discard every shard's durable state (logical wholesale clear)."""
-        for s in self.shards:
-            s.clear()
-
     def close(self) -> None:
-        """Release handles; remove the ephemeral root.  Idempotent."""
-        for s in self.shards:
-            s.close()
+        """Remove the ephemeral root.  Idempotent."""
         _cleanup_root(self._state)
 
 

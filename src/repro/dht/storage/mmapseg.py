@@ -1,12 +1,13 @@
-"""Columnar mmap segment backend: one ShardColumns-layout file per shard.
+"""Columnar mmap segment storage: one ShardColumns-layout file per shard.
 
-The segment file is byte-for-byte the PR 6 worker-export format
-(``[hashes | masks]``, ``2 * n_rows`` little-endian uint64), so the
-*same* file serves two masters: the table's live columns are read-only
-``np.memmap`` views of it (dataset bounded by disk, hot rows by page
-cache), and :meth:`~repro.dht.table.LocalDHT.export_columns` can hand
-its path straight to ShardPool workers — publishing a shard to the pool
-costs zero copies and zero writes.
+The one durable shard form (docs/STORAGE.md).  The segment file is
+byte-for-byte the worker-export format (``[hashes | masks]``,
+``2 * n_rows`` little-endian uint64), so the *same* file serves two
+masters: the table's live columns are read-only ``np.memmap`` views of
+it (dataset bounded by disk, hot rows by page cache), and
+:meth:`~repro.dht.table.LocalDHT.export_columns` can hand its path
+straight to ShardPool workers — publishing a shard to the pool costs
+zero copies and zero writes.
 
 Commits are atomic at file granularity: the new segment is written to a
 temp name, fsynced, renamed to a fresh generation name, and only then
@@ -24,12 +25,36 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dht.storage.base import (ShardStorage, StorageState,
-                                    side_tables_to_json, state_from_json)
+from repro.dht.storage.base import StorageState
 
 __all__ = ["MmapSegmentStorage"]
 
 _U64 = np.uint64
+
+
+def _side_tables_to_json(state: StorageState) -> dict:
+    """The meta file's encoding of everything in ``state`` but the
+    columns (pinned: files committed by earlier versions must load)."""
+    return {
+        "wide": [[int(h), int(m)] for h, m in state.wide.items()],
+        "extra": [[int(h), [[int(e), int(c)] for e, c in ex.items()]]
+                  for h, ex in state.extra.items()],
+        "n_hashes": int(state.n_hashes),
+        "n_copies": int(state.n_copies),
+        "epoch": int(state.epoch),
+    }
+
+
+def _state_from_json(ph: np.ndarray, pm: np.ndarray,
+                     meta: dict) -> StorageState:
+    """Inverse of :func:`_side_tables_to_json` around loaded columns."""
+    return StorageState(
+        ph=ph, pm=pm,
+        wide={int(h): int(m) for h, m in meta["wide"]},
+        extra={int(h): {int(e): int(c) for e, c in ex}
+               for h, ex in meta["extra"]},
+        n_hashes=int(meta["n_hashes"]), n_copies=int(meta["n_copies"]),
+        epoch=int(meta.get("epoch", 0)))
 
 
 def _fsync_write(path: Path, data: bytes) -> None:
@@ -42,10 +67,9 @@ def _fsync_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-class MmapSegmentStorage(ShardStorage):
-    """Per-shard columnar segment files under one root directory."""
-
-    persistent = True
+class MmapSegmentStorage:
+    """Durable home of one shard's columns: its segment files under one
+    root directory shared with the other shards."""
 
     def __init__(self, root: str | Path, node_id: int) -> None:
         self.root = Path(root)
@@ -60,6 +84,9 @@ class MmapSegmentStorage(ShardStorage):
         return self.root / f"shard{self.node_id}.{gen}.seg"
 
     def load(self) -> StorageState | None:
+        """Read the last committed state, or None if nothing is stored.
+        ``ph``/``pm`` are read-only maps; the table copy-on-writes them
+        before any in-place mutation."""
         try:
             meta = json.loads(self._meta_path.read_text())
         except (OSError, ValueError):
@@ -75,27 +102,33 @@ class MmapSegmentStorage(ShardStorage):
             self._seg = None
             ph = np.empty(0, dtype=_U64)
             pm = np.empty(0, dtype=_U64)
-        return state_from_json(ph, pm, meta)
+        return _state_from_json(ph, pm, meta)
 
     def commit(self, state: StorageState) -> tuple[np.ndarray, np.ndarray]:
+        """Persist a snapshot; returns the (ph, pm) views the table
+        adopts as its live columns — read-only maps of the just-written
+        bytes.  The generation advances only once the meta file names
+        it, so a commit that fails part-way is retried under the same
+        generation and its unreferenced segment is overwritten."""
         n = len(state.ph)
         old_seg = self._seg
-        self._gen += 1
+        gen = self._gen + 1
         if n:
             buf = np.empty(2 * n, dtype=_U64)
             buf[:n] = state.ph
             buf[n:] = state.pm
-            seg = self._seg_path(self._gen)
+            seg = self._seg_path(gen)
             _fsync_write(seg, buf.tobytes())
         else:
             seg = None
         meta = {
-            "gen": self._gen, "n_rows": n,
+            "gen": gen, "n_rows": n,
             "seg": seg.name if seg is not None else None,
-            **side_tables_to_json(state),
+            **_side_tables_to_json(state),
         }
         _fsync_write(self._meta_path,
                      json.dumps(meta, separators=(",", ":")).encode())
+        self._gen = gen
         self._seg = seg
         self._rows = n
         if old_seg is not None and old_seg != seg:
@@ -109,6 +142,7 @@ class MmapSegmentStorage(ShardStorage):
         return mm[:n], mm[n:]
 
     def clear(self) -> None:
+        """Discard the durable state (wholesale logical wipe)."""
         self._seg = None
         self._rows = 0
         self._gen = 0
@@ -122,10 +156,9 @@ class MmapSegmentStorage(ShardStorage):
             except OSError:
                 pass
 
-    def close(self) -> None:
-        pass  # memmaps are released with the arrays that hold them
-
     def segment_path(self) -> str | None:
+        """Path of the current segment (the zero-copy worker export),
+        None before the first non-empty commit."""
         return str(self._seg) if self._seg is not None else None
 
     @property

@@ -37,11 +37,11 @@ per-item operations; the property suite in
 sequences of every mutator, including the wide-mask spill path.
 
 Storage (docs/STORAGE.md): a shard may be backed by a
-:class:`~repro.dht.storage.base.ShardStorage`.  Every packed-column
-mutation commits the columns + side tables to the backend and adopts the
-views it returns (a file-backed backend keeps the live columns
-memmapped, so the dataset is bounded by disk, not RAM); the delta
-overlay stays RAM-only between commits — :meth:`flush` forces one.
+:class:`~repro.dht.storage.mmapseg.MmapSegmentStorage`.  Every packed-
+column mutation commits the columns + side tables to it and adopts the
+memmapped views it returns (so the dataset is bounded by disk, not
+RAM); the delta overlay stays RAM-only between commits — :meth:`flush`
+forces one.
 :meth:`crash` models losing RAM while storage keeps its last commit;
 :meth:`recover` reloads it (warm rejoin); :meth:`clear` is a logical
 wipe that also empties storage.
@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dht.storage.base import ShardStorage, StorageState
+from repro.dht.storage.base import StorageState
+from repro.dht.storage.mmapseg import MmapSegmentStorage
 
 __all__ = ["LocalDHT", "ShardColumns", "mask_bits"]
 
@@ -148,7 +149,7 @@ class LocalDHT:
     """hash -> (entity bitmask, sparse extra-copy counts), columnar."""
 
     def __init__(self, node_id: int = 0,
-                 storage: ShardStorage | None = None) -> None:
+                 storage: MmapSegmentStorage | None = None) -> None:
         self.node_id = node_id
         self._store = storage
         self.epoch = 0        # last update epoch seen (engine-maintained)
@@ -163,7 +164,7 @@ class LocalDHT:
         self._view = None                    # cached extra_arrays()
         self._total_copies = 0
         self._n_hashes = 0
-        if storage is not None and storage.persistent:
+        if storage is not None:
             loaded = storage.load()
             if loaded is not None:
                 self._adopt(loaded)
@@ -191,11 +192,11 @@ class LocalDHT:
         self.epoch = state.epoch
 
     def _persist(self) -> None:
-        """Commit columns + side tables to the backend (no-op when RAM-
-        only) and adopt the returned views, so a file-backed backend
-        keeps the live columns memmapped."""
+        """Commit columns + side tables to storage (no-op when RAM-
+        only) and adopt the returned views, so the live columns stay
+        memmapped."""
         st = self._store
-        if st is None or not st.persistent:
+        if st is None:
             return
         self._ph, self._pm = st.commit(StorageState(
             ph=self._ph, pm=self._pm, wide=self._pw, extra=self._extra,
@@ -205,13 +206,13 @@ class LocalDHT:
     def flush(self) -> None:
         """Durability barrier: merge the overlay and commit everything.
 
-        Afterwards the backend holds the complete current state — the
+        Afterwards storage holds the complete current state — the
         state a :meth:`recover` (warm restart) will see.  Point updates
         between flushes live in the RAM delta overlay and are *not*
         durable; the warm-restart delta repair heals exactly that gap.
         """
         st = self._store
-        if st is None or not st.persistent:
+        if st is None:
             return
         if self._delta:
             self._compact()      # merges, then persists
@@ -220,16 +221,16 @@ class LocalDHT:
 
     def crash(self) -> None:
         """Simulated node crash: all RAM state (including the un-flushed
-        delta overlay) is lost; a persistent backend keeps its last
-        commit.  Contrast :meth:`clear`, the logical wipe."""
+        delta overlay) is lost; storage keeps its last commit.  Contrast
+        :meth:`clear`, the logical wipe."""
         empty = np.empty(0, dtype=_U64)
         self._set_state(empty, empty, {}, {}, 0, 0)
 
     def recover(self) -> bool:
         """Reload the last committed state (warm rejoin); False when
-        there is no persistent backend or nothing was ever committed."""
+        the shard is RAM-only or nothing was ever committed."""
         st = self._store
-        if st is None or not st.persistent:
+        if st is None:
             return False
         loaded = st.load()
         if loaded is None:
@@ -730,24 +731,21 @@ class LocalDHT:
         without, copies of the arrays travel inline.  The overlay is
         compacted first, so the snapshot is exact.
 
-        A shard on the mmap storage backend skips the write entirely:
-        its current committed segment *is* the export format, so the
-        snapshot references that file (``shared=True``) and workers
-        memmap the storage's own bytes zero-copy.
+        A shard with storage skips the write entirely: its current
+        committed segment *is* the export format, so the snapshot
+        references that file (``shared=True``) and workers memmap the
+        storage's own bytes zero-copy.
         """
         self._compact()
         n = len(self._ph)
         store = self._store
-        if store is not None and store.persistent and n:
-            seg = store.segment_path()
-            if (seg is not None
-                    and getattr(store, "committed_rows", -1) == n):
-                return ShardColumns(
-                    node_id=self.node_id, n_rows=n, path=seg,
-                    hashes=None, masks=None, wide=dict(self._pw),
-                    extra={h: dict(ex) for h, ex in self._extra.items()},
-                    n_hashes=self._n_hashes, n_copies=self._total_copies,
-                    shared=True)
+        if store is not None and n and store.committed_rows == n:
+            return ShardColumns(
+                node_id=self.node_id, n_rows=n, path=store.segment_path(),
+                hashes=None, masks=None, wide=dict(self._pw),
+                extra={h: dict(ex) for h, ex in self._extra.items()},
+                n_hashes=self._n_hashes, n_copies=self._total_copies,
+                shared=True)
         if path is not None and n:
             buf = np.empty(2 * n, dtype=_U64)
             buf[:n] = self._ph

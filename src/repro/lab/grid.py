@@ -35,7 +35,7 @@ FAULTS = ("none", "churn", "partition", "zonal")
 SCALES = ("static", "autoscale")
 
 #: The config axis: (storage backend, placement policy) pairs.
-BACKENDS = (("memory", "mod"), ("sqlite", "hd"))
+BACKENDS = (("memory", "mod"), ("mmap", "hd"))
 
 
 def derive_seed(base_seed: int, cell_id: str) -> int:

@@ -42,9 +42,10 @@ class SimEngine:
         return self._events_run
 
     def at(self, time: float, fn: Callable, *args: Any) -> None:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
+        """Schedule ``fn(*args)`` at absolute simulated ``time``.  A time
+        before now — or NaN, which compares false both ways — is refused."""
+        if not time >= self._now:
+            raise ValueError(f"cannot schedule at {time} (now {self._now})")
         heapq.heappush(self._heap, (time, next(self._seq), fn, args))
 
     def after(self, delay: float, fn: Callable, *args: Any) -> None:

@@ -29,6 +29,7 @@ detection still happens through timeouts on the reliable channel.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
@@ -85,16 +86,26 @@ class FaultPlan:
 
     # -- builders --------------------------------------------------------------------
 
+    def _add(self, ev: FaultEvent) -> FaultPlan:
+        """Append one event, refusing at build time what could never be
+        applied: a negative or non-finite time, a negative node id."""
+        if not (math.isfinite(ev.time) and ev.time >= 0):
+            raise ValueError(
+                f"fault time must be finite and >= 0, got {ev.time!r}")
+        for node in (*ev.nodes, *(n for g in ev.groups for n in g)):
+            if node < 0:
+                raise ValueError(f"node id must be >= 0, got {node!r}")
+        self.events.append(ev)
+        return self
+
     def kill(self, time: float, *nodes: int) -> FaultPlan:
         """Crash-stop the given nodes at ``time``."""
-        self.events.append(FaultEvent(time, FaultKind.KILL, nodes=tuple(nodes)))
-        return self
+        return self._add(FaultEvent(time, FaultKind.KILL, nodes=tuple(nodes)))
 
     def restart(self, time: float, *nodes: int) -> FaultPlan:
         """Bring the given (previously killed) nodes back, empty."""
-        self.events.append(
+        return self._add(
             FaultEvent(time, FaultKind.RESTART, nodes=tuple(nodes)))
-        return self
 
     def partition(self, time: float, *groups) -> FaultPlan:
         """Partition the cluster into the given node groups at ``time``.
@@ -103,29 +114,25 @@ class FaultPlan:
         are untouched.  Nodes not listed in any group stay reachable from
         everyone.
         """
-        self.events.append(FaultEvent(
+        return self._add(FaultEvent(
             time, FaultKind.PARTITION,
             groups=tuple(tuple(g) for g in groups)))
-        return self
 
     def heal(self, time: float) -> FaultPlan:
         """Remove every link block (partitions end) at ``time``."""
-        self.events.append(FaultEvent(time, FaultKind.HEAL))
-        return self
+        return self._add(FaultEvent(time, FaultKind.HEAL))
 
     def set_loss(self, time: float, prob: float) -> FaultPlan:
         """Inject i.i.d. datagram loss with probability ``prob``."""
         if not 0.0 <= prob <= 1.0:
             raise ValueError("loss probability must be in [0, 1]")
-        self.events.append(FaultEvent(time, FaultKind.LOSS, factor=prob))
-        return self
+        return self._add(FaultEvent(time, FaultKind.LOSS, factor=prob))
 
     def scale_latency(self, time: float, factor: float) -> FaultPlan:
         """Multiply the one-way wire latency by ``factor``."""
-        if factor <= 0:
-            raise ValueError("latency factor must be positive")
-        self.events.append(FaultEvent(time, FaultKind.LATENCY, factor=factor))
-        return self
+        if not 0 < factor < math.inf:
+            raise ValueError("latency factor must be positive and finite")
+        return self._add(FaultEvent(time, FaultKind.LATENCY, factor=factor))
 
     # -- arming ----------------------------------------------------------------------
 

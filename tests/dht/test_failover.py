@@ -97,6 +97,41 @@ class TestFailover:
         assert len(shards) == 3
         assert concord.coverage == pytest.approx(3 / 4)
 
+    def test_last_alive_node_is_refused_before_anything_moves(self):
+        """Failing the last ring member raises and changes nothing: not
+        the shard, the holed ranges, coverage, the epochs, the NIC — so
+        a cached answer stays equal to the uncached one."""
+        cluster, _ents, concord = make_tracked(n_nodes=2)
+        eng = concord.tracing
+        concord.fail_node(1)
+        h = int(next(iter(eng.shards[0].hashes())))
+        fe = concord.frontend()
+
+        def served():
+            got = []
+            fe.submit("num_copies", (h,), on_done=got.append)
+            cluster.engine.run()
+            return got[0]
+
+        first = served()
+        mask = (1 << 80) - 1
+
+        def state():
+            hs, lo, wide = eng.shards[0].se_scan(mask)
+            return (hs.tolist(), lo.tolist(), wide, eng._intact.tolist(),
+                    eng.coverage, eng.epoch_vector().tolist(),
+                    eng.global_epoch, bool(cluster.network.node_up[0]))
+
+        before = state()
+        assert before[4] == 0.5
+        for fail in (eng.node_failed, concord.fail_node):
+            with pytest.raises(ValueError, match="last alive node"):
+                fail(0)
+            assert state() == before
+            again = served()
+            assert again.cache_hit
+            assert again.answer == first.answer == concord.num_copies(h)
+
 
 class TestRejoin:
     def test_restart_routes_ranges_back_but_holed(self):

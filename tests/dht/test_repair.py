@@ -39,7 +39,7 @@ def packed(concord):
     return out
 
 
-@pytest.mark.parametrize("backend", ["memory", "mmap", "sqlite"])
+@pytest.mark.parametrize("backend", ["memory", "mmap"])
 @pytest.mark.parametrize("mode", list(MODES))
 def test_modes_converge_missing_and_stale_rows(mode, backend):
     with bring_up() as fresh, bring_up(backend) as concord:

@@ -1,21 +1,22 @@
-"""Backend-conformance suite for the pluggable ShardStorage backends.
+"""Conformance suite for shard storage (docs/STORAGE.md).
 
-Every backend in :data:`repro.dht.storage.BACKENDS` must satisfy the
-same contract (docs/STORAGE.md): commit/load round-trips the complete
-columnar state (packed columns, wide spill, extra-copy overflow,
-counters, epoch), ``clear`` is a logical wipe, ``crash`` loses only RAM,
-and a LocalDHT driven through any backend is byte-identical to one on
-any other.
+Every persistent backend in :data:`repro.dht.storage.BACKENDS` (today
+``mmap`` alone) must satisfy the same contract: commit/load round-trips
+the complete columnar state (packed columns, wide spill, extra-copy
+overflow, counters, epoch), ``clear`` is a logical wipe, a commit torn
+part-way leaves the previous generation loadable, ``crash`` loses only
+RAM, and a LocalDHT driven through storage is byte-identical to a
+RAM-only one.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.dht.storage import (
     BACKENDS,
-    MemoryStorage,
     MmapSegmentStorage,
-    SqliteWalStorage,
     StorageConfig,
     StorageState,
     open_storage,
@@ -26,11 +27,9 @@ PERSISTENT = tuple(b for b in BACKENDS if b != "memory")
 
 
 def make_storage(backend, root, node=0):
-    if backend == "memory":
-        return MemoryStorage(node)
-    if backend == "mmap":
-        return MmapSegmentStorage(root, node)
-    return SqliteWalStorage(root, node)
+    """Shard ``node``'s storage as an engine on ``backend`` opens it."""
+    cfg = StorageConfig(backend=backend, root=str(root))
+    return open_storage(cfg, node + 1).shards[node]
 
 
 def sample_state(epoch=7):
@@ -61,7 +60,7 @@ def shard_state(t: LocalDHT):
 class TestStorageConfig:
     def test_defaults(self, monkeypatch):
         # The built-in defaults, with the env overrides out of the way
-        # (tier-2 CI runs this suite under CONCORD_STORAGE=sqlite).
+        # (CI also runs this suite under CONCORD_STORAGE=mmap).
         monkeypatch.delenv("CONCORD_STORAGE", raising=False)
         monkeypatch.delenv("CONCORD_STORAGE_DIR", raising=False)
         cfg = StorageConfig()
@@ -73,12 +72,23 @@ class TestStorageConfig:
         with pytest.raises(ValueError, match="bogus"):
             StorageConfig(backend="bogus")
 
-    def test_env_default(self, monkeypatch):
+    def test_retired_sqlite_backend_rejected(self, monkeypatch):
+        """The SQLite backend is gone; naming it fails loudly, listing
+        what is left, whether by field or by env var."""
+        assert BACKENDS == ("memory", "mmap")
+        with pytest.raises(ValueError, match="'sqlite'.*memory, mmap$"):
+            StorageConfig(backend="sqlite")
         monkeypatch.setenv("CONCORD_STORAGE", "sqlite")
-        assert StorageConfig().backend == "sqlite"
+        with pytest.raises(ValueError,
+                           match="CONCORD_STORAGE.*'sqlite'.*memory, mmap"):
+            StorageConfig()
+
+    def test_env_default(self, monkeypatch):
+        monkeypatch.setenv("CONCORD_STORAGE", "mmap")
+        assert StorageConfig().backend == "mmap"
         monkeypatch.setenv("CONCORD_STORAGE", "nonsense")
         with pytest.raises(ValueError,
-                           match="CONCORD_STORAGE.*memory, mmap, sqlite"):
+                           match="CONCORD_STORAGE.*memory, mmap"):
             StorageConfig()
         monkeypatch.setenv("CONCORD_STORAGE", " MMAP ")
         assert StorageConfig().backend == "mmap"
@@ -91,18 +101,14 @@ class TestStorageConfig:
 
 
 class TestBackendContract:
-    """The raw ShardStorage contract, per backend."""
+    """The raw storage contract, per persistent backend."""
 
     @pytest.mark.parametrize("backend", PERSISTENT)
     def test_commit_load_roundtrip_across_instances(self, backend, tmp_path):
-        st = make_storage(backend, tmp_path)
-        st.commit(sample_state())
-        st.close()
-        reopened = make_storage(backend, tmp_path)
-        loaded = reopened.load()
+        make_storage(backend, tmp_path).commit(sample_state())
+        loaded = make_storage(backend, tmp_path).load()
         assert loaded is not None
         assert_states_equal(loaded, sample_state())
-        reopened.close()
 
     @pytest.mark.parametrize("backend", PERSISTENT)
     def test_last_commit_wins(self, backend, tmp_path):
@@ -115,7 +121,6 @@ class TestBackendContract:
         newer.extra = {}
         newer.n_hashes, newer.n_copies = 1, 1
         st.commit(newer)
-        st.close()
         loaded = make_storage(backend, tmp_path).load()
         assert loaded.ph.tolist() == [42] and loaded.epoch == 2
 
@@ -124,7 +129,6 @@ class TestBackendContract:
         st = make_storage(backend, tmp_path)
         st.commit(sample_state())
         st.clear()
-        st.close()
         assert make_storage(backend, tmp_path).load() is None
 
     @pytest.mark.parametrize("backend", PERSISTENT)
@@ -135,20 +139,9 @@ class TestBackendContract:
                              wide={}, extra={}, n_hashes=0, n_copies=0,
                              epoch=3)
         st.commit(empty)
-        st.close()
         loaded = make_storage(backend, tmp_path).load()
         assert loaded is not None
         assert len(loaded.ph) == 0 and loaded.epoch == 3
-
-    def test_memory_backend_has_no_durable_form(self):
-        st = MemoryStorage(0)
-        assert st.persistent is False
-        state = sample_state()
-        ph, pm = st.commit(state)
-        assert ph is state.ph and pm is state.pm  # identity, zero cost
-        assert st.load() is None                  # restarts start cold
-        st.clear()
-        st.close()
 
     def test_mmap_segment_path_is_the_export_format(self, tmp_path):
         st = MmapSegmentStorage(tmp_path, 0)
@@ -169,54 +162,48 @@ class TestBackendContract:
         st.commit(sample_state(epoch=2))
         second = st.segment_path()
         assert first != second          # fresh generation, atomic rename
-        import os
         assert not os.path.exists(first)  # old generation reaped
 
-    def test_sqlite_shards_share_one_database(self, tmp_path):
-        a = SqliteWalStorage(tmp_path, 0)
-        b = SqliteWalStorage(tmp_path, 1)
-        assert a._db is b._db
-        a.commit(sample_state(epoch=1))
-        sb = sample_state(epoch=5)
-        b.commit(sb)
-        assert a.load().epoch == 1       # rows are independent
-        assert b.load().epoch == 5
-        a.close()
-        b.load()                         # refcount keeps the db open
-        b.close()
+    def test_torn_commit_leaves_the_previous_generation(self, tmp_path,
+                                                        monkeypatch):
+        """A commit that dies after renaming its new segment but before
+        the meta file names it: the previous generation still loads
+        whole, and the next commit goes through."""
+        st = MmapSegmentStorage(tmp_path, 0)
+        st.commit(sample_state(epoch=1))
+        first = st.segment_path()
+        newer = sample_state(epoch=2)
+        newer.ph = np.array([42], dtype=np.uint64)
+        newer.pm = np.array([1], dtype=np.uint64)
+        replace = os.replace
 
+        def meta_replace_fails(src, dst):
+            if str(dst).endswith(".meta.json"):
+                raise OSError("torn before the meta rename")
+            replace(src, dst)
 
-    def test_sqlite_database_leaves_the_registry_on_last_close(
-            self, tmp_path, monkeypatch):
-        """The registry is keyed on the resolved path; a relative (or
-        symlinked) root must be released under that same key."""
-        from repro.dht.storage.sqlitewal import _DATABASES
-
-        monkeypatch.chdir(tmp_path)
-        before = set(_DATABASES)
-        a = SqliteWalStorage("rel", 0)
-        b = SqliteWalStorage("rel", 1)
-        (key,) = set(_DATABASES) - before
-        a.close()
-        assert key in _DATABASES            # b still holds it
-        b.close()
-        assert set(_DATABASES) == before
+        monkeypatch.setattr(os, "replace", meta_replace_fails)
+        with pytest.raises(OSError, match="torn"):
+            st.commit(newer)
+        assert len(list(tmp_path.glob("shard0.*.seg"))) == 2  # new is on disk
+        for reader in (MmapSegmentStorage(tmp_path, 0), st):
+            assert_states_equal(reader.load(), sample_state(epoch=1))
+            assert reader.segment_path() == first
+        monkeypatch.setattr(os, "replace", replace)
+        st.commit(newer)
+        assert_states_equal(MmapSegmentStorage(tmp_path, 0).load(), newer)
+        # The retry reused the torn generation: nothing is left orphaned.
+        assert [p.name for p in tmp_path.glob("shard0.*.seg")] == \
+            ["shard0.2.seg"]
 
     def test_side_table_metadata_bytes_are_pinned(self, tmp_path):
-        """Both persistent backends write the one shared encoding; files
-        committed by earlier versions must keep loading, so the text is
-        pinned, key order included."""
-        side = ('"wide":[[9,5]],"extra":[[20,[[0,2]]]],'
-                '"n_hashes":4,"n_copies":11,"epoch":7}')
-        mm = MmapSegmentStorage(tmp_path, 0)
-        mm.commit(sample_state())
+        """Roots committed by earlier versions must keep loading, so the
+        meta text is pinned, key order included."""
+        MmapSegmentStorage(tmp_path, 0).commit(sample_state())
         assert (tmp_path / "shard0.meta.json").read_text() == (
-            '{"gen":1,"n_rows":4,"seg":"shard0.1.seg",' + side)
-        sq = SqliteWalStorage(tmp_path, 0)
-        sq.commit(sample_state())
-        (meta,) = sq._conn().execute("SELECT meta FROM shards").fetchone()
-        sq.close()
-        assert meta == "{" + side
+            '{"gen":1,"n_rows":4,"seg":"shard0.1.seg",'
+            '"wide":[[9,5]],"extra":[[20,[[0,2]]]],'
+            '"n_hashes":4,"n_copies":11,"epoch":7}')
 
 
 class TestLocalDHTOnBackends:
@@ -274,6 +261,7 @@ class TestLocalDHTOnBackends:
 
     def test_memory_backend_cannot_recover(self):
         store = open_storage(StorageConfig(backend="memory"), 1)
+        assert store.shards == [None] and store.root is None  # RAM-only
         t = LocalDHT(0, storage=store.shards[0])
         self.populate(t)
         t.flush()
@@ -282,7 +270,7 @@ class TestLocalDHTOnBackends:
         store.close()
 
     def test_fresh_table_on_populated_root_recovers_at_init(self, tmp_path):
-        cfg = StorageConfig(backend="sqlite", root=str(tmp_path))
+        cfg = StorageConfig(backend="mmap", root=str(tmp_path))
         store = open_storage(cfg, 1)
         t = LocalDHT(0, storage=store.shards[0])
         self.populate(t)
@@ -326,10 +314,9 @@ class TestLocalDHTOnBackends:
         self.populate(t)
         t.flush()
         view = t.export_columns()
-        if backend == "mmap":
-            # Zero-copy: the export IS the storage's current segment.
-            assert view.shared is True
-            assert view.path == store.shards[0].segment_path()
+        # Zero-copy: the export IS the storage's current segment.
+        assert view.shared is True
+        assert view.path == store.shards[0].segment_path()
         attached = view.attach()
         assert shard_state(attached) == shard_state(t)
         store.close()
@@ -339,7 +326,6 @@ class TestLocalDHTOnBackends:
         store = open_storage(cfg, 2)
         assert store.ephemeral is True
         root = store.root
-        import os
         assert os.path.isdir(root)
         store.close()
         assert not os.path.exists(root)

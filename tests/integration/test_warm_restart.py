@@ -13,7 +13,7 @@ import pytest
 
 from repro import Cluster, ConCORD, ConCORDConfig, StorageConfig, workloads
 
-PERSISTENT = ("mmap", "sqlite")
+PERSISTENT = ("mmap",)
 
 N_NODES = 4
 PAGES = 256

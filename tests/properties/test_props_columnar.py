@@ -197,7 +197,7 @@ def _check_overflow_readers(dht, queries, s_eids, unselected):
 
 
 class TestOverflowView:
-    @pytest.mark.parametrize("backend", ["memory", "mmap", "sqlite"])
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
     @given(st.lists(x_pair, min_size=12, max_size=40), steps,
            st.lists(st.integers(min_value=0, max_value=12),
                     max_size=12),     # absent and repeated hashes

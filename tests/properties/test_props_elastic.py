@@ -117,7 +117,7 @@ def apply_schedule(concord, ents, schedule):
     concord.repair(full=True)
 
 
-@pytest.mark.parametrize("backend", ("memory", "mmap", "sqlite"))
+@pytest.mark.parametrize("backend", ("memory", "mmap"))
 @pytest.mark.parametrize("workers", (1, 4))
 class TestJoinConvergenceProperty:
     @SLOW

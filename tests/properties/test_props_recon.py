@@ -88,7 +88,7 @@ def apply_schedule(concord, ents, schedule):
         concord.restart_node(node)
 
 
-@pytest.mark.parametrize("backend", ("memory", "mmap", "sqlite"))
+@pytest.mark.parametrize("backend", ("memory", "mmap"))
 @pytest.mark.parametrize("workers", (1, 4))
 class TestReconRepairProperty:
     @SLOW

@@ -192,7 +192,7 @@ MAX_NODES = N_NODES + 2
 class TestEpochInvariant:
     @SLOW
     @given(st.lists(engine_op_strategy, min_size=1, max_size=16),
-           st.sampled_from(["memory", "sqlite"]))
+           st.sampled_from(["memory", "mmap"]))
     # Every operation at least once, the warm restart with a commit to
     # recover, the repairs with damage to repair, and a join cut over
     # with a holed range and with none.
@@ -203,7 +203,7 @@ class TestEpochInvariant:
                   ("repair", "recon"), ("repair", "full"),
                   ("begin_join", 0), ("complete_join", 0),
                   ("remove_entity", 1), ("clear", 0)],
-             backend="sqlite")
+             backend="mmap")
     def test_routing_and_coverage_changes_advance_every_shard_epoch(
             self, ops, backend):
         cluster = Cluster(N_NODES, seed=1)

@@ -104,7 +104,7 @@ def apply_schedule(concord, ents, schedule):
     concord.repair(full=True)
 
 
-@pytest.mark.parametrize("backend", ("mmap", "sqlite"))
+@pytest.mark.parametrize("backend", ("mmap",))
 @pytest.mark.parametrize("workers", (1, 4))
 class TestWarmRestartProperty:
     @SLOW

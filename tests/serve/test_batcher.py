@@ -89,7 +89,7 @@ class TestBulkAnswers:
 K = table._VECTOR_MIN
 WIDTHS = (1, K - 1, K, K + 1, 3 * K)
 SCALAR, VECTOR = 10 ** 9, 0      # values of the constant forcing one side
-BACKENDS = ("memory", "mmap", "sqlite")
+BACKENDS = ("memory", "mmap")
 WIDE_ENTITY = 70                 # past bit 63: the mask spills into _pw
 SPARE_ENTITY = 9                 # holds nothing in the fixture
 

@@ -65,6 +65,19 @@ class TestScheduling:
         with pytest.raises(ValueError):
             SimEngine().after(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        """NaN is neither before nor after now; it must not slip into
+        the heap and fire between ordinary events with ``now`` = NaN."""
+        eng = SimEngine()
+        fired = []
+        eng.at(1.0, fired.append, 1.0)
+        eng.at(2.0, fired.append, 2.0)
+        for schedule in (eng.at, eng.after):
+            with pytest.raises(ValueError, match="nan"):
+                schedule(float("nan"), fired.append, "nan")
+        assert eng.run() == 2.0
+        assert fired == [1.0, 2.0]
+
     def test_run_until_stops_and_advances_clock(self):
         eng = SimEngine()
         fired = []

@@ -33,8 +33,31 @@ class TestFaultPlanBuilders:
             FaultPlan().set_loss(0.0, -0.1)
 
     def test_latency_factor_validated(self):
+        for factor in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                FaultPlan().scale_latency(0.0, factor)
+
+    @pytest.mark.parametrize("build", (
+        lambda p: p.kill(float("nan"), 1),
+        lambda p: p.kill(-1.0, 0),
+        lambda p: p.restart(float("inf"), 1),
+        lambda p: p.heal(float("-inf")),
+        lambda p: p.set_loss(float("nan"), 0.1),
+        lambda p: p.scale_latency(-0.5, 2.0),
+        lambda p: p.kill(1.0, -1),
+        lambda p: p.restart(1.0, 2, -3),
+        lambda p: p.partition(1.0, [0, 1], [-2]),
+    ), ids=("kill-nan", "kill-negative-time", "restart-inf", "heal-neg-inf",
+            "loss-nan", "latency-negative-time", "kill-negative-node",
+            "restart-negative-node", "partition-negative-node"))
+    def test_bad_times_and_node_ids_refused_at_build(self, build):
+        """A non-finite or negative time, or a negative node id, fails
+        where the plan is written, not when (or instead of when) it
+        fires."""
+        plan = FaultPlan().kill(0.5, 1)
         with pytest.raises(ValueError):
-            FaultPlan().scale_latency(0.0, 0.0)
+            build(plan)
+        assert len(plan.events) == 1       # nothing half-appended
 
     def test_describe_covers_every_kind(self):
         evs = [FaultEvent(0.0, FaultKind.KILL, nodes=(1,)),

@@ -149,7 +149,7 @@ class TestBench:
         ("--workers", "2"), ("--profile",), ("--budget", "0%"),
         ("--selftest",), ("--quick",), ("--full",),
         ("--trajectory", "t.json"), ("--no-trajectory",),
-        ("--storage", "sqlite"), ("--storage-dir", "d"),
+        ("--storage", "mmap"), ("--storage-dir", "d"),
         ("--chunking", "cdc")))
     def test_host_clock_flags_are_gone(self, flag):
         with pytest.raises(SystemExit):
@@ -312,7 +312,9 @@ class TestServe:
 
 
 class TestStorageFlags:
-    """--storage/--storage-dir/--expect-warm (docs/STORAGE.md)."""
+    """Storage knobs of ``repro serve`` — the ``CONCORD_STORAGE`` /
+    ``CONCORD_STORAGE_DIR`` env vars — and --expect-warm
+    (docs/STORAGE.md)."""
 
     SERVE = ("serve", "--clients", "2", "--duration", "0.02",
              "--population", "16", "--pages", "128")
@@ -322,36 +324,46 @@ class TestStorageFlags:
         assert code == 0
         assert "storage.restart.cold_vs_warm" in out
 
-    def test_serve_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            run_cli(*self.SERVE, "--storage", "bogus")
+    def test_serve_rejects_unknown_backend(self, monkeypatch):
+        monkeypatch.setenv("CONCORD_STORAGE", "bogus")
+        code, out = run_cli(*self.SERVE)
+        assert code == 2
+        assert "CONCORD_STORAGE='bogus'" in out
 
     def test_expect_warm_requires_persistent_backend(self, monkeypatch):
         monkeypatch.delenv("CONCORD_STORAGE", raising=False)
         code, out = run_cli(*self.SERVE, "--expect-warm")
         assert code == 2
-        assert "persistent" in out
-        code, out = run_cli(*self.SERVE, "--storage", "memory",
-                            "--expect-warm")
+        assert "CONCORD_STORAGE=mmap" in out
+        monkeypatch.setenv("CONCORD_STORAGE", "memory")
+        code, out = run_cli(*self.SERVE, "--expect-warm")
         assert code == 2
 
-    def test_expect_warm_fails_on_empty_root(self, tmp_path):
-        code, out = run_cli(*self.SERVE, "--storage", "sqlite",
-                            "--storage-dir", str(tmp_path),
-                            "--expect-warm")
+    def test_expect_warm_fails_on_empty_root(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("CONCORD_STORAGE", "mmap")
+        monkeypatch.setenv("CONCORD_STORAGE_DIR", str(tmp_path))
+        code, out = run_cli(*self.SERVE, "--expect-warm")
         assert code == 1
         assert "expected a warm restart" in out
 
-    @pytest.mark.parametrize("backend", ("mmap", "sqlite"))
-    def test_serve_twice_warm_restarts(self, backend, tmp_path):
-        cold = self.SERVE + ("--storage", backend,
-                             "--storage-dir", str(tmp_path))
-        code, out = run_cli(*cold)
+    @pytest.mark.parametrize("backend", ("mmap",))
+    def test_serve_twice_warm_restarts(self, backend, monkeypatch, tmp_path):
+        monkeypatch.setenv("CONCORD_STORAGE", backend)
+        monkeypatch.setenv("CONCORD_STORAGE_DIR", str(tmp_path))
+        code, out = run_cli(*self.SERVE)
         assert code == 0
         assert "warm restart" not in out
-        code, out = run_cli(*cold, "--expect-warm")
+        code, out = run_cli(*self.SERVE, "--expect-warm")
         assert code == 0
         assert f"[warm restart from {backend} storage:" in out
+
+    @pytest.mark.parametrize("flag", (
+        ("--workers", "2"), ("--storage", "mmap"), ("--storage-dir", "d"),
+        ("--chunking", "cdc")))
+    def test_env_knob_flags_are_gone(self, flag):
+        """One way to set each: the CONCORD_* env var ConCORDConfig reads."""
+        with pytest.raises(SystemExit):
+            run_cli(*self.SERVE, *flag)
 
 
 class TestParser:
