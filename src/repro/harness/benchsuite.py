@@ -1,37 +1,81 @@
 """The benchmark suite: every pinned number as a registered BenchSpec.
 
 Every metric is a value of the modelled machine (simulated seconds,
-event counts, ratios of them) — a deterministic function of the seed —
-so the whole suite is compared by equality against the golden file
-``baselines/ci.json`` (docs/BENCHMARKS.md): twelve of the specs in tier-1,
-all fourteen in CI.  Host time is not measured here: scan/insert rates,
-pool dispatch, storage commit and repair host seconds are per-layer
-metrics of the repo benchmark (``bench/``, ``BENCHMARK.json``).  Paper
-figures run through :data:`repro.harness.experiments.ALL_EXPERIMENTS`
+event counts, ratios of them, digests of what a command decided) — a
+deterministic function of the seed — so the whole suite is compared by
+equality against the golden file ``baselines/ci.json``
+(docs/BENCHMARKS.md): every spec but the two slow serving runs in
+tier-1, all of them in CI.  Host time is not measured here: scan/insert
+rates, pool dispatch, storage commit and repair host seconds are
+per-layer metrics of the repo benchmark (``bench/``, ``BENCHMARK.json``).
+Paper figures run through :data:`repro.harness.experiments.ALL_EXPERIMENTS`
 (``repro run``, ``pytest benchmarks/``), not through this suite.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import random
 import shutil
 import tempfile
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.core.command import ExecMode
+from repro.core.command import ExecMode, ServiceCallbacks
 from repro.core.concord import ConCORD
 from repro.core.config import ConCORDConfig
+from repro.core.events import CommandTracer
+from repro.core.executor import CommandResult
 from repro.core.scope import ServiceScope
 from repro.dht.engine import ContentTracingEngine
 from repro.dht.storage import StorageConfig
+from repro.memory.entity import Entity
+from repro.obs import ObsConfig
 from repro.obs.bench import BenchContext, BenchRunner, BenchSpec
-from repro.services.checkpoint import CheckpointStore, CollectiveCheckpoint
-from repro.services.null import NullService
+from repro.services import (CheckpointStore, CollectiveCheckpoint,
+                            CollectiveDedup, CollectiveMigration,
+                            CollectiveReconstruction, CollectiveReplication,
+                            IncrementalCheckpoint, NullService,
+                            make_replica_stores, restore_entity,
+                            restore_incremental_entity)
+from repro.services.migrate import MigrationPlan
+from repro.services.reconstruct import ImageDescriptor, register_image
 from repro.sim.cluster import Cluster
-from repro.sim.costmodel import BIG_CLUSTER, NEW_CLUSTER
+from repro.storage import ParallelFileSystem
+from repro.util.hashing import page_hashes
 from repro import workloads
 
-__all__ = ["build_default_runner"]
+__all__ = ["RECIPES", "World", "build_default_runner", "fingerprint"]
+
+
+def _record_flat(ctx: BenchContext, obj, prefix: str = "") -> None:
+    """Record every leaf of a nested value under its dotted path.
+
+    The one rule for a value a spec pins whole: dict keys and list/tuple
+    indices are joined by ``.``; a number is recorded as it is (a bool as
+    0 or 1); a string is a label, so it becomes the last part of the path
+    and is recorded as 1.  Digests are :func:`_digest` integers.
+    """
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif isinstance(obj, str):
+        ctx.record(f"{prefix}.{obj}", 1)
+        return
+    else:
+        ctx.record(prefix, obj)
+        return
+    for key, value in items:
+        _record_flat(ctx, value, f"{prefix}.{key}" if prefix else str(key))
+
+
+def _digest(obj) -> int:
+    """SHA-256 of ``repr(obj)``, cut to its top 52 bits — an integer a
+    float holds exactly, so the golden file can pin it."""
+    return int(hashlib.sha256(repr(obj).encode()).hexdigest()[:13], 16)
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +83,14 @@ __all__ = ["build_default_runner"]
 # ---------------------------------------------------------------------------
 
 
-def _bring_up(n_nodes: int, sim_pages: int, R: int, seed: int,
-              testbed: str = "new-cluster", kind: str = "moldy"):
-    """Synced system; use the returned ConCORD as a context manager."""
+def _bring_up(n_nodes: int, sim_pages: int, R: int = 1, *, seed: int,
+              testbed: str = "new-cluster", kind: str = "moldy", **config):
+    """Synced system (``config``: further ``ConCORDConfig`` fields); use
+    the returned ConCORD as a context manager."""
     cluster = Cluster(n_nodes, cost=testbed, seed=seed)
     make = workloads.moldy if kind == "moldy" else workloads.nasty
     ents = workloads.instantiate(cluster, make(n_nodes, sim_pages, seed=seed))
-    concord = ConCORD(cluster, ConCORDConfig(n_represented=R))
+    concord = ConCORD(cluster, ConCORDConfig(n_represented=R, **config))
     concord.initial_scan()
     return cluster, ents, concord, [e.entity_id for e in ents]
 
@@ -100,11 +145,9 @@ def _bench_query(ctx: BenchContext) -> None:
 
 def _bench_monitor(ctx: BenchContext) -> None:
     p = ctx.params
-    cluster = Cluster(2, cost=NEW_CLUSTER, seed=9)
-    workloads.instantiate(cluster, workloads.moldy(2, p["sim_pages"], seed=9))
-    with ConCORD(
-            cluster, ConCORDConfig(hash_algo=p["hash_algo"])) as concord:
-        concord.initial_scan()
+    cluster, _e, concord, _eids = _bring_up(2, p["sim_pages"], seed=9,
+                                            hash_algo=p["hash_algo"])
+    with concord:
         mon = concord.monitors[0]
         base = mon.stats.cpu_time
         rng = np.random.default_rng(10)
@@ -121,18 +164,40 @@ def _bench_monitor(ctx: BenchContext) -> None:
 def _bench_update_network(ctx: BenchContext) -> None:
     """Fig 7's shape at one size: full scan over the simulated network."""
     p = ctx.params
-    cluster = Cluster(p["n_nodes"], cost=BIG_CLUSTER, seed=1)
-    workloads.instantiate(cluster, workloads.nasty(p["n_nodes"],
-                                                   p["sim_pages"], seed=1))
-    with ConCORD(
-            cluster, ConCORDConfig(use_network=True,
-                                   n_represented=p["R"],
-                                   update_batch_size=1)) as concord:
-        concord.initial_scan()
+    cluster, _e, concord, _eids = _bring_up(
+        p["n_nodes"], p["sim_pages"], p["R"], seed=1, testbed="big-cluster",
+        kind="nasty", use_network=True, update_batch_size=1)
+    concord.close()
     st = cluster.network.stats
     ctx.record("updates_sent", st.updates_sent)
     ctx.record("loss_rate", st.update_loss_rate)
     ctx.record("sim_elapsed_s", cluster.engine.now)
+
+
+def _bench_update_path(ctx: BenchContext) -> None:
+    """The update path's simulated side: networked bring-up, page writes
+    on three entities, ``sync()``.  Datagrams are built inserts then
+    removes, homes ascending, arrival order within a home, cut into
+    ``update_batch_size`` chunks, and only then shuffled and paced — build
+    them in any other order and the final sim time moves."""
+    cluster = Cluster(4, cost="new-cluster", seed=7)
+    ents = workloads.instantiate(cluster, workloads.moldy(8, 256, seed=7))
+    with ConCORD(cluster, ConCORDConfig(
+            use_network=True, update_batch_size=2,
+            n_represented=256)) as concord:
+        concord.initial_scan()
+        for i, e in enumerate(ents[:3]):
+            e.write_pages(np.arange(10 + i),
+                          np.arange(10 + i, dtype=np.uint64) + 70_000 + 100 * i)
+        concord.sync()
+        net = cluster.network.stats
+        ctx.record("msgs_sent", net.msgs_sent)
+        ctx.record("bytes_sent", net.bytes_sent)
+        ctx.record("updates_sent", net.updates_sent)
+        ctx.record("events_run", cluster.engine.events_run)
+        ctx.record("sim_elapsed_s", cluster.engine.now)
+        ctx.record("global_epoch", concord.tracing.global_epoch)
+        _record_flat(ctx, concord.tracing.epoch_vector().tolist(), "epoch")
 
 
 def _bench_serve_throughput(ctx: BenchContext) -> None:
@@ -141,13 +206,9 @@ def _bench_serve_throughput(ctx: BenchContext) -> None:
     from repro.workloads import TrafficSpec
 
     p = ctx.params
-    cluster = Cluster(p["n_nodes"], cost="new-cluster", seed=3)
-    workloads.instantiate(cluster, workloads.moldy(p["n_nodes"],
-                                                   p["sim_pages"], seed=3))
-    with ConCORD(
-            cluster, ConCORDConfig(use_network=False,
-                                   serve=ServeConfig())) as concord:
-        concord.initial_scan()
+    _cl, _e, concord, _eids = _bring_up(p["n_nodes"], p["sim_pages"],
+                                        seed=3, serve=ServeConfig())
+    with concord:
         rep = concord.serve(TrafficSpec(
             n_clients=p["clients"], duration_s=p["duration_s"],
             arrival="poisson", rate_per_client=p["rate"], zipf_s=1.2,
@@ -168,16 +229,11 @@ def _bench_serve_cached_qps(ctx: BenchContext) -> None:
     p = ctx.params
 
     def run(**serve_kw):
-        cluster = Cluster(p["n_nodes"], cost="new-cluster", seed=3)
-        workloads.instantiate(cluster, workloads.moldy(p["n_nodes"],
-                                                       p["sim_pages"],
-                                                       seed=3))
         cfg = ServeConfig(interactive_window_s=5e-6, batch_window_s=5e-6,
                           **serve_kw)
-        with ConCORD(
-                cluster, ConCORDConfig(use_network=False,
-                                       serve=cfg)) as concord:
-            concord.initial_scan()
+        _cl, _e, concord, _eids = _bring_up(p["n_nodes"], p["sim_pages"],
+                                            seed=3, serve=cfg)
+        with concord:
             return concord.serve(TrafficSpec(
                 n_clients=p["clients"], duration_s=p["duration_s"],
                 arrival="closed", zipf_s=1.5, population=64,
@@ -190,6 +246,136 @@ def _bench_serve_cached_qps(ctx: BenchContext) -> None:
     ctx.record("speedup", on.qps / off.qps if off.qps else 0.0)
     ctx.record("cache_hit_rate", on.hit_rate)
     ctx.record("coalesced", on.coalesced)
+
+
+def _serve_snapshot(fe, concord) -> dict:
+    """A frontend's whole ``ServeReport`` and every ``serve.*`` series."""
+    return {"report": dataclasses.asdict(fe.report()),
+            "registry": {name: series for name, series
+                         in concord.obs.registry.snapshot().items()
+                         if name.startswith("serve.")}}
+
+
+def _bench_serve_counters(ctx: BenchContext) -> None:
+    """One seeded closed loop that reaches every frontend counter.
+
+    It coalesces, uses both QoS classes, is refused for both reasons, has
+    cached answers invalidated by an update and by a failover, and
+    overflows ``max_batch`` into re-drains.  The frontend pushes its
+    counters once per batch; the pinned numbers are the ones per-request
+    pushes gave.
+    """
+    from repro.queries.interface import QueryInterface
+    from repro.serve import QoSClass, QueryFrontend, ServeConfig
+
+    p = ctx.params
+    n_clients = p["clients"]
+    cluster, _e, concord, eids = _bring_up(4, 256, seed=11)
+    engine, sim = concord.tracing, cluster.engine
+    cfg = ServeConfig(max_batch=4, queue_limit=10, rate_limit_qps=40_000.0,
+                      rate_burst=16)
+    fe = QueryFrontend(cluster, QueryInterface(cluster, engine), cfg,
+                       obs=concord.obs)
+    rng = random.Random(7)
+    hashes = sorted(int(h) for s in engine.shards for h in s.hashes())[:6]
+    group = tuple(sorted(eids))
+    left = [p["per_client"]] * n_clients
+
+    def draw():
+        if rng.random() < 0.85:
+            return rng.choice(("num_copies", "entities")), \
+                (rng.choice(hashes),)
+        if rng.random() < 0.5:
+            return "sharing", (group,)
+        return "num_shared_content", (group, 2)
+
+    def kick(cid):
+        if left[cid] == 0:
+            return
+        left[cid] -= 1
+        op, args = draw()
+        fe.submit(op, args, issuing_node=cid % cluster.n_nodes,
+                  qos=QoSClass.BATCH if cid % 4 == 0
+                  else QoSClass.INTERACTIVE,
+                  client_id=cid, on_done=on_done)
+
+    def on_done(resp):
+        cid = resp.request.client_id
+        if resp.rejected:
+            sim.after(max(resp.answer.retry_after_s, 1e-6), kick, cid)
+        else:
+            kick(cid)
+
+    def update():
+        engine.route_updates(0, inserts=[(hashes[0], 5)], removes=[])
+
+    def burst():
+        # Open-loop extras, all at one instant while the bucket is full:
+        # the interactive queue overflows before the tokens run out.
+        for _ in range(14):
+            op, args = draw()
+            fe.submit(op, args, client_id=n_clients, on_done=done.append)
+
+    done = []
+    with concord:
+        sim.after(0.0, burst)
+        for cid in range(n_clients):
+            sim.after((cid + 1) * 1e-7, kick, cid)
+        sim.after(4e-4, update)
+        sim.after(9e-4, concord.fail_node, 2)
+        sim.run()
+        assert fe.pending == 0 and not any(left)
+        snapshot = _serve_snapshot(fe, concord)
+    # The scenario keeps covering what it is there for.
+    rep = snapshot["report"]
+    assert rep["coalesced"] and rep["cache_invalidations"]
+    assert set(rep["rejected_by_reason"]) == {"queue_full", "rate_limited"}
+    assert set(rep["mean_latency_s"]) == {"interactive", "batch"}
+    assert rep["batches"] * 4 >= rep["admitted"] > rep["batches"]
+    _record_flat(ctx, snapshot)
+
+
+def _bench_serve_stale_token(ctx: BenchContext) -> None:
+    """The one case where the token a miss's lookup computed must *not* be
+    the token it is stored under: two node-wise misses in one batch, the
+    second lookup detecting a dead home and so advancing every epoch
+    after the first token was read."""
+    from repro.queries.interface import QueryInterface
+    from repro.serve import QueryFrontend, ServeConfig
+
+    cluster, _e, concord, _eids = _bring_up(4, 256, seed=11)
+    engine, sim = concord.tracing, cluster.engine
+    fe = QueryFrontend(cluster, QueryInterface(cluster, engine),
+                       ServeConfig(), obs=concord.obs)
+    victim = ctx.params["victim"]
+    hashes = sorted(int(h) for s in engine.shards for h in s.hashes())
+    survivor_homed = next(h for h in hashes if engine.home_node(h) != victim)
+    victim_homed = next(h for h in hashes if engine.home_node(h) == victim)
+    done = []
+
+    def batch():
+        # One window, lookups in this order: the first token is read
+        # before the second lookup's detection bumps every epoch.
+        for h in (survivor_homed, victim_homed):
+            fe.submit("num_copies", (h,), on_done=done.append)
+
+    with concord:
+        # Dead but undetected: no node_failed(), the epochs stand still.
+        cluster.network.set_node_up(victim, False)
+        engine.shards[victim].crash()
+        sim.after(0.0, batch)
+        sim.after(1e-3, batch)
+        sim.run()
+        assert fe.pending == 0 and engine.stats.failovers == 1
+        snapshot = {**_serve_snapshot(fe, concord),
+                    "answers": [[r.cache_hit, dataclasses.asdict(r.answer)]
+                                for r in done]}
+    # Both first-batch entries must still be there for the second batch:
+    # stored under the pre-detection token, the first would invalidate.
+    assert [r.cache_hit for r in done] == [False, False, True, True]
+    assert snapshot["report"]["cache_invalidations"] == 0
+    assert done[1].answer.degraded
+    _record_flat(ctx, snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +486,10 @@ def _bench_serve_flash_crowd(ctx: BenchContext) -> None:
     from repro.workloads import TrafficSpec
 
     p = ctx.params
-    cluster = Cluster(p["n_nodes"], cost="new-cluster", seed=3)
-    workloads.instantiate(cluster, workloads.moldy(p["n_nodes"],
-                                                   p["sim_pages"], seed=3))
-    cfg = ServeConfig(verify_cache=True)
-    with ConCORD(
-            cluster, ConCORDConfig(use_network=False, serve=cfg,
-                                   placement=p["placement"])) as concord:
-        concord.initial_scan()
+    _cl, _e, concord, _eids = _bring_up(
+        p["n_nodes"], p["sim_pages"], seed=3,
+        serve=ServeConfig(verify_cache=True), placement=p["placement"])
+    with concord:
         rep = concord.serve(
             TrafficSpec(n_clients=p["clients"], duration_s=p["duration_s"],
                         arrival="poisson", rate_per_client=p["rate"],
@@ -344,11 +526,8 @@ def _bench_repair_divergence(ctx: BenchContext) -> None:
     p = ctx.params
 
     def diverged(d: float):
-        cluster = Cluster(p["n_nodes"], cost="new-cluster", seed=13)
-        workloads.instantiate(
-            cluster, workloads.moldy(p["n_nodes"], p["sim_pages"], seed=13))
-        concord = ConCORD(cluster, ConCORDConfig())
-        concord.initial_scan()
+        _cl, _e, concord, _eids = _bring_up(p["n_nodes"], p["sim_pages"],
+                                            seed=13)
         bound = np.uint64(min(int(d * 2**64), 2**64 - 1))
         for shard in concord.tracing.shards:
             hs, _lo, _wide = shard.items_arrays()
@@ -408,6 +587,242 @@ def _bench_chunking_sharing(ctx: BenchContext) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Service-command fingerprints: every bundled service x mode, to the last bit
+# ---------------------------------------------------------------------------
+
+INTERACTIVE, BATCH = ExecMode.INTERACTIVE, ExecMode.BATCH
+CKPT_COUNTERS = ("ckpt.shared_appends", "ckpt.pointer_records",
+                 "ckpt.data_records")
+
+
+class World:
+    """Twelve moldy entities on five nodes, scanned once.
+
+    Entities 0-10 go round-robin over nodes 0-3 (two or three per node,
+    so a node's CPU is a sum over several SEs); the last entity — alone on
+    the last node, which may therefore fail without taking a service
+    entity along — is the participating entity.
+    """
+
+    def __init__(self, n_nodes: int = 5, n_entities: int = 12,
+                 pages: int = 101, cost: str = "new-cluster") -> None:
+        self.cluster = Cluster(n_nodes=n_nodes, cost=cost, seed=7)
+        self.pe_node = n_nodes - 1
+        memories = workloads.generate_pages(
+            workloads.moldy(n_entities, pages, seed=7))
+        self.ents = [
+            Entity.create(self.cluster,
+                          self.pe_node if i == n_entities - 1
+                          else i % self.pe_node, memory)
+            for i, memory in enumerate(memories)]
+        self.ses = [e.entity_id for e in self.ents[:-1]]
+        self.pes = [self.ents[-1].entity_id]
+        self.setup()
+        self.concord = ConCORD(self.cluster, ConCORDConfig(
+            n_represented=3, obs=ObsConfig(trace=True)))
+        self.concord.initial_scan()
+
+    def setup(self) -> None:
+        """Hook: entities a service needs before bring-up."""
+
+    def go_stale(self, fraction: float = 0.2) -> None:
+        """Overwrite part of every entity without telling the DHT."""
+        rng = np.random.default_rng(11)
+        for e in self.ents:
+            e.mutate_random(fraction, rng)
+
+    def scope(self) -> ServiceScope:
+        return ServiceScope.of(self.ses, self.pes)
+
+
+#: What a recipe builds: the world, the service to run in it, the scope
+#: to run it over, and ``outcome(result) -> dict`` of what it produced.
+Recipe = tuple[World, ServiceCallbacks, ServiceScope,
+               Callable[[CommandResult], dict]]
+
+
+def _node_states(result: CommandResult) -> dict:
+    return {"states": [(n, dataclasses.astuple(c.state))
+                       for n, c in sorted(result.contexts.items())
+                       if c.state is not None]}
+
+
+def _ckpt_outcome(world: World, store: CheckpointStore, restore):
+    def outcome(result: CommandResult) -> dict:
+        sums = [sum(getattr(c.state, f) for c in result.contexts.values()
+                    if c.state is not None)
+                for f in ("shared_appends", "pointer_records", "data_records")]
+        return {
+            "shared_blocks_sha256": _digest(store.shared.blocks),
+            "records_sha256": _digest([(eid, f.records) for eid, f
+                                       in sorted(store.se_files.items())]),
+            "state_sums": dict(zip(CKPT_COUNTERS, sums)),
+            "restores_exactly": all(
+                bool((restore(e.entity_id) == e.pages).all())
+                for e in world.ents if e.entity_id in world.ses),
+        }
+    return outcome
+
+
+def _null() -> Recipe:
+    w = World()
+    w.go_stale()
+    return w, NullService(), w.scope(), _node_states
+
+
+def _checkpoint(world: World | None = None, **options) -> Recipe:
+    w = world or World()
+    w.go_stale()
+    store = CheckpointStore()
+    return (w, CollectiveCheckpoint(store, **options), w.scope(),
+            _ckpt_outcome(w, store, lambda eid: restore_entity(store, eid)))
+
+
+def _incremental() -> Recipe:
+    w = World()
+    base = CheckpointStore()
+    w.concord.execute_command(CollectiveCheckpoint(base), w.scope())
+    w.go_stale(0.3)
+    w.concord.sync()
+    w.go_stale(0.1)
+    inc = CheckpointStore()
+    return (w, IncrementalCheckpoint(inc, base), w.scope(), _ckpt_outcome(
+        w, inc, lambda eid: restore_incremental_entity(inc, base, eid)))
+
+
+def _migrate() -> Recipe:
+    w = World()
+    w.go_stale()
+    # Entities 0 and 4 leave node 0 for node 2; everyone else participates.
+    return (w, CollectiveMigration(MigrationPlan({0: 2, 4: 2})),
+            ServiceScope.of([0, 4], [eid for eid in w.ses + w.pes
+                                     if eid not in (0, 4)]), _node_states)
+
+
+def _dedup() -> Recipe:
+    w = World()
+    w.go_stale()
+    svc = CollectiveDedup()
+    return w, svc, w.scope(), lambda result: {
+        "saved_bytes": svc.saved_bytes_total(),
+        "merged_pages": svc.merged_pages_total(),
+        "merged_sha256": _digest([(n, sorted(c.state.merged.items()))
+                                  for n, c in sorted(result.contexts.items())
+                                  if c.state is not None])}
+
+
+def _replicate() -> Recipe:
+    class WithStores(World):
+        def setup(self) -> None:
+            self.stores = make_replica_stores(self.cluster, [2, 3], 512)
+
+    w = WithStores()
+    w.go_stale()
+    return (w, CollectiveReplication(w.concord, 3, w.stores), w.scope(),
+            lambda result: {
+                **_node_states(result),
+                "stores_sha256": _digest([(n, s.cursor,
+                                           s.entity.pages.tolist())
+                                          for n, s in sorted(w.stores.items())
+                                          ])})
+
+
+def _reconstruct() -> Recipe:
+    class WithTarget(World):
+        def setup(self) -> None:
+            # The stored image is entity 1's memory as of now; the blank
+            # target it is rebuilt into lives on node 3.
+            self.image = self.ents[1].pages.copy()
+            self.target = Entity.create(
+                self.cluster, 3, np.zeros(len(self.image), dtype=np.uint64),
+                name="target")
+
+    w = WithTarget()
+    hashes = page_hashes(w.image)
+    backing = CheckpointStore()
+    f = backing.se_file(777)
+    for idx, (h, cid) in enumerate(zip(hashes.tolist(), w.image.tolist())):
+        f.add_data(idx, h, cid)
+    descriptor = ImageDescriptor(entity_id=w.target.entity_id, hashes=hashes)
+    register_image(w.concord, w.target, descriptor)
+    w.go_stale()
+    return (w, CollectiveReconstruction(descriptor, backing,
+                                        backing_entity_id=777),
+            ServiceScope.of([w.target.entity_id],
+                            [e.entity_id for e in w.ents]),
+            lambda result: {
+                **_node_states(result),
+                "image_rebuilt": bool((w.target.pages == w.image).all())})
+
+
+#: The service zoo — each service exported by ``repro.services`` over one
+#: fixed stale world (more entities than nodes, a participating entity,
+#: memory mutated after the last scan) — as name -> (recipe, the command
+#: modes the service supports).  Each run is a ``fingerprint.*`` spec;
+#: other tests run their own scenarios over the same zoo.
+RECIPES: dict[str, tuple[Callable[[], Recipe], tuple[ExecMode, ...]]] = {
+    "null": (_null, (INTERACTIVE, BATCH)),
+    "checkpoint": (_checkpoint, (INTERACTIVE, BATCH)),
+    "checkpoint+refine_plan": (lambda: _checkpoint(refine_plan=True),
+                               (BATCH,)),
+    "checkpoint+pfs": (lambda: _checkpoint(pfs=ParallelFileSystem()),
+                       (INTERACTIVE, BATCH)),
+    "checkpoint-wide-66x70": (
+        lambda: _checkpoint(World(n_nodes=66, n_entities=70, pages=24,
+                                  cost="big-cluster")),
+        (INTERACTIVE, BATCH)),
+    "incremental": (_incremental, (INTERACTIVE,)),
+    "migrate": (_migrate, (INTERACTIVE, BATCH)),
+    "dedup": (_dedup, (INTERACTIVE, BATCH)),
+    "replicate": (_replicate, (INTERACTIVE, BATCH)),
+    "reconstruct": (_reconstruct, (INTERACTIVE, BATCH)),
+}
+
+
+def fingerprint(recipe: Recipe, mode: ExecMode) -> dict:
+    """Execute one recipe's command and fingerprint everything it decided:
+    the wall time, every phase's wall/cpu/comm/max_node_cpu, the
+    ``CommandStats`` with per-node tx/rx bytes, digests of the
+    ``CommandTracer`` event stream and of every node's ``cmd.cpu`` /
+    ``cmd.comm`` spans (not only the critical path's that ``phases``
+    reports), and what the service produced."""
+    world, service, scope, outcome = recipe
+    reg = world.concord.metrics()
+    before = {c: reg.value(c) for c in CKPT_COUNTERS}
+    spans = world.concord.obs.tracer
+    spans.clear()
+    tracer = CommandTracer()
+    result = world.concord.execute_command(service, scope, mode=mode, seed=5,
+                                           tracer=tracer)
+    entry = {
+        "success": result.success,
+        "wall_time": result.wall_time,
+        "phases": {name: {f: getattr(p, f)
+                          for f in ("wall", "cpu", "comm", "max_node_cpu")}
+                   for name, p in result.phases.items()},
+        "stats": dataclasses.asdict(result.stats),
+        "n_events": len(tracer),
+        "events_sha256": _digest([(e.kind.value, e.data) for e in tracer]),
+        "handled_private_sha256": _digest(
+            sorted(result.handled_private.items())),
+        "n_spans": len(spans),
+        "spans_sha256": _digest([(s.name, s.node, s.phase, s.t0, s.t1)
+                                 for s in spans]),
+        "outcome": outcome(result),
+    }
+    if isinstance(service, CollectiveCheckpoint):
+        entry["counters"] = {c: reg.value(c) - before[c]
+                             for c in CKPT_COUNTERS}
+    world.concord.close()
+    return entry
+
+
+def _bench_fingerprint(ctx: BenchContext) -> None:
+    build, _modes = RECIPES[ctx.params["recipe"]]
+    _record_flat(ctx, fingerprint(build(), ExecMode(ctx.params["mode"])))
+
+
+# ---------------------------------------------------------------------------
 # The default runner
 # ---------------------------------------------------------------------------
 
@@ -448,6 +863,10 @@ def build_default_runner() -> BenchRunner:
         params={"n_nodes": 16, "sim_pages": 1024, "R": 1024},
         doc="initial full scan over the simulated network (Fig 7 point)"))
     r.register(BenchSpec(
+        "net.update_path", _bench_update_path,
+        doc="page writes synced over the simulated network: messages, "
+            "bytes, events, final sim time and every shard epoch"))
+    r.register(BenchSpec(
         "serve.throughput", _bench_serve_throughput,
         params={"n_nodes": 4, "sim_pages": 256, "clients": 16,
                 "duration_s": 0.2, "rate": 2000.0},
@@ -458,6 +877,16 @@ def build_default_runner() -> BenchRunner:
                 "duration_s": 0.2},
         doc="epoch-cache throughput win, closed-loop Zipfian "
             "(cache off vs on)"))
+    r.register(BenchSpec(
+        "serve.counters", _bench_serve_counters,
+        params={"clients": 12, "per_client": 40},
+        doc="seeded closed loop reaching every frontend counter: whole "
+            "ServeReport and every serve.* series"))
+    r.register(BenchSpec(
+        "serve.counters.stale_token", _bench_serve_stale_token,
+        params={"victim": 2},
+        doc="two misses in one batch, the second detecting a dead home: "
+            "the first is stored under a re-derived token"))
 
     # Shard storage backends (docs/STORAGE.md).
     r.register(BenchSpec(
@@ -491,4 +920,13 @@ def build_default_runner() -> BenchRunner:
         params={"n_nodes": 4, "target": 8, "sim_pages": 256, "clients": 16,
                 "duration_s": 0.1, "rate": 4000.0, "placement": "hd"},
         doc="autoscaled flash crowd 4->8 while serving, cache verified"))
+
+    # Every bundled service command x mode, fingerprinted to the last bit.
+    for name, (_build, modes) in RECIPES.items():
+        for mode in modes:
+            r.register(BenchSpec(
+                f"fingerprint.{name}.{mode.value}", _bench_fingerprint,
+                params={"recipe": name, "mode": mode.value},
+                doc=f"{name} command, {mode.value} mode, over one stale "
+                    "world: phases, stats, event/span/output digests"))
     return r

@@ -25,6 +25,7 @@ the statistics that takes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Callable, Iterable
@@ -107,7 +108,9 @@ class BenchRunner:
 
 def load_baseline(path: str | Path) -> Results:
     """Read a golden file; :class:`BaselineError` says what is wrong with
-    a missing, non-JSON or wrong-shape one."""
+    a missing, non-JSON or wrong-shape one.  ``NaN`` and ``Infinity``
+    (which :mod:`json` parses) are wrong-shape: NaN never equals itself,
+    so such an entry could never compare clean."""
     p = Path(path)
     if not p.exists():
         raise BaselineError(f"baseline {p} does not exist")
@@ -118,20 +121,24 @@ def load_baseline(path: str | Path) -> Results:
     if not isinstance(doc, dict) or not all(
             isinstance(metrics, dict) and all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in metrics.values())
+                and math.isfinite(v) for v in metrics.values())
             for metrics in doc.values()):
         raise BaselineError(
             f"baseline {p} is malformed: expected {{spec: {{metric: "
-            "number}} — regenerate it with 'repro bench --write-baseline'")
+            "finite number}} — regenerate it with 'repro bench "
+            "--write-baseline'")
     return doc
 
 
 def write_baseline(path: str | Path, results: Results) -> Path:
     """Write ``results`` as the golden file: sorted keys, and floats by
-    ``repr`` (what :mod:`json` emits), so a reload compares equal."""
+    ``repr`` (what :mod:`json` emits), so a reload compares equal.  A
+    non-finite value raises ``ValueError`` instead of writing a token
+    that is not JSON."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    p.write_text(json.dumps(results, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
     return p
 
 

@@ -26,17 +26,24 @@ replays identically.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from repro.queries.interface import OPS
+from repro.serve.admission import _is_integer
 from repro.serve.frontend import QueryFrontend, ServeReport
 from repro.serve.request import QoSClass, Response
 
 __all__ = ["TrafficSpec", "TrafficDriver"]
 
 _ARRIVALS = ("poisson", "closed")
+_INT_FIELDS = ("n_clients", "population", "n_groups", "group_size",
+               "collective_k", "seed")
+_FLOAT_FIELDS = ("duration_s", "rate_per_client", "think_time_s", "zipf_s",
+                 "nodewise_frac", "entities_frac", "batch_frac", "churn_rate")
 
 #: Collective ops the driver mixes in (k-ops get ``collective_k``).
 _COLLECTIVE_MIX = ("sharing", "degree_of_sharing", "num_shared_content")
@@ -63,6 +70,16 @@ class TrafficSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Types first: a NaN or infinite duration never ends the run
+        # (``sim.now > nan`` is never true), and ``True`` is not 1 client.
+        for name in _INT_FIELDS:
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        for name in _FLOAT_FIELDS:
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, Real)
+                    or not math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number")
         if self.n_clients < 1:
             raise ValueError("n_clients must be >= 1")
         if self.duration_s <= 0:

@@ -98,10 +98,19 @@ class TestBaseline:
         path = tmp_path / "bad.json"
         for doc in ([1, 2], {"t.spec": [1.0]}, {"t.spec": {"rows": "100"}},
                     {"t.spec": {"rows": None}}, {"t.spec": {"rows": True}},
-                    {"t.spec": {"rows": {"value": 100.0}}}):
+                    {"t.spec": {"rows": {"value": 100.0}}},
+                    # json writes and reads these tokens; NaN != NaN.
+                    {"t.spec": {"rows": float("nan")}},
+                    {"t.spec": {"rows": float("-inf")}}):
             path.write_text(json.dumps(doc))
             with pytest.raises(BaselineError, match="malformed"):
                 load_baseline(path)
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        path = tmp_path / "base.json"
+        with pytest.raises(ValueError):
+            write_baseline(path, {"t.spec": {"rows": float("nan")}})
+        assert not path.exists()
 
 
 class TestGate:

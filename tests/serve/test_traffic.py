@@ -25,10 +25,22 @@ class TestTrafficSpec:
         {"rate_per_client": 0.0}, {"think_time_s": -1.0}, {"zipf_s": -0.1},
         {"population": 0}, {"nodewise_frac": 1.5}, {"batch_frac": -0.2},
         {"n_groups": 0}, {"collective_k": 0}, {"churn_rate": -1.0},
+        # A NaN duration never ends the run (sim.now > nan is never true);
+        # integer fields take admission's one integer rule.
+        {"duration_s": float("nan")}, {"duration_s": float("inf")},
+        {"rate_per_client": float("inf")}, {"think_time_s": float("nan")},
+        {"zipf_s": float("inf")}, {"churn_rate": float("nan")},
+        {"duration_s": True}, {"duration_s": "0.5"}, {"n_clients": True},
+        {"population": 2.5}, {"n_groups": 3.0},
+        {"collective_k": np.bool_(True)}, {"seed": 1.5},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             TrafficSpec(**kw)
+
+    def test_numpy_scalars_admitted(self):
+        spec = TrafficSpec(n_clients=np.int64(3), duration_s=np.float64(0.1))
+        assert spec.n_clients == 3 and spec.duration_s == 0.1
 
     def test_replace(self):
         assert TrafficSpec().replace(n_clients=3).n_clients == 3

@@ -1,6 +1,6 @@
 """What must hold for *every* bundled service, in every mode it supports.
 
-The service zoo is ``tools/cmd_fingerprint.py``'s ``RECIPES``: each
+The service zoo is ``repro.harness.benchsuite.RECIPES``: each
 service exported by ``repro.services`` over a world with several SEs, a
 PE and a stale DHT.  Checked here: every callback a bundled class defines
 actually runs (a callback no scenario reaches is a second implementation
@@ -14,9 +14,7 @@ import pytest
 import repro.services
 from repro.core.command import ServiceCallbacks
 from repro.core.events import CommandTracer, EventKind
-from tests.conftest import load_tool
-
-tool = load_tool("cmd_fingerprint")
+from repro.harness.benchsuite import RECIPES, fingerprint
 
 CALLBACKS = ("service_init", "collective_start", "collective_select",
              "collective_command", "collective_finalize", "local_start",
@@ -26,7 +24,7 @@ BUNDLED = [cls for cls in (getattr(repro.services, name)
                            for name in repro.services.__all__)
            if isinstance(cls, type) and issubclass(cls, ServiceCallbacks)]
 RUNS = [pytest.param(name, mode, id=f"{name}/{mode.value}")
-        for name, (_build, modes) in tool.RECIPES.items() for mode in modes]
+        for name, (_build, modes) in RECIPES.items() for mode in modes]
 
 
 def spy_on_callbacks(monkeypatch) -> list[tuple[str, str, int]]:
@@ -48,13 +46,13 @@ def spy_on_callbacks(monkeypatch) -> list[tuple[str, str, int]]:
 
 
 def test_the_zoo_holds_every_bundled_service():
-    in_zoo = {type(build()[1]) for build, _modes in tool.RECIPES.values()}
+    in_zoo = {type(build()[1]) for build, _modes in RECIPES.values()}
     assert in_zoo == set(BUNDLED)
 
 
 def test_every_callback_a_bundled_service_defines_runs(monkeypatch):
     calls = spy_on_callbacks(monkeypatch)
-    for name, (build, modes) in tool.RECIPES.items():
+    for name, (build, modes) in RECIPES.items():
         for mode in modes:
             world, service, scope, _outcome = build()
             assert world.concord.execute_command(service, scope,
@@ -79,7 +77,7 @@ def test_failed_participant_host_costs_replicas_not_the_command(
     """Callbacks run node-locally, so a scope entity whose node is down
     gets none — and the executor's failover takes care of its replicas,
     even when the service insists on trying the dead one first."""
-    world, service, scope, outcome = tool.RECIPES[name][0]()
+    world, service, scope, outcome = RECIPES[name][0]()
     dead, (pe,) = world.pe_node, world.pes
     world.concord.fail_node(dead)
     world.concord.detect_failures()
@@ -111,7 +109,7 @@ def test_failed_participant_host_costs_replicas_not_the_command(
 def test_ckpt_counters_are_the_per_node_tallies(name, mode):
     """One accounting site: the registry cannot drift from the states
     (the incremental service used to leave base pointers out)."""
-    entry = tool.run(tool.RECIPES[name][0](), mode)
+    entry = fingerprint(RECIPES[name][0](), mode)
     assert entry["counters"] == entry["outcome"]["state_sums"]
     assert all(n > 0 for n in entry["counters"].values())
 

@@ -171,7 +171,8 @@ class TestBench:
 
     def test_compare_malformed_baseline_exits_2(self, tiny, tmp_path):
         bad = tmp_path / "bad.json"
-        for text in ("{not json", "[1, 2]", '{"t.one": {"rows": "100"}}'):
+        for text in ("{not json", "[1, 2]", '{"t.one": {"rows": "100"}}',
+                     '{"t.one": {"rows": 100.0, "wall_s": NaN}}'):
             bad.write_text(text)
             assert run_cli("bench", "--compare", str(bad))[0] == 2
         assert tiny == []
@@ -303,6 +304,7 @@ class TestServe:
         assert run_cli("serve", "--clients", "0")[0] == 2
         assert run_cli("serve", "--nodes", "1")[0] == 2
         assert run_cli("serve", "--duration", "0")[0] == 2
+        assert run_cli("serve", "--duration", "nan")[0] == 2   # never ends
 
     def test_rate_limit_sheds_and_reports(self):
         code, out = run_cli("serve", "--clients", "8", "--duration", "0.05",
