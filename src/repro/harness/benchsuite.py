@@ -678,6 +678,16 @@ def _checkpoint(world: World | None = None, **options) -> Recipe:
             _ckpt_outcome(w, store, lambda eid: restore_entity(store, eid)))
 
 
+def _checkpoint_dead_pe() -> Recipe:
+    """The checkpoint after the PE's host failed: every replica offered on
+    it fails over (``INVOKE_FAILED(..., "node-down")``)."""
+    recipe = _checkpoint()
+    w = recipe[0]
+    w.concord.fail_node(w.pe_node)
+    w.concord.detect_failures()
+    return recipe
+
+
 def _incremental() -> Recipe:
     w = World()
     base = CheckpointStore()
@@ -767,6 +777,7 @@ RECIPES: dict[str, tuple[Callable[[], Recipe], tuple[ExecMode, ...]]] = {
                                (BATCH,)),
     "checkpoint+pfs": (lambda: _checkpoint(pfs=ParallelFileSystem()),
                        (INTERACTIVE, BATCH)),
+    "checkpoint+dead_pe": (_checkpoint_dead_pe, (INTERACTIVE, BATCH)),
     "checkpoint-wide-66x70": (
         lambda: _checkpoint(World(n_nodes=66, n_entities=70, pages=24,
                                   cost="big-cluster")),
