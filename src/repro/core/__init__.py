@@ -14,6 +14,7 @@ a cluster, run monitors, issue queries, execute service commands.
 from repro.core.scope import ServiceScope, EntityRole
 from repro.core.command import (
     ServiceCallbacks,
+    CollectiveBatch,
     CommandFailed,
     ExecMode,
     NodeContext,
@@ -29,6 +30,7 @@ __all__ = [
     "ServiceScope",
     "EntityRole",
     "ServiceCallbacks",
+    "CollectiveBatch",
     "CommandFailed",
     "ExecMode",
     "NodeContext",

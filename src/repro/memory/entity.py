@@ -200,9 +200,7 @@ class Entity:
             hashes = self.content_hashes()
             # Later pages win; which replica within the entity is used does
             # not matter since content is identical by definition.
-            self._index_cache = {
-                int(h): int(i) for i, h in enumerate(hashes.tolist())
-            }
+            self._index_cache = dict(zip(hashes.tolist(), range(len(hashes))))
             self._index_cache_version = self.version
         return self._index_cache
 

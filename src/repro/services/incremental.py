@@ -8,9 +8,10 @@ base's shared content file rather than stored again.
 
 The service demonstrates the architecture's composability: it is the
 collective checkpoint with one extra node-local lookup in
-``collective_command`` and one extra record kind in the local phase —
-zero changes to the engine, and no local-phase callback of its own.  Each
-SE file now holds three record kinds:
+``collective_command``, whose tagged result the checkpoint's local phase
+records as a base pointer — zero changes to the engine, and no
+local-phase callback of its own.  Each SE file now holds three record
+kinds:
 
 * base pointer  — content unchanged since the base checkpoint;
 * new pointer   — content new to this checkpoint but deduplicated into
@@ -27,16 +28,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.command import ExecMode, NodeContext
+from repro.core.command import ExecMode, NodeContext, ServiceCallbacks
 from repro.memory.entity import Entity
 from repro.memory.nsm import BlockRef
-from repro.services.checkpoint import (CheckpointStore, CollectiveCheckpoint,
-                                       _restore_records)
+from repro.services.checkpoint import (_BASE_TAG, CheckpointStore,
+                                       CollectiveCheckpoint, _restore_records)
 
 __all__ = ["IncrementalCheckpoint", "restore_incremental_entity",
            "CheckpointChain"]
-
-_BASE_TAG = "base-offset"
 
 
 class IncrementalCheckpoint(CollectiveCheckpoint):
@@ -73,16 +72,8 @@ class IncrementalCheckpoint(CollectiveCheckpoint):
             return (_BASE_TAG, base_off)
         return super().collective_command(ctx, entity, content_hash, block)
 
-    # -- local phase: a third record kind ---------------------------------------------------
-
-    def _covered_record(self, page_idx: int, content_hash: int,
-                        private: Any) -> tuple:
-        if isinstance(private, tuple) and private[0] == _BASE_TAG:
-            # The offset may be an int (single base) or a tagged tuple
-            # (chain view); stored verbatim either way.  A base pointer
-            # costs and counts as a pointer record.
-            return ("bptr", page_idx, content_hash, private[1])
-        return super()._covered_record(page_idx, content_hash, private)
+    # The base lookup is per hash: the default batch loops the above.
+    collective_command_batch = ServiceCallbacks.collective_command_batch
 
 
 def restore_incremental_entity(store: CheckpointStore,

@@ -8,6 +8,7 @@ import pytest
 from repro import Cluster, ConCORD, ConCORDConfig, Entity
 from repro.core.command import ExecMode
 from repro.core.scope import ServiceScope
+from repro.harness.benchsuite import RECIPES
 from repro.memory.pagedata import intern_chunk
 from repro.queries.reference import ReferenceModel
 from repro.services.checkpoint import (
@@ -131,6 +132,18 @@ class TestSizesAndGzip:
         raw_gzip, concord_gzip = store.gzip_sizes_real()
         assert concord_gzip < raw_gzip
         assert raw_gzip < store.raw_size_bytes
+
+    def test_gzip_real_refuses_an_increment(self):
+        """An increment's base pointers are offsets into its *base's*
+        shared file: its real sizes cannot be taken alone (this read them
+        from the increment's own file — IndexError here, a wrong block
+        had the file been longer)."""
+        world, svc, scope, _outcome = RECIPES["incremental"][0]()
+        world.concord.execute_command(svc, scope)
+        assert any(rec[0] == "bptr" for f in svc.store.se_files.values()
+                   for rec in f.records)
+        with pytest.raises(ValueError, match="incremental"):
+            svc.store.gzip_sizes_real()
 
 
 class TestOnDiskFormat:
