@@ -30,7 +30,8 @@ from repro.core.events import CommandTracer
 from repro.core.executor import CommandResult
 from repro.core.scope import ServiceScope
 from repro.dht.engine import ContentTracingEngine
-from repro.dht.storage import StorageConfig
+from repro.dht.storage import MmapSegmentStorage, StorageConfig
+from repro.dht.table import LocalDHT
 from repro.memory.entity import Entity
 from repro.obs import ObsConfig
 from repro.obs.bench import BenchContext, BenchRunner, BenchSpec
@@ -433,6 +434,87 @@ def _bench_storage_restart(ctx: BenchContext) -> None:
         ctx.record("cold_applied", cold_applied)
         ctx.record("warm_applied", warm_applied)
         ctx.record("deterministic", 1)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+#: The commit-point stream: (operation, width, hashes, entities) per batch.
+#: ``fresh`` hashes are new to the shard, so a batch's distinct-hash count
+#: is its width, exact against the merge thresholds; ``pool`` hashes are
+#: drawn with replacement from those inserted so far (repeated pairs, and
+#: for a remove also pairs the shard never held); ``absent`` ones were
+#: never inserted.  Entities are 0..7, or 0..71 on ``wide`` batches.
+_COMMIT_STREAM = (
+    ("insert", 20000, "fresh", "narrow"),  # direct merge, empty overlay
+    ("insert", 7, "pool", "narrow"),       # per-item, below _BULK_MIN
+    ("insert", 8, "pool", "wide"),         # batch path, non-empty overlay
+    ("insert", 64, "pool", "narrow"),
+    ("remove", 64, "pool", "wide"),
+    ("remove", 7, "absent", "narrow"),
+    ("remove", 8, "absent", "narrow"),
+    ("insert", 4095, "fresh", "narrow"),   # the overlay crosses mid-batch
+    ("insert", 4095, "fresh", "narrow"),   # empty overlay, one short
+    ("insert", 1, "fresh", "narrow"),      # ... and the one that tips it
+    ("insert", 4096, "fresh", "narrow"),   # direct merge at the threshold
+    ("insert", 20000, "fresh", "narrow"),  # threshold now above 4096
+    ("insert", 4096, "fresh", "narrow"),   # so this one buffers
+    ("remove", 4096, "pool", "narrow"),
+    ("insert", 20000, "pool", "wide"),
+    ("remove", 20000, "pool", "wide"),
+    ("insert", 64, "pool", "narrow"),
+    ("remove", 8, "pool", "narrow"),
+    ("insert", 7, "pool", "wide"),
+    ("remove", 1, "pool", "wide"),
+    ("remove", 20000, "pool", "narrow"),
+    ("insert", 4096, "pool", "narrow"),
+    ("remove", 20000, "absent", "narrow"),
+    ("remove", 20000, "pool", "narrow"),
+    ("insert", 4095, "pool", "wide"),
+    ("insert", 20000, "fresh", "wide"),
+)
+
+
+def _bench_storage_commit_points(ctx: BenchContext) -> None:
+    """Where an mmap-backed shard commits, and what each commit holds.
+
+    A seeded insert/remove stream (``_COMMIT_STREAM``) drives one
+    LocalDHT; after every batch the storage generation is recorded, and
+    at each new generation a digest of what a fresh reader ``load()``s
+    (columns, sorted side tables, counters, epoch).  A change that moves
+    a commit to another update moves a generation or a digest here.
+    """
+    rng = np.random.default_rng(ctx.params["seed"])
+    root = tempfile.mkdtemp(prefix="concord-bench-commit-")
+    try:
+        store = MmapSegmentStorage(root, 0)
+        table = LocalDHT(0, store)
+        pool = np.empty(0, dtype=np.uint64)
+        seen = 0
+        for i, (op, width, source, entities) in enumerate(_COMMIT_STREAM):
+            if source == "pool":
+                hashes = pool[rng.integers(0, len(pool), width)]
+            else:
+                hashes = rng.integers(1, 1 << 63, width, dtype=np.uint64)
+            eids = rng.integers(0, 8 if entities == "narrow" else 72, width)
+            table.epoch = i + 1
+            if op == "insert":
+                if source == "fresh":
+                    pool = np.concatenate([pool, hashes])
+                table.bulk_insert(hashes, eids)
+            else:
+                ctx.record(f"batch{i:02d}.applied",
+                           table.bulk_remove(hashes, eids))
+            ctx.record(f"batch{i:02d}.gen", store.generation)
+            if store.generation != seen:
+                seen = store.generation
+                s = MmapSegmentStorage(root, 0).load()
+                ctx.record(f"gen{seen:02d}.state", _digest((
+                    s.ph.tolist(), s.pm.tolist(), sorted(s.wide.items()),
+                    sorted((h, sorted(ex.items()))
+                           for h, ex in s.extra.items()),
+                    s.n_hashes, s.n_copies, s.epoch)))
+        ctx.record("n_hashes", table.n_hashes)
+        ctx.record("n_copies", table.n_copies)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -905,6 +987,12 @@ def build_default_runner() -> BenchRunner:
         params={"backend": "mmap", "n_nodes": 4, "sim_pages": 1024,
                 "mutate": 0.05},
         doc="warm restart delta catch-up vs cold full-NSM rebuild"))
+    r.register(BenchSpec(
+        "storage.commit_points", _bench_storage_commit_points,
+        params={"seed": 28},
+        doc="mmap shard under a seeded insert/remove stream at widths "
+            "1..20000: the generation after every batch and a digest of "
+            "each committed state"))
 
     # Set reconciliation + content-defined chunking
     # (docs/RECONCILIATION.md).
