@@ -42,13 +42,16 @@ DEFAULT_MIN_ROWS = 32768
 # -- worker side --------------------------------------------------------------------
 
 # Per-worker attachment cache: node -> (segment path, attached table).
-# A re-published shard gets a fresh segment path, so the path doubles as
-# the version token; stale attachments are dropped on first sight.
+# A shard the pool re-publishes gets a fresh segment path, so the path
+# doubles as the version token; stale attachments are dropped on first
+# sight.  A storage-owned (shared) segment's path is no such token: it
+# names the last commit's columns, while the side tables that travel
+# inline can change without a commit — so those views attach anew.
 _ATTACHED: dict[int, tuple[str, LocalDHT]] = {}
 
 
 def _attach(view: ShardColumns) -> LocalDHT:
-    if view.path is None:
+    if view.path is None or view.shared:
         return view.attach()
     cached = _ATTACHED.get(view.node_id)
     if cached is not None and cached[0] == view.path:

@@ -11,9 +11,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.dht.storage import MmapSegmentStorage
 from repro.dht.table import LocalDHT, ShardColumns
 from repro.exec import DEFAULT_MIN_ROWS, ShardPool
 from repro.exec import ops
+from repro.exec.pool import _attach
 
 
 def make_table(node_id: int = 0, size: int = 500, seed: int = 0,
@@ -75,6 +77,21 @@ class TestExportAttach:
         before = attached.n_hashes
         t.insert(12345, 0)  # later coordinator mutation
         assert attached.n_hashes == before  # snapshot unaffected
+
+    def test_worker_sees_overflow_changed_since_the_commit(self, tmp_path):
+        """A copy beyond the first changes only the overflow, which
+        travels inline: the re-export shares the same committed segment,
+        and the worker must still answer with the new overflow."""
+        t = LocalDHT(0, MmapSegmentStorage(tmp_path, 0))
+        t.bulk_insert(np.arange(1, 101, dtype=np.uint64), 2)
+        t.flush()
+        first = t.export_columns()
+        assert first.shared and _attach(first).num_copies(7) == 1
+        t.insert(7, 2)                   # no overlay write, no commit
+        again = t.export_columns()
+        assert again.path == first.path
+        tables_agree(t, _attach(again))
+        assert _attach(again).num_copies(7) == 2
 
 
 def double_id(table):

@@ -83,6 +83,25 @@ class TestWarmRestart:
             assert shard_states(concord) == before
             assert shard_states(concord) == cold_reference()
 
+    def test_damaged_shard_cold_starts_and_heals(self, backend, tmp_path):
+        """A truncated segment is a shard with nothing to recover, not a
+        bring-up error; the warm restart's repair rebuilds it."""
+        before = self.seed_storage(backend, tmp_path)
+        seg = next(tmp_path.glob("shard0.*.seg"))
+        with open(seg, "r+b") as fh:
+            fh.truncate(seg.stat().st_size // 2)
+        cluster, _ents = make_cluster()
+        cfg = ConCORDConfig(storage=StorageConfig(backend=backend,
+                                                  root=str(tmp_path)))
+        with ConCORD(cluster, cfg) as concord:
+            assert [s.recovered for s in concord.tracing.shards] == \
+                [False] + [True] * (N_NODES - 1)
+            report = concord.warm_restart()
+            # Shard 0 whole, nothing anywhere else.
+            assert report.copies_restored == before[0][-1] > 0
+            assert report.copies_removed == 0
+            assert shard_states(concord) == before
+
     def test_divergent_restart_matches_cold_rebuild(self, backend, tmp_path):
         self.seed_storage(backend, tmp_path)
         cluster, ents = make_cluster()
