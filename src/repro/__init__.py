@@ -39,7 +39,7 @@ from repro.core import (
     ServiceCallbacks,
     ServiceScope,
 )
-from repro.dht.engine import RepairReport
+from repro.dht.repair import RepairReport
 from repro.dht.storage import BACKENDS, StorageConfig
 from repro.memory import (Entity, EntityKind, MonitorMode,
                           VirtualMachine)

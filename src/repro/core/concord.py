@@ -24,8 +24,10 @@ from repro.core.command import ExecMode, ServiceCallbacks
 from repro.core.config import ConCORDConfig
 from repro.core.executor import CommandResult, ServiceCommandExecutor
 from repro.core.scope import ServiceScope
-from repro.dht.engine import ContentTracingEngine, JoinReport, RepairReport
-from repro.exec import ShardMapReduce, ShardPool
+from repro.dht.engine import ContentTracingEngine
+from repro.dht.membership import JoinReport
+from repro.dht.repair import RepairReport
+from repro.exec import ShardPool
 from repro.memory.chunking import ContentChunker, make_chunker
 from repro.memory.entity import Entity
 from repro.memory.monitor import MemoryUpdateMonitor
@@ -91,7 +93,6 @@ class ConCORD:
                                             storage=cfg.storage,
                                             placement=cfg.placement,
                                             **engine_kw)
-        self._mapreduce = ShardMapReduce(self.tracing, self.pool)
         self.nsms: list[NodeSpecificModule] = []
         self.monitors: list[MemoryUpdateMonitor] = []
         for node in cluster.nodes:
@@ -189,10 +190,11 @@ class ConCORD:
         disk (a crash loses RAM, not storage); :meth:`restart_node` with
         ``warm=True`` can rejoin from it.  The last alive ring member is
         refused with ``ValueError`` before anything is touched."""
-        self.tracing.check_failover(node)
+        membership = self.tracing.membership
+        membership.check_failover(node)
         self.cluster.network.set_node_up(node, False)
         self.tracing.shards[node].crash()
-        self.tracing.node_failed(node)
+        membership.node_failed(node)
 
     def restart_node(self, node: int,
                      warm: bool = False) -> RepairReport | None:
@@ -208,7 +210,7 @@ class ConCORD:
         degrades gracefully to the cold path.
         """
         self.cluster.network.set_node_up(node, True)
-        self.tracing.node_restarted(node, recover=warm)
+        self.tracing.membership.node_restarted(node, recover=warm)
         if warm:
             return self.repair(delta=True)
         return None
@@ -266,7 +268,7 @@ class ConCORD:
     @property
     def coverage(self) -> float:
         """Fraction of the hash space served by intact shards."""
-        return self.tracing.coverage
+        return self.tracing.membership.coverage
 
     def inject_faults(self, plan: FaultPlan) -> FaultInjector:
         """Arm a :class:`~repro.sim.faults.FaultPlan` on this instance's
@@ -276,7 +278,7 @@ class ConCORD:
         return plan.schedule(
             self.cluster.network, self.cluster.engine,
             on_kill=lambda n: self.tracing.shards[n].crash(),
-            on_restart=self.tracing.node_restarted)
+            on_restart=self.tracing.membership.node_restarted)
 
     # -- elastic membership (docs/ELASTICITY.md) ----------------------------------------
 
@@ -290,7 +292,7 @@ class ConCORD:
         :meth:`complete_join`; live updates in between are reconciled
         incrementally at cutover.
         """
-        node = self.tracing.begin_join()
+        node = self.tracing.membership.begin_join()
         nsm = NodeSpecificModule(self.cluster, node)
         self.cluster.nodes[node].nsm = nsm
         self.nsms.append(nsm)
@@ -299,8 +301,8 @@ class ConCORD:
 
     def complete_join(self) -> JoinReport:
         """Cut a begun join over (the grown ring becomes the routed map);
-        returns the :class:`~repro.dht.engine.JoinReport`."""
-        return self.tracing.complete_join()
+        returns the :class:`~repro.dht.membership.JoinReport`."""
+        return self.tracing.membership.complete_join()
 
     def add_node(self) -> JoinReport:
         """Join one node atomically (begin + immediate cutover)."""
@@ -309,7 +311,7 @@ class ConCORD:
 
     def scale_to(self, n_nodes: int) -> list[JoinReport]:
         """Grow the cluster to ``n_nodes`` via live joins; returns one
-        :class:`~repro.dht.engine.JoinReport` per join.  Scaling *in*
+        :class:`~repro.dht.membership.JoinReport` per join.  Scaling *in*
         (shrinking) is not supported — a no-op when already at or above
         the target."""
         reports = []
@@ -433,12 +435,17 @@ class ConCORD:
         ``map_fn(shard, *args)`` must be a pure per-shard kernel
         (module-level, e.g. from :mod:`repro.exec.ops`); results return
         as a list in shard order, or folded through ``reduce_fn`` in
-        that order.  The analysis jobs in :mod:`repro.analysis` are the
-        main consumers.
+        that order — never completion order, so answers are
+        byte-identical at any worker count.  Shard epochs version the
+        published segment files, so back-to-back jobs over an unchanged
+        shard reuse its export.  The analysis jobs in
+        :mod:`repro.analysis` are the main consumers.
         """
-        return self._mapreduce.map_shards(
-            map_fn, args, shard_filter=shard_filter, reduce_fn=reduce_fn,
-            initial=initial, live_only=live_only)
+        tracing = self.tracing
+        shards = tracing.live_shards() if live_only else list(tracing.shards)
+        return self.pool.map_shards(
+            shards, map_fn, args, versions=[s.epoch for s in shards],
+            shard_filter=shard_filter, reduce_fn=reduce_fn, initial=initial)
 
     def close(self) -> None:
         """Tear the instance down: flush durable shard storage, release
@@ -526,7 +533,7 @@ class ConCORD:
         s.track_gauge("ring.n_nodes")
         s.track_counter("dht.repair.bytes_wire")
         s.track_counter("dht.repair.rounds")
-        s.track_fn("coverage", lambda: self.tracing.coverage)
+        s.track_fn("coverage", lambda: self.tracing.membership.coverage)
         for col, fn in (extra_probes or {}).items():
             s.track_fn(col, fn)
         return s

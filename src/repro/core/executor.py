@@ -406,7 +406,7 @@ class ServiceCommandExecutor:
         samples = self.pool.map_shards(
             shards, _ops.hash_samples,
             args_per_shard=[(by_node[n], sample_cap) for n in nodes],
-            versions=[tracing.shard_epoch(n) for n in nodes])
+            versions=[s.epoch for s in shards])
         out: dict[int, np.ndarray] = {}
         for m in samples:
             out.update(m)
@@ -466,7 +466,7 @@ class ServiceCommandExecutor:
         live = self.tracing.live_shards()
         scans = self.pool.map_shards(
             live, _ops.se_scan, (se_mask,),
-            versions=[self.tracing.shard_epoch(s.node_id) for s in live])
+            versions=[s.epoch for s in live])
         for ctx in contexts.values():
             ctx._charge_sink = ledger.charge
             ctx._shared_sink = ledger.charge_shared

@@ -16,9 +16,9 @@ the same view, so re-homed routing still needs no lookups.  The primary
 map itself never changes while membership is fixed; when a node rejoins,
 its ranges route back to it.
 
-Membership is *elastic* (docs/ELASTICITY.md): ``add_node()`` grows the
-ring, and the primary map is a pluggable :data:`PLACEMENT_POLICIES`
-knob chosen at construction:
+Membership is *elastic* (docs/ELASTICITY.md): ``grown()`` builds the
+grown ring a live join cuts over to, and the primary map is a pluggable
+:data:`PLACEMENT_POLICIES` knob chosen at construction:
 
 ``mod``
     ``mix64(h ^ salt) % n`` — the original map.  O(1) per key and
@@ -88,9 +88,6 @@ class _ModPlacer:
     def primaries(self, h: np.ndarray) -> np.ndarray:
         return (mix64(h ^ _ROUTE_SALT) % np.uint64(self.n_nodes)).astype(np.int64)
 
-    def grown(self, extra: int = 1) -> _ModPlacer:
-        return _ModPlacer(self.n_nodes + extra)
-
 
 class _HDPlacer:
     """Hyperdimensional-style similarity placement (HRW score argmax)."""
@@ -116,9 +113,6 @@ class _HDPlacer:
             scores = mix64(block[:, None] ^ self._sigs[None, :])
             out[lo:lo + self._CHUNK] = np.argmax(scores, axis=1)
         return out
-
-    def grown(self, extra: int = 1) -> _HDPlacer:
-        return _HDPlacer(self.n_nodes + extra)
 
 
 _PLACERS = {"mod": _ModPlacer, "hd": _HDPlacer}
@@ -163,14 +157,6 @@ class NodeRing:
             raise ValueError("n_nodes must be >= 1")
         self.n_nodes = n_nodes
         self._alive = np.ones(n_nodes, dtype=bool)
-
-    # -- membership --------------------------------------------------------------
-
-    def add_node(self) -> int:
-        """Grow the ring by one node (born alive); returns its ID."""
-        self._alive = np.append(self._alive, True)
-        self.n_nodes += 1
-        return self.n_nodes - 1
 
     # -- alive view --------------------------------------------------------------
 
@@ -262,21 +248,7 @@ class Partition:
     def policy(self) -> str:
         return self._placer.name
 
-    @property
-    def _alive(self) -> np.ndarray:
-        return self.ring._alive
-
     # -- membership --------------------------------------------------------------
-
-    def add_node(self) -> int:
-        """Grow the partition by one node (born alive); returns its ID.
-
-        Growing in place is equivalent to constructing fresh at the new
-        size: every policy derives per-node state from the node ID only.
-        """
-        node = self.ring.add_node()
-        self._placer = self._placer.grown()
-        return node
 
     def grown(self, extra: int = 1) -> Partition:
         """A copy with ``extra`` more nodes (alive), same alive view for

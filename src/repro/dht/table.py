@@ -172,6 +172,8 @@ class LocalDHT:
             loaded = storage.load()
             if loaded is not None:
                 self._adopt(loaded)
+                # Bring-up resumes the persisted epoch sequence.
+                self.epoch = loaded.epoch
                 self.recovered = True
 
     # -- storage backend (docs/STORAGE.md) ---------------------------------------------
@@ -193,7 +195,6 @@ class LocalDHT:
         """Replace the live state with a loaded/committed snapshot."""
         self._set_state(state.ph, state.pm, state.wide, state.extra,
                         state.n_hashes, state.n_copies)
-        self.epoch = state.epoch
 
     def _persist(self) -> None:
         """Commit columns + side tables to storage (no-op when RAM-
@@ -232,7 +233,9 @@ class LocalDHT:
 
     def recover(self) -> bool:
         """Reload the last committed state (warm rejoin); False when
-        the shard is RAM-only or nothing was ever committed."""
+        the shard is RAM-only or nothing was ever committed.  The live
+        :attr:`epoch` stays: the persisted one may be older, and epochs
+        never go backwards."""
         st = self._store
         if st is None:
             return False

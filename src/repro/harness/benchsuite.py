@@ -197,8 +197,9 @@ def _bench_update_path(ctx: BenchContext) -> None:
         ctx.record("updates_sent", net.updates_sent)
         ctx.record("events_run", cluster.engine.events_run)
         ctx.record("sim_elapsed_s", cluster.engine.now)
-        ctx.record("global_epoch", concord.tracing.global_epoch)
-        _record_flat(ctx, concord.tracing.epoch_vector().tolist(), "epoch")
+        ctx.record("global_epoch", concord.tracing.membership.global_epoch)
+        _record_flat(ctx, concord.tracing.membership.epoch_vector().tolist(),
+                     "epoch")
 
 
 def _bench_serve_throughput(ctx: BenchContext) -> None:
@@ -550,7 +551,8 @@ def _bench_ring_resize(ctx: BenchContext) -> None:
         hashes = rng.integers(1, 2**63, size=p["rows"], dtype=np.uint64)
         eng.route_updates(0, inserts=[(int(h), int(h) % 8 + 1)
                                       for h in hashes], removes=[])
-        rep = eng.add_node()
+        eng.membership.begin_join()
+        rep = eng.membership.complete_join()
         ctx.record(f"entries_moved.{policy}", rep.entries_moved)
         ctx.record(f"entries_total.{policy}", rep.entries_total)
     assert entries_moved_fraction("hd", n, n + 1,
@@ -615,7 +617,7 @@ def _bench_repair_divergence(ctx: BenchContext) -> None:
             hs, _lo, _wide = shard.items_arrays()
             if len(hs):
                 shard.retain(hs >= bound)
-        concord.tracing.bump_all_epochs()
+        concord.tracing.membership.content_changed()
         return concord
 
     ratio_at = {}

@@ -147,6 +147,7 @@ class QueryInterface:
                  n_represented: int = 1, pool: ShardPool | None = None) -> None:
         self.cluster = cluster
         self.engine = engine
+        self.membership = engine.membership
         self.cost: CostModel = cluster.cost
         self.n_represented = n_represented
         self.pool = pool if pool is not None else ShardPool(1)
@@ -160,7 +161,7 @@ class QueryInterface:
         return nodewise_result(
             self.cost, "num_copies",
             engine.shards[home].num_copies(content_hash), issuing_node, home,
-            engine.coverage, engine.is_degraded(content_hash))
+            self.membership.coverage, engine.is_degraded(content_hash))
 
     def entities(self, content_hash: int, issuing_node: int = 0) -> QueryResult:
         """Which entities currently have copies (per the best-effort view)."""
@@ -169,7 +170,7 @@ class QueryInterface:
         return nodewise_result(
             self.cost, "entities",
             set(engine.shards[home].entity_ids(content_hash)), issuing_node,
-            home, engine.coverage, engine.is_degraded(content_hash))
+            home, self.membership.coverage, engine.is_degraded(content_hash))
 
     # -- collective helpers --------------------------------------------------------
 
@@ -187,7 +188,7 @@ class QueryInterface:
     def _live_shards_versioned(self) -> tuple[list, list[int]]:
         """The live shards plus their epochs (segment-reuse versions)."""
         shards = self.engine.live_shards()
-        return shards, [self.engine.shard_epoch(s.node_id) for s in shards]
+        return shards, [s.epoch for s in shards]
 
     def _answer(self, value: object, exec_mode: ExecMode,
                 result_bytes: int = 16) -> QueryResult:
@@ -209,7 +210,7 @@ class QueryInterface:
             raise ValueError(
                 f"exec_mode {mode} is a command mode, not a query mode "
                 "(use ExecMode.DISTRIBUTED or ExecMode.SINGLE)")
-        coverage = self.engine.coverage
+        coverage = self.membership.coverage
         return QueryResult(value, latency, max_scan, coverage,
                            degraded=coverage < 1.0)
 

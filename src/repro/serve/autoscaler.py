@@ -25,7 +25,7 @@ from repro.serve.request import QoSClass
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.concord import ConCORD
-    from repro.dht.engine import JoinReport
+    from repro.dht.membership import JoinReport
     from repro.serve.frontend import QueryFrontend
 
 __all__ = ["AutoscalerConfig", "Autoscaler"]

@@ -72,10 +72,11 @@ def bulk_answers(engine: ContentTracingEngine, cost: CostModel, op: str,
             for h, lo in zip(group, masks_lo.tolist()):
                 values[h] = set(mask_bits(wide.get(h, lo)))
 
-    coverage = engine.coverage
+    membership = engine.membership
+    coverage = membership.coverage
     # Which hashes sit in a holed range: none, without hashing anything,
     # while every range is intact (``engine.is_degraded``'s definition).
-    holed = () if engine.all_intact else {
+    holed = () if membership.all_intact else {
         h for h, ok in zip(homes, engine.hashes_intact(list(homes)).tolist())
         if not ok}
     return [nodewise_result(cost, op, values[h], issuing, homes[h], coverage,

@@ -150,6 +150,7 @@ class CachedQueries:
                  obs: Observability | None = None) -> None:
         self.queries = queries
         self.engine = queries.engine
+        self.membership = queries.membership
         self.verify = verify
         self.obs = obs if obs is not None else Observability()
         self.cache = EpochCache(capacity, obs=self.obs)
@@ -164,13 +165,13 @@ class CachedQueries:
         """(home shard, its epoch) — ``home_node`` performs the same lazy
         failure detection the uncached lookup would."""
         home = self.engine.home_node(content_hash)
-        return (home, self.engine.shard_epoch(home))
+        return (home, self.membership.shard_epoch(home))
 
     def collective_token(self) -> tuple:
         """Global epoch, after the same eager detection ``live_shards``
         does on the uncached path."""
-        self.engine.refresh_failed()
-        return (self.engine.global_epoch,)
+        self.membership.refresh_failed()
+        return (self.membership.global_epoch,)
 
     # -- the one lookup / verify / store path ------------------------------------
 
@@ -240,7 +241,7 @@ class CachedQueries:
         ran the lazy failure detection, so home and epochs are settled.
 
         ``token`` is the one :meth:`lookup` returned for this miss and
-        ``as_of`` the ``engine.global_epoch`` read before that lookup, in
+        ``as_of`` the ``membership.global_epoch`` read before that lookup, in
         the same sim instant.  While the global epoch still stands there
         nothing was mutated and nothing was detected in between, so the
         settled token *is* that token and the hash is not routed again;
@@ -250,7 +251,7 @@ class CachedQueries:
         if not self.cache.capacity:
             return  # bypass: nothing is stored, so nothing to key it on
         h = int(args[0])
-        if token is None or as_of != self.engine.global_epoch:
+        if token is None or as_of != self.membership.global_epoch:
             token = self.nodewise_token(h)
         self.cache.put((op, h, issuing_node), token, result)
 
@@ -264,7 +265,7 @@ class CachedQueries:
         if spec is None:
             raise ValueError(f"unknown query op {op!r}")
         if spec.nodewise:
-            as_of = self.engine.global_epoch
+            as_of = self.membership.global_epoch
             token, result = self.lookup(op, args, issuing_node)
             if result is not None:
                 return result, True

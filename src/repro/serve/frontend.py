@@ -282,7 +282,7 @@ class QueryFrontend:
             op: [] for op in NODEWISE_OPS}
         lookup = self.cached.lookup
         # Those tokens stay good while this stands still (CachedQueries.store).
-        as_of = self.engine.global_epoch
+        as_of = self.engine.membership.global_epoch
 
         for (op, args), reqs in groups.items():
             if not OPS[op].nodewise:

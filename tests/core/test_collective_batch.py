@@ -46,7 +46,7 @@ def _reference_collective_phase(self, service, scope, contexts, rng, stats,
     live = self.tracing.live_shards()
     scans = self.pool.map_shards(
         live, _ops.se_scan, (se_mask,),
-        versions=[self.tracing.shard_epoch(s.node_id) for s in live])
+        versions=[s.epoch for s in live])
     for shard, (hashes, lo, wide) in zip(live, scans):
         shard_node = shard.node_id
         self._charge(shard_node, shard.n_hashes * cost.query_scan_per_entry * R)

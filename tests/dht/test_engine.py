@@ -106,10 +106,11 @@ class TestUpdateEpochs:
 
     def test_insert_bumps_only_home_shard(self):
         c, eng = make()
-        before = eng.epoch_vector()
+        m = eng.membership
+        before = m.epoch_vector()
         eng.route_updates(0, inserts=[(123, 0)], removes=[])
         home = eng.home_node(123)
-        after = eng.epoch_vector()
+        after = m.epoch_vector()
         assert after[home] == before[home] + 1
         for n in range(4):
             if n != home:
@@ -117,52 +118,58 @@ class TestUpdateEpochs:
 
     def test_remove_bumps_home_shard(self):
         c, eng = make()
+        m = eng.membership
         eng.route_updates(0, inserts=[(123, 0)], removes=[])
         home = eng.home_node(123)
-        e0 = eng.shard_epoch(home)
+        e0 = m.shard_epoch(home)
         eng.route_updates(0, inserts=[], removes=[(123, 0)])
-        assert eng.shard_epoch(home) == e0 + 1
+        assert m.shard_epoch(home) == e0 + 1
 
     def test_global_epoch_counts_every_bump(self):
         c, eng = make()
-        g0 = eng.global_epoch
+        m = eng.membership
+        g0 = m.global_epoch
         eng.route_updates(0, inserts=[(1, 0), (2, 0), (3, 0)], removes=[])
         touched = len({eng.home_node(h) for h in (1, 2, 3)})
-        assert eng.global_epoch == g0 + touched
+        assert m.global_epoch == g0 + touched
 
     def test_networked_apply_bumps_epochs(self):
         c, eng = make(use_network=True)
-        g0 = eng.global_epoch
+        m = eng.membership
+        g0 = m.global_epoch
         eng.route_updates(0, inserts=[(7, 0)], removes=[])
         c.engine.run()
-        assert eng.global_epoch > g0
+        assert m.global_epoch > g0
 
     def test_failure_and_repair_bump_all(self):
         c, eng = make()
+        m = eng.membership
         eng.route_updates(0, inserts=[(9, 0)], removes=[])
-        before = eng.epoch_vector()
-        eng.node_failed(2)
-        mid = eng.epoch_vector()
+        before = m.epoch_vector()
+        m.node_failed(2)
+        mid = m.epoch_vector()
         assert (mid > before).all()
-        eng.node_restarted(2)
-        after = eng.epoch_vector()
+        m.node_restarted(2)
+        after = m.epoch_vector()
         assert (after > mid).all()
         eng.repair()
-        assert (eng.epoch_vector() > after).all()
+        assert (m.epoch_vector() > after).all()
 
     def test_clear_and_remove_entity_bump_all(self):
         c, eng = make()
+        m = eng.membership
         eng.route_updates(0, inserts=[(5, 1)], removes=[])
-        g0 = eng.global_epoch
+        g0 = m.global_epoch
         assert eng.remove_entity(1) == 1
-        assert eng.global_epoch == g0 + 1
+        assert m.global_epoch == g0 + 1
         eng.clear()
-        assert eng.global_epoch == g0 + 2
+        assert m.global_epoch == g0 + 2
         assert eng.total_hashes == 0
 
     def test_epoch_vector_is_a_copy(self):
         c, eng = make()
-        v = eng.epoch_vector()
+        m = eng.membership
+        v = m.epoch_vector()
         v[:] = 99
-        assert eng.shard_epoch(0) != 99 or eng.epoch_vector()[0] != 99
-        assert (eng.epoch_vector() != v).any()
+        assert m.shard_epoch(0) != 99 or m.epoch_vector()[0] != 99
+        assert (m.epoch_vector() != v).any()

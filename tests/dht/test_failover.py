@@ -39,7 +39,7 @@ class TestFailover:
         # Hashes primarily homed on node 2 are exactly the non-intact ones.
         hs = all_hashes(ents)
         intact = eng.hashes_intact(hs)
-        prim = eng.partition.primary_nodes(hs)
+        prim = eng.membership.partition.primary_nodes(hs)
         assert (intact == (prim != 2)).all()
 
     def test_is_degraded_is_the_holed_range_and_routes_only_when_holed(
@@ -48,25 +48,24 @@ class TestFailover:
         eng = concord.tracing
         hs = all_hashes(ents).tolist()
         routed = []
-        primary = eng.partition.primary_node
-        monkeypatch.setattr(eng.partition, "primary_node",
+        primary = eng.membership.partition.primary_node
+        monkeypatch.setattr(eng.membership.partition, "primary_node",
                             lambda h: routed.append(h) or primary(h))
         # Every range intact: false outright, nothing hashed.
-        assert eng.all_intact
+        assert eng.membership.all_intact
         assert not any(eng.is_degraded(h) for h in hs)
         assert not routed
         concord.fail_node(2)
-        assert not eng.all_intact
+        assert not eng.membership.all_intact
         assert [eng.is_degraded(h) for h in hs] == \
-            [not ok for ok in eng.hashes_intact(hs).tolist()] == \
-            [not eng.range_intact(h) for h in hs]
+            [not ok for ok in eng.hashes_intact(hs).tolist()]
         assert any(eng.is_degraded(h) for h in hs)
         # One definition: the scalar queries report exactly it.
         for h in hs[:16]:
             assert concord.queries.num_copies(h).degraded == \
                 concord.queries.entities(h).degraded == eng.is_degraded(h)
         concord.repair()
-        assert eng.all_intact and not eng.is_degraded(hs[0])
+        assert eng.membership.all_intact and not eng.is_degraded(hs[0])
 
     def test_fail_node_idempotent(self):
         _cluster, _ents, concord = make_tracked()
@@ -86,8 +85,9 @@ class TestFailover:
     def test_refresh_failed_detects_network_down_nodes(self):
         cluster, _ents, concord = make_tracked()
         cluster.network.set_node_up(3, False)
-        assert concord.tracing.refresh_failed() == [3]
-        assert concord.tracing.refresh_failed() == []   # already processed
+        membership = concord.tracing.membership
+        assert membership.refresh_failed() == [3]
+        assert membership.refresh_failed() == []   # already processed
         assert concord.coverage == pytest.approx(3 / 4)
 
     def test_live_shards_lazily_detects(self):
@@ -118,19 +118,46 @@ class TestFailover:
 
         def state():
             hs, lo, wide = eng.shards[0].se_scan(mask)
-            return (hs.tolist(), lo.tolist(), wide, eng._intact.tolist(),
-                    eng.coverage, eng.epoch_vector().tolist(),
-                    eng.global_epoch, bool(cluster.network.node_up[0]))
+            m = eng.membership
+            return (hs.tolist(), lo.tolist(), wide, m._intact.tolist(),
+                    m.coverage, m.epoch_vector().tolist(), m.global_epoch,
+                    bool(cluster.network.node_up[0]))
 
         before = state()
         assert before[4] == 0.5
-        for fail in (eng.node_failed, concord.fail_node):
+        for fail in (eng.membership.node_failed, concord.fail_node):
             with pytest.raises(ValueError, match="last alive node"):
                 fail(0)
             assert state() == before
             again = served()
             assert again.cache_hit
             assert again.answer == first.answer == concord.num_copies(h)
+
+    @pytest.mark.parametrize("use_network", [False, True])
+    def test_detect_from_a_dead_node_is_refused_before_any_probe(
+            self, use_network):
+        """Every probe from a dead issuer is dropped at its own NIC, so
+        each live peer would look dead: refused before anything moves."""
+        cluster = Cluster(4, seed=9)
+        rng = np.random.default_rng(9)
+        for node in range(4):
+            Entity.create(cluster, node,
+                          rng.integers(0, 200, size=64).astype(np.uint64))
+        concord = ConCORD(cluster, ConCORDConfig(use_network=use_network))
+        concord.initial_scan()
+        concord.fail_node(0)
+        m = concord.tracing.membership
+        alive = m.partition.alive_nodes().tolist()
+        coverage = concord.coverage
+        sizes = concord.tracing.shard_sizes()
+        assert alive == [1, 2, 3] and all(sizes[1:])
+        for issuer in (0, 4, -1):
+            with pytest.raises(ValueError, match=f"node {issuer}"):
+                concord.detect_failures(issuing_node=issuer)
+            assert m.partition.alive_nodes().tolist() == alive
+            assert concord.coverage == coverage
+            assert concord.tracing.shard_sizes() == sizes
+        assert concord.detect_failures(issuing_node=1) == []
 
 
 class TestRejoin:
@@ -144,10 +171,10 @@ class TestRejoin:
         assert eng.stats.rejoins == 1
         # Range 2 routes home again but its data died with the crash.
         assert concord.coverage == pytest.approx(3 / 4)
-        assert not eng._intact[2]
+        assert not eng.membership._intact[2]
         # The failover owner was purged: no stale copies answer for range 2.
         hs = all_hashes(_ents)
-        prim = eng.partition.primary_nodes(hs)
+        prim = eng.membership.partition.primary_nodes(hs)
         for h in hs[prim == 2].tolist():
             assert eng.lookup_mask(int(h)) == 0
 

@@ -18,6 +18,12 @@ def load(eng, n=200, node=0):
                       removes=[])
 
 
+def join(eng):
+    """One atomic join: begin, then cut over at once."""
+    eng.membership.begin_join()
+    return eng.membership.complete_join()
+
+
 def shard_states(eng):
     mask = (1 << 80) - 1
     out = []
@@ -32,7 +38,7 @@ def assert_all_homed(eng):
     for i, shard in enumerate(eng.shards):
         hashes, _lo, _wide = shard.items_arrays()
         if len(hashes):
-            assert (eng.partition.home_nodes(hashes) == i).all()
+            assert (eng.membership.partition.home_nodes(hashes) == i).all()
 
 
 class TestAtomicJoin:
@@ -41,10 +47,10 @@ class TestAtomicJoin:
         c, eng = make(placement=placement)
         load(eng)
         before = eng.total_hashes
-        rep = eng.add_node()
+        rep = join(eng)
         assert rep.node == 4
         assert rep.policy == placement
-        assert eng.partition.n_nodes == 5
+        assert eng.membership.partition.n_nodes == 5
         assert eng.cluster.n_nodes == 5
         assert eng.total_hashes == before
         assert_all_homed(eng)
@@ -53,13 +59,13 @@ class TestAtomicJoin:
         def moved(placement):
             c, eng = make(8, placement=placement, cost="old-cluster")
             load(eng, n=2000)
-            return eng.add_node().moved_fraction
+            return join(eng).moved_fraction
         assert moved("hd") < 0.25 < 0.8 < moved("mod")
 
     def test_report_accounting(self):
         c, eng = make()
         load(eng, n=300)
-        rep = eng.add_node()
+        rep = join(eng)
         assert rep.entries_total == 300
         assert 0 <= rep.entries_moved <= rep.entries_total
         # An atomic join has no divergence window: the pre-copy already
@@ -71,18 +77,18 @@ class TestAtomicJoin:
     def test_grows_storage_and_epochs(self):
         c, eng = make()
         load(eng)
-        epochs_before = eng.epoch_vector()
-        eng.add_node()
+        epochs_before = eng.membership.epoch_vector()
+        join(eng)
         assert len(eng.shards) == 5
         assert len(eng.storage.shards) == 5
-        assert len(eng.epoch_vector()) == 5
+        assert len(eng.membership.epoch_vector()) == 5
         # Cutover bumps every epoch so the serve cache invalidates.
-        assert (eng.epoch_vector()[:4] > epochs_before).all()
+        assert (eng.membership.epoch_vector()[:4] > epochs_before).all()
 
     def test_metrics_counters(self):
         c, eng = make()
         load(eng)
-        rep = eng.add_node()
+        rep = join(eng)
         reg = eng.obs.registry
         assert reg.counter("ring.joins").value == 1
         assert reg.counter("ring.entries_moved").value == rep.entries_moved
@@ -93,12 +99,12 @@ class TestIncrementalJoin:
     def test_live_writes_between_phases_reconcile(self):
         c, eng = make()
         load(eng, n=200)
-        node = eng.begin_join()
+        node = eng.membership.begin_join()
         # The old ring still routes while the join is pending.
-        assert eng.partition.n_nodes == 4
+        assert eng.membership.partition.n_nodes == 4
         eng.route_updates(0, inserts=[(h, 1) for h in range(500, 560)],
                           removes=[(h, h % 3) for h in range(1, 20)])
-        rep = eng.complete_join()
+        rep = eng.membership.complete_join()
         assert rep.node == node
         assert eng.total_hashes == 200 - 19 + 60
         assert_all_homed(eng)
@@ -109,23 +115,23 @@ class TestIncrementalJoin:
 
     def test_double_begin_raises(self):
         c, eng = make()
-        eng.begin_join()
+        eng.membership.begin_join()
         with pytest.raises(RuntimeError):
-            eng.begin_join()
+            eng.membership.begin_join()
 
     def test_complete_without_begin_raises(self):
         c, eng = make()
         with pytest.raises(RuntimeError):
-            eng.complete_join()
+            eng.membership.complete_join()
 
     def test_failure_during_pending_join(self):
         c, eng = make()
         load(eng, n=200)
-        eng.begin_join()
+        eng.membership.begin_join()
         c.network.set_node_up(2, False)
-        eng.refresh_failed()
-        rep = eng.complete_join()
-        assert not eng.partition.is_alive(2)
+        eng.membership.refresh_failed()
+        rep = eng.membership.complete_join()
+        assert not eng.membership.partition.is_alive(2)
         assert_all_homed(eng)
         assert rep.node == 4
 
@@ -133,8 +139,8 @@ class TestIncrementalJoin:
         c, eng = make()
         load(eng, n=100)
         before = {h: eng.lookup_copies(h) for h in range(1, 101)}
-        eng.begin_join()
-        eng.complete_join()
+        eng.membership.begin_join()
+        eng.membership.complete_join()
         after = {h: eng.lookup_copies(h) for h in range(1, 101)}
         assert before == after
 
@@ -143,7 +149,7 @@ class TestIncrementalJoin:
         # at the grown size computes — no hidden membership state.
         c1, e1 = make(4)
         load(e1, n=150)
-        e1.add_node()
+        join(e1)
         c2, e2 = make(5)
         load(e2, n=150)
         assert shard_states(e1) == shard_states(e2)
@@ -152,8 +158,8 @@ class TestIncrementalJoin:
         c, eng = make(2)
         load(eng, n=100)
         for expect in (3, 4, 5):
-            eng.add_node()
-            assert eng.partition.n_nodes == expect
+            join(eng)
+            assert eng.membership.partition.n_nodes == expect
             assert eng.total_hashes == 100
             assert_all_homed(eng)
-        assert eng.coverage == 1.0
+        assert eng.membership.coverage == 1.0

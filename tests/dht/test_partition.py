@@ -84,14 +84,6 @@ class TestNodeRing:
         assert homes.tolist() == [0, 3, 3, 3]
         assert ring.successor(1) == 3
 
-    def test_add_node_born_alive(self):
-        ring = NodeRing(2)
-        ring.set_alive(0, False)
-        assert ring.add_node() == 2
-        assert ring.n_nodes == 3
-        assert ring.is_alive(2)
-        assert not ring.is_alive(0)
-
     def test_noalive_is_a_runtimeerror(self):
         # Callers that caught RuntimeError before the typed class keep
         # working.
@@ -144,17 +136,15 @@ class TestPlacementPolicies:
 
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
     def test_grown_equals_fresh(self, policy):
-        # The property live join relies on: growing in place (or via
-        # grown()) is indistinguishable from constructing at the new
-        # size, because per-node placement state derives from ID only.
+        # The property live join relies on: growing via grown() is
+        # indistinguishable from constructing at the new size, because
+        # per-node placement state derives from ID only.
         hs = np.random.default_rng(3).integers(0, 2**63, 2000,
                                                dtype=np.uint64)
-        grown_inplace = Partition(5, policy=policy)
-        assert grown_inplace.add_node() == 5
-        grown_copy = Partition(5, policy=policy).grown()
+        grown = Partition(5, policy=policy).grown()
         fresh = Partition(6, policy=policy)
-        assert (grown_inplace.home_nodes(hs) == fresh.home_nodes(hs)).all()
-        assert (grown_copy.home_nodes(hs) == fresh.home_nodes(hs)).all()
+        assert grown.n_nodes == 6
+        assert (grown.home_nodes(hs) == fresh.home_nodes(hs)).all()
 
     def test_grown_carries_alive_view(self):
         p = Partition(4)

@@ -194,13 +194,13 @@ class TestReconSession:
 
 
 class TestEngineReconRepair:
-    def _system(self, seed=0):
+    def _system(self, seed=0, use_network=False):
         cluster = Cluster(4, seed=seed)
         rng = np.random.default_rng(seed)
         ents = [Entity.create(cluster, n,
                               rng.integers(0, 120, 64).astype(U64))
                 for n in (0, 1)]
-        concord = ConCORD(cluster, ConCORDConfig(use_network=False))
+        concord = ConCORD(cluster, ConCORDConfig(use_network=use_network))
         concord.initial_scan()
         return cluster, ents, concord
 
@@ -210,15 +210,16 @@ class TestEngineReconRepair:
                           else a, s.se_scan(mask)))
                 for s in concord.tracing.shards]
 
-    def test_recon_heals_clustered_eviction(self):
-        _cluster, _ents, concord = self._system()
+    @pytest.mark.parametrize("use_network", [False, True])
+    def test_recon_heals_clustered_eviction(self, use_network):
+        _cluster, _ents, concord = self._system(use_network=use_network)
         want = self._states(concord)
         bound = U64(int(0.3 * 2**64))
         for shard in concord.tracing.shards:
             hs, _lo, _wide = shard.items_arrays()
             if len(hs):
                 shard.retain(hs >= bound)
-        concord.tracing.bump_all_epochs()
+        concord.tracing.membership.content_changed()
         report = concord.repair(mode="recon")
         assert report.copies_restored > 0
         assert report.bytes_wire > 0 and report.rounds > 0
@@ -230,7 +231,7 @@ class TestEngineReconRepair:
         shard = concord.tracing.shards[1]
         hs, _lo, _wide = shard.items_arrays()
         shard.retain(hs >= U64(1 << 62))
-        concord.tracing.bump_all_epochs()
+        concord.tracing.membership.content_changed()
         concord.repair(mode="recon")
         reg = concord.obs.registry
         assert reg.value("dht.repair.bytes_wire") > 0
@@ -255,6 +256,6 @@ class TestEngineReconRepair:
         hs, _lo, _wide = shard.items_arrays()
         if len(hs):
             shard.retain(hs >= U64(1 << 63))
-        concord.tracing.bump_all_epochs()
+        concord.tracing.membership.content_changed()
         concord.repair(mode="recon")
         assert self._states(concord) == want

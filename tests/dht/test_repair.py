@@ -56,7 +56,7 @@ def test_modes_converge_missing_and_stale_rows(mode, backend):
         stale = np.arange(1, 135, dtype=U64) << U64(40)
         shard.bulk_insert(stale, 5)
         shard.bulk_insert(hashes[-3:], 6)       # stale holder of live hashes
-        concord.tracing.bump_all_epochs()
+        concord.tracing.membership.content_changed()
         assert dropped > 0 and packed(concord) != want
 
         report = concord.repair(**MODES[mode])

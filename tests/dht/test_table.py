@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.dht.engine import _pairs_where
+from repro.dht.repair import pairs_where
 from repro.dht.table import LocalDHT
 from repro.exec.ops import shard_in_s_copies
 
@@ -195,19 +195,19 @@ class TestOverflowReadCost:
         small, large = self.shard(10), self.shard(1000)
         sel = np.arange(self.N_ROWS) < self.N_ROWS // 2   # has the overflow
         for t, n in ((small, 10), (large, 1000)):
-            assert _pairs_where(t)[2].sum() == 2 * self.N_ROWS + n
-            assert _pairs_where(t, sel)[2].sum() == self.N_ROWS + n
-            assert _pairs_where(t, ~sel)[2].sum() == self.N_ROWS
+            assert pairs_where(t)[2].sum() == 2 * self.N_ROWS + n
+            assert pairs_where(t, sel)[2].sum() == self.N_ROWS + n
+            assert pairs_where(t, ~sel)[2].sum() == self.N_ROWS
         assert (self.searchsorted_calls(
-                    monkeypatch, lambda: _pairs_where(small, sel))
+                    monkeypatch, lambda: pairs_where(small, sel))
                 == self.searchsorted_calls(
-                    monkeypatch, lambda: _pairs_where(large, sel)))
+                    monkeypatch, lambda: pairs_where(large, sel)))
 
     def test_view_is_built_once_per_mutation(self):
         t = self.shard(10)
         view = t.extra_arrays()
         shard_in_s_copies(t, 0b11)
-        _pairs_where(t)
+        pairs_where(t)
         t.bulk_num_copies(view[0])
         assert t.extra_arrays() is view         # reads never rebuild it
         t.insert(int(view[0][0]), 0)            # any overflow write does

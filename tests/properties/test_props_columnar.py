@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dht.engine import _pairs_where
+from repro.dht.repair import pairs_where
 from repro.dht.storage import MmapSegmentStorage, StorageConfig, open_storage
 from repro.dht.table import _BULK_MIN, _COMPACT_MIN, LocalDHT
 from repro.exec.ops import shard_in_s_copies
@@ -266,7 +266,7 @@ def _check_overflow_readers(dht, queries, s_eids, unselected):
         want = Counter({(h, e): dht.copies_of(h, e)
                         for h in chosen.tolist() for e in dht.entity_ids(h)})
         got = Counter()
-        for h, e, c in zip(*(col.tolist() for col in _pairs_where(dht, sel))):
+        for h, e, c in zip(*(col.tolist() for col in pairs_where(dht, sel))):
             got[(h, e)] += c
         assert got == want
 

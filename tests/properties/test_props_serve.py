@@ -170,8 +170,13 @@ class TestCacheEquivalence:
 
 # (kind, argument): membership, repair by each mode, wholesale removals,
 # and content updates (which advance one shard only and are not checked).
+# ``kill`` takes a node's NIC down and loses its shard RAM without telling
+# the ring (a crash nobody has noticed yet); ``detect`` probes for it, and
+# so do the cutover and a repair, each through its own lazy detection.
 engine_op_strategy = st.one_of(
     st.tuples(st.just("fail"), st.sampled_from(FAULTY_NODES)),
+    st.tuples(st.just("kill"), st.sampled_from(FAULTY_NODES)),
+    st.tuples(st.just("detect"), st.just(0)),
     st.tuples(st.just("restart_cold"), st.sampled_from(FAULTY_NODES)),
     st.tuples(st.just("restart_warm"), st.sampled_from(FAULTY_NODES)),
     st.tuples(st.just("begin_join"), st.just(0)),
@@ -194,14 +199,17 @@ class TestEpochInvariant:
     @given(st.lists(engine_op_strategy, min_size=1, max_size=16),
            st.sampled_from(["memory", "mmap"]))
     # Every operation at least once, the warm restart with a commit to
-    # recover, the repairs with damage to repair, and a join cut over
-    # with a holed range and with none.
+    # recover, the repairs with damage to repair, a join cut over with a
+    # holed range and with none, and an unnoticed crash found by each of
+    # the probe, the cutover and a repair.
     @example(ops=[("flush", 0), ("write", 7), ("fail", 2),
                   ("repair", "replay"), ("restart_warm", 2),
                   ("repair", "delta"), ("fail", 3), ("begin_join", 0),
                   ("write", 9), ("complete_join", 0), ("restart_cold", 3),
                   ("repair", "recon"), ("repair", "full"),
-                  ("begin_join", 0), ("complete_join", 0),
+                  ("kill", 2), ("detect", 0), ("restart_cold", 2),
+                  ("begin_join", 0), ("kill", 3), ("complete_join", 0),
+                  ("restart_cold", 3), ("kill", 2), ("repair", "delta"),
                   ("remove_entity", 1), ("clear", 0)],
              backend="mmap")
     def test_routing_and_coverage_changes_advance_every_shard_epoch(
@@ -217,32 +225,47 @@ class TestEpochInvariant:
         with ConCORD(cluster, cfg) as concord:
             concord.initial_scan()
             engine, net = concord.tracing, cluster.network
+            m = engine.membership
             for kind, arg in ops:
                 before = [s.epoch for s in engine.shards]
-                must_advance = True
+                g0 = m.global_epoch
+                # A crash nobody has noticed: the next lazy detection
+                # fails it over, with its own every-epoch advance.
+                undetected = any(m.partition.is_alive(n) and not net.node_up[n]
+                                 for n in range(m.partition.n_nodes))
+                # A direct event advances the global epoch by exactly one.
+                must_advance = exact = True
                 if kind == "fail":
-                    must_advance = engine.partition.is_alive(arg)
+                    must_advance = exact = m.partition.is_alive(arg)
                     net.set_node_up(arg, False)
-                    engine.node_failed(arg)
+                    m.node_failed(arg)
+                elif kind == "kill":
+                    net.set_node_up(arg, False)
+                    engine.shards[arg].crash()
+                    must_advance = exact = False
+                elif kind == "detect":
+                    concord.detect_failures()
+                    must_advance, exact = undetected, False
                 elif kind in ("restart_cold", "restart_warm"):
-                    must_advance = not engine.partition.is_alive(arg)
+                    must_advance = exact = not m.partition.is_alive(arg)
                     net.set_node_up(arg, True)
-                    engine.node_restarted(arg,
-                                          recover=kind == "restart_warm")
+                    m.node_restarted(arg, recover=kind == "restart_warm")
                 elif kind == "begin_join":
-                    if (engine._pending_join is not None
+                    if (m._pending_join is not None
                             or cluster.n_nodes >= MAX_NODES):
                         continue
                     concord.begin_join()
                 elif kind == "complete_join":
-                    if engine._pending_join is None:
+                    if m._pending_join is None:
                         continue
                     concord.complete_join()
+                    exact = not undetected
                 elif kind == "repair":
                     # With every range intact, a replay or delta repair
                     # has no target: nothing changes, nothing bumps.
                     report = engine.repair(**REPAIR_KW[arg])
-                    must_advance = report.ranges_repaired > 0
+                    must_advance = report.ranges_repaired > 0 or undetected
+                    exact = must_advance and not undetected
                 elif kind == "clear":
                     engine.clear()
                 elif kind == "remove_entity":
@@ -250,28 +273,31 @@ class TestEpochInvariant:
                 elif kind == "flush":
                     # Gives a later warm restart a commit to recover.
                     engine.flush_storage()
-                    must_advance = False
+                    must_advance = exact = False
                 elif kind == "write":
                     ents[arg % len(ents)].write_pages(
                         np.array([arg % N_PAGES]),
                         np.array([OLD_IDS + arg % (ALL_IDS - OLD_IDS)],
                                  dtype=np.uint64))
                     concord.sync()
-                    must_advance = False
+                    must_advance = exact = False
                 after = [s.epoch for s in engine.shards]
                 # The attribute the hit check reads is the engine's vector.
-                assert after == engine.epoch_vector().tolist(), (kind, arg)
+                assert after == m.epoch_vector().tolist(), (kind, arg)
                 # And the two fields the queries read are the vector's
                 # summary over the routed ring, whatever just wrote it.
-                ranges = engine._intact[:engine.partition.n_nodes]
-                assert engine.coverage == float(ranges.mean()), (kind, arg)
-                assert engine.all_intact == bool(ranges.all()), (kind, arg)
+                ranges = m._intact[:m.partition.n_nodes]
+                assert m.coverage == float(ranges.mean()), (kind, arg)
+                assert m.all_intact == bool(ranges.all()), (kind, arg)
                 if must_advance:
                     assert all(a > b for a, b in zip(after, before)), \
                         (kind, arg, before, after)
                 else:
                     assert all(a >= b for a, b in zip(after, before)), \
                         (kind, arg, before, after)
+                if exact:
+                    assert m.global_epoch == g0 + 1, \
+                        (kind, arg, g0, m.global_epoch)
 
     def test_undetected_dead_home_takes_the_detection_path(self):
         # The home dies between store and lookup and nobody has noticed:
@@ -297,17 +323,18 @@ class TestEpochInvariant:
             c.network.set_node_up(home, False)     # no node_failed()
             e.shards[home].crash()
         token, _result = cached.cache.peek(("num_copies", h, 0))
-        assert token == (home, engine.shard_epoch(home))   # epoch unmoved
-        assert engine.partition.is_alive(home)             # undetected
+        m = engine.membership
+        assert token == (home, m.shard_epoch(home))   # epoch unmoved
+        assert m.partition.is_alive(home)             # undetected
 
         answer, hit = cached.query("num_copies", (h,), 0)
         assert not hit
         assert answer == ref_queries.num_copies(h, 0)
         assert answer != first and answer.degraded
-        assert not engine.partition.is_alive(home)         # detected now
+        assert not m.partition.is_alive(home)         # detected now
         assert engine.stats.failovers == ref_engine.stats.failovers == 1
-        assert engine.epoch_vector().tolist() == \
-            ref_engine.epoch_vector().tolist()
+        assert m.epoch_vector().tolist() == \
+            ref_engine.membership.epoch_vector().tolist()
         reg = obs.registry
         assert (reg.value("serve.cache.hits"),
                 reg.value("serve.cache.misses"),
@@ -360,9 +387,9 @@ class TestEpochInvariant:
         assert all(r.answer.degraded for r in after)
         engines = [engine for _c, engine, _fe in twins.values()]
         for engine in engines:
-            assert not engine.partition.is_alive(victim)
+            assert not engine.membership.partition.is_alive(victim)
             assert engine.stats.failovers == 1
-            assert engine.epoch_vector().tolist() == \
-                engines[0].epoch_vector().tolist()
+            assert engine.membership.epoch_vector().tolist() == \
+                engines[0].membership.epoch_vector().tolist()
         for name, (_c, _e, fe) in twins.items():
             assert fe.report().cache_violations == 0, name

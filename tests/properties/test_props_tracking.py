@@ -168,7 +168,7 @@ class TestRouteUpdatesOnePath:
         for is_insert, pairs in steps:
             per_home = Counter()
             for h, e in pairs:
-                home = eng.partition.home_node(h)
+                home = eng.membership.partition.home_node(h)
                 per_home[home] += 1
                 if is_insert:
                     ref[home].insert(h, e)
@@ -187,7 +187,7 @@ class TestRouteUpdatesOnePath:
         n_updates = sum(len(pairs) for _op, pairs in steps)
         assert eng.stats.updates_routed == n_updates
         assert eng.stats.updates_applied == n_updates
-        assert [eng.shard_epoch(i) for i in range(n_nodes)] == epochs
-        assert eng.global_epoch == sum(epochs)
+        assert [eng.membership.shard_epoch(i) for i in range(n_nodes)] == epochs
+        assert eng.membership.global_epoch == sum(epochs)
         for shard, want in zip(eng.shards, ref):
             assert _shard_bytes(shard) == _shard_bytes(want)

@@ -65,7 +65,7 @@ class TestAutoscaler:
         assert len(scaler.joins) == 2
         assert [r.node for r in scaler.joins] == [4, 5]
         # Every join completed; none left dangling.
-        assert concord.tracing._pending_join is None
+        assert concord.tracing.membership._pending_join is None
         reg = concord.obs.registry
         assert reg.counter("ring.joins").value == 2
         assert reg.counter("ring.autoscale.scaleups").value == 2
@@ -82,7 +82,7 @@ class TestAutoscaler:
         # cutover can only happen at the deadline tick.
         concord.serve(spec, autoscale=AutoscalerConfig(
             queue_depth_high=0.0, p95_high_s=0.0, check_interval_s=0.012))
-        assert concord.tracing._pending_join is None
+        assert concord.tracing.membership._pending_join is None
         assert concord.cluster.n_nodes >= 5
 
     def test_queries_stay_correct_after_autoscale(self):

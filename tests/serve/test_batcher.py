@@ -97,7 +97,7 @@ SPARE_ENTITY = 9                 # holds nothing in the fixture
 def homed_at(engine, node):
     """Fresh (untracked) hashes the engine routes to ``node``."""
     return (h for h in itertools.count(1 << 40)
-            if engine.partition.home_node(h) == node)
+            if engine.membership.partition.home_node(h) == node)
 
 
 class World:
@@ -264,7 +264,7 @@ class TestFillOnBothSidesOfTheConstant:
         engine, victim = world.engine, 0
         lost = world.group(width, 1)          # primary range 0: holed below
         world.concord.fail_node(victim)
-        assert not engine.all_intact
+        assert not engine.membership.all_intact
         pairs = [(h, i % 4) for i, h in enumerate(lost + world.elsewhere)]
         for op in ("num_copies", "entities"):
             got = bulk_answers(engine, world.cluster.cost, op, pairs)
@@ -281,7 +281,7 @@ class TestFillOnBothSidesOfTheConstant:
         for world in (filled, uncached):
             world.cluster.network.set_node_up(0, False)   # no node_failed()
             world.engine.shards[0].crash()
-            assert world.engine.partition.is_alive(0)
+            assert world.engine.membership.partition.is_alive(0)
         # The dead home's hashes first, so the uncached twin detects on
         # its first query, as the fill does before it probes anything.
         hashes = filled.group(width, 1) + filled.elsewhere
@@ -292,8 +292,8 @@ class TestFillOnBothSidesOfTheConstant:
         assert [a.degraded for a in got] == \
             [True] * width + [False] * len(filled.elsewhere)
         for world in (filled, uncached):
-            assert not world.engine.partition.is_alive(0)
+            assert not world.engine.membership.partition.is_alive(0)
         assert filled.engine.stats.failovers == \
             uncached.engine.stats.failovers == 1
-        assert filled.engine.epoch_vector().tolist() == \
-            uncached.engine.epoch_vector().tolist()
+        assert filled.engine.membership.epoch_vector().tolist() == \
+            uncached.engine.membership.epoch_vector().tolist()

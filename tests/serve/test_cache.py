@@ -124,7 +124,7 @@ class TestCachedQueries:
 
     def test_store_takes_the_lookups_token_while_the_epoch_stands(
             self, monkeypatch):
-        as_of = self.engine.global_epoch
+        as_of = self.engine.membership.global_epoch
         token, miss = self.cq.lookup("num_copies", (self.h,), 0)
         assert miss is None
         assert token == self.cq.nodewise_token(self.h)
@@ -139,7 +139,7 @@ class TestCachedQueries:
         assert not routes                       # nor by the hit
 
     def test_store_rederives_a_token_the_epoch_has_left_behind(self):
-        as_of = self.engine.global_epoch
+        as_of = self.engine.membership.global_epoch
         token, _miss = self.cq.lookup("num_copies", (self.h,), 0)
         other = next(n for n in range(self.cluster.n_nodes)
                      if n != token[0])
@@ -225,7 +225,7 @@ class TestCapacityZeroBypass:
         monkeypatch.setattr(engine, "home_node", routed)
         self.cq.store("num_copies", (self.h,), 0, answer)
         self.cq.store("num_copies", (self.h,), 0, answer, (0, 0),
-                      engine.global_epoch)
+                      engine.membership.global_epoch)
         assert len(self.cq.cache) == 0
 
     def test_serve_config_accepts_zero(self):
