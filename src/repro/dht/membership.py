@@ -215,6 +215,8 @@ class Membership:
         """Inline failure detection: the cheap equivalent of the timeout a
         routed update/query would hit.  Returns newly detected nodes."""
         net = self.engine.cluster.network
+        if all(net.node_up):
+            return []   # no NIC is down, so no ring member can be undetected
         detected = []
         # Ring members only: a node mid-join is not routed to yet.
         for node in range(self.partition.n_nodes):

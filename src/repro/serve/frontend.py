@@ -29,10 +29,11 @@ network latency.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.obs import Observability
-from repro.queries.interface import OPS, QueryInterface, QueryResult
+from repro.queries.interface import QueryInterface
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import bulk_answers
 from repro.serve.cache import CachedQueries
@@ -49,6 +50,10 @@ __all__ = ["QueryFrontend", "ServeReport"]
 #: coarse at the low end.
 LATENCY_BOUNDS = (2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
                   1e-3, 2e-3, 5e-3, 1e-2, 1e-1, 1.0)
+
+_INTERACTIVE = QoSClass.INTERACTIVE
+_NODEWISE = frozenset(NODEWISE_OPS)
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,7 @@ class QueryFrontend:
         self.cfg = cfg if cfg is not None else ServeConfig()
         self.obs = obs if obs is not None else Observability(
             clock=lambda: cluster.engine.now)
-        self.admission = AdmissionController(self.cfg)
+        self.admission = AdmissionController(self.cfg, cluster.entities)
         self.cpu = Resource()
         self.cached = CachedQueries(queries, self.cfg.cache_capacity,
                                     verify=self.cfg.verify_cache,
@@ -163,6 +168,7 @@ class QueryFrontend:
                   if q is QoSClass.INTERACTIVE else self.cfg.batch_window_s,
                   reg)
             for q in QoSClass)
+        self._interactive = self._lane(_INTERACTIVE)
         self._c_submitted = reg.counter("serve.submitted")
         self._c_rejected = {r: reg.counter("serve.rejected", reason=r.value)
                             for r in RejectReason}
@@ -171,6 +177,9 @@ class QueryFrontend:
         self._c_executions = reg.counter("serve.executions")
 
     # -- submission ----------------------------------------------------------------
+    # Counters and gauges on the request path are bumped as attribute
+    # writes (``c.value += 1``, ``g.value = float(n)``): the same values
+    # ``inc``/``set`` leave, at every event boundary, without the calls.
 
     def _lane(self, qos: QoSClass) -> _Lane:
         for lane in self._lanes:
@@ -187,26 +196,26 @@ class QueryFrontend:
         ``submit`` returns, with a :class:`Rejected` answer); admitted
         requests complete via the event loop when their batch drains.
         """
-        lane = self._lane(qos)
+        lane = self._interactive if qos is _INTERACTIVE else self._lane(qos)
         now = self.sim.now
         if self.t_first_submit is None:
             self.t_first_submit = now
-        req = Request(op, tuple(args), qos, issuing_node, client_id, now,
-                      on_done)
-        self._c_submitted.inc()
+        req = Request(op, args if type(args) is tuple else tuple(args), qos,
+                      issuing_node, client_id, now, on_done)
+        self._c_submitted.value += 1
         queue = lane.queue
         verdict = self.admission.admit(req, len(queue), now)
         if verdict is not None:
-            self._c_rejected[verdict.reason].inc()
+            self._c_rejected[verdict.reason].value += 1
             if on_done is not None:
                 on_done(Response(req, verdict, now))
             return req
-        lane.c_admitted.inc()
+        lane.c_admitted.value += 1
         queue.append(req)
-        lane.g_depth.set(len(queue))
+        lane.g_depth.value = float(len(queue))
         if not lane.drain_pending:
             lane.drain_pending = True
-            self.sim.after(lane.window, self._drain, lane)
+            self.sim.at(now + lane.window, self._drain, lane)
         return req
 
     # -- batch drain ---------------------------------------------------------------
@@ -226,9 +235,9 @@ class QueryFrontend:
             # fresh window rather than growing this batch unboundedly.
             batch = [queue.popleft() for _ in range(max_batch)]
             lane.drain_pending = True
-            self.sim.after(lane.window, self._drain, lane)
-        lane.g_depth.set(len(queue))
-        self._c_batches.inc()
+            self.sim.at(now + lane.window, self._drain, lane)
+        lane.g_depth.value = float(len(queue))
+        self._c_batches.value += 1
 
         # Coalesce: requests with equal (op, args) share one execution.
         groups: dict[tuple, list[Request]] = {}
@@ -242,10 +251,10 @@ class QueryFrontend:
         n = len(batch)
         coalesced = n - len(groups)
         if coalesced:
-            self._c_coalesced.inc(coalesced)
+            self._c_coalesced.value += coalesced
 
         slots, svc, n_exec = self._answer_groups(groups)
-        self._c_executions.inc(n_exec)
+        self._c_executions.value += n_exec
         done = self.cpu.submit(now, svc)
         tracer = self.obs.tracer
         if tracer.enabled:
@@ -253,14 +262,19 @@ class QueryFrontend:
                 "serve.batch", now, done, node=self.cfg.frontend_node,
                 phase="serve", qos=lane.qos.value, n=n,
                 coalesced=coalesced, executions=n_exec)
+        # tuple.__new__ builds the NamedTuple without its Python __new__.
         responses = [
-            Response(req, result, done, done - req.t_submit, hit, follower, n)
+            _new_tuple(Response, (req, result, done, done - req.t_submit, hit,
+                                  follower, n))
             for req, result, hit, follower in slots]
-        self.sim.after(done - now, self._complete, lane, done, responses)
+        # `now + (done - now)`, not `done`: the two can differ by an ulp,
+        # and this sum is the completion instant the sim goldens pin.
+        self.sim.at(now + (done - now), self._complete, lane, done,
+                    responses)
 
     def _answer_groups(self, groups):
         """Answer each key group; returns (slots, service_time, n_exec),
-        ``slots`` holding one ``[request, QueryResult, hit, follower]`` per
+        ``slots`` holding one ``(request, QueryResult, hit, follower)`` per
         request in completion order: groups as first seen, arrival order
         within a group, ``follower`` true for all but a group's first.
 
@@ -269,23 +283,23 @@ class QueryFrontend:
         issuing_node)`` — the latency field depends on the issuing node,
         and same-key requests from the same node ride along free — then
         one ``bulk_answers`` fill per node-wise op over its misses, which
-        writes the answers into the slots left open for them.
+        writes the answers into the slots (lists, not tuples) left open
+        for them.
         """
-        slots: list[list] = []
+        slots: list = []
         n_hits = 0          # cache lookups that hit (one per cache key)
         n_exec = 0
         nodewise_max = 0.0  # node-wise executions fan out in parallel
         collective_sum = 0.0  # collective executions run serially
         # Node-wise misses, per op: (args, issuing node, the token the
         # lookup missed on, waiting slots).
-        misses: dict[str, list[tuple[tuple, int, tuple, list[list]]]] = {
-            op: [] for op in NODEWISE_OPS}
+        misses: dict[str, list[tuple[tuple, int, tuple, Sequence[list]]]] = {}
         lookup = self.cached.lookup
         # Those tokens stay good while this stands still (CachedQueries.store).
         as_of = self.engine.membership.global_epoch
 
         for (op, args), reqs in groups.items():
-            if not OPS[op].nodewise:
+            if op not in _NODEWISE:
                 result, hit = self.cached.query(op, args)
                 if hit:
                     n_hits += 1
@@ -294,8 +308,21 @@ class QueryFrontend:
                     collective_sum += result.latency
                 follower = False
                 for r in reqs:
-                    slots.append([r, result, hit, follower])
+                    slots.append((r, result, hit, follower))
                     follower = True
+                continue
+            if len(reqs) == 1:
+                # One request: one lookup, no per-node bookkeeping.
+                r = reqs[0]
+                token, result = lookup(op, args, r.issuing_node)
+                if result is None:
+                    slot = [r, None, False, False]
+                    misses.setdefault(op, []).append(
+                        (args, r.issuing_node, token, (slot,)))
+                else:
+                    n_hits += 1
+                    slot = (r, result, True, False)
+                slots.append(slot)
                 continue
             # One lookup per distinct issuing node, at its first request:
             # node -> (cached answer, None) or (None, slots its miss fills).
@@ -308,19 +335,24 @@ class QueryFrontend:
                     token, result = lookup(op, args, node)
                     if result is None:
                         cell = by_node[node] = (None, [])
-                        misses[op].append((args, node, token, cell[1]))
+                        misses.setdefault(op, []).append(
+                            (args, node, token, cell[1]))
                     else:
                         n_hits += 1
                         cell = by_node[node] = (result, None)
                 result, waiting = cell
-                slot = [r, result, waiting is None, follower]
-                if waiting is not None:
+                if waiting is None:
+                    slot = (r, result, True, follower)
+                else:
+                    slot = [r, None, False, follower]
                     waiting.append(slot)
                 slots.append(slot)
                 follower = True
 
-        for op, waiting in misses.items():
-            if not waiting:
+        # Fills in op-table order, whatever order the misses arrived in.
+        for op in NODEWISE_OPS:
+            waiting = misses.get(op)
+            if waiting is None:
                 continue
             results = bulk_answers(
                 self.engine, self.cost, op,
@@ -341,12 +373,10 @@ class QueryFrontend:
 
     def _complete(self, lane: _Lane, done: float,
                   responses: list[Response]) -> None:
-        lane.c_completed.inc(len(responses))
+        lane.c_completed.value += len(responses)
         if done > self.t_last_done:
             self.t_last_done = done
-        observe = lane.h_latency.observe
-        for resp in responses:
-            observe(resp.latency_s)
+        lane.h_latency.observe_many([resp.latency_s for resp in responses])
         for resp in responses:
             on_done = resp.request.on_done
             if on_done is not None:

@@ -72,13 +72,23 @@ class SimEngine:
             self._running = False
 
     def _run(self, until: float | None, max_events: int | None) -> float:
+        heap = self._heap
+        if until is None and max_events is None:
+            # Run to empty: one pop per event, nothing to peek at first.
+            pop = heapq.heappop
+            while heap:
+                time, _seq, fn, args = pop(heap)
+                self._now = time
+                fn(*args)
+                self._events_run += 1
+            return self._now
         fired = 0
-        while self._heap:
-            time, _seq, fn, args = self._heap[0]
+        while heap:
+            time, _seq, fn, args = heap[0]
             if until is not None and time > until:
                 self._now = until
                 return self._now
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             self._now = time
             fn(*args)
             self._events_run += 1

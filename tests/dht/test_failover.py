@@ -90,6 +90,21 @@ class TestFailover:
         assert membership.refresh_failed() == []   # already processed
         assert concord.coverage == pytest.approx(3 / 4)
 
+    def test_refresh_failed_skips_the_ring_while_every_nic_is_up(
+            self, monkeypatch):
+        cluster, _ents, concord = make_tracked()
+        membership = concord.tracing.membership
+        walked = []
+        is_alive = membership.partition.is_alive
+        monkeypatch.setattr(membership.partition, "is_alive",
+                            lambda n: walked.append(n) or is_alive(n))
+        epoch = membership.global_epoch
+        assert membership.refresh_failed() == []
+        assert not walked and membership.global_epoch == epoch
+        cluster.network.set_node_up(1, False)
+        assert membership.refresh_failed() == [1]
+        assert walked
+
     def test_live_shards_lazily_detects(self):
         cluster, _ents, concord = make_tracked()
         cluster.network.set_node_up(0, False)

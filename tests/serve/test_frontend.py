@@ -151,6 +151,42 @@ class TestServing:
             q.num_copies(h, 0), q.sharing(list(eids))]
         assert fe.pending == 0
 
+    def test_unknown_entity_id_rejected_without_hurting_the_batch(self):
+        # An entity id the cluster does not have used to be admitted and
+        # raise KeyError from the drain's node lookup, aborting
+        # engine.run() and every request drained with it.
+        cluster, _c, q, fe, h = build()
+        eids = tuple(sorted(cluster.all_entity_ids()))
+        good, bad = [], []
+        fe.submit("sharing", (eids,), on_done=good.append)
+        for op, args in [("sharing", ((10**9,),)),
+                         ("num_shared_content", ((eids[0], 10**9), 2)),
+                         ("degree_of_sharing", ((len(eids),),))]:
+            fe.submit(op, args, on_done=bad.append)
+        fe.submit("num_copies", (h,), on_done=good.append)
+        assert len(bad) == 3  # answered synchronously
+        assert all(r.rejected and r.answer.reason is RejectReason.BAD_REQUEST
+                   for r in bad)
+        cluster.engine.run()
+        assert [r.answer for r in good] == [
+            q.sharing(list(eids)), q.num_copies(h, 0)]
+        assert fe.pending == 0
+
+    def test_collective_query_fails_over_a_node_whose_nic_is_down(self):
+        # Detection is lazy: with a NIC down but no routed request to
+        # notice it, the next collective query's refresh_failed must still
+        # fail the node over, exactly as the uncached query does.
+        cluster, concord, q, fe, _h = build()
+        eids = tuple(sorted(cluster.all_entity_ids()))
+        drain(cluster, fe, [("sharing", (eids,), {})])   # cached, all up
+        cluster.network.set_node_up(2, False)
+        assert concord.tracing.stats.failovers == 0
+        (resp,) = drain(cluster, fe, [("sharing", (eids,), {})])
+        assert concord.tracing.stats.failovers == 1
+        assert not resp.cache_hit
+        assert resp.answer.coverage < 1.0
+        assert resp.answer == q.sharing(list(eids))
+
     def test_integer_typed_arguments_of_any_width_are_admitted(self):
         cluster, _c, q, fe, h = build()
         eids = sorted(cluster.all_entity_ids())
