@@ -322,7 +322,7 @@ class TestEpochInvariant:
         for c, e in ((cluster, engine), (ref_cluster, ref_engine)):
             c.network.set_node_up(home, False)     # no node_failed()
             e.shards[home].crash()
-        token, _result = cached.cache.peek(("num_copies", h, 0))
+        token, _result = cached.cache._map[("num_copies", h, 0)]
         m = engine.membership
         assert token == (home, m.shard_epoch(home))   # epoch unmoved
         assert m.partition.is_alive(home)             # undetected
