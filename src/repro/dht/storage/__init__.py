@@ -13,11 +13,11 @@ import shutil
 import tempfile
 import weakref
 
-from repro.dht.storage.base import BACKENDS, StorageConfig, StorageState
+from repro.dht.storage.base import BACKENDS, StorageConfig
 from repro.dht.storage.mmapseg import MmapSegmentStorage
 
 __all__ = [
-    "BACKENDS", "StorageConfig", "StorageState", "MmapSegmentStorage",
+    "BACKENDS", "StorageConfig", "MmapSegmentStorage",
     "StorageSet", "open_storage",
 ]
 

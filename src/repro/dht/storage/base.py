@@ -1,10 +1,10 @@
-"""Shard storage configuration and the snapshot a shard commits.
+"""Shard storage configuration.
 
-The columnar DHT shard (docs/ARCHITECTURE.md, PR 1) keeps its packed
-state as two parallel sorted ``uint64`` arrays plus tiny sparse side
-tables.  A :class:`StorageState` is exactly that state; the table hands
-one to its storage at every packed-column merge (``commit``) and adopts
-whatever array views come back — so the live columns can stay
+The columnar DHT shard (docs/ARCHITECTURE.md) keeps its packed state as
+one frozen :class:`~repro.dht.generation.Generation`: two parallel sorted
+``uint64`` columns plus the overflow columns and tiny side tables.  The
+table hands each new generation to its storage (``commit``) and keeps
+the file-backed copy that comes back — so the live columns can stay
 file-backed (``np.memmap``) and the dataset stops being bounded by RAM.
 
 Two settings (docs/STORAGE.md):
@@ -13,12 +13,12 @@ Two settings (docs/STORAGE.md):
   live arrays *are* the state and a restarted process starts cold.  The
   default.
 * ``mmap`` — :class:`~repro.dht.storage.mmapseg.MmapSegmentStorage`, one
-  columnar segment file per shard in the ``ShardColumns`` layout
-  (``[hashes | masks]``, ``2n`` little-endian u64), atomically replaced
-  per commit, mapped back read-only.  ShardPool workers memmap the same
-  segment zero-copy.
+  segment file per committed generation, in the generation's own codec
+  (``[hashes | masks | extra hashes | extra entities | extra counts]``,
+  little-endian u64), atomically replaced per commit, mapped back
+  read-only.  ShardPool workers map the same segment zero-copy.
 
-Durability model: a commit happens at every packed-column mutation
+Durability model: a commit happens at every new generation
 (delta-overlay compaction, bulk write-back, range eviction, entity
 purge) and on an explicit ``LocalDHT.flush()``.  Point updates buffered
 in the delta overlay are *not* durable until one of those — the warm-
@@ -31,11 +31,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.util.env import env_default
 
-__all__ = ["StorageState", "StorageConfig", "BACKENDS"]
+__all__ = ["StorageConfig", "BACKENDS"]
 
 #: Valid values of ``StorageConfig.backend`` / ``$CONCORD_STORAGE``.
 BACKENDS = ("memory", "mmap")
@@ -84,22 +82,3 @@ class StorageConfig:
         """Whether commits produce durable on-disk state."""
         return self.backend != "memory"
 
-
-@dataclass
-class StorageState:
-    """One shard's complete columnar state, as handed to ``commit``.
-
-    ``ph``/``pm`` are the packed sorted hash/low-mask columns; ``wide``
-    and ``extra`` the sparse side tables (hash -> mask >> 64, and
-    hash -> {entity: extra copies}); ``epoch`` the shard's update epoch
-    at commit time (docs/SERVING.md), persisted so a warm restart can
-    resume a monotone epoch sequence.
-    """
-
-    ph: np.ndarray
-    pm: np.ndarray
-    wide: dict[int, int]
-    extra: dict[int, dict[int, int]]
-    n_hashes: int
-    n_copies: int
-    epoch: int = 0

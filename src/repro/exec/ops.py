@@ -2,13 +2,13 @@
 
 Every function here is a *pure* map over one shard: it takes a
 :class:`~repro.dht.table.LocalDHT` (the coordinator's real shard on the
-serial path, a worker's read-only :class:`~repro.dht.table.ShardColumns`
-attachment on the parallel path) plus plain-data arguments, and returns a
+serial path, the frozen :class:`~repro.dht.generation.Generation` it was
+published at on a worker) plus plain-data arguments, and returns a
 plain picklable result.  No function mutates shard state or touches the
 sim clock — all state mutation and clock advance stay on the coordinator.
 
 This module is an import leaf (NumPy, stdlib, and the mask decode of
-:mod:`repro.dht.table`, which a worker loads anyway to attach its shard)
+:mod:`repro.dht.table`, which a worker loads anyway to map its shard)
 so workers can unpickle these functions by reference without dragging the
 engine, the sim, or the query layer into the child process, and so every
 layer above can import it without cycles.  :class:`SharingBreakdown`

@@ -3,12 +3,13 @@
 The parallel execution backend of docs/PARALLEL.md.  The discrete-event
 sim stays the single-threaded *coordination* layer; CPU-heavy per-shard
 work (scans, collective-phase reductions, repair routing) fans out to a
-pool of worker processes.  Workers see each shard through a
-:class:`~repro.dht.table.ShardColumns` snapshot: the packed NumPy columns
-live in a segment file (on ``/dev/shm`` where available, so "file" means
-shared memory pages) that workers map read-only with ``np.memmap`` —
-publishing a shard costs one ``tofile`` on the coordinator and zero
-copies per worker thereafter.
+pool of worker processes.  Workers see each shard as the frozen
+:class:`~repro.dht.generation.Generation` it was published at.  A
+file-backed generation (an mmap shard's last commit) ships as its path;
+any other is first saved through the same segment codec into the pool's
+segment dir (on ``/dev/shm`` where available, so "file" means shared
+memory pages).  A worker maps the file read-only — publishing a shard
+costs at most one write on the coordinator and zero copies per worker.
 
 Determinism rule: results are always gathered and reduced in
 **shard-index (submission) order**, never completion order, and workers
@@ -30,7 +31,8 @@ import tempfile
 import weakref
 from collections.abc import Callable, Sequence
 
-from repro.dht.table import LocalDHT, ShardColumns
+from repro.dht.generation import Generation
+from repro.dht.table import LocalDHT
 
 __all__ = ["ShardPool", "DEFAULT_MIN_ROWS", "sweep_stale_segments"]
 
@@ -41,29 +43,10 @@ DEFAULT_MIN_ROWS = 32768
 
 # -- worker side --------------------------------------------------------------------
 
-# Per-worker attachment cache: node -> (segment path, attached table).
-# A shard the pool re-publishes gets a fresh segment path, so the path
-# doubles as the version token; stale attachments are dropped on first
-# sight.  A storage-owned (shared) segment's path is no such token: it
-# names the last commit's columns, while the side tables that travel
-# inline can change without a commit — so those views attach anew.
-_ATTACHED: dict[int, tuple[str, LocalDHT]] = {}
-
-
-def _attach(view: ShardColumns) -> LocalDHT:
-    if view.path is None or view.shared:
-        return view.attach()
-    cached = _ATTACHED.get(view.node_id)
-    if cached is not None and cached[0] == view.path:
-        return cached[1]
-    table = view.attach()
-    _ATTACHED[view.node_id] = (view.path, table)
-    return table
-
-
-def _shard_call(fn: Callable, view: ShardColumns, args: tuple):
-    """Worker entry for map_shards: attach the view, run the kernel."""
-    return fn(_attach(view), *args)
+def _shard_call(fn: Callable, gen: Generation, args: tuple):
+    """Worker entry for map_shards: run the kernel on the shipped
+    generation (unpickling a file-backed one mapped its segment)."""
+    return fn(gen, *args)
 
 
 def _task_call(fn: Callable, args: tuple):
@@ -156,8 +139,8 @@ class ShardPool:
         self.min_rows = min_rows
         self._start_method = start_method
         self._segment_root = segment_dir
-        # node -> (version key, published view); version key None = never reuse
-        self._published: dict[int, tuple[object, ShardColumns]] = {}
+        # node -> (version key, published generation); key None = never reuse
+        self._published: dict[int, tuple[object, Generation]] = {}
         self._seq = 0
         # Mutable holder the finalizer can reach without keeping self alive.
         self._state: dict = {}
@@ -211,26 +194,28 @@ class ShardPool:
 
     # -- publishing --------------------------------------------------------------
 
-    def _publish(self, table: LocalDHT, version: object) -> ShardColumns:
-        """Export a shard to a segment file, reusing the previous export
-        when the (table identity, version) key is unchanged."""
+    def _publish(self, table: LocalDHT, version: object) -> Generation:
+        """A file-backed generation of the shard, reusing the previous
+        one when the (table identity, version) key is unchanged."""
         key = None if version is None else (id(table), version)
         cached = self._published.get(table.node_id)
         if cached is not None and key is not None and cached[0] == key:
             return cached[1]
-        self._seq += 1
-        path = os.path.join(self._segment_dir(),
-                            f"shard{table.node_id}.{self._seq}.u64")
-        view = table.export_columns(path)
-        # A shared view references the shard's own storage segment — the
-        # storage backend owns that file; never unlink it from here.
-        if cached is not None and cached[1].path and not cached[1].shared:
+        gen = table.generation()
+        if gen.path is None:
+            self._seq += 1
+            gen = gen.save(os.path.join(
+                self._segment_dir(), f"shard{table.node_id}.{self._seq}.seg"))
+        # Only the pool's own copies are unlinked here: a storage
+        # backend owns its committed segments.
+        old = cached[1].path if cached is not None else None
+        if old is not None and os.path.dirname(old) == self._state.get("dir"):
             try:
-                os.unlink(cached[1].path)
+                os.unlink(old)
             except OSError:
                 pass
-        self._published[table.node_id] = (key, view)
-        return view
+        self._published[table.node_id] = (key, gen)
+        return gen
 
     # -- the MapReduce primitive ---------------------------------------------------
 
@@ -276,11 +261,11 @@ class ShardPool:
             procs = self._procs()
             pending = []
             for i, s in enumerate(shards):
-                view = self._publish(
+                gen = self._publish(
                     s, versions[i] if versions is not None else None)
                 a = per[i] if per is not None else args
                 pending.append(procs.apply_async(_shard_call,
-                                                 (map_fn, view, a)))
+                                                 (map_fn, gen, a)))
             # Gather strictly in submission (= shard-index) order.
             results = [p.get() for p in pending]
 
@@ -298,7 +283,7 @@ class ShardPool:
                   work: int | None = None) -> list:
         """``fn(*task)`` for each task, results in task order.
 
-        For pure functions over plain-data arguments (no shard views).
+        For pure functions over plain-data arguments (no shards).
         ``work`` is an optional size hint compared against ``min_rows``;
         small jobs run inline.
         """

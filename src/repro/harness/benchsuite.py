@@ -512,7 +512,7 @@ def _bench_storage_commit_points(ctx: BenchContext) -> None:
                 ctx.record(f"gen{seen:02d}.state", _digest((
                     s.ph.tolist(), s.pm.tolist(), sorted(s.wide.items()),
                     sorted((h, sorted(ex.items()))
-                           for h, ex in s.extra.items()),
+                           for h, ex in s.overflow().items()),
                     s.n_hashes, s.n_copies, s.epoch)))
         ctx.record("n_hashes", table.n_hashes)
         ctx.record("n_copies", table.n_copies)

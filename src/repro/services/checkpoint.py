@@ -299,55 +299,56 @@ class CheckpointStore:
 
         Files carry each block's content ID explicitly, and interned chunk
         bytes are re-registered so :func:`materialize_page` renders them
-        again.  The v1 container (``CCSH``/``CCSE``: fixed ``page_size``
-        blocks, content ID recovered from the page header), which no
-        writer produces any more, still loads.
+        again.  A file whose magic is not the ``CCS2``/``CCE2`` container,
+        or that ends before what its headers declare, raises ValueError
+        naming it — nothing truncated is registered.
         """
         d = Path(path)
-        with open(d / "shared.bin", "rb") as fh:
-            magic = fh.read(4)
-            if magic not in (cls._SHARED_MAGIC, b"CCSH"):
+        shared = d / "shared.bin"
+        with open(shared, "rb") as fh:
+            if _exact(fh, 4, shared) != cls._SHARED_MAGIC:
                 raise ValueError("bad shared content file magic")
-            v2 = magic == cls._SHARED_MAGIC
-            page_size, n_blocks = struct.unpack("<IQ", fh.read(12))
+            page_size, n_blocks = _unpack(fh, "<IQ", shared)
             store = cls(page_size, compress_fraction)
             for _ in range(n_blocks):
-                if v2:
-                    cid, length = struct.unpack("<QI", fh.read(12))
-                    data = fh.read(length)
-                    if is_interned_id(cid):
-                        register_chunk(cid, data)
-                else:
-                    page = fh.read(page_size)
-                    cid = int.from_bytes(page[:8], "little")
+                cid, length = _unpack(fh, "<QI", shared)
+                data = _exact(fh, length, shared)
+                if is_interned_id(cid):
+                    register_chunk(cid, data)
                 store.shared.append(page_hash(cid), cid)
         for ckpt in sorted(d.glob("entity_*.ckpt")):
             with open(ckpt, "rb") as fh:
-                magic = fh.read(4)
-                if magic not in (cls._SE_MAGIC, b"CCSE"):
+                if _exact(fh, 4, ckpt) != cls._SE_MAGIC:
                     raise ValueError(f"bad SE file magic in {ckpt}")
-                se_v2 = magic == cls._SE_MAGIC
-                eid, psize, n_records = struct.unpack("<IIQ", fh.read(16))
+                eid, psize, n_records = _unpack(fh, "<IIQ", ckpt)
                 if psize != page_size:
                     raise ValueError("page size mismatch between files")
                 f = store.se_file(eid)
                 for _ in range(n_records):
-                    kind = fh.read(1)[0]
-                    if kind == 0:
-                        idx, h, off = struct.unpack("<IQQ", fh.read(20))
-                        f.add_pointer(idx, h, off)
-                    elif se_v2:
-                        idx, h, cid, length = struct.unpack("<IQQI",
-                                                            fh.read(24))
-                        data = fh.read(length)
-                        if is_interned_id(cid):
-                            register_chunk(cid, data)
-                        f.add_data(idx, h, cid)
-                    else:
-                        idx, h, length = struct.unpack("<IQI", fh.read(16))
-                        page = fh.read(length)
-                        f.add_data(idx, h, int.from_bytes(page[:8], "little"))
+                    if _exact(fh, 1, ckpt)[0] == 0:
+                        f.add_pointer(*_unpack(fh, "<IQQ", ckpt))
+                        continue
+                    idx, h, cid, length = _unpack(fh, "<IQQI", ckpt)
+                    data = _exact(fh, length, ckpt)
+                    if is_interned_id(cid):
+                        register_chunk(cid, data)
+                    f.add_data(idx, h, cid)
         return store
+
+
+def _exact(fh, n: int, path: Path) -> bytes:
+    """The next ``n`` bytes of a checkpoint file; ValueError naming it
+    when the file ends first."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: truncated, {len(data)} of {n} bytes "
+                         "left where its header declares more")
+    return data
+
+
+def _unpack(fh, fmt: str, path: Path) -> tuple:
+    """One header record of a checkpoint file, read exactly."""
+    return struct.unpack(fmt, _exact(fh, struct.calcsize(fmt), path))
 
 
 def _restore_records(store: CheckpointStore, entity_id: int,

@@ -12,6 +12,8 @@ RAM-only one.
 
 import json
 import os
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,9 @@ from repro.dht.storage import (
     BACKENDS,
     MmapSegmentStorage,
     StorageConfig,
-    StorageState,
     open_storage,
 )
+from repro.dht.generation import Generation, overflow_columns
 from repro.dht.table import LocalDHT
 
 PERSISTENT = tuple(b for b in BACKENDS if b != "memory")
@@ -36,19 +38,25 @@ def make_storage(backend, root, node=0):
 
 
 def sample_state(epoch=7):
-    return StorageState(
+    return Generation(
         ph=np.array([3, 9, 20, 77], dtype=np.uint64),
         pm=np.array([1, 3, 1 << 63, 5], dtype=np.uint64),
         wide={9: 0b101},                  # holders at entities 64 and 66
-        extra={20: {0: 2}},               # entity 0 holds 3 copies of 20
+        extra=overflow_columns({20: {0: 2}}),  # entity 0: 3 copies of 20
         n_hashes=4, n_copies=11, epoch=epoch)
 
 
-def assert_states_equal(a: StorageState, b: StorageState) -> None:
+def one_row(epoch):
+    return replace(sample_state(epoch), ph=np.array([42], dtype=np.uint64),
+                   pm=np.array([1], dtype=np.uint64), wide={},
+                   extra=overflow_columns({}), n_hashes=1, n_copies=1)
+
+
+def assert_states_equal(a: Generation, b: Generation) -> None:
     assert np.array_equal(a.ph, b.ph)
     assert np.array_equal(a.pm, b.pm)
     assert a.wide == b.wide
-    assert a.extra == b.extra
+    assert a.overflow() == b.overflow()
     assert (a.n_hashes, a.n_copies, a.epoch) == \
         (b.n_hashes, b.n_copies, b.epoch)
 
@@ -117,13 +125,7 @@ class TestBackendContract:
     def test_last_commit_wins(self, backend, tmp_path):
         st = make_storage(backend, tmp_path)
         st.commit(sample_state(epoch=1))
-        newer = sample_state(epoch=2)
-        newer.ph = np.array([42], dtype=np.uint64)
-        newer.pm = np.array([1], dtype=np.uint64)
-        newer.wide = {}
-        newer.extra = {}
-        newer.n_hashes, newer.n_copies = 1, 1
-        st.commit(newer)
+        st.commit(one_row(epoch=2))
         loaded = make_storage(backend, tmp_path).load()
         assert loaded.ph.tolist() == [42] and loaded.epoch == 2
 
@@ -137,36 +139,31 @@ class TestBackendContract:
     @pytest.mark.parametrize("backend", PERSISTENT)
     def test_empty_commit_roundtrips(self, backend, tmp_path):
         st = make_storage(backend, tmp_path)
-        empty = StorageState(ph=np.empty(0, dtype=np.uint64),
-                             pm=np.empty(0, dtype=np.uint64),
-                             wide={}, extra={}, n_hashes=0, n_copies=0,
-                             epoch=3)
-        st.commit(empty)
+        empty = Generation.load(None, 0, 0, {}, 0, 0, epoch=3)
+        assert st.commit(empty).path is None     # nothing to write
         loaded = make_storage(backend, tmp_path).load()
         assert loaded is not None
         assert len(loaded.ph) == 0 and loaded.epoch == 3
 
     def test_mmap_segment_path_is_the_export_format(self, tmp_path):
         st = MmapSegmentStorage(tmp_path, 0)
-        assert st.segment_path() is None
         state = sample_state()
-        st.commit(state)
-        path = st.segment_path()
-        assert path is not None
-        raw = np.fromfile(path, dtype=np.uint64)
+        committed = st.commit(state)
+        raw = np.fromfile(committed.path, dtype=np.uint64)
         n = len(state.ph)
-        # [hashes | masks] is the export; the overflow columns follow it.
+        # [hashes | masks], then the overflow columns: one codec for the
+        # commit and for what the pool ships.
         assert raw[:n].tolist() == state.ph.tolist()
         assert raw[n:2 * n].tolist() == state.pm.tolist()
         assert raw[2 * n:].tolist() == [20, 0, 2]   # hashes|entities|counts
-        assert st.committed_rows == n
+        shipped = pickle.loads(pickle.dumps(committed))
+        assert shipped.path == committed.path
+        assert_states_equal(shipped, state)
 
     def test_mmap_commit_is_atomic_per_generation(self, tmp_path):
         st = MmapSegmentStorage(tmp_path, 0)
-        st.commit(sample_state(epoch=1))
-        first = st.segment_path()
-        st.commit(sample_state(epoch=2))
-        second = st.segment_path()
+        first = st.commit(sample_state(epoch=1)).path
+        second = st.commit(sample_state(epoch=2)).path
         assert first != second          # fresh generation, atomic rename
         assert not os.path.exists(first)  # old generation reaped
 
@@ -176,26 +173,24 @@ class TestBackendContract:
         the meta file names it: the previous generation still loads
         whole, and the next commit goes through."""
         st = MmapSegmentStorage(tmp_path, 0)
-        st.commit(sample_state(epoch=1))
-        first = st.segment_path()
-        newer = sample_state(epoch=2)
-        newer.ph = np.array([42], dtype=np.uint64)
-        newer.pm = np.array([1], dtype=np.uint64)
-        replace = os.replace
+        first = st.commit(sample_state(epoch=1)).path
+        newer = one_row(epoch=2)
+        real_replace = os.replace
 
         def meta_replace_fails(src, dst):
             if str(dst).endswith(".meta.json"):
                 raise OSError("torn before the meta rename")
-            replace(src, dst)
+            real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", meta_replace_fails)
         with pytest.raises(OSError, match="torn"):
             st.commit(newer)
         assert len(list(tmp_path.glob("shard0.*.seg"))) == 2  # new is on disk
         for reader in (MmapSegmentStorage(tmp_path, 0), st):
-            assert_states_equal(reader.load(), sample_state(epoch=1))
-            assert reader.segment_path() == first
-        monkeypatch.setattr(os, "replace", replace)
+            loaded = reader.load()
+            assert_states_equal(loaded, sample_state(epoch=1))
+            assert loaded.path == first
+        monkeypatch.setattr(os, "replace", real_replace)
         st.commit(newer)
         assert_states_equal(MmapSegmentStorage(tmp_path, 0).load(), newer)
         # The retry reused the torn generation: nothing is left orphaned.
@@ -238,7 +233,7 @@ class TestDamagedRootColdStarts:
         t.flush()
         assert t.n_multicopy_entries and t.items_arrays()[2]
         assert store.generation == 2
-        return Path(store.segment_path()), root / "shard0.meta.json"
+        return Path(t.generation().path), root / "shard0.meta.json"
 
     def assert_cold_start(self, root):
         store = MmapSegmentStorage(root, 0)
@@ -248,7 +243,7 @@ class TestDamagedRootColdStarts:
         populate(t)
         t.flush()
         assert sorted(root.glob("shard0.*.seg")) == \
-            [Path(store.segment_path())]
+            [Path(t.generation().path)]
         want = shard_state(t)
         again = LocalDHT(0, MmapSegmentStorage(root, 0))
         assert again.recovered is True
@@ -383,19 +378,21 @@ class TestLocalDHTOnBackends:
             s.close()
 
     @pytest.mark.parametrize("backend", PERSISTENT)
-    def test_export_columns_shares_the_committed_segment(self, backend,
-                                                         tmp_path):
+    def test_generation_shares_the_committed_segment(self, backend,
+                                                     tmp_path):
         cfg = StorageConfig(backend=backend, root=str(tmp_path))
         store = open_storage(cfg, 1)
         t = LocalDHT(0, storage=store.shards[0])
         populate(t)
         t.flush()
-        view = t.export_columns()
-        # Zero-copy: the export IS the storage's current segment.
-        assert view.shared is True
-        assert view.path == store.shards[0].segment_path()
-        attached = view.attach()
-        assert shard_state(attached) == shard_state(t)
+        # Zero-copy: what the pool ships IS the storage's last commit.
+        gen = t.generation()
+        assert gen.path == store.shards[0].load().path
+        shipped = pickle.loads(pickle.dumps(gen))
+        assert shipped.path == gen.path
+        hs, lo, wide = shipped.se_scan((1 << 80) - 1)
+        assert (hs.tolist(), lo.tolist(), wide, shipped.overflow(),
+                shipped.n_hashes, shipped.n_copies) == shard_state(t)
         store.close()
 
     def test_storage_set_ephemeral_root_removed_on_close(self):

@@ -1,6 +1,6 @@
 """Picklability audit of everything the pool ships across processes.
 
-Workers receive kernel functions, shard views, and plain-data args by
+Workers receive kernel functions, shard generations, and plain-data args by
 pickle; benchmark specs must survive it too so a spawn-method pool (or a
 future remote runner) can execute them.  A closure sneaking into any of
 these objects fails here, not in a worker traceback.
@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.core.config import ConCORDConfig
 from repro.dht.partition import Partition
-from repro.dht.table import ShardColumns
 from repro.exec import ops
 from repro.harness.benchsuite import build_default_runner
 from repro.serve.config import ServeConfig
@@ -38,18 +37,19 @@ class TestConfigsPickle:
 class TestShardColumnsPickle:
     def test_inline_view(self):
         t = make_table()
-        view = roundtrip(t.export_columns())
-        assert view.attach().n_hashes == t.n_hashes
+        gen = roundtrip(t.generation())
+        assert gen.n_hashes == t.n_hashes
+        assert np.array_equal(gen.se_scan(255)[0], t.se_scan(255)[0])
 
     def test_file_backed_view(self, tmp_path):
         t = make_table()
-        view = roundtrip(t.export_columns(str(tmp_path / "s.u64")))
-        # Arrays live in the segment file, not the pickle: the shipped
-        # descriptor must stay O(1) no matter the shard size.
-        assert len(pickle.dumps(view)) < 4096
-        attached = view.attach()
-        assert attached.n_hashes == t.n_hashes
-        assert np.array_equal(attached.se_scan(255)[0], t.se_scan(255)[0])
+        gen = t.generation().save(str(tmp_path / "s.seg"))
+        # Arrays live in the segment file, not the pickle: a shipped
+        # file-backed generation stays O(1) no matter the shard size.
+        assert len(pickle.dumps(gen)) < 4096
+        got = roundtrip(gen)
+        assert got.n_hashes == t.n_hashes
+        assert np.array_equal(got.se_scan(255)[0], t.se_scan(255)[0])
 
 
 class TestKernelsPickle:

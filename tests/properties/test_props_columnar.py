@@ -4,6 +4,7 @@ equivalent to the per-item insert/remove/items() semantics, including the
 and the columnar overflow view (``extra_arrays``) and its three bulk
 readers agree with the per-item accessors after every kind of mutation."""
 
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -134,7 +135,7 @@ class TestWritePathThresholds:
                 assert got.ph.tolist() == ph.tolist()
                 assert got.pm.tolist() == pm.tolist()
                 assert got.wide == pw
-                assert got.extra == dict(col.extra_items())
+                assert got.overflow() == dict(col.extra_items())
                 assert (got.n_hashes, got.n_copies) == \
                     (col.n_hashes, col.n_copies)
         finally:
@@ -271,6 +272,22 @@ def _check_overflow_readers(dht, queries, s_eids, unselected):
         assert got == want
 
 
+def _check_generation_readers(dht, gen, queries, s_eids):
+    """A published generation answers every read as the live shard."""
+    assert (gen.n_hashes, gen.n_copies) == (dht.n_hashes, dht.n_copies)
+    assert list(gen.items()) == list(dht.items())
+    assert gen.overflow() == dict(dht.extra_items())
+    for a, b in zip(gen.extra_arrays(), dht.extra_arrays()):
+        assert a.tolist() == b.tolist()
+    q = np.asarray(queries, dtype=np.uint64)
+    assert gen.bulk_num_copies(q).tolist() == [dht.num_copies(h)
+                                               for h in queries]
+    s_mask = sum(1 << e for e in s_eids)
+    for a, b in zip(shard_in_s_copies(gen, s_mask),
+                    shard_in_s_copies(dht, s_mask)):
+        assert a == b if isinstance(a, dict) else a.tolist() == b.tolist()
+
+
 class TestOverflowView:
     @pytest.mark.parametrize("backend", ["memory", "mmap"])
     @given(st.lists(x_pair, min_size=12, max_size=40), steps,
@@ -290,10 +307,37 @@ class TestOverflowView:
                 _mutate(dht, name, arg)
                 if read_after:
                     _check_overflow_readers(dht, queries, s_eids, unselected)
-                    # What a pool worker sees: an attachment builds its
-                    # own view from the exported overflow.
-                    _check_overflow_readers(dht.export_columns().attach(),
-                                            queries, s_eids, unselected)
+                    # What a pool worker sees: the published generation,
+                    # through pickle.
+                    _check_generation_readers(
+                        dht, pickle.loads(pickle.dumps(dht.generation())),
+                        queries, s_eids)
             _check_overflow_readers(dht, queries, s_eids, unselected)
+        finally:
+            store.close()
+
+
+class TestHeldGenerationNeverChanges:
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_columns_a_reader_holds_survive_later_writes(self, backend):
+        """A merge builds the next generation; it never writes the one a
+        caller of ``items_arrays`` (or a pool worker) holds."""
+        store = open_storage(StorageConfig(backend=backend), 1)
+        try:
+            dht = LocalDHT(storage=store.shards[0])
+            h = np.arange(1, 5001, dtype=np.uint64) * np.uint64(7919)
+            dht.bulk_insert(h, 0)
+            ph, pm, _wide = dht.items_arrays()
+            held = dht.generation()
+            want = (ph.tolist(), pm.tolist())
+            dht.bulk_insert(h, 1)           # same rows: masks change
+            dht.insert(int(h[0]), 1)        # the overflow changes
+            now = dht.items_arrays()
+            assert now[1].tolist() == [3] * 5000
+            assert (ph.tolist(), pm.tolist()) == want
+            assert held.pm is pm and held.bulk_num_copies(h[:8]).tolist() \
+                == [1] * 8
+            with pytest.raises(ValueError):
+                pm[0] = 0                   # read-only, not just unchanged
         finally:
             store.close()

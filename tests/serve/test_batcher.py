@@ -155,7 +155,7 @@ class World:
 
     def shard_state(self):
         return [(s.n_hashes, s.n_copies, dict(s._delta),
-                 s._ph.tolist(), s._pm.tolist(), dict(s._pw))
+                 s._gen.ph.tolist(), s._gen.pm.tolist(), dict(s._gen.wide))
                 for s in self.engine.shards], self.persists
 
     @property

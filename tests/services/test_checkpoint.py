@@ -204,34 +204,34 @@ class TestOnDiskFormat:
             assert (restore_entity(loaded, e.entity_id)
                     == e.block_ids()).all()
 
-    def test_v1_container_still_loads(self, tmp_path):
-        """No writer produces CCSH/CCSE any more, so these hand-packed
-        bytes are what keeps the reader's v1 branch honest: fixed-size
-        blocks, content ID in the first 8 bytes of each page."""
-        page_size = 64
+    @pytest.mark.parametrize("cut", ["payload", "header"])
+    @pytest.mark.parametrize("name", ["shared.bin", "entity_4.ckpt"])
+    def test_truncated_file_raises_naming_it(self, tmp_path, name, cut):
+        """A file that ends before what its headers declare is refused
+        with a ValueError naming it, wherever the cut falls: 10 bytes
+        short (inside the last block's bytes) or inside the file header."""
+        store = CheckpointStore(page_size=64)
+        for cid in (101, 102):
+            store.shared.append(page_hash(cid), cid)
+        f = store.se_file(4)
+        f.add_pointer(0, page_hash(101), 0)
+        f.add_data(1, page_hash(303), 303)
+        store.write_to_dir(tmp_path)
+        whole = CheckpointStore.load_from_dir(tmp_path)
+        assert restore_entity(whole, 4).tolist() == [101, 303]
+        victim = tmp_path / name
+        data = victim.read_bytes()
+        victim.write_bytes(data[:-10] if cut == "payload" else data[:10])
+        with pytest.raises(ValueError, match=name):
+            CheckpointStore.load_from_dir(tmp_path)
 
-        def page(cid):
-            return cid.to_bytes(8, "little") + bytes(page_size - 8)
-
-        d = tmp_path / "v1"
-        d.mkdir()
-        (d / "shared.bin").write_bytes(
-            b"CCSH" + struct.pack("<IQ", page_size, 2)
-            + page(101) + page(102))
-        (d / "entity_4.ckpt").write_bytes(
-            b"CCSE" + struct.pack("<IIQ", 4, page_size, 3)
-            + struct.pack("<BIQQ", 0, 2, page_hash(102), 1)
-            + struct.pack("<BIQI", 1, 1, page_hash(303), page_size)
-            + page(303)
-            + struct.pack("<BIQQ", 0, 0, page_hash(101), 0))
-        loaded = CheckpointStore.load_from_dir(d)
-        assert loaded.page_size == page_size
-        assert loaded.shared.blocks == [101, 102]
-        assert loaded.se_files[4].records == [
-            ("ptr", 2, page_hash(102), 1),
-            ("data", 1, page_hash(303), 303),
-            ("ptr", 0, page_hash(101), 0)]
-        assert restore_entity(loaded, 4).tolist() == [101, 303, 102]
+    def test_retired_v1_magic_is_refused(self, tmp_path):
+        """The fixed-page v1 container (``CCSH``/``CCSE``) is no longer
+        read: its magic is as unknown as any other."""
+        (tmp_path / "shared.bin").write_bytes(
+            b"CCSH" + struct.pack("<IQ", 64, 0))
+        with pytest.raises(ValueError, match="magic"):
+            CheckpointStore.load_from_dir(tmp_path)
 
 
 def dir_bytes(path):
