@@ -8,6 +8,11 @@ vector as the group's width decides (``repro.dht.table._VECTOR_MIN``), so
 a lone miss costs what the individual query's lookup costs and a wide
 batch costs one vector scan per shard.
 
+Routing: each pair may carry its hash's home, which the frontend's cache
+lookup already routed (its miss token is ``(home, epoch)``).  Only a pair
+without one — an *unhanded* hash — is routed here, once per distinct hash,
+so a miss whose home was handed down costs one route in all.
+
 Answer fidelity: the bulk value arrays are observationally equivalent to
 per-item lookups (pinned by the PR 1 property suite), and the per-request
 latency/compute fields come from the same
@@ -30,28 +35,36 @@ __all__ = ["bulk_answers"]
 
 
 def bulk_answers(engine: ContentTracingEngine, cost: CostModel, op: str,
-                 pairs: list[tuple[int, int]]) -> list[QueryResult]:
-    """Answer ``(content_hash, issuing_node)`` node-wise requests in bulk.
+                 pairs: list[tuple[int, int, int | None]],
+                 ) -> list[QueryResult]:
+    """Answer ``(content_hash, issuing_node, home)`` node-wise requests in
+    bulk.
 
-    One route per *distinct* hash and one ``bulk_num_copies``/
-    ``bulk_masks`` call per home shard; every pair gets its own
-    :class:`QueryResult` equal to the individual query's.  ``op`` is
-    ``"num_copies"`` or ``"entities"``.
+    ``home`` is the hash's current home — what ``engine.home_node`` would
+    return now — or ``None``.  A caller hands a home down only while it
+    knows it is current (the frontend: its lookup routed the hash and
+    ``membership.global_epoch`` has not moved since), and passes ``None``
+    for every pair otherwise.  One route per distinct *unhanded* hash and
+    one ``bulk_num_copies``/``bulk_masks`` call per home shard; every pair
+    gets its own :class:`QueryResult` equal to the individual query's.
+    ``op`` is ``"num_copies"`` or ``"entities"``.
     """
     if op not in NODEWISE_OPS:
         raise ValueError(f"op {op!r} is not a batchable node-wise query")
     if not pairs:
         return []
-    # Resolve homes first: home_node performs the same lazy failure
-    # detection (and failover) the individual lookups would.  A resolved
-    # home is up, and detection only ever takes nodes down, so no home
-    # resolved here goes stale before the probes below.
+    # Resolve the unhanded homes first: home_node performs the same lazy
+    # failure detection (and failover) the individual lookups would.  A
+    # resolved home is up, and detection only ever takes nodes down, so no
+    # home resolved here goes stale before the probes below.
     home_node = engine.home_node
     homes: dict[int, int] = {}
     by_home: dict[int, list[int]] = {}
-    for h, _n in pairs:
+    for h, _n, home in pairs:
         if h not in homes:
-            home = homes[h] = home_node(h)
+            if home is None:
+                home = home_node(h)
+            homes[h] = home
             group = by_home.get(home)
             if group is None:
                 by_home[home] = [h]
@@ -81,4 +94,4 @@ def bulk_answers(engine: ContentTracingEngine, cost: CostModel, op: str,
         if not ok}
     return [nodewise_result(cost, op, values[h], issuing, homes[h], coverage,
                             h in holed)
-            for h, issuing in pairs]
+            for h, issuing, _home in pairs]

@@ -9,6 +9,8 @@ core config can depend on it without cycles.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["ServeConfig"]
@@ -17,6 +19,10 @@ __all__ = ["ServeConfig"]
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything configurable about a :class:`~repro.serve.QueryFrontend`.
+
+    Counts and the node are integers, windows, costs and the rate finite
+    non-negative numbers; anything else raises ``ValueError`` naming
+    ``ServeConfig.<field>`` at construction (and at :meth:`replace`).
 
     Fields
     ------
@@ -64,20 +70,28 @@ class ServeConfig:
     verify_cache: bool = False
 
     def __post_init__(self) -> None:
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if self.rate_limit_qps is not None and self.rate_limit_qps < 0:
-            raise ValueError("rate_limit_qps must be >= 0 (or None)")
-        if self.rate_burst < 1:
-            raise ValueError("rate_burst must be >= 1")
-        if self.interactive_window_s < 0 or self.batch_window_s < 0:
-            raise ValueError("batching windows must be non-negative")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.cache_capacity < 0:
-            raise ValueError("cache_capacity must be >= 0")
-        if self.cache_hit_cost_s < 0:
-            raise ValueError("cache_hit_cost_s must be non-negative")
+        # A NaN or infinite window or cost cannot be scheduled on the sim
+        # clock, and a fractional count cannot size a queue or a batch:
+        # refuse them here, naming the field, not inside a later drain.
+        for name, low in (("frontend_node", 0), ("queue_limit", 1),
+                          ("rate_burst", 1), ("max_batch", 1),
+                          ("cache_capacity", 0)):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                    or v < low):
+                raise ValueError(
+                    f"ServeConfig.{name} must be an integer >= {low}, "
+                    f"got {v!r}")
+        reals = ["interactive_window_s", "batch_window_s", "cache_hit_cost_s"]
+        if self.rate_limit_qps is not None:
+            reals.append("rate_limit_qps")
+        for name in reals:
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v) or v < 0):
+                raise ValueError(
+                    f"ServeConfig.{name} must be a finite number >= 0, "
+                    f"got {v!r}")
 
     def replace(self, **changes) -> ServeConfig:
         """Functional update (`dataclasses.replace` as a method)."""

@@ -150,6 +150,7 @@ class QueryFrontend:
         self.sim = cluster.engine
         self.queries = queries
         self.engine = queries.engine
+        self._membership = queries.engine.membership
         self.cost = cluster.cost
         self.cfg = cfg if cfg is not None else ServeConfig()
         self.obs = obs if obs is not None else Observability(
@@ -296,7 +297,7 @@ class QueryFrontend:
         misses: dict[str, list[tuple[tuple, int, tuple, Sequence[list]]]] = {}
         lookup = self.cached.lookup
         # Those tokens stay good while this stands still (CachedQueries.store).
-        as_of = self.engine.membership.global_epoch
+        as_of = self._membership.global_epoch
 
         for (op, args), reqs in groups.items():
             if op not in _NODEWISE:
@@ -354,9 +355,16 @@ class QueryFrontend:
             waiting = misses.get(op)
             if waiting is None:
                 continue
-            results = bulk_answers(
-                self.engine, self.cost, op,
-                [(args[0], node) for args, node, _token, _slots in waiting])
+            # Each miss's home is its token's while the global epoch stands
+            # (the rule CachedQueries.store applies); once a later lookup or
+            # fill has detected a failure, the fill routes every hash again.
+            if self._membership.global_epoch == as_of:
+                pairs = [(args[0], node, token[0])
+                         for args, node, token, _slots in waiting]
+            else:
+                pairs = [(args[0], node, None)
+                         for args, node, _token, _slots in waiting]
+            results = bulk_answers(self.engine, self.cost, op, pairs)
             n_exec += len(results)
             for (args, node, token, open_slots), result in zip(waiting,
                                                                results):

@@ -33,42 +33,42 @@ class TestBulkAnswers:
     @pytest.mark.parametrize("op", ["num_copies", "entities"])
     def test_matches_individual_queries(self, system, op):
         cluster, concord, q = system
-        pairs = [(h, i % cluster.n_nodes)
+        pairs = [(h, i % cluster.n_nodes, None)
                  for i, h in enumerate(sample_hashes(concord))]
         batched = bulk_answers(concord.tracing, cluster.cost, op, pairs)
-        for (h, node), got in zip(pairs, batched):
+        for (h, node, _home), got in zip(pairs, batched):
             assert got == getattr(q, op)(h, node), (op, h, node)
 
     def test_duplicate_hashes_fan_out(self, system):
         cluster, concord, q = system
         h = sample_hashes(concord, 1)[0]
-        pairs = [(h, 0), (h, 1), (h, 0)]
+        pairs = [(h, 0, None), (h, 1, None), (h, 0, None)]
         batched = bulk_answers(concord.tracing, cluster.cost, "num_copies",
                                pairs)
         assert batched[0] == batched[2] == q.num_copies(h, 0)
         assert batched[1] == q.num_copies(h, 1)
         # Remote and local issuers see different modelled latency.
         home = concord.tracing.home_node(h)
-        lats = {node: r.latency for (_h, node), r in zip(pairs, batched)}
+        lats = {node: r.latency for (_h, node, _), r in zip(pairs, batched)}
         assert (lats[home] < lats[1 - home] if home in (0, 1)
                 else lats[0] == lats[1])
 
     def test_absent_hashes(self, system):
         cluster, concord, q = system
-        pairs = [(0xFEED, 2), (0xF00D, 3)]
+        pairs = [(0xFEED, 2, None), (0xF00D, 3, None)]
         for op in ("num_copies", "entities"):
             batched = bulk_answers(concord.tracing, cluster.cost, op, pairs)
-            for (h, node), got in zip(pairs, batched):
+            for (h, node, _home), got in zip(pairs, batched):
                 assert got == getattr(q, op)(h, node)
 
     def test_matches_after_failover(self, system):
         cluster, concord, q = system
         hashes = sample_hashes(concord)
         concord.fail_node(2)
-        pairs = [(h, 0) for h in hashes]
+        pairs = [(h, 0, None) for h in hashes]
         for op in ("num_copies", "entities"):
             batched = bulk_answers(concord.tracing, cluster.cost, op, pairs)
-            for (h, _n), got in zip(pairs, batched):
+            for (h, _n, _home), got in zip(pairs, batched):
                 assert got == getattr(q, op)(h, 0)
 
     def test_empty_and_bad_op(self, system):
@@ -76,7 +76,8 @@ class TestBulkAnswers:
         assert bulk_answers(concord.tracing, cluster.cost,
                             "num_copies", []) == []
         with pytest.raises(ValueError):
-            bulk_answers(concord.tracing, cluster.cost, "sharing", [(1, 0)])
+            bulk_answers(concord.tracing, cluster.cost, "sharing",
+                         [(1, 0, None)])
 
 
 # -- the fill on both sides of the probe-width constant -----------------------------
@@ -205,14 +206,14 @@ class TestFillOnBothSidesOfTheConstant:
                     world.dirty()
                     # Width `width` at home 0, width 1 at every other home.
                     hashes = world.group(width, lead) + world.elsewhere
-                    pairs = [(h, i % 4) for i, h in enumerate(hashes)]
+                    pairs = [(h, i % 4, None) for i, h in enumerate(hashes)]
                     pairs.append(pairs[0])          # a duplicate fans out
                     monkeypatch.setattr(table, "_VECTOR_MIN", const)
                     got = bulk_answers(world.engine, world.cluster.cost, op,
                                        pairs)
                     monkeypatch.setattr(table, "_VECTOR_MIN", K)
                     assert not any(s._delta for s in world.engine.shards)
-                    for (h, node), answer in zip(pairs, got):
+                    for (h, node, _home), answer in zip(pairs, got):
                         assert answer == getattr(world.queries, op)(h, node), \
                             (op, width, lead, h)
                     answers.append(got)
@@ -265,10 +266,11 @@ class TestFillOnBothSidesOfTheConstant:
         lost = world.group(width, 1)          # primary range 0: holed below
         world.concord.fail_node(victim)
         assert not engine.membership.all_intact
-        pairs = [(h, i % 4) for i, h in enumerate(lost + world.elsewhere)]
+        pairs = [(h, i % 4, None)
+                 for i, h in enumerate(lost + world.elsewhere)]
         for op in ("num_copies", "entities"):
             got = bulk_answers(engine, world.cluster.cost, op, pairs)
-            for (h, node), answer in zip(pairs, got):
+            for (h, node, _home), answer in zip(pairs, got):
                 assert answer == getattr(world.queries, op)(h, node)
             assert [a.degraded for a in got] == \
                 [True] * width + [False] * len(world.elsewhere)
@@ -285,10 +287,10 @@ class TestFillOnBothSidesOfTheConstant:
         # The dead home's hashes first, so the uncached twin detects on
         # its first query, as the fill does before it probes anything.
         hashes = filled.group(width, 1) + filled.elsewhere
-        pairs = [(h, i % 4) for i, h in enumerate(hashes)]
+        pairs = [(h, i % 4, None) for i, h in enumerate(hashes)]
         got = bulk_answers(filled.engine, filled.cluster.cost, op, pairs)
         assert got == [getattr(uncached.queries, op)(h, node)
-                       for h, node in pairs]
+                       for h, node, _home in pairs]
         assert [a.degraded for a in got] == \
             [True] * width + [False] * len(filled.elsewhere)
         for world in (filled, uncached):
@@ -297,3 +299,67 @@ class TestFillOnBothSidesOfTheConstant:
             uncached.engine.stats.failovers == 1
         assert filled.engine.membership.epoch_vector().tolist() == \
             uncached.engine.membership.epoch_vector().tolist()
+
+
+# -- one pair alone against the same pair inside a wider fill -----------------------
+#
+# A lone miss and a miss batched with others must get the same answer and
+# leave the same shard state (a fill compacts each probed shard's overlay,
+# which on mmap is a storage commit), whether the caller hands the home
+# down or leaves it to the fill to route.
+
+class TestOnePairEqualsGroupedFill:
+    @staticmethod
+    def pairs(world, handed):
+        """One pair per kind of row at shard 0 plus one on every other
+        shard, issued from rotating nodes; homes routed now when
+        ``handed``."""
+        hashes = [world.wide, world.absent, world.multi, world.wide_multi,
+                  *world.toggled, world.ordinary[0], *world.elsewhere]
+        route = world.engine.home_node
+        return [(h, i % 4, route(h) if handed else None)
+                for i, h in enumerate(hashes)]
+
+    @pytest.mark.parametrize("handed", [True, False], ids=["home", "None"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("op", ["num_copies", "entities"])
+    def test_alone_equals_grouped(self, worlds, backend, op, handed):
+        alone, grouped = worlds(backend)
+        for world in (alone, grouped):
+            world.dirty()
+        pairs = self.pairs(alone, handed)
+        assert pairs == self.pairs(grouped, handed)
+        assert WIDE_ENTITY in alone.queries.entities(alone.wide).value
+        one_by_one = [
+            bulk_answers(alone.engine, alone.cluster.cost, op, [p])[0]
+            for p in pairs]
+        together = bulk_answers(grouped.engine, grouped.cluster.cost, op,
+                                pairs)
+        assert one_by_one == together
+        assert together == [getattr(grouped.queries, op)(h, node)
+                            for h, node, _home in pairs]
+        assert not any(s._delta for s in alone.engine.shards)
+        assert alone.shard_state() == grouped.shard_state()
+        if backend != "memory":
+            assert alone.persists > 0
+
+    @pytest.mark.parametrize("handed", [True, False], ids=["home", "None"])
+    @pytest.mark.parametrize("op", ["num_copies", "entities"])
+    def test_holed_range_alone_equals_grouped(self, worlds, op, handed):
+        alone, grouped = worlds("memory")
+        for world in (alone, grouped):
+            world.concord.fail_node(0)
+            assert not world.engine.membership.all_intact
+        # Primary range 0 is holed: these answers are degraded.
+        pairs = self.pairs(alone, handed)
+        one_by_one = [
+            bulk_answers(alone.engine, alone.cluster.cost, op, [p])[0]
+            for p in pairs]
+        together = bulk_answers(grouped.engine, grouped.cluster.cost, op,
+                                pairs)
+        assert one_by_one == together
+        assert together == [getattr(grouped.queries, op)(h, node)
+                            for h, node, _home in pairs]
+        assert any(a.degraded for a in together)
+        assert not all(a.degraded for a in together)
+        assert alone.shard_state() == grouped.shard_state()

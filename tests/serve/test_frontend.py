@@ -280,3 +280,102 @@ class TestFacade:
         concord.frontend()
         with pytest.raises(ValueError):
             concord.frontend(ServeConfig(queue_limit=7))
+
+
+class TestOneRoutePerMiss:
+    """A node-wise miss is routed once, by its cache lookup; the fill takes
+    the home from the lookup's token while the global epoch stands."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Count ``Partition.home_node`` calls and record each fill's
+        pairs."""
+        from repro.dht.partition import Partition
+        from repro.serve import frontend as frontend_mod
+        routes, fills = [0], []
+        home_node = Partition.home_node
+
+        def counted(self, h):
+            routes[0] += 1
+            return home_node(self, h)
+
+        def recorded(engine, cost, op, pairs):
+            fills.append(list(pairs))
+            return bulk(engine, cost, op, pairs)
+        bulk = frontend_mod.bulk_answers
+        monkeypatch.setattr(Partition, "home_node", counted)
+        monkeypatch.setattr(frontend_mod, "bulk_answers", recorded)
+        return routes, fills
+
+    def test_distinct_misses_route_once_each(self, monkeypatch):
+        cluster, concord, q, fe, _h = build()
+        hashes = sorted(int(h) for s in concord.tracing.shards
+                        for h in s.hashes())[:12]
+        routes, fills = self.spy(monkeypatch)
+        got = drain(cluster, fe, [
+            ("num_copies" if i % 3 else "entities", (h,),
+             {"issuing_node": i % cluster.n_nodes})
+            for i, h in enumerate(hashes)])
+        assert routes[0] == len(hashes)
+        assert sum(len(pairs) for pairs in fills) == len(hashes)
+        assert all(home is not None for pairs in fills
+                   for _h, _n, home in pairs)
+        for r in got:
+            assert not r.cache_hit
+            assert r.answer == getattr(q, r.request.op)(
+                r.request.args[0], r.request.issuing_node)
+
+    def test_a_failover_mid_batch_routes_the_fill_again(self, monkeypatch):
+        cluster, concord, q, fe, _h = build()
+        engine, victim = concord.tracing, 2
+        hashes = sorted(int(h) for s in engine.shards for h in s.hashes())
+        survivor = [h for h in hashes if engine.home_node(h) != victim][:3]
+        doomed = next(h for h in hashes if engine.home_node(h) == victim)
+        # Dead but undetected: the second lookup fails the home over, after
+        # the first lookup's token was read.
+        cluster.network.set_node_up(victim, False)
+        engine.shards[victim].crash()
+        routes, fills = self.spy(monkeypatch)
+        order = [survivor[0], doomed, *survivor[1:]]
+        got = drain(cluster, fe, [("num_copies", (h,), {"issuing_node": i})
+                                  for i, h in enumerate(order)])
+        assert engine.stats.failovers == 1
+        (pairs,) = fills
+        assert [home for _h, _n, home in pairs] == [None] * len(order)
+        # Lookups (one retried past the dead home), the fill, the store.
+        assert routes[0] == 3 * len(order) + 1
+        assert [r.answer for r in got] == [
+            q.num_copies(h, i) for i, h in enumerate(order)]
+        assert got[1].answer.degraded
+
+
+class TestServeConfigRefusesUnusableValues:
+    """Each of these used to be accepted; a NaN window then wedged every
+    later request in the queue and a NaN hit cost aborted the event loop."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("interactive_window_s", float("nan")),
+        ("batch_window_s", float("inf")),
+        ("cache_hit_cost_s", float("nan")),
+        ("cache_hit_cost_s", -1e-6),
+        ("rate_limit_qps", float("nan")),
+        ("rate_limit_qps", float("inf")),
+        ("rate_burst", 2.5),
+        ("max_batch", 1.5),
+        ("queue_limit", True),
+        ("cache_capacity", "64"),
+        ("frontend_node", -1),
+    ])
+    def test_refused_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"ServeConfig\.{field}\b"):
+            ServeConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"ServeConfig\.{field}\b"):
+            ServeConfig().replace(**{field: value})
+
+    def test_integer_typed_values_of_any_width_are_accepted(self):
+        cfg = ServeConfig(max_batch=np.int64(4), rate_burst=np.int32(3),
+                          rate_limit_qps=1000, frontend_node=0,
+                          interactive_window_s=0,
+                          batch_window_s=np.float32(1e-3))
+        assert cfg.max_batch == 4 and cfg.rate_limit_qps == 1000
+        assert ServeConfig(rate_limit_qps=None).rate_limit_qps is None
