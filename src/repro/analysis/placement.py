@@ -35,7 +35,7 @@ def _pairwise_shared(concord: ConCORD,
     for eid in entity_ids:
         mask |= 1 << eid
     shared: dict[tuple[int, int], int] = defaultdict(int)
-    # MapReduce over shards (docs/PARALLEL.md): each shard counts its own
+    # MapReduce over shards: each shard counts its own
     # pair co-occurrences; the partial dicts sum centrally in shard order.
     for part in concord.map_shards(_ops.pairwise_shared, (mask,)):
         for pair, w in part.items():

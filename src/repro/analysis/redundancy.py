@@ -1,8 +1,8 @@
 """Redundancy profiling over the query interface.
 
 Everything here consumes only public ConCORD queries (plus
-``ConCORD.map_shards`` for the copy distribution — the MapReduce layer of
-docs/PARALLEL.md, which a real deployment would expose as one more
+``ConCORD.map_shards`` for the copy distribution — the executor's
+map-reduce over shards, which a real deployment would expose as one more
 collective query) — the platform-service thesis in action: tools need no
 monitor or tracking code of their own.
 """
@@ -112,7 +112,7 @@ def copy_distribution(concord: ConCORD, entity_ids: list[int]) -> Counter:
     for eid in entity_ids:
         mask |= 1 << eid
     dist: Counter = Counter()
-    # MapReduce over shards (docs/PARALLEL.md): one columnar histogram
+    # MapReduce over shards: one columnar histogram
     # kernel per shard, merged centrally in shard order.
     for hist in concord.map_shards(_ops.copy_histogram, (mask,)):
         dist.update(hist)

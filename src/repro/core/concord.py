@@ -77,10 +77,7 @@ class ConCORD:
                                  config=obs_cfg)
         cluster.network.use_registry(self.obs.registry)
         cluster.network.tracer = self.obs.tracer
-        # The parallel execution backend (docs/PARALLEL.md): one pool
-        # shared by the tracing engine, the query layers, and the command
-        # executor.  workers=1 never spawns a process.
-        self.pool = ShardPool(cfg.workers)
+        self.pool = ShardPool()
         engine_kw = {}
         if cfg.update_batch_size is not None:
             engine_kw["batch_size"] = cfg.update_batch_size
@@ -89,7 +86,6 @@ class ConCORD:
                                             n_represented=cfg.n_represented,
                                             transport=cfg.update_transport,
                                             obs=self.obs,
-                                            pool=self.pool,
                                             storage=cfg.storage,
                                             placement=cfg.placement,
                                             **engine_kw)
@@ -100,11 +96,10 @@ class ConCORD:
             node.nsm = nsm
             self.nsms.append(nsm)
             self.monitors.append(self._new_monitor(nsm))
-        self.queries = QueryInterface(cluster, self.tracing, cfg.n_represented,
-                                      pool=self.pool)
+        self.queries = QueryInterface(cluster, self.tracing, cfg.n_represented)
         self.executor = ServiceCommandExecutor(cluster, self.tracing,
                                                cfg.n_represented,
-                                               obs=self.obs, pool=self.pool)
+                                               obs=self.obs)
         self._frontend: QueryFrontend | None = None
         self._last_traffic = None
         self._last_autoscaler = None
@@ -426,36 +421,34 @@ class ConCORD:
         return self.executor.execute(service, scope, mode=mode, config=config,
                                      seed=seed, tracer=tracer)
 
-    # -- MapReduce analytics (docs/PARALLEL.md) -----------------------------------------------
+    # -- MapReduce analytics ---------------------------------------------------------------
 
     def map_shards(self, map_fn, args: tuple = (), *, shard_filter=None,
                    reduce_fn=None, initial=None, live_only: bool = True):
-        """MapReduce over the DHT shards through the shared pool.
+        """MapReduce over the DHT shards.
 
-        ``map_fn(shard, *args)`` must be a pure per-shard kernel
-        (module-level, e.g. from :mod:`repro.exec.ops`); results return
-        as a list in shard order, or folded through ``reduce_fn`` in
-        that order — never completion order, so answers are
-        byte-identical at any worker count.  Shard epochs version the
-        published segment files, so back-to-back jobs over an unchanged
-        shard reuse its export.  The analysis jobs in
+        ``map_fn(shard, *args)`` must be a pure per-shard kernel (e.g.
+        from :mod:`repro.exec.ops`); ``shard_filter(shard)`` prunes the
+        shards first.  Results return as a list in shard order, or folded
+        through ``reduce_fn`` in that order from ``initial`` (from the
+        first result when ``initial`` is None; folding zero shards that
+        way raises ``TypeError``).  The analysis jobs in
         :mod:`repro.analysis` are the main consumers.
         """
         tracing = self.tracing
         shards = tracing.live_shards() if live_only else list(tracing.shards)
-        return self.pool.map_shards(
-            shards, map_fn, args, versions=[s.epoch for s in shards],
-            shard_filter=shard_filter, reduce_fn=reduce_fn, initial=initial)
+        if shard_filter is not None:
+            shards = [s for s in shards if shard_filter(s)]
+        return self.pool.map_shards(shards, map_fn, args,
+                                    reduce_fn=reduce_fn, initial=initial)
 
     def close(self) -> None:
-        """Tear the instance down: flush durable shard storage, release
-        the parallel backend (workers + shared ``/dev/shm`` segments),
-        and remove an ephemeral storage root.
+        """Tear the instance down: flush durable shard storage and remove
+        an ephemeral storage root.
 
-        Idempotent — calling twice is a no-op — and safe to skip at
-        workers=1 with a memory backend (nothing was ever spawned); a
-        garbage-collected instance cleans up on its own.  Prefer the
-        context-manager form, which cannot forget::
+        Idempotent — calling twice is a no-op — and safe to skip with a
+        memory backend; a garbage-collected instance cleans up on its
+        own.  Prefer the context-manager form, which cannot forget::
 
             with ConCORD(cluster, cfg) as concord:
                 ...
@@ -467,7 +460,6 @@ class ConCORD:
         # deleted two lines down, so committing to it is wasted I/O.
         if self.tracing.storage.durable:
             self.tracing.flush_storage()
-        self.pool.close()
         self.tracing.close()
 
     def __enter__(self) -> ConCORD:

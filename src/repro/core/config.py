@@ -31,12 +31,6 @@ from repro.util.env import env_default
 __all__ = ["ConCORDConfig"]
 
 
-def _default_workers() -> int:
-    """Default worker count: the ``CONCORD_WORKERS`` env var, else 1 —
-    single-core, every shard operation inline."""
-    return env_default("CONCORD_WORKERS", 1)
-
-
 _CHUNKING_SCHEMES = ("fixed", "cdc")
 
 
@@ -70,12 +64,11 @@ class ConCORDConfig:
         ``"udp"`` (best-effort datagrams, paper default) or ``"rdma"``
         (one-sided writes: no receive-side per-packet cost, §3.4).
     workers:
-        Worker processes of the parallel execution backend
-        (docs/PARALLEL.md).  1 (the default, or any unset
-        ``CONCORD_WORKERS`` env var) keeps every shard operation inline —
-        byte-for-byte today's behavior; N > 1 fans shard scans,
-        collective-phase reductions, and repair routing across N
-        processes while keeping answers byte-identical.
+        Always 1: every shard kernel runs inline, in shard order; any
+        other value raises ``ValueError``.  Not a setting — the field
+        remains only because the repo benchmark (``bench/``) passes
+        ``workers=1``, until a benchmark change drops it together with
+        its ``exec.pool`` layer.
     obs:
         Observability section (:class:`~repro.obs.ObsConfig`): the metrics
         registry is always on; ``obs.trace`` turns on sim-time span tracing
@@ -118,7 +111,7 @@ class ConCORDConfig:
     n_represented: int = 1
     update_batch_size: int | None = None
     update_transport: str = "udp"
-    workers: int = field(default_factory=_default_workers)
+    workers: int = 1
     obs: ObsConfig = field(default_factory=ObsConfig)
     serve: ServeConfig = field(default_factory=ServeConfig)
     storage: StorageConfig = field(default_factory=StorageConfig)
@@ -142,7 +135,8 @@ class ConCORDConfig:
               or self.update_batch_size >= 1, "None or >= 1")
         check("throttle_updates_per_s", self.throttle_updates_per_s is None
               or self.throttle_updates_per_s > 0, "None or > 0")
-        check("workers", self.workers >= 1, ">= 1")
+        check("workers", self.workers == 1 and type(self.workers) is int,
+              "1 (shard kernels always run inline)")
         one_of("hash_algo", HASH_ALGOS)
         one_of("update_transport", TRANSPORTS)
         one_of("placement", PLACEMENT_POLICIES)

@@ -164,16 +164,13 @@ class ServiceCommandExecutor:
 
     def __init__(self, cluster: Cluster, tracing: ContentTracingEngine,
                  n_represented: int = 1,
-                 obs: Observability | None = None,
-                 pool: ShardPool | None = None) -> None:
+                 obs: Observability | None = None) -> None:
         self.cluster = cluster
         self.tracing = tracing
         self.cost = cluster.cost
         self.n_represented = n_represented
         self.obs = obs if obs is not None else Observability()
-        # Parallel backend for the shard-scan fan-outs (docs/PARALLEL.md);
-        # workers=1 = inline, exactly the previous behavior.
-        self.pool = pool if pool is not None else ShardPool(1)
+        self.pool = ShardPool()
 
     # -- accounting -----------------------------------------------------------------
 
@@ -400,13 +397,10 @@ class ServiceCommandExecutor:
         for node, shard in zip(nodes, shards):
             self._charge(node, shard.n_hashes * self.cost.query_scan_per_entry
                          * self.n_represented)
-        # One sampling kernel per involved shard; dispatched through the
-        # pool (inline at workers=1) and merged in node order, so the
-        # result dict is identical at any worker count.
+        # One sampling kernel per involved shard, merged in node order.
         samples = self.pool.map_shards(
             shards, _ops.hash_samples,
-            args_per_shard=[(by_node[n], sample_cap) for n in nodes],
-            versions=[s.epoch for s in shards])
+            args_per_shard=[(by_node[n], sample_cap) for n in nodes])
         out: dict[int, np.ndarray] = {}
         for m in samples:
             out.update(m)
@@ -461,12 +455,10 @@ class ServiceCommandExecutor:
         # Only the live shards can answer: holed ranges contribute nothing
         # here, and the local phase covers whatever this misses (§4.3's
         # staleness argument extends unchanged to failure-induced holes).
-        # The scans themselves are prefetched through the pool (inline at
-        # workers=1); the protocol then walks the results in shard order.
+        # The scans themselves are prefetched through the pool; the
+        # protocol then walks the results in shard order.
         live = self.tracing.live_shards()
-        scans = self.pool.map_shards(
-            live, _ops.se_scan, (se_mask,),
-            versions=[s.epoch for s in live])
+        scans = self.pool.map_shards(live, _ops.se_scan, (se_mask,))
         for ctx in contexts.values():
             ctx._charge_sink = ledger.charge
             ctx._shared_sink = ledger.charge_shared

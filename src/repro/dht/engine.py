@@ -67,7 +67,6 @@ class ContentTracingEngine:
                  batch_size: int = DEFAULT_UPDATE_BATCH,
                  n_represented: int = 1, transport: str = "udp",
                  obs: Observability | None = None,
-                 pool: ShardPool | None = None,
                  storage: StorageConfig | None = None,
                  placement: str = "mod") -> None:
         """``transport``: "udp" (default) sends updates as datagrams the
@@ -103,9 +102,7 @@ class ContentTracingEngine:
         self.n_represented = n_represented
         self.transport = transport
         self.obs = obs if obs is not None else Observability()
-        # Parallel backend for repair routing (docs/PARALLEL.md);
-        # workers=1 = inline, exactly the previous behavior.
-        self.pool = pool if pool is not None else ShardPool(1)
+        self.pool = ShardPool()
         reg = self.obs.registry
         self._c_routed = reg.counter("dht.updates_routed")
         self._c_applied = reg.counter("dht.updates_applied")

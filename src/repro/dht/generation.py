@@ -12,7 +12,7 @@ a write overlay into the columns of the *next* generation.
 
 A generation is never written in place: its arrays are read-only and a
 merge builds new ones, so a reader holding one (a caller of
-``items_arrays``, a pool worker) never sees a later write.  This is
+``items_arrays``, a collective scan's results) never sees a later write.  This is
 BlobSeer's versioning (PAPERS.md, "Distributed Management of Massive
 Data"): a writer publishes a new immutable version instead of changing
 the one readers have.
@@ -20,9 +20,8 @@ the one readers have.
 The segment codec (docs/STORAGE.md) is one file of little-endian u64,
 ``[hashes | masks | extra hashes | extra entities | extra counts]``:
 :meth:`Generation.save` writes it and :meth:`Generation.load` maps it
-back read-only.  Storage commits and the pool's worker publish go
-through the same two calls; a file-backed generation pickles as its path
-plus the small fields, so a worker maps the columns zero-copy.
+back read-only.  Storage commits and warm-restart loads are its two
+users.
 """
 
 from __future__ import annotations
@@ -88,14 +87,6 @@ class Generation:
     def __post_init__(self) -> None:
         for col in (self.ph, self.pm, *self.extra):
             col.setflags(write=False)
-
-    def __reduce__(self):
-        if self.path is None:
-            return (Generation, (self.ph, self.pm, self.wide, self.extra,
-                                 self.n_hashes, self.n_copies, self.epoch))
-        return (Generation.load, (self.path, len(self.ph),
-                                  len(self.extra[0]), self.wide,
-                                  self.n_hashes, self.n_copies, self.epoch))
 
     # -- the segment codec -----------------------------------------------------------
 

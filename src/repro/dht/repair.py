@@ -225,13 +225,11 @@ class Repair:
         nodes_scanned = 0
         cluster = eng.cluster
         # Routing (select hashes in repaired ranges, group by current
-        # home) is pure and fans out through the pool — one task per
-        # (node, entity), gathered in collection order; the converge
-        # step runs on the coordinator in (hash, entity) order, so
-        # repaired shards are byte-identical at any worker count.
+        # home) is pure and runs through the pool — one task per
+        # (node, entity), in collection order; the converge step then
+        # applies the groups in (hash, entity) order.
         tasks: list[tuple[np.ndarray, Partition, np.ndarray]] = []
         task_eids: list[int] = []
-        work = 0
         for node in range(cluster.n_nodes):
             if not cluster.network.node_up[node]:
                 continue
@@ -245,8 +243,7 @@ class Repair:
                     continue
                 tasks.append((hashes, partition, targets))
                 task_eids.append(entity.entity_id)
-                work += len(hashes)
-        routed = eng.pool.run_tasks(_ops.repair_route, tasks, work=work)
+        routed = eng.pool.run_tasks(_ops.repair_route, tasks)
         truth: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
         for eid, groups in zip(task_eids, routed):
             for dst, hs in (groups or {}).items():

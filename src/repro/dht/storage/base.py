@@ -16,7 +16,7 @@ Two settings (docs/STORAGE.md):
   segment file per committed generation, in the generation's own codec
   (``[hashes | masks | extra hashes | extra entities | extra counts]``,
   little-endian u64), atomically replaced per commit, mapped back
-  read-only.  ShardPool workers map the same segment zero-copy.
+  read-only.
 
 Durability model: a commit happens at every new generation
 (delta-overlay compaction, bulk write-back, range eviction, entity

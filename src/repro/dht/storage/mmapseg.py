@@ -5,9 +5,7 @@ shard's :class:`~repro.dht.generation.Generation` through its segment
 codec — ``[hashes | masks | extra hashes | extra entities | extra
 counts]``, little-endian uint64 — and returns it mapped back read-only,
 so the table's live columns are maps of the file (dataset bounded by
-disk, hot rows by page cache), and a pool worker that is shipped the
-generation maps the *same* file: publishing a committed shard costs
-zero copies and zero writes.
+disk, hot rows by page cache).
 
 Commits are atomic at file granularity: the new segment is written to a
 temp name, fsynced, renamed to a fresh generation name, and only then

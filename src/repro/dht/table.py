@@ -156,8 +156,8 @@ class LocalDHT:
 
     def generation(self) -> Generation:
         """The shard as one frozen generation answering exactly as it does
-        now (what the pool ships to workers); after an overflow-only change,
-        a new one over the same columns — no commit, no file."""
+        now; after an overflow-only change, a new one over the same
+        columns — no commit, no file."""
         self._compact()
         g = self._gen
         if g.extra is not self.extra_arrays():

@@ -1,11 +1,10 @@
-"""Parallel execution backend: ShardPool over shards.
+"""Shard execution: per-shard kernels and the in-order map-and-fold.
 
-See docs/PARALLEL.md.  Per-shard kernels live in :mod:`repro.exec.ops`
-(import-leaf, worker-safe); :class:`ShardPool` fans them out across
-processes over shared-memory shard views; ``ConCORD.map_shards`` runs
-analytics jobs through it.
+Per-shard kernels live in :mod:`repro.exec.ops` (an import leaf);
+:class:`ShardPool` maps them over shards inline and folds the results in
+shard order; ``ConCORD.map_shards`` runs analytics jobs through it.
 """
 
-from repro.exec.pool import DEFAULT_MIN_ROWS, ShardPool
+from repro.exec.pool import ShardPool
 
-__all__ = ["ShardPool", "DEFAULT_MIN_ROWS"]
+__all__ = ["ShardPool"]

@@ -1,18 +1,15 @@
-"""Per-shard kernels for the parallel execution backend (docs/PARALLEL.md).
+"""Per-shard kernels: the map steps of the executor's map-reduce jobs.
 
 Every function here is a *pure* map over one shard: it takes a
-:class:`~repro.dht.table.LocalDHT` (the coordinator's real shard on the
-serial path, the frozen :class:`~repro.dht.generation.Generation` it was
-published at on a worker) plus plain-data arguments, and returns a
-plain picklable result.  No function mutates shard state or touches the
-sim clock — all state mutation and clock advance stay on the coordinator.
+:class:`~repro.dht.table.LocalDHT` (or a frozen
+:class:`~repro.dht.generation.Generation`) plus plain-data arguments and
+returns a plain result.  No function mutates shard state or touches the
+sim clock — :class:`~repro.exec.pool.ShardPool` maps them over shards in
+order and the caller folds the results.
 
 This module is an import leaf (NumPy, stdlib, and the mask decode of
-:mod:`repro.dht.table`, which a worker loads anyway to map its shard)
-so workers can unpickle these functions by reference without dragging the
-engine, the sim, or the query layer into the child process, and so every
-layer above can import it without cycles.  :class:`SharingBreakdown`
-lives here for the same reason.
+:mod:`repro.dht.table`) so every layer above can import it without
+cycles.  :class:`SharingBreakdown` lives here for the same reason.
 """
 
 from __future__ import annotations
@@ -52,11 +49,11 @@ class SharingBreakdown:
         self.inter_dup += other.inter_dup
 
 
-# -- thin pass-throughs (named so they pickle by reference) -------------------------
+# -- thin pass-throughs (named so the executor can map them) ------------------------
 
 
 def se_scan(table, se_mask: int):
-    """One shard's ``se_scan`` as a pool-shippable map function."""
+    """One shard's ``se_scan`` as a map function."""
     return table.se_scan(se_mask)
 
 

@@ -3,7 +3,7 @@
 Every number recorded here is a value of the modelled machine — simulated
 seconds, event and byte counts, ratios of them — so it is a deterministic
 function of the seed and repeats bit for bit on every machine and under
-any ``CONCORD_WORKERS``/``CONCORD_STORAGE``/``CONCORD_CHUNKING``.  A
+any ``CONCORD_STORAGE``/``CONCORD_CHUNKING``.  A
 number like that needs no tolerance, direction or history file; it needs
 one committed snapshot compared by equality:
 

@@ -136,21 +136,19 @@ def _merge_breakdown(a: SharingBreakdown,
 class QueryInterface:
     """Issue the paper's node-wise and collective queries.
 
-    Collective shard scans dispatch through a
-    :class:`~repro.exec.pool.ShardPool` (docs/PARALLEL.md): at
-    ``workers=1`` they run inline; with workers the per-shard kernels fan
-    out across processes and partial results merge in shard-index order,
-    so the answers are byte-identical at any worker count.
+    Collective queries map a per-shard kernel over the live shards through
+    a :class:`~repro.exec.pool.ShardPool` and merge the partial results in
+    shard order.
     """
 
     def __init__(self, cluster: Cluster, engine: ContentTracingEngine,
-                 n_represented: int = 1, pool: ShardPool | None = None) -> None:
+                 n_represented: int = 1) -> None:
         self.cluster = cluster
         self.engine = engine
         self.membership = engine.membership
         self.cost: CostModel = cluster.cost
         self.n_represented = n_represented
-        self.pool = pool if pool is not None else ShardPool(1)
+        self.pool = ShardPool()
 
     # -- node-wise (paper Fig 3, top) --------------------------------------------
 
@@ -185,11 +183,6 @@ class QueryInterface:
             node_masks[node] = node_masks.get(node, 0) | bit
         return s_mask, node_masks
 
-    def _live_shards_versioned(self) -> tuple[list, list[int]]:
-        """The live shards plus their epochs (segment-reuse versions)."""
-        shards = self.engine.live_shards()
-        return shards, [s.epoch for s in shards]
-
     def _answer(self, value: object, exec_mode: ExecMode,
                 result_bytes: int = 16) -> QueryResult:
         """Annotate a collective value with the scan's modelled cost."""
@@ -221,9 +214,8 @@ class QueryInterface:
         ranges contribute nothing (the callers annotate coverage).
         """
         s_mask, node_masks = self._entity_masks(entity_ids)
-        shards, versions = self._live_shards_versioned()
-        return self.pool.map_shards(shards, _ops.shard_breakdown,
-                                    (s_mask, node_masks), versions=versions,
+        return self.pool.map_shards(self.engine.live_shards(),
+                                    _ops.shard_breakdown, (s_mask, node_masks),
                                     reduce_fn=_merge_breakdown,
                                     initial=SharingBreakdown())
 
@@ -268,9 +260,8 @@ class QueryInterface:
         if k < 1:
             raise ValueError("k must be >= 1")
         s_mask, _ = self._entity_masks(entity_ids)
-        shards, versions = self._live_shards_versioned()
-        count = self.pool.map_shards(shards, _ops.count_at_least,
-                                     (s_mask, k), versions=versions,
+        count = self.pool.map_shards(self.engine.live_shards(),
+                                     _ops.count_at_least, (s_mask, k),
                                      reduce_fn=lambda a, b: a + b, initial=0)
         return self._answer(count * self.n_represented, exec_mode)
 
@@ -280,10 +271,9 @@ class QueryInterface:
         if k < 1:
             raise ValueError("k must be >= 1")
         s_mask, _ = self._entity_masks(entity_ids)
-        shards, versions = self._live_shards_versioned()
         hashes: set[int] = set()
-        for hs in self.pool.map_shards(shards, _ops.hashes_at_least,
-                                       (s_mask, k), versions=versions):
+        for hs in self.pool.map_shards(self.engine.live_shards(),
+                                       _ops.hashes_at_least, (s_mask, k)):
             if len(hs):
                 hashes.update(hs.tolist())
         return self._answer(hashes, exec_mode,

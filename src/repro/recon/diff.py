@@ -58,7 +58,7 @@ def pair_multiset_diff(have_h: np.ndarray, have_e: np.ndarray,
     multiplicity, exactly as a replay would insert them).
 
     Returns ``((ins_h, ins_e, ins_c), (rem_h, rem_e, rem_c))`` sorted by
-    (hash, entity) — a deterministic apply order at any worker count.
+    (hash, entity) — a deterministic apply order.
     """
     if want_c is None:
         want_c = np.ones(len(want_h), dtype=np.int64)

@@ -18,6 +18,8 @@ property hold.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -54,16 +56,25 @@ class AutoscalerConfig:
     cooldown_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 0:
-            raise ValueError("max_nodes must be >= 0 (0 = testbed cap)")
-        if self.check_interval_s <= 0:
-            raise ValueError("check_interval_s must be positive")
-        if self.queue_depth_high < 0 or self.p95_high_s < 0:
-            raise ValueError("thresholds must be non-negative")
-        if not 0.0 <= self.reject_rate_high <= 1.0:
-            raise ValueError("reject_rate_high must be in [0, 1]")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be non-negative")
+        # A NaN interval cannot be scheduled on the sim clock and a NaN
+        # threshold makes every comparison false (overload never joins):
+        # refuse them here, naming the field, not at the first tick.
+        v = self.max_nodes
+        if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                or v < 0):
+            raise ValueError("AutoscalerConfig.max_nodes must be an integer "
+                             f">= 0 (0 = testbed cap), got {v!r}")
+        for name, ok, expected in (
+                ("check_interval_s", lambda x: x > 0, "> 0"),
+                ("queue_depth_high", lambda x: x >= 0, ">= 0"),
+                ("reject_rate_high", lambda x: 0 <= x <= 1, "in [0, 1]"),
+                ("p95_high_s", lambda x: x >= 0, ">= 0"),
+                ("cooldown_s", lambda x: x >= 0, ">= 0")):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v) or not ok(v)):
+                raise ValueError(f"AutoscalerConfig.{name} must be a finite "
+                                 f"number {expected}, got {v!r}")
 
 
 class Autoscaler:

@@ -215,8 +215,8 @@ class CheckpointStore:
     # -- on-disk serialization (byte mode) ----------------------------------------------------
     # One container: length-prefixed blocks with an explicit content ID,
     # because interned (content-defined) chunks are variable-sized and
-    # carry no embedded ID (docs/RECONCILIATION.md).  load_from_dir also
-    # reads the fixed-page format earlier versions wrote.
+    # carry no embedded ID (docs/RECONCILIATION.md).  load_from_dir reads
+    # only this container: any other magic raises ValueError.
 
     _SHARED_MAGIC = b"CCS2"
     _SE_MAGIC = b"CCE2"

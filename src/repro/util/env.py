@@ -1,8 +1,8 @@
 """``CONCORD_*`` environment defaults, parsed in one place.
 
 The env vars let CI (and users) run an entire existing test or serve
-workload under a different worker count, storage backend or chunking
-scheme without touching call sites.  A typo must not silently mean the
+workload under a different storage backend or chunking scheme without
+touching call sites.  A typo must not silently mean the
 default, so anything but unset/empty or a valid value raises.
 """
 

@@ -44,9 +44,7 @@ def _reference_collective_phase(self, service, scope, contexts, rng, stats,
     se_memo = {}
     node_up = cluster.network.node_up
     live = self.tracing.live_shards()
-    scans = self.pool.map_shards(
-        live, _ops.se_scan, (se_mask,),
-        versions=[s.epoch for s in live])
+    scans = self.pool.map_shards(live, _ops.se_scan, (se_mask,))
     for shard, (hashes, lo, wide) in zip(live, scans):
         shard_node = shard.node_id
         self._charge(shard_node, shard.n_hashes * cost.query_scan_per_entry * R)

@@ -1,10 +1,13 @@
 """Unit tests for the ConCORD facade (bring-up, sync, lifecycle)."""
 
+from operator import add
+
 import numpy as np
 import pytest
 
 from repro import (Cluster, ConCORD, ConCORDConfig, Entity, MonitorMode,
                    workloads)
+from repro.exec import ops
 from repro.queries.reference import ReferenceModel
 from tests.conftest import make_system
 
@@ -122,3 +125,26 @@ class TestConfigurations:
         stats = concord.monitor_stats()
         assert len(stats) == 2
         assert all(s.scans >= 1 for s in stats)
+
+
+class TestMapShards:
+    def test_filter_prunes_before_the_fold(self):
+        _c, _e, concord = make_system(n_nodes=4)
+        mask = (1 << 64) - 1
+        per_shard = concord.map_shards(ops.count_at_least, (mask, 1))
+        odd = concord.map_shards(ops.count_at_least, (mask, 1),
+                                 shard_filter=lambda s: s.node_id % 2 == 1,
+                                 reduce_fn=add)
+        assert odd == per_shard[1] + per_shard[3]
+
+    def test_folding_zero_shards(self):
+        """With ``initial`` the fold of nothing is ``initial``; without
+        it, a ``TypeError`` — never a bare ``StopIteration``, which a
+        generator caller would see as ``RuntimeError``."""
+        _c, _e, concord = make_system(n_nodes=2)
+        args = (ops.count_at_least, ((1 << 64) - 1, 1))
+        assert concord.map_shards(*args, shard_filter=lambda s: False,
+                                  reduce_fn=add, initial=0) == 0
+        with pytest.raises(TypeError):
+            concord.map_shards(*args, shard_filter=lambda s: False,
+                               reduce_fn=add)

@@ -57,6 +57,8 @@ class TestConfigValue:
         ("throttle_updates_per_s", -1.0),
         ("throttle_updates_per_s", 0.0),
         ("workers", 0),
+        ("workers", 2),
+        ("workers", True),
         ("hash_algo", "sha1"),
         ("update_transport", "tcp"),
         ("placement", "ring"),
@@ -72,7 +74,7 @@ class TestConfigValue:
 
     def test_every_valid_choice_accepted(self):
         ConCORDConfig(hash_algo="md5", update_transport="rdma",
-                      placement="hd", chunking="cdc", workers=2,
+                      placement="hd", chunking="cdc", workers=1,
                       update_batch_size=1, throttle_updates_per_s=0.5)
 
 

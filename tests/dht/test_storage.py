@@ -12,7 +12,6 @@ RAM-only one.
 
 import json
 import os
-import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -151,14 +150,12 @@ class TestBackendContract:
         committed = st.commit(state)
         raw = np.fromfile(committed.path, dtype=np.uint64)
         n = len(state.ph)
-        # [hashes | masks], then the overflow columns: one codec for the
-        # commit and for what the pool ships.
+        # [hashes | masks], then the overflow columns: the generation's
+        # one segment codec.
         assert raw[:n].tolist() == state.ph.tolist()
         assert raw[n:2 * n].tolist() == state.pm.tolist()
         assert raw[2 * n:].tolist() == [20, 0, 2]   # hashes|entities|counts
-        shipped = pickle.loads(pickle.dumps(committed))
-        assert shipped.path == committed.path
-        assert_states_equal(shipped, state)
+        assert_states_equal(committed, state)
 
     def test_mmap_commit_is_atomic_per_generation(self, tmp_path):
         st = MmapSegmentStorage(tmp_path, 0)
@@ -385,14 +382,12 @@ class TestLocalDHTOnBackends:
         t = LocalDHT(0, storage=store.shards[0])
         populate(t)
         t.flush()
-        # Zero-copy: what the pool ships IS the storage's last commit.
+        # Zero-copy: the table's generation IS the storage's last commit.
         gen = t.generation()
         assert gen.path == store.shards[0].load().path
-        shipped = pickle.loads(pickle.dumps(gen))
-        assert shipped.path == gen.path
-        hs, lo, wide = shipped.se_scan((1 << 80) - 1)
-        assert (hs.tolist(), lo.tolist(), wide, shipped.overflow(),
-                shipped.n_hashes, shipped.n_copies) == shard_state(t)
+        hs, lo, wide = gen.se_scan((1 << 80) - 1)
+        assert (hs.tolist(), lo.tolist(), wide, gen.overflow(),
+                gen.n_hashes, gen.n_copies) == shard_state(t)
         store.close()
 
     def test_storage_set_ephemeral_root_removed_on_close(self):

@@ -7,8 +7,8 @@ Two contracts:
   live joins (including writes landing *between* ``begin_join`` and
   ``complete_join``, the incremental-handoff window).  After the dust
   settles, every shard is byte-identical to a from-scratch bring-up of
-  the same machine at the final membership — at every worker count, on
-  RAM and persistent storage alike.
+  the same machine at the final membership, on RAM and persistent
+  storage alike.
 
 * **Flash-crowd byte-identity** — an open-loop overload on 8 nodes with
   the autoscaler live-joining to 32 produces, request for request, the
@@ -59,14 +59,11 @@ def make_machine(seed: int):
     return cluster, ents
 
 
-def bring_up(cluster, workers, storage=None, placement="mod"):
-    concord = ConCORD(cluster, ConCORDConfig(
-        use_network=False, workers=workers, placement=placement,
+def bring_up(cluster, storage=None, placement="mod"):
+    return ConCORD(cluster, ConCORDConfig(
+        use_network=False, placement=placement,
         storage=storage if storage is not None
         else StorageConfig(backend="memory")))
-    # Force real fan-out past the min_rows inline heuristic.
-    concord.pool.min_rows = 0
-    return concord
 
 
 def shard_states(concord):
@@ -118,12 +115,11 @@ def apply_schedule(concord, ents, schedule):
 
 
 @pytest.mark.parametrize("backend", ("memory", "mmap"))
-@pytest.mark.parametrize("workers", (1, 4))
 class TestJoinConvergenceProperty:
     @SLOW
     @given(schedule_strategy, st.integers(0, 3),
            st.sampled_from(["mod", "hd"]))
-    def test_join_handoff_converges_to_fresh_bringup(self, backend, workers,
+    def test_join_handoff_converges_to_fresh_bringup(self, backend,
                                                      schedule, seed,
                                                      placement):
         root = (tempfile.mkdtemp(prefix="concord-elastic-")
@@ -133,8 +129,7 @@ class TestJoinConvergenceProperty:
                        if root else None)
             cluster, ents = make_machine(seed)
 
-            concord = bring_up(cluster, workers, storage,
-                               placement=placement)
+            concord = bring_up(cluster, storage, placement=placement)
             try:
                 concord.initial_scan()
                 apply_schedule(concord, ents, schedule)
@@ -143,8 +138,8 @@ class TestJoinConvergenceProperty:
                 concord.close()
 
             # Ground truth: a from-scratch bring-up of the same machine
-            # at the final (grown) membership, RAM-only, serial.
-            fresh = bring_up(cluster, workers=1, placement=placement)
+            # at the final (grown) membership, RAM-only.
+            fresh = bring_up(cluster, placement=placement)
             try:
                 fresh.initial_scan()
                 fresh.repair(full=True)

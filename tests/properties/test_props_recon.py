@@ -3,8 +3,8 @@
 Hypothesis drives arbitrary interleavings of node kills, restarts, and
 memory mutations, then converges the DHT with the set-reconciliation
 path.  The pinned property: ``repair(mode="recon")`` leaves every shard
-*byte-identical* to a cold full-NSM rebuild of the same machine — at
-every worker count, on every storage backend, after any schedule.
+*byte-identical* to a cold full-NSM rebuild of the same machine — on
+every storage backend, after any schedule.
 """
 
 import shutil
@@ -44,12 +44,9 @@ def make_machine(seed: int):
     return cluster, ents
 
 
-def bring_up(cluster, workers, backend="memory", root=None):
-    concord = ConCORD(cluster, ConCORDConfig(
-        use_network=False, workers=workers,
-        storage=StorageConfig(backend=backend, root=root)))
-    concord.pool.min_rows = 0
-    return concord
+def bring_up(cluster, backend="memory", root=None):
+    return ConCORD(cluster, ConCORDConfig(
+        use_network=False, storage=StorageConfig(backend=backend, root=root)))
 
 
 def shard_states(concord):
@@ -89,17 +86,15 @@ def apply_schedule(concord, ents, schedule):
 
 
 @pytest.mark.parametrize("backend", ("memory", "mmap"))
-@pytest.mark.parametrize("workers", (1, 4))
 class TestReconRepairProperty:
     @SLOW
     @given(schedule_strategy, st.integers(0, 3))
-    def test_recon_equals_cold_rebuild(self, backend, workers,
-                                       schedule, seed):
+    def test_recon_equals_cold_rebuild(self, backend, schedule, seed):
         root = tempfile.mkdtemp(prefix="concord-recon-")
         try:
             cluster, ents = make_machine(seed)
 
-            concord = bring_up(cluster, workers, backend, root)
+            concord = bring_up(cluster, backend, root)
             try:
                 concord.initial_scan()
                 apply_schedule(concord, ents, schedule)
@@ -111,7 +106,7 @@ class TestReconRepairProperty:
                 concord.close()
 
             # Ground truth: a cold rebuild of the same machine, RAM-only.
-            cold = bring_up(cluster, workers=1)
+            cold = bring_up(cluster)
             try:
                 cold.initial_scan()
                 cold.repair(full=True)
@@ -125,13 +120,12 @@ class TestReconRepairProperty:
 
     @SLOW
     @given(schedule_strategy, st.integers(0, 3))
-    def test_recon_reports_divergent_nodes(self, backend, workers,
-                                           schedule, seed):
+    def test_recon_reports_divergent_nodes(self, backend, schedule, seed):
         """node_ops names exactly the shards recon had to touch."""
         root = tempfile.mkdtemp(prefix="concord-recon-")
         try:
             cluster, ents = make_machine(seed)
-            concord = bring_up(cluster, workers, backend, root)
+            concord = bring_up(cluster, backend, root)
             try:
                 concord.initial_scan()
                 apply_schedule(concord, ents, schedule)

@@ -5,8 +5,8 @@ kills, cold/warm rejoins, repairs, and durability flushes against a
 system on a persistent backend; the process then "dies" (close = flush +
 release) and restarts on the same storage root.  The pinned property:
 ``warm_restart()`` leaves every shard *byte-identical* to a cold
-full-NSM rebuild of the same machine — at every worker count, on every
-persistent backend, after any schedule.
+full-NSM rebuild of the same machine — on every persistent backend,
+after any schedule.
 """
 
 import shutil
@@ -49,15 +49,11 @@ def make_machine(seed: int):
     return cluster, ents
 
 
-def bring_up(cluster, workers, storage=None):
-    concord = ConCORD(cluster, ConCORDConfig(
-        use_network=False, workers=workers,
+def bring_up(cluster, storage=None):
+    return ConCORD(cluster, ConCORDConfig(
+        use_network=False,
         storage=storage if storage is not None
         else StorageConfig(backend="memory")))
-    # Tiny tables would stay inline behind the min_rows heuristic; force
-    # real fan-out so the property exercises the parallel path too.
-    concord.pool.min_rows = 0
-    return concord
 
 
 def shard_states(concord):
@@ -105,18 +101,16 @@ def apply_schedule(concord, ents, schedule):
 
 
 @pytest.mark.parametrize("backend", ("mmap",))
-@pytest.mark.parametrize("workers", (1, 4))
 class TestWarmRestartProperty:
     @SLOW
     @given(schedule_strategy, st.integers(0, 3))
-    def test_warm_restart_equals_cold_rebuild(self, backend, workers,
-                                              schedule, seed):
+    def test_warm_restart_equals_cold_rebuild(self, backend, schedule, seed):
         root = tempfile.mkdtemp(prefix="concord-props-")
         try:
             cluster, ents = make_machine(seed)
             storage = StorageConfig(backend=backend, root=root)
 
-            concord = bring_up(cluster, workers, storage)
+            concord = bring_up(cluster, storage)
             try:
                 concord.initial_scan()
                 apply_schedule(concord, ents, schedule)
@@ -124,7 +118,7 @@ class TestWarmRestartProperty:
                 concord.close()          # the process dies: flush + release
 
             # The restarted service process: same machine, same root.
-            warm = bring_up(cluster, workers, storage)
+            warm = bring_up(cluster, storage)
             try:
                 assert warm.storage_recovered is True
                 warm.warm_restart()
@@ -133,7 +127,7 @@ class TestWarmRestartProperty:
                 warm.close()
 
             # Ground truth: a cold rebuild of the same machine, RAM-only.
-            cold = bring_up(cluster, workers=1)
+            cold = bring_up(cluster)
             try:
                 cold.initial_scan()
                 cold.repair(full=True)

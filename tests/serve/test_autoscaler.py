@@ -27,6 +27,19 @@ class TestAutoscalerConfig:
         with pytest.raises(ValueError):
             AutoscalerConfig(**kw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("check_interval_s", float("nan")), ("check_interval_s", float("inf")),
+        ("queue_depth_high", float("nan")), ("queue_depth_high", float("inf")),
+        ("p95_high_s", float("nan")), ("reject_rate_high", float("nan")),
+        ("cooldown_s", float("nan")), ("cooldown_s", float("inf")),
+        ("max_nodes", 2.5), ("max_nodes", True),
+    ])
+    def test_unusable_value_is_refused_naming_the_field(self, field, value):
+        """A NaN interval would wedge ``arm()``; a NaN threshold would
+        never trigger a join; a fractional node cap counts nothing."""
+        with pytest.raises(ValueError, match=rf"AutoscalerConfig\.{field} "):
+            AutoscalerConfig(**{field: value})
+
 
 class TestAutoscaler:
     def test_arm_twice_raises(self):
