@@ -9,6 +9,8 @@ the first, sorted by hash then entity), and the hash/copy counters.  It
 owns every read kernel over that state — the scalar and vector probes,
 ``se_scan``, the vector point lookups — and the merge that turns it plus
 a write overlay into the columns of the *next* generation.
+:meth:`Generation.union` folds the live shards' generations into one, the
+cluster-wide view a collective query scans once.
 
 A generation is never written in place: its arrays are read-only and a
 merge builds new ones, so a reader holding one (a caller of
@@ -27,7 +29,7 @@ users.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,6 +133,33 @@ class Generation:
         return Generation(buf[:n], buf[n:2 * n], wide,
                           (xh, xe.view(np.int64), xc.view(np.int64)),
                           n_hashes, n_copies, epoch, str(path))
+
+    @staticmethod
+    def union(gens: Sequence[Generation]) -> Generation:
+        """One generation over several shards' generations: the hash
+        columns concatenated and sorted, the spills merged, the overflow
+        re-sorted by (hash, entity), the counters summed.  A hash lives
+        at one home only, so the union answers every kernel as the shards
+        do together; a hash held twice raises ValueError naming it."""
+        if len(gens) <= 1:
+            return gens[0] if gens else EMPTY
+        ph = np.concatenate([g.ph for g in gens])
+        order = np.argsort(ph, kind="stable")
+        ph = ph[order]
+        dup = np.flatnonzero(ph[1:] == ph[:-1])
+        if len(dup):
+            raise ValueError(f"hash {ph.item(dup[0]):#x} is held by more "
+                             "than one shard")
+        wide: dict[int, int] = {}
+        for g in gens:
+            wide.update(g.wide)
+        xh, xe, xc = (np.concatenate(col) for col in zip(*(g.extra
+                                                          for g in gens)))
+        xo = np.lexsort((xe, xh))
+        return Generation(ph, np.concatenate([g.pm for g in gens])[order],
+                          wide, (xh[xo], xe[xo], xc[xo]),
+                          sum(g.n_hashes for g in gens),
+                          sum(g.n_copies for g in gens))
 
     # -- scalar and vector probes ----------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Every function here is a *pure* map over one shard: it takes a
 :class:`~repro.dht.table.LocalDHT` (or a frozen
-:class:`~repro.dht.generation.Generation`) plus plain-data arguments and
+:class:`~repro.dht.generation.Generation`, such as the collective
+queries' union of the live shards) plus plain-data arguments and
 returns a plain result.  No function mutates shard state or touches the
 sim clock — :class:`~repro.exec.pool.ShardPool` maps them over shards in
 order and the caller folds the results.
@@ -35,18 +36,13 @@ _ONE = _U64(1)
 
 @dataclass
 class SharingBreakdown:
-    """Partial sums a shard contributes to sharing queries."""
+    """The sums behind the sharing queries, over one shard or the union
+    of the live ones."""
 
     total_copies: int = 0
     distinct: int = 0
     intra_dup: int = 0
     inter_dup: int = 0
-
-    def merge(self, other: SharingBreakdown) -> None:
-        self.total_copies += other.total_copies
-        self.distinct += other.distinct
-        self.intra_dup += other.intra_dup
-        self.inter_dup += other.inter_dup
 
 
 # -- thin pass-throughs (named so the executor can map them) ------------------------

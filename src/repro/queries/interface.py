@@ -46,7 +46,19 @@ combines the partial sums over a binomial reduction tree (latency = slowest
 shard scan + tree latency — constant as nodes and memory scale together).
 ``ExecMode.SINGLE`` executes the same scan over all entries at one node
 (latency linear in total entries).  The Fig 9 crossover between the two is
-the design argument for distributing the DHT.
+the design argument for distributing the DHT; :meth:`QueryInterface._answer`
+charges that modelled cost to the sim clock.
+
+On the host a collective query runs its kernel once, over one read view of
+the cluster: :meth:`Generation.union <repro.dht.generation.Generation.union>`
+of the live shards' current generations.  A hash is stored only at its
+home, so the union's integer sums are the shards' sums, bit for bit.  The
+view is cached on the *identity* of the live shards' generations: a
+generation is never written in place and ``LocalDHT.generation()`` returns
+a new one after any write, so the view is rebuilt after every write
+(epoch-bumping or not) and membership change, and reused otherwise
+(BlobSeer's shared immutable version, PAPERS.md "Distributed Management
+of Massive Data").
 
 Scans cover only the *live* shards.  Hash ranges holed by a node failure
 (not yet repaired) contribute nothing, so every answer is annotated with
@@ -58,11 +70,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.core.command import ExecMode
 from repro.dht.engine import ContentTracingEngine
+from repro.dht.generation import Generation
 from repro.exec import ops as _ops
 from repro.exec.ops import SharingBreakdown
-from repro.exec.pool import ShardPool
 from repro.sim.cluster import Cluster
 from repro.sim.costmodel import CostModel
 
@@ -127,18 +141,24 @@ def nodewise_result(cost: CostModel, op: str, value, issuing_node: int,
     return QueryResult(value, latency, compute, coverage, degraded)
 
 
-def _merge_breakdown(a: SharingBreakdown,
-                     b: SharingBreakdown) -> SharingBreakdown:
-    a.merge(b)
-    return a
+def _is_integer(x) -> bool:
+    """The one integer rule for a content hash, an entity id and ``k``
+    alike (admission and the direct API): an ``int`` or NumPy integer of
+    any width, never a ``bool`` (``True`` is not content hash 1)."""
+    return type(x) is int or (isinstance(x, (int, np.integer))
+                              and not isinstance(x, bool))
+
+
+def _check_k(k) -> None:
+    if not _is_integer(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
 
 
 class QueryInterface:
     """Issue the paper's node-wise and collective queries.
 
-    Collective queries map a per-shard kernel over the live shards through
-    a :class:`~repro.exec.pool.ShardPool` and merge the partial results in
-    shard order.
+    A collective query runs one kernel over :meth:`view`, the cached
+    union of the live shards' generations.
     """
 
     def __init__(self, cluster: Cluster, engine: ContentTracingEngine,
@@ -148,7 +168,8 @@ class QueryInterface:
         self.membership = engine.membership
         self.cost: CostModel = cluster.cost
         self.n_represented = n_represented
-        self.pool = ShardPool()
+        self._view_key: tuple[Generation, ...] = ()
+        self._view = Generation.union(())
 
     # -- node-wise (paper Fig 3, top) --------------------------------------------
 
@@ -172,14 +193,28 @@ class QueryInterface:
 
     # -- collective helpers --------------------------------------------------------
 
+    def view(self) -> Generation:
+        """The live shards' current generations as one frozen union,
+        rebuilt only when one of them is no longer the one it was built
+        from (generations compare by identity)."""
+        key = tuple(s.generation() for s in self.engine.live_shards())
+        if key != self._view_key:
+            self._view = Generation.union(key)
+            self._view_key = key
+        return self._view
+
     def _entity_masks(self, entity_ids: list[int]) -> tuple[int, dict[int, int]]:
-        """(set mask, per-node masks) for the queried entity set."""
+        """(set mask, per-node masks) for the queried entity set; an id
+        that is not a known entity's raises ValueError naming it."""
+        entities = self.cluster.entities
         s_mask = 0
         node_masks: dict[int, int] = {}
         for eid in entity_ids:
-            bit = 1 << eid
+            if not _is_integer(eid) or eid not in entities:
+                raise ValueError(f"entity id {eid!r} is not a known entity")
+            bit = 1 << int(eid)
             s_mask |= bit
-            node = self.cluster.node_of(eid)
+            node = entities[eid].node_id
             node_masks[node] = node_masks.get(node, 0) | bit
         return s_mask, node_masks
 
@@ -214,10 +249,7 @@ class QueryInterface:
         ranges contribute nothing (the callers annotate coverage).
         """
         s_mask, node_masks = self._entity_masks(entity_ids)
-        return self.pool.map_shards(self.engine.live_shards(),
-                                    _ops.shard_breakdown, (s_mask, node_masks),
-                                    reduce_fn=_merge_breakdown,
-                                    initial=SharingBreakdown())
+        return _ops.shard_breakdown(self.view(), s_mask, node_masks)
 
     # -- collective (paper Fig 3, middle) --------------------------------------------
 
@@ -257,24 +289,16 @@ class QueryInterface:
     def num_shared_content(self, entity_ids: list[int], k: int,
                            exec_mode: ExecMode = ExecMode.DISTRIBUTED,
                            ) -> QueryResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        _check_k(k)
         s_mask, _ = self._entity_masks(entity_ids)
-        count = self.pool.map_shards(self.engine.live_shards(),
-                                     _ops.count_at_least, (s_mask, k),
-                                     reduce_fn=lambda a, b: a + b, initial=0)
+        count = _ops.count_at_least(self.view(), s_mask, k)
         return self._answer(count * self.n_represented, exec_mode)
 
     def shared_content(self, entity_ids: list[int], k: int,
                        exec_mode: ExecMode = ExecMode.DISTRIBUTED,
                        ) -> QueryResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        _check_k(k)
         s_mask, _ = self._entity_masks(entity_ids)
-        hashes: set[int] = set()
-        for hs in self.pool.map_shards(self.engine.live_shards(),
-                                       _ops.hashes_at_least, (s_mask, k)):
-            if len(hs):
-                hashes.update(hs.tolist())
+        hashes = set(_ops.hashes_at_least(self.view(), s_mask, k).tolist())
         return self._answer(hashes, exec_mode,
                             result_bytes=8 * len(hashes) * self.n_represented)

@@ -13,23 +13,13 @@ from __future__ import annotations
 import math
 from collections.abc import Collection, Container
 
-import numpy as np
-
-from repro.queries.interface import OPS
+from repro.queries.interface import OPS, _is_integer
 from repro.serve.config import ServeConfig
 from repro.serve.request import QoSClass, Rejected, RejectReason, Request
 
 __all__ = ["TokenBucket", "AdmissionController"]
 
 _HASH_MAX = (1 << 64) - 1
-
-
-def _is_integer(x) -> bool:
-    """The one integer rule of admission, for a content hash, an entity id
-    and ``k`` alike: an ``int`` or NumPy integer of any width, never a
-    ``bool`` (``True`` is not content hash 1)."""
-    return type(x) is int or (isinstance(x, (int, np.integer))
-                              and not isinstance(x, bool))
 
 
 def _entity_ids_ok(ids, known: Container) -> bool:
@@ -140,10 +130,11 @@ class AdmissionController:
         node-wise hash that is not an integer in ``[0, 2**64)``, an
         entity set that is not a hashable collection of non-negative
         integers or names an entity not in :attr:`entities`, ``k`` not a
-        positive integer (:func:`_is_integer` decides "integer" in all
-        three positions).  Queue capacity is
-        checked before the rate limit so a full queue does not consume
-        tokens it cannot use; a disabled bucket is not consulted at all.
+        positive integer (:func:`~repro.queries.interface._is_integer`,
+        the direct API's rule too, decides "integer" in all three
+        positions).  Queue capacity is checked before the rate limit so a
+        full queue does not consume tokens it cannot use; a disabled
+        bucket is not consulted at all.
         """
         spec = OPS.get(req.op)
         args = req.args

@@ -32,8 +32,7 @@ from numbers import Real
 
 import numpy as np
 
-from repro.queries.interface import OPS
-from repro.serve.admission import _is_integer
+from repro.queries.interface import OPS, _is_integer
 from repro.serve.frontend import QueryFrontend, ServeReport
 from repro.serve.request import QoSClass, Response
 

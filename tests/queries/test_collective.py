@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ExecMode, workloads
+from repro.dht.generation import Generation
 from repro.queries.reference import ReferenceModel
 from tests.conftest import make_system
 
@@ -153,3 +154,134 @@ class TestStalenessBestEffort:
         concord.sync()
         ref = ReferenceModel(cluster)
         assert concord.sharing(eids).value == pytest.approx(ref.sharing(eids))
+
+
+COLLECTIVE = ("sharing", "intra_sharing", "inter_sharing",
+              "degree_of_sharing", "num_shared_content", "shared_content")
+
+
+def _ask(concord, op, eids, k=2):
+    if op in ("num_shared_content", "shared_content"):
+        return getattr(concord, op)(eids, k)
+    return getattr(concord, op)(eids)
+
+
+class TestInputValidation:
+    """The direct API refuses what admission refuses, with a ValueError
+    naming the bad argument instead of a wrong answer or a bare
+    KeyError."""
+
+    @pytest.mark.parametrize("op", ["num_shared_content", "shared_content"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None,
+                                   np.float64(3.0)])
+    def test_non_integer_k_raises(self, concord4, cluster4, op, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            getattr(concord4, op)(cluster4.all_entity_ids(), k)
+
+    @pytest.mark.parametrize("op", ["num_shared_content", "shared_content"])
+    def test_numpy_integer_k_is_an_integer(self, concord4, cluster4, op):
+        eids = cluster4.all_entity_ids()
+        assert getattr(concord4, op)(eids, np.int32(2)).value == \
+            getattr(concord4, op)(eids, 2).value
+
+    @pytest.mark.parametrize("op", COLLECTIVE)
+    @pytest.mark.parametrize("bad", [99, -1, True, 1.0, "0"])
+    def test_unknown_entity_id_raises(self, concord4, cluster4, op, bad):
+        eids = cluster4.all_entity_ids()[:1] + [bad]
+        with pytest.raises(ValueError, match=f"entity id {bad!r} "):
+            _ask(concord4, op, eids)
+
+    def test_numpy_entity_ids_answer_as_ints(self, concord4, cluster4):
+        eids = cluster4.all_entity_ids()
+        as_np = [np.int64(e) for e in eids]
+        for op in COLLECTIVE:
+            assert _ask(concord4, op, as_np).value == \
+                _ask(concord4, op, eids).value
+
+
+class TestUnionView:
+    """Collective queries scan one cached union of the live shards'
+    generations (``QueryInterface.view``)."""
+
+    @staticmethod
+    def _absent_hash(concord):
+        h = (1 << 63) + 12345
+        assert concord.num_copies(h).value == 0
+        return h
+
+    def test_view_is_cached_until_a_shard_changes(self, concord4):
+        qi = concord4.queries
+        view = qi.view()
+        assert qi.view() is view
+        h = self._absent_hash(concord4)
+        concord4.tracing.shards[concord4.tracing.home_node(h)].insert(h, 0)
+        assert qi.view() is not view
+
+    def test_direct_shard_write_is_seen_without_an_epoch_bump(
+            self, concord4, cluster4):
+        eids = cluster4.all_entity_ids()
+        before = concord4.num_shared_content(eids, 1).value
+        membership = concord4.tracing.membership
+        epoch = membership.global_epoch
+        h = self._absent_hash(concord4)
+        concord4.tracing.shards[concord4.tracing.home_node(h)].insert(h, 0)
+        assert membership.global_epoch == epoch
+        assert concord4.num_shared_content(eids, 1).value == before + 1
+        assert h in concord4.shared_content(eids, 1).value
+
+    def test_overflow_only_write_is_seen(self, concord4, cluster4):
+        """Another copy of a hash its entity already holds changes only
+        the overflow columns; the next query still sees it."""
+        eids = cluster4.all_entity_ids()
+        tracing = concord4.tracing
+        h = next(iter(concord4.shared_content(eids, 1).value))
+        n = concord4.num_copies(h).value
+        before = concord4.num_shared_content(eids, n + 1).value
+        holder = min(concord4.entities(h).value)
+        tracing.shards[tracing.home_node(h)].insert(h, holder)
+        assert concord4.num_shared_content(eids, n + 1).value == before + 1
+
+    def test_held_view_never_changes(self, concord4, cluster4):
+        qi = concord4.queries
+        view = qi.view()
+        frozen = (view.ph.copy(), view.pm.copy(), dict(view.wide),
+                  [c.copy() for c in view.extra], view.n_hashes,
+                  view.n_copies)
+        h = self._absent_hash(concord4)
+        tracing = concord4.tracing
+        tracing.shards[tracing.home_node(h)].insert(h, 0)
+        first = int(view.ph[0])
+        tracing.shards[tracing.home_node(first)].remove(
+            first, min(concord4.entities(first).value))
+        rng = np.random.default_rng(1)
+        for e in cluster4.entities.values():
+            e.mutate_random(0.3, rng)
+        concord4.sync()
+        for shard in tracing.shards:
+            shard.flush()
+        assert qi.view() is not view
+        assert np.array_equal(view.ph, frozen[0])
+        assert np.array_equal(view.pm, frozen[1])
+        assert view.wide == frozen[2]
+        for col, was in zip(view.extra, frozen[3]):
+            assert np.array_equal(col, was)
+        assert (view.n_hashes, view.n_copies) == frozen[4:]
+
+    def test_view_sums_the_live_shards(self, concord4):
+        view = concord4.queries.view()
+        live = concord4.tracing.live_shards()
+        assert view.n_hashes == sum(s.n_hashes for s in live)
+        assert view.n_copies == sum(s.n_copies for s in live)
+        assert np.all(view.ph[1:] > view.ph[:-1])
+
+    def test_hash_on_two_live_shards_raises(self, concord4, cluster4):
+        shards = concord4.tracing.live_shards()
+        h = int(shards[0].generation().ph[0])
+        shards[1].insert(h, 0)
+        with pytest.raises(ValueError, match=f"hash {h:#x} is held by"):
+            concord4.sharing(cluster4.all_entity_ids())
+
+    def test_union_of_nothing_or_one(self, concord4):
+        gen = concord4.tracing.shards[0].generation()
+        assert Generation.union([gen]) is gen
+        assert Generation.union([]).n_hashes == 0
