@@ -110,6 +110,9 @@ class ContentTracingEngine:
         self.stats = TracingStats(reg)
         self.membership = Membership(self, placement)
         self.repairer = Repair(self)
+        # The alive list the home lookup reads (grown in place on a join,
+        # never replaced).
+        self._node_up = cluster.network.node_up
         for node, shard in zip(cluster.nodes, self.shards):
             node.dht = shard
 
@@ -276,7 +279,7 @@ class ContentTracingEngine:
         failed (the query timeout path) and routing retried."""
         m = self.membership
         home = m.partition.home_node(content_hash)
-        node_up = self.cluster.network.node_up
+        node_up = self._node_up
         while not node_up[home]:
             m.node_failed(home)
             home = m.partition.home_node(content_hash)

@@ -29,8 +29,9 @@ users.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +86,15 @@ class Generation:
     n_copies: int
     epoch: int = 0               # the shard's update epoch when built
     path: str | None = None      # segment file holding every column
+    # ph and pm as buffers whose items are Python ints: the scalar probe.
+    phv: memoryview = field(init=False, repr=False)
+    pmv: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for col in (self.ph, self.pm, *self.extra):
             col.setflags(write=False)
+        object.__setattr__(self, "phv", memoryview(self.ph))
+        object.__setattr__(self, "pmv", memoryview(self.pm))
 
     # -- the segment codec -----------------------------------------------------------
 
@@ -164,11 +170,16 @@ class Generation:
     # -- scalar and vector probes ----------------------------------------------------
 
     def mask(self, h: int) -> int:
-        """Full holder mask of one hash (0: absent)."""
-        ph = self.ph
-        i = int(ph.searchsorted(_U64(h)))
-        if i < len(ph) and ph.item(i) == h:
-            lo = self.pm.item(i)
+        """Full holder mask of one hash (0: absent).  Raises OverflowError
+        for a hash outside ``[0, 2**64)``, as the vector probe does."""
+        if h >> 64:
+            raise OverflowError(f"{h} does not fit an unsigned 64-bit word")
+        # A binary search over Python ints: no NumPy scalar in or out (a
+        # searchsorted on a Python int costs ~10x one on np.uint64).
+        phv = self.phv
+        i = bisect_left(phv, h)
+        if i < len(phv) and phv[i] == h:
+            lo = self.pmv[i]
             hi = self.wide.get(h)
             return lo if hi is None else lo | (hi << 64)
         return 0
@@ -204,6 +215,21 @@ class Generation:
                 m &= _M64
             lo.append(m)
         return np.array(lo, dtype=_U64), wide_out
+
+    def scalar_copies(self, hashes,
+                      extra: dict[int, dict[int, int]]) -> np.ndarray:
+        """:meth:`bulk_num_copies` by one scalar probe per hash, the
+        overflow read from ``extra`` (hash -> {entity: extra copies}: the
+        owning shard's write side, current even where :attr:`extra` is
+        not) — cheaper for a handful of hashes, the same answer."""
+        counts = []
+        for hh in hashes:
+            hh = int(hh)
+            n = self.mask(hh).bit_count()
+            if n and hh in extra:
+                n += sum(extra[hh].values())
+            counts.append(n)
+        return np.array(counts, dtype=np.int64)
 
     def bulk_masks(self, hashes) -> tuple[np.ndarray, dict[int, int]]:
         """Low-64 masks for an array (or list) of hashes (0 for unknown

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.hashing import mix64
+from repro.util.hashing import mix64, mix64_int
 
 __all__ = ["NoAliveNodeError", "NodeRing", "Partition",
            "PLACEMENT_POLICIES", "entries_moved_fraction"]
@@ -83,7 +83,7 @@ class _ModPlacer:
         self.n_nodes = n_nodes
 
     def primary(self, content_hash: int) -> int:
-        return int(mix64(int(content_hash) ^ _ROUTE_SALT_INT)) % self.n_nodes
+        return mix64_int(int(content_hash) ^ _ROUTE_SALT_INT) % self.n_nodes
 
     def primaries(self, h: np.ndarray) -> np.ndarray:
         return (mix64(h ^ _ROUTE_SALT) % np.uint64(self.n_nodes)).astype(np.int64)
@@ -102,8 +102,8 @@ class _HDPlacer:
         self._sigs = _node_sigs(n_nodes)
 
     def primary(self, content_hash: int) -> int:
-        key = mix64(int(content_hash) ^ _ROUTE_SALT_INT)
-        return int(np.argmax(mix64(key ^ self._sigs)))
+        key = mix64_int(int(content_hash) ^ _ROUTE_SALT_INT)
+        return int(np.argmax(mix64(np.uint64(key) ^ self._sigs)))
 
     def primaries(self, h: np.ndarray) -> np.ndarray:
         keys = mix64(h ^ _ROUTE_SALT)
@@ -295,8 +295,12 @@ class Partition:
     # -- home map (alive-view aware) ----------------------------------------------
 
     def home_node(self, content_hash: int) -> int:
-        """Home node of one content hash under the current alive view."""
-        return self.ring.successor(self.primary_node(content_hash))
+        """Home node of one content hash under the current alive view:
+        its primary, walked to a successor only when that is down."""
+        node = self._placer.primary(content_hash)
+        if self.ring._alive[node]:
+            return node
+        return self.ring.successor(node)
 
     def home_nodes(self, content_hashes: np.ndarray) -> np.ndarray:
         """Vectorized home-node computation."""

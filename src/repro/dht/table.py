@@ -71,7 +71,7 @@ _COMPACT_SHIFT = 3
 _BULK_MIN = 8
 
 # Likewise for point lookups: bulk_masks / bulk_num_copies answer a probe
-# of fewer hashes than this with one scalar searchsorted each, a wider one
+# of fewer hashes than this with one scalar binary search each, a wider one
 # with the vector pass.  Chosen from the fill-cost-by-width table in
 # docs/BENCHMARKS.md (PR 24); the probe's length is all that selects.
 _VECTOR_MIN = 5
@@ -475,12 +475,13 @@ class LocalDHT:
 
     def bulk_num_copies(self, hashes) -> np.ndarray:
         """``num_copies`` of an array (or list) of hashes; below
-        :data:`_VECTOR_MIN` hashes by :meth:`num_copies` per hash."""
+        :data:`_VECTOR_MIN` hashes by one scalar probe each
+        (:meth:`Generation.scalar_copies` over the live overflow)."""
         if len(hashes) >= _VECTOR_MIN:
             q = np.ascontiguousarray(hashes, dtype=_U64)
             return self.generation().copies(q, *self.bulk_masks(q))
         self._compact()
-        return np.array([self.num_copies(hh) for hh in hashes], dtype=np.int64)
+        return self._gen.scalar_copies(hashes, self._extra)
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(hash, entity mask) pairs in this shard, in sorted hash order."""

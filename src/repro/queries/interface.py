@@ -95,6 +95,10 @@ class QueryResult:
     degraded: bool = False  # True when the answer may undercount
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
 class QueryOp(NamedTuple):
     """Shape of one Fig 3 operation as the serving layers see it."""
 
@@ -138,7 +142,15 @@ def nodewise_result(cost: CostModel, op: str, value, issuing_node: int,
     # One request/response to the home shard, free when issued from it.
     latency = compute if issuing_node == home_node else (
         cost.rtt() + cost.tx_time(resp_bytes + 74) + compute)
-    return QueryResult(value, latency, compute, coverage, degraded)
+    # The fields set directly: the frozen __init__'s five setattr calls,
+    # without the call.
+    result = _new(QueryResult)
+    _setattr(result, "value", value)
+    _setattr(result, "latency", latency)
+    _setattr(result, "compute_time", compute)
+    _setattr(result, "coverage", coverage)
+    _setattr(result, "degraded", degraded)
+    return result
 
 
 def _is_integer(x) -> bool:
@@ -147,6 +159,16 @@ def _is_integer(x) -> bool:
     any width, never a ``bool`` (``True`` is not content hash 1)."""
     return type(x) is int or (isinstance(x, (int, np.integer))
                               and not isinstance(x, bool))
+
+
+#: A content hash is an integer in ``[0, _HASH_MAX]``: one 64-bit word.
+_HASH_MAX = (1 << 64) - 1
+
+
+def _check_hash(h) -> None:
+    if not (_is_integer(h) and 0 <= h <= _HASH_MAX):
+        raise ValueError(f"content hash {h!r} is not an integer in "
+                         "[0, 2**64)")
 
 
 def _check_k(k) -> None:
@@ -175,6 +197,7 @@ class QueryInterface:
 
     def num_copies(self, content_hash: int, issuing_node: int = 0) -> QueryResult:
         """How many copies of this content exist (per the best-effort view)."""
+        _check_hash(content_hash)
         engine = self.engine
         home = engine.home_node(content_hash)
         return nodewise_result(
@@ -184,6 +207,7 @@ class QueryInterface:
 
     def entities(self, content_hash: int, issuing_node: int = 0) -> QueryResult:
         """Which entities currently have copies (per the best-effort view)."""
+        _check_hash(content_hash)
         engine = self.engine
         home = engine.home_node(content_hash)
         return nodewise_result(

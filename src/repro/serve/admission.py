@@ -13,13 +13,11 @@ from __future__ import annotations
 import math
 from collections.abc import Collection, Container
 
-from repro.queries.interface import OPS, _is_integer
+from repro.queries.interface import _HASH_MAX, OPS, _is_integer
 from repro.serve.config import ServeConfig
 from repro.serve.request import QoSClass, Rejected, RejectReason, Request
 
 __all__ = ["TokenBucket", "AdmissionController"]
-
-_HASH_MAX = (1 << 64) - 1
 
 
 def _entity_ids_ok(ids, known: Container) -> bool:

@@ -152,7 +152,7 @@ class CachedQueries:
         self._c_violations = self.obs.registry.counter(
             "serve.cache.violations")
         self.violations: list[CacheViolation] = []
-        # What a node-wise hit reads, held directly: the cache's entries
+        # What a node-wise lookup reads, held directly: the cache's entries
         # and hit counter, the alive view and the shard list (all mutated
         # in place, never replaced).
         self._entries = self.cache._map
@@ -166,7 +166,7 @@ class CachedQueries:
         """(home shard, its epoch) — ``home_node`` performs the same lazy
         failure detection the uncached lookup would."""
         home = self.engine.home_node(content_hash)
-        return (home, self.membership.shard_epoch(home))
+        return (home, self._shards[home].epoch)
 
     def collective_token(self) -> tuple:
         """Global epoch, after the same eager detection ``live_shards``

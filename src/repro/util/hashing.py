@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "HashAlgo",
     "mix64",
+    "mix64_int",
     "unmix64",
     "page_hashes",
     "page_hash",
@@ -61,22 +62,29 @@ class HashAlgo(enum.Enum):
     MIX64 = "mix64"
 
 
+def mix64_int(x: int) -> int:
+    """:func:`mix64` of one integer, on Python ints: the per-request
+    routing call, without building a NumPy scalar.  Raises OverflowError
+    for a value outside ``[0, 2**64)``, as ``np.uint64`` does."""
+    z = int(x)
+    if z >> 64:     # negative, or 2**64 and up
+        raise OverflowError(f"{z} does not fit an unsigned 64-bit word")
+    z ^= z >> 30
+    z = (z * _M1_INT) & _M64
+    z ^= z >> 27
+    z = (z * _M2_INT) & _M64
+    return z ^ (z >> 31)
+
+
 def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     """splitmix64 finalizer: a fast, invertible 64-bit mixing function.
 
     Accepts a scalar or a ``uint64`` array; returns the same shape.  An
-    integer scalar (the per-request routing call) is mixed on Python
-    ints — the same function bit for bit, without building a 0-d array.
+    integer scalar is mixed by :func:`mix64_int` — the same function bit
+    for bit, without building a 0-d array.
     """
     if isinstance(x, (int, np.integer)):
-        z = int(x)
-        if z >> 64:     # negative, or 2**64 and up
-            raise OverflowError(f"{z} does not fit an unsigned 64-bit word")
-        z ^= z >> 30
-        z = (z * _M1_INT) & _M64
-        z ^= z >> 27
-        z = (z * _M2_INT) & _M64
-        return _U64(z ^ (z >> 31))
+        return _U64(mix64_int(x))
     with np.errstate(over="ignore"):
         z = np.asarray(x, dtype=_U64)
         z = z ^ (z >> _U64(30))

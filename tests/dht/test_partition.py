@@ -3,10 +3,17 @@ membership ring."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dht.partition import (PLACEMENT_POLICIES, NoAliveNodeError,
                                  NodeRing, Partition,
                                  entries_moved_fraction)
+
+# Content hashes with the word's edges always in the draw.
+EDGE_HASHES = [0, 1, 2**63, 2**64 - 1]
+HASHES = st.lists(st.integers(0, 2**64 - 1), max_size=20).map(
+    lambda hs: EDGE_HASHES + hs)
 
 
 class TestHomeNode:
@@ -166,3 +173,23 @@ class TestPlacementPolicies:
     def test_entries_moved_identity(self):
         for policy in PLACEMENT_POLICIES:
             assert entries_moved_fraction(policy, 6, 6, sample=500) == 0.0
+
+
+class TestScalarRouteIsTheVectorRoute:
+    """``home_node`` routes one hash on Python ints; it must agree with
+    the vector ``home_nodes`` everywhere, dead nodes included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(policy=st.sampled_from(PLACEMENT_POLICIES),
+           n_nodes=st.integers(1, 12), hashes=HASHES, data=st.data())
+    def test_home_node_equals_home_nodes(self, policy, n_nodes, hashes,
+                                         data):
+        p = Partition(n_nodes, policy=policy)
+        dead = data.draw(st.sets(st.integers(0, n_nodes - 1),
+                                 max_size=n_nodes - 1))
+        for node in dead:
+            p.set_alive(node, False)
+        for h in hashes:
+            want = int(p.home_nodes(np.array([h], dtype=np.uint64))[0])
+            assert p.home_node(h) == want, (policy, sorted(dead), h)
+            assert p.is_alive(want)

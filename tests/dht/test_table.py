@@ -1,8 +1,11 @@
 """Unit tests for the local DHT shard."""
 
 import numpy as np
+import pytest
 
+from repro.dht import table
 from repro.dht.repair import pairs_where
+from repro.dht.storage.mmapseg import MmapSegmentStorage
 from repro.dht.table import LocalDHT
 from repro.exec.ops import shard_in_s_copies
 
@@ -214,3 +217,98 @@ class TestOverflowReadCost:
         assert t.extra_arrays() is not view
         assert t.extra_arrays()[2][0] == view[2][0] + 1
         assert t.extra_arrays() is t.extra_arrays()
+
+
+class TestProbeBelowTheVectorWidth:
+    """``bulk_num_copies`` / ``bulk_masks`` of a few hashes (one scalar
+    probe each below ``table._VECTOR_MIN``) answer as the generation's
+    vector probe over ``generation()``, and commit only where the merge
+    they start commits."""
+
+    WIDE = 70                # past bit 63: the row spills into ``wide``
+
+    def build(self, tmp_path, backend):
+        store = (MmapSegmentStorage(tmp_path, 0) if backend == "mmap"
+                 else None)
+        shard = LocalDHT(0, storage=store)
+        rng = np.random.default_rng(7)
+        hs = np.unique(rng.integers(1, 2**64 - 1, 300, dtype=np.uint64))
+        shard.bulk_insert(hs, rng.integers(0, 8, len(hs)))
+        own = hs.tolist()
+        self.multi, self.wide, self.wide_multi = own[:3]
+        self.held = shard.entity_ids(self.multi)[0]
+        shard.insert(self.multi, self.held)               # extra copies
+        shard.insert(self.wide, self.WIDE)
+        shard.insert(self.wide_multi, self.WIDE)
+        shard.insert(self.wide_multi, self.WIDE)
+        self.toggled = [5, 2**64 - 1]                     # overlay rows
+        shard.insert(self.toggled[1], 3)
+        self.special = [0, self.multi, self.wide, self.wide_multi,
+                        *self.toggled]
+        self.ordinary = own[3:]
+        shard.generation()                                # compacted
+        self.commits = 0
+        if store is not None:
+            commit = store.commit
+
+            def counted(gen):
+                self.commits += 1
+                return commit(gen)
+            store.commit = counted
+        return shard
+
+    def dirty(self, shard, pending):
+        """An overflow-only write (``_gen.extra`` goes stale, ``_extra``
+        does not) and, when ``pending``, overlay rows: one hash born and
+        one deleted since the last merge."""
+        shard.insert(self.multi, self.held)
+        assert shard._xview is None and not shard._delta
+        if pending:
+            for h in self.toggled:
+                if h in shard:
+                    assert shard.remove(h, 3)
+                else:
+                    shard.insert(h, 3)
+            assert len(shard._delta) == 2
+
+    @pytest.mark.parametrize("h", [-1, 2**64])
+    def test_a_hash_outside_the_word_raises_before_any_write(self, h):
+        shard = LocalDHT()
+        shard.bulk_insert(np.arange(1, 20, dtype=np.uint64), 0)
+        shard.generation()
+        for op in (lambda: shard.insert(h, 0), lambda: shard.num_copies(h),
+                   lambda: shard.bulk_num_copies([h])):
+            with pytest.raises(OverflowError):
+                op()
+        assert not shard._delta and shard.n_hashes == 19
+        assert shard.generation().n_hashes == 19
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    @pytest.mark.parametrize("fn", ["bulk_num_copies", "bulk_masks"])
+    def test_equals_the_generation_vector_probe(self, tmp_path, fn,
+                                                backend, pending):
+        shard = self.build(tmp_path, backend)
+        ring = self.special + self.ordinary
+        for width in range(1, 9):
+            for lead in range(len(self.special)):
+                hs = (ring[lead:] + ring[:lead])[:width]
+                self.dirty(shard, pending)
+                before = self.commits
+                got = getattr(shard, fn)(hs)
+                assert self.commits - before == (
+                    pending and backend == "mmap")
+                assert not shard._delta
+                gen = shard.generation()
+                assert self.commits - before == (
+                    pending and backend == "mmap")
+                want = getattr(gen, fn)(np.array(hs, dtype=np.uint64))
+                if fn == "bulk_masks":
+                    (got, got_wide), (want, want_wide) = got, want
+                    assert got_wide == want_wide
+                    loop = [shard.entities_mask(h) & (2**64 - 1) for h in hs]
+                else:
+                    loop = [shard.num_copies(h) for h in hs]
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist() == loop, (width, lead)
+        assert table._VECTOR_MIN <= 8       # both probes were reached

@@ -1,5 +1,7 @@
 """Unit tests for node-wise queries (num_copies / entities, Fig 8)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,35 @@ class TestValues:
         dup_hash = int(h[np.argmax(count)])
         assert concord.num_copies(dup_hash).value == int(count.max())
         assert concord.entities(dup_hash).value == {ents[0].entity_id}
+
+
+class TestHashValidation:
+    """The direct API takes admission's hash rule: an integer (never a
+    bool) in [0, 2**64).  Anything else raises ValueError naming the hash
+    the caller passed, instead of answering some other hash."""
+
+    @staticmethod
+    def tracked(concord, cluster):
+        return int(next(iter(cluster.entities.values())).content_hashes()[0])
+
+    @pytest.mark.parametrize("op", ["num_copies", "entities"])
+    @pytest.mark.parametrize("bad", [str, float, lambda h: True,
+                                     lambda h: -1, lambda h: 2**64,
+                                     lambda h: None],
+                             ids=["str", "float", "bool", "negative",
+                                  "2**64", "None"])
+    def test_rejects_a_non_hash(self, concord4, cluster4, op, bad):
+        arg = bad(self.tracked(concord4, cluster4))
+        with pytest.raises(ValueError, match=re.escape(repr(arg))):
+            getattr(concord4, op)(arg)
+
+    @pytest.mark.parametrize("op", ["num_copies", "entities"])
+    def test_accepts_every_integer_form(self, concord4, cluster4, op):
+        h = self.tracked(concord4, cluster4)
+        want = getattr(concord4, op)(h)
+        assert getattr(concord4, op)(np.uint64(h)) == want
+        for edge in (0, 2**64 - 1):
+            assert getattr(concord4, op)(edge).value in (0, set())
 
 
 class TestLatency:

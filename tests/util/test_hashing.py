@@ -4,12 +4,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.hashing import (
     HashAlgo,
     hash_bytes,
     md5_64,
     mix64,
+    mix64_int,
     page_hash,
     page_hashes,
     superfasthash32,
@@ -49,11 +52,20 @@ class TestMix64:
             got = mix64(scalar)
             assert type(got) is np.uint64 and got == want
         assert int(unmix64(mix64(x))) == x
+        assert mix64_int(x) == int(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.integers(0, 2**64 - 1))
+    def test_mix64_int_is_mix64(self, x):
+        got = mix64_int(x)
+        assert type(got) is int and got == int(mix64(np.uint64(x)))
 
     @pytest.mark.parametrize("x", [-1, 2**64, -2**70])
     def test_integer_scalar_out_of_range_raises(self, x):
         with pytest.raises(OverflowError):
             mix64(x)
+        with pytest.raises(OverflowError):
+            mix64_int(x)
 
     def test_avalanche(self):
         """Flipping one input bit flips ~half the output bits."""
