@@ -9,20 +9,23 @@ of each distinct block the collective phase handled; each SE has its own
 shared content file or — for content ConCORD was unaware of (the
 best-effort gap) — the block's literal content.  ``1:E:3`` means page 1 of
 the SE holds content with hash E stored as block 3 of the shared file.
+Here each SE file holds those records as columns — kind, page index, hash,
+payload (:class:`SECheckpointFile`) — so the local phase appends an entity
+in one call.
 
 The shared file is an append-only log with atomic multi-writer append, the
 only facility §6.1 requires of the parallel filesystem.
 
 Restore walks an SE's checkpoint file, following pointers into the shared
-file — implemented here (:func:`restore_entity`) and property-tested to be
-the identity under arbitrary staleness.
+file — here one gather over its columns (:func:`restore_entity`),
+property-tested to be the identity under arbitrary staleness.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 from pathlib import Path
 from typing import Any
@@ -54,6 +57,12 @@ _FILE_HEADER_BYTES = 32
 # Tags an incremental checkpoint's private data for content its base
 # already stores (repro.services.incremental).
 _BASE_TAG = "base-offset"
+
+# An SE file's record kinds, by their code in its kind column.
+_KINDS = ("ptr", "data", "bptr")
+_PTR, _DATA, _BPTR = range(len(_KINDS))
+_NO_ROWS = tuple(np.empty(0, t) for t in (np.uint8, np.int64, np.uint64,
+                                          np.uint64))
 
 
 class SharedContentFile:
@@ -101,29 +110,80 @@ class SharedContentFile:
         return _FILE_HEADER_BYTES + self.n_blocks * self.page_size
 
 
-@dataclass
 class SECheckpointFile:
-    """One SE's checkpoint file: pointer or content records per block."""
+    """One SE's checkpoint file as columns: kind, page index, hash, payload
+    (offset or content ID).  A ``bptr`` payload is whatever the base's
+    ``offset_of`` returned (``(store, offset)`` in a chain): it lives in a
+    side table by row.  Scalar appends join the columns when next read."""
 
-    entity_id: int
-    page_size: int
-    # ('ptr', page_idx, hash, offset) | ('data', page_idx, hash, content_id)
-    records: list[tuple] = field(default_factory=list)
+    def __init__(self, entity_id: int, page_size: int) -> None:
+        self.entity_id = entity_id
+        self.page_size = page_size
+        self._cols = _NO_ROWS
+        self._rows: list[tuple] = []          # scalar appends, not yet columns
+        self._bptr: dict[int, Any] = {}       # row -> base pointer payload
+
+    def __len__(self) -> int:
+        return len(self._cols[0]) + len(self._rows)
 
     def add_pointer(self, page_idx: int, content_hash: int, offset: int) -> None:
-        self.records.append(("ptr", page_idx, int(content_hash), int(offset)))
+        self.extend([("ptr", page_idx, content_hash, offset)])
 
     def add_data(self, page_idx: int, content_hash: int, content_id: int) -> None:
-        self.records.append(("data", page_idx, int(content_hash), int(content_id)))
+        self.extend([("data", page_idx, content_hash, content_id)])
+
+    def extend(self, records) -> None:
+        """Append ``(kind, page_idx, hash, payload)`` records; a negative
+        page index, or a hash or non-``bptr`` payload outside ``uint64``,
+        is refused before its row is kept."""
+        for kind, page_idx, content_hash, payload in records:
+            if page_idx < 0:
+                raise ValueError(f"page index {page_idx} is negative")
+            row = (_KINDS.index(kind), page_idx, int(content_hash),
+                   0 if kind == "bptr" else int(payload))
+            if not (0 <= row[2] < 2**64 and 0 <= row[3] < 2**64):
+                raise ValueError(f"page {page_idx}: hash or payload outside"
+                                 " uint64")
+            if kind == "bptr":
+                self._bptr[len(self)] = payload
+            self._rows.append(row)
+
+    def append_columns(self, kind, page_idx, hashes, payload,
+                       bptr: dict[int, Any] | None = None) -> None:
+        """Append whole columns in one call; ``bptr`` maps a row of them
+        to its base pointer payload."""
+        if not len(kind) == len(page_idx) == len(hashes) == len(payload):
+            raise ValueError("columns of different lengths")
+        if len(page_idx) and np.min(page_idx) < 0:
+            raise ValueError(f"page index {np.min(page_idx)} is negative")
+        n = len(self)
+        self._cols = tuple(np.concatenate([c, np.asarray(new, c.dtype)])
+                           for c, new in zip(self.columns(), (
+                               kind, page_idx, hashes, payload)))
+        self._bptr.update((n + row, p) for row, p in (bptr or {}).items())
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(kind, page index, hash, payload), one array each."""
+        if self._rows:
+            rows, self._rows = self._rows, []
+            self.append_columns(*zip(*rows))
+        return self._cols
+
+    @property
+    def records(self) -> list[tuple]:
+        """Every record as ``(kind, page_idx, hash, payload)``, in file
+        order (a copy: append with :meth:`extend`)."""
+        return [(_KINDS[k], i, h, self._bptr.get(row, p)) for row, (k, i, h, p)
+                in enumerate(zip(*(c.tolist() for c in self.columns())))]
+
+    @property
+    def n_data_records(self) -> int:
+        return int(np.count_nonzero(self.columns()[0] == _DATA))
 
     @property
     def n_pointer_records(self) -> int:
         # 'bptr' (incremental base pointers) cost the same as 'ptr'.
-        return sum(1 for r in self.records if r[0] in ("ptr", "bptr"))
-
-    @property
-    def n_data_records(self) -> int:
-        return sum(1 for r in self.records if r[0] == "data")
+        return len(self) - self.n_data_records
 
     @property
     def size_bytes(self) -> int:
@@ -153,7 +213,7 @@ class CheckpointStore:
 
     @property
     def total_blocks(self) -> int:
-        return sum(len(f.records) for f in self.se_files.values())
+        return sum(map(len, self.se_files.values()))
 
     @property
     def raw_size_bytes(self) -> int:
@@ -199,11 +259,12 @@ class CheckpointStore:
                         for cid in self.shared.blocks]
         leftover_parts = []
         for f in self.se_files.values():
-            for kind, _idx, _h, payload in f.records:
-                page = materialize_page(self._record_cid(kind, payload),
-                                        self.page_size, self.compress_fraction)
+            for kind, cid in zip(f.columns()[0].tolist(),
+                                 self._content_ids(f).tolist()):
+                page = materialize_page(cid, self.page_size,
+                                        self.compress_fraction)
                 raw_parts.append(page)
-                if kind == "data":
+                if kind == _DATA:
                     leftover_parts.append(page)
         raw_gzip = len(zlib.compress(b"".join(raw_parts), 6))
         ptr_bytes = sum(f.n_pointer_records * _PTR_RECORD_BYTES
@@ -221,14 +282,30 @@ class CheckpointStore:
     _SHARED_MAGIC = b"CCS2"
     _SE_MAGIC = b"CCE2"
 
-    def _record_cid(self, kind: str, payload: int) -> int:
-        if kind == "ptr":
-            return self.shared.read(payload)
-        if kind == "data":
-            return int(payload)
-        raise ValueError(
-            f"record kind {kind!r} (incremental checkpoints"
-            " serialize with their chain, not standalone)")
+    def _content_ids(self, f: SECheckpointFile,
+                     read_bptr: Callable[[Any], int] | None = None
+                     ) -> np.ndarray:
+        """Each record's content ID, by one gather over ``f``'s columns; a
+        ``bptr`` resolves through ``read_bptr``, and without one is refused
+        (an increment serializes with its chain, not standalone)."""
+        kind, page_idx, _h, payload = f.columns()
+        ptr = kind == _PTR
+        blocks, offsets = self.shared.blocks, payload[ptr]
+        if len(offsets) and offsets.max() >= len(blocks):
+            i = int(np.argmax(offsets >= len(blocks)))
+            raise ValueError(f"page {page_idx[ptr][i]} points at shared-file "
+                             f"offset {offsets[i]}, past the end of the "
+                             f"shared file ({len(blocks)} blocks)")
+        cids = payload.copy()
+        cids[ptr] = np.fromiter(map(blocks.__getitem__, offsets.tolist()),
+                                np.uint64, len(offsets))
+        for row, p in f._bptr.items():
+            if read_bptr is None:
+                raise ValueError(f"page {page_idx[row]} is a base pointer:"
+                                 " an incremental checkpoint resolves it"
+                                 " with its base or chain")
+            cids[row] = read_bptr(p)
+        return cids
 
     def _canonical(self) -> CheckpointStore:
         """This checkpoint's *logical* content as a store whose shape does
@@ -237,18 +314,20 @@ class CheckpointStore:
         appended collectively but never referenced — stale handled
         hashes — are garbage-collected), and every SE record is a pointer
         into it, in page order."""
-        by_hash: dict[int, int] = {}
-        for f in self.se_files.values():
-            for kind, _idx, h, payload in f.records:
-                by_hash.setdefault(h, self._record_cid(kind, payload))
+        files = list(self.se_files.values())
+        hashes = np.concatenate([_NO_ROWS[2]] + [f.columns()[2]
+                                                 for f in files])
+        cids = np.concatenate([_NO_ROWS[3]] + [self._content_ids(f)
+                                               for f in files])
+        distinct, first = np.unique(hashes, return_index=True)
         out = CheckpointStore(self.page_size, self.compress_fraction)
-        for h in sorted(by_hash):
-            out.shared.append(h, by_hash[h])
+        out.shared.extend(distinct.tolist(), cids[first].tolist())
         for eid in sorted(self.se_files):
-            f = out.se_file(eid)
-            for _kind, idx, h, _payload in sorted(self.se_files[eid].records,
-                                                  key=lambda r: r[1]):
-                f.add_pointer(idx, h, out.shared.offset_of(h))
+            _kind, page_idx, h, _payload = self.se_files[eid].columns()
+            rows = np.argsort(page_idx, kind="stable")
+            out.se_file(eid).append_columns(
+                np.full(len(rows), _PTR), page_idx[rows], h[rows],
+                np.searchsorted(distinct, h[rows]))
         return out
 
     def write_to_dir(self, path: str | Path, canonical: bool = False) -> None:
@@ -267,6 +346,9 @@ class CheckpointStore:
             self._canonical().write_to_dir(path)
             return
         d = Path(path)
+        # Resolved before any file opens: a refused store writes nothing.
+        cids_of = {eid: self._content_ids(f)
+                   for eid, f in self.se_files.items()}
         d.mkdir(parents=True, exist_ok=True)
         with open(d / "shared.bin", "wb") as fh:
             fh.write(self._SHARED_MAGIC)
@@ -277,20 +359,20 @@ class CheckpointStore:
                 fh.write(struct.pack("<QI", cid, len(page)))
                 fh.write(page)
         for eid, f in self.se_files.items():
+            cids = cids_of[eid]
             with open(d / f"entity_{eid}.ckpt", "wb") as fh:
                 fh.write(self._SE_MAGIC)
-                fh.write(struct.pack("<IIQ", eid, self.page_size,
-                                     len(f.records)))
-                for kind, idx, h, payload in f.records:
-                    if kind == "ptr":
+                fh.write(struct.pack("<IIQ", eid, self.page_size, len(f)))
+                for kind, idx, h, payload, cid in zip(
+                        *(c.tolist() for c in f.columns()), cids.tolist()):
+                    if kind == _PTR:
                         fh.write(struct.pack("<BIQQ", 0, idx, h, payload))
-                    else:
-                        cid = self._record_cid(kind, payload)
-                        page = materialize_page(cid, self.page_size,
-                                                self.compress_fraction)
-                        fh.write(struct.pack("<BIQQI", 1, idx, h, cid,
-                                             len(page)))
-                        fh.write(page)
+                        continue
+                    page = materialize_page(cid, self.page_size,
+                                            self.compress_fraction)
+                    fh.write(struct.pack("<BIQQI", 1, idx, h, cid,
+                                         len(page)))
+                    fh.write(page)
 
     @classmethod
     def load_from_dir(cls, path: str | Path,
@@ -300,8 +382,9 @@ class CheckpointStore:
         Files carry each block's content ID explicitly, and interned chunk
         bytes are re-registered so :func:`materialize_page` renders them
         again.  A file whose magic is not the ``CCS2``/``CCE2`` container,
-        or that ends before what its headers declare, raises ValueError
-        naming it — nothing truncated is registered.
+        that ends before what its headers declare, or that points past the
+        end of the shared file raises ValueError naming it — nothing
+        truncated is registered.
         """
         d = Path(path)
         shared = d / "shared.bin"
@@ -333,6 +416,10 @@ class CheckpointStore:
                     if is_interned_id(cid):
                         register_chunk(cid, data)
                     f.add_data(idx, h, cid)
+            try:
+                store._content_ids(f)
+            except ValueError as exc:
+                raise ValueError(f"{ckpt}: {exc}") from None
         return store
 
 
@@ -366,36 +453,24 @@ def _restore_records(store: CheckpointStore, entity_id: int,
     f = store.se_files.get(entity_id)
     if f is None:
         raise KeyError(f"no checkpoint file for entity {entity_id}")
-    if not f.records:
+    kind, idx, _h, _payload = f.columns()
+    if not len(idx):
         return np.empty(0, dtype=np.uint64)
-    kinds, idx, _h, payloads = zip(*f.records)
-    kinds = np.array(kinds)
-    idx = np.array(idx, dtype=np.int64)
-    again = np.ones(len(idx), dtype=bool)      # names its page a second time
-    again[np.unique(idx, return_index=True)[1]] = False
-    bptr = kinds == "bptr"
-    refused = again | bptr if read_bptr is None else again
-    if refused.any():
+    per_page = np.bincount(idx)
+    if per_page.max() > 1 or (f._bptr and read_bptr is None):
+        again = np.ones(len(idx), dtype=bool)  # names its page a second time
+        again[np.unique(idx, return_index=True)[1]] = False
+        refused = again | (kind == _BPTR) if read_bptr is None else again
         i = int(np.argmax(refused))
         if again[i]:
             raise ValueError(f"duplicate record for page {idx[i]}")
         raise ValueError(
             f"page {idx[i]} is a base pointer: restore an incremental "
             "checkpoint with its base or chain")
-    payloads = list(payloads)
-    for i in np.flatnonzero(bptr).tolist():
-        payloads[i] = read_bptr(payloads[i])
-    values = np.array(payloads, dtype=np.uint64)
-    ptr = kinds == "ptr"
-    if ptr.any():
-        values[ptr] = np.array(store.shared.blocks, dtype=np.uint64)[
-            values[ptr].astype(np.int64)]
-    pages = np.zeros(int(idx.max()) + 1, dtype=np.uint64)
-    pages[idx] = values
-    seen = np.zeros(len(pages), dtype=bool)
-    seen[idx] = True
-    if not seen.all():
-        missing = np.flatnonzero(~seen)[:5].tolist()
+    pages = np.empty(len(per_page), dtype=np.uint64)
+    pages[idx] = store._content_ids(f, read_bptr)
+    if not per_page.all():
+        missing = np.flatnonzero(per_page == 0)[:5].tolist()
         raise ValueError(f"checkpoint incomplete: pages {missing} missing")
     return pages
 
@@ -529,9 +604,8 @@ class CollectiveCheckpoint(ServiceCallbacks):
                             hashes: np.ndarray, covered: np.ndarray,
                             handled_map: dict[int, Any]) -> None:
         eid = entity.entity_id
-        hash_list = hashes.tolist()
         if ctx.mode is ExecMode.BATCH:
-            for idx, (h, is_covered) in enumerate(zip(hash_list,
+            for idx, (h, is_covered) in enumerate(zip(hashes.tolist(),
                                                       covered.tolist())):
                 if is_covered:
                     ctx.plan.record("ptr", eid, idx, h)
@@ -539,16 +613,20 @@ class CollectiveCheckpoint(ServiceCallbacks):
                     ctx.plan.record("data", eid, idx, h,
                                     entity.read_block_id(idx))
             return
-        # A covered block's private is its shared-file offset, or — from an
-        # incremental checkpoint's base — a (_BASE_TAG, offset) pair,
-        # recorded as a base pointer.
-        self.store.se_file(eid).records.extend([
-            ("data", idx, h, cid) if p is None
-            else ("bptr", idx, h, p[1]) if type(p) is tuple
-            else ("ptr", idx, h, int(p))
-            for idx, (h, cid, p) in enumerate(zip(
-                hash_list, entity.block_ids().tolist(),
-                map(handled_map.get, hash_list)))])
+        # One append for the whole entity: a covered block's private is its
+        # shared-file offset, or — from an incremental checkpoint's base —
+        # a (_BASE_TAG, offset) pair, recorded as a base pointer.
+        kind = np.where(covered, _PTR, _DATA)
+        payload = entity.block_ids().astype(np.uint64)
+        rows = np.flatnonzero(covered)
+        privates = list(map(handled_map.__getitem__, hashes[rows].tolist()))
+        bptr = {}
+        for i in [i for i, p in enumerate(privates) if type(p) is tuple]:
+            bptr[int(rows[i])], privates[i] = privates[i][1], 0
+        kind[list(bptr)] = _BPTR
+        payload[rows] = privates
+        self.store.se_file(eid).append_columns(
+            kind, np.arange(len(hashes)), hashes, payload, bptr)
         st: _CkptNodeState = ctx.state
         c = ctx.cost
         n_cov = int(covered.sum())
@@ -622,11 +700,9 @@ class RawCheckpoint:
         per_node_time: dict[int, float] = {}
         for eid in entity_ids:
             entity = cluster.entity(eid)
-            f = store.se_file(eid)
-            hashes = entity.content_hashes()
-            for idx, (h, cid) in enumerate(zip(hashes.tolist(),
-                                               entity.block_ids().tolist())):
-                f.add_data(idx, int(h), int(cid))
+            store.se_file(eid).append_columns(
+                np.full(entity.n_blocks, _DATA), np.arange(entity.n_blocks),
+                entity.content_hashes(), entity.block_ids())
             nbytes = entity.memory_bytes * n_represented
             t = (entity.n_blocks * n_represented * (c.file_append_base / 64)
                  + nbytes * (c.file_append_per_byte + c.memcpy_per_byte))

@@ -167,8 +167,7 @@ class CollectiveReconstruction(ServiceCallbacks):
             return self.backing.shared.read(offset)
         f = self.backing.se_files.get(self.backing_entity_id)
         if f is not None:
-            for kind, idx, h, payload in f.records:
-                if idx == page_idx:
-                    return (self.backing.shared.read(payload)
-                            if kind == "ptr" else payload)
+            rows = np.flatnonzero(f.columns()[1] == page_idx)
+            if len(rows):
+                return int(self.backing._content_ids(f)[rows[0]])
         raise KeyError(f"hash {want_hash:#x} in neither live memory nor store")

@@ -1,7 +1,8 @@
-"""tools/bench_pairs.py — "is this a gain" as an exit status.  The verdict
-function is pure, so the rule (at least nine tenths of the pairs won, ties
-for neither side, medians apart by more than the parent's inter-quartile
-distance) is pinned here on synthetic series; the command around it is run
+"""tools/bench_pairs.py — "is this a gain" (or its mirror, a loss) as an
+exit status.  The verdict function is pure, so the rule (at least nine
+tenths of the pairs won — or lost — ties for neither side, medians apart by
+more than the parent's inter-quartile distance) is pinned here on synthetic
+series; the command around it is run
 once against two fake checkouts whose ``bench/run.py`` prints fixed lines."""
 
 import json
@@ -61,6 +62,56 @@ def test_direction_follows_the_metric():
     assert not tool.verdict(PARENT, halved, higher_is_better=True).gain
 
 
+def test_clear_loss_is_a_loss_not_a_gain():
+    v = tool.verdict(PARENT, [x / 2 for x in PARENT], higher_is_better=True)
+    assert v.loss and not v.gain and v.wins == 0
+    assert "lost 10 of 10" in v.reason
+
+
+def test_a_gain_is_never_a_loss():
+    v = tool.verdict(PARENT, [x * 2 for x in PARENT], higher_is_better=True)
+    assert v.gain and not v.loss
+
+
+def test_nine_of_ten_lost_is_a_loss_eight_is_not():
+    change = [x / 2 for x in PARENT]
+    change[3] = 500.0
+    assert tool.verdict(PARENT, change, higher_is_better=True).loss
+    change[7] = 500.0
+    v = tool.verdict(PARENT, change, higher_is_better=True)
+    assert not v.loss and not v.gain
+
+
+def test_ties_count_for_neither_side_in_a_loss():
+    change = [x - 50 for x in PARENT]
+    change[0], change[1] = PARENT[0], PARENT[1]     # 8 losses, 2 ties
+    v = tool.verdict(PARENT, change, higher_is_better=True)
+    assert not v.loss and (v.wins, v.ties) == (0, 2)
+
+
+def test_loss_inside_the_parents_own_spread_is_no_loss():
+    noisy = [100.0, 140.0, 60.0, 120.0, 80.0, 130.0, 70.0, 110.0, 90.0, 100.0]
+    v = tool.verdict(noisy, [x - 1 for x in noisy], higher_is_better=True)
+    assert not v.loss and not v.gain
+
+
+def test_a_a_run_losing_five_of_six_at_0964_is_no_loss():
+    # Two checkouts of one commit: 5 of 6 pairs lost, median ratio 0.964.
+    parent = [1000.0, 1010.0, 990.0, 1005.0, 995.0, 1000.0]
+    change = [962.0, 974.0, 955.0, 966.0, 959.0, 1001.0]
+    v = tool.verdict(parent, change, higher_is_better=True)
+    assert v.wins == 1 and v.ties == 0
+    assert v.change_quartiles[1] / v.parent_quartiles[1] == pytest.approx(
+        0.964, abs=1e-3)
+    assert not v.loss and not v.gain
+
+
+def test_loss_direction_follows_the_metric():
+    doubled = [x * 2 for x in PARENT]
+    assert tool.verdict(PARENT, doubled, higher_is_better=False).loss
+    assert not tool.verdict(PARENT, doubled, higher_is_better=True).loss
+
+
 def test_series_must_pair_up():
     with pytest.raises(ValueError):
         tool.verdict(PARENT, PARENT[:-1], higher_is_better=True)
@@ -110,6 +161,13 @@ def test_command_reports_no_gain(tmp_path, capsys):
     status, io = run(tmp_path, capsys, checkout(tmp_path, "p", 100.0),
                      checkout(tmp_path, "c", 100.0))
     assert status == 1 and "NO GAIN" in io.out
+
+
+def test_command_reports_a_loss_as_exit_3(tmp_path, capsys):
+    status, io = run(tmp_path, capsys, checkout(tmp_path, "p", 250.0),
+                     checkout(tmp_path, "c", 100.0))
+    assert status == 3
+    assert "LOSS: the change lost 3 of 3 pairs" in io.out
 
 
 @pytest.mark.parametrize("broken", [{"correct": False}, {"failed": 2}])

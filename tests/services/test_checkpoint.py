@@ -353,6 +353,108 @@ class TestSharedContentFile:
             restore_entity(store, 0)
 
 
+class TestColumnarFile:
+    """The SE file's columns: what an append refuses, and the pointers a
+    restore, a writer and a loader refuse."""
+
+    @pytest.mark.parametrize("append", [
+        pytest.param(lambda f: f.add_data(-1, 1, 11), id="add_data"),
+        pytest.param(lambda f: f.add_pointer(-1, 5, 0), id="add_pointer"),
+        pytest.param(lambda f: f.extend([("bptr", -1, 7, (0, 0))]),
+                     id="extend"),
+        pytest.param(lambda f: f.append_columns(
+            np.array([1, 1]), np.array([1, -1]), np.array([1, 2]),
+            np.array([11, 22])), id="append_columns"),
+    ])
+    def test_negative_page_index_refused(self, append):
+        store = CheckpointStore()
+        f = store.se_file(0)
+        f.add_data(0, 2, 22)
+        with pytest.raises(ValueError, match="page index -1"):
+            append(f)
+        assert f.records == [("data", 0, 2, 22)] and len(f) == 1
+        assert restore_entity(store, 0).tolist() == [22]
+
+    def test_a_refused_record_leaves_no_trace(self):
+        store = CheckpointStore()
+        f = store.se_file(0)
+        with pytest.raises(ValueError):
+            f.extend([("bptr", 0, "not a hash", (0, 5))])
+        f.add_data(0, 1, 11)
+        assert f.records == [("data", 0, 1, 11)]
+        for bad in (lambda: f.add_data(1, 2**64, 22),     # no uint64 hash
+                    lambda: f.add_data(1, -2, 22),
+                    lambda: f.add_pointer(1, 2, 2**64),   # nor payload
+                    lambda: f.extend([("data", 1, 2, -1)])):
+            with pytest.raises(ValueError, match="page 1: .* outside uint64"):
+                bad()
+        f.add_data(1, 2, 22)
+        assert f.records == [("data", 0, 1, 11), ("data", 1, 2, 22)]
+        assert restore_entity(store, 0).tolist() == [11, 22]
+
+    def test_columns_of_different_lengths_refused(self):
+        f = CheckpointStore().se_file(0)
+        with pytest.raises(ValueError, match="different lengths"):
+            f.append_columns(np.array([1, 1]), np.array([0, 1]),
+                             np.array([5]), np.array([11, 22]))
+        assert len(f) == 0
+
+    def test_pointer_past_the_shared_file_names_page_and_offset(self,
+                                                                tmp_path):
+        store = CheckpointStore(page_size=64)
+        store.shared.append(5, 50)
+        f = store.se_file(0)
+        f.add_data(0, 1, 11)
+        f.add_pointer(1, 5, 7)
+        with pytest.raises(ValueError, match=r"page 1 points at shared-file "
+                           r"offset 7, past the end .*\(1 blocks\)"):
+            restore_entity(store, 0)
+        with pytest.raises(ValueError, match="past the end"):
+            store.write_to_dir(tmp_path / "w")
+        assert not (tmp_path / "w").exists()    # nothing half written
+
+    def test_loader_refuses_a_pointer_past_the_shared_file(self, tmp_path):
+        store = CheckpointStore(page_size=64)
+        store.shared.append(page_hash(50), 50)
+        f = store.se_file(3)
+        f.add_data(0, page_hash(11), 11)
+        f.add_pointer(1, page_hash(50), 0)
+        store.write_to_dir(tmp_path)
+        # The shared file loses its one block; the SE file still points.
+        (tmp_path / "shared.bin").write_bytes(
+            b"CCS2" + struct.pack("<IQ", 64, 0))
+        with pytest.raises(ValueError, match=r"entity_3\.ckpt: page 1 "
+                           r"points at shared-file offset 0"):
+            CheckpointStore.load_from_dir(tmp_path)
+
+    def test_write_to_dir_bytes_pinned(self, tmp_path):
+        """A fixed small store's bytes, both modes, as the tuple-list
+        store wrote them."""
+        import hashlib
+
+        store = CheckpointStore(page_size=512)
+        for cid in (31, 7, 19):
+            store.shared.append(page_hash(cid), cid)
+        a = store.se_file(2)
+        a.add_pointer(1, page_hash(7), 1)
+        a.add_data(0, page_hash(44), 44)
+        a.add_pointer(2, page_hash(31), 0)
+        b = store.se_file(0)
+        b.add_data(1, page_hash(19), 19)
+        b.add_pointer(0, page_hash(19), 2)
+        digests = []
+        for canonical in (False, True):
+            d = tmp_path / str(canonical)
+            store.write_to_dir(d, canonical=canonical)
+            h = hashlib.sha256()
+            for path in sorted(d.iterdir()):
+                h.update(path.name.encode() + b"\0" + path.read_bytes())
+            digests.append(h.hexdigest())
+        assert digests == [
+            "e16b225ac78d6914d49f426981997d1b61e11b3a875721a4c215ac495bc50cc1",
+            "30e77743362c618113d4cb315f66280b18b3ac636f9bdcdc7d51cf14e353e449"]
+
+
 def _restore_plain(store, base):
     return restore_entity(store, 0)
 
@@ -390,7 +492,7 @@ class TestRestoreWalk:
         base.shared.append(7, 70)
         store = CheckpointStore()
         store.shared.append(5, 50)
-        store.se_file(0).records.extend({
+        store.se_file(0).extend({
             "ok": [("data", 1, 1, 11), ("ptr", 0, 5, 0)],
             "duplicate": [("data", 0, 1, 11), ("ptr", 0, 5, 0)],
             "missing": [("data", 3, 1, 11)],

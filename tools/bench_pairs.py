@@ -16,14 +16,18 @@ and quartiles, wins and ties, and the verdict of the rule in the
 ``choosing-metrics`` guide, section 8: a gain is claimed only when the
 change wins at least nine tenths of all pairs run (a tie counts for
 neither side) **and** the medians differ, in the better direction, by more
-than the distance between the quartiles of the parent's own runs.
+than the distance between the quartiles of the parent's own runs.  The
+mirror verdict, a loss, is the same rule the other way round: the change
+loses at least nine tenths of the pairs **and** its median is worse by more
+than that distance.
 
 Whether higher or lower is better is read from the change checkout's
 ``BENCHMARK.json``.  ``tools/bench_sim_diff.py`` answers the other
 question — whether the *modelled* machine moved.
 
-Exit status: 0 gain, 1 no gain, 2 a run was incorrect, had failed
-operations, or printed no result (or the arguments cannot be used).
+Exit status: 0 gain, 1 neither gain nor loss, 2 a run was incorrect, had
+failed operations, or printed no result (or the arguments cannot be used),
+3 loss.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from typing import NamedTuple
 
 class Verdict(NamedTuple):
     gain: bool
+    loss: bool
     wins: int
     ties: int
     parent_quartiles: tuple[float, float, float]   # q1, median, q3
@@ -67,20 +72,26 @@ def verdict(parent: list[float], change: list[float],
     pq, cq = quartiles(parent), quartiles(change)
     spread = pq[2] - pq[0]
     lead = sign * (cq[1] - pq[1])       # > 0: the change's median is better
-    if wins < 0.9 * len(parent):
-        gain, reason = False, (
-            f"the change won {wins} of {len(parent)} pairs; the rule needs "
-            f"nine tenths")
-    elif lead <= spread:
-        gain, reason = False, (
-            f"the medians differ by {lead:.6g}, not more than the parent's "
-            f"inter-quartile distance {spread:.6g}")
-    else:
+    n = len(parent)
+    losses = n - wins - ties
+    gain = loss = False
+    if wins >= 0.9 * n and lead > spread:
         gain, reason = True, (
-            f"the change won {wins} of {len(parent)} pairs and the medians "
+            f"the change won {wins} of {n} pairs and the medians "
             f"differ by {lead:.6g} > the parent's inter-quartile distance "
             f"{spread:.6g}")
-    return Verdict(gain, wins, ties, pq, cq, reason)
+    elif losses >= 0.9 * n and -lead > spread:
+        loss, reason = True, (
+            f"the change lost {losses} of {n} pairs and its median is worse "
+            f"by {-lead:.6g} > the parent's inter-quartile distance "
+            f"{spread:.6g}")
+    elif wins < 0.9 * n:
+        reason = (f"the change won {wins} of {n} pairs; the rule needs "
+                  f"nine tenths")
+    else:
+        reason = (f"the medians differ by {lead:.6g}, not more than the "
+                  f"parent's inter-quartile distance {spread:.6g}")
+    return Verdict(gain, loss, wins, ties, pq, cq, reason)
 
 
 def higher_is_better(checkout: Path, metric: str) -> bool:
@@ -165,8 +176,10 @@ def main(argv: list[str]) -> int:
     print(f"wins {v.wins}  ties {v.ties}  losses "
           f"{args.pairs - v.wins - v.ties}  median change/parent "
           f"{cm / pm if pm else float('nan'):.3f}")
-    print(f"{'GAIN' if v.gain else 'NO GAIN'}: {v.reason}")
-    return 0 if v.gain else 1
+    label, status = (("GAIN", 0) if v.gain else ("LOSS", 3) if v.loss
+                     else ("NO GAIN", 1))
+    print(f"{label}: {v.reason}")
+    return status
 
 
 if __name__ == "__main__":
