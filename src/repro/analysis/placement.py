@@ -7,7 +7,8 @@ enable.  Here it takes ~100 lines on top of ConCORD's data:
 
 1. build a weighted *sharing graph*: vertices are entities, edge weights
    the number of distinct content hashes two entities share (computed
-   from the DHT's bitmaps, no memory access needed);
+   from the DHT's bitmaps, no memory access needed), held as a plain
+   symmetric adjacency dict ``{entity: {neighbour: shared_hashes}}``;
 2. greedily pack entities onto nodes, each step choosing the placement
    that gains the most intra-node sharing, subject to per-node capacity.
 
@@ -18,41 +19,44 @@ KSM would reclaim after co-location.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-import networkx as nx
+from collections.abc import Iterator
 
 from repro.core.concord import ConCORD
 from repro.exec import ops as _ops
 
 __all__ = ["sharing_graph", "suggest_colocation", "placement_sharing_score"]
 
+SharingGraph = dict[int, dict[int, int]]
 
-def _pairwise_shared(concord: ConCORD,
-                     entity_ids: list[int]) -> dict[tuple[int, int], int]:
-    """Distinct hashes shared by each entity pair (one pass over shards)."""
-    mask = 0
-    for eid in entity_ids:
-        mask |= 1 << eid
-    shared: dict[tuple[int, int], int] = defaultdict(int)
+
+def sharing_graph(concord: ConCORD, entity_ids: list[int]) -> SharingGraph:
+    """Pairwise content sharing, ``{entity: {neighbour: shared_hashes}}``:
+    symmetric, every requested entity a key (an isolated one maps to
+    ``{}``); an id that is not a known entity raises ValueError."""
+    mask, _ = concord.queries._entity_masks(entity_ids)
+    g: SharingGraph = {eid: {} for eid in entity_ids}
     # MapReduce over shards: each shard counts its own
     # pair co-occurrences; the partial dicts sum centrally in shard order.
     for part in concord.map_shards(_ops.pairwise_shared, (mask,)):
-        for pair, w in part.items():
-            shared[pair] += w
-    return dict(shared)
-
-
-def sharing_graph(concord: ConCORD, entity_ids: list[int]) -> nx.Graph:
-    """Weighted graph of pairwise content sharing between entities."""
-    g = nx.Graph()
-    g.add_nodes_from(entity_ids)
-    for (a, b), w in _pairwise_shared(concord, entity_ids).items():
-        g.add_edge(a, b, weight=w)
+        for (a, b), w in part.items():
+            g[a][b] = g[b][a] = g[a].get(b, 0) + w
     return g
 
 
-def suggest_colocation(graph: nx.Graph, n_nodes: int,
+def _edges(graph: SharingGraph) -> Iterator[tuple[int, int, int]]:
+    """Each undirected edge once as ``(a, b, weight)``: entities in key
+    order, each one's neighbours in insertion order, skipping those
+    already walked — so ``max`` over it breaks ties as a networkx
+    ``Graph.edges()`` walk of the same insertions would."""
+    seen: set[int] = set()
+    for a, nbrs in graph.items():
+        for b, w in nbrs.items():
+            if b not in seen:
+                yield a, b, w
+        seen.add(a)
+
+
+def suggest_colocation(graph: SharingGraph, n_nodes: int,
                        capacity: int) -> dict[int, int]:
     """Greedy sharing-maximizing placement: entity -> node.
 
@@ -65,7 +69,7 @@ def suggest_colocation(graph: nx.Graph, n_nodes: int,
         raise ValueError("need at least one node")
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    entities = list(graph.nodes)
+    entities = list(graph)
     if len(entities) > n_nodes * capacity:
         raise ValueError(
             f"{len(entities)} entities exceed capacity {n_nodes}x{capacity}")
@@ -74,15 +78,14 @@ def suggest_colocation(graph: nx.Graph, n_nodes: int,
     groups: dict[int, list[int]] = {n: [] for n in range(n_nodes)}
 
     def weight_into(eid: int, group: list[int]) -> int:
-        return sum(graph[eid][g]["weight"] for g in group
-                   if graph.has_edge(eid, g))
+        return sum(graph[eid].get(g, 0) for g in group)
 
     for node in range(n_nodes):
         if not unplaced:
             break
         # Seed with the heaviest remaining edge (or any entity).
         seed_pair = max(
-            ((a, b, d["weight"]) for a, b, d in graph.edges(data=True)
+            ((a, b, w) for a, b, w in _edges(graph)
              if a in unplaced and b in unplaced),
             key=lambda abw: abw[2], default=None)
         if seed_pair is not None and capacity >= 2:
@@ -115,11 +118,9 @@ def suggest_colocation(graph: nx.Graph, n_nodes: int,
     return placement
 
 
-def placement_sharing_score(graph: nx.Graph,
+def placement_sharing_score(graph: SharingGraph,
                             placement: dict[int, int]) -> int:
     """Total shared weight realised *within* nodes under a placement."""
-    score = 0
-    for a, b, d in graph.edges(data=True):
-        if placement.get(a) is not None and placement.get(a) == placement.get(b):
-            score += d["weight"]
-    return score
+    return sum(w for a, b, w in _edges(graph)
+               if placement.get(a) is not None
+               and placement.get(a) == placement.get(b))

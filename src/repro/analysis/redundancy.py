@@ -50,6 +50,7 @@ class RedundancyProfiler:
             raise ValueError("need at least one entity to profile")
         self.concord = concord
         self.entity_ids = list(entity_ids)
+        concord.queries._entity_masks(self.entity_ids)  # unknown ids raise
         self.history: list[RedundancySnapshot] = []
 
     def snapshot(self, time: float | None = None,
@@ -108,9 +109,7 @@ def copy_distribution(concord: ConCORD, entity_ids: list[int]) -> Counter:
     The histogram behind the "at least k copies" queries: its tail tells a
     service which content is worth exploiting (paper §3.3).
     """
-    mask = 0
-    for eid in entity_ids:
-        mask |= 1 << eid
+    mask, _ = concord.queries._entity_masks(entity_ids)
     dist: Counter = Counter()
     # MapReduce over shards: one columnar histogram
     # kernel per shard, merged centrally in shard order.
@@ -122,9 +121,7 @@ def copy_distribution(concord: ConCORD, entity_ids: list[int]) -> Counter:
 def top_shared_content(concord: ConCORD, entity_ids: list[int],
                        n: int = 10) -> list[tuple[int, int]]:
     """The n most-replicated content hashes: [(hash, copies)], descending."""
-    mask = 0
-    for eid in entity_ids:
-        mask |= 1 << eid
+    mask, _ = concord.queries._entity_masks(entity_ids)
     best: list[tuple[int, int]] = []
     for hs, copies in concord.map_shards(_ops.copy_counts, (mask,)):
         best.extend(zip(hs.tolist(), copies.tolist()))

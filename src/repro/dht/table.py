@@ -378,7 +378,7 @@ class LocalDHT:
         if not len(drop):
             return 0
         ph, pm, wide, gone, copies = self._gen.without(drop)
-        copies += sum(self._extra_take(h) for h in gone)
+        copies += sum(self._extra_take(h) for h in gone if h in self._extra)
         self._n_hashes -= len(drop)
         self._total_copies -= copies
         self._advance(ph, pm, wide)

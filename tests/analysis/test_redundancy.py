@@ -1,5 +1,7 @@
 """Unit tests for redundancy profiling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,19 @@ class TestTopShared:
                                         spec=workloads.nasty(2, 4))
         top = top_shared_content(concord, [e.entity_id for e in ents], n=100)
         assert len(top) == 8
+
+
+class TestRefusesUnknownEntityIds:
+    """Every tool refuses an id the query API refuses, with its error."""
+
+    @pytest.mark.parametrize("bad", [999, -1, True, "x"])
+    @pytest.mark.parametrize("tool", [copy_distribution, top_shared_content,
+                                      RedundancyProfiler])
+    def test_refused_like_the_query_api(self, tool, bad):
+        _c, ents, concord = make_system(n_nodes=2)
+        ids = [ents[0].entity_id, bad]
+        err = re.escape(f"entity id {bad!r} is not a known entity")
+        with pytest.raises(ValueError, match=err):
+            concord.sharing(ids)
+        with pytest.raises(ValueError, match=err):
+            tool(concord, ids)

@@ -96,6 +96,26 @@ class TestRemoveEntity:
         assert t.n_copies == 1
 
 
+class TestRetain:
+    def test_counters_equal_a_fresh_rebuild(self):
+        """Dropped rows, some carrying overflow copies and a wide mask,
+        leave the counters a shard built from the survivors has."""
+        records = [(h, e) for h in range(12) for e in (0, 1, 70)
+                   if (h + e) % 3]
+        records += [(h, 1) for h in range(0, 12, 2)] * 2   # overflow
+        t, fresh = LocalDHT(), LocalDHT()
+        for h, e in records:
+            t.insert(h, e)
+            if h % 4 >= 2:
+                fresh.insert(h, e)
+        assert t.retain(t.items_arrays()[0] % 4 >= 2) == 6
+        assert (t.n_hashes, t.n_copies, t.n_multicopy_entries) == \
+            (fresh.n_hashes, fresh.n_copies, fresh.n_multicopy_entries)
+        assert sorted(t.items()) == sorted(fresh.items())
+        assert sorted(t.extra_items()) == sorted(fresh.extra_items())
+        assert t.n_multicopy_entries > 0
+
+
 class TestIteration:
     def test_items(self):
         t = LocalDHT()

@@ -83,17 +83,10 @@ class TestPlacementProps:
     @given(st.integers(2, 12), st.integers(1, 4), st.integers(0, 50))
     def test_colocation_is_total_and_capacity_safe(self, n_entities,
                                                    capacity, seed):
-        import networkx as nx
-
         from repro.analysis import placement_sharing_score, suggest_colocation
+        from tests.analysis.test_placement import random_sharing_graph
 
-        rng = np.random.default_rng(seed)
-        g = nx.Graph()
-        g.add_nodes_from(range(n_entities))
-        for a in range(n_entities):
-            for b in range(a + 1, n_entities):
-                if rng.random() < 0.4:
-                    g.add_edge(a, b, weight=int(rng.integers(1, 100)))
+        g = random_sharing_graph(n_entities, seed)
         n_nodes = (n_entities + capacity - 1) // capacity
         placement = suggest_colocation(g, n_nodes=n_nodes, capacity=capacity)
         assert set(placement) == set(range(n_entities))
