@@ -37,6 +37,8 @@ impossible and ``execute`` refuses it.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -52,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.costmodel import CostModel
 
 __all__ = ["ServiceCallbacks", "CommandFailed", "CollectiveBatch", "ExecMode",
-           "NodeContext"]
+           "HandledMap", "NodeContext"]
 
 
 class ExecMode(enum.Enum):
@@ -235,6 +237,68 @@ class CollectiveBatch:
         return seconds
 
 
+def sorted_find(col: np.ndarray, keys: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each of ``keys`` in the sorted column ``col``;
+    searched in key order, each search starts from the last one's answer."""
+    by_key = np.argsort(keys)
+    at = np.empty(len(keys), dtype=np.intp)
+    at[by_key] = np.searchsorted(col, keys[by_key])
+    if not len(col):
+        return at, np.zeros(len(keys), dtype=bool)
+    return at, col.take(at, mode="clip") == keys
+
+
+class HandledMap(Mapping):
+    """The handled set one node was told, read-only: content hash ->
+    ``collective_command``'s private data, as a sorted ``uint64`` hash
+    column and an aligned private column.  Scalar ``in``, ``[]`` and
+    ``get`` answer as a dict would; :meth:`covered` and :meth:`gather`
+    answer a hash array in one call.  A hash given twice is refused."""
+
+    def __init__(self, hashes=(), privates=()) -> None:
+        hashes = np.asarray(hashes, dtype=np.uint64)
+        if len(privates) != len(hashes):
+            raise ValueError("hashes and privates differ in length")
+        if not (isinstance(privates, np.ndarray) and privates.dtype == object):
+            privates = np.fromiter(privates, dtype=object, count=len(hashes))
+        order = np.argsort(hashes)
+        self.hashes, self.privates = hashes[order], privates[order]
+        again = np.flatnonzero(self.hashes[1:] == self.hashes[:-1])
+        if len(again):
+            raise ValueError(
+                f"hash {int(self.hashes[again[0]]):#x} handled twice")
+        self._keys: list[int] | None = None    # the hashes as ints, on demand
+
+    def __getitem__(self, h) -> Any:
+        if self._keys is None:
+            self._keys = self.hashes.tolist()
+        try:
+            i = bisect_left(self._keys, h)
+        except TypeError:                       # not a number: never a key
+            raise KeyError(h) from None
+        if i == len(self._keys) or self._keys[i] != h:
+            raise KeyError(h)
+        return self.privates[i]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.hashes.tolist())
+
+    def __len__(self) -> int:
+        return len(self.hashes)
+
+    def covered(self, hashes: np.ndarray) -> np.ndarray:
+        """``h in self`` for each ``h`` of ``hashes``, as a bool array."""
+        return sorted_find(self.hashes, hashes)[1]
+
+    def gather(self, hashes: np.ndarray) -> np.ndarray:
+        """``self[h]`` for each ``h`` of ``hashes``, as an object array."""
+        at, found = sorted_find(self.hashes, hashes)
+        if not found.all():
+            raise KeyError(int(hashes[np.argmin(found)]))
+        return self.privates[at]
+
+
 class ServiceCallbacks:
     """Base class for application services; override what you need.
 
@@ -318,17 +382,19 @@ class ServiceCallbacks:
 
     def local_command_batch(self, ctx: NodeContext, entity: Entity,
                             hashes: np.ndarray, covered: np.ndarray,
-                            handled_map: dict[int, Any]) -> None:
+                            handled_map: HandledMap) -> None:
         """Handle every memory block of an SE: the engine's one entry into
         the local phase, called once per SE between ``local_start`` and
         ``local_finalize``.
 
         ``hashes`` is ``entity.content_hashes()`` (one per block, in block
         order), ``covered[i]`` is ``hashes[i] in handled_map``, and
-        ``handled_map`` maps each hash the collective phase handled *and
-        this node was told about* to its private data.  The default runs
-        :meth:`local_command` per block, in block order; override this
-        method instead to handle the arrays in bulk.
+        ``handled_map`` is a read-only :class:`HandledMap` (a ``Mapping``,
+        not a ``dict``) from each hash the collective phase handled *and
+        this node was told about* to its private data; its
+        :meth:`~HandledMap.gather` reads the privates of a hash array at
+        once.  The default runs :meth:`local_command` per block, in block
+        order; override this method instead to handle the arrays in bulk.
         """
         eid = entity.entity_id
         resolve = ctx.nsm.resolve_block

@@ -16,6 +16,12 @@ engine executes the two-phase model of §4:
   information plus the set of collectively-handled hashes, so the service
   is correct regardless of how stale the DHT was.
 
+The host path works in columns: a shard's believed rows, their decoded
+candidates and replica draws, each scope entity's ground truth (a sorted
+hash column) and each node's handled set (a
+:class:`~repro.core.command.HandledMap`) are arrays from the collective
+phase to the local phase.
+
 Timing: the executor runs the *real* protocol (real DHT contents, real
 selection, real retries, real dissemination) and charges modelled costs to
 each node; a phase's wall time is the slowest node's CPU + NIC time plus
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -36,16 +41,18 @@ from repro.core.command import (
     CollectiveBatch,
     CommandFailed,
     ExecMode,
+    HandledMap,
     NodeContext,
     ServiceCallbacks,
+    sorted_find,
 )
 from repro.core.events import CommandTracer, EventKind
 from repro.core.scope import ServiceScope
 from repro.dht.engine import ContentTracingEngine
-from repro.dht.table import mask_bits
 from repro.exec import ops as _ops
 from repro.exec.pool import ShardPool
 from repro.obs import Observability, Span
+from repro.queries.interface import _is_integer
 from repro.sim.cluster import Cluster
 from repro.util.records import ENTITY_ID_BYTES, HASH_BYTES, UDP_HEADER_BYTES
 
@@ -270,8 +277,8 @@ class ServiceCommandExecutor:
         self._tracer = tracer
 
         for eid in scope.all_entities():
-            if eid not in cluster.entities:
-                raise KeyError(f"unknown entity {eid} in scope")
+            if not _is_integer(eid) or eid not in cluster.entities:
+                raise ValueError(f"entity id {eid!r} is not a known entity")
         # The local phase walks every SE's blocks on its host node; a dead
         # host means those blocks are gone and the command cannot be
         # correct, so refuse up front.  Dead *PE* hosts are fine — their
@@ -410,7 +417,7 @@ class ServiceCommandExecutor:
                           contexts: dict[int, NodeContext],
                           rng: np.random.Generator, stats: CommandStats,
                           mode: ExecMode
-                          ) -> tuple[dict[int, Any], dict[int, dict[int, Any]]]:
+                          ) -> tuple[dict[int, Any], dict[int, HandledMap]]:
         """Map collective_command over distinct believed SE hashes, then
         disseminate the handled set.
 
@@ -443,13 +450,14 @@ class ServiceCommandExecutor:
         ledger = _RowLedger()
         # SE-holder mask -> nodes hosting those SEs, memoized: the distinct
         # holder sets are few even at millions of hashes.
+        ses = sorted(scope.service_entities)
         se_memo: dict[int, frozenset] = {}
 
         def holder_nodes(se_part: int) -> frozenset:
             nodes = se_memo.get(se_part)
             if nodes is None:
                 nodes = se_memo[se_part] = frozenset(
-                    cluster.node_of(e) for e in mask_bits(se_part))
+                    cluster.node_of(e) for e in ses if se_part >> e & 1)
             return nodes
 
         # Only the live shards can answer: holed ranges contribute nothing
@@ -478,30 +486,45 @@ class ServiceCommandExecutor:
                 n_cand = np.bitwise_count(cand_lo)
                 # A lone candidate is the index of its bit.
                 first = np.bitwise_count(cand_lo - _U64(1)).astype(np.int64)
-                multi = n_cand > 1
-                cands = dict(zip(np.flatnonzero(multi).tolist(),
-                                 map(mask_bits, cand_lo[multi].tolist())))
+                # Several candidates, or a wide row (holders >= entity 64
+                # live only in its full mask): decode each row's holders.
+                multi = np.flatnonzero(n_cand > 1)
+                words = cand_lo[multi, None]
                 se_wide: dict[int, int] = {}
                 if wide:
-                    # Holders >= entity 64 live only in the full mask.
-                    for h, full in wide.items():
-                        r = int(np.searchsorted(hashes, _U64(h)))
-                        cands[r] = mask_bits(full & scope_mask)
-                        n_cand[r] = len(cands[r]) > 0
-                        se_wide[r] = full & se_mask
-                    cands = dict(sorted(cands.items()))
+                    w_rows = np.searchsorted(hashes, np.fromiter(
+                        wide, dtype=_U64, count=len(wide)))
+                    se_wide = dict(zip(w_rows.tolist(),
+                                       [f & se_mask for f in wide.values()]))
+                    multi = np.union1d(multi, w_rows)
+                    shifts = range(0, scope_mask.bit_length() + 1, 64)
+                    words = np.zeros((len(multi), len(shifts)), _U64)
+                    words[:, 0] = cand_lo[multi]
+                    words[np.searchsorted(multi, w_rows)] = [
+                        [(f & scope_mask) >> s & _M64 for s in shifts]
+                        for f in wide.values()]
+                owner, cand = np.nonzero(np.unpackbits(
+                    words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                    bitorder="little"))
+                n_multi = np.bincount(owner, minlength=len(multi))
+                drawn = n_multi > 0
+                n_cand[multi] = drawn
+                # The draws: one permutation per row with candidates, in
+                # row order.
+                start = np.cumsum(n_multi) - n_multi
+                perms = [rng.permutation(n) for n in n_multi[drawn].tolist()]
+                order = cand[np.repeat(start, n_multi) + np.concatenate(
+                    [np.empty(0, np.int64)] + perms)]
+                first[multi[drawn]] = order[start[drawn]]
                 rows = np.flatnonzero(n_cand)
                 if not len(rows):
                     continue
                 row_list = rows.tolist()
-                orders: dict[int, list[int]] = {}
-                for r, c in cands.items():
-                    if c:
-                        orders[r] = [c[i] for i in rng.permutation(len(c))]
-                        first[r] = orders[r][0]
+                replicas = _Replicas(first, multi, np.append(start, len(cand)),
+                                     cand, order, {})
                 if service.collective_select is not None:
                     self._select(service, contexts[shard_node], ledger,
-                                 row_list, hash_list, first, cands, orders)
+                                 row_list, hash_list, replicas)
                     stats.select_calls += len(row_list)
 
                 # -- ground truth: the first replica that holds the hash ---
@@ -515,30 +538,29 @@ class ServiceCommandExecutor:
                 for j in np.flatnonzero(pages < 0).tolist():
                     r = row_list[j]
                     trails[j] = []
-                    found = truth.walk(hash_list[r],
-                                       orders.get(r) or [int(first[r])], 0,
+                    found = truth.walk(hash_list[r], replicas.lists(r)[1], 0,
                                        trails[j])
                     if found is not None:
                         tries[j], eids[j], nodes[j], pages[j] = found
                 take = np.flatnonzero(pages >= 0)
 
                 # -- the service: one batch, then any CommandFailed chains -
-                b_hashes = [hash_list[r] for r in rows[take].tolist()]
+                b_hashes = hashes[rows[take]].tolist()
                 privates = self._invoke(service, contexts, ledger,
                                         rows[take], tries[take], eids[take],
                                         b_hashes, pages[take], nodes[take])
-                for i, result in enumerate(privates):
-                    if not isinstance(result, CommandFailed):
-                        continue
+                failed = [i for i, p in enumerate(privates)
+                          if isinstance(p, CommandFailed)]
+                for i in failed:
+                    result = privates[i]
                     j = int(take[i])
                     r = row_list[j]
                     trail = trails.setdefault(j, [])
                     while isinstance(result, CommandFailed):
                         trail.append((int(eids[j]), int(nodes[j]),
                                       result.reason or "callback-failed"))
-                        found = truth.walk(
-                            hash_list[r], orders.get(r) or [int(first[r])],
-                            int(tries[j]) + 1, trail)
+                        found = truth.walk(hash_list[r], replicas.lists(r)[1],
+                                           int(tries[j]) + 1, trail)
                         if found is None:
                             result = _STALE
                             break
@@ -549,7 +571,8 @@ class ServiceCommandExecutor:
                             pages[j:j + 1], nodes[j:j + 1])
                     privates[i] = result
                 ok = np.zeros(len(rows), dtype=bool)   # row was handled
-                ok[take] = [p is not _STALE for p in privates]
+                ok[take] = True
+                ok[take[[i for i in failed if privates[i] is _STALE]]] = False
 
                 # -- accounting, in the per-hash serial order --------------
                 ledger.add(rows, _STEP_SELECT, shard_node,
@@ -559,8 +582,6 @@ class ServiceCommandExecutor:
 
                 # -- the handled set and the protocol trace -----------------
                 h_rows = rows[ok]
-                h_hashes = [h for h, p in zip(b_hashes, privates)
-                            if p is not _STALE]
                 privates = [True if p is None else p
                             for p in privates if p is not _STALE]
                 stats.handled += len(privates)
@@ -573,28 +594,30 @@ class ServiceCommandExecutor:
                     if at < len(h_rows) and h_rows[at] == r:
                         group[at] = len(holders)
                         holders.append(holder_nodes(se_part))
-                handled.append(_Handled(shard_node, h_hashes, privates, group,
-                                        holders))
+                handled.append(_Handled(
+                    shard_node, hashes[h_rows],
+                    np.fromiter(privates, dtype=object, count=len(privates)),
+                    group, holders))
                 if self._tracer is not None:
-                    self._trace_rows(row_list, hash_list, first, eids, nodes,
-                                     ok, cands, orders, trails)
+                    self._trace_rows(row_list, hash_list, replicas, eids,
+                                     nodes, ok, trails)
         finally:
             for ctx in contexts.values():
                 ctx._charge_sink = self._charge
                 ctx._shared_sink = self._charge_shared
         handled_private: dict[int, Any] = {}
         for part in handled:
-            handled_private.update(zip(part.hashes, part.privates))
+            handled_private.update(zip(part.hashes.tolist(),
+                                       part.privates.tolist()))
         return handled_private, self._disseminate_handled(handled)
 
     def _select(self, service: ServiceCallbacks, ctx: NodeContext,
                 ledger: _RowLedger, row_list: list[int], hash_list: list[int],
-                first: np.ndarray, cands: dict[int, list[int]],
-                orders: dict[int, list[int]]) -> None:
+                replicas: _Replicas) -> None:
         """``collective_select`` per candidate row, in row order, on the
         shard's node: its pick goes first in the row's order."""
         for r in row_list:
-            c = cands.get(r) or [int(first[r])]
+            c, order = replicas.lists(r)
             ledger.at(r, _STEP_SELECT_CB)
             pick = service.collective_select(ctx, hash_list[r], list(c))
             if pick is None:
@@ -602,11 +625,9 @@ class ServiceCommandExecutor:
             if pick not in c:
                 raise ValueError(
                     f"collective_select returned non-candidate {pick}")
-            order = orders.get(r) or list(c)
             order.remove(pick)
-            order.insert(0, pick)
-            orders[r] = order
-            first[r] = pick
+            replicas.picked[r] = [pick] + order
+            replicas.first[r] = pick
 
     def _invoke(self, service: ServiceCallbacks,
                 contexts: dict[int, NodeContext], ledger: _RowLedger,
@@ -674,31 +695,27 @@ class ServiceCommandExecutor:
         (rows, steps, nodes, seconds), (s_rows, s_steps, s_seconds) = \
             ledger.drain()
         ph = self._phase
-        serial = np.lexsort((steps, rows))
+        serial = np.lexsort((steps, rows, nodes))   # by node, then serially
         nodes, seconds = nodes[serial], seconds[serial]
-        for node in np.unique(nodes).tolist():
+        for node, lo, hi in _runs(nodes):
             key = (node, ph)
             self._cpu[key] = _fold_left(self._cpu.get(key, 0.0),
-                                        seconds[nodes == node])
+                                        seconds[lo:hi])
         if len(s_seconds):
             self._shared[ph] = _fold_left(
                 self._shared.get(ph, 0.0),
                 s_seconds[np.lexsort((s_steps, s_rows))])
 
     def _trace_rows(self, row_list: list[int], hash_list: list[int],
-                    first: np.ndarray, eids: np.ndarray, nodes: np.ndarray,
-                    ok: np.ndarray, cands: dict[int, list[int]],
-                    orders: dict[int, list[int]],
-                    trails: dict[int, list[_Failed]]) -> None:
+                    replicas: _Replicas, eids: np.ndarray, nodes: np.ndarray,
+                    ok: np.ndarray, trails: dict[int, list[_Failed]]) -> None:
         """One shard's protocol events, row by row in serial order."""
         emit = self._tracer.emit
-        first = first.tolist()
         for j, (r, eid, node, handled) in enumerate(zip(
                 row_list, eids.tolist(), nodes.tolist(), ok.tolist())):
             h = hash_list[r]
-            lone = [first[r]]
-            order = orders.get(r) or lone
-            emit(EventKind.SELECT, h, tuple(cands.get(r) or lone), order[0])
+            c, order = replicas.lists(r)
+            emit(EventKind.SELECT, h, tuple(c), order[0])
             for failed, at, reason in trails.get(j, ()):
                 if at is not None:
                     emit(EventKind.INVOKE, h, failed, at)
@@ -710,7 +727,7 @@ class ServiceCommandExecutor:
                 emit(EventKind.STALE, h, tuple(order))
 
     def _disseminate_handled(self, handled: list[_Handled]
-                             ) -> dict[int, dict[int, Any]]:
+                             ) -> dict[int, HandledMap]:
         """Shards push handled entries to the nodes believed to need them.
 
         Each shard pushes its handled (hash, private) entries to the nodes
@@ -721,13 +738,15 @@ class ServiceCommandExecutor:
         only if the DHT's bitmap says one of its SEs holds h.  If that
         information was stale the node simply treats h as unhandled and
         falls back to local content — correct, slightly less deduplicated.
-        Returns the per-node visible handled maps.
+        Returns each node's :class:`HandledMap`, built from the column
+        slices every shard sent it.
 
         Each shard sends one exchange per destination, in the order its
         rows (then their holder sets) first name the destination.
         """
         R = self.n_represented
-        by_node: dict[int, dict[int, Any]] = defaultdict(dict)
+        parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = \
+            defaultdict(list)
         for shard_node, hashes, privates, group, holders in handled:
             n_rows = np.bincount(group, minlength=len(holders)).tolist()
             _, first_row = np.unique(group, return_index=True)
@@ -737,22 +756,18 @@ class ServiceCommandExecutor:
                 for dst in holders[g]:
                     entries[dst] = entries.get(dst, 0) + n_rows[g]
                     told[g, dst] = True
-            hash_col = np.array(hashes, dtype=object)   # the same ints
-            private_col = np.fromiter(privates, dtype=object,
-                                      count=len(privates))
-            for dst in entries:
-                rows = told[group, dst]
-                by_node[dst].update(zip(hash_col[rows].tolist(),
-                                        private_col[rows].tolist()))
             for dst, n_entries in entries.items():
+                rows = told[group, dst]
+                parts[dst].append((hashes[rows], privates[rows]))
                 self._emit(EventKind.EXCHANGE, shard_node, dst, n_entries)
                 self._msg(shard_node, dst,
                           n_entries * _EXCHANGE_ENTRY_BYTES * R)
-        return dict(by_node)
+        return {dst: HandledMap(*map(np.concatenate, zip(*cols)))
+                for dst, cols in parts.items()}
 
     def _local_phase(self, service: ServiceCallbacks, scope: ServiceScope,
                      contexts: dict[int, NodeContext],
-                     handled_by_node: dict[int, dict[int, Any]],
+                     handled_by_node: dict[int, HandledMap],
                      stats: CommandStats, mode: ExecMode) -> None:
         cluster = self.cluster
         cost = self.cost
@@ -763,7 +778,7 @@ class ServiceCommandExecutor:
         for eid in scope.service_entities:
             entity = cluster.entity(eid)
             node = entity.node_id
-            handled_private = handled_by_node.get(node, {})
+            handled = handled_by_node.get(node) or HandledMap()
             ctx = contexts[node]
             service.local_start(ctx, entity)
             hashes = entity.content_hashes()
@@ -771,11 +786,9 @@ class ServiceCommandExecutor:
             self._charge(node, n * per_block * R)
             stats.local_blocks += n
 
-            covered = np.fromiter(
-                map(handled_private.__contains__, hashes.tolist()),
-                dtype=bool, count=n)
+            covered = handled.covered(hashes)
             service.local_command_batch(ctx, entity, hashes, covered,
-                                        handled_private)
+                                        handled)
             n_cov = int(covered.sum())
             stats.covered_blocks += n_cov
             stats.uncovered_blocks += n - n_cov
@@ -808,10 +821,18 @@ class _Handled(NamedTuple):
     """One shard's handled rows, in row order."""
 
     shard_node: int
-    hashes: list[int]
-    privates: list[Any]
+    hashes: np.ndarray            # uint64
+    privates: np.ndarray          # object, aligned with ``hashes``
     group: np.ndarray             # row -> its SE-holder set in ``holders``
     holders: list[frozenset]      # nodes hosting the SEs believed to hold it
+
+
+def _runs(keys: np.ndarray):
+    """``(value, start, stop)`` of each run of equal values in ``keys``,
+    a sorted array of non-negative ints."""
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))
+    return zip(keys[heads].tolist(), heads.tolist(),
+               [*heads[1:].tolist(), len(keys)])
 
 
 def _fold_left(start: float, seconds: np.ndarray) -> float:
@@ -820,9 +841,34 @@ def _fold_left(start: float, seconds: np.ndarray) -> float:
         np.concatenate(([start], seconds)))[-1])
 
 
+class _Replicas(NamedTuple):
+    """One shard's replica choices.  Row ``multi[k]`` has several
+    candidates, ``cand[bounds[k]:bounds[k + 1]]`` ascending, and its draw
+    of them at the same place in ``drawn``; any other row has its first
+    choice alone.  ``picked`` holds ``collective_select``'s orders."""
+
+    first: np.ndarray
+    multi: np.ndarray
+    bounds: np.ndarray
+    cand: np.ndarray
+    drawn: np.ndarray
+    picked: dict[int, list[int]]
+
+    def lists(self, r: int) -> tuple[list[int], list[int]]:
+        """Row ``r``'s candidates and replica order, as lists."""
+        k = int(np.searchsorted(self.multi, r))
+        if k < len(self.multi) and self.multi[k] == r:
+            at = slice(self.bounds[k], self.bounds[k + 1])
+            c, order = self.cand[at].tolist(), self.drawn[at].tolist()
+        else:
+            c = order = [int(self.first[r])]
+        return c, self.picked.get(r) or order
+
+
 class _GroundTruth:
     """Where each scope entity lives, and what its memory holds now: the
-    check ``NodeSpecificModule.resolve_block`` makes, over arrays."""
+    check ``NodeSpecificModule.resolve_block`` makes, over arrays — each
+    entity's ``sorted_index``, one sorted search per entity and shard."""
 
     def __init__(self, cluster: Cluster, scope: ServiceScope) -> None:
         self.cluster = cluster
@@ -834,16 +880,15 @@ class _GroundTruth:
 
     def pages(self, eids: np.ndarray, hashes: np.ndarray,
               nodes: np.ndarray) -> np.ndarray:
-        """Page of ``eids[i]`` holding ``hashes[i]`` (the one
-        ``Entity.hash_index`` names), -1 if gone or its node is down."""
+        """Page of ``eids[i]`` holding ``hashes[i]``, -1 if gone or its
+        node is down."""
         out = np.full(len(eids), -1, dtype=np.int64)
-        up = self.up[nodes]
-        for eid in np.unique(eids[up]).tolist():
-            at = np.flatnonzero(up & (eids == eid))
-            index = self.cluster.entity(eid).hash_index()
-            out[at] = np.fromiter(map(index.get, hashes[at].tolist(),
-                                      repeat(-1)), dtype=np.int64,
-                                  count=len(at))
+        at = np.flatnonzero(self.up[nodes])
+        at = at[np.argsort(eids[at], kind="stable")]
+        for eid, lo, hi in _runs(eids[at]):
+            col, page_of = self.cluster.entity(eid).sorted_index()
+            i, found = sorted_find(col, hashes[at[lo:hi]])
+            out[at[lo:hi][found]] = page_of[i[found]]
         return out
 
     def walk(self, h: int, order: list[int], k: int,
@@ -858,7 +903,7 @@ class _GroundTruth:
             if not self.up[node]:
                 trail.append((eid, None, "node-down"))
                 continue
-            page = self.cluster.entity(eid).hash_index().get(h)
+            page = self.cluster.entity(eid).find_block(h)
             if page is None:
                 trail.append((eid, node, "content-gone"))
                 continue

@@ -66,7 +66,7 @@ class Entity:
         self._hash_cache_version = -1
         self._hash_cache: np.ndarray | None = None
         self._index_cache_version = -1
-        self._index_cache: dict[int, int] | None = None
+        self._index_cache: tuple[np.ndarray, np.ndarray] | None = None
         # Content-defined chunking (docs/RECONCILIATION.md): None = fixed
         # page blocks; a ContentChunker re-derives blocks per version.
         self.chunker = None
@@ -190,27 +190,36 @@ class Entity:
             self._hash_cache_version = self.version
         return self._hash_cache
 
-    def hash_index(self) -> dict[int, int]:
-        """Map current content hash -> one page index holding it (cached).
+    def sorted_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The current content hashes, sorted and distinct, and the block
+        index holding each (cached until mutated).
 
         This is the node-local "ground truth" lookup collective_command
-        relies on to detect stale DHT information.
+        relies on to detect stale DHT information.  Of equal hashes the
+        later block wins; which replica within the entity is used does
+        not matter since content is identical by definition.
         """
         if self._index_cache_version != self.version:
-            hashes = self.content_hashes()
-            # Later pages win; which replica within the entity is used does
-            # not matter since content is identical by definition.
-            self._index_cache = dict(zip(hashes.tolist(), range(len(hashes))))
+            h = self.content_hashes()
+            by_hash = np.argsort(h)
+            h = h[by_hash]
+            run = np.flatnonzero(np.append(True, h[1:] != h[:-1])[:len(h)])
+            self._index_cache = (h[run], np.maximum.reduceat(by_hash, run))
             self._index_cache_version = self.version
         return self._index_cache
 
     def holds_hash(self, content_hash: int) -> bool:
         """Does this entity *currently* hold a block with this hash?"""
-        return int(content_hash) in self.hash_index()
+        return self.find_block(content_hash) is not None
 
     def find_block(self, content_hash: int) -> int | None:
         """Page index currently holding ``content_hash``, else None."""
-        return self.hash_index().get(int(content_hash))
+        h = int(content_hash)
+        if not 0 <= h < 2**64:
+            return None
+        hashes, blocks = self.sorted_index()
+        i = int(hashes.searchsorted(np.uint64(h)))
+        return int(blocks[i]) if i < len(hashes) and hashes[i] == h else None
 
     # -- mutation ---------------------------------------------------------------
 

@@ -14,7 +14,7 @@ Two views coexist and may disagree:
 * the *ground truth*: the entities' current memory, consulted when a
   ``collective_command`` arrives, so stale DHT information is detected
   exactly as in the real system.  The paper's hash -> block mapping is
-  modelled here, by ``Entity.hash_index()`` behind :meth:`resolve_block`:
+  modelled here, by ``Entity.sorted_index()`` behind :meth:`resolve_block`:
   a block is resolved against what the entity holds *now*, never against
   the scanned view.
 """

@@ -32,8 +32,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.command import (CollectiveBatch, ExecMode, NodeContext,
-                                ServiceCallbacks)
+from repro.core.command import (CollectiveBatch, ExecMode, HandledMap,
+                                NodeContext, ServiceCallbacks)
 from repro.core.scope import EntityRole
 from repro.memory.entity import Entity
 from repro.memory.nsm import BlockRef
@@ -602,7 +602,7 @@ class CollectiveCheckpoint(ServiceCallbacks):
 
     def local_command_batch(self, ctx: NodeContext, entity: Entity,
                             hashes: np.ndarray, covered: np.ndarray,
-                            handled_map: dict[int, Any]) -> None:
+                            handled_map: HandledMap) -> None:
         eid = entity.entity_id
         if ctx.mode is ExecMode.BATCH:
             for idx, (h, is_covered) in enumerate(zip(hashes.tolist(),
@@ -619,9 +619,10 @@ class CollectiveCheckpoint(ServiceCallbacks):
         kind = np.where(covered, _PTR, _DATA)
         payload = entity.block_ids().astype(np.uint64)
         rows = np.flatnonzero(covered)
-        privates = list(map(handled_map.__getitem__, hashes[rows].tolist()))
+        privates = handled_map.gather(hashes[rows])
         bptr = {}
-        for i in [i for i, p in enumerate(privates) if type(p) is tuple]:
+        for i in [i for i, p in enumerate(privates.tolist())
+                  if type(p) is tuple]:
             bptr[int(rows[i])], privates[i] = privates[i][1], 0
         kind[list(bptr)] = _BPTR
         payload[rows] = privates

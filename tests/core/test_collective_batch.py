@@ -3,11 +3,13 @@
 ``_reference_collective_phase`` is that loop — one ``mask_bits``, one
 ``rng.permutation``, one ground-truth ``resolve_block`` and one
 ``collective_command`` per believed hash, every charge folded the moment
-it happens — followed by the dissemination that went with it.  Patched in
-for ``ServiceCommandExecutor._collective_phase``, it is the oracle: over
-random staleness, a dead PE host, a ``collective_select`` service and a
-service whose commands fail, the executor must decide, charge and trace
-exactly what the oracle does, floats compared with ``==``.
+it happens — followed by the dict dissemination that went with it.  Its
+per-node dicts reach the one local phase through the one ``HandledMap``
+constructor.  Patched in for ``ServiceCommandExecutor._collective_phase``,
+it is the oracle: over random staleness, a dead PE host, a
+``collective_select`` service and a service whose commands fail, the
+executor must decide, charge and trace exactly what the oracle does,
+floats compared with ``==``.
 """
 
 from collections import defaultdict
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from repro import (CheckpointStore, Cluster, CollectiveCheckpoint, ConCORD,
                    ConCORDConfig, Entity, ServiceScope)
 from repro.core import executor as _executor
-from repro.core.command import CommandFailed, ExecMode, ServiceCallbacks
+from repro.core.command import (CommandFailed, ExecMode, HandledMap,
+                                ServiceCallbacks)
 from repro.core.events import CommandTracer, EventKind
 from repro.core.executor import ServiceCommandExecutor
 from repro.dht.table import mask_bits
@@ -32,7 +35,8 @@ from repro.storage import ParallelFileSystem
 
 def _reference_collective_phase(self, service, scope, contexts, rng, stats,
                                 mode):
-    """The per-hash collective phase and dissemination, as they were."""
+    """The per-hash collective phase and dict dissemination, as they were;
+    each node's dict becomes the ``HandledMap`` the local phase takes."""
     U64, M64 = _executor._U64, _executor._M64
     R = self.n_represented
     cluster, cost = self.cluster, self.cost
@@ -119,7 +123,8 @@ def _reference_collective_phase(self, service, scope, contexts, rng, stats,
         self._emit(EventKind.EXCHANGE, shard_node, dst, n)
         self._msg(shard_node, dst, n * _executor._EXCHANGE_ENTRY_BYTES * R)
     return ({h: priv for h, (priv, _s, _d) in handled.items()},
-            dict(by_node))
+            {node: HandledMap(list(seen), list(seen.values()))
+             for node, seen in by_node.items()})
 
 
 class _Flaky(ServiceCallbacks):

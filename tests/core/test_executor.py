@@ -15,7 +15,8 @@ from repro.core.events import CommandTracer, EventKind
 from repro.core.scope import EntityRole, ServiceScope
 from repro.dht.table import mask_bits
 from repro.services.null import NullService
-from repro import Cluster, ConCORD, ConCORDConfig, workloads
+from repro import (CheckpointStore, Cluster, CollectiveCheckpoint, ConCORD,
+                   ConCORDConfig, workloads)
 from tests.conftest import make_system
 
 
@@ -379,8 +380,27 @@ class TestModesAndAccounting:
 
     def test_unknown_entity_in_scope_rejected(self):
         cluster, ents, concord = make_system(n_nodes=2)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="entity id 999 is not a known"):
             concord.execute_command(NullService(), ServiceScope.of([999]))
+
+    @pytest.mark.parametrize("role", ["service", "participant"])
+    @pytest.mark.parametrize("bad", [999, -1, True, 1.0, "x"])
+    def test_scope_ids_follow_the_query_api_rule(self, bad, role):
+        """An id the query API refuses, a command refuses with the same
+        ValueError, before any callback runs: nothing is checkpointed."""
+        cluster, ents, concord = make_system(n_nodes=2)
+        assert ents[0].entity_id == 0    # True and 1.0 must not overlap it
+        scope = (ServiceScope.of([bad]) if role == "service"
+                 else ServiceScope.of([0], [bad]))
+        store = CheckpointStore()
+        with pytest.raises(ValueError) as refused:
+            concord.execute_command(CollectiveCheckpoint(store), scope)
+        with pytest.raises(ValueError) as by_query:
+            concord.sharing([bad])
+        assert str(refused.value) == str(by_query.value) == (
+            f"entity id {bad!r} is not a known entity")
+        assert store.se_files == {} and store.shared.n_blocks == 0
+        assert concord.metrics().value("cmd.executions") == 0
 
     def test_coverage_statistic(self):
         _c, _e, _k, _p, result = run_probe(n_nodes=2, pages=64)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory.entity import Entity, EntityKind
 from repro.sim.cluster import Cluster
@@ -63,6 +65,24 @@ class TestContent:
         _c, e = make()
         assert e.find_block(12345) is None
         assert not e.holds_hash(12345)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 8), max_size=40), st.booleans())
+    def test_sorted_index_is_the_later_page_of_each_hash(self, ids, write):
+        """Against the dict it replaced: each distinct hash maps to the
+        last page holding it, also after a write bumps the version."""
+        _c, e = make(np.array(ids, dtype=np.uint64))
+        if write and ids:
+            e.write_page(0, 7)
+        hashes = e.content_hashes().tolist()
+        want = dict(zip(hashes, range(len(hashes))))   # later pages win
+        col, blocks = e.sorted_index()
+        assert col.tolist() == sorted(want)
+        assert dict(zip(col.tolist(), blocks.tolist())) == want
+        for h, page in want.items():
+            assert e.find_block(h) == page and e.holds_hash(np.uint64(h))
+        for h in (-1, 2**64, *(h + 1 for h in want if h + 1 not in want)):
+            assert e.find_block(h) is None and not e.holds_hash(h)
 
     def test_duplicate_content_same_hash(self):
         _c, e = make()
