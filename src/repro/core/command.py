@@ -37,6 +37,7 @@ impossible and ``execute`` refuses it.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -138,8 +139,7 @@ class NodeContext:
 
     def charge(self, seconds: float) -> None:
         """Account modelled CPU/IO time against this node in this phase."""
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
+        _check_seconds(seconds)
         if self._charge_sink is not None:
             self._charge_sink(self.node_id, seconds)
 
@@ -152,8 +152,7 @@ class NodeContext:
         parallel filesystem's shared append log): unlike :meth:`charge`,
         this does not parallelize across nodes — every node's shared work
         adds to the phase's wall time."""
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
+        _check_seconds(seconds)
         if self._shared_sink is not None:
             self._shared_sink(seconds)
 
@@ -170,17 +169,18 @@ class CollectiveBatch:
     ``hashes[i]`` the engine has just checked against ground truth
     (``hashes`` is a list of ints, the other columns are arrays).
     Iterating yields each row's ``(ctx, entity, content_hash, block)`` —
-    exactly the arguments of ``collective_command`` — and whatever that
-    ``ctx`` is charged while its row is current is accounted to the row.
-    A service handling the arrays in bulk charges through
+    exactly the arguments of ``collective_command``; the rows may be
+    handled in any order, since a charge is a charge to its node whenever
+    it comes.  A service handling the arrays in bulk charges through
     :meth:`charge_per_block` and :meth:`charge_shared` instead: one figure
-    per row (or one for every row), landing where that row's ``ctx``
-    charge would have.
+    per row (or one for every row), charged to that row's node just as
+    its ``ctx`` would be.
     """
 
     def __init__(self, contexts: dict[int, NodeContext], cluster: Cluster,
                  entity_ids: np.ndarray, hashes: list[int],
-                 page_idx: np.ndarray, nodes: np.ndarray, account) -> None:
+                 page_idx: np.ndarray, nodes: np.ndarray,
+                 charge_rows, charge_shared_rows) -> None:
         self.contexts = contexts
         self.cluster = cluster
         self.entity_ids = entity_ids
@@ -191,20 +191,19 @@ class CollectiveBatch:
         some = next(iter(contexts.values()))
         self.mode, self.cost = some.mode, some.cost
         self.n_represented = some.n_represented
-        # The engine's per-row ledger: at_row(i), cpu(seconds),
-        # shared(seconds) — see ServiceCommandExecutor.
-        self._account = account
+        # The engine's sinks: charge_rows(nodes, seconds) and
+        # charge_shared_rows(seconds), one figure per row.
+        self._charge_rows = charge_rows
+        self._charge_shared_rows = charge_shared_rows
 
     def __len__(self) -> int:
         return len(self.hashes)
 
     def __iter__(self):
         contexts, entity = self.contexts, self.cluster.entity
-        at_row = self._account.at_row
-        for i, (eid, h, idx, node) in enumerate(zip(
+        for eid, h, idx, node in zip(
                 self.entity_ids.tolist(), self.hashes,
-                self.page_idx.tolist(), self.nodes.tolist())):
-            at_row(i)
+                self.page_idx.tolist(), self.nodes.tolist()):
             ent = entity(eid)
             yield contexts[node], ent, h, BlockRef(eid, idx,
                                                    ent.block_size(idx))
@@ -222,19 +221,28 @@ class CollectiveBatch:
     def charge_per_block(self, seconds_per_block) -> None:
         """``ctx.charge_per_block(seconds_per_block[i])`` for every row
         ``i`` (a scalar is charged to every row)."""
-        self._account.cpu(self._per_row(
+        self._charge_rows(self.nodes, self._per_row(
             np.asarray(seconds_per_block) * self.n_represented))
 
     def charge_shared(self, seconds) -> None:
         """``ctx.charge_shared(seconds[i])`` for every row."""
-        self._account.shared(self._per_row(seconds))
+        self._charge_shared_rows(self._per_row(seconds))
 
     def _per_row(self, seconds) -> np.ndarray:
         seconds = np.broadcast_to(np.asarray(seconds, dtype=np.float64),
                                   (len(self),))
-        if (seconds < 0).any():
-            raise ValueError("cannot charge negative time")
+        bad = seconds[~((seconds >= 0) & (seconds < np.inf))]
+        if len(bad):
+            _check_seconds(float(bad[0]))
         return seconds
+
+
+def _check_seconds(seconds: float) -> None:
+    """``ValueError`` naming ``seconds`` unless it is a finite time >= 0
+    (NaN fails both comparisons)."""
+    if not 0 <= seconds < math.inf:
+        raise ValueError(f"cannot charge {seconds} s: a charge must be a "
+                         "finite, non-negative time")
 
 
 def sorted_find(col: np.ndarray, keys: np.ndarray

@@ -24,13 +24,15 @@ phase to the local phase.
 
 Timing: the executor runs the *real* protocol (real DHT contents, real
 selection, real retries, real dissemination) and charges modelled costs to
-each node; a phase's wall time is the slowest node's CPU + NIC time plus
-the synchronization (barrier) cost.  Byte counts come from the wire sizes
-in :mod:`repro.util.records`.
+each node; a node's phase total is the ``math.fsum`` of its charges, so no
+order of arrival moves it.  A phase's wall time is the slowest node's CPU
++ NIC time plus the synchronization (barrier) cost.  Byte counts come from
+the wire sizes in :mod:`repro.util.records`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -51,7 +53,7 @@ from repro.core.scope import ServiceScope
 from repro.dht.engine import ContentTracingEngine
 from repro.exec import ops as _ops
 from repro.exec.pool import ShardPool
-from repro.obs import Observability, Span
+from repro.obs import Observability
 from repro.queries.interface import _is_integer
 from repro.sim.cluster import Cluster
 from repro.util.records import ENTITY_ID_BYTES, HASH_BYTES, UDP_HEADER_BYTES
@@ -120,33 +122,22 @@ class PhaseBreakdown:
     barrier: float = 0.0
 
     @classmethod
-    def from_spans(cls, spans: list[Span], shared: float = 0.0,
-                   barrier: float = 0.0,
-                   extra_wall: float = 0.0) -> PhaseBreakdown:
-        """Derive the breakdown from per-node ``cmd.cpu``/``cmd.comm`` spans.
+    def from_totals(cls, cpu: list[float], comm: list[float],
+                    shared: float = 0.0, barrier: float = 0.0,
+                    extra_wall: float = 0.0) -> PhaseBreakdown:
+        """The breakdown of per-node totals, ``cpu[n]`` and ``comm[n]`` of
+        node ``n``.
 
-        The spans are the single source of truth for per-node work; the
-        critical path is the node maximizing cpu+comm, and the split
+        The critical path is the node maximizing cpu+comm, and the split
         reported is *that* node's (mixing the global max-cpu with the
         global max-total would blend two different nodes).  Ties go to the
-        lowest node id, and nodes with no spans contribute nothing.
+        lowest node id; an idle node contributes nothing.
         """
-        cpu_by: dict[int, float] = defaultdict(float)
-        comm_by: dict[int, float] = defaultdict(float)
-        for s in spans:
-            if s.name == "cmd.cpu":
-                cpu_by[s.node] += s.duration
-            elif s.name == "cmd.comm":
-                comm_by[s.node] += s.duration
         max_cpu = max_total = crit_cpu = crit_comm = 0.0
-        for node in sorted(set(cpu_by) | set(comm_by)):
-            cpu = cpu_by[node]
-            comm = comm_by[node]
-            if cpu > max_cpu:
-                max_cpu = cpu
-            if cpu + comm > max_total:
-                max_total = cpu + comm
-                crit_cpu, crit_comm = cpu, comm
+        for c, m in zip(cpu, comm):
+            max_cpu = max(max_cpu, c)
+            if c + m > max_total:
+                max_total, crit_cpu, crit_comm = c + m, c, m
         return cls(wall=max_total + shared + barrier + extra_wall,
                    max_node_cpu=max_cpu, cpu=crit_cpu, comm=crit_comm,
                    barrier=barrier)
@@ -182,11 +173,14 @@ class ServiceCommandExecutor:
     # -- accounting -----------------------------------------------------------------
 
     def _reset_accounting(self) -> None:
-        self._cpu: dict[tuple[int, str], float] = defaultdict(float)
+        # Every charge of the command, per (node, phase) and, for the
+        # shared resource, per phase.  A phase's totals are math.fsum of
+        # these lists: correctly rounded, so no arrival order moves them.
+        self._cpu: dict[tuple[int, str], list[float]] = defaultdict(list)
+        self._shared: dict[str, list[float]] = defaultdict(list)
         self._tx: dict[tuple[int, str], int] = defaultdict(int)
         self._rx: dict[tuple[int, str], int] = defaultdict(int)
         self._phase = "init"
-        self._shared: dict[str, float] = defaultdict(float)
         self._tracer: CommandTracer | None = None
         # Timeline cursor for the command's modelled spans: phases are laid
         # out back-to-back in sim time starting at the engine's current
@@ -195,10 +189,20 @@ class ServiceCommandExecutor:
         self._t_cursor = float(self.cluster.engine.now)
 
     def _charge(self, node: int, seconds: float) -> None:
-        self._cpu[(node, self._phase)] += seconds
+        self._cpu[(node, self._phase)].append(seconds)
 
     def _charge_shared(self, seconds: float) -> None:
-        self._shared[self._phase] += seconds
+        self._shared[self._phase].append(seconds)
+
+    def _charge_rows(self, nodes: np.ndarray, seconds: np.ndarray) -> None:
+        """``_charge(nodes[i], seconds[i])`` for every row ``i``."""
+        by_node = np.argsort(nodes)
+        seconds = seconds[by_node]
+        for node, lo, hi in _runs(nodes[by_node]):
+            self._cpu[(node, self._phase)] += seconds[lo:hi].tolist()
+
+    def _charge_shared_rows(self, seconds: np.ndarray) -> None:
+        self._shared[self._phase] += seconds.tolist()
 
     def _emit(self, kind: EventKind, *data) -> None:
         if self._tracer is not None:
@@ -216,37 +220,32 @@ class ServiceCommandExecutor:
         self._tx[(src, self._phase)] += size
         self._rx[(dst, self._phase)] += size
 
-    def _node_spans(self, phase: str) -> list[Span]:
-        """Per-node ``cmd.cpu``/``cmd.comm`` spans of one phase, laid out at
-        the timeline cursor (cpu first, then the node's NIC time)."""
-        cost = self.cost
-        t0 = self._t_cursor
-        spans: list[Span] = []
-        for node in range(self.cluster.n_nodes):
-            cpu = self._cpu.get((node, phase), 0.0)
-            comm = (self._tx.get((node, phase), 0)
-                    + self._rx.get((node, phase), 0)) / cost.link_bw
-            if cpu > 0.0:
-                spans.append(Span("cmd.cpu", t0, t0 + cpu, node=node,
-                                  phase=phase))
-            if comm > 0.0:
-                spans.append(Span("cmd.comm", t0 + cpu, t0 + cpu + comm,
-                                  node=node, phase=phase))
-        return spans
-
     def _phase_breakdown(self, phase: str, extra_wall: float = 0.0) -> PhaseBreakdown:
-        """Close one phase: derive its breakdown from the per-node spans,
-        record the spans, and advance the timeline cursor by the wall."""
-        spans = self._node_spans(phase)
-        shared = self._shared.get(phase, 0.0)
-        barrier = self.cost.barrier_time(self.cluster.n_nodes)
-        bd = PhaseBreakdown.from_spans(spans, shared=shared, barrier=barrier,
-                                       extra_wall=extra_wall)
+        """Close one phase: its breakdown from each node's fsum'd charges
+        and NIC time; with tracing on, the phase's spans (per node cpu
+        first, then NIC time); then advance the timeline cursor by the
+        wall."""
+        n_nodes = self.cluster.n_nodes
+        bw = self.cost.link_bw
+        cpu = [math.fsum(self._cpu.get((node, phase), ()))
+               for node in range(n_nodes)]
+        comm = [(self._tx.get((node, phase), 0)
+                 + self._rx.get((node, phase), 0)) / bw
+                for node in range(n_nodes)]
+        shared = math.fsum(self._shared.get(phase, ()))
+        barrier = self.cost.barrier_time(n_nodes)
+        bd = PhaseBreakdown.from_totals(cpu, comm, shared=shared,
+                                        barrier=barrier, extra_wall=extra_wall)
         t0 = self._t_cursor
         tr = self.obs.tracer
         if tr.enabled:
             tr.add_span(f"cmd.phase.{phase}", t0, t0 + bd.wall, phase=phase)
-            tr.extend(spans)
+            for node, (c, m) in enumerate(zip(cpu, comm)):
+                if c > 0.0:
+                    tr.add_span("cmd.cpu", t0, t0 + c, node=node, phase=phase)
+                if m > 0.0:
+                    tr.add_span("cmd.comm", t0 + c, t0 + c + m, node=node,
+                                phase=phase)
             # Shared work and the barrier run after the slowest node.
             t = t0 + bd.cpu + bd.comm
             if shared > 0.0:
@@ -431,10 +430,11 @@ class ServiceCommandExecutor:
         candidate draws nothing).  A replica whose node is down or whose
         memory no longer holds the hash fails over to the next; the first
         that holds it gets the row's ``collective_command``, through one
-        ``collective_command_batch`` per shard.  Every charge is keyed by
-        its place in the per-hash serial order and each node's are folded
-        in that order, so every total is the per-hash protocol's to the
-        last bit.
+        ``collective_command_batch`` per shard.  Each charge joins its
+        node's (or the shared resource's) list for the phase as it comes:
+        the totals are their ``math.fsum``, so handling the rows in any
+        order — the batch's, the per-hash protocol's, a service's own —
+        gives the same totals.
         """
         cluster = self.cluster
         cost = self.cost
@@ -447,7 +447,6 @@ class ServiceCommandExecutor:
         invoke_cost = (cost.cmd_invoke_overhead if mode is ExecMode.INTERACTIVE
                        else cost.cmd_invoke_overhead * 0.6 + cost.cmd_plan_append)
         truth = _GroundTruth(cluster, scope)
-        ledger = _RowLedger()
         # SE-holder mask -> nodes hosting those SEs, memoized: the distinct
         # holder sets are few even at millions of hashes.
         ses = sorted(scope.service_entities)
@@ -467,144 +466,134 @@ class ServiceCommandExecutor:
         # protocol then walks the results in shard order.
         live = self.tracing.live_shards()
         scans = self.pool.map_shards(live, _ops.se_scan, (se_mask,))
-        for ctx in contexts.values():
-            ctx._charge_sink = ledger.charge
-            ctx._shared_sink = ledger.charge_shared
-        try:
-            for shard, (hashes, lo, wide) in zip(live, scans):
-                shard_node = shard.node_id
-                # The shard scans its slice for hashes believed in the SEs.
-                self._charge(shard_node,
-                             shard.n_hashes * cost.query_scan_per_entry * R)
-                stats.believed_hashes += len(hashes)
-                if not len(hashes):
-                    continue
-                hash_list = hashes.tolist()
+        for shard, (hashes, lo, wide) in zip(live, scans):
+            shard_node = shard.node_id
+            # The shard scans its slice for hashes believed in the SEs.
+            self._charge(shard_node,
+                         shard.n_hashes * cost.query_scan_per_entry * R)
+            stats.believed_hashes += len(hashes)
+            if not len(hashes):
+                continue
+            hash_list = hashes.tolist()
 
-                # -- candidates and replica order --------------------------
-                cand_lo = lo & scope_lo
-                n_cand = np.bitwise_count(cand_lo)
-                # A lone candidate is the index of its bit.
-                first = np.bitwise_count(cand_lo - _U64(1)).astype(np.int64)
-                # Several candidates, or a wide row (holders >= entity 64
-                # live only in its full mask): decode each row's holders.
-                multi = np.flatnonzero(n_cand > 1)
-                words = cand_lo[multi, None]
-                se_wide: dict[int, int] = {}
-                if wide:
-                    w_rows = np.searchsorted(hashes, np.fromiter(
-                        wide, dtype=_U64, count=len(wide)))
-                    se_wide = dict(zip(w_rows.tolist(),
-                                       [f & se_mask for f in wide.values()]))
-                    multi = np.union1d(multi, w_rows)
-                    shifts = range(0, scope_mask.bit_length() + 1, 64)
-                    words = np.zeros((len(multi), len(shifts)), _U64)
-                    words[:, 0] = cand_lo[multi]
-                    words[np.searchsorted(multi, w_rows)] = [
-                        [(f & scope_mask) >> s & _M64 for s in shifts]
-                        for f in wide.values()]
-                owner, cand = np.nonzero(np.unpackbits(
-                    words.astype("<u8", copy=False).view(np.uint8), axis=1,
-                    bitorder="little"))
-                n_multi = np.bincount(owner, minlength=len(multi))
-                drawn = n_multi > 0
-                n_cand[multi] = drawn
-                # The draws: one permutation per row with candidates, in
-                # row order.
-                start = np.cumsum(n_multi) - n_multi
-                perms = [rng.permutation(n) for n in n_multi[drawn].tolist()]
-                order = cand[np.repeat(start, n_multi) + np.concatenate(
-                    [np.empty(0, np.int64)] + perms)]
-                first[multi[drawn]] = order[start[drawn]]
-                rows = np.flatnonzero(n_cand)
-                if not len(rows):
-                    continue
-                row_list = rows.tolist()
-                replicas = _Replicas(first, multi, np.append(start, len(cand)),
-                                     cand, order, {})
-                if service.collective_select is not None:
-                    self._select(service, contexts[shard_node], ledger,
-                                 row_list, hash_list, replicas)
-                    stats.select_calls += len(row_list)
+            # -- candidates and replica order ------------------------------
+            cand_lo = lo & scope_lo
+            n_cand = np.bitwise_count(cand_lo)
+            # A lone candidate is the index of its bit.
+            first = np.bitwise_count(cand_lo - _U64(1)).astype(np.int64)
+            # Several candidates, or a wide row (holders >= entity 64
+            # live only in its full mask): decode each row's holders.
+            multi = np.flatnonzero(n_cand > 1)
+            words = cand_lo[multi, None]
+            se_wide: dict[int, int] = {}
+            if wide:
+                w_rows = np.searchsorted(hashes, np.fromiter(
+                    wide, dtype=_U64, count=len(wide)))
+                se_wide = dict(zip(w_rows.tolist(),
+                                   [f & se_mask for f in wide.values()]))
+                multi = np.union1d(multi, w_rows)
+                shifts = range(0, scope_mask.bit_length() + 1, 64)
+                words = np.zeros((len(multi), len(shifts)), _U64)
+                words[:, 0] = cand_lo[multi]
+                words[np.searchsorted(multi, w_rows)] = [
+                    [(f & scope_mask) >> s & _M64 for s in shifts]
+                    for f in wide.values()]
+            owner, cand = np.nonzero(np.unpackbits(
+                words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                bitorder="little"))
+            n_multi = np.bincount(owner, minlength=len(multi))
+            drawn = n_multi > 0
+            n_cand[multi] = drawn
+            # The draws: one permutation per row with candidates, in
+            # row order.
+            start = np.cumsum(n_multi) - n_multi
+            perms = [rng.permutation(n) for n in n_multi[drawn].tolist()]
+            order = cand[np.repeat(start, n_multi) + np.concatenate(
+                [np.empty(0, np.int64)] + perms)]
+            first[multi[drawn]] = order[start[drawn]]
+            rows = np.flatnonzero(n_cand)
+            if not len(rows):
+                continue
+            row_list = rows.tolist()
+            replicas = _Replicas(first, multi, np.append(start, len(cand)),
+                                 cand, order, {})
+            if service.collective_select is not None:
+                self._select(service, contexts[shard_node], row_list,
+                             hash_list, replicas)
+                stats.select_calls += len(row_list)
 
-                # -- ground truth: the first replica that holds the hash ---
-                eids = first[rows]
-                nodes = truth.node_arr[eids]
-                pages = truth.pages(eids, hashes[rows], nodes)
-                tries = np.zeros(len(rows), dtype=np.int64)
-                # Rows whose first choice failed keep a trail: (entity,
-                # node invoked or None, reason) per replica that failed.
-                trails: dict[int, list[_Failed]] = {}
-                for j in np.flatnonzero(pages < 0).tolist():
-                    r = row_list[j]
-                    trails[j] = []
-                    found = truth.walk(hash_list[r], replicas.lists(r)[1], 0,
-                                       trails[j])
-                    if found is not None:
-                        tries[j], eids[j], nodes[j], pages[j] = found
-                take = np.flatnonzero(pages >= 0)
+            # -- ground truth: the first replica that holds the hash -------
+            eids = first[rows]
+            nodes = truth.node_arr[eids]
+            pages = truth.pages(eids, hashes[rows], nodes)
+            tries = np.zeros(len(rows), dtype=np.int64)
+            # Rows whose first choice failed keep a trail: (entity,
+            # node invoked or None, reason) per replica that failed.
+            trails: dict[int, list[_Failed]] = {}
+            for j in np.flatnonzero(pages < 0).tolist():
+                r = row_list[j]
+                trails[j] = []
+                found = truth.walk(hash_list[r], replicas.lists(r)[1], 0,
+                                   trails[j])
+                if found is not None:
+                    tries[j], eids[j], nodes[j], pages[j] = found
+            take = np.flatnonzero(pages >= 0)
 
-                # -- the service: one batch, then any CommandFailed chains -
-                b_hashes = hashes[rows[take]].tolist()
-                privates = self._invoke(service, contexts, ledger,
-                                        rows[take], tries[take], eids[take],
-                                        b_hashes, pages[take], nodes[take])
-                failed = [i for i, p in enumerate(privates)
-                          if isinstance(p, CommandFailed)]
-                for i in failed:
-                    result = privates[i]
-                    j = int(take[i])
-                    r = row_list[j]
-                    trail = trails.setdefault(j, [])
-                    while isinstance(result, CommandFailed):
-                        trail.append((int(eids[j]), int(nodes[j]),
-                                      result.reason or "callback-failed"))
-                        found = truth.walk(hash_list[r], replicas.lists(r)[1],
-                                           int(tries[j]) + 1, trail)
-                        if found is None:
-                            result = _STALE
-                            break
-                        tries[j], eids[j], nodes[j], pages[j] = found
-                        (result,) = self._invoke(
-                            service, contexts, ledger, rows[j:j + 1],
-                            tries[j:j + 1], eids[j:j + 1], [hash_list[r]],
-                            pages[j:j + 1], nodes[j:j + 1])
-                    privates[i] = result
-                ok = np.zeros(len(rows), dtype=bool)   # row was handled
-                ok[take] = True
-                ok[take[[i for i in failed if privates[i] is _STALE]]] = False
+            # -- the service: one batch, then any CommandFailed chains -----
+            b_hashes = hashes[rows[take]].tolist()
+            privates = self._invoke(service, contexts, eids[take],
+                                    b_hashes, pages[take], nodes[take])
+            failed = [i for i, p in enumerate(privates)
+                      if isinstance(p, CommandFailed)]
+            for i in failed:
+                result = privates[i]
+                j = int(take[i])
+                r = row_list[j]
+                trail = trails.setdefault(j, [])
+                while isinstance(result, CommandFailed):
+                    trail.append((int(eids[j]), int(nodes[j]),
+                                  result.reason or "callback-failed"))
+                    found = truth.walk(hash_list[r], replicas.lists(r)[1],
+                                       int(tries[j]) + 1, trail)
+                    if found is None:
+                        result = _STALE
+                        break
+                    tries[j], eids[j], nodes[j], pages[j] = found
+                    (result,) = self._invoke(
+                        service, contexts, eids[j:j + 1], [hash_list[r]],
+                        pages[j:j + 1], nodes[j:j + 1])
+                privates[i] = result
+            ok = np.zeros(len(rows), dtype=bool)   # row was handled
+            ok[take] = True
+            ok[take[[i for i in failed if privates[i] is _STALE]]] = False
 
-                # -- accounting, in the per-hash serial order --------------
-                ledger.add(rows, _STEP_SELECT, shard_node,
-                           cost.cmd_select_overhead * R)
-                self._account_invokes(ledger, stats, shard_node, rows, nodes,
-                                      ok, trails, invoke_cost * R)
+            # -- accounting ------------------------------------------------
+            self._cpu[(shard_node, self._phase)] += \
+                [cost.cmd_select_overhead * R] * len(rows)
+            self._account_invokes(stats, shard_node, nodes, ok, trails,
+                                  invoke_cost * R)
 
-                # -- the handled set and the protocol trace -----------------
-                h_rows = rows[ok]
-                privates = [True if p is None else p
-                            for p in privates if p is not _STALE]
-                stats.handled += len(privates)
-                stats.stale_unhandled += len(rows) - len(privates)
-                se_parts, group = np.unique(lo[h_rows] & se_lo,
-                                            return_inverse=True)
-                holders = [holder_nodes(m) for m in se_parts.tolist()]
-                for r, se_part in se_wide.items():
-                    at = np.searchsorted(h_rows, r)
-                    if at < len(h_rows) and h_rows[at] == r:
-                        group[at] = len(holders)
-                        holders.append(holder_nodes(se_part))
-                handled.append(_Handled(
-                    shard_node, hashes[h_rows],
-                    np.fromiter(privates, dtype=object, count=len(privates)),
-                    group, holders))
-                if self._tracer is not None:
-                    self._trace_rows(row_list, hash_list, replicas, eids,
-                                     nodes, ok, trails)
-        finally:
-            for ctx in contexts.values():
-                ctx._charge_sink = self._charge
-                ctx._shared_sink = self._charge_shared
+            # -- the handled set and the protocol trace ---------------------
+            h_rows = rows[ok]
+            privates = [True if p is None else p
+                        for p in privates if p is not _STALE]
+            stats.handled += len(privates)
+            stats.stale_unhandled += len(rows) - len(privates)
+            se_parts, group = np.unique(lo[h_rows] & se_lo,
+                                        return_inverse=True)
+            holders = [holder_nodes(m) for m in se_parts.tolist()]
+            for r, se_part in se_wide.items():
+                at = np.searchsorted(h_rows, r)
+                if at < len(h_rows) and h_rows[at] == r:
+                    group[at] = len(holders)
+                    holders.append(holder_nodes(se_part))
+            handled.append(_Handled(
+                shard_node, hashes[h_rows],
+                np.fromiter(privates, dtype=object, count=len(privates)),
+                group, holders))
+            if self._tracer is not None:
+                self._trace_rows(row_list, hash_list, replicas, eids,
+                                 nodes, ok, trails)
         handled_private: dict[int, Any] = {}
         for part in handled:
             handled_private.update(zip(part.hashes.tolist(),
@@ -612,13 +601,12 @@ class ServiceCommandExecutor:
         return handled_private, self._disseminate_handled(handled)
 
     def _select(self, service: ServiceCallbacks, ctx: NodeContext,
-                ledger: _RowLedger, row_list: list[int], hash_list: list[int],
+                row_list: list[int], hash_list: list[int],
                 replicas: _Replicas) -> None:
         """``collective_select`` per candidate row, in row order, on the
         shard's node: its pick goes first in the row's order."""
         for r in row_list:
             c, order = replicas.lists(r)
-            ledger.at(r, _STEP_SELECT_CB)
             pick = service.collective_select(ctx, hash_list[r], list(c))
             if pick is None:
                 continue
@@ -630,81 +618,52 @@ class ServiceCommandExecutor:
             replicas.first[r] = pick
 
     def _invoke(self, service: ServiceCallbacks,
-                contexts: dict[int, NodeContext], ledger: _RowLedger,
-                rows: np.ndarray, tries: np.ndarray, eids: np.ndarray,
+                contexts: dict[int, NodeContext], eids: np.ndarray,
                 hashes: list[int], pages: np.ndarray,
                 nodes: np.ndarray) -> list[Any]:
-        """One ``collective_command_batch``: its charges land at each row's
-        attempt ``tries[i]``."""
-        if not len(rows):
+        """One ``collective_command_batch`` over these rows."""
+        if not hashes:
             return []
-        ledger.bind(rows, _command_step(tries), nodes)
         batch = CollectiveBatch(contexts, self.cluster, eids, hashes, pages,
-                                nodes, ledger)
+                                nodes, self._charge_rows,
+                                self._charge_shared_rows)
         results = list(service.collective_command_batch(batch))
-        if len(results) != len(rows):
+        if len(results) != len(hashes):
             raise ValueError(
                 f"collective_command_batch returned {len(results)} results "
-                f"for {len(rows)} rows")
+                f"for {len(hashes)} rows")
         return results
 
-    def _account_invokes(self, ledger: _RowLedger, stats: CommandStats,
-                         shard_node: int, rows: np.ndarray, nodes: np.ndarray,
-                         ok: np.ndarray,
+    def _account_invokes(self, stats: CommandStats, shard_node: int,
+                         nodes: np.ndarray, ok: np.ndarray,
                          trails: dict[int, list[_Failed]],
                          invoke_cost: float) -> None:
         """Charges, messages and counts of every invocation of one shard's
-        rows, then the shard's charges folded in serial order."""
+        rows."""
         plain = ok.copy()                 # handled by the first choice
         plain[list(trails)] = False
-        inv_rows, inv_steps, inv_nodes = [], [], []
+        retried: list[int] = []           # nodes invoked by rows that retried
         for j, trail in trails.items():
             stats.retries += len(trail)
-            tried = [(k, node) for k, (_eid, node, _reason) in enumerate(trail)
-                     if node is not None]
+            retried += [node for _eid, node, _reason in trail
+                        if node is not None]
             if ok[j]:
-                tried.append((len(trail), int(nodes[j])))
-            for k, node in tried:
-                inv_rows.append(int(rows[j]))
-                inv_steps.append(_invoke_step(k))
-                inv_nodes.append(node)
-        inv_rows = np.concatenate([rows[plain], inv_rows]).astype(np.int64)
-        inv_steps = np.concatenate([np.full(int(plain.sum()), _invoke_step(0)),
-                                    inv_steps]).astype(np.int64)
-        inv_nodes = np.concatenate([nodes[plain], inv_nodes]).astype(np.int64)
-        ledger.add(inv_rows, inv_steps, inv_nodes, invoke_cost)
-        self._fold(ledger)
-        stats.invokes += len(inv_rows)
+                retried.append(int(nodes[j]))
+        inv_nodes = np.concatenate([nodes[plain], retried]).astype(np.int64)
+        stats.invokes += len(inv_nodes)
         # Invoke to the replica's node, result back: small control messages.
         R = self.n_represented
         ph = self._phase
         invoke = _INVOKE_BYTES * R + _MSG_OVERHEAD
         result = _RESULT_BYTES * R + _MSG_OVERHEAD
-        remote, counts = np.unique(inv_nodes[inv_nodes != shard_node],
-                                   return_counts=True)
-        for node, n in zip(remote.tolist(), counts.tolist()):
-            self._tx[(shard_node, ph)] += n * invoke
-            self._rx[(node, ph)] += n * invoke
-            self._tx[(node, ph)] += n * result
-            self._rx[(shard_node, ph)] += n * result
-
-    def _fold(self, ledger: _RowLedger) -> None:
-        """Add a shard's charges onto the phase totals, each node's (and
-        the shared resource's) in serial order: ``np.add.accumulate`` is
-        the ``+=`` left fold, bit for bit."""
-        (rows, steps, nodes, seconds), (s_rows, s_steps, s_seconds) = \
-            ledger.drain()
-        ph = self._phase
-        serial = np.lexsort((steps, rows, nodes))   # by node, then serially
-        nodes, seconds = nodes[serial], seconds[serial]
-        for node, lo, hi in _runs(nodes):
-            key = (node, ph)
-            self._cpu[key] = _fold_left(self._cpu.get(key, 0.0),
-                                        seconds[lo:hi])
-        if len(s_seconds):
-            self._shared[ph] = _fold_left(
-                self._shared.get(ph, 0.0),
-                s_seconds[np.lexsort((s_steps, s_rows))])
+        for node, n in zip(*(a.tolist() for a in np.unique(
+                inv_nodes, return_counts=True))):
+            self._cpu[(node, ph)] += [invoke_cost] * n
+            if node != shard_node:
+                self._tx[(shard_node, ph)] += n * invoke
+                self._rx[(node, ph)] += n * invoke
+                self._tx[(node, ph)] += n * result
+                self._rx[(shard_node, ph)] += n * result
 
     def _trace_rows(self, row_list: list[int], hash_list: list[int],
                     replicas: _Replicas, eids: np.ndarray, nodes: np.ndarray,
@@ -795,20 +754,6 @@ class ServiceCommandExecutor:
             self._emit(EventKind.LOCAL_ENTITY, eid, n, n_cov)
 
 
-# A row's steps in the per-hash serial order: the selection overhead,
-# collective_select's own charges, then per replica tried (attempt k) the
-# invocation overhead and collective_command's charges.
-_STEP_SELECT, _STEP_SELECT_CB = 0, 1
-
-
-def _invoke_step(k):
-    return 2 + 2 * k
-
-
-def _command_step(k):
-    return 3 + 2 * k
-
-
 # The private value of a row whose every replica failed.
 _STALE = object()
 
@@ -833,12 +778,6 @@ def _runs(keys: np.ndarray):
     heads = np.flatnonzero(np.diff(keys, prepend=-1))
     return zip(keys[heads].tolist(), heads.tolist(),
                [*heads[1:].tolist(), len(keys)])
-
-
-def _fold_left(start: float, seconds: np.ndarray) -> float:
-    """``start += s`` for each ``s`` in order, as one array call."""
-    return float(np.add.accumulate(
-        np.concatenate(([start], seconds)))[-1])
 
 
 class _Replicas(NamedTuple):
@@ -909,87 +848,3 @@ class _GroundTruth:
                 continue
             return k, eid, node, page
         return None
-
-
-class _RowLedger:
-    """One shard's charges, each keyed by its place in the per-hash serial
-    order — (row, step) — until :meth:`drain` hands them over for folding.
-
-    During the shard walk it is every context's charge sink (an entry takes
-    the current row and step) and the account of the
-    :class:`CollectiveBatch` being run (:meth:`bind`)."""
-
-    def __init__(self) -> None:
-        self._row = self._step = 0
-        self._bound: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._cpu: list[tuple[np.ndarray, ...]] = []
-        self._shared: list[tuple[np.ndarray, ...]] = []
-        self._loose_cpu: list[tuple[int, int, int, float]] = []
-        self._loose_shared: list[tuple[int, int, float]] = []
-
-    def at(self, row: int, step: int) -> None:
-        self._row, self._step = row, step
-
-    # -- NodeContext sinks ------------------------------------------------------
-
-    def charge(self, node: int, seconds: float) -> None:
-        self._loose_cpu.append((self._row, self._step, node, seconds))
-
-    def charge_shared(self, seconds: float) -> None:
-        self._loose_shared.append((self._row, self._step, seconds))
-
-    # -- CollectiveBatch account ------------------------------------------------
-
-    def bind(self, rows: np.ndarray, steps: np.ndarray,
-             nodes: np.ndarray) -> None:
-        self._bound = (rows, steps, nodes)
-        self.at_row(0)
-
-    def at_row(self, i: int) -> None:
-        rows, steps, _nodes = self._bound
-        self.at(int(rows[i]), int(steps[i]))
-
-    def cpu(self, seconds: np.ndarray) -> None:
-        self.add(*self._bound, seconds)
-
-    def shared(self, seconds: np.ndarray) -> None:
-        rows, steps, _nodes = self._bound
-        self._flush()
-        self._shared.append((rows, steps, seconds))
-
-    # -- the executor's own -----------------------------------------------------
-
-    def add(self, rows: np.ndarray, steps, nodes, seconds) -> None:
-        """Entries for ``rows``; the others broadcast against it."""
-        self._flush()
-        n = len(rows)
-        self._cpu.append((rows, *(np.broadcast_to(x, (n,))
-                                  for x in (steps, nodes, seconds))))
-
-    def _flush(self) -> None:
-        if self._loose_cpu:
-            self._cpu.append(tuple(map(np.array, zip(*self._loose_cpu))))
-            self._loose_cpu = []
-        if self._loose_shared:
-            self._shared.append(tuple(map(np.array,
-                                          zip(*self._loose_shared))))
-            self._loose_shared = []
-
-    def drain(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """((rows, steps, nodes, seconds), (rows, steps, seconds)) of every
-        entry so far, in arrival order; the ledger starts over."""
-        self._flush()
-        cpu = _columns(self._cpu, 4)
-        shared = _columns(self._shared, 3)
-        self._cpu, self._shared = [], []
-        return cpu, shared
-
-
-def _columns(chunks: list[tuple[np.ndarray, ...]], width: int
-             ) -> tuple[np.ndarray, ...]:
-    if not chunks:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(width - 1)) \
-            + (np.empty(0),)
-    cols = [np.concatenate(col) for col in zip(*chunks)]
-    return (*(c.astype(np.int64) for c in cols[:-1]),
-            cols[-1].astype(np.float64))

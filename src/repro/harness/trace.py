@@ -3,11 +3,11 @@
 :func:`run_traced_null` brings ConCORD up with span tracing on, runs one
 null service command (paper §5.4), and returns a table comparing each
 phase's span total against the executor's :class:`~repro.core.executor.
-PhaseBreakdown` wall — the two must agree, since the breakdown is now
-*derived* from the spans.  :func:`run_traced_experiment` wraps any
-``ALL_EXPERIMENTS`` runner in a capture session so its internally-built
-ConCORD instances trace themselves; the CLI ``trace`` subcommand dumps the
-collected traces as per-run artifacts.
+PhaseBreakdown` wall — the two must agree, since the executor builds
+both from the same per-node charge totals.  :func:`run_traced_experiment`
+wraps any ``ALL_EXPERIMENTS`` runner in a capture session so its
+internally-built ConCORD instances trace themselves; the CLI ``trace``
+subcommand dumps the collected traces as per-run artifacts.
 """
 
 from __future__ import annotations

@@ -2,16 +2,20 @@
 
 ``_reference_collective_phase`` is that loop — one ``mask_bits``, one
 ``rng.permutation``, one ground-truth ``resolve_block`` and one
-``collective_command`` per believed hash, every charge folded the moment
+``collective_command`` per believed hash, each charge entered the moment
 it happens — followed by the dict dissemination that went with it.  Its
 per-node dicts reach the one local phase through the one ``HandledMap``
 constructor.  Patched in for ``ServiceCommandExecutor._collective_phase``,
 it is the oracle: over random staleness, a dead PE host, a
-``collective_select`` service and a service whose commands fail, the
-executor must decide, charge and trace exactly what the oracle does,
-floats compared with ``==``.
+``collective_select`` service, a service whose commands fail and one that
+handles its batch last row first, the executor must decide, charge and
+trace exactly what the oracle does.  Both sides enter each charge into
+its node's (or the shared resource's) list and a total is the
+``math.fsum`` of one list, so the totals cannot depend on the order the
+charges arrived in; they are compared with ``==``.
 """
 
+import math
 from collections import defaultdict
 from unittest import mock
 
@@ -148,6 +152,16 @@ class _Flaky(ServiceCallbacks):
         return (entity.entity_id, block.page_idx)
 
 
+class _FlakyReversed(_Flaky):
+    """``_Flaky`` whose batch runs its rows last to first, returning the
+    results in row order: the charges arrive in another order, the totals
+    may not move."""
+
+    def collective_command_batch(self, batch):
+        rows = list(batch)
+        return [self.collective_command(*row) for row in rows[::-1]][::-1]
+
+
 def _world(n_nodes, n_entities, pages, pool, stale, dead_pe, R, seed):
     """Entities round-robin over all nodes but the last, which hosts only
     the PE; scanned, then partly overwritten without telling the DHT."""
@@ -184,11 +198,17 @@ def _service(name, ents):
     if name == "migrate":
         svc = CollectiveMigration(MigrationPlan({ses[0]: 1}))
         return svc, ServiceScope.of(ses[:1], ses[1:] + pes), lambda: None
-    svc = {"null": NullService, "flaky": _Flaky}[name]()
+    svc = {"null": NullService, "flaky": _Flaky,
+           "flaky-reversed": _FlakyReversed}[name]()
     return svc, ServiceScope.of(ses, pes), lambda: None
 
 
-SERVICES = ("checkpoint", "checkpoint+pfs", "migrate", "null", "flaky")
+SERVICES = ("checkpoint", "checkpoint+pfs", "migrate", "null", "flaky",
+            "flaky-reversed")
+
+
+def _totals(charges):
+    return {key: math.fsum(seconds) for key, seconds in charges.items()}
 
 
 def _run(params, name, mode, reference):
@@ -207,8 +227,8 @@ def _run(params, name, mode, reference):
         "handled": list(result.handled_private.items()),
         "stats": result.stats,
         "events": [(e.kind, e.data) for e in tracer],
-        "cpu": dict(ex._cpu), "tx": dict(ex._tx), "rx": dict(ex._rx),
-        "shared": dict(ex._shared),
+        "cpu": _totals(ex._cpu), "tx": dict(ex._tx), "rx": dict(ex._rx),
+        "shared": _totals(ex._shared),
         "phases": result.phases, "wall": result.wall_time,
         "outcome": outcome(),
     }
@@ -249,3 +269,6 @@ def test_the_worlds_reach_every_retry_path():
     assert reasons == {"node-down", "content-gone", "flaky", "callback-failed"}
     assert run["stats"].stale_unhandled and run["stats"].select_calls
     assert run == _run(params, "flaky", ExecMode.INTERACTIVE, reference=True)
+    reversed_run = _run(params, "flaky-reversed", ExecMode.INTERACTIVE,
+                        reference=False)
+    assert reversed_run == run

@@ -1,9 +1,13 @@
 """Unit tests for NodeContext and the callback base class."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.command import (
+    CollectiveBatch,
     CommandFailed,
     ExecMode,
     NodeContext,
@@ -35,11 +39,39 @@ class TestCharging:
         ctx.charge(1.0)  # no sink attached: silently ignored
 
     def test_negative_charge_rejected(self):
+        """Negative and non-finite charges are refused, naming the value:
+        NaN or inf would otherwise reach the phase wall."""
         _c, ctx = make_ctx()
-        with pytest.raises(ValueError):
-            ctx.charge(-1.0)
-        with pytest.raises(ValueError):
-            ctx.charge_shared(-1.0)
+        seen = []
+        ctx._charge_sink = lambda node, s: seen.append(s)
+        ctx._shared_sink = seen.append
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                ctx.charge(bad)
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                ctx.charge_shared(bad)
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                ctx.charge_per_block(bad)
+        assert seen == []
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_batch_charge_rejects_bad_seconds(self, bad):
+        """A collective batch refuses the same charges, per row or for
+        every row, before anything reaches the engine."""
+        cluster, ctx = make_ctx()
+        seen = []
+        batch = CollectiveBatch(
+            {0: ctx}, cluster, np.zeros(3, np.int64), [1, 2, 3],
+            np.zeros(3, np.int64), np.zeros(3, np.int64),
+            lambda nodes, s: seen.append(s), seen.append)
+        for seconds in (bad, [0.0, bad, 1.0]):
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                batch.charge_per_block(seconds)
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                batch.charge_shared(seconds)
+        assert seen == []
+        batch.charge_shared([0.0, 0.5, 1.0])
+        assert seen[0].tolist() == [0.0, 0.5, 1.0]
 
     def test_charge_per_block_scales_by_representation(self):
         _c, ctx = make_ctx()

@@ -408,6 +408,24 @@ class TestModesAndAccounting:
         assert (result.stats.covered_blocks + result.stats.uncovered_blocks
                 == result.stats.local_blocks)
 
+    @pytest.mark.parametrize("service", ["null", "checkpoint"])
+    def test_walls_do_not_depend_on_the_sim_clock(self, service):
+        """A command's modelled walls are the same whenever it starts:
+        the breakdown comes from the charges, not from span timestamps
+        laid out at the engine's clock."""
+        def run(now):
+            cluster, ents, concord = make_system(n_nodes=4)
+            cluster.engine.run(until=now)
+            assert cluster.engine.now == now
+            svc = (NullService() if service == "null"
+                   else CollectiveCheckpoint(CheckpointStore()))
+            return concord.execute_command(
+                svc, ServiceScope.of([e.entity_id for e in ents]))
+
+        at_zero, later = run(0.0), run(1234.567)
+        assert at_zero.phases == later.phases
+        assert at_zero.wall_time == later.wall_time
+
     def test_deterministic_given_seed(self):
         r1 = run_probe(seed=5)[4]
         r2 = run_probe(seed=5)[4]
@@ -431,8 +449,8 @@ class TestPhaseBreakdownSplit:
         cluster, ex = self._executor(n_nodes=2)
         bw = cluster.cost.link_bw
         # Node 0: pure CPU, 10 s.  Node 1: tiny CPU, 20 s of comm.
-        ex._cpu[(0, "collective")] = 10.0
-        ex._cpu[(1, "collective")] = 1.0
+        ex._cpu[(0, "collective")].append(10.0)
+        ex._cpu[(1, "collective")].append(1.0)
         ex._rx[(1, "collective")] = int(20.0 * bw)
         b = ex._phase_breakdown("collective")
         barrier = cluster.cost.barrier_time(2)
@@ -450,8 +468,8 @@ class TestPhaseBreakdownSplit:
     def test_cpu_dominated_critical_path(self):
         cluster, ex = self._executor(n_nodes=2)
         bw = cluster.cost.link_bw
-        ex._cpu[(0, "collective")] = 30.0
-        ex._cpu[(1, "collective")] = 1.0
+        ex._cpu[(0, "collective")].append(30.0)
+        ex._cpu[(1, "collective")].append(1.0)
         ex._tx[(1, "collective")] = int(5.0 * bw)
         b = ex._phase_breakdown("collective")
         assert b.cpu == pytest.approx(30.0)

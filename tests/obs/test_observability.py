@@ -1,5 +1,7 @@
 """End-to-end observability: threaded metrics, command spans, capture."""
 
+import math
+
 import pytest
 
 from repro.core.command import ExecMode
@@ -8,7 +10,7 @@ from repro.core.config import ConCORDConfig
 from repro.core.executor import PhaseBreakdown
 from repro.core.scope import ServiceScope
 from repro.harness.trace import run_traced_null
-from repro.obs import ObsConfig, Span, active_capture, capture_traces
+from repro.obs import ObsConfig, active_capture, capture_traces
 from repro.services.null import NullService
 from repro.sim.cluster import Cluster
 from repro import workloads
@@ -81,7 +83,8 @@ class TestThreading:
 class TestCommandSpans:
     def test_phase_breakdown_matches_spans_on_null_service(self):
         """The acceptance criterion: per-phase span totals equal the
-        CommandResult's phase walls (they are derived from the spans)."""
+        CommandResult's phase walls (both are built from the same
+        per-node totals)."""
         table, result, obs = run_traced_null(n_nodes=4, pages_per_entity=512,
                                              n_represented=16)
         for ph, bd in result.phases.items():
@@ -94,9 +97,9 @@ class TestCommandSpans:
         assert table.get("span_wall_ms").values == pytest.approx(
             table.get("bookkeeping_wall_ms").values, rel=0.01)
 
-    def test_from_spans_equals_legacy_bookkeeping(self):
-        """from_spans on executor-built spans == the old critical-path
-        loop run directly over the accounting dicts."""
+    def test_breakdown_equals_legacy_bookkeeping(self):
+        """The breakdown == the old critical-path loop run directly over
+        the executor's accounting (each node's charges fsum'd), exactly."""
         _cluster, ents, concord = bring_up()
         eids = [e.entity_id for e in ents]
         ex = concord.executor
@@ -106,7 +109,7 @@ class TestCommandSpans:
             cost = ex.cost
             max_cpu = max_total = crit_cpu = crit_comm = 0.0
             for node in range(_cluster.n_nodes):
-                cpu = ex._cpu.get((node, phase), 0.0)
+                cpu = math.fsum(ex._cpu.get((node, phase), ()))
                 comm = (ex._tx.get((node, phase), 0)
                         + ex._rx.get((node, phase), 0)) / cost.link_bw
                 if cpu > max_cpu:
@@ -114,23 +117,22 @@ class TestCommandSpans:
                 if cpu + comm > max_total:
                     max_total = cpu + comm
                     crit_cpu, crit_comm = cpu, comm
-            assert bd.max_node_cpu == pytest.approx(max_cpu)
-            assert bd.cpu == pytest.approx(crit_cpu)
-            assert bd.comm == pytest.approx(crit_comm)
+            assert bd.max_node_cpu == max_cpu
+            assert bd.cpu == crit_cpu
+            assert bd.comm == crit_comm
 
-    def test_from_spans_critical_path_split(self):
-        """cpu/comm come from the same (critical-path) node."""
-        spans = [
-            Span("cmd.cpu", 0.0, 3.0, node=0, phase="p"),    # cpu-heavy
-            Span("cmd.cpu", 0.0, 1.0, node=1, phase="p"),
-            Span("cmd.comm", 1.0, 4.0, node=1, phase="p"),   # critical path
-        ]
-        bd = PhaseBreakdown.from_spans(spans, shared=0.5, barrier=0.25,
-                                       extra_wall=0.125)
+    def test_from_totals_critical_path_split(self):
+        """cpu/comm come from the same (critical-path) node; ties go to
+        the lowest node id."""
+        # Node 0 is cpu-heavy, node 1 is the critical path.
+        bd = PhaseBreakdown.from_totals([3.0, 1.0], [0.0, 3.0], shared=0.5,
+                                        barrier=0.25, extra_wall=0.125)
         assert bd.max_node_cpu == 3.0
         assert (bd.cpu, bd.comm) == (1.0, 3.0)
         assert bd.wall == pytest.approx(4.0 + 0.5 + 0.25 + 0.125)
-        assert PhaseBreakdown.from_spans([]).wall == 0.0
+        tie = PhaseBreakdown.from_totals([0.0, 2.0, 1.0], [0.0, 0.0, 1.0])
+        assert (tie.cpu, tie.comm) == (2.0, 0.0)
+        assert PhaseBreakdown.from_totals([], []).wall == 0.0
 
     def test_command_counters(self):
         _cluster, ents, concord = bring_up(trace=False)
