@@ -367,9 +367,12 @@ def _cmd_serve(args, out) -> int:
     with ConCORD(cluster, core) as concord:
         if concord.storage_recovered:
             rep = concord.warm_restart()
+            loads = concord.obs.registry.value
             print(f"[warm restart from {core.storage.backend} storage: "
                   f"{rep.copies_restored + rep.copies_removed} delta op(s) "
-                  f"reconciled]", file=out)
+                  f"reconciled; shard files loaded "
+                  f"{loads('storage.recover', rung='warm')}, refused "
+                  f"{loads('storage.recover', rung='cold')}]", file=out)
         else:
             concord.initial_scan()
             if args.expect_warm:

@@ -80,7 +80,7 @@ class ConCORDConfig:
     storage:
         Shard storage section (:class:`~repro.dht.storage.StorageConfig`):
         whether the DHT shards are RAM-only (``memory``) or persist
-        through mmap segment files (``mmap``), defaulting from
+        through mmap shard files (``mmap``), defaulting from
         ``$CONCORD_STORAGE``, and the root directory for those files
         (``$CONCORD_STORAGE_DIR``; None = a private temp dir per
         instance).  ``mmap`` plus a named root is what enables warm

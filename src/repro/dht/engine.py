@@ -92,7 +92,9 @@ class ContentTracingEngine:
             raise ValueError(f"unknown transport {transport!r}; "
                              f"expected one of {', '.join(TRANSPORTS)}")
         self.cluster = cluster
-        self.storage: StorageSet = open_storage(storage, cluster.n_nodes)
+        self.obs = obs if obs is not None else Observability()
+        reg = self.obs.registry
+        self.storage: StorageSet = open_storage(storage, cluster.n_nodes, reg)
         self.shards = [LocalDHT(node_id=i, storage=s)
                        for i, s in enumerate(self.storage.shards)]
         #: True when at least one shard loaded a prior run's commit.
@@ -101,9 +103,7 @@ class ContentTracingEngine:
         self.batch_size = batch_size
         self.n_represented = n_represented
         self.transport = transport
-        self.obs = obs if obs is not None else Observability()
         self.pool = ShardPool()
-        reg = self.obs.registry
         self._c_routed = reg.counter("dht.updates_routed")
         self._c_applied = reg.counter("dht.updates_applied")
         self._c_batches = reg.counter("dht.batches_sent")

@@ -19,16 +19,20 @@ BlobSeer's versioning (PAPERS.md, "Distributed Management of Massive
 Data"): a writer publishes a new immutable version instead of changing
 the one readers have.
 
-The segment codec (docs/STORAGE.md) is one file of little-endian u64,
-``[hashes | masks | extra hashes | extra entities | extra counts]``:
-:meth:`Generation.save` writes it and :meth:`Generation.load` maps it
-back read-only.  Storage commits and warm-restart loads are its two
-users.
+The on-disk codec (docs/STORAGE.md) is one checksummed file: a header of
+little-endian u64 words, the five columns, then the wide spill.
+:meth:`Generation.save` writes it in one :func:`atomic_write` and
+:meth:`Generation.load` maps it back read-only, refusing any file whose
+format word, size or CRC-32 disagrees.  Storage commits and warm-restart
+loads are its two users.
 """
 
 from __future__ import annotations
 
+import json
+import mmap
 import os
+import zlib
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -44,16 +48,38 @@ _ONE = _U64(1)
 
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+# The header of a generation file, in u64 words: the format word, the
+# commit number, n_rows, n_extra, n_hashes, n_copies, epoch, the wide
+# spill's byte length, and the CRC-32 of every other byte of the file.
+_MAGIC = int.from_bytes(b"CCGEN\x00\x00\x01", "little")
+_HEAD = 9
 
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Write bytes to a temp sibling, fsync, and atomically replace."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
+
+def atomic_write(path: str | Path, data: bytes) -> mmap.mmap:
+    """Write bytes to a temp sibling (one write, one fsync), map it back
+    read-only, and atomically replace ``path`` with it (one rename).
+    Raises OSError, renaming nothing, when the file is not ``len(data)``
+    bytes long.  A short write (one ``write`` moves at most ~2 GiB on
+    Linux) is continued from where it stopped."""
+    tmp = f"{path}.tmp"
+    fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.fsync(fd)
+        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
+    if len(mapped) != len(data):
+        raise OSError(f"{tmp} holds {len(mapped)} of {len(data)} bytes")
     os.replace(tmp, path)
+    return mapped
+
+
+def _crc(raw) -> int:
+    """CRC-32 of a generation file's bytes, its own header word left out."""
+    return zlib.crc32(raw[8 * _HEAD:], zlib.crc32(raw[:8 * _HEAD - 8]))
 
 
 def overflow_columns(extra: dict[int, dict[int, int]]) -> Columns:
@@ -76,7 +102,7 @@ def overflow_columns(extra: dict[int, dict[int, int]]) -> Columns:
 @dataclass(frozen=True, eq=False, slots=True)
 class Generation:
     """An immutable shard snapshot: packed columns, wide spill, overflow
-    columns and counters, optionally backed by one segment file."""
+    columns and counters, optionally backed by one generation file."""
 
     ph: np.ndarray               # sorted hashes
     pm: np.ndarray               # low-64 holder masks, aligned with ph
@@ -85,7 +111,7 @@ class Generation:
     n_hashes: int
     n_copies: int
     epoch: int = 0               # the shard's update epoch when built
-    path: str | None = None      # segment file holding every column
+    path: str | None = None      # generation file holding every column
     # ph and pm as buffers whose items are Python ints: the scalar probe.
     phv: memoryview = field(init=False, repr=False)
     pmv: memoryview = field(init=False, repr=False)
@@ -96,47 +122,60 @@ class Generation:
         object.__setattr__(self, "phv", memoryview(self.ph))
         object.__setattr__(self, "pmv", memoryview(self.pm))
 
-    # -- the segment codec -----------------------------------------------------------
+    # -- the file codec ----------------------------------------------------------------
 
-    def save(self, path: str | Path) -> Generation:
-        """Write this generation's columns as one segment file (temp
-        name, fsync, rename) and return the same generation mapped back
-        from it.  One without rows or overflow has no file: it comes
-        back as it is, with no path."""
+    def save(self, path: str | Path, gen: int) -> Generation:
+        """Write this generation as commit ``gen``: one buffer — header,
+        columns, wide spill as JSON — in one :func:`atomic_write` (one
+        write, one fsync, one rename).  Returns it mapped back from the
+        file, checked by size only (:meth:`load` checks the CRC)."""
         n, x = len(self.ph), len(self.extra[0])
-        if not n and not x:
-            return self
-        buf = np.empty(2 * n + 3 * x, dtype=_U64)
-        buf[:n] = self.ph
-        buf[n:2 * n] = self.pm
-        for row, col in zip(buf[2 * n:].reshape(3, x), self.extra):
-            row[...] = col
-        atomic_write(path, buf.tobytes())
-        return Generation.load(path, n, x, self.wide, self.n_hashes,
-                               self.n_copies, self.epoch)
+        spill = json.dumps([[h, m] for h, m in self.wide.items()],
+                           separators=(",", ":")).encode()
+        body = 8 * (_HEAD + 2 * n + 3 * x)
+        buf = bytearray(body + len(spill))
+        words = np.frombuffer(buf, dtype=_U64, count=body // 8)
+        words[:_HEAD - 1] = (_MAGIC, gen, n, x, self.n_hashes, self.n_copies,
+                             self.epoch, len(spill))
+        xh, xe, xc = self.extra
+        np.concatenate((self.ph, self.pm, xh, xe.view(_U64), xc.view(_U64)),
+                       out=words[_HEAD:])
+        buf[body:] = spill
+        words[_HEAD - 1] = _crc(memoryview(buf))
+        raw = np.frombuffer(atomic_write(path, buf), dtype=np.uint8)
+        return Generation._over(raw, n, x, self.wide, self.n_hashes,
+                                self.n_copies, self.epoch, path)
 
     @staticmethod
-    def load(path: str | Path | None, n_rows: int, n_extra: int,
-             wide: dict[int, int], n_hashes: int, n_copies: int,
-             epoch: int = 0) -> Generation:
-        """Map a segment of ``n_rows`` rows and ``n_extra`` overflow
-        entries read-only (``path`` None: an empty generation).  Raises
-        ValueError when the file's size disagrees with the layout, OSError
-        when it is missing."""
-        n, x = n_rows, n_extra
-        if min(n, x) < 0 or (path is None and (n or x)):
-            raise ValueError("segment layout disagrees with its counts")
-        if path is None:
-            return Generation(np.empty(0, dtype=_U64),
-                              np.empty(0, dtype=_U64), wide,
-                              overflow_columns({}), n_hashes, n_copies, epoch)
-        if os.path.getsize(path) != 8 * (2 * n + 3 * x):
-            raise ValueError(f"segment {path} does not hold {n} rows "
-                             f"and {x} overflow entries")
-        buf = np.memmap(path, dtype=_U64, mode="r",
-                        shape=(2 * n + 3 * x,)).view(np.ndarray)
-        xh, xe, xc = buf[2 * n:].reshape(3, x)
-        return Generation(buf[:n], buf[n:2 * n], wide,
+    def load(path: str | Path) -> tuple[int, Generation] | None:
+        """The commit number and generation of a file :meth:`save` wrote,
+        mapped read-only — None when it is missing, or is not exactly
+        such a file: another format word, another size, or a CRC that
+        disagrees (a flipped or torn byte anywhere)."""
+        try:
+            with open(path, "rb") as fh:
+                raw = np.frombuffer(mmap.mmap(fh.fileno(), 0,
+                                              access=mmap.ACCESS_READ),
+                                    dtype=np.uint8)
+            magic, gen, n, x, n_hashes, n_copies, epoch, spill, crc = \
+                raw[:8 * _HEAD].view(_U64).tolist()
+            body = 8 * (_HEAD + 2 * n + 3 * x)
+            if (magic, len(raw), crc) != (_MAGIC, body + spill, _crc(raw)):
+                return None
+            wide = dict(json.loads(bytes(raw[body:])))
+        except (OSError, ValueError, TypeError):
+            return None
+        return gen, Generation._over(raw, n, x, wide, n_hashes, n_copies,
+                                     epoch, path)
+
+    @staticmethod
+    def _over(raw: np.ndarray, n: int, x: int, wide: dict[int, int],
+              n_hashes: int, n_copies: int, epoch: int,
+              path: str | Path) -> Generation:
+        """The generation whose columns are views of a mapped file."""
+        cols = raw[8 * _HEAD:8 * (_HEAD + 2 * n + 3 * x)].view(_U64)
+        xh, xe, xc = cols[2 * n:].reshape(3, x)
+        return Generation(cols[:n], cols[n:2 * n], wide,
                           (xh, xe.view(np.int64), xc.view(np.int64)),
                           n_hashes, n_copies, epoch, str(path))
 
@@ -429,4 +468,5 @@ class Generation:
 
 
 #: The generation of a shard that holds nothing.
-EMPTY = Generation.load(None, 0, 0, {}, 0, 0)
+EMPTY = Generation(np.empty(0, dtype=_U64), np.empty(0, dtype=_U64), {},
+                   overflow_columns({}), 0, 0)

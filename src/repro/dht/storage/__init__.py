@@ -1,10 +1,13 @@
 """Shard storage (docs/STORAGE.md).
 
-``open_storage(StorageConfig(...), n_nodes)`` resolves the configured
-backend into one :class:`~repro.dht.storage.mmapseg.MmapSegmentStorage`
-per shard — or None per shard on the RAM-only ``memory`` backend —
-bundled in a :class:`StorageSet` the engine owns for lifecycle (growth
-on join, the ephemeral-root cleanup).
+``open_storage(StorageConfig(...), n_nodes, registry)`` resolves the
+configured backend into one
+:class:`~repro.dht.storage.mmapseg.MmapSegmentStorage` per shard — or
+None per shard on the RAM-only ``memory`` backend — bundled in a
+:class:`StorageSet` the engine owns for lifecycle (growth on join, the
+ephemeral-root cleanup).  On ``mmap`` each shard's bring-up or warm
+rejoin that finds a file counts ``storage.recover{rung=warm|cold}``
+(loaded / refused) in the registry.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import weakref
 
 from repro.dht.storage.base import BACKENDS, StorageConfig
 from repro.dht.storage.mmapseg import MmapSegmentStorage
+from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "BACKENDS", "StorageConfig", "MmapSegmentStorage",
@@ -33,13 +37,14 @@ class StorageSet:
 
     ``root`` is None on the ``memory`` backend, whose shards have no
     storage at all.  ``ephemeral`` is True when an ``mmap`` config named
-    no root: the segment files are real but live in a private temp dir
+    no root: the shard files are real but live in a private temp dir
     removed at close — which is what e.g. running a whole test suite
     under ``CONCORD_STORAGE=mmap`` wants.  A named root is durable:
     close leaves it behind for the next process to warm-restart from.
     """
 
-    def __init__(self, cfg: StorageConfig, n_nodes: int) -> None:
+    def __init__(self, cfg: StorageConfig, n_nodes: int,
+                 registry: MetricsRegistry | None = None) -> None:
         self.cfg = cfg
         self.ephemeral = cfg.persistent and cfg.root is None
         self._state: dict = {}
@@ -47,6 +52,9 @@ class StorageSet:
         if self.ephemeral:
             self.root = tempfile.mkdtemp(prefix="concord-store-")
             self._state["ephemeral_root"] = self.root
+        self._recoveries = None if self.root is None or registry is None \
+            else {r: registry.counter("storage.recover", rung=r)
+                  for r in ("warm", "cold")}
         self.shards: list[MmapSegmentStorage | None] = []
         for _ in range(n_nodes):
             self.add_shard()
@@ -65,7 +73,8 @@ class StorageSet:
         ``open_storage(cfg, new_n_nodes)`` would look for it.
         """
         shard = (None if self.root is None
-                 else MmapSegmentStorage(self.root, len(self.shards)))
+                 else MmapSegmentStorage(self.root, len(self.shards),
+                                         self._recoveries))
         self.shards.append(shard)
         return shard
 
@@ -74,6 +83,8 @@ class StorageSet:
         _cleanup_root(self._state)
 
 
-def open_storage(cfg: StorageConfig | None, n_nodes: int) -> StorageSet:
+def open_storage(cfg: StorageConfig | None, n_nodes: int,
+                 registry: MetricsRegistry | None = None) -> StorageSet:
     """Open per-shard storage for an engine (None = env-driven default)."""
-    return StorageSet(cfg if cfg is not None else StorageConfig(), n_nodes)
+    return StorageSet(cfg if cfg is not None else StorageConfig(), n_nodes,
+                      registry)

@@ -13,10 +13,10 @@ Two settings (docs/STORAGE.md):
   live arrays *are* the state and a restarted process starts cold.  The
   default.
 * ``mmap`` — :class:`~repro.dht.storage.mmapseg.MmapSegmentStorage`, one
-  segment file per committed generation, in the generation's own codec
-  (``[hashes | masks | extra hashes | extra entities | extra counts]``,
-  little-endian u64), atomically replaced per commit, mapped back
-  read-only.
+  checksummed file per shard in the generation's own codec (a u64
+  header, then ``[hashes | masks | extra hashes | extra entities | extra
+  counts]``, then the wide spill), atomically replaced per commit,
+  mapped back read-only.
 
 Durability model: a commit happens at every new generation
 (delta-overlay compaction, bulk write-back, range eviction, entity
@@ -60,7 +60,7 @@ class StorageConfig:
         ``"memory"`` (default) or ``"mmap"``; the ``CONCORD_STORAGE``
         env var overrides the default.
     root:
-        Directory holding the segment files.  None (the default, or
+        Directory holding the shard files.  None (the default, or
         unset ``CONCORD_STORAGE_DIR``) gives each engine a fresh private
         temp dir that is removed at close — persistent *mechanics*
         without cross-run state, which is what running a whole test

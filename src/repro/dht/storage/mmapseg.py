@@ -1,122 +1,78 @@
-"""Columnar mmap segment storage: one generation file per shard commit.
+"""Columnar mmap storage: one checksummed generation file per shard.
 
 The one durable shard form (docs/STORAGE.md).  A commit writes the
-shard's :class:`~repro.dht.generation.Generation` through its segment
-codec — ``[hashes | masks | extra hashes | extra entities | extra
-counts]``, little-endian uint64 — and returns it mapped back read-only,
-so the table's live columns are maps of the file (dataset bounded by
-disk, hot rows by page cache).
+shard's :class:`~repro.dht.generation.Generation` through its file codec
+— a header of little-endian u64 words (format word, commit number,
+column lengths, counters, epoch, spill length, CRC-32), the five
+columns, the wide spill — as ``shard<i>.gen``, and returns it mapped
+back read-only, so the table's live columns are maps of the file
+(dataset bounded by disk, hot rows by page cache).
 
-Commits are atomic at file granularity: the new segment is written to a
-temp name, fsynced, renamed to a fresh generation name, and only then
-referenced from the (also atomically replaced) meta JSON; a crash
-mid-commit leaves the previous generation fully intact.  The meta file
-holds the generation number, both column lengths, the segment's name,
-the wide spill (tiny by construction), the counters and the epoch.  A
-root whose meta or segment does not match that layout — written by an
-earlier version, truncated, or missing a file — loads as nothing: the
-shard cold-starts (a durable shard is only a warm-restart accelerator).
+A commit is one write, one fsync and one rename over the previous file:
+a crash mid-commit leaves the previous generation whole, and a reader's
+map of it stays valid after the rename.  A file whose format word, size
+or checksum disagrees — written by an earlier version, truncated, a
+flipped byte — loads as nothing: the shard cold-starts (a durable shard
+is only a warm-restart accelerator).  The files of the earlier
+meta-plus-segment form (``shard<i>.meta.json``, ``shard<i>.*.seg``) are
+unlinked by the shard's first commit.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
-from repro.dht.generation import Generation, atomic_write
+from repro.dht.generation import Generation
 
 __all__ = ["MmapSegmentStorage"]
 
 
 class MmapSegmentStorage:
-    """Durable home of one shard's generations: its segment files under
-    one root directory shared with the other shards."""
+    """Durable home of one shard's generations: its file under one root
+    directory shared with the other shards.  ``recoveries`` maps
+    ``"warm"``/``"cold"`` to the counters a :meth:`load` that found a
+    file increments (loaded / refused)."""
 
-    def __init__(self, root: str | Path, node_id: int) -> None:
+    def __init__(self, root: str | Path, node_id: int,
+                 recoveries: dict | None = None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.node_id = node_id
-        self._meta_path = self.root / f"shard{node_id}.meta.json"
+        self.path = self.root / f"shard{node_id}.gen"
+        self.recoveries = recoveries
         self._gen = 0
-        self._seg: Path | None = None   # current committed segment
-        self._stale: list[Path] = []    # left by a root load() rejected
+        self._swept = False     # earlier-format files unlinked yet
 
     def load(self) -> Generation | None:
         """The last committed generation, file-backed, or None if nothing
-        usable is stored (no meta, or a meta and segment that disagree
-        with the layout).
-
-        Nothing is deleted here: a rejected root's segment files are
-        only remembered, and the next commit unlinks them."""
-        try:
-            meta = json.loads(self._meta_path.read_text())
-            gen, n, x, n_hashes, n_copies, epoch = (int(meta[k]) for k in (
-                "gen", "n_rows", "n_extra", "n_hashes", "n_copies", "epoch"))
-            wide = {int(h): int(m) for h, m in meta["wide"]}
-            seg = None if meta["seg"] is None else self.root / meta["seg"]
-            loaded = Generation.load(seg, n, x, wide, n_hashes, n_copies,
-                                     epoch)
-        except (OSError, ValueError, KeyError, TypeError):
-            return self._reject()
-        self._gen, self._seg = gen, seg
-        self._stale = []
-        return loaded
-
-    def _reject(self) -> None:
-        """:meth:`load` found nothing usable: no meta references any
-        segment file of this shard now, so each is left for the next
-        commit to unlink (an earlier version's full-size segment, a
-        truncated one, one a crash left before its meta was written)."""
-        self._stale = list(self.root.glob(f"shard{self.node_id}.*.seg"))
-        return None
+        usable is stored (no file, or one :meth:`Generation.load`
+        refuses).  Nothing is deleted here."""
+        loaded = Generation.load(self.path)
+        if self.recoveries is not None and (loaded or self.path.exists()):
+            self.recoveries["warm" if loaded else "cold"].inc()
+        if loaded is None:
+            return None
+        self._gen, gen = loaded
+        return gen
 
     def commit(self, state: Generation) -> Generation:
-        """Persist a generation; returns it mapped back read-only from
-        the just-written segment.  The generation number advances only
-        once the meta file names it, so a commit that fails part-way is
-        retried under the same number and its unreferenced segment is
-        overwritten."""
-        gen = self._gen + 1
-        saved = state.save(self.root / f"shard{self.node_id}.{gen}.seg")
-        seg = None if saved.path is None else Path(saved.path)
-        meta = {
-            "gen": gen, "n_rows": len(state.ph),
-            "n_extra": len(state.extra[0]),
-            "seg": seg.name if seg is not None else None,
-            "wide": [[int(h), int(m)] for h, m in state.wide.items()],
-            "n_hashes": int(state.n_hashes),
-            "n_copies": int(state.n_copies),
-            "epoch": int(state.epoch),
-        }
-        atomic_write(self._meta_path,
-                     json.dumps(meta, separators=(",", ":")).encode())
-        old_seg = self._seg
-        self._gen = gen
-        self._seg = seg
-        for p in [old_seg, *self._stale]:
-            if p is not None and p != seg:
-                try:
-                    os.unlink(p)
-                except OSError:
-                    pass
-        self._stale = []
+        """Persist a generation as the next commit number; returns it
+        mapped back read-only from the file.  The number advances only
+        once the rename lands, so a commit that fails part-way is retried
+        under the same number."""
+        saved = state.save(self.path, self._gen + 1)
+        self._gen += 1
+        if not self._swept:
+            self._swept = True
+            for p in self.root.glob(f"shard{self.node_id}.*"):
+                if p.suffix in (".seg", ".json"):
+                    p.unlink(missing_ok=True)
         return saved
 
     def clear(self) -> None:
         """Discard the durable state (wholesale logical wipe)."""
-        self._seg = None
         self._gen = 0
-        self._stale = []
-        try:
-            os.unlink(self._meta_path)
-        except OSError:
-            pass
-        for p in self.root.glob(f"shard{self.node_id}.*.seg"):
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
+        self.path.unlink(missing_ok=True)
 
     @property
     def generation(self) -> int:

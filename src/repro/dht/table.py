@@ -168,15 +168,16 @@ class LocalDHT:
 
     def flush(self) -> None:
         """Durability barrier: afterwards storage holds the complete
-        current state, the one a :meth:`recover` (warm restart) sees.
-        Point updates between flushes live in the RAM overlay and are
-        *not* durable; the warm-restart delta repair heals that gap."""
+        current state, the one a :meth:`recover` (warm restart) sees; no
+        commit when the current generation already is that state."""
         if self._store is None:
             return
-        if self._delta:
-            self._compact()      # merges, then persists
-        else:                    # capture overflow/counter/epoch changes
-            self._advance(self._gen.ph, self._gen.pm, self._gen.wide)
+        self._compact()          # merges, then persists
+        g = self._gen            # capture overflow/counter/epoch changes
+        if not (g.path and g.extra is self._xview and (
+                g.n_hashes, g.n_copies, g.epoch) == (
+                self._n_hashes, self._total_copies, self.epoch)):
+            self._advance(g.ph, g.pm, g.wide)
 
     def crash(self) -> None:
         """Simulated node crash: all RAM state (the overlay included) is
@@ -188,10 +189,9 @@ class LocalDHT:
         nothing was committed.  The live :attr:`epoch` stays: epochs never
         go backwards."""
         loaded = None if self._store is None else self._store.load()
-        if loaded is None:
-            return False
-        self._reset(loaded)
-        return True
+        if loaded is not None:
+            self._reset(loaded)
+        return loaded is not None
 
     # -- the overlay ---------------------------------------------------------------------
 

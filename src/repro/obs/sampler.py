@@ -225,17 +225,6 @@ class MetricsSampler:
 
         self._add(column, probe)
 
-    def track_histogram_count(self, column: str, name: str,
-                              **labels) -> None:
-        """Track a histogram's cumulative observation count (windowed
-        rates via :meth:`SampleSeries.rate`)."""
-
-        def probe(self=self, name=name, labels=labels) -> float:
-            m = self.registry.get(name, **labels)
-            return float(m.count) if isinstance(m, Histogram) else 0.0
-
-        self._add(column, probe)
-
     def track_fn(self, column: str, fn: Callable[[], float]) -> None:
         """Track an arbitrary probe evaluated at each tick instant."""
         self._add(column, fn)

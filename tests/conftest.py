@@ -6,6 +6,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import Cluster, ConCORD, ConCORDConfig, workloads
@@ -50,3 +51,31 @@ def make_system(n_nodes=4, spec=None, seed=0, use_network=False, **config_kw):
                                              **config_kw))
     concord.initial_scan()
     return cluster, entities, concord
+
+
+#: The regions of a shard's generation file (docs/STORAGE.md), in order:
+#: the nine header words, the five columns, the wide spill.
+GEN_FILE_REGIONS = ("magic", "gen", "n_rows", "n_extra", "n_hashes",
+                    "n_copies", "epoch", "spill_len", "crc",
+                    "hashes", "masks", "extra_hashes", "extra_entities",
+                    "extra_counts", "wide_spill")
+
+
+def gen_file_offset(path, region: str) -> int:
+    """Offset of a byte in the middle of one region of a generation file,
+    read off its header; fails if that region holds no byte."""
+    head = np.fromfile(path, dtype="<u8", count=9).tolist()
+    n, x, spill = head[2], head[3], head[7]
+    sizes = [8] * 9 + [8 * n] * 2 + [8 * x] * 3 + [spill]
+    i = GEN_FILE_REGIONS.index(region)
+    assert sizes[i], f"{path} has an empty {region} region"
+    return sum(sizes[:i]) + sizes[i] // 2
+
+
+def flip_byte(path, offset: int) -> None:
+    """Invert every bit of one byte of a file, in place."""
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        b = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([b ^ 0xFF]))

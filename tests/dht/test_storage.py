@@ -4,14 +4,14 @@ Every persistent backend in :data:`repro.dht.storage.BACKENDS` (today
 ``mmap`` alone) must satisfy the same contract: commit/load round-trips
 the complete columnar state (packed columns, wide spill, extra-copy
 overflow, counters, epoch), ``clear`` is a logical wipe, a commit torn
-part-way leaves the previous generation loadable, a damaged or
-earlier-format root loads as nothing (cold start), ``crash`` loses only
-RAM, and a LocalDHT driven through storage is byte-identical to a
-RAM-only one.
+part-way leaves the previous generation loadable, a damaged file (any
+flipped byte, a truncation, a deletion) or an earlier-format root loads
+as nothing (cold start), ``crash`` loses only RAM, and a LocalDHT driven
+through storage is byte-identical to a RAM-only one.
 """
 
-import json
 import os
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,8 +24,10 @@ from repro.dht.storage import (
     StorageConfig,
     open_storage,
 )
-from repro.dht.generation import Generation, overflow_columns
+from repro.dht.generation import EMPTY, Generation, overflow_columns
 from repro.dht.table import LocalDHT
+from repro.obs.registry import MetricsRegistry
+from tests.conftest import GEN_FILE_REGIONS, flip_byte, gen_file_offset
 
 PERSISTENT = tuple(b for b in BACKENDS if b != "memory")
 
@@ -137,9 +139,11 @@ class TestBackendContract:
 
     @pytest.mark.parametrize("backend", PERSISTENT)
     def test_empty_commit_roundtrips(self, backend, tmp_path):
+        """An empty shard still commits a file: the header carries its
+        counters and epoch."""
         st = make_storage(backend, tmp_path)
-        empty = Generation.load(None, 0, 0, {}, 0, 0, epoch=3)
-        assert st.commit(empty).path is None     # nothing to write
+        committed = st.commit(replace(EMPTY, epoch=3))
+        assert committed.path == str(tmp_path / "shard0.gen")
         loaded = make_storage(backend, tmp_path).load()
         assert loaded is not None
         assert len(loaded.ph) == 0 and loaded.epoch == 3
@@ -148,60 +152,86 @@ class TestBackendContract:
         st = MmapSegmentStorage(tmp_path, 0)
         state = sample_state()
         committed = st.commit(state)
-        raw = np.fromfile(committed.path, dtype=np.uint64)
         n = len(state.ph)
-        # [hashes | masks], then the overflow columns: the generation's
-        # one segment codec.
-        assert raw[:n].tolist() == state.ph.tolist()
-        assert raw[n:2 * n].tolist() == state.pm.tolist()
-        assert raw[2 * n:].tolist() == [20, 0, 2]   # hashes|entities|counts
+        raw = np.fromfile(committed.path, dtype=np.uint64,
+                          count=9 + 2 * n + 3)
+        # A nine-word header, [hashes | masks], then the overflow
+        # columns: the generation's one file codec.
+        assert raw[2:8].tolist() == [4, 1, 4, 11, 7, len(b"[[9,5]]")]
+        assert raw[9:9 + n].tolist() == state.ph.tolist()
+        assert raw[9 + n:9 + 2 * n].tolist() == state.pm.tolist()
+        assert raw[9 + 2 * n:].tolist() == [20, 0, 2]  # hashes|entities|counts
         assert_states_equal(committed, state)
 
     def test_mmap_commit_is_atomic_per_generation(self, tmp_path):
+        """Each commit replaces the one file by rename: a reader's map of
+        the previous generation keeps reading it, no temp file is left,
+        and a fresh reader sees the new one."""
         st = MmapSegmentStorage(tmp_path, 0)
-        first = st.commit(sample_state(epoch=1)).path
-        second = st.commit(sample_state(epoch=2)).path
-        assert first != second          # fresh generation, atomic rename
-        assert not os.path.exists(first)  # old generation reaped
+        first = st.commit(sample_state(epoch=1))
+        second = st.commit(one_row(epoch=2))
+        assert first.path == second.path      # one file per shard
+        assert_states_equal(first, sample_state(epoch=1))  # old inode
+        assert_states_equal(second, one_row(epoch=2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard0.gen"]
+        assert st.generation == 2
+        reader = MmapSegmentStorage(tmp_path, 0)
+        assert_states_equal(reader.load(), one_row(epoch=2))
+        assert reader.generation == 2
 
     def test_torn_commit_leaves_the_previous_generation(self, tmp_path,
                                                         monkeypatch):
-        """A commit that dies after renaming its new segment but before
-        the meta file names it: the previous generation still loads
-        whole, and the next commit goes through."""
+        """A commit that dies after writing its temp file but before the
+        rename: the previous generation still loads whole under its
+        number, and the retry goes through and leaves no orphan."""
         st = MmapSegmentStorage(tmp_path, 0)
         first = st.commit(sample_state(epoch=1)).path
         newer = one_row(epoch=2)
         real_replace = os.replace
 
-        def meta_replace_fails(src, dst):
-            if str(dst).endswith(".meta.json"):
-                raise OSError("torn before the meta rename")
-            real_replace(src, dst)
+        def rename_fails(src, dst):
+            raise OSError("torn before the rename")
 
-        monkeypatch.setattr(os, "replace", meta_replace_fails)
+        monkeypatch.setattr(os, "replace", rename_fails)
         with pytest.raises(OSError, match="torn"):
             st.commit(newer)
-        assert len(list(tmp_path.glob("shard0.*.seg"))) == 2  # new is on disk
+        assert (tmp_path / "shard0.gen.tmp").exists()  # new bytes, unnamed
         for reader in (MmapSegmentStorage(tmp_path, 0), st):
             loaded = reader.load()
             assert_states_equal(loaded, sample_state(epoch=1))
-            assert loaded.path == first
+            assert loaded.path == first and reader.generation == 1
         monkeypatch.setattr(os, "replace", real_replace)
         st.commit(newer)
         assert_states_equal(MmapSegmentStorage(tmp_path, 0).load(), newer)
-        # The retry reused the torn generation: nothing is left orphaned.
-        assert [p.name for p in tmp_path.glob("shard0.*.seg")] == \
-            ["shard0.2.seg"]
+        assert st.generation == 2
+        # The retry reused the temp name: nothing is left orphaned.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard0.gen"]
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        """``write`` may move fewer bytes than asked (at most ~2 GiB a
+        call on Linux): the commit goes on writing, and the file it
+        renames into place is whole."""
+        real_write = os.write
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: real_write(fd, data[:40]))
+        MmapSegmentStorage(tmp_path, 0).commit(sample_state())
+        monkeypatch.setattr(os, "write", real_write)
+        assert_states_equal(MmapSegmentStorage(tmp_path, 0).load(),
+                            sample_state())
 
     def test_side_table_metadata_bytes_are_pinned(self, tmp_path):
-        """Roots committed by earlier versions cold-start, so a change to
-        the meta text is a format change: it is pinned, key order
-        included."""
+        """Files committed by other versions cold-start, so a change to
+        the header or the wide spill's bytes is a format change: both
+        are pinned, the CRC-32 over the rest of the file included."""
         MmapSegmentStorage(tmp_path, 0).commit(sample_state())
-        assert (tmp_path / "shard0.meta.json").read_text() == (
-            '{"gen":1,"n_rows":4,"n_extra":1,"seg":"shard0.1.seg",'
-            '"wide":[[9,5]],"n_hashes":4,"n_copies":11,"epoch":7}')
+        data = (tmp_path / "shard0.gen").read_bytes()
+        head = np.frombuffer(data[:72], dtype="<u8").tolist()
+        assert data[:8] == b"CCGEN\x00\x00\x01"
+        assert head[1:8] == [1, 4, 1, 4, 11, 7, 7]
+        assert data[-7:] == b"[[9,5]]"
+        assert len(data) == 72 + 8 * (2 * 4 + 3 * 1) + 7
+        assert head[8] == zlib.crc32(data[72:], zlib.crc32(data[:64]))
+        assert head[8] == 0x85D76A01
 
 
 def populate(t: LocalDHT) -> None:
@@ -213,15 +243,16 @@ def populate(t: LocalDHT) -> None:
 
 
 class TestDamagedRootColdStarts:
-    """A root whose meta and segment disagree with the layout loads as
-    nothing: the shard cold-starts (``recovered`` False) instead of
-    raising at bring-up, and its next commit replaces the damage: the
-    rejected root's segment files are gone after it."""
+    """A shard file that is damaged or in another format loads as
+    nothing: the shard cold-starts (``recovered`` False, counted as
+    ``storage.recover{rung=cold}`` when a file was there) instead of
+    raising at bring-up or answering wrong, and its next commit replaces
+    the damage, leaving no other file of the shard behind."""
 
     def committed_root(self, root):
         """A shard with wide spill and extra copies, flushed twice, so its
-        segment's generation is not the one a cold start writes first;
-        returns its segment and meta paths."""
+        file's commit number is not the one a cold start writes first;
+        returns the file's path."""
         store = MmapSegmentStorage(root, 0)
         t = LocalDHT(0, store)
         populate(t)
@@ -230,57 +261,63 @@ class TestDamagedRootColdStarts:
         t.flush()
         assert t.n_multicopy_entries and t.items_arrays()[2]
         assert store.generation == 2
-        return Path(t.generation().path), root / "shard0.meta.json"
+        path = Path(t.generation().path)
+        assert path == root / "shard0.gen"
+        return path
 
-    def assert_cold_start(self, root):
-        store = MmapSegmentStorage(root, 0)
-        t = LocalDHT(0, store)
+    def assert_cold_start(self, root, refused=1):
+        reg = MetricsRegistry()
+        cfg = StorageConfig(backend="mmap", root=str(root))
+        t = LocalDHT(0, open_storage(cfg, 1, reg).shards[0])
         assert t.recovered is False
         assert (t.n_hashes, t.n_copies) == (0, 0)
+        assert (reg.value("storage.recover", rung="warm"),
+                reg.value("storage.recover", rung="cold")) == (0, refused)
         populate(t)
         t.flush()
-        assert sorted(root.glob("shard0.*.seg")) == \
-            [Path(t.generation().path)]
+        assert sorted(root.glob("shard0.*")) == [root / "shard0.gen"]
         want = shard_state(t)
-        again = LocalDHT(0, MmapSegmentStorage(root, 0))
+        again = LocalDHT(0, open_storage(cfg, 1, reg).shards[0])
         assert again.recovered is True
+        assert reg.value("storage.recover", rung="warm") == 1
         assert shard_state(again) == want
 
     def test_truncated_segment(self, tmp_path):
-        seg, _meta = self.committed_root(tmp_path)
-        with open(seg, "r+b") as fh:
-            fh.truncate(seg.stat().st_size - 8)
+        path = self.committed_root(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 8)
         self.assert_cold_start(tmp_path)
 
     def test_deleted_segment(self, tmp_path):
-        seg, _meta = self.committed_root(tmp_path)
-        seg.unlink()
-        self.assert_cold_start(tmp_path)
+        self.committed_root(tmp_path).unlink()
+        self.assert_cold_start(tmp_path, refused=0)
 
-    def test_meta_missing_a_key(self, tmp_path):
-        _seg, meta = self.committed_root(tmp_path)
-        fields = json.loads(meta.read_text())
-        del fields["n_rows"]
-        meta.write_text(json.dumps(fields))
-        self.assert_cold_start(tmp_path)
-
-    def test_meta_not_json(self, tmp_path):
-        _seg, meta = self.committed_root(tmp_path)
-        meta.write_text('{"gen":')
+    @pytest.mark.parametrize("region", GEN_FILE_REGIONS)
+    def test_flipped_byte_cold_starts(self, tmp_path, region):
+        """One byte inverted in any header word, any column or the wide
+        spill: the checksum (or the format word, or the size) refuses
+        the file."""
+        path = self.committed_root(tmp_path)
+        assert Generation.load(path) is not None
+        flip_byte(path, gen_file_offset(path, region))
+        assert Generation.load(path) is None
         self.assert_cold_start(tmp_path)
 
     def test_earlier_format_cold_starts(self, tmp_path):
-        """The layout before the overflow moved into the segment: a
-        ``[hashes | masks]`` file and the overflow as meta JSON."""
+        """The two-file layout before one checksummed file: a meta JSON
+        naming a ``[hashes | masks | overflow]`` segment, plus the orphan
+        segment of an older commit.  Nothing loads, and the first commit
+        unlinks both segments and the meta."""
         state = sample_state()
-        seg = tmp_path / "shard0.2.seg"
-        np.concatenate([state.ph, state.pm]).tofile(seg)
+        np.concatenate([state.ph, state.pm, np.array([20, 0, 2], np.uint64)]
+                       ).tofile(tmp_path / "shard0.1.seg")
+        (tmp_path / "shard0.2.seg").write_bytes(b"\0" * 8)
         (tmp_path / "shard0.meta.json").write_text(
-            '{"gen":2,"n_rows":4,"seg":"shard0.2.seg",'
-            '"wide":[[9,5]],"extra":[[20,[[0,2]]]],'
-            '"n_hashes":4,"n_copies":11,"epoch":7}')
-        self.assert_cold_start(tmp_path)
-
+            '{"gen":1,"n_rows":4,"n_extra":1,"seg":"shard0.1.seg",'
+            '"wide":[[9,5]],"n_hashes":4,"n_copies":11,"epoch":7}')
+        (tmp_path / "shard1.meta.json").write_text("{}")  # another shard's
+        self.assert_cold_start(tmp_path, refused=0)
+        assert (tmp_path / "shard1.meta.json").exists()
 
 class TestLocalDHTOnBackends:
     """Table-level semantics: flush/crash/recover/clear, per backend."""
@@ -301,6 +338,29 @@ class TestLocalDHTOnBackends:
         assert shard_state(t) == want    # storage kept the last commit
         assert t.epoch == 9
         store.close()
+
+    def test_flush_of_the_committed_generation_commits_nothing(self,
+                                                               tmp_path):
+        """A flush commits only what the last commit does not hold: not
+        after another flush or a bring-up, but after an overflow-only
+        write or an epoch bump."""
+        store = MmapSegmentStorage(tmp_path, 0)
+        t = LocalDHT(0, store)
+        populate(t)
+        t.flush()
+        assert store.generation == 1
+        t.flush()
+        assert store.generation == 1          # already committed
+        reader = MmapSegmentStorage(tmp_path, 0)
+        LocalDHT(0, reader).flush()
+        assert reader.generation == 1         # bring-up state is the file
+        t.insert(123456, 70)                  # an extra copy only
+        t.flush()
+        assert store.generation == 2
+        t.epoch += 1
+        t.flush()
+        assert store.generation == 3
+        assert MmapSegmentStorage(tmp_path, 0).load().epoch == t.epoch
 
     @pytest.mark.parametrize("backend", PERSISTENT)
     def test_unflushed_overlay_is_lost_on_crash(self, backend, tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import Cluster, ConCORD, ConCORDConfig, StorageConfig, workloads
+from tests.conftest import GEN_FILE_REGIONS, flip_byte, gen_file_offset
 
 PERSISTENT = ("mmap",)
 
@@ -83,24 +84,48 @@ class TestWarmRestart:
             assert shard_states(concord) == before
             assert shard_states(concord) == cold_reference()
 
-    def test_damaged_shard_cold_starts_and_heals(self, backend, tmp_path):
-        """A truncated segment is a shard with nothing to recover, not a
-        bring-up error; the warm restart's repair rebuilds it."""
-        before = self.seed_storage(backend, tmp_path)
-        seg = next(tmp_path.glob("shard0.*.seg"))
-        with open(seg, "r+b") as fh:
-            fh.truncate(seg.stat().st_size // 2)
+    def assert_shard0_heals(self, backend, root, before, refused=1):
+        """Bring-up on ``root`` recovers every shard but 0 (counted warm;
+        shard 0 counted cold when its file was there), and the warm
+        restart rebuilds shard 0 to the cold reference."""
         cluster, _ents = make_cluster()
         cfg = ConCORDConfig(storage=StorageConfig(backend=backend,
-                                                  root=str(tmp_path)))
+                                                  root=str(root)))
         with ConCORD(cluster, cfg) as concord:
             assert [s.recovered for s in concord.tracing.shards] == \
                 [False] + [True] * (N_NODES - 1)
+            reg = concord.obs.registry
+            assert (reg.value("storage.recover", rung="warm"),
+                    reg.value("storage.recover", rung="cold")) == \
+                (N_NODES - 1, refused)
             report = concord.warm_restart()
             # Shard 0 whole, nothing anywhere else.
             assert report.copies_restored == before[0][-1] > 0
             assert report.copies_removed == 0
-            assert shard_states(concord) == before
+            assert shard_states(concord) == before == cold_reference()
+
+    def test_damaged_shard_cold_starts_and_heals(self, backend, tmp_path):
+        """A truncated shard file is a shard with nothing to recover, not
+        a bring-up error; the warm restart's repair rebuilds it."""
+        before = self.seed_storage(backend, tmp_path)
+        path = tmp_path / "shard0.gen"
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size // 2)
+        self.assert_shard0_heals(backend, tmp_path, before)
+
+    @pytest.mark.parametrize("damage", GEN_FILE_REGIONS + ("deleted",))
+    def test_corrupt_shard_cold_starts_and_heals(self, backend, tmp_path,
+                                                 damage):
+        """One byte flipped in any region of shard 0's file, or the file
+        deleted: never a wrong answer, a cold start that heals."""
+        before = self.seed_storage(backend, tmp_path)
+        path = tmp_path / "shard0.gen"
+        if damage == "deleted":
+            path.unlink()
+        else:
+            flip_byte(path, gen_file_offset(path, damage))
+        self.assert_shard0_heals(backend, tmp_path, before,
+                                 refused=int(damage != "deleted"))
 
     def test_divergent_restart_matches_cold_rebuild(self, backend, tmp_path):
         self.seed_storage(backend, tmp_path)
