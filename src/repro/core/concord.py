@@ -235,7 +235,7 @@ class ConCORD:
         up with :attr:`storage_recovered` True — a fresh instance on an
         already-populated storage root.  The reconcile pass heals exactly
         the divergence between the last commit and live memory (plus any
-        un-flushed overlay lost in the crash), so a quiet restart is
+        un-committed write log lost in the crash), so a quiet restart is
         near-free while a cold rebuild re-routes every copy.  The
         resulting shards are byte-identical to a cold full rebuild.
 

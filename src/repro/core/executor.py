@@ -153,9 +153,6 @@ class CommandResult:
     handled_private: dict[int, Any]
     contexts: dict[int, NodeContext]
 
-    def phase_wall(self, name: str) -> float:
-        return self.phases[name].wall
-
 
 class ServiceCommandExecutor:
     """Executes one parametrized service command over the cluster."""

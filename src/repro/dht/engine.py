@@ -320,7 +320,7 @@ class ContentTracingEngine:
     # -- storage lifecycle (docs/STORAGE.md) -------------------------------------------
 
     def flush_storage(self) -> None:
-        """Durability barrier: force-commit every shard (overlay included)."""
+        """Durability barrier: force-commit every shard (write log included)."""
         for shard in self.shards:
             shard.flush()
 

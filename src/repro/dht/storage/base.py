@@ -18,10 +18,10 @@ Two settings (docs/STORAGE.md):
   counts]``, then the wide spill), atomically replaced per commit,
   mapped back read-only.
 
-Durability model: a commit happens at every new generation
-(delta-overlay compaction, bulk write-back, range eviction, entity
-purge) and on an explicit ``LocalDHT.flush()``.  Point updates buffered
-in the delta overlay are *not* durable until one of those — the warm-
+Durability model: a commit happens at every write-log commit point (a
+fraction of the table's hashes logged, or a scan-shaped read), range
+eviction and entity purge, and on an explicit ``LocalDHT.flush()``.
+Updates in the write log are *not* durable until one of those — the warm-
 restart delta repair (docs/STORAGE.md) exists precisely to heal that
 gap from the monitors' ground truth.
 """

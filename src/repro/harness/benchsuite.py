@@ -441,22 +441,22 @@ def _bench_storage_restart(ctx: BenchContext) -> None:
 
 #: The commit-point stream: (operation, width, hashes, entities) per batch.
 #: ``fresh`` hashes are new to the shard, so a batch's distinct-hash count
-#: is its width, exact against the merge thresholds; ``pool`` hashes are
+#: is its width, exact against the commit threshold; ``pool`` hashes are
 #: drawn with replacement from those inserted so far (repeated pairs, and
 #: for a remove also pairs the shard never held); ``absent`` ones were
 #: never inserted.  Entities are 0..7, or 0..71 on ``wide`` batches.
 _COMMIT_STREAM = (
-    ("insert", 20000, "fresh", "narrow"),  # direct merge, empty overlay
-    ("insert", 7, "pool", "narrow"),       # per-item, below _BULK_MIN
-    ("insert", 8, "pool", "wide"),         # batch path, non-empty overlay
+    ("insert", 20000, "fresh", "narrow"),  # commits at once, empty log
+    ("insert", 7, "pool", "narrow"),       # a datagram's width, repeats
+    ("insert", 8, "pool", "wide"),         # holders >= 64, non-empty log
     ("insert", 64, "pool", "narrow"),
     ("remove", 64, "pool", "wide"),
     ("remove", 7, "absent", "narrow"),
     ("remove", 8, "absent", "narrow"),
-    ("insert", 4095, "fresh", "narrow"),   # the overlay crosses mid-batch
-    ("insert", 4095, "fresh", "narrow"),   # empty overlay, one short
+    ("insert", 4095, "fresh", "narrow"),   # the log crosses mid-batch
+    ("insert", 4095, "fresh", "narrow"),   # empty log, one short
     ("insert", 1, "fresh", "narrow"),      # ... and the one that tips it
-    ("insert", 4096, "fresh", "narrow"),   # direct merge at the threshold
+    ("insert", 4096, "fresh", "narrow"),   # one batch at the threshold
     ("insert", 20000, "fresh", "narrow"),  # threshold now above 4096
     ("insert", 4096, "fresh", "narrow"),   # so this one buffers
     ("remove", 4096, "pool", "narrow"),
@@ -503,8 +503,9 @@ def _bench_storage_commit_points(ctx: BenchContext) -> None:
                     pool = np.concatenate([pool, hashes])
                 table.bulk_insert(hashes, eids)
             else:
-                ctx.record(f"batch{i:02d}.applied",
-                           table.bulk_remove(hashes, eids))
+                before = table.n_copies     # folds in RAM, no commit
+                table.bulk_remove(hashes, eids)
+                ctx.record(f"batch{i:02d}.applied", before - table.n_copies)
             ctx.record(f"batch{i:02d}.gen", store.generation)
             if store.generation != seen:
                 seen = store.generation

@@ -24,7 +24,7 @@ from repro.dht.storage import (
     StorageConfig,
     open_storage,
 )
-from repro.dht.generation import EMPTY, Generation, overflow_columns
+from repro.dht.generation import EMPTY, Generation
 from repro.dht.table import LocalDHT
 from repro.obs.registry import MetricsRegistry
 from tests.conftest import GEN_FILE_REGIONS, flip_byte, gen_file_offset
@@ -43,14 +43,23 @@ def sample_state(epoch=7):
         ph=np.array([3, 9, 20, 77], dtype=np.uint64),
         pm=np.array([1, 3, 1 << 63, 5], dtype=np.uint64),
         wide={9: 0b101},                  # holders at entities 64 and 66
-        extra=overflow_columns({20: {0: 2}}),  # entity 0: 3 copies of 20
-        n_hashes=4, n_copies=11, epoch=epoch)
+        extra=overflow({20: {0: 2}}),     # entity 0: 3 copies of 20
+        n_hashes=4, n_copies=10, epoch=epoch)   # 6 + 2 wide holders + 2
+
+
+def overflow(extra):
+    """An overflow dict (hash -> {entity: extra copies}) as the columns
+    a generation holds, sorted by (hash, entity)."""
+    flat = sorted((h, e, c) for h, ex in extra.items() for e, c in ex.items())
+    return tuple(np.array(col, dtype=dt) for col, dt in zip(
+        zip(*flat) if flat else ((), (), ()),
+        (np.uint64, np.int64, np.int64)))
 
 
 def one_row(epoch):
     return replace(sample_state(epoch), ph=np.array([42], dtype=np.uint64),
                    pm=np.array([1], dtype=np.uint64), wide={},
-                   extra=overflow_columns({}), n_hashes=1, n_copies=1)
+                   extra=overflow({}), n_hashes=1, n_copies=1)
 
 
 def assert_states_equal(a: Generation, b: Generation) -> None:
@@ -157,7 +166,7 @@ class TestBackendContract:
                           count=9 + 2 * n + 3)
         # A nine-word header, [hashes | masks], then the overflow
         # columns: the generation's one file codec.
-        assert raw[2:8].tolist() == [4, 1, 4, 11, 7, len(b"[[9,5]]")]
+        assert raw[2:8].tolist() == [4, 1, 4, 10, 7, len(b"[[9,5]]")]
         assert raw[9:9 + n].tolist() == state.ph.tolist()
         assert raw[9 + n:9 + 2 * n].tolist() == state.pm.tolist()
         assert raw[9 + 2 * n:].tolist() == [20, 0, 2]  # hashes|entities|counts
@@ -227,11 +236,11 @@ class TestBackendContract:
         data = (tmp_path / "shard0.gen").read_bytes()
         head = np.frombuffer(data[:72], dtype="<u8").tolist()
         assert data[:8] == b"CCGEN\x00\x00\x01"
-        assert head[1:8] == [1, 4, 1, 4, 11, 7, 7]
+        assert head[1:8] == [1, 4, 1, 4, 10, 7, 7]
         assert data[-7:] == b"[[9,5]]"
         assert len(data) == 72 + 8 * (2 * 4 + 3 * 1) + 7
         assert head[8] == zlib.crc32(data[72:], zlib.crc32(data[:64]))
-        assert head[8] == 0x85D76A01
+        assert head[8] == 0xEF553C4F
 
 
 def populate(t: LocalDHT) -> None:
@@ -240,6 +249,23 @@ def populate(t: LocalDHT) -> None:
     t.bulk_insert(hashes, rng.integers(0, 4, 300))
     t.insert(123456, 70)             # wide spill (entity >= 64)
     t.insert(int(hashes[0]), int(rng.integers(0, 4)))  # extra copy
+
+
+def test_a_commit_inside_a_scalar_insert_counts_that_insert(tmp_path):
+    """The insert that tips the log over the commit threshold is in the
+    committed file's counters, as in its columns: a warm restart from
+    that commit reports what it holds."""
+    store = MmapSegmentStorage(tmp_path, 0)
+    t = LocalDHT(0, store)
+    t.bulk_insert(np.arange(1, 4096, dtype=np.uint64), 0)
+    t.insert(4096, 0)
+    assert store.generation == 1
+    t.crash()
+    assert t.recover()
+    assert (t.n_hashes, t.n_copies) == (4096, 4096)
+    fresh = LocalDHT(0, MmapSegmentStorage(tmp_path, 0))
+    assert fresh.recovered
+    assert (fresh.n_hashes, fresh.n_copies) == (4096, 4096)
 
 
 class TestDamagedRootColdStarts:
@@ -301,6 +327,23 @@ class TestDamagedRootColdStarts:
         assert Generation.load(path) is not None
         flip_byte(path, gen_file_offset(path, region))
         assert Generation.load(path) is None
+        self.assert_cold_start(tmp_path)
+
+    @pytest.mark.parametrize("counter,off_by", [
+        ("n_hashes", 1), ("n_copies", 1), ("n_copies", -1)])
+    def test_counters_that_disagree_with_the_columns_cold_start(
+            self, tmp_path, counter, off_by):
+        """A file whose CRC is valid but whose header counter is not what
+        its columns hold (``n_hashes`` the row count, ``n_copies`` the
+        holder bits plus the overflow counts) is refused."""
+        path = self.committed_root(tmp_path)
+        good = Generation.load(path)[1]
+        wrong = replace(good, **{counter: getattr(good, counter) + off_by})
+        wrong.save(path, 3)
+        assert Generation.load(path) is None
+        good.save(path, 3)
+        assert Generation.load(path) is not None
+        wrong.save(path, 3)
         self.assert_cold_start(tmp_path)
 
     def test_earlier_format_cold_starts(self, tmp_path):
@@ -370,10 +413,10 @@ class TestLocalDHTOnBackends:
         populate(t)
         t.flush()
         want = shard_state(t)
-        t.insert(999_999, 2)             # point update: overlay only
+        t.insert(999_999, 2)             # point update: logged only
         t.crash()
         t.recover()
-        assert shard_state(t) == want    # the overlay update is gone
+        assert shard_state(t) == want    # the logged update is gone
         store.close()
 
     @pytest.mark.parametrize("backend", PERSISTENT)

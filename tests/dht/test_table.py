@@ -40,18 +40,25 @@ class TestInsertRemove:
         t = LocalDHT()
         t.insert(5, 1)
         t.insert(5, 1)
-        assert t.remove(5, 1)
+        t.remove(5, 1)
         assert t.num_copies(5) == 1
         assert 5 in t
-        assert t.remove(5, 1)
+        t.remove(5, 1)
         assert 5 not in t
         assert t.n_multicopy_entries == 0
 
-    def test_remove_unknown_returns_false(self):
+    def test_remove_of_a_pair_without_copies_is_skipped(self):
+        """A stale remove takes nothing, and a later insert of the pair
+        is not cancelled by it."""
         t = LocalDHT()
-        assert not t.remove(1, 1)
+        t.remove(1, 1)
+        assert (t.n_hashes, t.n_copies) == (0, 0)
         t.insert(1, 2)
-        assert not t.remove(1, 3)
+        t.remove(1, 3)
+        t.bulk_remove(np.array([1, 1], dtype=np.uint64), [3, 4])
+        assert (t.entity_ids(1), t.n_copies) == ([2], 1)
+        t.insert(1, 3)
+        assert (t.entity_ids(1), t.n_copies) == ([2, 3], 2)
 
     def test_remove_last_entity_deletes_entry(self):
         t = LocalDHT()
@@ -156,9 +163,8 @@ class TestReferenceSemantics:
                 t.insert(h, e)
                 model[(h, e)] += 1
             else:
-                ok = t.remove(h, e)
-                assert ok == (model[(h, e)] > 0)
-                if ok:
+                t.remove(h, e)
+                if model[(h, e)] > 0:
                     model[(h, e)] -= 1
         for h in range(20):
             want_entities = sorted({e for (hh, e), c in model.items()
@@ -242,8 +248,8 @@ class TestOverflowReadCost:
 class TestProbeBelowTheVectorWidth:
     """``bulk_num_copies`` / ``bulk_masks`` of a few hashes (one scalar
     probe each below ``table._VECTOR_MIN``) answer as the generation's
-    vector probe over ``generation()``, and commit only where the merge
-    they start commits."""
+    vector probe over ``generation()``, and commit exactly once after
+    writes: the log folded into the generation they read."""
 
     WIDE = 70                # past bit 63: the row spills into ``wide``
 
@@ -261,7 +267,7 @@ class TestProbeBelowTheVectorWidth:
         shard.insert(self.wide, self.WIDE)
         shard.insert(self.wide_multi, self.WIDE)
         shard.insert(self.wide_multi, self.WIDE)
-        self.toggled = [5, 2**64 - 1]                     # overlay rows
+        self.toggled = [5, 2**64 - 1]                     # logged rows
         shard.insert(self.toggled[1], 3)
         self.special = [0, self.multi, self.wide, self.wide_multi,
                         *self.toggled]
@@ -278,18 +284,22 @@ class TestProbeBelowTheVectorWidth:
         return shard
 
     def dirty(self, shard, pending):
-        """An overflow-only write (``_gen.extra`` goes stale, ``_extra``
-        does not) and, when ``pending``, overlay rows: one hash born and
-        one deleted since the last merge."""
+        """An overflow-only write and, when ``pending``, rows that change
+        masks: one hash born and one deleted since the last commit.
+        Scalar reads in between fold the log in RAM and commit nothing."""
+        before = self.commits
+        copies = shard.num_copies(self.multi)
         shard.insert(self.multi, self.held)
-        assert shard._xview is None and not shard._delta
+        assert shard.num_copies(self.multi) == copies + 1
         if pending:
+            n = shard.n_hashes
             for h in self.toggled:
                 if h in shard:
-                    assert shard.remove(h, 3)
+                    shard.remove(h, 3)
                 else:
                     shard.insert(h, 3)
-            assert len(shard._delta) == 2
+            assert shard.n_hashes == n
+        assert self.commits == before
 
     @pytest.mark.parametrize("h", [-1, 2**64])
     def test_a_hash_outside_the_word_raises_before_any_write(self, h):
@@ -300,7 +310,7 @@ class TestProbeBelowTheVectorWidth:
                    lambda: shard.bulk_num_copies([h])):
             with pytest.raises(OverflowError):
                 op()
-        assert not shard._delta and shard.n_hashes == 19
+        assert (shard.n_hashes, shard.n_copies) == (19, 19)
         assert shard.generation().n_hashes == 19
 
     @pytest.mark.parametrize("pending", [False, True])
@@ -316,12 +326,9 @@ class TestProbeBelowTheVectorWidth:
                 self.dirty(shard, pending)
                 before = self.commits
                 got = getattr(shard, fn)(hs)
-                assert self.commits - before == (
-                    pending and backend == "mmap")
-                assert not shard._delta
+                assert self.commits - before == (backend == "mmap")
                 gen = shard.generation()
-                assert self.commits - before == (
-                    pending and backend == "mmap")
+                assert self.commits - before == (backend == "mmap")
                 want = getattr(gen, fn)(np.array(hs, dtype=np.uint64))
                 if fn == "bulk_masks":
                     (got, got_wide), (want, want_wide) = got, want

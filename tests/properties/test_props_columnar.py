@@ -2,7 +2,10 @@
 equivalent to the per-item insert/remove/items() semantics, including the
 >64-entity wide-mask spill path and interleaved insert/remove sequences —
 and the columnar overflow view (``extra_arrays``) and its three bulk
-readers agree with the per-item accessors after every kind of mutation."""
+readers agree with the per-item accessors after every kind of mutation.
+Both write paths append to the same log, so the writers themselves are
+checked against an independent copy-count model in
+``test_props_writelog.py``; here the readers are."""
 
 from collections import Counter
 
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.dht.repair import pairs_where
 from repro.dht.storage import MmapSegmentStorage, StorageConfig, open_storage
-from repro.dht.table import _BULK_MIN, _COMPACT_MIN, LocalDHT
+from repro.dht.table import _COMPACT_MIN, LocalDHT
 from repro.exec.ops import shard_in_s_copies
 
 # A tiny hash universe forces heavy collisions (multicopy + extras paths);
@@ -47,8 +50,9 @@ class TestBulkEquivalence:
                     ref.insert(hh, ee)
                 col.bulk_insert(h, e)
             else:
-                want_applied = sum(bool(ref.remove(hh, ee)) for hh, ee in ps)
-                assert col.bulk_remove(h, e) == want_applied
+                for hh, ee in ps:
+                    ref.remove(hh, ee)
+                col.bulk_remove(h, e)
         assert _observe(col) == _observe(ref)
 
     @given(pairs)
@@ -66,12 +70,10 @@ class TestBulkEquivalence:
             assert col.num_copies(hh) == ref.num_copies(hh)
 
 
-#: Widths on both sides of the per-item cut-off and of the overlay's merge
-#: point, which is also where an insert batch into an empty overlay merges
-#: straight into the packed columns (fewer than 32 768 packed rows); a
-#: remove batch that wide takes the row loop and merges after it.
-_WIDTHS = (1, _BULK_MIN - 1, _BULK_MIN, _BULK_MIN + 1, 64,
-           _COMPACT_MIN - 1, _COMPACT_MIN, _COMPACT_MIN + 1)
+#: Widths of a datagram and on both sides of the log's commit point (the
+#: distinct hashes logged since the last commit, with fewer than 32 768
+#: packed rows).
+_WIDTHS = (1, 7, 8, 9, 64, _COMPACT_MIN - 1, _COMPACT_MIN, _COMPACT_MIN + 1)
 # (operation, width, hashes, entities up to 71?): "fresh" hashes are new to
 # the shard, "packed" ones distinct rows it holds, "pool" ones drawn with
 # replacement from both (repeated pairs).
@@ -89,18 +91,18 @@ class TestWritePathThresholds:
                   ("remove", _COMPACT_MIN, "packed", False),
                   ("remove", _COMPACT_MIN + 1, "fresh", False),
                   ("insert", _COMPACT_MIN, "pool", False),
-                  ("insert", _BULK_MIN, "pool", True)], seed=0)
+                  ("insert", 8, "pool", True)], seed=0)
     @settings(max_examples=15, deadline=None)
     def test_batches_at_the_thresholds_match_per_item(self, backend, seq,
                                                       seed):
-        """A shard with packed rows and a non-empty overlay takes batches
+        """A shard with packed rows and a non-empty log takes batches
         of every width around the thresholds — repeated pairs, removes
         of absent pairs, holders >= 64 — and ends in the per-item loop's
         state; on mmap, what a fresh reader loads after ``flush`` is the
         live state, overflow and wide spill included."""
         rng = np.random.default_rng(seed)
         pool = rng.integers(1, 1 << 63, 6000, dtype=np.uint64)
-        # 5 000 packed rows, then 24 rows left in the overlay.
+        # 5 000 packed rows, then 24 rows left in the log.
         steps = [("insert", pool[:5000], rng.integers(0, 8, 5000)),
                  ("insert", pool[rng.integers(0, 6000, 24)],
                   rng.integers(0, 8, 24))]
@@ -121,9 +123,9 @@ class TestWritePathThresholds:
                         ref.insert(hh, ee)
                     col.bulk_insert(h, e)
                 else:
-                    want = sum(bool(ref.remove(hh, ee))
-                               for hh, ee in zip(h.tolist(), e.tolist()))
-                    assert col.bulk_remove(h, e) == want
+                    for hh, ee in zip(h.tolist(), e.tolist()):
+                        ref.remove(hh, ee)
+                    col.bulk_remove(h, e)
                 assert (col.n_hashes, col.n_copies) == \
                     (ref.n_hashes, ref.n_copies)
             assert _observe(col) == _observe(ref)
@@ -317,7 +319,7 @@ class TestOverflowView:
 class TestHeldGenerationNeverChanges:
     @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_columns_a_reader_holds_survive_later_writes(self, backend):
-        """A merge builds the next generation; it never writes the one a
+        """A fold builds the next generation; it never writes the one a
         caller of ``items_arrays`` (or a pool worker) holds."""
         store = open_storage(StorageConfig(backend=backend), 1)
         try:

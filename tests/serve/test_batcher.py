@@ -103,7 +103,7 @@ def homed_at(engine, node):
 
 class World:
     """A 4-node system whose shard 0 holds one row of every kind the probe
-    branches on, plus the point updates that keep the overlay non-empty."""
+    branches on, plus the point updates that keep the write log non-empty."""
 
     def __init__(self, backend, persists):
         self.cluster, _ents, self.concord = make_system(
@@ -123,8 +123,9 @@ class World:
         self.wide_multi = own[2]            # both at once
         shard.insert(self.wide_multi, WIDE_ENTITY)
         shard.insert(self.wide_multi, WIDE_ENTITY)
-        self.toggled = [next(fresh), next(fresh)]   # live in the overlay
+        self.toggled = [next(fresh), next(fresh)]   # live in the log
         shard.insert(self.toggled[0], 1)
+        self.flip = 1                       # which of them dirty() leaves
         engine.flush_storage()
         self.special = [self.absent, self.wide, self.multi, self.wide_multi,
                         *self.toggled]
@@ -134,19 +135,28 @@ class World:
         self._persists = persists           # id(shard) -> _persist calls
 
     def dirty(self):
-        """Point updates on every shard: afterwards each overlay is
-        non-empty, one queried hash exists only there and one is deleted
-        only there (the two swap roles every call)."""
+        """Point updates on every shard, logged and not yet committed: one
+        queried hash exists only in shard 0's log and one is deleted only
+        there (the two swap roles every call)."""
+        before = self.persists
         shard = self.engine.shards[0]
         for h in self.toggled:
             if h in shard:
-                assert shard.remove(h, 1)
+                shard.remove(h, 1)
             else:
                 shard.insert(h, 1)
+            assert (h in shard) == (h == self.toggled[self.flip])
+        self.flip ^= 1
         for s, h in zip(self.engine.shards[1:], self.elsewhere):
             s.insert(h, SPARE_ENTITY)
-            assert s.remove(h, SPARE_ENTITY)
-        assert all(s._delta for s in self.engine.shards)
+            s.remove(h, SPARE_ENTITY)
+        assert self.persists == before      # reads fold in RAM only
+        self.logged = before
+
+    def all_committed(self):
+        """Every shard has committed its log since :meth:`dirty`: one
+        commit each."""
+        return self.persists == self.logged + len(self.engine.shards)
 
     def group(self, width, lead):
         """``width`` distinct hashes homed at shard 0, ``special[lead]``
@@ -155,9 +165,10 @@ class World:
         return ring[:width]
 
     def shard_state(self):
-        return [(s.n_hashes, s.n_copies, dict(s._delta),
-                 s._gen.ph.tolist(), s._gen.pm.tolist(), dict(s._gen.wide))
-                for s in self.engine.shards], self.persists
+        return [(s.n_hashes, s.n_copies, g.ph.tolist(), g.pm.tolist(),
+                 dict(g.wide), [c.tolist() for c in g.extra])
+                for s in self.engine.shards
+                for g in [s.generation()]], self.persists
 
     @property
     def persists(self):
@@ -212,7 +223,7 @@ class TestFillOnBothSidesOfTheConstant:
                     got = bulk_answers(world.engine, world.cluster.cost, op,
                                        pairs)
                     monkeypatch.setattr(table, "_VECTOR_MIN", K)
-                    assert not any(s._delta for s in world.engine.shards)
+                    assert world.all_committed()
                     for (h, node, _home), answer in zip(pairs, got):
                         assert answer == getattr(world.queries, op)(h, node), \
                             (op, width, lead, h)
@@ -304,8 +315,8 @@ class TestFillOnBothSidesOfTheConstant:
 # -- one pair alone against the same pair inside a wider fill -----------------------
 #
 # A lone miss and a miss batched with others must get the same answer and
-# leave the same shard state (a fill compacts each probed shard's overlay,
-# which on mmap is a storage commit), whether the caller hands the home
+# leave the same shard state (a fill commits each probed shard's log, which
+# on mmap is a storage commit), whether the caller hands the home
 # down or leaves it to the fill to route.
 
 class TestOnePairEqualsGroupedFill:
@@ -338,7 +349,7 @@ class TestOnePairEqualsGroupedFill:
         assert one_by_one == together
         assert together == [getattr(grouped.queries, op)(h, node)
                             for h, node, _home in pairs]
-        assert not any(s._delta for s in alone.engine.shards)
+        assert alone.all_committed()
         assert alone.shard_state() == grouped.shard_state()
         if backend != "memory":
             assert alone.persists > 0
