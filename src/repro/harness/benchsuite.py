@@ -738,7 +738,7 @@ def _ckpt_outcome(world: World, store: CheckpointStore, restore):
                     if c.state is not None)
                 for f in ("shared_appends", "pointer_records", "data_records")]
         return {
-            "shared_blocks_sha256": _digest(store.shared.blocks),
+            "shared_blocks_sha256": _digest(store.shared.blocks.tolist()),
             "records_sha256": _digest([(eid, f.records) for eid, f
                                        in sorted(store.se_files.items())]),
             "state_sums": dict(zip(CKPT_COUNTERS, sums)),

@@ -16,7 +16,8 @@ from repro import Cluster, ConCORD, ConCORDConfig, workloads
 # Hypothesis profiles, chosen by HYPOTHESIS_PROFILE: "deep" runs every
 # property that takes its example count from the profile (no
 # max_examples of its own) at 1 000 examples; CI's mmap leg runs the
-# write-path oracle (tests/properties/test_props_writelog.py) that way.
+# write-path oracle (tests/properties/test_props_writelog.py) and the
+# collective-phase oracle (tests/core/test_collective_batch.py) that way.
 settings.register_profile("deep", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -105,3 +105,34 @@ def test_it_is_read_only():
     with pytest.raises(TypeError):
         m[8] = 2
     assert not hasattr(m, "update")
+
+
+def test_a_typed_private_column_stays_typed():
+    """An array of privates keeps its dtype — a checkpoint's offsets
+    gather as integers — while scalar reads answer with Python values."""
+    m = HandledMap(np.array([9, 3, 7], dtype=np.uint64),
+                   np.array([0, 1, 2], dtype=np.int64))
+    assert m.privates.dtype == np.int64
+    assert m.gather(np.array([7, 9], dtype=np.uint64)).tolist() == [2, 0]
+    assert dict(m) == {3: 1, 7: 2, 9: 0}
+    assert type(m[3]) is int and m.get(4) is None
+
+
+def test_the_checkpoint_hands_its_offsets_on_as_one_typed_column():
+    """The collective checkpoint returns its shared-file offsets as an
+    int64 column: the command's handled set keeps it, and says for every
+    handled hash where its block landed."""
+    from repro import CheckpointStore, CollectiveCheckpoint, ServiceScope
+    from tests.conftest import make_system
+
+    _c, ents, concord = make_system(n_nodes=3)
+    store = CheckpointStore()
+    result = concord.execute_command(
+        CollectiveCheckpoint(store),
+        ServiceScope.of([e.entity_id for e in ents]))
+    handled = result.handled_private
+    assert isinstance(handled, HandledMap) and len(handled) > 0
+    assert handled.privates.dtype == np.int64
+    assert dict(handled) == {h: store.shared.offset_of(h) for h in handled}
+    assert sorted(handled.privates.tolist()) == list(range(
+        store.shared.n_blocks))
