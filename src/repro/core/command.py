@@ -167,8 +167,7 @@ class CollectiveBatch:
     Row ``i`` asks for ``collective_command`` on node ``nodes[i]`` over
     block ``page_idx[i]`` of entity ``entity_ids[i]``, whose content hash
     ``hashes[i]`` the engine has just checked against ground truth
-    (``hashes`` is a list of ints, ``hash_column`` the same as a
-    ``uint64`` array, the other columns are arrays).
+    (every column is an array, ``hashes`` a ``uint64`` one).
     Iterating yields each row's ``(ctx, entity, content_hash, block)`` —
     exactly the arguments of ``collective_command``; the rows may be
     handled in any order, since a charge is a charge to its node whenever
@@ -185,8 +184,7 @@ class CollectiveBatch:
         self.contexts = contexts
         self.cluster = cluster
         self.entity_ids = entity_ids
-        self.hash_column = np.asarray(hashes, dtype=np.uint64)
-        self.hashes = self.hash_column.tolist()
+        self.hashes = np.asarray(hashes, dtype=np.uint64)
         self.page_idx = page_idx
         self.nodes = nodes
         # What every row's context shares.
@@ -204,11 +202,19 @@ class CollectiveBatch:
     def __iter__(self):
         contexts, entity = self.contexts, self.cluster.entity
         for eid, h, idx, node in zip(
-                self.entity_ids.tolist(), self.hashes,
+                self.entity_ids.tolist(), self.hashes.tolist(),
                 self.page_idx.tolist(), self.nodes.tolist()):
             ent = entity(eid)
             yield contexts[node], ent, h, BlockRef(eid, idx,
                                                    ent.block_size(idx))
+
+    def take(self, rows) -> CollectiveBatch:
+        """These rows (a mask or indices) as a batch of their own, in row
+        order, charging the same sinks."""
+        return CollectiveBatch(self.contexts, self.cluster, *(
+            c[rows] for c in (self.entity_ids, self.hashes, self.page_idx,
+                              self.nodes)), self._charge_rows,
+            self._charge_shared_rows)
 
     def content_ids(self) -> np.ndarray:
         """Content ID of every row's block (``ctx.read_block`` per row)."""
@@ -326,9 +332,11 @@ class ServiceCallbacks:
     The collective phase has the same two shapes: the engine calls
     :meth:`collective_command_batch` once per DHT shard, with the rows it
     resolved in row order, and the default loops
-    :meth:`collective_command`.  Rows that return :class:`CommandFailed`
-    finish their retry chain after the batch (no bundled service returns
-    it).
+    :meth:`collective_command`.  A service whose batch handles one mode
+    in bulk may hand the other back to that loop, keeping
+    ``collective_command`` as its row form (the checkpoint does, for
+    batch mode's plan).  Rows that return :class:`CommandFailed` finish
+    their retry chain after the batch (no bundled service returns it).
     """
 
     name = "service"
@@ -352,8 +360,9 @@ class ServiceCallbacks:
         """Apply the service to one distinct content block.
 
         Runs on the node of the selected replica.  Return value is the
-        private data attached to the handled hash (e.g. a file offset),
-        or :class:`CommandFailed` to make the engine retry elsewhere.
+        private data attached to the handled hash (e.g. the block's
+        content ID, shipped), or :class:`CommandFailed` to make the engine
+        retry elsewhere.
         """
         return None
 

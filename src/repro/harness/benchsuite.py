@@ -41,6 +41,7 @@ from repro.services import (CheckpointStore, CollectiveCheckpoint,
                             IncrementalCheckpoint, NullService,
                             make_replica_stores, restore_entity,
                             restore_incremental_entity)
+from repro.services.checkpoint import _DATA
 from repro.services.migrate import MigrationPlan
 from repro.services.reconstruct import ImageDescriptor, register_image
 from repro.sim.cluster import Cluster
@@ -835,9 +836,8 @@ def _reconstruct() -> Recipe:
     w = WithTarget()
     hashes = page_hashes(w.image)
     backing = CheckpointStore()
-    f = backing.se_file(777)
-    for idx, (h, cid) in enumerate(zip(hashes.tolist(), w.image.tolist())):
-        f.add_data(idx, h, cid)
+    backing.se_file(777).append_columns(
+        np.full(len(hashes), _DATA), np.arange(len(hashes)), hashes, w.image)
     descriptor = ImageDescriptor(entity_id=w.target.entity_id, hashes=hashes)
     register_image(w.concord, w.target, descriptor)
     w.go_stale()

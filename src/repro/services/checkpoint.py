@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable
 from pathlib import Path
@@ -42,7 +41,7 @@ from repro.memory.pagedata import (is_interned_id, materialize_page,
                                    register_chunk)
 from repro.queries.interface import _is_integer
 from repro.sim.cluster import Cluster
-from repro.util.hashing import page_hash
+from repro.util.hashing import page_hashes
 
 __all__ = [
     "SharedContentFile",
@@ -77,91 +76,82 @@ def _word(x, what: str = "content hash") -> int:
     return int(x)
 
 
-def _words(values) -> np.ndarray:
+def _words(values, what: str = "content hash", pages=None) -> np.ndarray:
     """``values`` as a ``uint64`` column: an integer array is checked for
-    negatives (OverflowError), anything else value by value (:func:`_word`)."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-        return np.fromiter(map(_word, values), np.uint64, len(values))
-    if values.dtype.kind == "i" and np.min(values, initial=0) < 0:
-        raise OverflowError(f"{np.min(values)} does not fit an unsigned "
-                            "64-bit word")
+    negatives, anything else value by value (:func:`_word`).  A value
+    outside ``uint64`` raises OverflowError, or — given each row's page
+    index, ``pages`` — a ValueError naming its page."""
+    try:
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+            return np.fromiter((_word(v, what) for v in values), np.uint64,
+                               len(values))
+        if values.dtype.kind == "i" and np.min(values, initial=0) < 0:
+            raise OverflowError(f"{what} {np.min(values)} does not fit an "
+                                "unsigned 64-bit word")
+    except OverflowError:
+        if pages is None:
+            raise
+        i = next(i for i, v in enumerate(values) if not 0 <= v < 2**64)
+        raise ValueError(f"page {pages[i]}: {what} {values[i]} outside "
+                         "uint64") from None
     return values.astype(np.uint64, copy=False)
 
 
 class SharedContentFile:
     """The shared content file: an atomic-append log of distinct blocks,
-    as a ``uint64`` content-ID column by offset and an index of the
-    content hashes (sorted, with their offsets).  A scalar :meth:`append`
-    waits in a tail until the file is next extended or read."""
+    as a ``uint64`` content-ID column by offset (``blocks``) and an index
+    of the content hashes (sorted, with their offsets).  :meth:`extend` is
+    its one write path; :meth:`append` is a one-row ``extend``."""
 
     def __init__(self, page_size: int = 4096) -> None:
         self.page_size = page_size
-        self._cids = self._index = _NO_ROWS[3]    # by offset; sorted
+        self.blocks = self._index = _NO_ROWS[3]   # by offset; sorted
         self._index_at = _NO_ROWS[1]              # offset of each _index
-        self._keys: list[int] | None = None       # ``_index`` as ints
-        self._tail: dict[int, int] = {}           # appended hash -> offset
-        self._tail_cids: list[int] = []
 
     def append(self, content_hash: int, content_id: int) -> int:
-        """Atomically append one block; returns its offset (block index).
-
-        Idempotent per hash: a second append of the same content returns
-        the existing offset (the multi-writer log needs no stronger
-        guarantee).
-        """
-        cid = _word(content_id, "content ID")
-        offset = self.offset_of(content_hash)
-        if offset is None:
-            offset = self._tail[int(content_hash)] = self.n_blocks
-            self._tail_cids.append(cid)
-        return offset
+        """Atomically append one block; returns its offset (block index)."""
+        return int(self.extend([content_hash], [content_id])[0])
 
     def extend(self, content_hashes, content_ids) -> np.ndarray:
-        """:meth:`append` each block in order; returns their offsets
-        (``int64``).  One search of the index finds known hashes; new ones
-        take offsets by first appearance, merged in without a re-sort."""
-        h, cids = _words(content_hashes), _words(content_ids)
+        """Append blocks in order; returns their offsets (``int64``).
+
+        Idempotent per hash: a hash the file holds (or met earlier in the
+        call) gets its existing offset — the multi-writer log needs no
+        stronger guarantee.  One search of the index finds known hashes;
+        new ones take offsets by first appearance, merged in without a
+        re-sort."""
+        h, cids = _words(content_hashes), _words(content_ids, "content ID")
         if len(h) != len(cids):
             raise ValueError(f"{len(h)} content hashes for {len(cids)} "
                              "content IDs")
-        self._flush()
         order = np.argsort(h)
         heads = np.flatnonzero(np.diff(h[order], prepend=~h[order[:1]]))
         at, known = sorted_find(self._index, h[order[heads]])
         first = np.minimum.reduceat(order, heads) if len(h) else heads
         new = np.zeros(len(h), dtype=bool)
         new[first[~known]] = True
-        off = len(self._cids) + np.cumsum(new)[first] - 1   # one per hash
+        off = len(self.blocks) + np.cumsum(new)[first] - 1   # one per hash
         off[known] = self._index_at[at[known]]
-        self._cids = np.concatenate([self._cids, cids[new]])
+        self.blocks = np.concatenate([self.blocks, cids[new]])
         self._index = np.insert(self._index, at[~known], h[first[~known]])
         self._index_at = np.insert(self._index_at, at[~known], off[~known])
-        self._keys = None
         offsets = np.empty(len(h), dtype=np.int64)
         offsets[order] = np.repeat(off, np.diff(heads, append=len(h)))
         return offsets
 
-    def _flush(self) -> None:
-        """Move the scalar tail into the columns."""
-        if self._tail:
-            hashes = np.fromiter(self._tail, np.uint64, len(self._tail))
-            cids = np.array(self._tail_cids, dtype=np.uint64)
-            self._tail, self._tail_cids = {}, []
-            self.extend(hashes, cids)
+    def offsets_of(self, content_hashes) -> np.ndarray:
+        """Offset of each hash's block (``int64``), -1 where the file
+        holds none: one search of the index."""
+        at, known = sorted_find(self._index, _words(content_hashes))
+        offsets = np.full(len(at), -1, dtype=np.int64)
+        offsets[known] = self._index_at[at[known]]
+        return offsets
 
     def offset_of(self, content_hash: int) -> int | None:
-        """Offset of the block with this content hash, or None: one dict
-        probe and one bisect."""
-        h = _word(content_hash)
-        offset = self._tail.get(h)
-        if offset is not None:
-            return offset
-        if self._keys is None:
-            self._keys = self._index.tolist()
-        i = bisect_left(self._keys, h)
-        if i < len(self._keys) and self._keys[i] == h:
-            return int(self._index_at[i])
-        return None
+        """Offset of the block with this content hash, or None: a one-row
+        :meth:`offsets_of`."""
+        offset = int(self.offsets_of([content_hash])[0])
+        return None if offset < 0 else offset
 
     def read(self, offset: int) -> int:
         """Content ID of the block at ``offset``."""
@@ -171,14 +161,8 @@ class SharedContentFile:
         return int(self.blocks[offset])
 
     @property
-    def blocks(self) -> np.ndarray:
-        """Every block's content ID, by offset (``uint64``)."""
-        self._flush()
-        return self._cids
-
-    @property
     def n_blocks(self) -> int:
-        return len(self._cids) + len(self._tail)
+        return len(self.blocks)
 
     @property
     def size_bytes(self) -> int:
@@ -188,66 +172,61 @@ class SharedContentFile:
 class SECheckpointFile:
     """One SE's checkpoint file as columns: kind, page index, hash, payload
     (offset or content ID).  A ``bptr`` payload is whatever the base's
-    ``offset_of`` returned (``(store, offset)`` in a chain): it lives in a
-    side table by row.  Scalar appends join the columns when next read."""
+    ``offsets_of`` returned (``(store, offset)`` in a chain): it lives in a
+    side table by row."""
 
     def __init__(self, entity_id: int, page_size: int) -> None:
         self.entity_id = entity_id
         self.page_size = page_size
         self._cols = _NO_ROWS
-        self._rows: list[tuple] = []          # scalar appends, not yet columns
         self._bptr: dict[int, Any] = {}       # row -> base pointer payload
 
     def __len__(self) -> int:
-        return len(self._cols[0]) + len(self._rows)
+        return len(self._cols[0])
 
     def add_pointer(self, page_idx: int, content_hash: int, offset: int) -> None:
-        self.extend([("ptr", page_idx, content_hash, offset)])
+        self.append_columns([_PTR], [page_idx], [content_hash], [offset])
 
     def add_data(self, page_idx: int, content_hash: int, content_id: int) -> None:
-        self.extend([("data", page_idx, content_hash, content_id)])
-
-    def extend(self, records) -> None:
-        """Append ``(kind, page_idx, hash, payload)`` records; a negative
-        page index, or a hash or non-``bptr`` payload outside ``uint64``,
-        is refused before its row is kept."""
-        for kind, page_idx, content_hash, payload in records:
-            if page_idx < 0:
-                raise ValueError(f"page index {page_idx} is negative")
-            row = (_KINDS.index(kind), page_idx, int(content_hash),
-                   0 if kind == "bptr" else int(payload))
-            if not (0 <= row[2] < 2**64 and 0 <= row[3] < 2**64):
-                raise ValueError(f"page {page_idx}: hash or payload outside"
-                                 " uint64")
-            if kind == "bptr":
-                self._bptr[len(self)] = payload
-            self._rows.append(row)
+        self.append_columns([_DATA], [page_idx], [content_hash], [content_id])
 
     def append_columns(self, kind, page_idx, hashes, payload,
                        bptr: dict[int, Any] | None = None) -> None:
-        """Append whole columns in one call; ``bptr`` maps a row of them
-        to its base pointer payload."""
+        """Append records as whole columns: the file's one write path.
+
+        ``kind`` holds codes into ``_KINDS``; ``bptr`` maps each ``bptr``
+        row of the columns, and no other, to its base pointer payload
+        (that row's ``payload`` is not read; 0 by convention).  Refused
+        before any row is kept: columns of different lengths, a kind code
+        that is not ptr, data or bptr, a negative page index, and a hash
+        or payload that is not an integer in ``[0, 2**64)``."""
         if not len(kind) == len(page_idx) == len(hashes) == len(payload):
             raise ValueError("columns of different lengths")
+        kind, bptr = np.asarray(kind), bptr or {}
+        if len(kind) and (kind.dtype.kind not in "iu" or kind.min() < 0
+                          or kind.max() >= len(_KINDS)):
+            bad = sorted(set(kind.tolist()) - set(range(len(_KINDS))))
+            raise ValueError(f"kind codes {bad} are not ptr/data/bptr")
+        if sorted(bptr) != np.flatnonzero(kind == _BPTR).tolist():
+            raise ValueError("base pointer payloads are not the bptr rows")
         if len(page_idx) and np.min(page_idx) < 0:
             raise ValueError(f"page index {np.min(page_idx)} is negative")
-        n = len(self)
-        self._cols = tuple(np.concatenate([c, np.asarray(new, c.dtype)])
-                           for c, new in zip(self.columns(), (
-                               kind, page_idx, hashes, payload)))
-        self._bptr.update((n + row, p) for row, p in (bptr or {}).items())
+        hashes = _words(hashes, "content hash", page_idx)
+        payload = _words(payload, "payload", page_idx)
+        cols = tuple(np.concatenate([c, np.asarray(new, c.dtype)])
+                     for c, new in zip(self._cols, (
+                         kind, page_idx, hashes, payload)))
+        self._bptr.update((len(self) + row, p) for row, p in bptr.items())
+        self._cols = cols
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(kind, page index, hash, payload), one array each."""
-        if self._rows:
-            rows, self._rows = self._rows, []
-            self.append_columns(*zip(*rows))
         return self._cols
 
     @property
     def records(self) -> list[tuple]:
         """Every record as ``(kind, page_idx, hash, payload)``, in file
-        order (a copy: append with :meth:`extend`)."""
+        order (a copy: append with :meth:`append_columns`)."""
         return [(_KINDS[k], i, h, self._bptr.get(row, p)) for row, (k, i, h, p)
                 in enumerate(zip(*(c.tolist() for c in self.columns())))]
 
@@ -278,11 +257,8 @@ class CheckpointStore:
         self.se_files: dict[int, SECheckpointFile] = {}
 
     def se_file(self, entity_id: int) -> SECheckpointFile:
-        f = self.se_files.get(entity_id)
-        if f is None:
-            f = SECheckpointFile(entity_id, self.page_size)
-            self.se_files[entity_id] = f
-        return f
+        return self.se_files.setdefault(
+            entity_id, SECheckpointFile(entity_id, self.page_size))
 
     # -- sizes (Fig 14's four strategies) ------------------------------------------------
 
@@ -328,11 +304,10 @@ class CheckpointStore:
 
         An incremental checkpoint's base pointers are not this store's to
         resolve: ``ValueError``, as for :meth:`write_to_dir`."""
-        raw_parts = []
+        raw_parts, leftover_parts = [], []
         shared_parts = [materialize_page(cid, self.page_size,
                                          self.compress_fraction)
                         for cid in self.shared.blocks.tolist()]
-        leftover_parts = []
         for f in self.se_files.values():
             for kind, cid in zip(f.columns()[0].tolist(),
                                  self._content_ids(f).tolist()):
@@ -430,8 +405,7 @@ class CheckpointStore:
             for cid in self.shared.blocks.tolist():
                 page = materialize_page(cid, self.page_size,
                                         self.compress_fraction)
-                fh.write(struct.pack("<QI", cid, len(page)))
-                fh.write(page)
+                fh.write(struct.pack("<QI", cid, len(page)) + page)
         for eid, f in self.se_files.items():
             cids = cids_of[eid]
             with open(d / f"entity_{eid}.ckpt", "wb") as fh:
@@ -444,9 +418,8 @@ class CheckpointStore:
                         continue
                     page = materialize_page(cid, self.page_size,
                                             self.compress_fraction)
-                    fh.write(struct.pack("<BIQQI", 1, idx, h, cid,
-                                         len(page)))
-                    fh.write(page)
+                    fh.write(struct.pack("<BIQQI", 1, idx, h, cid, len(page))
+                             + page)
 
     @classmethod
     def load_from_dir(cls, path: str | Path,
@@ -467,12 +440,14 @@ class CheckpointStore:
                 raise ValueError("bad shared content file magic")
             page_size, n_blocks = _unpack(fh, "<IQ", shared)
             store = cls(page_size, compress_fraction)
+            cids = []
             for _ in range(n_blocks):
                 cid, length = _unpack(fh, "<QI", shared)
                 data = _exact(fh, length, shared)
                 if is_interned_id(cid):
                     register_chunk(cid, data)
-                store.shared.append(page_hash(cid), cid)
+                cids.append(cid)
+            store.shared.extend(page_hashes(cids), cids)
         for ckpt in sorted(d.glob("entity_*.ckpt")):
             with open(ckpt, "rb") as fh:
                 if _exact(fh, 4, ckpt) != cls._SE_MAGIC:
@@ -480,16 +455,18 @@ class CheckpointStore:
                 eid, psize, n_records = _unpack(fh, "<IIQ", ckpt)
                 if psize != page_size:
                     raise ValueError("page size mismatch between files")
-                f = store.se_file(eid)
+                rows = []
                 for _ in range(n_records):
                     if _exact(fh, 1, ckpt)[0] == 0:
-                        f.add_pointer(*_unpack(fh, "<IQQ", ckpt))
+                        rows.append((_PTR, *_unpack(fh, "<IQQ", ckpt)))
                         continue
                     idx, h, cid, length = _unpack(fh, "<IQQI", ckpt)
                     data = _exact(fh, length, ckpt)
                     if is_interned_id(cid):
                         register_chunk(cid, data)
-                    f.add_data(idx, h, cid)
+                    rows.append((_DATA, idx, h, cid))
+                f = store.se_file(eid)
+                f.append_columns(*(list(zip(*rows)) or [()] * 4))
             try:
                 store._content_ids(f)
             except ValueError as exc:
@@ -574,9 +551,13 @@ class CollectiveCheckpoint(ServiceCallbacks):
     """The collective checkpointing service command (~230 lines of C in the
     paper; the same callback structure here).
 
-    Batch mode records ``shared`` / ``ptr`` / ``data`` ops into the node's
-    ``ctx.plan`` and runs them in bulk: the shared-file ops at
-    ``collective_finalize``, the rest at the node's first ``local_finalize``.
+    Interactive mode appends a shard's rows to the shared file in one
+    ``extend`` and an SE's records in one ``append_columns``.  Batch mode
+    records ``shared`` / ``ptr`` / ``data`` ops into the node's
+    ``ctx.plan`` and runs them in bulk, each op charged as one bulk
+    append: the shared-file ops as one ``extend`` per node at
+    ``collective_finalize``, the rest at the node's first
+    ``local_finalize``, one ``append_columns`` per SE file.
 
     ``pfs``: write the shared content file through a
     :class:`repro.storage.ParallelFileSystem` instead of a node-local RAM
@@ -596,9 +577,7 @@ class CollectiveCheckpoint(ServiceCallbacks):
 
     def __init__(self, store: CheckpointStore, pfs=None,
                  refine_plan: bool = False) -> None:
-        self.store = store
-        self.pfs = pfs
-        self.refine_plan = refine_plan
+        self.store, self.pfs, self.refine_plan = store, pfs, refine_plan
 
     # -- service initialization: open files, allocate state ---------------------------
 
@@ -619,60 +598,47 @@ class CollectiveCheckpoint(ServiceCallbacks):
         return (c.file_append_base * amortize + self.store.page_size
                 * (c.file_append_per_byte + c.memcpy_per_byte))
 
-    def _charge_block_append(self, ctx: NodeContext, amortize: float = 1.0,
-                             n_blocks: int = 1) -> None:
-        ctx.charge_per_block(self._block_append_cost(ctx.cost, amortize),
-                             n_blocks)
-
-    def _append_shared(self, ctx: NodeContext, content_hash: int,
-                       content_id: int, amortize: float) -> int:
-        """Append one distinct block to the shared content file."""
-        offset = self.store.shared.append(content_hash, content_id)
-        self._charge_block_append(ctx, amortize)
-        if self.pfs is not None:
-            _client, server = self.pfs.append_costs(self.store.page_size)
-            ctx.charge_shared(server * ctx.n_represented)
-        ctx.state.shared_appends += 1
-        return offset
-
     def collective_command(self, ctx: NodeContext, entity: Entity,
                            content_hash: int, block: BlockRef) -> Any:
-        content_id = ctx.read_block(block)
-        if ctx.mode is ExecMode.BATCH:
-            ctx.plan.record("shared", int(content_hash), content_id)
-            return True
-        return self._append_shared(ctx, content_hash, content_id, 1.0)
+        """Batch mode's row form: plan the block's shared-file append."""
+        ctx.plan.record("shared", content_hash,
+                        entity.read_block_id(block.page_idx))
+        return True
 
     def collective_command_batch(self, batch: CollectiveBatch
                                  ) -> list[Any] | np.ndarray:
-        """:meth:`collective_command` for a shard's rows at once: the same
-        appends in row order, the same charge per row (offsets: int64)."""
-        hashes = batch.hashes
-        cids = batch.content_ids()
-        contexts = batch.contexts
+        """Interactive mode: a shard's rows in one shared-file ``extend``,
+        in row order, charged per row (offsets: int64).  Batch mode plans
+        them row by row (the default loop over :meth:`collective_command`)."""
         if batch.mode is ExecMode.BATCH:
-            for node, h, cid in zip(batch.nodes.tolist(), hashes,
-                                    cids.tolist()):
-                contexts[node].plan.record("shared", h, cid)
-            return [True] * len(hashes)
-        offsets = self.store.shared.extend(batch.hash_column, cids)
+            return super().collective_command_batch(batch)
+        offsets = self.store.shared.extend(batch.hashes, batch.content_ids())
         batch.charge_per_block(self._block_append_cost(batch.cost))
         if self.pfs is not None:
             _client, server = self.pfs.append_costs(self.store.page_size)
             batch.charge_shared(server * batch.n_represented)
         nodes, counts = np.unique(batch.nodes, return_counts=True)
         for node, n in zip(nodes.tolist(), counts.tolist()):
-            contexts[node].state.shared_appends += n
+            batch.contexts[node].state.shared_appends += n
         return offsets
 
     def collective_finalize(self, ctx: NodeContext, role: EntityRole,
                             entity: Entity) -> None:
-        if ctx.mode is ExecMode.BATCH and len(ctx.plan):
-            # Execute the shared-file part of the plan as one bulk append;
-            # the node's other entities then find the plan empty.
-            ctx.plan.execute({"shared": lambda h, cid: self._append_shared(
-                ctx, h, cid, 1.0 / 16)})
-            ctx.plan.clear()
+        if ctx.mode is not ExecMode.BATCH or not len(ctx.plan):
+            return
+        # The node's planned shared-file appends in one extend; the node's
+        # other entities then find the plan empty.
+        rows: list[tuple[int, int]] = []
+        ctx.plan.execute({"shared": lambda *row: rows.append(row)})
+        ctx.plan.clear()
+        self.store.shared.extend(*np.array(rows, dtype=np.uint64).T)
+        ctx.state.shared_appends += len(rows)
+        seconds = self._block_append_cost(ctx.cost, 1.0 / 16)
+        for _ in rows:                          # one charge per op
+            ctx.charge_per_block(seconds)
+            if self.pfs is not None:
+                _client, server = self.pfs.append_costs(self.store.page_size)
+                ctx.charge_shared(server * ctx.n_represented)
 
     # -- local phase: per-SE checkpoint files ---------------------------------------------
 
@@ -681,13 +647,11 @@ class CollectiveCheckpoint(ServiceCallbacks):
                             handled_map: HandledMap) -> None:
         eid = entity.entity_id
         if ctx.mode is ExecMode.BATCH:
-            for idx, (h, is_covered) in enumerate(zip(hashes.tolist(),
-                                                      covered.tolist())):
-                if is_covered:
-                    ctx.plan.record("ptr", eid, idx, h)
-                else:
-                    ctx.plan.record("data", eid, idx, h,
-                                    entity.read_block_id(idx))
+            for idx, h, is_covered, cid in zip(
+                    range(len(hashes)), hashes.tolist(), covered.tolist(),
+                    entity.block_ids().tolist()):
+                ctx.plan.record(*(("ptr", eid, idx, h) if is_covered
+                                  else ("data", eid, idx, h, cid)))
             return
         # One append for the whole entity: a covered block's private is its
         # shared-file offset, or — from an incremental checkpoint's base, an
@@ -713,41 +677,48 @@ class CollectiveCheckpoint(ServiceCallbacks):
         st.data_records += n_data
         ctx.charge_per_block(c.file_append_base / 8
                              + _PTR_RECORD_BYTES * c.file_append_per_byte, n_cov)
-        self._charge_block_append(ctx, n_blocks=n_data)
+        ctx.charge_per_block(self._block_append_cost(c), n_data)
 
     def local_finalize(self, ctx: NodeContext, entity: Entity) -> None:
-        if ctx.mode is not ExecMode.BATCH or ctx.plan.executed:
+        if (ctx.mode is not ExecMode.BATCH or ctx.plan.executed
+                or not len(ctx.plan)):
             return
-        st: _CkptNodeState = ctx.state
-        c = ctx.cost
-        store = self.store
         amortize = 1.0 / 16
         if self.refine_plan:
             # Plan refinement: sequential per-file write order -> deeper
             # append coalescing.
             ctx.plan.reorder(key=lambda op: op.args[:2])  # (entity, page)
             amortize = 1.0 / 64
-
-        def data(eid: int, idx: int, h: int, cid: int,
-                 amortize: float = amortize) -> None:
-            store.se_file(eid).add_data(idx, h, cid)
-            st.data_records += 1
-            self._charge_block_append(ctx, amortize)
-
-        def ptr(eid: int, idx: int, h: int) -> None:
-            offset = store.shared.offset_of(h)
-            if offset is None:
-                # Plan said covered but the shared block never landed;
-                # fall back to literal content (correctness first).
-                data(eid, idx, h, ctx.cluster.entity(eid).read_block_id(idx),
-                     1.0 / 16)
-                return
-            store.se_file(eid).add_pointer(idx, h, offset)
-            st.pointer_records += 1
-            ctx.charge_per_block(c.file_append_base * amortize / 4
-                                 + _PTR_RECORD_BYTES * c.file_append_per_byte)
-
-        ctx.plan.execute({"ptr": ptr, "data": data})
+        rows: list[tuple] = []
+        ctx.plan.execute({"ptr": lambda *op: rows.append((_PTR, *op, 0)),
+                          "data": lambda *op: rows.append((_DATA, *op))})
+        kind, eids, idx, hashes, payload = (
+            np.array(col, dtype) for col, dtype in zip(zip(*rows), (
+                np.uint8, np.int64, np.int64, np.uint64, np.uint64)))
+        ptr = np.flatnonzero(kind == _PTR)
+        offsets = self.store.shared.offsets_of(hashes[ptr])
+        payload[ptr[offsets >= 0]] = offsets[offsets >= 0]
+        # Plan said covered but the shared block never landed: literal
+        # content instead (correctness first).
+        gone = ptr[offsets < 0]
+        kind[gone] = _DATA
+        payload[gone] = [ctx.cluster.entity(e).read_block_id(i) for e, i
+                         in zip(eids[gone].tolist(), idx[gone].tolist())]
+        by_eid = np.argsort(eids, kind="stable")
+        files, first = np.unique(eids[by_eid], return_index=True)
+        for eid, run in zip(files.tolist(), np.split(by_eid, first[1:])):
+            self.store.se_file(eid).append_columns(
+                kind[run], idx[run], hashes[run], payload[run])
+        st: _CkptNodeState = ctx.state
+        st.pointer_records += len(ptr) - len(gone)
+        st.data_records += len(rows) - len(ptr) + len(gone)
+        c = ctx.cost
+        for seconds in ([c.file_append_base * amortize / 4 + _PTR_RECORD_BYTES
+                         * c.file_append_per_byte] * (len(ptr) - len(gone))
+                        + [self._block_append_cost(c, amortize)]
+                        * (len(rows) - len(ptr))
+                        + [self._block_append_cost(c, 1.0 / 16)] * len(gone)):
+            ctx.charge_per_block(seconds)       # one charge per op
 
     # -- teardown -------------------------------------------------------------------------
 
@@ -786,8 +757,8 @@ class RawCheckpoint:
                  + nbytes * (c.file_append_per_byte + c.memcpy_per_byte))
             if gzip:
                 t += nbytes * c.gzip_per_byte
-            node = entity.node_id
-            per_node_time[node] = per_node_time.get(node, 0.0) + t
+            per_node_time[entity.node_id] = per_node_time.get(
+                entity.node_id, 0.0) + t
         wall = max(per_node_time.values(), default=0.0) + c.barrier_time(
             cluster.n_nodes)
         return store, wall

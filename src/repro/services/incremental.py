@@ -7,11 +7,11 @@ content already stored in the base is recorded as a pointer into the
 base's shared content file rather than stored again.
 
 The service demonstrates the architecture's composability: it is the
-collective checkpoint with one extra node-local lookup in
-``collective_command``, whose tagged result the checkpoint's local phase
-records as a base pointer — zero changes to the engine, and no
-local-phase callback of its own.  Each SE file now holds three record
-kinds:
+collective checkpoint with one extra lookup of each shard batch's hashes
+in the base, in ``collective_command_batch``, whose tagged results the
+checkpoint's local phase records as base pointers — zero changes to the
+engine, and no local-phase callback of its own.  Each SE file now holds
+three record kinds:
 
 * base pointer  — content unchanged since the base checkpoint;
 * new pointer   — content new to this checkpoint but deduplicated into
@@ -24,13 +24,12 @@ Restore needs the increment plus its base
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
-from repro.core.command import ExecMode, NodeContext, ServiceCallbacks
-from repro.memory.entity import Entity
-from repro.memory.nsm import BlockRef
+from repro.core.command import CollectiveBatch, ExecMode, NodeContext
 from repro.services.checkpoint import (_BASE_TAG, CheckpointStore,
                                        CollectiveCheckpoint, _restore_records)
 
@@ -41,8 +40,8 @@ __all__ = ["IncrementalCheckpoint", "restore_incremental_entity",
 class IncrementalCheckpoint(CollectiveCheckpoint):
     """Collective checkpoint that dedups against a base checkpoint.
 
-    Interactive mode only: the increment's value comes from cheap
-    immediate lookups against the base; batch-mode plan surgery would buy
+    Interactive mode only: the increment's value comes from one lookup
+    of each batch against the base; batch-mode plan surgery would buy
     nothing (and the base offsets are already known).
     """
 
@@ -63,17 +62,19 @@ class IncrementalCheckpoint(CollectiveCheckpoint):
 
     # -- collective phase: check the base first --------------------------------------
 
-    def collective_command(self, ctx: NodeContext, entity: Entity,
-                           content_hash: int, block: BlockRef) -> Any:
-        base_off = self.base.shared.offset_of(content_hash)
-        if base_off is not None:
-            # Already stored by the base checkpoint: just remember where.
-            ctx.charge_per_block(ctx.cost.query_compute_base)
-            return (_BASE_TAG, base_off)
-        return super().collective_command(ctx, entity, content_hash, block)
-
-    # The base lookup is per hash: the default batch loops the above.
-    collective_command_batch = ServiceCallbacks.collective_command_batch
+    def collective_command_batch(self, batch: CollectiveBatch) -> np.ndarray:
+        """A row whose hash the base already stores gets its base pointer,
+        ``(_BASE_TAG, offset)``, for one query charge; the other rows go
+        through the checkpoint's own batch (an object column)."""
+        offsets = self.base.shared.offsets_of(batch.hashes)
+        held = offsets != -1
+        privates = np.empty(len(batch), dtype=object)
+        privates[held] = np.fromiter(
+            ((_BASE_TAG, off) for off in offsets[held].tolist()), object,
+            int(held.sum()))
+        batch.take(held).charge_per_block(batch.cost.query_compute_base)
+        privates[~held] = super().collective_command_batch(batch.take(~held))
+        return privates
 
 
 def restore_incremental_entity(store: CheckpointStore,
@@ -95,23 +96,20 @@ class _ChainShared:
     def __init__(self, stores: list[CheckpointStore]) -> None:
         self._stores = stores
 
-    def offset_of(self, content_hash: int):
+    def offsets_of(self, content_hashes) -> np.ndarray:
+        """Each hash's ``(store index, offset)``, -1 where no member
+        holds it (an object column)."""
+        out = np.full(len(content_hashes), -1, dtype=object)
         for i in range(len(self._stores) - 1, -1, -1):
-            off = self._stores[i].shared.offset_of(content_hash)
-            if off is not None:
-                return (i, off)
-        return None
+            off = self._stores[i].shared.offsets_of(content_hashes)
+            new = np.flatnonzero((off >= 0) & (out == -1))
+            out[new] = np.fromiter(((i, o) for o in off[new].tolist()),
+                                   object, len(new))
+        return out
 
     def read(self, tagged_offset) -> int:
         i, off = tagged_offset
         return self._stores[i].shared.read(off)
-
-
-class _ChainBaseView:
-    """Presents a whole chain as the ``base`` of the next increment."""
-
-    def __init__(self, stores: list[CheckpointStore]) -> None:
-        self.shared = _ChainShared(stores)
 
 
 class CheckpointChain:
@@ -140,7 +138,8 @@ class CheckpointChain:
 
         inc = CheckpointStore(self.base.page_size,
                               self.base.compress_fraction)
-        view = _ChainBaseView(self.stores)
+        # The chain as the increment's base, of which it reads the shared file.
+        view = SimpleNamespace(shared=_ChainShared(self.stores))
         svc = IncrementalCheckpoint(inc, view)  # type: ignore[arg-type]
         result = concord.execute_command(svc, ServiceScope.of(entity_ids))
         if not result.success:

@@ -141,6 +141,7 @@ class CollectiveReconstruction(ServiceCallbacks):
         st: _ReconNodeState = ctx.state
         page_size = self.descriptor.page_size
         wanted = self.descriptor.hashes.tolist()
+        stored = self.backing.shared.offsets_of(wanted).tolist()
         for idx, (h, is_covered) in enumerate(zip(hashes.tolist(),
                                                   covered.tolist())):
             st.pages_filled += 1
@@ -156,14 +157,14 @@ class CollectiveReconstruction(ServiceCallbacks):
                 entity.write_page(idx, shipped)
                 ctx.charge_per_block(ctx.cost.memcpy_per_byte * page_size)
             else:
-                entity.write_page(idx, self._read_backing(want_hash, idx))
+                entity.write_page(idx, self._read_backing(want_hash, idx, stored[idx]))
                 ctx.charge_per_block(_STORAGE_READ_BASE
                                      + _STORAGE_READ_PER_BYTE * page_size)
                 st.from_storage += 1
 
-    def _read_backing(self, want_hash: int, page_idx: int) -> int:
-        offset = self.backing.shared.offset_of(want_hash)
-        if offset is not None:
+    def _read_backing(self, want_hash: int, page_idx: int, offset: int) -> int:
+        """Backing content: the shared block at ``offset`` (-1: none), else the page's record."""
+        if offset >= 0:
             return self.backing.shared.read(offset)
         f = self.backing.se_files.get(self.backing_entity_id)
         if f is not None:

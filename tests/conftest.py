@@ -16,8 +16,10 @@ from repro import Cluster, ConCORD, ConCORDConfig, workloads
 # Hypothesis profiles, chosen by HYPOTHESIS_PROFILE: "deep" runs every
 # property that takes its example count from the profile (no
 # max_examples of its own) at 1 000 examples; CI's mmap leg runs the
-# write-path oracle (tests/properties/test_props_writelog.py) and the
-# collective-phase oracle (tests/core/test_collective_batch.py) that way.
+# write-path oracle (tests/properties/test_props_writelog.py), the
+# collective-phase oracle (tests/core/test_collective_batch.py) and the
+# checkpoint-file oracle (tests/properties/test_props_ckpt_columns.py)
+# that way.
 settings.register_profile("deep", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
@@ -89,3 +91,17 @@ def flip_byte(path, offset: int) -> None:
         b = fh.read(1)[0]
         fh.seek(offset)
         fh.write(bytes([b ^ 0xFF]))
+
+
+def append_records(f, records) -> None:
+    """Append ``(kind, page_idx, hash, payload)`` tuples to an SE
+    checkpoint file as one column append: kind names become codes, and a
+    ``bptr`` payload goes to the side table (its column holds 0)."""
+    from repro.services.checkpoint import _KINDS
+
+    records = list(records)
+    f.append_columns([_KINDS.index(r[0]) for r in records],
+                     [r[1] for r in records], [r[2] for r in records],
+                     [0 if r[0] == "bptr" else r[3] for r in records],
+                     {i: r[3] for i, r in enumerate(records)
+                      if r[0] == "bptr"})

@@ -2,9 +2,11 @@
 
 ``_reference_collective_phase`` is that loop — one ``mask_bits``, one
 sort of the candidates by their rendezvous rank (on Python ints, with
-``mix64_int``), one ground-truth ``resolve_block`` and one
-``collective_command`` per believed hash, each charge entered the moment
-it happens — followed by the dict dissemination that went with it.  Its
+``mix64_int``), one ground-truth ``resolve_block`` and one command per
+believed hash, entered as a one-row ``collective_command_batch`` (the
+checkpoint's interactive command has no per-row form), each charge
+entered the moment it happens — followed by the dict dissemination that
+went with it.  Its
 per-node dicts reach the one local phase through the one ``HandledMap``
 constructor.  Patched in for ``ServiceCommandExecutor._collective_phase``,
 it is the oracle: over random staleness, a dead PE host, a
@@ -27,8 +29,8 @@ from hypothesis import strategies as st
 from repro import (CheckpointStore, Cluster, CollectiveCheckpoint, ConCORD,
                    ConCORDConfig, Entity, ServiceScope)
 from repro.core import executor as _executor
-from repro.core.command import (CommandFailed, ExecMode, HandledMap,
-                                ServiceCallbacks)
+from repro.core.command import (CollectiveBatch, CommandFailed, ExecMode,
+                                HandledMap, ServiceCallbacks)
 from repro.core.events import CommandTracer, EventKind
 from repro.core.executor import ServiceCommandExecutor
 from repro.dht.table import mask_bits
@@ -100,8 +102,11 @@ def _reference_collective_phase(self, service, scope, contexts, seed, stats,
                     self._emit(EventKind.INVOKE_FAILED, h, eid, "content-gone")
                     self._msg(target, shard_node, _executor._RESULT_BYTES * R)
                     continue
-                result = service.collective_command(
-                    contexts[target], cluster.entity(eid), h, block)
+                (result,) = service.collective_command_batch(CollectiveBatch(
+                    contexts, cluster, np.array([eid]),
+                    np.array([h], dtype=np.uint64),
+                    np.array([block.page_idx]), np.array([target]),
+                    self._charge_rows, self._charge_shared_rows))
                 self._msg(target, shard_node, _executor._RESULT_BYTES * R)
                 if isinstance(result, CommandFailed):
                     stats.retries += 1

@@ -23,7 +23,7 @@ from repro.services.incremental import (CheckpointChain,
                                         restore_incremental_entity)
 from repro.util.hashing import page_hash
 from repro import workloads
-from tests.conftest import make_system
+from tests.conftest import append_records, make_system
 
 
 def checkpoint(concord, ents, mode=ExecMode.INTERACTIVE, pes=()):
@@ -450,8 +450,8 @@ class TestColumnarFile:
     @pytest.mark.parametrize("append", [
         pytest.param(lambda f: f.add_data(-1, 1, 11), id="add_data"),
         pytest.param(lambda f: f.add_pointer(-1, 5, 0), id="add_pointer"),
-        pytest.param(lambda f: f.extend([("bptr", -1, 7, (0, 0))]),
-                     id="extend"),
+        pytest.param(lambda f: f.append_columns([2], [-1], [7], [0],
+                                                {0: (0, 0)}), id="bptr"),
         pytest.param(lambda f: f.append_columns(
             np.array([1, 1]), np.array([1, -1]), np.array([1, 2]),
             np.array([11, 22])), id="append_columns"),
@@ -469,18 +469,53 @@ class TestColumnarFile:
         store = CheckpointStore()
         f = store.se_file(0)
         with pytest.raises(ValueError):
-            f.extend([("bptr", 0, "not a hash", (0, 5))])
+            f.append_columns([2], [0], ["not a hash"], [0], {0: (0, 5)})
         f.add_data(0, 1, 11)
         assert f.records == [("data", 0, 1, 11)]
         for bad in (lambda: f.add_data(1, 2**64, 22),     # no uint64 hash
                     lambda: f.add_data(1, -2, 22),
                     lambda: f.add_pointer(1, 2, 2**64),   # nor payload
-                    lambda: f.extend([("data", 1, 2, -1)])):
+                    lambda: f.append_columns([1], [1], [2], [-1])):
             with pytest.raises(ValueError, match="page 1: .* outside uint64"):
                 bad()
         f.add_data(1, 2, 22)
         assert f.records == [("data", 0, 1, 11), ("data", 1, 2, 22)]
         assert restore_entity(store, 0).tolist() == [11, 22]
+
+    @pytest.mark.parametrize("hashes, payload", [
+        pytest.param(np.array([-2]), np.array([7]), id="hash"),
+        pytest.param(np.array([2]), np.array([-7]), id="payload"),
+    ])
+    def test_a_negative_int64_column_is_refused(self, hashes, payload):
+        """``add_data(0, -2, 7)`` is refused, so the same row as an
+        ``int64`` column is too — not wrapped to 2**64 - 2."""
+        f = CheckpointStore().se_file(0)
+        with pytest.raises(ValueError, match="page 0: .* -[27] outside"):
+            f.append_columns(np.array([1]), np.array([0]), hashes, payload)
+        assert len(f) == 0
+
+    def test_a_fractional_payload_is_refused(self):
+        """2.7 is not content ID 2."""
+        f = CheckpointStore().se_file(0)
+        with pytest.raises(ValueError, match=r"payload .*2\.7.* is not an integer"):
+            f.append_columns([1], [0], [5], np.array([2.7]))
+        assert len(f) == 0
+
+    @pytest.mark.parametrize("kind", [9, -1])
+    def test_a_kind_code_outside_the_kinds_is_refused(self, kind):
+        """Kind 9 used to restore as data, count as a pointer record in
+        ``size_bytes`` and make ``records`` raise IndexError."""
+        f = CheckpointStore().se_file(0)
+        with pytest.raises(ValueError, match=rf"kind codes \[{kind}\]"):
+            f.append_columns(np.array([1, kind]), [0, 1], [5, 6], [50, 60])
+        assert len(f) == 0 and f.records == []
+
+    def test_bptr_payloads_must_be_the_bptr_rows(self):
+        f = CheckpointStore().se_file(0)
+        for kind, bptr in (([2], {}), ([1], {0: (0, 5)}), ([2], {1: 5})):
+            with pytest.raises(ValueError, match="not the bptr rows"):
+                f.append_columns(kind, [0], [5], [0], bptr)
+        assert len(f) == 0
 
     def test_columns_of_different_lengths_refused(self):
         f = CheckpointStore().se_file(0)
@@ -582,7 +617,7 @@ class TestRestoreWalk:
         base.shared.append(7, 70)
         store = CheckpointStore()
         store.shared.append(5, 50)
-        store.se_file(0).extend({
+        append_records(store.se_file(0), {
             "ok": [("data", 1, 1, 11), ("ptr", 0, 5, 0)],
             "duplicate": [("data", 0, 1, 11), ("ptr", 0, 5, 0)],
             "missing": [("data", 3, 1, 11)],

@@ -11,6 +11,7 @@ from repro.services.reconstruct import (
     register_image,
 )
 from repro.util.hashing import page_hash, page_hashes
+from tests.conftest import append_records
 
 
 def build_world(overlap_fraction=0.5, n_pages=64, seed=0):
@@ -125,28 +126,35 @@ class TestReadBacking:
     def svc(self, *records):
         backing = CheckpointStore()
         backing.shared.append(page_hash(40), 40)
-        backing.se_file(777).extend(records)
+        append_records(backing.se_file(777), records)
         descriptor = ImageDescriptor(entity_id=5, hashes=np.array(
             [page_hash(777)], dtype=np.uint64))
         return CollectiveReconstruction(descriptor, backing,
                                         backing_entity_id=777)
 
+    @staticmethod
+    def read(svc, want_hash, page_idx):
+        """The storage fallback for one page, its shared-file offset looked
+        up as the local phase looks up every page's."""
+        offset = int(svc.backing.shared.offsets_of([want_hash])[0])
+        return svc._read_backing(want_hash, page_idx, offset)
+
     def test_base_pointer_is_refused_not_read_as_content(self):
         svc = self.svc(("bptr", 0, page_hash(777), 5))
         with pytest.raises(ValueError, match="page 0 is a base pointer"):
-            svc._read_backing(page_hash(777), 0)
+            self.read(svc, page_hash(777), 0)
 
     def test_pointer_and_data_records_resolve(self):
         svc = self.svc(("data", 1, page_hash(778), 778),
                        ("ptr", 0, page_hash(41), 0))
-        assert svc._read_backing(page_hash(777), 0) == 40
-        assert svc._read_backing(page_hash(777), 1) == 778
-        assert svc._read_backing(page_hash(40), 9) == 40  # shared file hit
+        assert self.read(svc, page_hash(777), 0) == 40
+        assert self.read(svc, page_hash(777), 1) == 778
+        assert self.read(svc, page_hash(40), 9) == 40  # shared file hit
         with pytest.raises(KeyError):
-            svc._read_backing(page_hash(777), 2)
+            self.read(svc, page_hash(777), 2)
 
     def test_pointer_past_the_shared_file_is_named(self):
         svc = self.svc(("ptr", 0, page_hash(41), 3))
         with pytest.raises(ValueError, match="page 0 points at shared-file "
                            "offset 3, past the end"):
-            svc._read_backing(page_hash(777), 0)
+            self.read(svc, page_hash(777), 0)
