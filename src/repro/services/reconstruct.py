@@ -108,6 +108,7 @@ class CollectiveReconstruction(ServiceCallbacks):
                                   if backing_entity_id is None
                                   else backing_entity_id)
         self._wanted = frozenset(int(h) for h in descriptor.hashes.tolist())
+        self._rows = self._cids = None      # backing page -> row; content IDs
 
     def service_init(self, ctx: NodeContext, config: Any) -> None:
         ctx.state = _ReconNodeState()
@@ -142,6 +143,7 @@ class CollectiveReconstruction(ServiceCallbacks):
         page_size = self.descriptor.page_size
         wanted = self.descriptor.hashes.tolist()
         stored = self.backing.shared.offsets_of(wanted).tolist()
+        self._rows = self._cids = None      # resolve once per local phase
         for idx, (h, is_covered) in enumerate(zip(hashes.tolist(),
                                                   covered.tolist())):
             st.pages_filled += 1
@@ -163,12 +165,18 @@ class CollectiveReconstruction(ServiceCallbacks):
                 st.from_storage += 1
 
     def _read_backing(self, want_hash: int, page_idx: int, offset: int) -> int:
-        """Backing content: the shared block at ``offset`` (-1: none), else the page's record."""
+        """Backing content: the shared block at ``offset`` (-1: none), else the
+        page's first record (file index and content IDs built once per phase)."""
         if offset >= 0:
             return self.backing.shared.read(offset)
         f = self.backing.se_files.get(self.backing_entity_id)
         if f is not None:
-            rows = np.flatnonzero(f.columns()[1] == page_idx)
-            if len(rows):
-                return int(self.backing._content_ids(f)[rows[0]])
+            if self._rows is None:
+                pages, rows = np.unique(f.columns()[1], return_index=True)
+                self._rows = dict(zip(pages.tolist(), rows.tolist()))
+            row = self._rows.get(page_idx)
+            if row is not None:
+                if self._cids is None:
+                    self._cids = self.backing._content_ids(f)
+                return int(self._cids[row])
         raise KeyError(f"hash {want_hash:#x} in neither live memory nor store")

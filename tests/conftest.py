@@ -17,9 +17,10 @@ from repro import Cluster, ConCORD, ConCORDConfig, workloads
 # property that takes its example count from the profile (no
 # max_examples of its own) at 1 000 examples; CI's mmap leg runs the
 # write-path oracle (tests/properties/test_props_writelog.py), the
-# collective-phase oracle (tests/core/test_collective_batch.py) and the
+# collective-phase oracle (tests/core/test_collective_batch.py), the
 # checkpoint-file oracle (tests/properties/test_props_ckpt_columns.py)
-# that way.
+# and the changed-only readers' oracles
+# (tests/properties/test_props_changed_only.py) that way.
 settings.register_profile("deep", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -158,3 +158,24 @@ class TestReadBacking:
         with pytest.raises(ValueError, match="page 0 points at shared-file "
                            "offset 3, past the end"):
             self.read(svc, page_hash(777), 0)
+
+
+def test_backing_file_resolves_once_per_local_phase(monkeypatch):
+    """A data-only backing file restores every page exactly, resolving
+    its content IDs once for the phase rather than once per page (which
+    made a storage-only rebuild quadratic in the image size)."""
+    calls = []
+    real = CheckpointStore._content_ids
+
+    def counted(self, f, *args):
+        calls.append(f)
+        return real(self, f, *args)
+
+    monkeypatch.setattr(CheckpointStore, "_content_ids", counted)
+    target, image_pages, result, svc = run_reconstruction(overlap=0.0,
+                                                          n_pages=4000)
+    assert result.success
+    assert (target.pages == image_pages).all()
+    assert sum(c.state.from_storage for c in result.contexts.values()
+               if c.state) == 4000
+    assert calls == [svc.backing.se_files[777]]
