@@ -218,9 +218,9 @@ class ConCORD:
                mode: str | None = None) -> RepairReport:
         """Anti-entropy repair: re-populate holed hash ranges from the
         monitors' ground truth (``full=True`` rebuilds every range, also
-        healing datagram-loss holes; ``delta=True`` reconciles believed
-        state against ground truth instead of purge-and-replay — same
-        final bytes, local cost proportional to divergence;
+        healing datagram-loss holes; every mode applies only the
+        difference, and the default reports it as a purge-and-replay,
+        ``delta=True`` as the difference itself — same final bytes;
         ``mode="recon"`` runs the digest-tree set-reconciliation
         protocol so *wire* cost is proportional to divergence too —
         docs/RECONCILIATION.md)."""
