@@ -202,10 +202,14 @@ class ConCORD:
         while the node was down, not with total content
         (docs/STORAGE.md); the delta pass's :class:`RepairReport` is
         returned.  Warm on a memory backend (or with nothing committed)
-        degrades gracefully to the cold path.
+        degrades gracefully to the cold path.  A down node nobody has
+        detected yet is failed over first: its RAM died with the crash.
         """
+        membership = self.tracing.membership
+        if not self._node_up(node):
+            membership.node_failed(node)
         self.cluster.network.set_node_up(node, True)
-        self.tracing.membership.node_restarted(node, recover=warm)
+        membership.node_restarted(node, recover=warm)
         if warm:
             return self.repair(delta=True)
         return None

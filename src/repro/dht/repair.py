@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.dht.generation import _in_sorted
 from repro.dht.partition import Partition
 from repro.dht.table import LocalDHT, mask_bits
 from repro.exec import ops as _ops
@@ -57,15 +58,6 @@ class RepairReport:
 
 _U64 = np.uint64
 _ONE = np.uint64(1)
-
-
-def _in_sorted(sorted_hashes: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which of ``keys`` occur in ``sorted_hashes`` (boolean, per key)."""
-    if not len(sorted_hashes):
-        return np.zeros(len(keys), dtype=bool)
-    i = np.minimum(np.searchsorted(sorted_hashes, keys),
-                   len(sorted_hashes) - 1)
-    return sorted_hashes[i] == keys
 
 
 def pairs_where(shard: LocalDHT, sel: np.ndarray | None = None) \

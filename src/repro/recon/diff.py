@@ -20,6 +20,19 @@ def _empty_triplet() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.empty(0, dtype=np.int64))
 
 
+def _pair_sums(h: np.ndarray, e: np.ndarray, c: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row per distinct ``(hash, entity)`` pair of a non-empty bag,
+    sorted by (hash, entity), with its counts summed (zero sums kept)."""
+    order = np.lexsort((e, h))
+    h, e, c = h[order], e[order], c[order]
+    newpair = np.empty(len(h), dtype=bool)
+    newpair[0] = True
+    newpair[1:] = (h[1:] != h[:-1]) | (e[1:] != e[:-1])
+    starts = np.flatnonzero(newpair)
+    return h[starts], e[starts], np.add.reduceat(c, starts)
+
+
 def canonical_pairs(h: np.ndarray, e: np.ndarray,
                     c: np.ndarray | None = None) \
         -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -38,15 +51,9 @@ def canonical_pairs(h: np.ndarray, e: np.ndarray,
         c = np.asarray(c, dtype=np.int64)
     if not len(h):
         return _empty_triplet()
-    order = np.lexsort((e, h))
-    h, e, c = h[order], e[order], c[order]
-    newpair = np.empty(len(h), dtype=bool)
-    newpair[0] = True
-    newpair[1:] = (h[1:] != h[:-1]) | (e[1:] != e[:-1])
-    starts = np.flatnonzero(newpair)
-    sums = np.add.reduceat(c, starts)
+    h, e, sums = _pair_sums(h, e, c)
     keep = sums != 0
-    return h[starts][keep], e[starts][keep], sums[keep]
+    return h[keep], e[keep], sums[keep]
 
 
 def pair_multiset_diff(have_h: np.ndarray, have_e: np.ndarray,
@@ -71,14 +78,7 @@ def pair_multiset_diff(have_h: np.ndarray, have_e: np.ndarray,
     if not len(h):
         z = _empty_triplet()
         return z, z
-    order = np.lexsort((e, h))
-    h, e, c = h[order], e[order], c[order]
-    newpair = np.empty(len(h), dtype=bool)
-    newpair[0] = True
-    newpair[1:] = (h[1:] != h[:-1]) | (e[1:] != e[:-1])
-    starts = np.flatnonzero(newpair)
-    sums = np.add.reduceat(c, starts)
-    uh, ue = h[starts], e[starts]
+    uh, ue, sums = _pair_sums(h, e, c)
     ins = sums > 0
     rem = sums < 0
     return ((uh[ins], ue[ins], sums[ins]),

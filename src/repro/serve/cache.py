@@ -12,7 +12,7 @@ cached answer is valid exactly while its covering epochs stand still:
 * collective queries scan every live shard, so they are keyed on the
   global epoch.
 
-Correctness pin (tests/properties/test_props_serve.py): under arbitrary
+Correctness pin (tests/properties/machine.py, *frontends*): under arbitrary
 interleavings of memory updates, node kills/repairs, and queries, a
 cache-enabled answer is byte-identical to the uncached answer at the same
 instant.  To keep that exact, each cached op performs the *same* lazy

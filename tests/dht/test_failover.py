@@ -193,6 +193,24 @@ class TestRejoin:
         for h in hs[prim == 2].tolist():
             assert eng.lookup_mask(int(h)) == 0
 
+    def test_restart_of_an_undetected_crash_holes_its_ranges(self):
+        # The node dies and comes back before anyone notices: its shard
+        # RAM is gone, so the restart must hole its range and advance
+        # every epoch (a cached answer from before the crash is stale),
+        # exactly as a detected crash and restart would.
+        cluster, _ents, concord = make_tracked()
+        eng = concord.tracing
+        before = eng.membership.epoch_vector()
+        cluster.network.set_node_up(2, False)       # no node_failed()
+        eng.shards[2].crash()
+        concord.restart_node(2)
+        assert eng.stats.failovers == eng.stats.rejoins == 1
+        assert concord.coverage == pytest.approx(3 / 4)
+        assert not eng.membership._intact[2]
+        assert (eng.membership.epoch_vector() > before).all()
+        concord.repair()
+        assert concord.coverage == 1.0
+
     def test_restart_of_alive_node_is_noop(self):
         _cluster, _ents, concord = make_tracked()
         concord.restart_node(1)

@@ -1,10 +1,10 @@
 """Unit tests for elastic membership: live join with incremental handoff."""
 
-import numpy as np
 import pytest
 
 from repro.dht.engine import ContentTracingEngine
 from repro.sim.cluster import Cluster
+from tests.conftest import shard_states
 
 
 def make(n_nodes=4, placement="mod", cost="new-cluster", **kw):
@@ -22,16 +22,6 @@ def join(eng):
     """One atomic join: begin, then cut over at once."""
     eng.membership.begin_join()
     return eng.membership.complete_join()
-
-
-def shard_states(eng):
-    mask = (1 << 80) - 1
-    out = []
-    for shard in eng.shards:
-        hs, lo, wide = shard.se_scan(mask)
-        out.append((hs.tolist(), lo.tolist(), wide,
-                    shard.n_hashes, shard.n_copies))
-    return out
 
 
 def assert_all_homed(eng):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro import Cluster, ConCORD, ConCORDConfig, StorageConfig, workloads
-from tests.conftest import GEN_FILE_REGIONS, flip_byte, gen_file_offset
+from tests.conftest import (GEN_FILE_REGIONS, flip_byte, gen_file_offset,
+                            shard_states)
 
 PERSISTENT = ("mmap",)
 
@@ -30,17 +31,6 @@ def make_cluster():
     return cluster, ents
 
 
-def shard_states(concord):
-    mask = (1 << 80) - 1
-    out = []
-    for shard in concord.tracing.shards:
-        hs, lo, wide = shard.se_scan(mask)
-        out.append((hs.tolist(), lo.tolist(), wide,
-                    dict(shard.extra_items()),
-                    shard.n_hashes, shard.n_copies))
-    return out
-
-
 def mutate(ents, fraction, seed=6):
     rng = np.random.default_rng(seed)
     for e in ents[:2]:
@@ -54,7 +44,7 @@ def cold_reference(mutation=0.0):
         mutate(ents, mutation)
     with ConCORD(cluster, ConCORDConfig()) as concord:
         concord.initial_scan()
-        return shard_states(concord)
+        return shard_states(concord.tracing)
 
 
 @pytest.mark.parametrize("backend", PERSISTENT)
@@ -66,7 +56,7 @@ class TestWarmRestart:
         with ConCORD(cluster, cfg) as concord:
             concord.initial_scan()
             assert concord.storage_recovered is False
-            return shard_states(concord)
+            return shard_states(concord.tracing)
         # close() flushed: the root now holds the full committed state
 
     def test_quiet_restart_is_byte_identical_and_near_free(self, backend,
@@ -81,8 +71,8 @@ class TestWarmRestart:
             # Nothing changed while the service was down: zero delta ops.
             assert report.copies_restored == 0
             assert report.copies_removed == 0
-            assert shard_states(concord) == before
-            assert shard_states(concord) == cold_reference()
+            assert shard_states(concord.tracing) == before
+            assert shard_states(concord.tracing) == cold_reference()
 
     def assert_shard0_heals(self, backend, root, before, refused=1):
         """Bring-up on ``root`` recovers every shard but 0 (counted warm;
@@ -102,7 +92,7 @@ class TestWarmRestart:
             # Shard 0 whole, nothing anywhere else.
             assert report.copies_restored == before[0][-1] > 0
             assert report.copies_removed == 0
-            assert shard_states(concord) == before == cold_reference()
+            assert shard_states(concord.tracing) == before == cold_reference()
 
     def test_damaged_shard_cold_starts_and_heals(self, backend, tmp_path):
         """A truncated shard file is a shard with nothing to recover, not
@@ -139,7 +129,7 @@ class TestWarmRestart:
             applied = report.copies_restored + report.copies_removed
             total = sum(s.n_copies for s in concord.tracing.shards)
             assert 0 < applied < total   # cost scales with the divergence
-            assert shard_states(concord) == cold_reference(mutation=0.10)
+            assert shard_states(concord.tracing) == cold_reference(mutation=0.10)
 
     def test_warm_cost_scales_with_divergence(self, backend, tmp_path):
         applied = []
@@ -192,7 +182,7 @@ class TestInRunWarmRejoin:
                 concord.restart_node(2, warm=warm)
                 if not warm:
                     concord.repair(full=True)
-                return shard_states(concord)
+                return shard_states(concord.tracing)
 
         assert run(warm=True) == run(warm=False)
 

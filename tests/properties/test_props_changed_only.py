@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.repair import _in_sorted, pairs_where
+from repro.dht.generation import _in_sorted
+from repro.dht.repair import pairs_where
 from repro.dht.storage import MmapSegmentStorage
 from repro.dht.table import LocalDHT, mask_bits
 from repro.memory.monitor import multiset_diff
