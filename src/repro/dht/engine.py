@@ -80,7 +80,7 @@ class ContentTracingEngine:
         None reads the env-driven :class:`StorageConfig` default.  With a
         persistent backend pointed at a prior run's root, the shards load
         their last committed state at construction (``recovered``) and
-        :meth:`repair` with ``delta=True`` reconciles them against the
+        :meth:`repair` with ``mode="delta"`` reconciles them against the
         monitors' ground truth — the warm-restart path.
 
         ``placement`` selects the hash→node map
@@ -240,11 +240,10 @@ class ContentTracingEngine:
         """Count a reliable send that exhausted its retransmissions."""
         self.obs.registry.counter("dht.delivery_errors", site=site).inc()
 
-    def repair(self, full: bool = False, delta: bool = False,
-               mode: str | None = None) -> RepairReport:
+    def repair(self, full: bool = False, mode: str = "replay") -> RepairReport:
         """:meth:`Repair.run` (bound here by name for the benchmark's
         layer table)."""
-        return self.repairer.run(full, delta, mode)
+        return self.repairer.run(full, mode)
 
     # -- degraded-mode introspection ---------------------------------------------------
 
@@ -320,9 +319,12 @@ class ContentTracingEngine:
     # -- storage lifecycle (docs/STORAGE.md) -------------------------------------------
 
     def flush_storage(self) -> None:
-        """Durability barrier: force-commit every shard (write log included)."""
-        for shard in self.shards:
-            shard.flush()
+        """Durability barrier: force-commit every up node's shard (write
+        log included).  A down node's RAM is gone, so its last commit —
+        what a warm rejoin recovers — stays as it is."""
+        for shard, up in zip(self.shards, self._node_up):
+            if up:
+                shard.flush()
 
     def close(self) -> None:
         """Remove an ephemeral storage root; idempotent.  The facade

@@ -7,12 +7,12 @@ the paper calls *zero-hop*.  The update originator can therefore, in
 principle, compute not just the node but the exact bucket an update will
 touch (the paper's motivation for eventually using one-sided RDMA).
 
-Failover keeps routing zero-hop: the partition carries a shared *alive
-view* (a :class:`NodeRing` — the set of nodes currently believed up,
-maintained by the tracing engine's failure detector), and a hash whose
-*primary* node is believed dead walks clockwise to the next alive node
-ID — a deterministic successor walk every node computes identically from
-the same view, so re-homed routing still needs no lookups.  The primary
+Failover keeps routing zero-hop: the partition carries an *alive view*
+(the set of nodes currently believed up, maintained by the tracing
+engine's failure detector), and a hash whose *primary* node is believed
+dead walks clockwise to the next alive node ID — a deterministic
+successor walk every node computes identically from the same view, so
+re-homed routing still needs no lookups.  The primary
 map itself never changes while membership is fixed; when a node rejoins,
 its ranges route back to it.
 
@@ -46,8 +46,7 @@ import numpy as np
 
 from repro.util.hashing import mix64, mix64_int
 
-__all__ = ["NoAliveNodeError", "NodeRing", "Partition",
-           "PLACEMENT_POLICIES", "entries_moved_fraction"]
+__all__ = ["Partition", "PLACEMENT_POLICIES", "entries_moved_fraction"]
 
 # Domain separation: routing must not reuse the content hash directly, or
 # each shard would hold a contiguous hash range and per-shard iteration
@@ -59,10 +58,6 @@ _ROUTE_SALT_INT = int(_ROUTE_SALT)      # scalar routing stays on Python ints
 _NODE_SALT = np.uint64(0x9E3779B97F4A7C15)
 
 PLACEMENT_POLICIES = ("mod", "hd")
-
-
-class NoAliveNodeError(RuntimeError):
-    """Raised when a successor walk finds no alive node on the ring."""
 
 
 def _node_sigs(n_nodes: int) -> np.ndarray:
@@ -137,82 +132,7 @@ def entries_moved_fraction(policy: str, n_from: int, n_to: int, *,
     return float(np.mean(before != after))
 
 
-# -- the node ring (alive view + successor walk) ----------------------------------
-
-
-class NodeRing:
-    """The membership ring: node IDs 0..n-1 plus a shared alive view.
-
-    The successor walk is over node IDs, not token space — every dead
-    node's range shifts to its numeric successor, which all nodes compute
-    identically from the same view.  Unlike :class:`Partition`, the ring
-    itself permits an all-dead view; walks then raise the typed
-    :class:`NoAliveNodeError` immediately instead of scanning the ring
-    ``n`` full passes and dying with a bare ``RuntimeError`` (the
-    pre-elastic behavior this replaces).
-    """
-
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
-        self.n_nodes = n_nodes
-        self._alive = np.ones(n_nodes, dtype=bool)
-
-    # -- alive view --------------------------------------------------------------
-
-    def set_alive(self, node: int, alive: bool = True) -> None:
-        if not (0 <= node < self.n_nodes):
-            raise ValueError(f"node {node} out of range (n={self.n_nodes})")
-        self._alive[node] = alive
-
-    def is_alive(self, node: int) -> bool:
-        return bool(self._alive[node])
-
-    @property
-    def n_alive(self) -> int:
-        return int(self._alive.sum())
-
-    @property
-    def all_alive(self) -> bool:
-        return self.n_alive == self.n_nodes
-
-    def alive_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self._alive)
-
-    # -- successor walk ----------------------------------------------------------
-
-    def walk(self, primaries: np.ndarray) -> np.ndarray:
-        """Successor-walk an array of primaries to their alive homes."""
-        if not self._alive.any():
-            raise NoAliveNodeError("no alive node to home hashes on")
-        homes = primaries.copy()
-        for _ in range(self.n_nodes):
-            dead = ~self._alive[homes]
-            if not dead.any():
-                return homes
-            homes[dead] = (homes[dead] + 1) % self.n_nodes
-        raise NoAliveNodeError(
-            "no alive node to home hashes on")  # pragma: no cover
-
-    def successor(self, node: int) -> int:
-        """Scalar walk: ``node`` itself if alive, else its next alive
-        successor."""
-        if not (0 <= node < self.n_nodes):
-            raise ValueError(f"node {node} out of range (n={self.n_nodes})")
-        if self._alive[node]:
-            return node
-        if not self._alive.any():
-            raise NoAliveNodeError("no alive node to home hashes on")
-        home = node
-        for _ in range(self.n_nodes):
-            home = (home + 1) % self.n_nodes
-            if self._alive[home]:
-                return home
-        raise NoAliveNodeError(
-            "no alive node to home hashes on")  # pragma: no cover
-
-
-# -- the partition (placement policy x node ring) ---------------------------------
+# -- the partition (placement policy x alive view) --------------------------------
 
 
 class Partition:
@@ -223,11 +143,14 @@ class Partition:
     view, in which case routing walks to the next alive successor on the
     node ring.  With every node alive (the default) home == primary.
 
+    The successor walk is over node IDs, not token space: every dead
+    node's range shifts to its numeric successor, which all nodes compute
+    identically from the same view.  ``set_alive`` refuses to mark the
+    last alive node dead, so every walk ends.
+
     ``policy`` selects the placement map (:data:`PLACEMENT_POLICIES`);
     the default ``mod`` is byte-identical to the fixed-membership
-    partition this class grew out of.  The engine keeps at least one
-    node alive (``set_alive`` guards the last survivor); the underlying
-    :class:`NodeRing` has no such guard.
+    partition this class grew out of.
     """
 
     def __init__(self, n_nodes: int, policy: str = "mod") -> None:
@@ -237,12 +160,9 @@ class Partition:
             raise ValueError(
                 f"unknown placement policy {policy!r}; "
                 f"choose from {PLACEMENT_POLICIES}")
-        self.ring = NodeRing(n_nodes)
+        self.n_nodes = n_nodes
+        self._alive = np.ones(n_nodes, dtype=bool)
         self._placer = _PLACERS[policy](n_nodes)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.ring.n_nodes
 
     @property
     def policy(self) -> str:
@@ -256,30 +176,27 @@ class Partition:
         if extra < 1:
             raise ValueError("extra must be >= 1")
         new = Partition(self.n_nodes + extra, policy=self.policy)
-        new.ring._alive[:self.n_nodes] = self.ring._alive
+        new._alive[:self.n_nodes] = self._alive
         return new
 
     # -- alive view --------------------------------------------------------------
 
     def set_alive(self, node: int, alive: bool = True) -> None:
-        self.ring.set_alive(node, alive)
-        if not self.ring._alive.any():
-            self.ring._alive[node] = True
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"node {node} out of range (n={self.n_nodes})")
+        if not alive and self._alive[node] and self.n_alive == 1:
             raise ValueError("cannot mark the last alive node dead")
+        self._alive[node] = alive
 
     def is_alive(self, node: int) -> bool:
-        return self.ring.is_alive(node)
+        return bool(self._alive[node])
 
     @property
     def n_alive(self) -> int:
-        return self.ring.n_alive
-
-    @property
-    def all_alive(self) -> bool:
-        return self.ring.all_alive
+        return int(self._alive.sum())
 
     def alive_nodes(self) -> np.ndarray:
-        return self.ring.alive_nodes()
+        return np.flatnonzero(self._alive)
 
     # -- primary map (failure-oblivious) ------------------------------------------
 
@@ -298,21 +215,29 @@ class Partition:
         """Home node of one content hash under the current alive view:
         its primary, walked to a successor only when that is down."""
         node = self._placer.primary(content_hash)
-        if self.ring._alive[node]:
-            return node
-        return self.ring.successor(node)
+        while not self._alive[node]:
+            node = (node + 1) % self.n_nodes
+        return node
 
     def home_nodes(self, content_hashes: np.ndarray) -> np.ndarray:
         """Vectorized home-node computation."""
-        primaries = self.primary_nodes(content_hashes)
-        if self.all_alive:
-            return primaries
-        return self.ring.walk(primaries)
+        return self._walk(self.primary_nodes(content_hashes))
 
     def range_homes(self) -> np.ndarray:
         """Current home of each primary range (range r = hashes whose
         primary is node r); identity when everyone is alive."""
-        return self.ring.walk(np.arange(self.n_nodes, dtype=np.int64))
+        return self._walk(np.arange(self.n_nodes, dtype=np.int64))
+
+    def _walk(self, homes: np.ndarray) -> np.ndarray:
+        """Walk each primary in ``homes`` (in place) to its first alive
+        successor."""
+        if self._alive.all():
+            return homes
+        dead = ~self._alive[homes]
+        while dead.any():
+            homes[dead] = (homes[dead] + 1) % self.n_nodes
+            dead = ~self._alive[homes]
+        return homes
 
     def group_by_home(self, content_hashes: np.ndarray) -> dict[int, np.ndarray]:
         """Indices of ``content_hashes`` grouped by destination node."""

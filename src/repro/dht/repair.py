@@ -23,7 +23,10 @@ from repro.util.records import ENTITY_ID_BYTES, HASH_BYTES
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dht.engine import ContentTracingEngine
 
-__all__ = ["Repair", "RepairReport"]
+__all__ = ["MODES", "Repair", "RepairReport"]
+
+#: How a repair finds and reports the difference (:meth:`Repair.run`).
+MODES = ("replay", "delta", "recon")
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,7 @@ class Repair:
         # Per-shard digest memo for mode="recon", keyed by shard epoch.
         self._digests = DigestCache()
 
-    def run(self, full: bool = False, delta: bool = False,
-            mode: str | None = None) -> RepairReport:
+    def run(self, full: bool = False, mode: str = "replay") -> RepairReport:
         """Converge non-intact ranges onto the monitors' ground truth.
 
         Each alive node re-routes its NSM's last-scanned view — restricted
@@ -171,30 +173,29 @@ class Repair:
 
         Every mode applies only the difference between the believed rows
         and the truth, so *local* cost scales with divergence rather
-        than content size.  The default is a *replay*: its report
-        carries the modelled cost of a purge-and-replay of the target
-        ranges (every truth copy re-inserted, none removed; see
-        :class:`RepairReport`).  ``delta=True`` reports the difference
-        itself — what makes a warm restart cheap (docs/STORAGE.md).
-        ``mode="recon"`` discovers the difference through the digest-tree
-        set-reconciliation protocol
+        than content size; ``mode`` picks how it is found and reported
+        (:data:`MODES`).  ``"replay"`` (the default) reports the
+        modelled cost of a purge-and-replay of the target ranges (every
+        truth copy re-inserted, none removed; see :class:`RepairReport`).
+        ``"delta"`` reports the difference itself — what makes a warm
+        restart cheap (docs/STORAGE.md).  ``"recon"`` discovers the
+        difference through the digest-tree set-reconciliation protocol
         (:class:`~repro.recon.session.ReconSession`) over every range,
         so *wire* cost scales with divergence too
-        (docs/RECONCILIATION.md); it takes no ``delta``.  Because the
-        packed representation is canonical after compaction, all three
-        land on byte-identical shards.
+        (docs/RECONCILIATION.md).  Because the packed representation is
+        canonical after compaction, all three land on byte-identical
+        shards.
+
+        A pass that found every target range intact and applied no
+        change leaves the epochs alone, so cached answers survive it;
+        it is still counted in ``dht.repairs`` and the repair traffic.
 
         Entities hosted on dead nodes contribute nothing (their memory is
         gone), so their entries do not reappear in repaired ranges.
         """
-        if mode not in (None, "recon"):
+        if mode not in MODES:
             raise ValueError(f"unknown repair mode {mode!r}; "
-                             f"expected None or 'recon'")
-        recon = mode == "recon"
-        if recon and delta:
-            raise ValueError("repair(delta=True, mode='recon'): recon "
-                             "already applies only the difference; pass "
-                             "one or the other")
+                             f"expected one of {', '.join(MODES)}")
         eng = self.engine
         membership = eng.membership
         membership.refresh_failed()
@@ -205,7 +206,7 @@ class Repair:
         # recon pass always covers every range: pruning intact subtrees
         # is the protocol's own job and costs one digest round.
         n = partition.n_nodes
-        targets = (np.arange(n, dtype=np.int64) if full or recon
+        targets = (np.arange(n, dtype=np.int64) if full or mode == "recon"
                    else np.flatnonzero(
                        ~membership._intact[:n]).astype(np.int64))
         if not len(targets):
@@ -239,18 +240,19 @@ class Repair:
                 want_h, want_e = truth.setdefault(dst, ([], []))
                 want_h.append(hs)
                 want_e.append(np.full(len(hs), eid, dtype=np.int64))
-        copies, removed, restored, bytes_wire, rounds, node_ops = \
+        holed = not membership._intact[targets].all()
+        copies, removed, restored, bytes_wire, rounds, node_ops, applied = \
             self.converge(alive, truth,
                           targets=None if len(targets) == n else targets,
-                          recon=recon, replay=not (delta or recon))
+                          mode=mode)
         self._c_bytes.inc(bytes_wire)
         self._c_rounds.inc(rounds)
         self._c_repairs.inc()
-        membership.repaired(
-            targets, ranges=len(targets), copies_restored=copies,
-            copies_removed=removed, nodes_scanned=nodes_scanned,
-            bytes_wire=bytes_wire,
-            mode=mode or ("delta" if delta else "replay"))
+        if holed or applied:
+            membership.repaired(
+                targets, ranges=len(targets), copies_restored=copies,
+                copies_removed=removed, nodes_scanned=nodes_scanned,
+                bytes_wire=bytes_wire, mode=mode)
         return RepairReport(ranges_repaired=len(targets),
                             hashes_restored=restored,
                             copies_restored=copies,
@@ -262,9 +264,9 @@ class Repair:
     def converge(self, shards: list[int],
                  truth: dict[int, tuple[list[np.ndarray],
                                         list[np.ndarray]]],
-                 targets: np.ndarray | None = None, recon: bool = False,
-                 replay: bool = False) \
-            -> tuple[int, int, int, int, int, list[tuple[int, int, int]]]:
+                 targets: np.ndarray | None = None, mode: str = "delta") \
+            -> tuple[int, int, int, int, int, list[tuple[int, int, int]],
+                     bool]:
         """Converge each listed shard's believed rows onto the truth
         routed to it — the one place a diff is discovered and applied;
         repair, warm restart and join catch-up all end here.
@@ -274,7 +276,7 @@ class Repair:
         shard should hold nothing); believed rows are restricted to the
         primary ranges in ``targets`` (None = every row).  The
         difference is discovered locally by the pair-multiset diff, or —
-        ``recon=True``, all rows only — by one
+        ``mode="recon"``, all rows only — by one
         :class:`~repro.recon.session.ReconSession` per shard against a
         coordinator (``shards[0]``) holding the aggregated truth digest
         (counts sum and 64-bit mixed digests combine across contributing
@@ -283,13 +285,16 @@ class Repair:
         removes-then-inserts in (hash, entity) order.
 
         Returns ``(copies inserted, copies removed, hashes restored,
-        wire bytes, protocol rounds, per-node op list)``; a locally
-        discovered diff is charged as one round of :class:`UpdateBatch`
-        framing over every applied record; ``replay=True`` applies the
-        same diff but reports a rebuild from empty (:class:`RepairReport`).
+        wire bytes, protocol rounds, per-node op list, whether any shard
+        changed)``; a locally discovered diff is charged as one round of
+        :class:`UpdateBatch` framing over every applied record;
+        ``mode="replay"`` applies the same diff but reports a rebuild
+        from empty (:class:`RepairReport`).
         """
         eng = self.engine
+        recon = mode == "recon"
         emit = eng.send_recon if recon and eng.use_network else None
+        applied = False
         inserted = removed = restored = bytes_wire = rounds = 0
         node_ops: list[tuple[int, int, int]] = []
         for dst in shards:
@@ -324,7 +329,8 @@ class Repair:
                 shard.bulk_insert(*_expand(*ins))
             d_ins, d_rem = int(ins[2].sum()), int(rem[2].sum())
             d_new = shard.n_hashes - after_removes
-            if replay:  # distinct truth hashes: a sort beats np.unique's hash path
+            applied = applied or bool(d_ins or d_rem)
+            if mode == "replay":  # distinct truth hashes: a sort beats np.unique's hash path
                 s = np.sort(wh)
                 d_ins, d_rem, d_new = len(s), 0, len(s) - int(np.count_nonzero(s[1:] == s[:-1]))
             restored += d_new
@@ -342,4 +348,5 @@ class Repair:
             bytes_wire = _modeled_replay_bytes(
                 inserted + removed, eng.n_represented, eng.batch_size)
             rounds = 1 if inserted + removed else 0
-        return inserted, removed, restored, bytes_wire, rounds, node_ops
+        return (inserted, removed, restored, bytes_wire, rounds, node_ops,
+                applied)

@@ -148,7 +148,7 @@ class MemoryUpdateMonitor:
         A warm restart already holds a believed DHT state recovered from
         storage; replaying a full initial scan's worth of inserts on top
         of it would double-count.  Rebase runs the scans (so the NSM view
-        is current and ``repair(delta=True)`` reconciles against live
+        is current and ``repair(mode="delta")`` reconciles against live
         content) and then drops the produced delta.  Returns the number
         of pages hashed by the pass.
         """

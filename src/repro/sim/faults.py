@@ -23,7 +23,8 @@ The fault model (see ``docs/FAULTS.md``):
 Kills and restarts invoke optional callbacks so the platform layer can
 model the physical consequences (shard memory loss, rejoin announcements)
 without the *belief* side — failure detection — being short-circuited:
-detection still happens through timeouts on the reliable channel.
+detection still happens through timeouts on the reliable channel.  A
+restart callback runs before the NIC comes back up.
 """
 
 from __future__ import annotations
@@ -168,9 +169,11 @@ class FaultInjector:
                     self.on_kill(node)
         elif ev.kind is FaultKind.RESTART:
             for node in ev.nodes:
-                net.set_node_up(node, True)
+                # The callback runs while the NIC is still down, so it
+                # can tell a crash nobody detected from a node that is up.
                 if self.on_restart is not None:
                     self.on_restart(node)
+                net.set_node_up(node, True)
         elif ev.kind is FaultKind.PARTITION:
             net.partition(*ev.groups)
         elif ev.kind is FaultKind.HEAL:

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.partition import (PLACEMENT_POLICIES, NoAliveNodeError,
-                                 NodeRing, Partition,
+from repro.dht.partition import (PLACEMENT_POLICIES, Partition,
                                  entries_moved_fraction)
 
 # Content hashes with the word's edges always in the draw.
@@ -71,30 +70,19 @@ class TestGrouping:
 
 
 class TestNodeRing:
-    def test_all_dead_walk_raises_typed_error(self):
-        # Regression: an all-dead view used to scan the ring n full
-        # passes and die with a bare RuntimeError; it must raise the
-        # typed NoAliveNodeError immediately.
-        ring = NodeRing(4)
-        for node in range(4):
-            ring.set_alive(node, False)
-        with pytest.raises(NoAliveNodeError):
-            ring.walk(np.arange(4, dtype=np.int64))
-        with pytest.raises(NoAliveNodeError):
-            ring.successor(0)
-
     def test_walk_skips_dead_to_successor(self):
-        ring = NodeRing(4)
-        ring.set_alive(1, False)
-        ring.set_alive(2, False)
-        homes = ring.walk(np.array([0, 1, 2, 3], dtype=np.int64))
-        assert homes.tolist() == [0, 3, 3, 3]
-        assert ring.successor(1) == 3
-
-    def test_noalive_is_a_runtimeerror(self):
-        # Callers that caught RuntimeError before the typed class keep
-        # working.
-        assert issubclass(NoAliveNodeError, RuntimeError)
+        p = Partition(4)
+        p.set_alive(1, False)
+        p.set_alive(2, False)
+        assert p.range_homes().tolist() == [0, 3, 3, 3]
+        hs = np.arange(200, dtype=np.uint64)
+        prim = p.primary_nodes(hs)
+        assert (p.home_nodes(hs) == np.array([0, 3, 3, 3])[prim]).all()
+        h = int(hs[prim == 1][0])
+        assert p.home_node(h) == 3    # the scalar walk agrees
+        p.set_alive(3, False)         # the walk wraps round to node 0
+        assert p.range_homes().tolist() == [0, 0, 0, 0]
+        assert p.home_node(h) == 0
 
     def test_partition_still_guards_last_survivor(self):
         p = Partition(2)

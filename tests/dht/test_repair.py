@@ -12,8 +12,8 @@ from repro.sim.faults import FaultPlan
 U64 = np.uint64
 
 MODES = {
-    "replay": {"full": True},
-    "delta": {"full": True, "delta": True},
+    "replay": {"full": True, "mode": "replay"},
+    "delta": {"full": True, "mode": "delta"},
     "recon": {"mode": "recon"},
 }
 
@@ -148,10 +148,26 @@ def test_replay_of_an_undamaged_system_commits_nothing():
             == before
 
 
-def test_recon_takes_no_delta():
+@pytest.mark.parametrize("mode", list(MODES))
+def test_a_repair_that_changes_nothing_moves_no_epoch(mode):
+    """A pass over a converged system applies nothing, so every cached
+    answer stays valid: no epoch moves and a repeated query still hits."""
     with bring_up() as concord:
-        with pytest.raises(ValueError, match="delta"):
-            concord.repair(delta=True, mode="recon")
+        fe = concord.frontend()
+        h = int(concord.tracing.shards[0].items_arrays()[0][0])
+        got = []
+        fe.submit("num_copies", (h,), on_done=got.append)
+        concord.cluster.engine.run()
+        m = concord.tracing.membership
+        before = m.epoch_vector().tolist(), m.global_epoch
+        repairs = concord.metrics().value("dht.repairs")
+        report = concord.repair(**MODES[mode])
+        assert report.ranges_repaired == 4
+        assert (m.epoch_vector().tolist(), m.global_epoch) == before
+        assert concord.metrics().value("dht.repairs") == repairs + 1
+        fe.submit("num_copies", (h,), on_done=got.append)
+        concord.cluster.engine.run()
+        assert got[1].cache_hit and got[1].answer == got[0].answer
 
 
 def test_swallowed_delivery_errors_are_counted():

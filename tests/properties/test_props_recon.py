@@ -16,7 +16,7 @@ from tests.properties.machine import FAULTY_NODES, SystemMachine, focused, sched
 
 RECON = {"mode": st.just("recon")}
 # Every node back, then the recon pass whose result is checked.
-LAST = [*(("restart", {"node": node, "warm": False}) for node in FAULTY_NODES),
+LAST = [*(("restart", {"node": node, "warm": False, "via": "call"}) for node in FAULTY_NODES),
         ("repair", {"mode": "recon"})]
 
 

@@ -46,24 +46,28 @@ def build(seed: int):
 
 # Every rule at least once, the warm restart with a commit to recover,
 # the repairs with damage to repair, a join cut over with a holed range
-# and with none, and an unnoticed crash found by each of the probe, the
-# cutover and a repair.
+# and with none, an unnoticed crash found by each of the probe, the
+# cutover, a repair and a ``FaultPlan`` restart, and a clean process exit
+# with a node down, which then rejoins warm from its last commit.
 EVERY_RULE = [
     ("flush", {}), ("write", {"entity": 7, "page": 1, "value": 47}),
     ("kill", {"node": 2}), ("repair", {"mode": "replay"}),
-    ("restart", {"node": 2, "warm": True}), ("repair", {"mode": "delta"}),
+    ("restart", {"node": 2, "warm": True, "via": "call"}), ("repair", {"mode": "delta"}),
     ("kill", {"node": 3}), ("begin_join", {}),
     ("write", {"entity": 65, "page": 3, "value": 49}),
-    ("complete_join", {}), ("restart", {"node": 3, "warm": False}),
+    ("complete_join", {}), ("restart", {"node": 3, "warm": False, "via": "call"}),
     ("repair", {"mode": "recon"}), ("repair", {"mode": "full"}),
     ("crash", {"node": 2}), ("detect_failures", {}),
-    ("restart", {"node": 2, "warm": False}), ("begin_join", {}),
+    ("restart", {"node": 2, "warm": False, "via": "call"}), ("begin_join", {}),
     ("crash", {"node": 3}), ("complete_join", {}),
-    ("restart", {"node": 3, "warm": False}), ("crash", {"node": 2}),
-    ("repair", {"mode": "delta"}), ("restart", {"node": 2, "warm": False}),
+    ("restart", {"node": 3, "warm": False, "via": "call"}), ("crash", {"node": 2}),
+    ("repair", {"mode": "delta"}), ("restart", {"node": 2, "warm": False, "via": "call"}),
+    ("crash", {"node": 3}), ("restart", {"node": 3, "warm": False, "via": "plan"}),
     ("query", {"queries": [("num_copies", 47), ("sharing", 1),
                            ("num_shared_content", 2)]}),
     ("detach", {"entity": 65}),
+    ("kill", {"node": 2}), ("restart_process", {"mode": "delta", "lost": None}),
+    ("restart", {"node": 2, "warm": True, "via": "call"}),
     ("restart_process", {"mode": "recon", "lost": None}),
     ("restart_process", {"mode": "recon", "lost": (1, 2, 52)}),
     ("remove_entity", {"entity": 1}), ("clear", {}),

@@ -22,7 +22,7 @@ class TestWarmRestartProperty:
            st.integers(0, 3), schedules("restart_process", max_size=1))
     def test_warm_restart_equals_cold_rebuild(self, backend, rules, seed,
                                               last):
-        rejoin = [("restart", {"node": node, "warm": False})
+        rejoin = [("restart", {"node": node, "warm": False, "via": "call"})
                   for node in FAULTY_NODES]
         SystemMachine().replay(
             [*rules, *rejoin, *last],
